@@ -24,7 +24,8 @@
 //! * `baseline` — measures per-query minimum time under Opt/C, for the
 //!   hand-built plans (`Q<n>`) and the optimized-SQL plans (`Q<n>-sql`),
 //!   and writes the `legobase-bench-v1` JSON trajectory file
-//!   (`LEGOBASE_BENCH_OUT`, default `BENCH_PR4.json`). When
+//!   (`LEGOBASE_BENCH_OUT`, default `bench-trajectory.json`; a PR commits
+//!   its own run as `BENCH_PR<n>.json`). When
 //!   `LEGOBASE_BASELINE` names a committed baseline, the run exits 1 on
 //!   any >25% speed-normalized regression — this is CI's perf gate. Not
 //!   part of `all` (it writes files and gates).
@@ -70,7 +71,7 @@ fn usage() -> String {
          loopback legobase-wire-v1 connections instead of in-process sessions)\n\
          env: LEGOBASE_SF (scale factor, default 0.02), LEGOBASE_RUNS (timed \
          repetitions, default 3), LEGOBASE_THREADS_SF (threads figure, default 0.1),\n\
-         LEGOBASE_BENCH_OUT (baseline output, default BENCH_PR4.json), \
+         LEGOBASE_BENCH_OUT (baseline output, default bench-trajectory.json), \
          LEGOBASE_BASELINE (committed baseline to gate against; exit 1 on regression),\n\
          LEGOBASE_OPTIMIZE (0 turns the cost-based SQL optimizer off), \
          LEGOBASE_FEEDBACK (0 turns adaptive estimation feedback off; esterr warm leg),\n\
@@ -801,7 +802,8 @@ fn baseline(system: &LegoBase) {
     for (n, t) in [1usize, 6].iter().zip(&times1) {
         rows.push(BenchRow { query: format!("Q{n}-sql-sf1"), min_ms: ms(*t) });
     }
-    let out_path = std::env::var("LEGOBASE_BENCH_OUT").unwrap_or_else(|_| "BENCH_PR4.json".into());
+    let out_path =
+        std::env::var("LEGOBASE_BENCH_OUT").unwrap_or_else(|_| "bench-trajectory.json".into());
     let json = bench_json(scale_factor(), "OptC", legobase_bench::runs(), &rows);
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");

@@ -83,9 +83,9 @@ impl GenericDb {
         self.tables.get(name).unwrap_or_else(|| panic!("unknown table `{name}`"))
     }
 
-    /// Current resident heap footprint. Row tables never materialize decode
-    /// caches, so this always equals the load-time `report.approx_bytes` —
-    /// it exists for parity with [`SpecializedDb::approx_bytes`].
+    /// Current resident heap footprint (equals the load-time
+    /// `report.approx_bytes`; exists for parity with
+    /// [`SpecializedDb::approx_bytes`]).
     pub fn approx_bytes(&self) -> usize {
         self.tables.values().map(RowTable::approx_bytes).sum::<usize>()
             + self.fk_partitions.values().map(ForeignKeyPartition::approx_bytes).sum::<usize>()
@@ -265,11 +265,7 @@ impl SpecializedDb {
         self.unpack_strategies.get(&(table.to_string(), column)).copied()
     }
 
-    /// Current resident heap footprint. Unlike the load-time
-    /// `report.approx_bytes` snapshot, this counts decode caches that
-    /// executions have materialized since (`PackedInts::decoded` memoizes
-    /// whole-column unpacks for scratch-strategy columns) — sample it after
-    /// a warm-up run for the honest steady-state number.
+    /// Current resident heap footprint of the loaded structures.
     pub fn approx_bytes(&self) -> usize {
         self.tables.values().map(ColumnTable::approx_bytes).sum::<usize>()
             + self.fk_partitions.values().map(ForeignKeyPartition::approx_bytes).sum::<usize>()

@@ -1,0 +1,411 @@
+//! Property test of the block-at-a-time aggregation: for random chunks the
+//! block fold must equal a naive per-row reference **bit for bit**, across
+//! selection shapes, column layouts, every aggregate kind, every group
+//! resolver, block- and morsel-boundary sizes, and parallelism degrees.
+//!
+//! The reference interprets every aggregate argument row by row over generic
+//! tuples, numbers groups by first occurrence and adds in row order; where
+//! the engine splits the input into morsels (more than one morsel of rows at
+//! a degree ≥ 2) it adds per-morsel partials in morsel order, which is the
+//! determinism contract of DESIGN.md §3.
+
+use crate::expr::{AggKind, Expr};
+use crate::interp;
+use crate::kernel::{Chunk, GroupResolver};
+use crate::plan::AggSpec;
+use crate::settings::{Config, Settings};
+use crate::specialized::aggregate_chunk;
+use legobase_storage::column::{ColumnSpec, ColumnTable};
+use legobase_storage::morsel::MORSEL_ROWS;
+use legobase_storage::{Column, Date, DictKind, PackedInts, RowTable, Schema, Type, Value};
+use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+const K: usize = 0; // small dense int key
+const W: usize = 1; // wide sparse int key
+const S: usize = 2; // dictionary string
+const X: usize = 3; // float
+const Y: usize = 4; // float in [0, 0.1)
+const I: usize = 5; // small signed int
+const D: usize = 6; // date
+const BIG: usize = 7; // ints of magnitude just above 2^53
+const T: usize = 8; // plain string
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Layout {
+    Plain,
+    Packed,
+    /// `X` and `I` carry validity masks, as below the NULL-extended side of
+    /// an outer join.
+    Nullable,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Selection {
+    None,
+    Ascending,
+    /// Three ascending runs back to back — the shape a date-index scan
+    /// emits (year buckets).
+    Buckets,
+}
+
+/// A chunk of `rows` logical rows.
+fn chunk(rng: &mut TestRng, rows: usize, layout: Layout, selection: Selection) -> Chunk {
+    let schema = Schema::of(&[
+        ("k", Type::Int),
+        ("w", Type::Int),
+        ("s", Type::Str),
+        ("x", Type::Float),
+        ("y", Type::Float),
+        ("i", Type::Int),
+        ("d", Type::Date),
+        ("big", Type::Int),
+        ("t", Type::Str),
+    ]);
+    let total = if matches!(selection, Selection::None) { rows } else { 2 * rows + 3 };
+    let words = ["AIR", "MAIL", "RAIL", "SHIP"];
+    let mut rt = RowTable::new(schema.clone());
+    for _ in 0..total {
+        rt.push(vec![
+            Value::Int(rng.below(5) as i64),
+            Value::Int(rng.below(10_000_000) as i64),
+            Value::from(words[rng.below(4) as usize]),
+            Value::Float((rng.below(2_000_000) as f64 - 1_000_000.0) / 7.0),
+            Value::Float(rng.below(1000) as f64 / 10_000.0),
+            Value::Int(rng.below(2001) as i64 - 1000),
+            Value::Date(Date::from_ymd(1992 + rng.below(7) as i32, 1 + rng.below(12) as u32, 1)),
+            // Random signs keep even a 9000-row sum far inside `i64`.
+            Value::Int(((1 << 53) + rng.below(1000) as i64) * (2 * rng.below(2) as i64 - 1)),
+            Value::from(words[rng.below(3) as usize]),
+        ]);
+    }
+    let spec = ColumnSpec { dictionaries: vec![(S, DictKind::Normal)], used: None };
+    let mut cols = ColumnTable::from_rows(&rt, &spec).columns;
+    let mut nulls = vec![None; cols.len()];
+    match layout {
+        Layout::Plain => {}
+        Layout::Packed => {
+            for c in cols.iter_mut() {
+                *c = match &*c {
+                    Column::I64(v) => Column::I64Packed(Arc::new(PackedInts::from_values(v))),
+                    Column::Date(v) => {
+                        let days: Vec<i64> = v.iter().map(|&d| d as i64).collect();
+                        Column::DatePacked(Arc::new(PackedInts::from_values(&days)))
+                    }
+                    Column::Dict(codes, dict) => {
+                        let wide: Vec<i64> = codes.iter().map(|&c| c as i64).collect();
+                        Column::DictPacked(Arc::new(PackedInts::from_values(&wide)), dict.clone())
+                    }
+                    other => other.clone(),
+                };
+            }
+        }
+        Layout::Nullable => {
+            for c in [X, I] {
+                nulls[c] = Some(Arc::new((0..total).map(|_| rng.below(4) == 0).collect()));
+            }
+        }
+    }
+    let sel = match selection {
+        Selection::None => None,
+        Selection::Ascending => Some((0..total as u32).filter(|r| r % 2 == 1).collect::<Vec<_>>()),
+        Selection::Buckets => {
+            Some((0..3u32).flat_map(|b| (0..total as u32).filter(move |r| r % 3 == b)).collect())
+        }
+    };
+    let sel = sel.map(|mut s| {
+        s.truncate(rows);
+        assert_eq!(s.len(), rows);
+        Arc::new(s)
+    });
+    Chunk { schema, cols, nulls, sel, total, base: None }
+}
+
+/// Every aggregate kind over block nodes, shared subexpressions, per-row
+/// fillers (`Case`, `Year`), integer-only arithmetic and generic values.
+fn aggregates() -> Vec<AggSpec> {
+    let disc_price = || Expr::mul(Expr::col(X), Expr::sub(Expr::lit(1i64), Expr::col(Y)));
+    vec![
+        AggSpec::new(AggKind::Sum, Expr::col(X), "sum_x"),
+        AggSpec::new(AggKind::Avg, Expr::col(X), "avg_x"),
+        AggSpec::new(AggKind::Sum, disc_price(), "sum_disc"),
+        AggSpec::new(
+            AggKind::Sum,
+            Expr::mul(disc_price(), Expr::add(Expr::lit(1.0), Expr::col(Y))),
+            "sum_charge",
+        ),
+        AggSpec::new(AggKind::Avg, Expr::col(Y), "avg_y"),
+        AggSpec::new(AggKind::Count, Expr::lit(1i64), "count_star"),
+        AggSpec::new(AggKind::Count, Expr::col(X), "count_x"),
+        AggSpec::new(AggKind::Sum, Expr::col(I), "sum_i"),
+        AggSpec::new(AggKind::Avg, Expr::col(I), "avg_i"),
+        AggSpec::new(
+            AggKind::Sum,
+            Expr::add(Expr::mul(Expr::col(K), Expr::lit(3i64)), Expr::col(W)),
+            "sum_int_arith",
+        ),
+        AggSpec::new(
+            AggKind::Sum,
+            Expr::case(Expr::lt(Expr::col(I), Expr::lit(0i64)), Expr::col(X), Expr::lit(0.0)),
+            "sum_case",
+        ),
+        AggSpec::new(AggKind::Sum, Expr::year(Expr::col(D)), "sum_year"),
+        AggSpec::new(AggKind::Min, Expr::col(X), "min_x"),
+        AggSpec::new(AggKind::Max, Expr::col(D), "max_d"),
+        AggSpec::new(AggKind::Min, Expr::col(T), "min_t"),
+        AggSpec::new(AggKind::Max, Expr::col(I), "max_i"),
+    ]
+}
+
+/// `SUM(big)` needs the exact `i64` fold of the block path; interpreted mode
+/// (Opt/Scala) still adds integers through `f64`.
+fn exact_big_sum() -> AggSpec {
+    AggSpec::new(AggKind::Sum, Expr::col(BIG), "sum_big")
+}
+
+enum Acc {
+    SumF(Option<f64>),
+    SumI(Option<i64>),
+    Count(i64),
+    Avg(f64, i64),
+    Extreme(Option<Value>, bool),
+}
+
+impl Acc {
+    fn new(spec: &AggSpec, schema: &Schema) -> Acc {
+        match spec.kind {
+            AggKind::Sum if spec.expr.ty(schema) == Type::Int => Acc::SumI(None),
+            AggKind::Sum => Acc::SumF(None),
+            AggKind::Count => Acc::Count(0),
+            AggKind::Avg => Acc::Avg(0.0, 0),
+            AggKind::Min => Acc::Extreme(None, true),
+            AggKind::Max => Acc::Extreme(None, false),
+        }
+    }
+
+    fn add(&mut self, v: Value) {
+        if v.is_null() {
+            return;
+        }
+        match self {
+            Acc::SumF(s) => *s = Some(s.unwrap_or(0.0) + v.as_float()),
+            Acc::SumI(s) => *s = Some(s.unwrap_or(0) + v.as_int()),
+            Acc::Count(c) => *c += 1,
+            Acc::Avg(s, c) => {
+                *s += v.as_float();
+                *c += 1;
+            }
+            Acc::Extreme(cur, is_min) => {
+                let better = cur.as_ref().is_none_or(|c| if *is_min { v < *c } else { v > *c });
+                if better {
+                    *cur = Some(v);
+                }
+            }
+        }
+    }
+
+    /// Adds a later morsel's partial.
+    fn merge(&mut self, other: Acc) {
+        match (self, other) {
+            (Acc::SumF(s), Acc::SumF(Some(o))) => *s = Some(s.unwrap_or(0.0) + o),
+            (Acc::SumI(s), Acc::SumI(Some(o))) => *s = Some(s.unwrap_or(0) + o),
+            (Acc::Count(c), Acc::Count(o)) => *c += o,
+            (Acc::Avg(s, c), Acc::Avg(os, oc)) => {
+                *s += os;
+                *c += oc;
+            }
+            (acc @ Acc::Extreme(..), Acc::Extreme(Some(v), _)) => acc.add(v),
+            _ => {}
+        }
+    }
+
+    fn finish(self) -> Value {
+        match self {
+            Acc::SumF(s) => s.map_or(Value::Null, Value::Float),
+            Acc::SumI(s) => s.map_or(Value::Null, Value::Int),
+            Acc::Count(c) => Value::Int(c),
+            Acc::Avg(_, 0) => Value::Null,
+            Acc::Avg(s, c) => Value::Float(s / c as f64),
+            Acc::Extreme(v, _) => v.unwrap_or(Value::Null),
+        }
+    }
+}
+
+/// Groups in first-occurrence order with one accumulator per aggregate.
+struct RefGroups {
+    index: HashMap<Vec<Value>, usize>,
+    groups: Vec<(Vec<Value>, Vec<Acc>)>,
+}
+
+impl RefGroups {
+    fn new() -> RefGroups {
+        RefGroups { index: HashMap::new(), groups: Vec::new() }
+    }
+
+    fn slot(&mut self, key: Vec<Value>, chunk: &Chunk, aggs: &[AggSpec]) -> &mut Vec<Acc> {
+        let next = self.groups.len();
+        let g = *self.index.entry(key.clone()).or_insert(next);
+        if g == next {
+            self.groups.push((key, aggs.iter().map(|a| Acc::new(a, &chunk.schema)).collect()));
+        }
+        &mut self.groups[g].1
+    }
+}
+
+/// The naive reference: `(group key ++ aggregate values)` per group.
+fn reference(
+    chunk: &Chunk,
+    group_by: &[usize],
+    aggs: &[AggSpec],
+    morsel: usize,
+) -> Vec<Vec<Value>> {
+    let mut total = RefGroups::new();
+    for start in (0..chunk.len()).step_by(morsel) {
+        let mut part = RefGroups::new();
+        for i in start..start.saturating_add(morsel).min(chunk.len()) {
+            let row = chunk.row_values(i);
+            let key: Vec<Value> = group_by.iter().map(|&c| row[c].clone()).collect();
+            for (acc, spec) in part.slot(key, chunk, aggs).iter_mut().zip(aggs) {
+                acc.add(interp::eval(&spec.expr, &row));
+            }
+        }
+        for (key, accs) in part.groups {
+            for (into, acc) in total.slot(key, chunk, aggs).iter_mut().zip(accs) {
+                into.merge(acc);
+            }
+        }
+    }
+    if group_by.is_empty() && total.groups.is_empty() {
+        total.slot(Vec::new(), chunk, aggs);
+    }
+    total
+        .groups
+        .into_iter()
+        .map(|(mut key, accs)| {
+            key.extend(accs.into_iter().map(Acc::finish));
+            key
+        })
+        .collect()
+}
+
+/// The engine's answer in the same shape.
+fn engine(
+    settings: &Settings,
+    chunk: &Chunk,
+    group_by: &[usize],
+    aggs: &[AggSpec],
+) -> (GroupResolver, Vec<Vec<Value>>) {
+    let (resolver, reprs, cols) = aggregate_chunk(settings, chunk, group_by, aggs);
+    let rows = reprs
+        .iter()
+        .enumerate()
+        .map(|(g, &repr)| {
+            let keys = group_by.iter().map(|&c| chunk.value_at(c, repr as usize));
+            let vals = cols.iter().map(|(col, mask)| {
+                if mask.as_ref().is_some_and(|m| m[g]) {
+                    Value::Null
+                } else {
+                    col.value_at(g)
+                }
+            });
+            keys.chain(vals).collect()
+        })
+        .collect();
+    (resolver, rows)
+}
+
+/// Bit-for-bit equality (`Value`'s own `==` is not bitwise on floats).
+fn same(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
+    let cell = |x: &Value, y: &Value| match (x, y) {
+        (Value::Float(p), Value::Float(q)) => p.to_bits() == q.to_bits(),
+        _ => x == y,
+    };
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(r, s)| r.len() == s.len() && r.iter().zip(s).all(|(x, y)| cell(x, y)))
+}
+
+fn resolver_name(r: &GroupResolver) -> &'static str {
+    match r {
+        GroupResolver::Singleton => "singleton",
+        GroupResolver::Direct { .. } => "direct",
+        GroupResolver::Lowered { .. } => "lowered",
+        GroupResolver::Hash { .. } => "hash",
+        GroupResolver::Generic { .. } => "generic",
+    }
+}
+
+proptest! {
+    // One case walks the whole matrix below (≈ 650 engine runs against the
+    // reference); `PROPTEST_SEED` varies the data.
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    #[test]
+    fn block_fold_equals_per_row_reference(seed in any::<u64>()) {
+        let opt = Config::OptC.settings();
+        let no_motion = opt.with(|s| s.code_motion = false);
+        let plain_maps = no_motion.with(|s| s.hashmap_lowering = false);
+        let interpreted = Config::OptScala.settings();
+        // (group-by columns, settings, the resolver they must select)
+        let groupings: [(&[usize], Settings, &str); 8] = [
+            (&[], opt, "singleton"),
+            (&[K], opt, "direct"),
+            (&[S, K], opt, "direct"),
+            (&[W], opt, "lowered"),
+            (&[K, D], no_motion, "lowered"),
+            (&[W], plain_maps, "hash"),
+            (&[T, K], opt, "generic"),
+            (&[S, K], interpreted, "generic"),
+        ];
+        let sizes = [0, 1, 1023, 1024, 1025, 2 * 1024 + 1, MORSEL_ROWS + 1, 2 * MORSEL_ROWS + 1025];
+        let mut aggs = aggregates();
+        aggs.push(exact_big_sum());
+        let mut rng = TestRng::from_seed(seed);
+        for rows in sizes {
+            for selection in [Selection::None, Selection::Ascending, Selection::Buckets] {
+                for layout in [Layout::Plain, Layout::Packed, Layout::Nullable] {
+                    let chunk = chunk(&mut rng, rows, layout, selection);
+                    let mut references = HashMap::new();
+                    for (group_by, settings, resolver) in &groupings {
+                        let (serial, morsels) = references.entry(*group_by).or_insert_with(|| {
+                            let serial = reference(&chunk, group_by, &aggs, usize::MAX);
+                            let split = rows > MORSEL_ROWS;
+                            let morsels = split.then(|| reference(&chunk, group_by, &aggs, MORSEL_ROWS));
+                            (serial, morsels)
+                        });
+                        for degree in [1, 2, 4] {
+                            let settings = settings.with_parallelism(degree);
+                            let mut expected = match morsels {
+                                Some(m) if degree > 1 => m.clone(),
+                                _ => serial.clone(),
+                            };
+                            // Interpreted mode is measured without the exact sum.
+                            let aggs = if settings.compiled_exprs {
+                                &aggs[..]
+                            } else {
+                                expected.iter_mut().for_each(|row| {
+                                    row.pop();
+                                });
+                                &aggs[..aggs.len() - 1]
+                            };
+                            let (used, got) = engine(&settings, &chunk, group_by, aggs);
+                            prop_assert!(
+                                same(&got, &expected),
+                                "rows {rows} {selection:?} {layout:?} group by {group_by:?} \
+                                 ({resolver}) degree {degree}:\n got      {got:?}\n expected {expected:?}"
+                            );
+                            // Two random wide keys already span more than
+                            // the direct-array limit; fewer rows do not.
+                            if rows > 1 || !group_by.contains(&W) {
+                                prop_assert_eq!(resolver_name(&used), *resolver);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

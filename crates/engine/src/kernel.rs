@@ -9,10 +9,59 @@
 //! reads, so per-row evaluation is an indexed load plus a primitive op —
 //! no `Value` boxing, no enum dispatch on types.
 
-use crate::expr::{ArithOp, CmpOp, Expr};
+use crate::expr::{AggKind, ArithOp, CmpOp, Expr};
 use crate::interp;
-use legobase_storage::{Column, PackedInts, Schema, Value};
+use crate::plan::AggSpec;
+use legobase_storage::specialized::ChainedArrayMap;
+use legobase_storage::{metrics, Column, PackedInts, Schema, Type, Value};
+use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Rows per block of the block-at-a-time paths: small enough that a handful
+/// of scratch vectors stay in L1/L2, large enough to amortize the per-block
+/// dispatch over the expression nodes and aggregates.
+pub const BLOCK_ROWS: usize = 1024;
+
+/// One block of physical row ids, in logical order.
+pub enum Rows<'a> {
+    /// A contiguous physical range (no selection vector).
+    Range(std::ops::Range<usize>),
+    /// Explicit physical ids (a slice of the selection vector).
+    Ids(&'a [u32]),
+}
+
+impl Rows<'_> {
+    /// Number of rows in the block.
+    pub fn len(&self) -> usize {
+        match self {
+            Rows::Range(r) => r.len(),
+            Rows::Ids(ids) => ids.len(),
+        }
+    }
+
+    /// True when the block holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Physical id of the block's `i`-th row.
+    #[inline]
+    pub fn phys(&self, i: usize) -> usize {
+        match self {
+            Rows::Range(r) => r.start + i,
+            Rows::Ids(ids) => ids[i] as usize,
+        }
+    }
+
+    /// Calls `f(i, phys)` for every row of the block, in order.
+    #[inline]
+    pub fn for_each(&self, mut f: impl FnMut(usize, usize)) {
+        match self {
+            Rows::Range(r) => r.clone().enumerate().for_each(|(i, p)| f(i, p)),
+            Rows::Ids(ids) => ids.iter().enumerate().for_each(|(i, &p)| f(i, p as usize)),
+        }
+    }
+}
 
 /// A columnar intermediate result.
 ///
@@ -65,6 +114,23 @@ impl Chunk {
         match &self.sel {
             Some(s) => Box::new(s.iter().map(|&r| r as usize)),
             None => Box::new(0..self.total),
+        }
+    }
+
+    /// Hands the logical rows `range` to `f` in blocks of at most
+    /// [`BLOCK_ROWS`] physical ids, in logical order — the per-row loops'
+    /// statically dispatched alternative to [`Chunk::physical_rows`].
+    pub fn for_each_block(&self, range: std::ops::Range<usize>, mut f: impl FnMut(Rows<'_>)) {
+        match &self.sel {
+            Some(s) => s[range].chunks(BLOCK_ROWS).for_each(|ids| f(Rows::Ids(ids))),
+            None => {
+                let mut start = range.start;
+                while start < range.end {
+                    let end = (start + BLOCK_ROWS).min(range.end);
+                    f(Rows::Range(start..end));
+                    start = end;
+                }
+            }
         }
     }
 
@@ -624,15 +690,22 @@ pub struct UnpackScratch {
     mask: Vec<bool>,
 }
 
-/// One side of a block-evaluable integer comparison.
+/// An integer-valued block operand: one side of a block-evaluable
+/// comparison, an integer leaf of a block expression, or a group-key column.
+#[derive(Clone)]
 enum IntSrc {
-    /// Packed column: batch-unpacked into scratch slot `slot`, one morsel at
-    /// a time — never materialized whole.
+    /// Packed column: batch-unpacked into scratch one block at a time —
+    /// never materialized whole. `slot` is the filter scratch slot (unused
+    /// outside [`BlockPred`]).
     Unpack { p: Arc<PackedInts>, slot: usize },
     /// Plain integer column.
     I64(Arc<Vec<i64>>),
     /// Plain date column (day counts widen to `i64`).
     Date(Arc<Vec<i32>>),
+    /// Dictionary codes (group keys only).
+    Dict(Arc<Vec<u32>>),
+    /// Boolean column as 0/1.
+    Bool(Arc<Vec<bool>>),
     /// Integer or date literal.
     Const(i64),
 }
@@ -646,8 +719,61 @@ impl IntSrc {
             IntSrc::Unpack { slot, .. } => bufs[*slot][i],
             IntSrc::I64(v) => v[start + i],
             IntSrc::Date(v) => v[start + i] as i64,
+            IntSrc::Dict(v) => v[start + i] as i64,
+            IntSrc::Bool(v) => v[start + i] as i64,
             IntSrc::Const(c) => *c,
         }
+    }
+
+    /// Loads the values of `rows` into `out` (`out.len() == rows.len()`): a
+    /// contiguous copy / batch unpack for a range, a gather through the
+    /// selection vector otherwise. Element-for-element what the per-row
+    /// kernels read.
+    fn load(&self, rows: &Rows<'_>, out: &mut [i64]) {
+        match self {
+            IntSrc::Unpack { p, .. } => match rows {
+                Rows::Range(r) => p.unpack_range(r.start, out),
+                Rows::Ids(ids) => {
+                    let cursor = p.cursor();
+                    for (o, &r) in out.iter_mut().zip(*ids) {
+                        *o = cursor.get(r as usize);
+                    }
+                }
+            },
+            IntSrc::I64(v) => load_col(v, rows, out, |x| x),
+            IntSrc::Date(v) => load_col(v, rows, out, |x| x as i64),
+            IntSrc::Dict(v) => load_col(v, rows, out, |x| x as i64),
+            IntSrc::Bool(v) => load_col(v, rows, out, |x| x as i64),
+            IntSrc::Const(c) => out.fill(*c),
+        }
+    }
+}
+
+/// Copies (range) or gathers (selection) one plain column's block into `out`.
+#[inline]
+fn load_col<T: Copy, U>(v: &[T], rows: &Rows<'_>, out: &mut [U], cast: impl Fn(T) -> U) {
+    match rows {
+        Rows::Range(r) => out.iter_mut().zip(&v[r.clone()]).for_each(|(o, &x)| *o = cast(x)),
+        Rows::Ids(ids) => out.iter_mut().zip(*ids).for_each(|(o, &r)| *o = cast(v[r as usize])),
+    }
+}
+
+/// The integer view of a non-nullable groupable column — the block
+/// counterpart of [`code_kernel`], with identical codes: integers verbatim,
+/// dates as day counts, dictionary strings as codes, booleans as 0/1.
+fn key_src(col: usize, chunk: &Chunk) -> Option<IntSrc> {
+    if chunk.nulls[col].is_some() {
+        return None;
+    }
+    match chunk.cols[col].clone() {
+        Column::I64(v) => Some(IntSrc::I64(v)),
+        Column::Date(v) => Some(IntSrc::Date(v)),
+        Column::Dict(codes, _) => Some(IntSrc::Dict(codes)),
+        Column::Bool(v) => Some(IntSrc::Bool(v)),
+        Column::I64Packed(p) | Column::DatePacked(p) | Column::DictPacked(p, _) => {
+            Some(IntSrc::Unpack { p, slot: 0 })
+        }
+        _ => None,
     }
 }
 
@@ -890,6 +1016,1044 @@ pub fn compile_block_pred(e: &Expr, chunk: &Chunk) -> Option<BlockPred> {
         return None;
     }
     Some(BlockPred { conjuncts, slots })
+}
+
+// ---- expression compilation respecting the `compiled_exprs` flag ----
+
+/// Reads one value out of a column set (by physical row).
+pub(crate) fn value_from(
+    cols: &[Column],
+    nulls: &[Option<Arc<Vec<bool>>>],
+    c: usize,
+    p: usize,
+) -> Value {
+    if let Some(m) = &nulls[c] {
+        if m[p] {
+            return Value::Null;
+        }
+    }
+    cols[c].value_at(p)
+}
+
+/// Interpreted-mode row materializer (Opt/Scala): builds a generic tuple per
+/// evaluation.
+fn interpreted_row(chunk: &Chunk) -> impl Fn(usize) -> Vec<Value> + Send + Sync {
+    let cols = chunk.cols.clone();
+    let nulls = chunk.nulls.clone();
+    move |p| {
+        (0..cols.len())
+            .map(|c| {
+                if matches!(cols[c], Column::Absent) {
+                    Value::Null
+                } else {
+                    value_from(&cols, &nulls, c, p)
+                }
+            })
+            .collect()
+    }
+}
+
+/// A per-row predicate: a compiled kernel, or (`compiled` off, Opt/Scala)
+/// the interpreter over a materialized tuple.
+pub(crate) fn pred(e: &Expr, chunk: &Chunk, compiled: bool) -> BoolK {
+    if compiled {
+        return compile_bool(e, chunk);
+    }
+    let (row, e) = (interpreted_row(chunk), e.clone());
+    Box::new(move |r| interp::eval_pred(&e, &row(r)))
+}
+
+/// A per-row `f64` expression, compiled or interpreted like [`pred`].
+pub(crate) fn f64k(e: &Expr, chunk: &Chunk, compiled: bool) -> F64K {
+    if compiled {
+        return compile_f64(e, chunk);
+    }
+    let (row, e) = (interpreted_row(chunk), e.clone());
+    Box::new(move |r| interp::eval(&e, &row(r)).as_float())
+}
+
+/// A per-row generic-value expression, compiled or interpreted like [`pred`].
+pub(crate) fn valk(e: &Expr, chunk: &Chunk, compiled: bool) -> ValK {
+    if compiled {
+        return compile_value(e, chunk);
+    }
+    let (row, e) = (interpreted_row(chunk), e.clone());
+    Box::new(move |r| interp::eval(&e, &row(r)))
+}
+
+/// Builds a "this input is NULL" guard for an aggregate argument, or `None`
+/// when no referenced column carries a null mask (the common TPC-H
+/// base-table case, which then pays nothing per row). SQL aggregates skip
+/// NULL inputs, so SUM/AVG must not fold the 0.0 that a coerced NULL would
+/// contribute — and AVG must not count it.
+fn null_guard(e: &Expr, chunk: &Chunk, compiled: bool) -> Option<BoolK> {
+    let mut cols = Vec::new();
+    e.collect_cols(&mut cols);
+    if cols.iter().all(|&c| chunk.nulls[c].is_none()) {
+        return None;
+    }
+    let vk = valk(e, chunk, compiled);
+    Some(Box::new(move |r| vk(r).is_null()))
+}
+
+// ---- block expressions ----
+
+/// One reusable typed scratch vector of a [`BlockExprs`] program.
+pub(crate) enum Reg {
+    I(Vec<i64>),
+    F(Vec<f64>),
+    B(Vec<bool>),
+}
+
+impl Reg {
+    fn i(&self) -> &[i64] {
+        match self {
+            Reg::I(v) => v,
+            _ => unreachable!("register typed by the node that writes it"),
+        }
+    }
+
+    fn f(&self) -> &[f64] {
+        match self {
+            Reg::F(v) => v,
+            _ => unreachable!("register typed by the node that writes it"),
+        }
+    }
+
+    fn b(&self) -> &[bool] {
+        match self {
+            Reg::B(v) => v,
+            _ => unreachable!("register typed by the node that writes it"),
+        }
+    }
+}
+
+/// One node of a block program; node `k` writes register `k` and reads only
+/// lower-numbered ones.
+enum Node {
+    /// Integer leaf: column load/gather/unpack, or a literal broadcast.
+    Int(IntSrc),
+    /// Float column load/gather.
+    F64(Arc<Vec<f64>>),
+    /// Float literal broadcast.
+    ConstF(f64),
+    /// Integer register widened to `f64`.
+    ToF(usize),
+    /// `f64` arithmetic over two float registers: one slice loop.
+    ArithF(ArithOp, usize, usize),
+    /// Exact `i64` arithmetic (`+ - *`) over two integer registers.
+    ArithI(ArithOp, usize, usize),
+    /// The per-row closure filler (`Case`/`Year`/nullable inputs, and every
+    /// expression when `compiled_exprs` is off); rows flagged in the `null`
+    /// mask register are skipped.
+    Row { k: F64K, null: Option<usize> },
+    /// Per-row NULL test into a mask register.
+    Null(BoolK),
+}
+
+/// Numeric expressions compiled together into one register program that
+/// evaluates a block of rows at a time into typed scratch vectors. The
+/// program is a DAG: structurally equal subexpressions — Q1's
+/// `l_extendedprice * (1 - l_discount)` inside `charge`, a column read by
+/// three aggregates — compile to one node and are computed once per block.
+/// Every node computes exactly the values the per-row kernels of
+/// [`compile_f64`] compute, so results are bit-identical to them.
+pub(crate) struct BlockExprs {
+    nodes: Vec<Node>,
+    /// `(expression, integer-typed?, register)` of every shared node.
+    memo: Vec<(Expr, bool, usize)>,
+}
+
+impl BlockExprs {
+    pub(crate) fn new() -> BlockExprs {
+        BlockExprs { nodes: Vec::new(), memo: Vec::new() }
+    }
+
+    fn push(&mut self, node: Node) -> usize {
+        self.nodes.push(node);
+        self.nodes.len() - 1
+    }
+
+    fn shared(&mut self, e: &Expr, int: bool, node: Node) -> usize {
+        let r = self.push(node);
+        self.memo.push((e.clone(), int, r));
+        r
+    }
+
+    fn lookup(&self, e: &Expr, int: bool) -> Option<usize> {
+        self.memo.iter().find(|(m, i, _)| *i == int && m == e).map(|&(_, _, r)| r)
+    }
+
+    /// The register holding `e` as `f64`. With `compiled` off — and for any
+    /// subexpression the block nodes do not cover — the register is filled
+    /// by the per-row closure instead.
+    pub(crate) fn f64_reg(&mut self, e: &Expr, chunk: &Chunk, compiled: bool) -> usize {
+        if let Some(r) = self.lookup(e, false) {
+            return r;
+        }
+        let node = match e {
+            _ if !compiled => None,
+            Expr::Col(i) if chunk.nulls[*i].is_none() => match &chunk.cols[*i] {
+                Column::F64(v) => Some(Node::F64(Arc::clone(v))),
+                Column::Dict(..) | Column::DictPacked(..) => None,
+                _ => self.int_leaf(*i, chunk).map(Node::ToF),
+            },
+            Expr::Lit(Value::Int(v)) => Some(Node::ConstF(*v as f64)),
+            Expr::Lit(Value::Float(v)) => Some(Node::ConstF(*v)),
+            Expr::Lit(Value::Date(d)) => Some(Node::ConstF(d.0 as f64)),
+            Expr::Arith(op, a, b) => {
+                let (a, b) = (self.f64_reg(a, chunk, compiled), self.f64_reg(b, chunk, compiled));
+                Some(Node::ArithF(*op, a, b))
+            }
+            _ => None,
+        };
+        let node = node.unwrap_or_else(|| Node::Row { k: f64k(e, chunk, compiled), null: None });
+        self.shared(e, false, node)
+    }
+
+    /// The integer register of a non-nullable integer-coded column.
+    fn int_leaf(&mut self, col: usize, chunk: &Chunk) -> Option<usize> {
+        let e = Expr::Col(col);
+        self.lookup(&e, true)
+            .or_else(|| Some(self.shared(&e, true, Node::Int(key_src(col, chunk)?))))
+    }
+
+    /// The register holding `e` as exact `i64`, when `e` is integer columns
+    /// and literals under `+ - *` only (division keeps the `f64` semantics
+    /// of [`compile_f64`]).
+    pub(crate) fn i64_reg(&mut self, e: &Expr, chunk: &Chunk) -> Option<usize> {
+        fn int_only(e: &Expr, chunk: &Chunk) -> bool {
+            match e {
+                Expr::Col(i) => {
+                    chunk.nulls[*i].is_none()
+                        && matches!(chunk.cols[*i], Column::I64(_) | Column::I64Packed(_))
+                }
+                Expr::Lit(Value::Int(_)) => true,
+                Expr::Arith(ArithOp::Add | ArithOp::Sub | ArithOp::Mul, a, b) => {
+                    int_only(a, chunk) && int_only(b, chunk)
+                }
+                _ => false,
+            }
+        }
+        if !int_only(e, chunk) {
+            return None;
+        }
+        if let Some(r) = self.lookup(e, true) {
+            return Some(r);
+        }
+        let node = match e {
+            Expr::Col(i) => return self.int_leaf(*i, chunk),
+            Expr::Lit(Value::Int(v)) => Node::Int(IntSrc::Const(*v)),
+            Expr::Arith(op, a, b) => {
+                Node::ArithI(*op, self.i64_reg(a, chunk)?, self.i64_reg(b, chunk)?)
+            }
+            _ => unreachable!("int_only admitted the expression"),
+        };
+        Some(self.shared(e, true, node))
+    }
+
+    /// Fresh registers for this program (one set per worker).
+    pub(crate) fn scratch(&self) -> Vec<Reg> {
+        self.nodes
+            .iter()
+            .map(|n| match n {
+                Node::Int(_) | Node::ArithI(..) => Reg::I(Vec::new()),
+                Node::Null(_) => Reg::B(Vec::new()),
+                _ => Reg::F(Vec::new()),
+            })
+            .collect()
+    }
+
+    /// Evaluates every node over `rows`; afterwards the first `rows.len()`
+    /// entries of each register hold that node's values.
+    pub(crate) fn eval(&self, rows: &Rows<'_>, regs: &mut [Reg]) {
+        let n = rows.len();
+        for (k, node) in self.nodes.iter().enumerate() {
+            let (done, rest) = regs.split_at_mut(k);
+            match (node, &mut rest[0]) {
+                // A literal never changes: broadcast only when the register
+                // is shorter than the block.
+                (Node::Int(IntSrc::Const(_)), Reg::I(out)) if out.len() >= n => {}
+                (Node::ConstF(_), Reg::F(out)) if out.len() >= n => {}
+                (Node::ConstF(c), Reg::F(out)) => out.resize(n, *c),
+                (Node::Int(src), Reg::I(out)) => {
+                    out.resize(n, 0);
+                    src.load(rows, out);
+                }
+                (Node::F64(v), Reg::F(out)) => {
+                    out.resize(n, 0.0);
+                    load_col(v, rows, out, |x| x);
+                }
+                (Node::ToF(a), Reg::F(out)) => {
+                    out.resize(n, 0.0);
+                    out.iter_mut().zip(&done[*a].i()[..n]).for_each(|(o, &x)| *o = x as f64);
+                }
+                (Node::ArithF(op, a, b), Reg::F(out)) => {
+                    out.resize(n, 0.0);
+                    let ab = done[*a].f()[..n].iter().zip(&done[*b].f()[..n]);
+                    let out = out.iter_mut().zip(ab);
+                    match op {
+                        ArithOp::Add => out.for_each(|(o, (x, y))| *o = x + y),
+                        ArithOp::Sub => out.for_each(|(o, (x, y))| *o = x - y),
+                        ArithOp::Mul => out.for_each(|(o, (x, y))| *o = x * y),
+                        ArithOp::Div => out.for_each(|(o, (x, y))| *o = x / y),
+                    }
+                }
+                (Node::ArithI(op, a, b), Reg::I(out)) => {
+                    out.resize(n, 0);
+                    let ab = done[*a].i()[..n].iter().zip(&done[*b].i()[..n]);
+                    let out = out.iter_mut().zip(ab);
+                    match op {
+                        ArithOp::Add => out.for_each(|(o, (x, y))| *o = x.wrapping_add(*y)),
+                        ArithOp::Sub => out.for_each(|(o, (x, y))| *o = x.wrapping_sub(*y)),
+                        ArithOp::Mul => out.for_each(|(o, (x, y))| *o = x.wrapping_mul(*y)),
+                        ArithOp::Div => unreachable!("integer division stays on the f64 path"),
+                    }
+                }
+                (Node::Row { k, null }, Reg::F(out)) => {
+                    out.resize(n, 0.0);
+                    match null {
+                        None => rows.for_each(|i, p| out[i] = k(p)),
+                        Some(m) => {
+                            let m = done[*m].b();
+                            rows.for_each(|i, p| out[i] = if m[i] { 0.0 } else { k(p) });
+                        }
+                    }
+                }
+                (Node::Null(k), Reg::B(out)) => {
+                    out.resize(n, false);
+                    rows.for_each(|i, p| out[i] = k(p));
+                }
+                _ => unreachable!("BlockExprs::scratch types each register by its node"),
+            }
+        }
+    }
+}
+
+/// Runs a one-expression program over the chunk's logical rows, block at a
+/// time; `take` appends each block's values to the output.
+fn materialize<T>(
+    exprs: &BlockExprs,
+    chunk: &Chunk,
+    take: impl Fn(&[Reg], usize, &mut Vec<T>),
+) -> Vec<T> {
+    let mut regs = exprs.scratch();
+    let mut out = Vec::with_capacity(chunk.len());
+    chunk.for_each_block(0..chunk.len(), |rows| {
+        exprs.eval(&rows, &mut regs);
+        take(&regs, rows.len(), &mut out);
+    });
+    out
+}
+
+/// Materializes a non-nullable float expression as an owned vector.
+pub(crate) fn eval_f64_column(e: &Expr, chunk: &Chunk, compiled: bool) -> Vec<f64> {
+    let mut exprs = BlockExprs::new();
+    let r = exprs.f64_reg(e, chunk, compiled);
+    materialize(&exprs, chunk, |regs, n, out| out.extend_from_slice(&regs[r].f()[..n]))
+}
+
+/// Materializes a non-nullable integer expression as an owned vector: exact
+/// `i64` for integer-only arithmetic, the truncated `f64` value otherwise
+/// (`Year`, `Case`, division).
+pub(crate) fn eval_i64_column(e: &Expr, chunk: &Chunk, compiled: bool) -> Vec<i64> {
+    let mut exprs = BlockExprs::new();
+    if let Some(r) = compiled.then(|| exprs.i64_reg(e, chunk)).flatten() {
+        return materialize(&exprs, chunk, |regs, n, out| out.extend_from_slice(&regs[r].i()[..n]));
+    }
+    let r = exprs.f64_reg(e, chunk, compiled);
+    materialize(&exprs, chunk, |regs, n, out| {
+        out.extend(regs[r].f()[..n].iter().map(|&x| x as i64))
+    })
+}
+
+// ---- block-at-a-time aggregation ----
+
+/// Packs the coded group keys of a block into one dense `i64` per row using
+/// per-key ranges.
+#[derive(Clone)]
+pub(crate) struct KeyPacker {
+    srcs: Vec<IntSrc>,
+    mins: Vec<i64>,
+    strides: Vec<i64>,
+    pub(crate) domain: i64,
+}
+
+impl KeyPacker {
+    /// Derives a dense packing of the group-by columns, or `None` when a
+    /// column has no integer code (plain strings, nullable keys) or the
+    /// combined domain overflows. Key bounds need no scan where the
+    /// representation already states them — `[0, dict.len())` for dictionary
+    /// codes, the frame-of-reference range for packed integers; only plain
+    /// (computed / intermediate) columns are scanned. Group slots are
+    /// numbered by first occurrence, so the group order does not depend on
+    /// the bounds chosen.
+    pub(crate) fn fit(group_by: &[usize], chunk: &Chunk) -> Option<KeyPacker> {
+        let srcs: Vec<IntSrc> =
+            group_by.iter().map(|&c| key_src(c, chunk)).collect::<Option<_>>()?;
+        let mut tmp = Vec::new();
+        let bounds = group_by.iter().zip(&srcs).map(|(&c, src)| match &chunk.cols[c] {
+            Column::Dict(_, dict) | Column::DictPacked(_, dict) => {
+                (0, dict.len().saturating_sub(1) as i64)
+            }
+            Column::I64Packed(p) | Column::DatePacked(p) => (p.base(), p.max()),
+            Column::Bool(_) => (0, 1),
+            _ => {
+                let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+                chunk.for_each_block(0..chunk.len(), |rows| {
+                    tmp.resize(rows.len(), 0);
+                    src.load(&rows, &mut tmp);
+                    for &v in &tmp {
+                        lo = lo.min(v);
+                        hi = hi.max(v);
+                    }
+                });
+                if chunk.is_empty() {
+                    (0, 0)
+                } else {
+                    (lo, hi)
+                }
+            }
+        });
+        let (mins, maxs): (Vec<i64>, Vec<i64>) = bounds.unzip();
+        let mut strides = vec![1i64; srcs.len()];
+        let mut domain: i64 = 1;
+        for k in (0..srcs.len()).rev() {
+            strides[k] = domain;
+            let width = maxs[k].checked_sub(mins[k])?.checked_add(1)?;
+            domain = domain.checked_mul(width)?;
+            if domain > (1 << 40) {
+                return None;
+            }
+        }
+        Some(KeyPacker { srcs, mins, strides, domain })
+    }
+
+    /// Writes the packed key of every row of the block into `keys`.
+    fn pack(&self, rows: &Rows<'_>, keys: &mut Vec<i64>, tmp: &mut Vec<i64>) {
+        let n = rows.len();
+        keys.clear();
+        keys.resize(n, 0);
+        tmp.resize(n, 0);
+        for ((src, &min), &stride) in self.srcs.iter().zip(&self.mins).zip(&self.strides) {
+            src.load(rows, tmp);
+            keys.iter_mut().zip(tmp.iter()).for_each(|(k, &v)| *k += (v - min) * stride);
+        }
+    }
+}
+
+/// Resolves the rows of a block to group slots, numbering slots by first
+/// occurrence. One variant per aggregate-store choice (Section 3.5.2,
+/// Fig. 11); the same resolver serves the serial fold, every morsel's
+/// partial, the ordered merge, and — for a single coded key — the Fig. 9
+/// fused join probe ([`GroupResolver::lookup`]).
+pub(crate) enum GroupResolver {
+    /// No `GROUP BY`: a single global slot (e.g. Q6).
+    Singleton,
+    /// Dense direct-array slots over the packed key domain, with hoisted
+    /// initialization (Section 3.5.2).
+    Direct { keys: KeyPacker, slots: Vec<i32> },
+    /// Lowered chained-array map (Fig. 11).
+    Lowered { keys: KeyPacker, map: ChainedArrayMap<u32> },
+    /// Generic hash map over packed keys.
+    Hash { keys: KeyPacker, map: HashMap<u64, u32> },
+    /// Generic `Vec<Value>` keys (plain strings, nullable keys, interpreted
+    /// mode).
+    Generic { cols: Vec<usize>, map: HashMap<Vec<Value>, u32> },
+}
+
+impl GroupResolver {
+    /// An empty resolver of the same kind; map variants are sized for
+    /// `capacity` groups.
+    pub(crate) fn fresh(&self, capacity: usize) -> GroupResolver {
+        match self {
+            GroupResolver::Singleton => GroupResolver::Singleton,
+            GroupResolver::Direct { keys, .. } => {
+                GroupResolver::Direct { keys: keys.clone(), slots: vec![-1; keys.domain as usize] }
+            }
+            GroupResolver::Lowered { keys, .. } => GroupResolver::Lowered {
+                keys: keys.clone(),
+                map: ChainedArrayMap::with_capacity(capacity),
+            },
+            GroupResolver::Hash { keys, .. } => {
+                GroupResolver::Hash { keys: keys.clone(), map: HashMap::new() }
+            }
+            GroupResolver::Generic { cols, .. } => {
+                GroupResolver::Generic { cols: cols.clone(), map: HashMap::new() }
+            }
+        }
+    }
+
+    /// Writes the group slot of every row of the block into `s.gid`; a key
+    /// seen for the first time takes the next slot and appends its row to
+    /// `reprs`.
+    fn resolve(
+        &mut self,
+        chunk: &Chunk,
+        rows: &Rows<'_>,
+        s: &mut FoldScratch,
+        reprs: &mut Vec<u32>,
+    ) {
+        let n = rows.len();
+        let first_new = reprs.len();
+        let gid = &mut s.gid;
+        gid.clear();
+        gid.resize(n, 0);
+        match self {
+            GroupResolver::Singleton => {
+                if reprs.is_empty() && n > 0 {
+                    reprs.push(rows.phys(0) as u32);
+                }
+            }
+            GroupResolver::Direct { keys, slots } => {
+                keys.pack(rows, &mut s.keys, &mut s.tmp);
+                for (i, (g, &key)) in gid.iter_mut().zip(&s.keys).enumerate() {
+                    let slot = &mut slots[key as usize];
+                    if *slot < 0 {
+                        *slot = reprs.len() as i32;
+                        reprs.push(rows.phys(i) as u32);
+                    }
+                    *g = *slot as u32;
+                }
+            }
+            GroupResolver::Lowered { keys, map } => {
+                keys.pack(rows, &mut s.keys, &mut s.tmp);
+                for (i, (g, &key)) in gid.iter_mut().zip(&s.keys).enumerate() {
+                    *g = *map.get_or_insert_with(key as u64, || {
+                        reprs.push(rows.phys(i) as u32);
+                        reprs.len() as u32 - 1
+                    });
+                }
+            }
+            GroupResolver::Hash { keys, map } => {
+                keys.pack(rows, &mut s.keys, &mut s.tmp);
+                for (i, (g, &key)) in gid.iter_mut().zip(&s.keys).enumerate() {
+                    *g = *map.entry(key as u64).or_insert_with(|| {
+                        reprs.push(rows.phys(i) as u32);
+                        reprs.len() as u32 - 1
+                    });
+                }
+                metrics::hash_probes(n as u64);
+                metrics::allocations((reprs.len() - first_new) as u64);
+            }
+            GroupResolver::Generic { cols, map } => {
+                rows.for_each(|i, p| {
+                    let key: Vec<Value> = cols.iter().map(|&c| chunk.value_at(c, p)).collect();
+                    gid[i] = *map.entry(key).or_insert_with(|| {
+                        reprs.push(p as u32);
+                        reprs.len() as u32 - 1
+                    });
+                });
+                metrics::hash_probes(n as u64);
+                metrics::allocations((reprs.len() - first_new) as u64);
+            }
+        }
+    }
+
+    /// Forgets the groups whose first rows are `reprs` (a finished morsel's
+    /// partial), keeping the allocations: a direct array un-marks only the
+    /// entries the morsel touched.
+    fn reset(&mut self, reprs: &[u32], s: &mut FoldScratch) {
+        match self {
+            GroupResolver::Singleton => {}
+            GroupResolver::Direct { keys, slots } => {
+                keys.pack(&Rows::Ids(reprs), &mut s.keys, &mut s.tmp);
+                s.keys.iter().for_each(|&key| slots[key as usize] = -1);
+            }
+            GroupResolver::Lowered { map, .. } => map.clear(),
+            GroupResolver::Hash { map, .. } => map.clear(),
+            GroupResolver::Generic { map, .. } => map.clear(),
+        }
+    }
+
+    fn coded_keys(&self) -> Option<&KeyPacker> {
+        match self {
+            GroupResolver::Direct { keys, .. }
+            | GroupResolver::Lowered { keys, .. }
+            | GroupResolver::Hash { keys, .. } => Some(keys),
+            GroupResolver::Singleton | GroupResolver::Generic { .. } => None,
+        }
+    }
+
+    /// True when groups are keyed by packed integer codes — the resolvers
+    /// [`GroupResolver::lookup`] can answer for.
+    pub(crate) fn has_coded_keys(&self) -> bool {
+        self.coded_keys().is_some()
+    }
+
+    /// The group slot holding the single coded key `key`, if any (the
+    /// Fig. 9 fused probe).
+    pub(crate) fn lookup(&self, key: i64) -> Option<u32> {
+        let keys = self.coded_keys()?;
+        let idx = key.checked_sub(keys.mins[0])?;
+        if idx < 0 || idx >= keys.domain {
+            return None;
+        }
+        match self {
+            GroupResolver::Direct { slots, .. } => {
+                let g = slots[idx as usize];
+                (g >= 0).then_some(g as u32)
+            }
+            GroupResolver::Lowered { map, .. } => map.get(idx as u64).copied(),
+            GroupResolver::Hash { map, .. } => map.get(&(idx as u64)).copied(),
+            _ => None,
+        }
+    }
+}
+
+/// An output column with its optional NULL mask.
+pub(crate) type MaskedColumn = (Column, Option<Arc<Vec<bool>>>);
+
+/// The accumulator of one aggregate outside the fused lanes, one entry per
+/// group slot. Kernel-free (and therefore `Send`): morsel workers return
+/// partial states to the coordinator, which merges them in morsel order.
+enum AggState {
+    SumF { sums: Vec<f64>, touched: Vec<bool> },
+    SumI { sums: Vec<i64>, touched: Vec<bool> },
+    Count { counts: Vec<i64> },
+    Avg { sums: Vec<f64>, counts: Vec<i64> },
+    MinMax { vals: Vec<Option<Value>>, is_min: bool },
+}
+
+/// Replaces `slot` by `v` when `v` is the better extremum.
+fn keep_extreme(slot: &mut Option<Value>, v: Value, is_min: bool) {
+    let better = match slot {
+        None => true,
+        Some(cur) if is_min => v < *cur,
+        Some(cur) => v > *cur,
+    };
+    if better {
+        *slot = Some(v);
+    }
+}
+
+/// The NULL mask of a `SUM` output: groups that folded no input.
+fn null_where(untouched: impl Iterator<Item = bool> + Clone) -> Option<Arc<Vec<bool>>> {
+    untouched.clone().any(|u| u).then(|| Arc::new(untouched.collect()))
+}
+
+/// `sum / count` per group; a group that counted nothing is NULL.
+fn avg_column(sums: &[f64], counts: &[i64]) -> MaskedColumn {
+    let out = sums.iter().zip(counts).map(|(s, &c)| if c == 0 { 0.0 } else { s / c as f64 });
+    (Column::F64(Arc::new(out.collect())), null_where(counts.iter().map(|&c| c == 0)))
+}
+
+impl AggState {
+    /// Grows to `n` group slots.
+    fn grow(&mut self, n: usize) {
+        match self {
+            AggState::SumF { sums, touched } => {
+                sums.resize(n, 0.0);
+                touched.resize(n, false);
+            }
+            AggState::SumI { sums, touched } => {
+                sums.resize(n, 0);
+                touched.resize(n, false);
+            }
+            AggState::Count { counts } => counts.resize(n, 0),
+            AggState::Avg { sums, counts } => {
+                sums.resize(n, 0.0);
+                counts.resize(n, 0);
+            }
+            AggState::MinMax { vals, .. } => vals.resize(n, None),
+        }
+    }
+
+    /// Folds slot `og` of a partial state into slot `g` of this one.
+    fn merge_slot(&mut self, g: usize, other: &AggState, og: usize) {
+        match (self, other) {
+            (AggState::SumF { sums, touched }, AggState::SumF { sums: os, touched: ot }) => {
+                if ot[og] {
+                    sums[g] += os[og];
+                    touched[g] = true;
+                }
+            }
+            (AggState::SumI { sums, touched }, AggState::SumI { sums: os, touched: ot }) => {
+                if ot[og] {
+                    sums[g] += os[og];
+                    touched[g] = true;
+                }
+            }
+            (AggState::Count { counts }, AggState::Count { counts: oc }) => counts[g] += oc[og],
+            (AggState::Avg { sums, counts }, AggState::Avg { sums: os, counts: oc }) => {
+                sums[g] += os[og];
+                counts[g] += oc[og];
+            }
+            (AggState::MinMax { vals, is_min }, AggState::MinMax { vals: ov, .. }) => {
+                if let Some(v) = &ov[og] {
+                    keep_extreme(&mut vals[g], v.clone(), *is_min);
+                }
+            }
+            _ => unreachable!("partial states share the aggregate that built them"),
+        }
+    }
+
+    /// Produces the output column.
+    fn finish(self) -> MaskedColumn {
+        match self {
+            AggState::SumF { sums, touched } => {
+                (Column::F64(Arc::new(sums)), null_where(touched.iter().map(|t| !t)))
+            }
+            AggState::SumI { sums, touched } => {
+                (Column::I64(Arc::new(sums)), null_where(touched.iter().map(|t| !t)))
+            }
+            AggState::Count { counts } => (Column::I64(Arc::new(counts)), None),
+            AggState::Avg { sums, counts } => avg_column(&sums, &counts),
+            AggState::MinMax { vals, .. } => {
+                // Min/Max may be over any type; emit a generic column by
+                // materializing values (group counts are small).
+                let mask = null_where(vals.iter().map(Option::is_none));
+                let first = vals.iter().flatten().next().cloned();
+                let col = match first {
+                    Some(Value::Float(_)) | None => Column::F64(Arc::new(
+                        vals.iter().map(|v| v.as_ref().map_or(0.0, |x| x.as_float())).collect(),
+                    )),
+                    Some(Value::Int(_)) => Column::I64(Arc::new(
+                        vals.iter().map(|v| v.as_ref().map_or(0, |x| x.as_int())).collect(),
+                    )),
+                    Some(Value::Date(_)) => Column::Date(Arc::new(
+                        vals.iter().map(|v| v.as_ref().map_or(0, |x| x.as_date().0)).collect(),
+                    )),
+                    Some(Value::Str(_)) => Column::Str(Arc::new(
+                        vals.iter()
+                            .map(|v| v.as_ref().map_or(String::new(), |x| x.as_str().to_string()))
+                            .collect(),
+                    )),
+                    Some(other) => panic!("unsupported MIN/MAX type {other:?}"),
+                };
+                (col, mask)
+            }
+        }
+    }
+}
+
+/// Where an aggregate outside the fused lanes reads its per-row input from.
+enum AggInput {
+    /// `COUNT`: no value, only the NULL mask.
+    None,
+    /// An `f64` register of the block program.
+    F(usize),
+    /// An exact `i64` register of the block program (integer `SUM`).
+    I(usize),
+    /// The generic per-row closure (`MIN`/`MAX` over any type).
+    Val(ValK),
+}
+
+/// An aggregate folded in a loop of its own: nullable inputs, integer sums,
+/// `MIN`/`MAX`.
+struct OwnAgg {
+    kind: AggKind,
+    /// `SUM` over an integer-typed expression accumulates in `i64`.
+    int_sum: bool,
+    input: AggInput,
+    /// Mask register flagging rows whose input is NULL (skipped).
+    null: Option<usize>,
+}
+
+impl OwnAgg {
+    fn new_state(&self) -> AggState {
+        match self.kind {
+            AggKind::Sum if self.int_sum => {
+                AggState::SumI { sums: Vec::new(), touched: Vec::new() }
+            }
+            AggKind::Sum => AggState::SumF { sums: Vec::new(), touched: Vec::new() },
+            AggKind::Count => AggState::Count { counts: Vec::new() },
+            AggKind::Avg => AggState::Avg { sums: Vec::new(), counts: Vec::new() },
+            AggKind::Min | AggKind::Max => {
+                AggState::MinMax { vals: Vec::new(), is_min: self.kind == AggKind::Min }
+            }
+        }
+    }
+}
+
+/// Where one aggregate's result comes from. Float `SUM`/`AVG` over inputs
+/// that cannot be NULL share *lanes* — one `f64` accumulator per distinct
+/// input register, so Q1's `SUM(l_quantity)` and `AVG(l_quantity)` add each
+/// value once — and, like `COUNT(*)`, read the group's row count.
+enum Agg {
+    SumLane(usize),
+    AvgLane(usize),
+    Rows,
+    Own(usize),
+}
+
+/// Per-worker scratch of the block fold: the expression registers, the packed
+/// keys and the group-id vector of the current block. Grows to the block size
+/// once and is reused for every block.
+pub(crate) struct FoldScratch {
+    regs: Vec<Reg>,
+    keys: Vec<i64>,
+    tmp: Vec<i64>,
+    gid: Vec<u32>,
+}
+
+/// The groups found so far and their accumulators: the running state of a
+/// serial fold, one morsel's partial, or the merge target.
+pub(crate) struct Groups {
+    /// First-occurrence physical row of every group slot.
+    pub(crate) reprs: Vec<u32>,
+    /// Rows folded into every group slot.
+    rows: Vec<i64>,
+    /// One accumulator vector per lane.
+    lanes: Vec<Vec<f64>>,
+    /// One accumulator per [`OwnAgg`].
+    own: Vec<AggState>,
+}
+
+impl Groups {
+    fn grow(&mut self) {
+        let n = self.reprs.len();
+        self.rows.resize(n, 0);
+        self.lanes.iter_mut().for_each(|l| l.resize(n, 0.0));
+        self.own.iter_mut().for_each(|s| s.grow(n));
+    }
+}
+
+/// Calls `f(slot, value)` for every row whose input is not NULL, in row
+/// order.
+#[inline]
+fn scatter<T: Copy>(gid: &[u32], v: &[T], null: Option<&[bool]>, mut f: impl FnMut(usize, T)) {
+    match null {
+        None => gid.iter().zip(v).for_each(|(&g, &x)| f(g as usize, x)),
+        Some(m) => gid.iter().zip(v).zip(m).for_each(|((&g, &x), &is_null)| {
+            if !is_null {
+                f(g as usize, x)
+            }
+        }),
+    }
+}
+
+/// The aggregation of one `Agg` operator, compiled for block-at-a-time
+/// folding: all aggregate inputs as one [`BlockExprs`] program plus, per
+/// aggregate, where its accumulator lives. Shared read-only by morsel
+/// workers.
+///
+/// Per block: resolve group ids, evaluate the program once, then scatter
+/// **in row order** — the lanes in one fused loop (independent accumulators
+/// overlap in the pipeline; a loop per aggregate would serialize on the
+/// store-to-load dependency of consecutive rows of one group), the rest in
+/// a loop each. Every float sum adds the same values in the same order as a
+/// row-at-a-time fold.
+pub(crate) struct AggFold {
+    exprs: BlockExprs,
+    /// Input register of every lane.
+    lane_regs: Vec<usize>,
+    own: Vec<OwnAgg>,
+    aggs: Vec<Agg>,
+}
+
+impl AggFold {
+    pub(crate) fn compile(specs: &[AggSpec], chunk: &Chunk, compiled: bool) -> AggFold {
+        let mut fold = AggFold {
+            exprs: BlockExprs::new(),
+            lane_regs: Vec::new(),
+            own: Vec::new(),
+            aggs: Vec::new(),
+        };
+        for spec in specs {
+            let e = &spec.expr;
+            let agg = fold.compile_agg(&spec.kind, e, chunk, compiled);
+            fold.aggs.push(agg);
+        }
+        fold
+    }
+
+    /// The lane accumulating register `r`, shared by every aggregate over it.
+    fn lane(&mut self, r: usize) -> usize {
+        self.lane_regs.iter().position(|&l| l == r).unwrap_or_else(|| {
+            self.lane_regs.push(r);
+            self.lane_regs.len() - 1
+        })
+    }
+
+    fn compile_agg(&mut self, kind: &AggKind, e: &Expr, chunk: &Chunk, compiled: bool) -> Agg {
+        let int_sum = *kind == AggKind::Sum && e.ty(&chunk.schema) == Type::Int;
+        let (input, null) = match kind {
+            AggKind::Count => {
+                let mask = match e {
+                    Expr::Col(c) => chunk.nulls[*c].clone(),
+                    _ => None,
+                };
+                let Some(mask) = mask else { return Agg::Rows };
+                (AggInput::None, Some(self.exprs.push(Node::Null(Box::new(move |r| mask[r])))))
+            }
+            AggKind::Min | AggKind::Max => (AggInput::Val(valk(e, chunk, compiled)), None),
+            AggKind::Sum | AggKind::Avg => {
+                if let Some(guard) = null_guard(e, chunk, compiled) {
+                    // Nullable arguments go through the per-row filler
+                    // behind their NULL mask.
+                    let null = self.exprs.push(Node::Null(guard));
+                    let k = f64k(e, chunk, compiled);
+                    (AggInput::F(self.exprs.push(Node::Row { k, null: Some(null) })), Some(null))
+                } else if let Some(r) =
+                    (int_sum && compiled).then(|| self.exprs.i64_reg(e, chunk)).flatten()
+                {
+                    (AggInput::I(r), None)
+                } else {
+                    let r = self.exprs.f64_reg(e, chunk, compiled);
+                    if !int_sum {
+                        let lane = self.lane(r);
+                        return if *kind == AggKind::Sum {
+                            Agg::SumLane(lane)
+                        } else {
+                            Agg::AvgLane(lane)
+                        };
+                    }
+                    (AggInput::F(r), None)
+                }
+            }
+        };
+        self.own.push(OwnAgg { kind: kind.clone(), int_sum, input, null });
+        Agg::Own(self.own.len() - 1)
+    }
+
+    /// Fresh per-worker scratch.
+    pub(crate) fn scratch(&self) -> FoldScratch {
+        FoldScratch {
+            regs: self.exprs.scratch(),
+            keys: Vec::new(),
+            tmp: Vec::new(),
+            gid: Vec::new(),
+        }
+    }
+
+    /// An empty group set.
+    pub(crate) fn groups(&self) -> Groups {
+        Groups {
+            reprs: Vec::new(),
+            rows: Vec::new(),
+            lanes: vec![Vec::new(); self.lane_regs.len()],
+            own: self.own.iter().map(OwnAgg::new_state).collect(),
+        }
+    }
+
+    /// The single group of a global aggregate over no rows: `COUNT` 0,
+    /// every other aggregate NULL.
+    pub(crate) fn add_empty_group(&self, groups: &mut Groups) {
+        groups.reprs.push(0);
+        groups.grow();
+    }
+
+    /// Folds one block of rows into `groups`, whose slots `resolver` numbers.
+    pub(crate) fn fold_block(
+        &self,
+        chunk: &Chunk,
+        rows: &Rows<'_>,
+        resolver: &mut GroupResolver,
+        groups: &mut Groups,
+        s: &mut FoldScratch,
+    ) {
+        let n = rows.len();
+        resolver.resolve(chunk, rows, s, &mut groups.reprs);
+        self.exprs.eval(rows, &mut s.regs);
+        groups.grow();
+        let (gid, regs) = (&s.gid[..], &s.regs[..]);
+        let inputs: Vec<&[f64]> = self.lane_regs.iter().map(|&r| &regs[r].f()[..n]).collect();
+        for (i, &g) in gid.iter().enumerate() {
+            let g = g as usize;
+            groups.rows[g] += 1;
+            for (sums, v) in groups.lanes.iter_mut().zip(&inputs) {
+                sums[g] += v[i];
+            }
+        }
+        for (agg, state) in self.own.iter().zip(&mut groups.own) {
+            let null = agg.null.map(|m| &regs[m].b()[..n]);
+            match (state, &agg.input) {
+                (AggState::SumF { sums, touched }, AggInput::F(r)) => {
+                    scatter(gid, &regs[*r].f()[..n], null, |g, x| {
+                        sums[g] += x;
+                        touched[g] = true;
+                    });
+                }
+                (AggState::SumI { sums, touched }, AggInput::I(r)) => {
+                    scatter(gid, &regs[*r].i()[..n], null, |g, x| {
+                        sums[g] += x;
+                        touched[g] = true;
+                    });
+                }
+                (AggState::SumI { sums, touched }, AggInput::F(r)) => {
+                    scatter(gid, &regs[*r].f()[..n], null, |g, x| {
+                        sums[g] += x as i64;
+                        touched[g] = true;
+                    });
+                }
+                (AggState::Count { counts }, AggInput::None) => {
+                    scatter(gid, gid, null, |g, _| counts[g] += 1);
+                }
+                (AggState::Avg { sums, counts }, AggInput::F(r)) => {
+                    scatter(gid, &regs[*r].f()[..n], null, |g, x| {
+                        sums[g] += x;
+                        counts[g] += 1;
+                    });
+                }
+                (AggState::MinMax { vals, is_min }, AggInput::Val(k)) => rows.for_each(|i, p| {
+                    let v = k(p);
+                    if !v.is_null() {
+                        keep_extreme(&mut vals[gid[i] as usize], v, *is_min);
+                    }
+                }),
+                _ => unreachable!("state built by OwnAgg::new_state of this aggregate"),
+            }
+        }
+    }
+
+    /// Takes a finished morsel's partial out of a worker's running state,
+    /// leaving resolver and groups empty for the next morsel.
+    pub(crate) fn take_partial(
+        &self,
+        resolver: &mut GroupResolver,
+        groups: &mut Groups,
+        s: &mut FoldScratch,
+    ) -> Groups {
+        resolver.reset(&groups.reprs, s);
+        std::mem::replace(groups, self.groups())
+    }
+
+    /// Merges one morsel's partial into `into`. Called in morsel-index
+    /// order, so every floating-point reassociation point is a fixed morsel
+    /// boundary (degree-independent); resolving the partial's
+    /// first-occurrence rows, in local slot order, numbers the global slots
+    /// exactly as a serial pass over the rows would (a group's first global
+    /// occurrence is in the earliest morsel containing it).
+    pub(crate) fn merge(
+        &self,
+        chunk: &Chunk,
+        resolver: &mut GroupResolver,
+        into: &mut Groups,
+        part: &Groups,
+        s: &mut FoldScratch,
+    ) {
+        resolver.resolve(chunk, &Rows::Ids(&part.reprs), s, &mut into.reprs);
+        into.grow();
+        for (local, &g) in s.gid.iter().enumerate() {
+            let g = g as usize;
+            into.rows[g] += part.rows[local];
+            for (sums, partial) in into.lanes.iter_mut().zip(&part.lanes) {
+                sums[g] += partial[local];
+            }
+            for (state, partial) in into.own.iter_mut().zip(&part.own) {
+                state.merge_slot(g, partial, local);
+            }
+        }
+    }
+
+    /// The aggregate output columns, in `AggSpec` order.
+    pub(crate) fn finish(&self, groups: Groups) -> Vec<MaskedColumn> {
+        let Groups { rows, lanes, own, .. } = groups;
+        let mut own: Vec<Option<AggState>> = own.into_iter().map(Some).collect();
+        self.aggs
+            .iter()
+            .map(|agg| match agg {
+                Agg::SumLane(l) => (
+                    Column::F64(Arc::new(lanes[*l].clone())),
+                    null_where(rows.iter().map(|&c| c == 0)),
+                ),
+                Agg::AvgLane(l) => avg_column(&lanes[*l], &rows),
+                Agg::Rows => (Column::I64(Arc::new(rows.clone())), None),
+                Agg::Own(i) => own[*i].take().expect("one output per aggregate").finish(),
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -1142,5 +2306,79 @@ mod tests {
         assert_eq!(ch.row_values(0)[0], Value::Int(6));
         let phys: Vec<usize> = ch.physical_rows().collect();
         assert_eq!(phys, vec![6, 2, 4]);
+    }
+
+    /// Blocks cover exactly the requested logical range, in order, at most
+    /// `BLOCK_ROWS` rows each, with and without a selection vector.
+    #[test]
+    fn blocks_cover_the_logical_range_in_order() {
+        let mut ch = chunk(None);
+        ch.total = 2 * BLOCK_ROWS + 5; // only ids are read here
+        let collect = |ch: &Chunk, range: std::ops::Range<usize>| {
+            let (mut ids, mut sizes) = (Vec::new(), Vec::new());
+            ch.for_each_block(range, |rows| {
+                sizes.push(rows.len());
+                rows.for_each(|i, p| {
+                    assert_eq!(rows.phys(i), p);
+                    ids.push(p);
+                });
+            });
+            (ids, sizes)
+        };
+        let (ids, sizes) = collect(&ch, 3..ch.total);
+        assert_eq!(ids, (3..ch.total).collect::<Vec<_>>());
+        assert_eq!(sizes, vec![BLOCK_ROWS, BLOCK_ROWS, 2]);
+        assert!(collect(&ch, 7..7).0.is_empty());
+        let sel: Vec<u32> = (0..ch.total as u32).rev().step_by(2).collect();
+        ch.sel = Some(Arc::new(sel.clone()));
+        let (ids, sizes) = collect(&ch, 1..sel.len());
+        assert_eq!(ids, sel[1..].iter().map(|&p| p as usize).collect::<Vec<_>>());
+        assert_eq!(sizes, vec![BLOCK_ROWS, 2]);
+    }
+
+    /// The block program computes, bit for bit, what the per-row kernels
+    /// compute — over plain and packed columns, with and without a
+    /// selection — and shares structurally equal subexpressions.
+    #[test]
+    fn block_exprs_match_row_kernels() {
+        let price = || Expr::mul(Expr::col(1), Expr::sub(Expr::lit(1i64), Expr::col(1)));
+        let exprs = vec![
+            Expr::col(1),
+            Expr::col(0),
+            price(),
+            Expr::mul(price(), Expr::add(Expr::lit(1.0), Expr::col(0))),
+            Expr::div(Expr::col(0), Expr::lit(3i64)),
+            Expr::add(Expr::year(Expr::col(3)), Expr::col(0)),
+            Expr::case(Expr::lt(Expr::col(0), Expr::lit(4i64)), Expr::col(1), Expr::lit(0.0)),
+        ];
+        for encoded in [false, true] {
+            for sel in [None, Some(vec![6u32, 2, 4, 4])] {
+                let mut ch = if encoded { encode_chunk(chunk(None)) } else { chunk(None) };
+                ch.sel = sel.map(Arc::new);
+                for e in &exprs {
+                    for compiled in [true, false] {
+                        let k = f64k(e, &ch, compiled);
+                        let expect: Vec<u64> = ch.physical_rows().map(|p| k(p).to_bits()).collect();
+                        let got = eval_f64_column(e, &ch, compiled);
+                        let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+                        assert_eq!(got, expect, "expr {e} encoded {encoded} compiled {compiled}");
+                    }
+                }
+                // Integer-only arithmetic is exact where `f64` rounds.
+                let big =
+                    Expr::add(Expr::mul(Expr::col(0), Expr::lit(2i64)), Expr::lit(1i64 << 53));
+                let exact: Vec<i64> =
+                    ch.physical_rows().map(|p| 2 * p as i64 + (1 << 53)).collect();
+                assert_eq!(eval_i64_column(&big, &ch, true), exact);
+                assert_eq!(eval_i64_column(&Expr::year(Expr::col(3)), &ch, true)[0], 1993);
+            }
+        }
+        let ch = chunk(None);
+        let mut prog = BlockExprs::new();
+        let a = prog.f64_reg(&price(), &ch, true);
+        let before = prog.nodes.len();
+        assert_eq!(prog.f64_reg(&price(), &ch, true), a);
+        prog.f64_reg(&Expr::mul(price(), Expr::col(1)), &ch, true);
+        assert_eq!(prog.nodes.len(), before + 1, "only the outer product is new");
     }
 }

@@ -58,6 +58,8 @@ pub mod cancel;
 pub mod closure;
 pub mod db;
 pub mod expr;
+#[cfg(test)]
+mod fold_tests;
 pub mod interop;
 pub mod interp;
 pub mod kernel;

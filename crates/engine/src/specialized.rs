@@ -33,9 +33,11 @@
 //!   SC pipeline's `Parallelize` transformer, exactly like the
 //!   data-structure choices.
 
-use crate::expr::{AggKind, CmpOp, Expr};
+use crate::expr::{CmpOp, Expr};
 use crate::interp;
-use crate::kernel::{self, BoolK, Chunk, PairK, ValK, F64K, I64K};
+use crate::kernel::{
+    self, AggFold, BoolK, Chunk, GroupResolver, KeyPacker, MaskedColumn, PairK, I64K,
+};
 use crate::parallel::{go_parallel, row_morsels, run_morsels};
 use crate::plan::{AggSpec, JoinKind, Plan, QueryPlan, SortOrder};
 use crate::result::ResultTable;
@@ -93,53 +95,6 @@ impl<'a> Exec<'a> {
         } else {
             self.db.table(table).schema.clone()
         }
-    }
-
-    // ---- expression evaluation respecting the compiled_exprs flag ----
-
-    fn pred(&self, e: &Expr, chunk: &Chunk) -> BoolK {
-        if self.settings.compiled_exprs {
-            kernel::compile_bool(e, chunk)
-        } else {
-            let row_eval = interpreted_row(chunk);
-            let e = e.clone();
-            Box::new(move |r| interp::eval_pred(&e, &row_eval(r)))
-        }
-    }
-
-    fn f64k(&self, e: &Expr, chunk: &Chunk) -> F64K {
-        if self.settings.compiled_exprs {
-            kernel::compile_f64(e, chunk)
-        } else {
-            let row_eval = interpreted_row(chunk);
-            let e = e.clone();
-            Box::new(move |r| interp::eval(&e, &row_eval(r)).as_float())
-        }
-    }
-
-    fn valk(&self, e: &Expr, chunk: &Chunk) -> ValK {
-        if self.settings.compiled_exprs {
-            kernel::compile_value(e, chunk)
-        } else {
-            let row_eval = interpreted_row(chunk);
-            let e = e.clone();
-            Box::new(move |r| interp::eval(&e, &row_eval(r)))
-        }
-    }
-
-    /// Builds a "this input is NULL" guard for an aggregate argument, or
-    /// `None` when no referenced column carries a null mask (the common
-    /// TPC-H base-table case, which then pays nothing per row). SQL
-    /// aggregates skip NULL inputs, so SUM/AVG kernels must not fold the
-    /// 0.0 that a coerced NULL would contribute — and AVG must not count it.
-    fn null_guard(&self, e: &Expr, chunk: &Chunk) -> Option<BoolK> {
-        let mut cols = Vec::new();
-        e.collect_cols(&mut cols);
-        if cols.iter().all(|&c| chunk.nulls[c].is_none()) {
-            return None;
-        }
-        let vk = self.valk(e, chunk);
-        Some(Box::new(move |r| vk(r).is_null()))
     }
 
     /// The compiled decision to run this query's joins morsel-parallel,
@@ -244,7 +199,7 @@ impl<'a> Exec<'a> {
                 return chunk;
             }
         }
-        let pred = self.pred(predicate, &chunk);
+        let pred = kernel::pred(predicate, &chunk, self.settings.compiled_exprs);
         if go_parallel(self.settings.parallelism, chunk.len()) {
             // Morsel-driven filter: workers share the compiled predicate
             // (kernels are Sync) and evaluate disjoint logical-row ranges;
@@ -318,7 +273,7 @@ impl<'a> Exec<'a> {
             } else {
                 let combined =
                     residual.iter().fold(Expr::lit(true), |acc, e| Expr::and(acc, (*e).clone()));
-                Some(self.pred(&combined, &chunk))
+                Some(kernel::pred(&combined, &chunk, self.settings.compiled_exprs))
             };
             let days = chunk.cols[col_idx].date_reader().expect("date-indexed column");
             let sel = self.date_index_scan(index, days, lo, hi, &res_pred);
@@ -449,6 +404,7 @@ impl<'a> Exec<'a> {
         n: usize,
     ) -> (Column, Option<Arc<Vec<bool>>>) {
         use legobase_storage::Type;
+        let compiled = self.settings.compiled_exprs;
         let ty = e.ty(&chunk.schema);
         // NULLs flow through expressions (outer joins, empty aggregates), so
         // the typed fast paths only apply when no referenced column carries a
@@ -458,15 +414,10 @@ impl<'a> Exec<'a> {
         let nullable = refs.iter().any(|&c| chunk.nulls[c].is_some());
         match ty {
             Type::Float if !nullable => {
-                let k = self.f64k(e, chunk);
-                let mut v = Vec::with_capacity(n);
-                for p in chunk.physical_rows() {
-                    v.push(k(p));
-                }
-                (Column::F64(Arc::new(v)), None)
+                (Column::F64(Arc::new(kernel::eval_f64_column(e, chunk, compiled))), None)
             }
             Type::Float => {
-                let k = self.valk(e, chunk);
+                let k = kernel::valk(e, chunk, compiled);
                 let mut v = Vec::with_capacity(n);
                 let mut mask = Vec::with_capacity(n);
                 for p in chunk.physical_rows() {
@@ -478,15 +429,10 @@ impl<'a> Exec<'a> {
                 (Column::F64(Arc::new(v)), any.then(|| Arc::new(mask)))
             }
             Type::Int if !nullable => {
-                let k = self.f64k(e, chunk);
-                let mut v = Vec::with_capacity(n);
-                for p in chunk.physical_rows() {
-                    v.push(k(p) as i64);
-                }
-                (Column::I64(Arc::new(v)), None)
+                (Column::I64(Arc::new(kernel::eval_i64_column(e, chunk, compiled))), None)
             }
             Type::Int => {
-                let k = self.valk(e, chunk);
+                let k = kernel::valk(e, chunk, compiled);
                 let mut v = Vec::with_capacity(n);
                 let mut mask = Vec::with_capacity(n);
                 for p in chunk.physical_rows() {
@@ -498,7 +444,7 @@ impl<'a> Exec<'a> {
                 (Column::I64(Arc::new(v)), any.then(|| Arc::new(mask)))
             }
             Type::Bool => {
-                let k = self.pred(e, chunk);
+                let k = kernel::pred(e, chunk, compiled);
                 let mut v = Vec::with_capacity(n);
                 for p in chunk.physical_rows() {
                     v.push(k(p));
@@ -506,7 +452,7 @@ impl<'a> Exec<'a> {
                 (Column::Bool(Arc::new(v)), None)
             }
             _ => {
-                let k = self.valk(e, chunk);
+                let k = kernel::valk(e, chunk, compiled);
                 let mut vals = Vec::with_capacity(n);
                 let mut mask = Vec::with_capacity(n);
                 let mut any_null = false;
@@ -770,9 +716,9 @@ impl<'a> Exec<'a> {
             let mut row = vec![Value::Null; total];
             for &c in &cols {
                 row[c] = if c < l_arity {
-                    value_from(&lcols, &lnulls, c, lp)
+                    kernel::value_from(&lcols, &lnulls, c, lp)
                 } else {
-                    value_from(&rcols, &rnulls, c - l_arity, rp)
+                    kernel::value_from(&rcols, &rnulls, c - l_arity, rp)
                 };
             }
             interp::eval_pred(&r, &row)
@@ -1161,16 +1107,15 @@ impl<'a> Exec<'a> {
         self.aggregate_impl(input, group_by, aggs).0
     }
 
-    /// Aggregation core. Also returns the group index (key → slot) when the
-    /// grouping is by a single coded key, so a parent join can reuse it as
-    /// its hash table (Fig. 9 fusion).
+    /// Aggregation core. Also returns the group resolver (key → slot) when
+    /// the grouping is by a single coded key, so a parent join can reuse it
+    /// as its hash table (Fig. 9 fusion).
     fn aggregate_impl(
         &self,
         input: &Plan,
         group_by: &[usize],
         aggs: &[AggSpec],
-    ) -> (Chunk, Option<GroupIndex>) {
-        let mut group_index = None;
+    ) -> (Chunk, Option<GroupResolver>) {
         let mut child_need: BTreeSet<usize> = group_by.iter().copied().collect();
         for a in aggs {
             let mut cols = Vec::new();
@@ -1178,161 +1123,7 @@ impl<'a> Exec<'a> {
             child_need.extend(cols);
         }
         let chunk = self.run(input, &Some(child_need));
-        let n = chunk.len();
-
-        // Build per-aggregate update kernels (shared, read-only) and the
-        // accumulator states they drive. Splitting kernels from states is
-        // what lets morsel workers share one compiled kernel set while each
-        // morsel owns its partial accumulators.
-        let kernels: Vec<AggK> = aggs.iter().map(|a| self.agg_kernel(a, &chunk)).collect();
-        let mut states: Vec<AggState> = kernels.iter().map(AggK::new_state).collect();
-        let mut reprs: Vec<u32> = Vec::new();
-
-        // The effective degree for *this* operator: the compiled decision,
-        // gated on the input being large enough to be worth splitting.
-        let degree =
-            if go_parallel(self.settings.parallelism, n) { self.settings.parallelism } else { 1 };
-
-        // Key strategy.
-        let key_kernels: Option<Vec<I64K>> = if self.settings.compiled_exprs {
-            group_by.iter().map(|&c| kernel::code_kernel(c, &chunk)).collect()
-        } else {
-            None // interpreted mode always takes the generic-key path
-        };
-
-        if group_by.is_empty() {
-            // SingletonHashMapToValue: a single global slot (e.g. Q6).
-            if n == 0 {
-                for s in &mut states {
-                    s.touch();
-                }
-                reprs.push(0);
-            } else if degree > 1 {
-                reprs.push(chunk.phys(0) as u32);
-                states = par_singleton(&chunk, &kernels, degree);
-            } else {
-                reprs.push(chunk.phys(0) as u32);
-                for s in &mut states {
-                    s.touch();
-                }
-                for p in chunk.physical_rows() {
-                    for (k, s) in kernels.iter().zip(&mut states) {
-                        k.update(s, 0, p);
-                    }
-                }
-            }
-        } else if let Some(kks) = key_kernels {
-            // Coded keys: compute per-key ranges, pack into one u64.
-            match KeyPacker::fit(kks, &chunk, degree) {
-                Some(packer) => {
-                    let use_direct = self.settings.code_motion
-                        && packer.domain <= DIRECT_ARRAY_MAX
-                        && packer.domain <= (8 * n.max(128)) as i64;
-                    let single_key = group_by.len() == 1;
-                    if degree > 1 {
-                        let (r, s, gi) = self.par_aggregate_coded(
-                            &chunk, &kernels, &packer, use_direct, single_key, degree,
-                        );
-                        reprs = r;
-                        states = s;
-                        group_index = gi;
-                    } else if use_direct {
-                        // Direct array with hoisted initialization
-                        // (Section 3.5.2): slot ids pre-assigned, no generic
-                        // map at all.
-                        let mut slots: Vec<i32> = vec![-1; packer.domain as usize];
-                        for p in chunk.physical_rows() {
-                            let key = packer.pack(p) as usize;
-                            let g = if slots[key] >= 0 {
-                                slots[key] as usize
-                            } else {
-                                let g = reprs.len();
-                                slots[key] = g as i32;
-                                reprs.push(p as u32);
-                                for s in &mut states {
-                                    s.touch();
-                                }
-                                g
-                            };
-                            for (k, s) in kernels.iter().zip(&mut states) {
-                                k.update(s, g, p);
-                            }
-                        }
-                        if single_key {
-                            group_index =
-                                Some(GroupIndex::Direct { min: packer.kernels_mins[0], slots });
-                        }
-                    } else if self.settings.hashmap_lowering {
-                        // Lowered chained-array map (Fig. 11).
-                        let mut map: ChainedArrayMap<u32> =
-                            ChainedArrayMap::with_capacity(n.max(16));
-                        for p in chunk.physical_rows() {
-                            let key = packer.pack(p) as u64;
-                            let before = reprs.len();
-                            let g = *map.get_or_insert_with(key, || {
-                                let g = reprs.len() as u32;
-                                reprs.push(p as u32);
-                                g
-                            });
-                            if reprs.len() > before {
-                                for s in &mut states {
-                                    s.touch();
-                                }
-                            }
-                            for (k, s) in kernels.iter().zip(&mut states) {
-                                k.update(s, g as usize, p);
-                            }
-                        }
-                        if single_key {
-                            group_index = Some(GroupIndex::Lowered {
-                                min: packer.kernels_mins[0],
-                                domain: packer.domain,
-                                map,
-                            });
-                        }
-                    } else {
-                        // Generic hash map.
-                        let mut map: HashMap<u64, u32> = HashMap::new();
-                        for p in chunk.physical_rows() {
-                            metrics::hash_probe();
-                            let key = packer.pack(p) as u64;
-                            let before = reprs.len();
-                            let g = *map.entry(key).or_insert_with(|| {
-                                metrics::allocation();
-                                let g = reprs.len() as u32;
-                                reprs.push(p as u32);
-                                g
-                            });
-                            if reprs.len() > before {
-                                for s in &mut states {
-                                    s.touch();
-                                }
-                            }
-                            for (k, s) in kernels.iter().zip(&mut states) {
-                                k.update(s, g as usize, p);
-                            }
-                        }
-                        if single_key {
-                            group_index = Some(GroupIndex::Hash {
-                                min: packer.kernels_mins[0],
-                                domain: packer.domain,
-                                map,
-                            });
-                        }
-                    }
-                }
-                None if degree > 1 => {
-                    (reprs, states) = par_aggregate_generic(&chunk, group_by, &kernels, degree);
-                }
-                None => {
-                    self.aggregate_generic_keys(&chunk, group_by, &kernels, &mut states, &mut reprs)
-                }
-            }
-        } else if degree > 1 {
-            (reprs, states) = par_aggregate_generic(&chunk, group_by, &kernels, degree);
-        } else {
-            self.aggregate_generic_keys(&chunk, group_by, &kernels, &mut states, &mut reprs);
-        }
+        let (resolver, reprs, agg_cols) = aggregate_chunk(self.settings, &chunk, group_by, aggs);
 
         // Emit output: group columns gathered from representative rows, then
         // aggregate columns from the stores.
@@ -1342,269 +1133,90 @@ impl<'a> Exec<'a> {
             aggs: aggs.to_vec(),
         }
         .schema(&|t: &str| self.schema_of(t));
-        let ngroups = reprs.len();
-        let mut cols = Vec::with_capacity(schema.len());
-        let mut nulls = Vec::with_capacity(schema.len());
-        for &g in group_by {
-            let (col, mask) = gather_column(&chunk, g, &reprs);
+        let (mut cols, mut nulls): (Vec<_>, Vec<_>) =
+            group_by.iter().map(|&g| gather_column(&chunk, g, &reprs)).unzip();
+        for (col, mask) in agg_cols {
             cols.push(col);
             nulls.push(mask);
         }
-        for state in states {
-            let (col, mask) = state.finish(ngroups);
-            cols.push(col);
-            nulls.push(mask);
-        }
-        (Chunk { schema, cols, nulls, sel: None, total: ngroups, base: None }, group_index)
+        let group_index = Some(resolver).filter(|r| group_by.len() == 1 && r.has_coded_keys());
+        (Chunk { schema, cols, nulls, sel: None, total: reprs.len(), base: None }, group_index)
     }
+}
 
-    fn aggregate_generic_keys(
-        &self,
-        chunk: &Chunk,
-        group_by: &[usize],
-        kernels: &[AggK],
-        states: &mut [AggState],
-        reprs: &mut Vec<u32>,
-    ) {
-        let mut map: HashMap<Vec<Value>, u32> = HashMap::new();
-        for i in 0..chunk.len() {
-            let p = chunk.phys(i);
-            let key: Vec<Value> = group_by.iter().map(|&c| chunk.value_at(c, p)).collect();
-            metrics::hash_probe();
-            let len_before = map.len();
-            let g = *map.entry(key).or_insert_with(|| {
-                metrics::allocation();
-                reprs.push(p as u32);
-                len_before as u32
-            });
-            if map.len() > len_before {
-                for s in states.iter_mut() {
-                    s.touch();
-                }
-            }
-            for (k, s) in kernels.iter().zip(states.iter_mut()) {
-                k.update(s, g as usize, p);
+/// Picks the aggregate store for this grouping (the compiled choice the
+/// serial fold, every morsel partial and the merge all share): a single
+/// slot without `GROUP BY`; for coded keys a direct array over small dense
+/// domains (code motion, Section 3.5.2), else the lowered chained-array map
+/// (Fig. 11), else a generic hash map; generic `Vec<Value>` keys for plain
+/// strings, nullable keys and interpreted mode.
+fn group_resolver(settings: &Settings, group_by: &[usize], chunk: &Chunk) -> GroupResolver {
+    if group_by.is_empty() {
+        return GroupResolver::Singleton;
+    }
+    let n = chunk.len();
+    // Interpreted mode (Opt/Scala) always takes the generic-key path.
+    match settings.compiled_exprs.then(|| KeyPacker::fit(group_by, chunk)).flatten() {
+        Some(keys) => {
+            let direct = settings.code_motion
+                && keys.domain <= DIRECT_ARRAY_MAX
+                && keys.domain <= (8 * n.max(128)) as i64;
+            if direct {
+                GroupResolver::Direct { slots: vec![-1; keys.domain as usize], keys }
+            } else if settings.hashmap_lowering {
+                GroupResolver::Lowered { keys, map: ChainedArrayMap::with_capacity(n.max(16)) }
+            } else {
+                GroupResolver::Hash { keys, map: HashMap::new() }
             }
         }
+        None => GroupResolver::Generic { cols: group_by.to_vec(), map: HashMap::new() },
     }
+}
 
-    fn agg_kernel(&self, spec: &AggSpec, chunk: &Chunk) -> AggK {
-        use legobase_storage::Type;
-        match spec.kind {
-            AggKind::Count => {
-                let null_k: Option<BoolK> = match &spec.expr {
-                    Expr::Col(c) => chunk.nulls[*c].clone().map(|mask| {
-                        let k: BoolK = Box::new(move |r| mask[r]);
-                        k
-                    }),
-                    _ => None,
-                };
-                AggK::Count { null_k }
-            }
-            AggKind::Avg => AggK::Avg {
-                k: self.f64k(&spec.expr, chunk),
-                null_k: self.null_guard(&spec.expr, chunk),
+/// Aggregates a chunk block-at-a-time (`kernel::AggFold`): returns the
+/// resolver, each group's first-occurrence row and the aggregate output
+/// columns. Serial execution folds the blocks in order into one running
+/// state. Above the parallel threshold every fixed-size morsel folds into
+/// its own partial, and the partials merge on the caller in morsel-index
+/// order, which reproduces the serial slot numbering and fixes every
+/// floating-point reassociation point at a morsel boundary — results are
+/// bit-identical across degrees ≥ 2 (DESIGN.md §3). Both paths run the same
+/// `fold_block`.
+pub(crate) fn aggregate_chunk(
+    settings: &Settings,
+    chunk: &Chunk,
+    group_by: &[usize],
+    aggs: &[AggSpec],
+) -> (GroupResolver, Vec<u32>, Vec<MaskedColumn>) {
+    let n = chunk.len();
+    let fold = AggFold::compile(aggs, chunk, settings.compiled_exprs);
+    let mut resolver = group_resolver(settings, group_by, chunk);
+    let mut groups = fold.groups();
+    let mut scratch = fold.scratch();
+    if go_parallel(settings.parallelism, n) {
+        let partials = run_morsels(
+            settings.parallelism,
+            &row_morsels(n),
+            || (resolver.fresh(MORSEL_ROWS), fold.groups(), fold.scratch()),
+            |(resolver, groups, scratch), m| {
+                chunk.for_each_block(m.range(), |rows| {
+                    fold.fold_block(chunk, &rows, resolver, groups, scratch)
+                });
+                fold.take_partial(resolver, groups, scratch)
             },
-            AggKind::Sum => {
-                let ty = spec.expr.ty(&chunk.schema);
-                if ty == Type::Int {
-                    AggK::SumI {
-                        k: self.f64k(&spec.expr, chunk),
-                        null_k: self.null_guard(&spec.expr, chunk),
-                    }
-                } else {
-                    AggK::SumF {
-                        k: self.f64k(&spec.expr, chunk),
-                        null_k: self.null_guard(&spec.expr, chunk),
-                    }
-                }
-            }
-            AggKind::Min | AggKind::Max => {
-                AggK::MinMax { is_min: spec.kind == AggKind::Min, k: self.valk(&spec.expr, chunk) }
-            }
-        }
-    }
-
-    /// Morsel-parallel pre-aggregation for coded (packed `i64`) keys: every
-    /// morsel builds local `(key, repr, partial state)` triples; the merge
-    /// walks morsels in index order and local groups in local
-    /// first-occurrence order, which reproduces the serial slot numbering
-    /// exactly (a group's first global occurrence is in the earliest morsel
-    /// containing it). The global key→slot structure built during the merge
-    /// mirrors the serial choice, so Fig. 9 join fusion sees the same
-    /// [`GroupIndex`] either way.
-    fn par_aggregate_coded(
-        &self,
-        chunk: &Chunk,
-        kernels: &[AggK],
-        packer: &KeyPacker,
-        use_direct: bool,
-        single_key: bool,
-        degree: usize,
-    ) -> (Vec<u32>, Vec<AggState>, Option<GroupIndex>) {
-        struct Partial {
-            keys: Vec<i64>,
-            reprs: Vec<u32>,
-            states: Vec<AggState>,
-        }
-        let ms = row_morsels(chunk.len());
-        let partials: Vec<Partial> = if use_direct {
-            // Dense domain: each worker keeps one domain-sized scratch array
-            // and resets only the entries its morsel touched.
-            run_morsels(
-                degree,
-                &ms,
-                || vec![-1i32; packer.domain as usize],
-                |slots: &mut Vec<i32>, m| {
-                    let mut part = Partial {
-                        keys: Vec::new(),
-                        reprs: Vec::new(),
-                        states: kernels.iter().map(AggK::new_state).collect(),
-                    };
-                    for i in m.range() {
-                        let p = chunk.phys(i);
-                        let key = packer.pack(p);
-                        let g = if slots[key as usize] >= 0 {
-                            slots[key as usize] as usize
-                        } else {
-                            let g = part.keys.len();
-                            slots[key as usize] = g as i32;
-                            part.keys.push(key);
-                            part.reprs.push(p as u32);
-                            for s in &mut part.states {
-                                s.touch();
-                            }
-                            g
-                        };
-                        for (k, s) in kernels.iter().zip(&mut part.states) {
-                            k.update(s, g, p);
-                        }
-                    }
-                    for &key in &part.keys {
-                        slots[key as usize] = -1;
-                    }
-                    part
-                },
-            )
-        } else {
-            run_morsels(
-                degree,
-                &ms,
-                || (),
-                |(), m| {
-                    let mut local: HashMap<i64, u32> = HashMap::new();
-                    let mut part = Partial {
-                        keys: Vec::new(),
-                        reprs: Vec::new(),
-                        states: kernels.iter().map(AggK::new_state).collect(),
-                    };
-                    for i in m.range() {
-                        let p = chunk.phys(i);
-                        metrics::hash_probe();
-                        let key = packer.pack(p);
-                        let next = part.keys.len() as u32;
-                        let g = *local.entry(key).or_insert(next);
-                        if g == next {
-                            part.keys.push(key);
-                            part.reprs.push(p as u32);
-                            for s in &mut part.states {
-                                s.touch();
-                            }
-                        }
-                        for (k, s) in kernels.iter().zip(&mut part.states) {
-                            k.update(s, g as usize, p);
-                        }
-                    }
-                    part
-                },
-            )
-        };
-
-        // Deterministic merge: morsels in index order, local slots in local
-        // first-occurrence order.
-        let mut reprs: Vec<u32> = Vec::new();
-        let mut states: Vec<AggState> = kernels.iter().map(AggK::new_state).collect();
-        let mut resolve: MergeSlots = if use_direct {
-            MergeSlots::Direct(vec![-1i32; packer.domain as usize])
-        } else if self.settings.hashmap_lowering {
-            MergeSlots::Lowered(ChainedArrayMap::with_capacity(chunk.len().max(16)))
-        } else {
-            MergeSlots::Hash(HashMap::new())
-        };
+        );
         for part in &partials {
-            for (ls, (&key, &repr)) in part.keys.iter().zip(&part.reprs).enumerate() {
-                let (g, is_new) = resolve.get_or_insert(key, reprs.len());
-                if is_new {
-                    reprs.push(repr);
-                    for s in &mut states {
-                        s.touch();
-                    }
-                }
-                for (s, ps) in states.iter_mut().zip(&part.states) {
-                    s.merge_slot(g, ps, ls);
-                }
-            }
+            fold.merge(chunk, &mut resolver, &mut groups, part, &mut scratch);
         }
-        let group_index = single_key.then(|| resolve.into_group_index(packer));
-        (reprs, states, group_index)
+    } else if n == 0 && group_by.is_empty() {
+        fold.add_empty_group(&mut groups);
+    } else {
+        chunk.for_each_block(0..n, |rows| {
+            fold.fold_block(chunk, &rows, &mut resolver, &mut groups, &mut scratch)
+        });
     }
-}
-
-/// The merge-phase key→slot structure of the parallel coded aggregation; the
-/// variant mirrors what the serial path would have built so the resulting
-/// [`GroupIndex`] is interchangeable.
-enum MergeSlots {
-    Direct(Vec<i32>),
-    Lowered(ChainedArrayMap<u32>),
-    Hash(HashMap<u64, u32>),
-}
-
-impl MergeSlots {
-    /// Resolves a packed key to its global slot; `next` is the slot id a
-    /// first-seen key receives. Returns `(slot, is_new)` — on `is_new` the
-    /// caller appends the repr/state entries for the fresh slot.
-    fn get_or_insert(&mut self, key: i64, next: usize) -> (usize, bool) {
-        match self {
-            MergeSlots::Direct(slots) => {
-                if slots[key as usize] >= 0 {
-                    (slots[key as usize] as usize, false)
-                } else {
-                    slots[key as usize] = next as i32;
-                    (next, true)
-                }
-            }
-            MergeSlots::Lowered(map) => {
-                let g = *map.get_or_insert_with(key as u64, || next as u32) as usize;
-                (g, g == next)
-            }
-            MergeSlots::Hash(map) => {
-                let g = *map.entry(key as u64).or_insert(next as u32) as usize;
-                (g, g == next)
-            }
-        }
-    }
-
-    fn into_group_index(self, packer: &KeyPacker) -> GroupIndex {
-        match self {
-            MergeSlots::Direct(slots) => GroupIndex::Direct { min: packer.kernels_mins[0], slots },
-            MergeSlots::Lowered(map) => {
-                GroupIndex::Lowered { min: packer.kernels_mins[0], domain: packer.domain, map }
-            }
-            MergeSlots::Hash(map) => {
-                GroupIndex::Hash { min: packer.kernels_mins[0], domain: packer.domain, map }
-            }
-        }
-    }
-}
-
-/// Reads one value out of a column set (residual evaluation helper).
-fn value_from(cols: &[Column], nulls: &[Option<Arc<Vec<bool>>>], c: usize, p: usize) -> Value {
-    if let Some(m) = &nulls[c] {
-        if m[p] {
-            return Value::Null;
-        }
-    }
-    cols[c].value_at(p)
+    let reprs = std::mem::take(&mut groups.reprs);
+    (resolver, reprs, fold.finish(groups))
 }
 
 /// Compares two gathered sort-key tuples under the per-key directions.
@@ -1666,448 +1278,6 @@ fn finish_left_row(lp: usize, matched: bool, kind: JoinKind, pairs: &mut Vec<(u3
         JoinKind::Semi if matched => pairs.push((lp as u32, u32::MAX)),
         _ => {}
     }
-}
-
-/// Packs multiple coded keys into one `u64` using per-key ranges.
-struct KeyPacker {
-    kernels_mins: Vec<i64>,
-    strides: Vec<i64>,
-    domain: i64,
-    kks: Vec<I64K>,
-}
-
-impl KeyPacker {
-    /// Computes key ranges over the chunk (the load-time statistics of the
-    /// paper, applied to the intermediate) and derives a dense packing.
-    /// Returns `None` when the combined domain overflows. With `degree > 1`
-    /// the min/max scan itself runs morsel-parallel (min/max merges are
-    /// exact, so this is bit-identical to the serial scan).
-    fn fit(kks: Vec<I64K>, chunk: &Chunk, degree: usize) -> Option<KeyPacker> {
-        let nk = kks.len();
-        let mut mins = vec![i64::MAX; nk];
-        let mut maxs = vec![i64::MIN; nk];
-        if degree > 1 {
-            let parts: Vec<(Vec<i64>, Vec<i64>)> = run_morsels(
-                degree,
-                &row_morsels(chunk.len()),
-                || (),
-                |(), m| {
-                    let mut mins = vec![i64::MAX; nk];
-                    let mut maxs = vec![i64::MIN; nk];
-                    for i in m.range() {
-                        let p = chunk.phys(i);
-                        for (k, kk) in kks.iter().enumerate() {
-                            let v = kk(p);
-                            mins[k] = mins[k].min(v);
-                            maxs[k] = maxs[k].max(v);
-                        }
-                    }
-                    (mins, maxs)
-                },
-            );
-            for (pmins, pmaxs) in &parts {
-                for k in 0..nk {
-                    mins[k] = mins[k].min(pmins[k]);
-                    maxs[k] = maxs[k].max(pmaxs[k]);
-                }
-            }
-        } else {
-            for p in chunk.physical_rows() {
-                for (k, kk) in kks.iter().enumerate() {
-                    let v = kk(p);
-                    mins[k] = mins[k].min(v);
-                    maxs[k] = maxs[k].max(v);
-                }
-            }
-        }
-        if chunk.is_empty() {
-            mins.iter_mut().for_each(|m| *m = 0);
-            maxs.iter_mut().for_each(|m| *m = 0);
-        }
-        let mut strides = vec![1i64; kks.len()];
-        let mut domain: i64 = 1;
-        for k in (0..kks.len()).rev() {
-            strides[k] = domain;
-            let width = maxs[k].checked_sub(mins[k])?.checked_add(1)?;
-            domain = domain.checked_mul(width)?;
-            if domain > (1 << 40) {
-                return None;
-            }
-        }
-        Some(KeyPacker { kernels_mins: mins, strides, domain, kks })
-    }
-
-    #[inline]
-    fn pack(&self, p: usize) -> i64 {
-        let mut key = 0i64;
-        for (k, kk) in self.kks.iter().enumerate() {
-            key += (kk(p) - self.kernels_mins[k]) * self.strides[k];
-        }
-        key
-    }
-}
-
-/// A reusable group index: the aggregation's key → slot structure, handed to
-/// a parent join by the Fig. 9 inter-operator optimization.
-pub(crate) enum GroupIndex {
-    /// Dense direct-array slots over `[min, min + slots.len())`.
-    Direct { min: i64, slots: Vec<i32> },
-    /// Lowered chained-array map keyed by `key - min`.
-    Lowered { min: i64, domain: i64, map: ChainedArrayMap<u32> },
-    /// Generic hash map keyed by `key - min`.
-    Hash { min: i64, domain: i64, map: HashMap<u64, u32> },
-}
-
-impl GroupIndex {
-    /// Looks up the group slot holding `key`, if any.
-    pub(crate) fn lookup(&self, key: i64) -> Option<u32> {
-        match self {
-            GroupIndex::Direct { min, slots } => {
-                let idx = key.checked_sub(*min)?;
-                if idx < 0 || idx as usize >= slots.len() {
-                    return None;
-                }
-                let g = slots[idx as usize];
-                (g >= 0).then_some(g as u32)
-            }
-            GroupIndex::Lowered { min, domain, map } => {
-                let idx = key.checked_sub(*min)?;
-                if idx < 0 || idx >= *domain {
-                    return None;
-                }
-                map.get(idx as u64).copied()
-            }
-            GroupIndex::Hash { min, domain, map } => {
-                let idx = key.checked_sub(*min)?;
-                if idx < 0 || idx >= *domain {
-                    return None;
-                }
-                map.get(&(idx as u64)).copied()
-            }
-        }
-    }
-}
-
-/// Per-aggregate update kernels: the compiled (or interpreted) row→input
-/// functions plus NULL guards. Kernels are read-only and `Sync`, so morsel
-/// workers share one set; the mutable accumulators live in [`AggState`].
-enum AggK {
-    SumF { k: F64K, null_k: Option<BoolK> },
-    SumI { k: F64K, null_k: Option<BoolK> },
-    Count { null_k: Option<BoolK> },
-    Avg { k: F64K, null_k: Option<BoolK> },
-    MinMax { is_min: bool, k: ValK },
-}
-
-impl AggK {
-    /// A fresh zero-slot accumulator state for this aggregate.
-    fn new_state(&self) -> AggState {
-        match self {
-            AggK::SumF { .. } => AggState::SumF { sums: Vec::new(), touched: Vec::new() },
-            AggK::SumI { .. } => AggState::SumI { sums: Vec::new(), touched: Vec::new() },
-            AggK::Count { .. } => AggState::Count { counts: Vec::new() },
-            AggK::Avg { .. } => AggState::Avg { sums: Vec::new(), counts: Vec::new() },
-            AggK::MinMax { is_min, .. } => AggState::MinMax { vals: Vec::new(), is_min: *is_min },
-        }
-    }
-
-    /// Folds row `p` into group slot `g` of `state`.
-    #[inline]
-    fn update(&self, state: &mut AggState, g: usize, p: usize) {
-        match (self, state) {
-            (AggK::SumF { k, null_k }, AggState::SumF { sums, touched }) => {
-                if null_k.as_ref().is_some_and(|nk| nk(p)) {
-                    return;
-                }
-                sums[g] += k(p);
-                touched[g] = true;
-            }
-            (AggK::SumI { k, null_k }, AggState::SumI { sums, touched }) => {
-                if null_k.as_ref().is_some_and(|nk| nk(p)) {
-                    return;
-                }
-                sums[g] += k(p) as i64;
-                touched[g] = true;
-            }
-            (AggK::Count { null_k }, AggState::Count { counts }) => {
-                if null_k.as_ref().is_none_or(|nk| !nk(p)) {
-                    counts[g] += 1;
-                }
-            }
-            (AggK::Avg { k, null_k }, AggState::Avg { sums, counts }) => {
-                if null_k.as_ref().is_some_and(|nk| nk(p)) {
-                    return;
-                }
-                sums[g] += k(p);
-                counts[g] += 1;
-            }
-            (AggK::MinMax { is_min, k }, AggState::MinMax { vals, .. }) => {
-                let v = k(p);
-                if v.is_null() {
-                    return;
-                }
-                let slot = &mut vals[g];
-                let better = match slot {
-                    None => true,
-                    Some(cur) => {
-                        if *is_min {
-                            v < *cur
-                        } else {
-                            v > *cur
-                        }
-                    }
-                };
-                if better {
-                    *slot = Some(v);
-                }
-            }
-            _ => unreachable!("state was built by AggK::new_state of this kernel"),
-        }
-    }
-}
-
-/// Struct-of-arrays aggregation accumulators, one entry per group slot.
-/// Kernel-free (and therefore `Send`): morsel workers return partial states
-/// to the coordinator, which merges them in morsel order.
-enum AggState {
-    SumF { sums: Vec<f64>, touched: Vec<bool> },
-    SumI { sums: Vec<i64>, touched: Vec<bool> },
-    Count { counts: Vec<i64> },
-    Avg { sums: Vec<f64>, counts: Vec<i64> },
-    MinMax { vals: Vec<Option<Value>>, is_min: bool },
-}
-
-impl AggState {
-    /// Adds one group slot.
-    fn touch(&mut self) {
-        match self {
-            AggState::SumF { sums, touched } => {
-                sums.push(0.0);
-                touched.push(false);
-            }
-            AggState::SumI { sums, touched } => {
-                sums.push(0);
-                touched.push(false);
-            }
-            AggState::Count { counts } => counts.push(0),
-            AggState::Avg { sums, counts } => {
-                sums.push(0.0);
-                counts.push(0);
-            }
-            AggState::MinMax { vals, .. } => vals.push(None),
-        }
-    }
-
-    /// Folds slot `og` of a partial state into slot `g` of this one. Called
-    /// in morsel-index order, so every floating-point reassociation point is
-    /// a fixed morsel boundary (degree-independent).
-    fn merge_slot(&mut self, g: usize, other: &AggState, og: usize) {
-        match (self, other) {
-            (AggState::SumF { sums, touched }, AggState::SumF { sums: os, touched: ot }) => {
-                if ot[og] {
-                    sums[g] += os[og];
-                    touched[g] = true;
-                }
-            }
-            (AggState::SumI { sums, touched }, AggState::SumI { sums: os, touched: ot }) => {
-                if ot[og] {
-                    sums[g] += os[og];
-                    touched[g] = true;
-                }
-            }
-            (AggState::Count { counts }, AggState::Count { counts: oc }) => counts[g] += oc[og],
-            (AggState::Avg { sums, counts }, AggState::Avg { sums: os, counts: oc }) => {
-                sums[g] += os[og];
-                counts[g] += oc[og];
-            }
-            (AggState::MinMax { vals, is_min }, AggState::MinMax { vals: ov, .. }) => {
-                let Some(v) = &ov[og] else { return };
-                let slot = &mut vals[g];
-                let better = match slot {
-                    None => true,
-                    Some(cur) => {
-                        if *is_min {
-                            *v < *cur
-                        } else {
-                            *v > *cur
-                        }
-                    }
-                };
-                if better {
-                    *slot = Some(v.clone());
-                }
-            }
-            _ => unreachable!("partial states share the kernel that built them"),
-        }
-    }
-
-    /// Produces the output column.
-    fn finish(self, ngroups: usize) -> (Column, Option<Arc<Vec<bool>>>) {
-        match self {
-            AggState::SumF { sums, touched } => {
-                debug_assert_eq!(sums.len(), ngroups);
-                let any_untouched = touched.iter().any(|t| !t);
-                let mask = any_untouched
-                    .then(|| Arc::new(touched.iter().map(|t| !t).collect::<Vec<bool>>()));
-                (Column::F64(Arc::new(sums)), mask)
-            }
-            AggState::SumI { sums, touched } => {
-                debug_assert_eq!(sums.len(), ngroups);
-                let any_untouched = touched.iter().any(|t| !t);
-                let mask = any_untouched
-                    .then(|| Arc::new(touched.iter().map(|t| !t).collect::<Vec<bool>>()));
-                (Column::I64(Arc::new(sums)), mask)
-            }
-            AggState::Count { counts } => {
-                debug_assert_eq!(counts.len(), ngroups);
-                (Column::I64(Arc::new(counts)), None)
-            }
-            AggState::Avg { sums, counts } => {
-                let mut out = Vec::with_capacity(ngroups);
-                let mut mask = Vec::with_capacity(ngroups);
-                for (s, c) in sums.iter().zip(&counts) {
-                    if *c == 0 {
-                        out.push(0.0);
-                        mask.push(true);
-                    } else {
-                        out.push(s / *c as f64);
-                        mask.push(false);
-                    }
-                }
-                let any = mask.iter().any(|&m| m);
-                (Column::F64(Arc::new(out)), any.then(|| Arc::new(mask)))
-            }
-            AggState::MinMax { vals, .. } => {
-                // Min/Max may be over any type; emit a generic column by
-                // materializing values (group counts are small).
-                let any_null = vals.iter().any(Option::is_none);
-                let mask: Vec<bool> = vals.iter().map(Option::is_none).collect();
-                let first = vals.iter().flatten().next().cloned();
-                let col = match first {
-                    Some(Value::Float(_)) | None => Column::F64(Arc::new(
-                        vals.iter().map(|v| v.as_ref().map_or(0.0, |x| x.as_float())).collect(),
-                    )),
-                    Some(Value::Int(_)) => Column::I64(Arc::new(
-                        vals.iter().map(|v| v.as_ref().map_or(0, |x| x.as_int())).collect(),
-                    )),
-                    Some(Value::Date(_)) => Column::Date(Arc::new(
-                        vals.iter().map(|v| v.as_ref().map_or(0, |x| x.as_date().0)).collect(),
-                    )),
-                    Some(Value::Str(_)) => Column::Str(Arc::new(
-                        vals.iter()
-                            .map(|v| v.as_ref().map_or(String::new(), |x| x.as_str().to_string()))
-                            .collect(),
-                    )),
-                    Some(other) => panic!("unsupported MIN/MAX type {other:?}"),
-                };
-                (col, any_null.then(|| Arc::new(mask)))
-            }
-        }
-    }
-}
-
-/// Morsel-parallel global (no `GROUP BY`) aggregation: per-morsel partial
-/// states, merged into one slot in morsel-index order.
-fn par_singleton(chunk: &Chunk, kernels: &[AggK], degree: usize) -> Vec<AggState> {
-    let partials: Vec<Vec<AggState>> = run_morsels(
-        degree,
-        &row_morsels(chunk.len()),
-        || (),
-        |(), m| {
-            let mut states: Vec<AggState> = kernels.iter().map(AggK::new_state).collect();
-            for s in &mut states {
-                s.touch();
-            }
-            for i in m.range() {
-                let p = chunk.phys(i);
-                for (k, s) in kernels.iter().zip(&mut states) {
-                    k.update(s, 0, p);
-                }
-            }
-            states
-        },
-    );
-    let mut states: Vec<AggState> = kernels.iter().map(AggK::new_state).collect();
-    for s in &mut states {
-        s.touch();
-    }
-    for part in &partials {
-        for (s, ps) in states.iter_mut().zip(part) {
-            s.merge_slot(0, ps, 0);
-        }
-    }
-    states
-}
-
-/// Morsel-parallel pre-aggregation for generic (`Vec<Value>`) keys — the
-/// interpreted-mode and plain-string-key path. Same merge discipline as the
-/// coded variant: morsels in index order, local groups in first-occurrence
-/// order, reproducing the serial slot numbering.
-fn par_aggregate_generic(
-    chunk: &Chunk,
-    group_by: &[usize],
-    kernels: &[AggK],
-    degree: usize,
-) -> (Vec<u32>, Vec<AggState>) {
-    struct Partial {
-        keys: Vec<Vec<Value>>,
-        reprs: Vec<u32>,
-        states: Vec<AggState>,
-    }
-    let partials: Vec<Partial> = run_morsels(
-        degree,
-        &row_morsels(chunk.len()),
-        || (),
-        |(), m| {
-            let mut local: HashMap<Vec<Value>, u32> = HashMap::new();
-            let mut part = Partial {
-                keys: Vec::new(),
-                reprs: Vec::new(),
-                states: kernels.iter().map(AggK::new_state).collect(),
-            };
-            for i in m.range() {
-                let p = chunk.phys(i);
-                let key: Vec<Value> = group_by.iter().map(|&c| chunk.value_at(c, p)).collect();
-                metrics::hash_probe();
-                let g = match local.get(&key) {
-                    Some(&g) => g,
-                    None => {
-                        let g = part.keys.len() as u32;
-                        local.insert(key.clone(), g);
-                        part.keys.push(key);
-                        part.reprs.push(p as u32);
-                        for s in &mut part.states {
-                            s.touch();
-                        }
-                        g
-                    }
-                };
-                for (k, s) in kernels.iter().zip(&mut part.states) {
-                    k.update(s, g as usize, p);
-                }
-            }
-            part
-        },
-    );
-    let mut reprs: Vec<u32> = Vec::new();
-    let mut states: Vec<AggState> = kernels.iter().map(AggK::new_state).collect();
-    let mut map: HashMap<&[Value], u32> = HashMap::new();
-    for part in &partials {
-        for (ls, (key, &repr)) in part.keys.iter().zip(&part.reprs).enumerate() {
-            let next = reprs.len() as u32;
-            let g = *map.entry(key.as_slice()).or_insert(next);
-            if g == next {
-                reprs.push(repr);
-                for s in &mut states {
-                    s.touch();
-                }
-            }
-            for (s, ps) in states.iter_mut().zip(&part.states) {
-                s.merge_slot(g as usize, ps, ls);
-            }
-        }
-    }
-    (reprs, states)
 }
 
 /// Gathers `chunk.cols[c]` at the given physical rows into an owned column.
@@ -2199,24 +1369,6 @@ fn gather_column_nullable(
         Column::Absent => Column::Absent,
     };
     (col, Some(Arc::new(mask)))
-}
-
-/// Interpreted-mode row materializer (Opt/Scala): builds a generic tuple per
-/// evaluation.
-fn interpreted_row(chunk: &Chunk) -> Box<dyn Fn(usize) -> Vec<Value> + Send + Sync> {
-    let cols = chunk.cols.clone();
-    let nulls = chunk.nulls.clone();
-    Box::new(move |p| {
-        (0..cols.len())
-            .map(|c| {
-                if matches!(cols[c], Column::Absent) {
-                    Value::Null
-                } else {
-                    value_from(&cols, &nulls, c, p)
-                }
-            })
-            .collect()
-    })
 }
 
 fn sel_vec(chunk: &Chunk) -> Vec<u32> {
@@ -2360,7 +1512,7 @@ fn split_join_need(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::AggSpec;
+    use crate::expr::AggKind;
     use crate::settings::Config;
     use crate::spec::Specialization;
     use crate::volcano;

@@ -50,6 +50,13 @@ pub fn hash_probe() {
     bump!(HASH_PROBES, 1);
 }
 
+/// Records `n` hash-bucket probes at once (block-at-a-time operators count
+/// per block, not per row).
+#[inline(always)]
+pub fn hash_probes(n: u64) {
+    bump!(HASH_PROBES, n);
+}
+
 /// Records `n` chain-traversal steps.
 #[inline(always)]
 pub fn chain_steps(n: u64) {
@@ -72,6 +79,12 @@ pub fn tuple_materialized() {
 #[inline(always)]
 pub fn allocation() {
     bump!(ALLOCS, 1);
+}
+
+/// Records `n` heap allocations at once.
+#[inline(always)]
+pub fn allocations(n: u64) {
+    bump!(ALLOCS, n);
 }
 
 /// Resets all counters to zero.

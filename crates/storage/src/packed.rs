@@ -16,11 +16,9 @@
 //! decodes whole morsels word-at-a-time — 64 values per `width`-word block,
 //! monomorphized per width so each block body is a fully unrolled,
 //! autovectorizable loop. Residual per-row reads go through the branchless
-//! ≤56-bit fast path in [`PackedInts::get_raw`] or a [`PackedCursor`], and
-//! [`PackedInts::decoded`] memoizes one whole-column batch decode behind a
-//! `OnceLock` for callers that truly want the full vector (the engine does
-//! not: columns whose decoded values dominate stay plain at load instead —
-//! DESIGN.md §3e).
+//! ≤56-bit fast path in [`PackedInts::get_raw`] or a [`PackedCursor`]. There
+//! is no whole-column decode cache: columns whose decoded values dominate
+//! stay plain at load instead (DESIGN.md §3e).
 //!
 //! The word payload is either owned heap memory or a borrowed view into a
 //! read-only file mapping ([`crate::mapped::Mapping`]): an LBCA v3 archive
@@ -28,7 +26,7 @@
 //! scans straight from the page cache with zero copies.
 
 use crate::mapped::Mapping;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The word payload: owned, or borrowed zero-copy from a file mapping.
 #[derive(Clone, Debug)]
@@ -57,39 +55,17 @@ impl Words {
 
 /// Frame-of-reference bit-packed integers: `value = base + offset`, each
 /// offset stored in `width` bits.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct PackedInts {
     base: i64,
     max: i64,
     width: u8,
     len: usize,
     words: Words,
-    /// Whole-column batch decode, filled lazily by [`PackedInts::decoded`].
-    /// Real heap once materialized: [`PackedInts::approx_bytes`] counts it,
-    /// so the space half of the decode trade never hides (DESIGN.md §3e).
-    decoded: OnceLock<Arc<Vec<i64>>>,
 }
 
-impl Clone for PackedInts {
-    fn clone(&self) -> PackedInts {
-        let decoded = OnceLock::new();
-        // Share (don't redo) an already-computed batch decode.
-        if let Some(d) = self.decoded.get() {
-            let _ = decoded.set(Arc::clone(d));
-        }
-        PackedInts {
-            base: self.base,
-            max: self.max,
-            width: self.width,
-            len: self.len,
-            words: self.words.clone(),
-            decoded,
-        }
-    }
-}
-
-/// Equality is over the logical content (header + words); the lazily filled
-/// decode cache is derived data and never participates.
+/// Equality is over the logical content (header + words), whether the words
+/// are owned or mapped.
 impl PartialEq for PackedInts {
     fn eq(&self, other: &PackedInts) -> bool {
         self.base == other.base
@@ -165,7 +141,6 @@ impl PackedInts {
             width,
             len: values.len(),
             words: Words::Owned(vec![0u64; Self::words_for(values.len(), width)]),
-            decoded: OnceLock::new(),
         };
         for (i, &v) in values.iter().enumerate() {
             packed.set_raw(i, v.wrapping_sub(min) as u64);
@@ -184,14 +159,7 @@ impl PackedInts {
         words: Vec<u64>,
     ) -> Option<PackedInts> {
         Self::check_parts(base, max, width, len, words.len())?;
-        Some(PackedInts {
-            base,
-            max,
-            width,
-            len,
-            words: Words::Owned(words),
-            decoded: OnceLock::new(),
-        })
+        Some(PackedInts { base, max, width, len, words: Words::Owned(words) })
     }
 
     /// Like [`PackedInts::from_parts`], but the words are borrowed zero-copy
@@ -209,14 +177,7 @@ impl PackedInts {
     ) -> Option<PackedInts> {
         let count = Self::check_parts_counted(base, max, width, len)?;
         map.u64_slice(offset, count)?;
-        Some(PackedInts {
-            base,
-            max,
-            width,
-            len,
-            words: Words::Mapped { map, offset, count },
-            decoded: OnceLock::new(),
-        })
+        Some(PackedInts { base, max, width, len, words: Words::Mapped { map, offset, count } })
     }
 
     fn check_parts(base: i64, max: i64, width: u8, len: usize, n_words: usize) -> Option<()> {
@@ -375,21 +336,6 @@ impl PackedInts {
         }
     }
 
-    /// The whole column batch-decoded once and memoized: every reader of the
-    /// same packed column shares the single decode. The engine deliberately
-    /// does **not** use this — a column whose decoded values dominate stays
-    /// plain at load instead (DESIGN.md §3e), because a memoized decode on a
-    /// session-shared column is resident heap billed to every later query.
-    /// The cache is counted by [`PackedInts::approx_bytes`] once
-    /// materialized and dropped with the column.
-    pub fn decoded(&self) -> Arc<Vec<i64>> {
-        Arc::clone(self.decoded.get_or_init(|| {
-            let mut out = vec![0i64; self.len];
-            self.unpack_range(0, &mut out);
-            Arc::new(out)
-        }))
-    }
-
     /// Pre-encodes a comparison literal: the raw offset this value would
     /// pack to, or `None` when it lies outside `[base, max]` (the caller
     /// clamps the predicate to constant true/false per operator).
@@ -446,16 +392,12 @@ impl PackedInts {
 
     /// Resident heap footprint in bytes. Mapped words are
     /// page-cache-borrowed, not resident: they report 0 here and their size
-    /// under [`PackedInts::mapped_bytes`]. A memoized whole-column decode
-    /// ([`PackedInts::decoded`]) *is* resident heap and is counted once
-    /// materialized — the space half of the scratch-unpack trade never
-    /// hides from the memory figure.
+    /// under [`PackedInts::mapped_bytes`].
     pub fn approx_bytes(&self) -> usize {
-        let words = match &self.words {
+        match &self.words {
             Words::Owned(v) => v.capacity() * 8,
             Words::Mapped { .. } => 0,
-        };
-        words + self.decoded.get().map_or(0, |d| d.capacity() * 8)
+        }
     }
 
     /// Bytes served zero-copy from a file mapping (0 for owned words).
@@ -663,29 +605,12 @@ mod tests {
     }
 
     #[test]
-    fn decoded_is_memoized_and_shared() {
-        let vals = fill(13, 1000);
-        let p = PackedInts::from_values(&vals);
-        let a = p.decoded();
-        let b = p.decoded();
-        assert!(Arc::ptr_eq(&a, &b), "second call must reuse the first decode");
-        assert_eq!(*a, vals);
-        // Clones share an already-computed decode instead of redoing it.
-        let c = p.clone();
-        assert!(Arc::ptr_eq(&a, &c.decoded()));
-        // And the cache never participates in equality.
-        let fresh = PackedInts::from_values(&vals);
-        assert_eq!(p, fresh);
-    }
-
-    #[test]
     fn negative_bases_batch_decode_correctly() {
         let vals: Vec<i64> = (0..200).map(|i| -5000 + (i * 37) % 900).collect();
         let p = PackedInts::from_values(&vals);
         let mut out = vec![0i64; vals.len()];
         p.unpack_range(0, &mut out);
         assert_eq!(out, vals);
-        assert_eq!(*p.decoded(), vals);
     }
 
     #[cfg(unix)]
@@ -711,7 +636,7 @@ mod tests {
         assert_eq!(m.approx_bytes(), 0);
         assert_eq!(m.mapped_bytes(), p.words().len() * 8);
         assert_eq!(m, p, "mapped and owned forms are equal");
-        assert_eq!(*m.decoded(), vals);
+        assert_eq!(m.iter().collect::<Vec<_>>(), vals);
         // Misaligned or out-of-bounds mapped views are rejected, not UB.
         assert!(PackedInts::from_parts_mapped(
             p.base(),

@@ -63,6 +63,13 @@ impl<V> ChainedArrayMap<V> {
         self.entries.is_empty()
     }
 
+    /// Removes every entry, keeping the bucket array and the entry pool
+    /// allocated (per-morsel partial aggregation reuses one map per worker).
+    pub fn clear(&mut self) {
+        self.buckets.fill(EMPTY);
+        self.entries.clear();
+    }
+
     #[inline(always)]
     fn bucket(&self, key: u64) -> usize {
         ((hash_u64(key) >> 7) & self.mask) as usize
@@ -304,6 +311,10 @@ mod tests {
         }
         assert_eq!(lowered.get(3), model.get(&3));
         assert_eq!(lowered.get(9999), None);
+        // A cleared map is empty and reusable.
+        lowered.clear();
+        assert!(lowered.is_empty() && lowered.get(3).is_none());
+        assert_eq!(*lowered.get_or_insert_with(3, || 7), 7);
     }
 
     #[test]

@@ -269,11 +269,9 @@ proptest! {
         for (k, &got) in out.iter().enumerate() {
             prop_assert_eq!(got, p.get(start + k), "width {} row {}", width, start + k);
         }
-        let whole = p.decoded();
-        prop_assert_eq!(whole.len(), vals.len());
-        for (i, &v) in vals.iter().enumerate() {
-            prop_assert_eq!(whole[i], v, "decoded row {}", i);
-        }
+        let mut whole = vec![0i64; vals.len()];
+        p.unpack_range(0, &mut whole);
+        prop_assert_eq!(&whole, &vals);
         // Width-0 constant columns batch-fill the base.
         let c = PackedInts::from_values(&vec![constant; seeds.len()]);
         prop_assert_eq!(c.width(), 0);

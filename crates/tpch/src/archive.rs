@@ -777,9 +777,6 @@ fn read_packed(
     }
     let p = PackedInts::from_parts(base, max, width, rows, words)
         .ok_or_else(|| corrupt("invalid frame-of-reference header"))?;
-    // Eager decode via the iterator, NOT `decoded()`: pre-populating the
-    // memoized cache here would pin a second whole-column copy for columns
-    // the engine may only ever word-compare.
     let vals: Vec<i64> = p.iter().collect();
     if vals.iter().any(|&v| v > p.max()) {
         return Err(corrupt("packed value above declared maximum"));

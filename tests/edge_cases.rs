@@ -230,3 +230,38 @@ fn distinct_on_empty_input() {
         },
     );
 }
+
+/// An integer `SUM` must stay exact above 2^53: 2^53 + 1 has no `f64`
+/// representation, so an engine that adds integers through a float kernel
+/// rounds every input to 2^53 and loses one unit per row. The compiled
+/// specialized configurations fold integer-only arithmetic in `i64` (over a
+/// plain or packed key column alike) and must match the interpreter exactly.
+#[test]
+fn integer_sum_is_exact_above_2_53() {
+    const ODD: i64 = (1 << 53) + 1;
+    let big = Expr::add(Expr::mul(Expr::col(0), Expr::lit(0i64)), Expr::lit(ODD));
+    let q = QueryPlan::new(
+        "exact_int_sum",
+        Plan::Sort {
+            input: Box::new(Plan::Agg {
+                input: Box::new(Plan::scan("nation")),
+                group_by: vec![2], // n_regionkey: five groups of five nations
+                aggs: vec![
+                    AggSpec::new(AggKind::Sum, big, "s"),
+                    AggSpec::new(AggKind::Sum, Expr::col(0), "keys"),
+                ],
+            }),
+            keys: vec![(0, SortOrder::Asc)],
+        },
+    );
+    let sys = system();
+    let reference = sys.run_plan(&q, &Config::Dbx.settings()).result;
+    assert_eq!(reference.rows().len(), 5);
+    for row in reference.rows() {
+        assert_eq!(row[1], legobase::storage::Value::Int(5 * ODD));
+    }
+    for cfg in [Config::HyPerLike, Config::StrDictC, Config::OptC] {
+        let got = sys.run_plan(&q, &cfg.settings()).result;
+        assert_eq!(got.rows(), reference.rows(), "{cfg:?}: integer SUM lost exactness");
+    }
+}
