@@ -453,25 +453,41 @@ fn fig19(system: &LegoBase) {
     println!();
 }
 
-/// Fig. 20: memory consumption of the specialized database per query.
+/// Fig. 20: memory consumption of the specialized database per query — the
+/// bytes each query *references*; the structures live once in the system's
+/// store, whose resident total after all 22 is printed last.
 fn fig20(system: &LegoBase) {
     println!("\n== Figure 20: memory consumption of LegoBase(Opt/C) per query ==");
     let raw = system.data.approx_bytes();
     println!("raw input data: {:.1} MB", raw as f64 / 1e6);
     println!("{:<5} {:>12} {:>16}", "query", "loaded (MB)", "ratio to input");
+    system.reset_store();
     for n in 1..=22 {
         let out = system.run_with_settings(n, &Settings::optimized());
         let mb = out.memory_bytes as f64 / 1e6;
         println!("Q{n:<4} {mb:>12.1} {:>15.2}x", out.memory_bytes as f64 / raw as f64);
     }
+    let store = system.store_stats();
+    println!(
+        "store after all 22: {:.1} MB resident in {} structures ({:.2}x input), shared by every query",
+        store.resident_bytes as f64 / 1e6,
+        store.slots,
+        store.resident_bytes as f64 / raw as f64
+    );
 }
 
 /// Fig. 21: loading-time slowdown caused by the load-time optimizations
 /// (partitioning, dictionaries, date indices) relative to a plain columnar
-/// load of the same representation.
+/// load of the same representation. Both are **cold** loads, as in the
+/// paper: the store is emptied before each, so every structure is built by
+/// the load that is timed. The last column is what a served system pays
+/// from the second request on: the same load with everything resident.
 fn fig21(system: &LegoBase) {
     println!("\n== Figure 21: data-loading slowdown, optimized vs plain load ==");
-    println!("{:<5} {:>12} {:>12} {:>10}", "query", "plain (ms)", "opt (ms)", "slowdown");
+    println!(
+        "{:<5} {:>12} {:>12} {:>10} {:>12}",
+        "query", "plain (ms)", "opt (ms)", "slowdown", "warm (ms)"
+    );
     // Same column set in both loads (field removal on), so the delta is
     // exactly the auxiliary structures the optimizations add: partitions,
     // date indices, and dictionaries.
@@ -480,11 +496,15 @@ fn fig21(system: &LegoBase) {
     plain_settings.date_indices = false;
     plain_settings.string_dict = false;
     for n in 1..=22 {
+        system.reset_store();
         let plain = system.load(&system.plan(n), &plain_settings);
+        system.reset_store();
         let opt = system.load(&system.plan(n), &Settings::optimized());
+        let warm = system.load(&system.plan(n), &Settings::optimized());
         let a = ms(plain.load_report().duration);
         let b = ms(opt.load_report().duration);
-        println!("Q{n:<4} {a:>12.1} {b:>12.1} {:>9.2}x", b / a.max(1e-6));
+        let w = ms(warm.load_report().duration);
+        println!("Q{n:<4} {a:>12.1} {b:>12.1} {:>9.2}x {w:>12.3}", b / a.max(1e-6));
     }
 }
 
@@ -686,23 +706,40 @@ fn esterr(system: &LegoBase) {
     service.shutdown();
 }
 
-/// `EXPLAIN` for one TPC-H query: the optimizer's report plus the optimized
-/// plan rendered back to SQL.
+/// `EXPLAIN` for one TPC-H query: the optimizer's report, the optimized
+/// plan rendered back to SQL, and the base structures the query would load
+/// — each marked resident (a request now would be a warm miss) or not.
 fn explain(system: &LegoBase, n: usize) {
+    use legobase::{QueryError, QueryRequest};
     let text = legobase::sql::tpch_sql(n);
-    let explanation = match system.explain_sql(text, Config::OptC) {
+    let request = QueryRequest::sql(text).with_config(Config::OptC).with_explain(true);
+    let explain = || match system.query(&request) {
         Ok(e) => e,
-        Err(e) => {
+        Err(QueryError::Sql(e)) => {
             eprintln!("Q{n}: embedded SQL failed to lower:\n{}", e.render(text));
             std::process::exit(1);
         }
+        Err(e) => {
+            eprintln!("Q{n}: {e}");
+            std::process::exit(1);
+        }
     };
+    let explanation = explain();
     println!("== EXPLAIN Q{n} ==");
-    match &explanation.report {
+    match &explanation.opt {
         Some(r) => print!("{}", r.summary()),
         None => println!("(optimizer disabled via LEGOBASE_OPTIMIZE)"),
     }
-    println!("\nplan as SQL:\n{}", explanation.sql);
+    println!("\nplan as SQL:\n{}", explanation.explanation.expect("explain carries the SQL"));
+    // Twice: before anything ran the store is empty; after one execution
+    // every structure the query needs is resident.
+    system.query(&QueryRequest::sql(text).with_config(Config::OptC)).expect("Q runs");
+    println!("\nbase structures (before the first run -> after it):");
+    for (cold, warm) in explanation.structures.iter().zip(&explain().structures) {
+        let state = |resident: bool| if resident { "resident" } else { "to build" };
+        let attr = &system.data.catalog.table(&cold.key.table).schema.fields[cold.key.column].name;
+        println!("  {} ({attr}): {} -> {}", cold.key, state(cold.resident), state(warm.resident));
+    }
 }
 
 /// CI perf gate: per-query minimum time under Opt/C — for both the
@@ -752,6 +789,29 @@ fn baseline(system: &LegoBase) {
         rows.push(BenchRow { query: format!("serve-c{clients}"), min_ms: best });
         serve_system = service.into_system();
     }
+    // Plan-cache-miss latency row (`miss-22`): the 22 SQL texts through one
+    // session with both caches off, so every request pays parse, optimize,
+    // SC compile and a load — on a store the rows above already warmed, so
+    // the load is assembly. Minimum over the timed passes.
+    let uncached = legobase::ServeOptions::default()
+        .with_plan_cache_capacity(0)
+        .with_prepared_cache_capacity(0);
+    let service = serve_system.serve_with(uncached);
+    let miss_pass = || {
+        let session = service.session();
+        let start = std::time::Instant::now();
+        for q in 1..=22 {
+            if let Err(e) = session.run_sql(legobase::sql::tpch_sql(q), Config::OptC) {
+                eprintln!("miss-22 Q{q}: {e}");
+                std::process::exit(1);
+            }
+        }
+        ms(start.elapsed())
+    };
+    miss_pass();
+    let best = (0..legobase_bench::runs()).map(|_| miss_pass()).fold(f64::INFINITY, f64::min);
+    rows.push(BenchRow { query: "miss-22".into(), min_ms: best });
+    let serve_system = service.into_system();
     // TCP front-door row (`serve-tcp-c8`): the serve-c8 batch again, but
     // through 8 loopback `legobase-wire-v1` connections — the same queries
     // plus framing, checksumming, and socket copies. Gated like serve-c8.

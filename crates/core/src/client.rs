@@ -136,6 +136,7 @@ impl Client {
             explanation: header.explanation,
             plan: None,
             detail: None,
+            structures: Vec::new(),
         })
     }
 }

@@ -13,6 +13,7 @@
 
 use crate::service::{estimate_memory_bytes, ServiceError};
 use crate::{requested_settings, LegoBase, RunOutcome};
+use legobase_engine::db::StructureUse;
 use legobase_engine::{optimizer, Config, OptReport, QueryPlan, ResultTable, Settings};
 use legobase_sql::SqlError;
 use legobase_storage::Catalog;
@@ -232,10 +233,22 @@ pub struct QueryResponse {
     pub plan: Option<QueryPlan>,
     /// Single-shot facade runs only: compilation and load accounting.
     pub detail: Option<RunDetail>,
+    /// The base structures (columns per layout, partitions, indexes) the
+    /// query's load took from the system's store, each marked resident or
+    /// built by this request — a cold miss lists builds, a merely slow one
+    /// does not. Empty when a session served the loaded form from its
+    /// prepared cache (nothing was asked for); for explain requests, the
+    /// structures the query *would* load, marked resident or not.
+    /// In-process surfaces only — wire v1 does not transport it.
+    pub structures: Vec<StructureUse>,
 }
 
 impl QueryResponse {
-    pub(crate) fn from_run_outcome(outcome: RunOutcome, total_time: Duration) -> QueryResponse {
+    pub(crate) fn from_run_outcome(
+        outcome: RunOutcome,
+        structures: Vec<StructureUse>,
+        total_time: Duration,
+    ) -> QueryResponse {
         QueryResponse {
             result: outcome.result,
             exec_time: outcome.exec_time,
@@ -250,6 +263,7 @@ impl QueryResponse {
                 load_time: outcome.load_time,
                 memory_bytes: outcome.memory_bytes,
             }),
+            structures,
         }
     }
 
@@ -257,6 +271,7 @@ impl QueryResponse {
         plan: QueryPlan,
         sql: String,
         opt: Option<OptReport>,
+        structures: Vec<StructureUse>,
         total_time: Duration,
     ) -> QueryResponse {
         QueryResponse {
@@ -269,6 +284,7 @@ impl QueryResponse {
             explanation: Some(sql),
             plan: Some(plan),
             detail: None,
+            structures,
         }
     }
 
@@ -426,7 +442,14 @@ impl LegoBase {
         };
         if request.explain() {
             let sql = legobase_sql::plan_to_sql(&plan, &self.data.catalog);
-            return Ok(QueryResponse::explanation(plan, sql, report, t_total.elapsed()));
+            let structures = self.structures_for(&plan, &settings);
+            return Ok(QueryResponse::explanation(
+                plan,
+                sql,
+                report,
+                structures,
+                t_total.elapsed(),
+            ));
         }
         if let Some(budget) = request.memory_budget() {
             let est = estimate_memory_bytes(&plan, &self.data.catalog, &settings);
@@ -438,7 +461,7 @@ impl LegoBase {
                 });
             }
         }
-        let mut outcome = match request.deadline() {
+        let (mut outcome, structures) = match request.deadline() {
             None => self.execute_plan(&plan, &settings),
             Some(d) => {
                 let deadline = t_total + d;
@@ -470,7 +493,7 @@ impl LegoBase {
             r.actual_rows = Some(outcome.result.len());
             outcome.opt = Some(r);
         }
-        Ok(QueryResponse::from_run_outcome(outcome, t_total.elapsed()))
+        Ok(QueryResponse::from_run_outcome(outcome, structures, t_total.elapsed()))
     }
 }
 

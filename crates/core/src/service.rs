@@ -20,9 +20,14 @@
 //!   canonicalized SQL ([`legobase_sql::cache_text`]), the catalog version,
 //!   and the optimize flag. A statistics refresh bumps the catalog version,
 //!   so stale plans are never served.
-//! * **Prepared cache** — the compiled + loaded form of a cached plan
-//!   (structures built per the specialization report), keyed additionally on
-//!   the full [`Settings`], shared read-only across sessions.
+//! * **Prepared cache** — the compiled + loaded form of a cached plan, keyed
+//!   additionally on the full [`Settings`], shared read-only across
+//!   sessions. An entry holds `Arc` handles into the system's
+//!   base-structure store (DESIGN.md §3d), not data: the columns,
+//!   dictionaries, partitions and indexes are built once per dataset, so a
+//!   miss assembles in microseconds once they are resident and an eviction
+//!   frees handles. [`ServiceStats`] reports the store's builds, hits and
+//!   resident bytes.
 //! * **Admission control and budgets** — a session ceiling
 //!   ([`ServeOptions::max_in_flight`]) and a per-query memory budget
 //!   ([`Session::with_memory_budget`]) with *typed* rejection
@@ -289,6 +294,14 @@ pub struct ServiceStats {
     pub queries_panicked: u64,
     /// Queries whose deadline fired before completion (cancelled, typed).
     pub queries_expired: u64,
+    /// Base structures (columns, dictionaries, partitions, indexes) the
+    /// system's store has built — each at most once per dataset.
+    pub store_builds: u64,
+    /// Structure requests the store answered from what it already held.
+    pub store_hits: u64,
+    /// Heap bytes of the structures the store holds, shared by every
+    /// prepared query (archive-mapped words excluded).
+    pub store_resident_bytes: u64,
 }
 
 #[derive(Default)]
@@ -452,6 +465,7 @@ impl QueryService {
     /// Snapshot of the cache and outcome counters.
     pub fn stats(&self) -> ServiceStats {
         let c = &self.counters;
+        let store = self.read_system().store_stats();
         ServiceStats {
             plan_cache_hits: c.plan_hits.load(Ordering::Relaxed),
             plan_cache_misses: c.plan_misses.load(Ordering::Relaxed),
@@ -461,6 +475,9 @@ impl QueryService {
             queries_rejected: c.rejected.load(Ordering::Relaxed),
             queries_panicked: c.panicked.load(Ordering::Relaxed),
             queries_expired: c.expired.load(Ordering::Relaxed),
+            store_builds: store.builds,
+            store_hits: store.hits,
+            store_resident_bytes: store.resident_bytes,
         }
     }
 
@@ -468,7 +485,8 @@ impl QueryService {
     /// so every cached plan and prepared query keyed on the old version is
     /// stale from this point on (the caches are also cleared eagerly — the
     /// version key is the correctness mechanism, the clear is memory
-    /// hygiene).
+    /// hygiene). The base-structure store is untouched: its structures are
+    /// functions of the data, which statistics do not change.
     pub fn update_stats(&self, table: &str, stats: TableStatistics) {
         {
             let mut system = self.system.write().unwrap_or_else(|e| e.into_inner());
@@ -634,8 +652,14 @@ impl Session<'_> {
                 r.apply_feedback(&system.data.catalog);
                 r
             });
-            let mut resp =
-                QueryResponse::explanation(cached_plan.plan.clone(), sql, opt, t_total.elapsed());
+            let structures = system.structures_for(&cached_plan.plan, &settings);
+            let mut resp = QueryResponse::explanation(
+                cached_plan.plan.clone(),
+                sql,
+                opt,
+                structures,
+                t_total.elapsed(),
+            );
             resp.plan_cached = plan_cached;
             return Ok(resp);
         }
@@ -668,8 +692,9 @@ impl Session<'_> {
                         service.counters.prepared_misses.fetch_add(1, Ordering::Relaxed);
                         // Loading happens outside the cache lock so a slow
                         // load never stalls other tenants' lookups; two
-                        // sessions racing on the same key both load, and the
-                        // loser's insert wins harmlessly (loads are
+                        // sessions racing on the same key both compile and
+                        // assemble (the store builds each structure once),
+                        // and the loser's insert wins harmlessly (loads are
                         // deterministic, so the entries are identical).
                         let loaded = match catch_unwind(AssertUnwindSafe(|| {
                             system.load(&cached_plan.plan, &settings)
@@ -765,6 +790,7 @@ impl Session<'_> {
             explanation: None,
             plan: None,
             detail: None,
+            structures: if prepared_cached { Vec::new() } else { prepared.structures().to_vec() },
         })
     }
 
@@ -825,9 +851,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Estimates the bytes the query's loaded data structures would occupy,
 /// from the catalog statistics — the admission-control analog of the
-/// paper's Fig. 20 memory accounting. Follows what the loaders actually do:
-/// the generic engines clone the *entire* dataset into row tuples, while
-/// the specialized loader builds typed columns (only the used ones when
+/// paper's Fig. 20 memory accounting. Follows what the loaded forms
+/// reference: the generic engines the *entire* dataset as row tuples, the
+/// specialized engine typed columns (only the used ones when
 /// unused-field removal is on, dictionary codes instead of strings when
 /// dictionaries are on, plus a partitioning surcharge). Column widths reuse
 /// the optimizer's histograms and sketches: an encodable int or date column
@@ -911,7 +937,7 @@ pub(crate) fn estimate_memory_bytes(
         }
     };
     match settings.engine {
-        // The generic loaders materialize every table of the dataset as
+        // The generic engines scan every table of the dataset as
         // boxed-value row tuples, independent of the query.
         EngineKind::Volcano | EngineKind::Push => catalog
             .names()

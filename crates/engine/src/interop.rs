@@ -99,7 +99,12 @@ mod tests {
     fn fusion_preserves_results() {
         let data = TpchData::generate(0.002);
         let q = fig2_style_plan();
-        let base = GenericDb::load(&data, &Specialization::default(), &Config::Dbx.settings());
+        let base = GenericDb::load(
+            &data,
+            &crate::BaseStore::new(),
+            &Specialization::default(),
+            &Config::Dbx.settings(),
+        );
         let reference = volcano::execute(&q, &base);
 
         // With a PK index on the probe side the partitioned probe serves the
@@ -119,8 +124,8 @@ mod tests {
             on.field_removal = false; // no used-column list in this test spec
             let mut off = on;
             off.interop_fusion = false;
-            let db_on = SpecializedDb::load(&data, &spec, &on);
-            let db_off = SpecializedDb::load(&data, &spec, &off);
+            let db_on = SpecializedDb::load(&data, &crate::BaseStore::new(), &spec, &on);
+            let db_off = SpecializedDb::load(&data, &crate::BaseStore::new(), &spec, &off);
             let r_on = specialized::execute(&q, &db_on, &on);
             let r_off = specialized::execute(&q, &db_off, &off);
             assert!(

@@ -2094,9 +2094,8 @@ mod tests {
 
     /// Re-encodes every encodable column in place (packed ints/dates/codes).
     fn encode_chunk(mut ch: Chunk) -> Chunk {
-        let stats = legobase_storage::ColumnStats::new(0, None, None);
         for c in ch.cols.iter_mut() {
-            if let Some(enc) = c.encode(&stats) {
+            if let Some(enc) = c.encode() {
                 *c = enc;
             }
         }

@@ -49,8 +49,10 @@
 //!   transformation pipeline and consumed at load/execution time: which
 //!   structures to build (§§3.2–3.4), which columns to keep (§3.6.1), and
 //!   the morsel-parallelism decisions (degree, join/sort clearances).
-//! * [`db`] — data loading for both representation families, with timing and
-//!   memory accounting (Figs. 20–21).
+//! * [`db`] — the base-structure store (every column layout, dictionary,
+//!   partition and index, built once per dataset) and the loaders that
+//!   assemble each query's database from it, with timing and memory
+//!   accounting (Figs. 20–21).
 //! * [`interop`] — the inter-operator optimization of Fig. 9 (aggregation
 //!   merged into the join's materialization).
 
@@ -74,7 +76,7 @@ pub mod spec;
 pub mod specialized;
 pub mod volcano;
 
-pub use db::{GenericDb, SpecializedDb};
+pub use db::{BaseStore, GenericDb, SpecializedDb};
 pub use expr::{AggKind, ArithOp, CmpOp, Expr};
 pub use optimizer::{OptReport, Passes};
 pub use plan::{AggSpec, JoinKind, Plan, QueryPlan, SortOrder};

@@ -439,8 +439,10 @@ mod tests {
         spec.add_pk_index("customer", 0);
         spec.add_pk_index("orders", 0);
         spec.add_fk_partition("lineitem", 0);
-        let plain = GenericDb::load(&data, &spec, &Config::Dbx.settings());
-        let part = GenericDb::load(&data, &spec, &Config::TpchC.settings());
+        let plain =
+            GenericDb::load(&data, &crate::BaseStore::new(), &spec, &Config::Dbx.settings());
+        let part =
+            GenericDb::load(&data, &crate::BaseStore::new(), &spec, &Config::TpchC.settings());
         (plain, part)
     }
 

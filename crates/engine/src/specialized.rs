@@ -1536,11 +1536,11 @@ mod tests {
     }
 
     fn check_all_configs(q: &QueryPlan, data: &TpchData, spec: &Specialization) {
-        let base = GenericDb::load(data, spec, &Config::Dbx.settings());
+        let base = GenericDb::load(data, &crate::BaseStore::new(), spec, &Config::Dbx.settings());
         let reference = volcano::execute(q, &base);
         for cfg in [Config::HyPerLike, Config::StrDictC, Config::OptC, Config::OptScala] {
             let settings = cfg.settings();
-            let db = crate::SpecializedDb::load(data, spec, &settings);
+            let db = crate::SpecializedDb::load(data, &crate::BaseStore::new(), spec, &settings);
             let got = execute(q, &db, &settings);
             assert!(
                 got.approx_eq(&reference, 1e-6),
@@ -1622,7 +1622,12 @@ mod tests {
         for base in [Config::OptC, Config::OptScala] {
             for q in [&singleton, &grouped] {
                 let serial_settings = base.settings();
-                let db = crate::SpecializedDb::load(&data, &spec, &serial_settings);
+                let db = crate::SpecializedDb::load(
+                    &data,
+                    &crate::BaseStore::new(),
+                    &spec,
+                    &serial_settings,
+                );
                 let serial = execute(q, &db, &serial_settings);
                 let mut by_degree = Vec::new();
                 for degree in [2usize, 4, 8] {
@@ -1711,7 +1716,7 @@ mod tests {
             // (hashmap_lowering off) must both stay exact.
             for lowered in [true, false] {
                 let base = Config::OptC.settings().with(|s| s.hashmap_lowering = lowered);
-                let db = crate::SpecializedDb::load(&data, &spec, &base);
+                let db = crate::SpecializedDb::load(&data, &crate::BaseStore::new(), &spec, &base);
                 let serial = execute(q, &db, &base);
                 assert!(!serial.is_empty(), "{}: empty serial result", q.name);
                 for degree in [2usize, 4, 8] {
@@ -1754,7 +1759,7 @@ mod tests {
                 },
             );
             let settings = Config::OptC.settings();
-            let db = crate::SpecializedDb::load(&data, &spec, &settings);
+            let db = crate::SpecializedDb::load(&data, &crate::BaseStore::new(), &spec, &settings);
             let serial = execute(&q, &db, &settings);
             for degree in [2usize, 4] {
                 let got = execute(&q, &db, &settings.with_parallelism(degree));
@@ -1786,7 +1791,8 @@ mod tests {
             },
         );
         let serial_settings = Config::OptC.settings();
-        let db = crate::SpecializedDb::load(&data, &spec, &serial_settings);
+        let db =
+            crate::SpecializedDb::load(&data, &crate::BaseStore::new(), &spec, &serial_settings);
         let serial = execute(&q, &db, &serial_settings);
         let gated = serial_settings.with_parallelism(4).with(|s| {
             s.parallel_joins = false;

@@ -366,7 +366,12 @@ mod tests {
 
     fn db() -> GenericDb {
         let data = TpchData::generate(0.002);
-        GenericDb::load(&data, &Specialization::default(), &Config::Dbx.settings())
+        GenericDb::load(
+            &data,
+            &crate::BaseStore::new(),
+            &Specialization::default(),
+            &Config::Dbx.settings(),
+        )
     }
 
     #[test]

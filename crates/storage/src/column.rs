@@ -12,7 +12,6 @@ use crate::dict::{DictKind, StringDictionary};
 use crate::packed::{PackedCursor, PackedInts};
 use crate::row::RowTable;
 use crate::schema::{Schema, Type};
-use crate::stats::ColumnStats;
 use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
@@ -186,6 +185,37 @@ impl CodeReader<'_> {
 }
 
 impl Column {
+    /// Gathers attribute `idx` of a row-layout table into a dense native
+    /// vector — the one rows→columns copy of the system. String attributes
+    /// are dictionary-encoded when `dict` names a kind (ignored for every
+    /// other type).
+    pub fn from_rows(table: &RowTable, idx: usize, dict: Option<DictKind>) -> Column {
+        let rows = &table.rows;
+        match (table.schema.fields[idx].ty, dict) {
+            (Type::Int, _) => Column::I64(Arc::new(rows.iter().map(|r| r[idx].as_int()).collect())),
+            (Type::Float, _) => {
+                Column::F64(Arc::new(rows.iter().map(|r| r[idx].as_float()).collect()))
+            }
+            (Type::Date, _) => {
+                Column::Date(Arc::new(rows.iter().map(|r| r[idx].as_date().0).collect()))
+            }
+            (Type::Bool, _) => {
+                Column::Bool(Arc::new(rows.iter().map(|r| r[idx].as_bool()).collect()))
+            }
+            (Type::Str, None) => {
+                Column::Str(Arc::new(rows.iter().map(|r| r[idx].as_str().to_string()).collect()))
+            }
+            (Type::Str, Some(kind)) => {
+                let dict = StringDictionary::build(kind, rows.iter().map(|r| r[idx].as_str()));
+                let codes = rows
+                    .iter()
+                    .map(|r| dict.code(r[idx].as_str()).expect("value seen during build"))
+                    .collect();
+                Column::Dict(Arc::new(codes), Arc::new(dict))
+            }
+        }
+    }
+
     /// Number of values.
     ///
     /// [`Column::Absent`] reports 0 for backward compatibility; callers that
@@ -338,35 +368,29 @@ impl Column {
     }
 
     /// The encoding chooser: re-encodes this column into its packed variant
-    /// when the catalog statistics say packing pays for itself, or returns
-    /// `None` to keep the current layout.
-    ///
-    /// The decision is driven by the PR 5 statistics (`min`/`max` bound the
-    /// frame-of-reference width before any data is scanned); the packing
-    /// itself always derives base/width from the actual values, so a stale
-    /// catalog can only cost the shortcut, never correctness.
-    pub fn encode(&self, stats: &ColumnStats) -> Option<Column> {
-        // Statistics shortcut: a known min/max whose span already needs
-        // (nearly) full width cannot profit from packing.
-        if let (Some(Value::Int(lo)), Some(Value::Int(hi))) = (&stats.min, &stats.max) {
-            if hi.wrapping_sub(*lo) as u64 > u64::MAX >> 8 {
-                return None;
-            }
-        }
+    /// when packing pays for itself, or returns `None` to keep the current
+    /// layout. The decision is a function of the values alone — base and
+    /// width come from the data, never from catalog statistics — so the
+    /// same column always encodes the same way.
+    pub fn encode(&self) -> Option<Column> {
+        // A span that needs (nearly) full width cannot profit from packing:
+        // it would save a few percent and pay two-word extracts for it.
+        let pays =
+            |p: &PackedInts, plain_bytes: usize| p.width() <= 56 && p.approx_bytes() < plain_bytes;
         match self {
             Column::I64(v) => {
                 let p = PackedInts::from_values(v);
-                (p.approx_bytes() < v.capacity() * 8).then(|| Column::I64Packed(Arc::new(p)))
+                pays(&p, v.capacity() * 8).then(|| Column::I64Packed(Arc::new(p)))
             }
             Column::Date(v) => {
                 let days: Vec<i64> = v.iter().map(|&d| d as i64).collect();
                 let p = PackedInts::from_values(&days);
-                (p.approx_bytes() < v.capacity() * 4).then(|| Column::DatePacked(Arc::new(p)))
+                pays(&p, v.capacity() * 4).then(|| Column::DatePacked(Arc::new(p)))
             }
             Column::Dict(codes, dict) => {
                 let wide: Vec<i64> = codes.iter().map(|&c| c as i64).collect();
                 let p = PackedInts::from_values(&wide);
-                (p.approx_bytes() < codes.capacity() * 4)
+                pays(&p, codes.capacity() * 4)
                     .then(|| Column::DictPacked(Arc::new(p), Arc::clone(dict)))
             }
             _ => None,
@@ -415,45 +439,17 @@ impl ColumnTable {
     /// Converts a row-layout table, applying dictionary encoding and
     /// unused-field removal according to `spec`.
     pub fn from_rows(table: &RowTable, spec: &ColumnSpec) -> ColumnTable {
-        let n = table.len();
         let keep = |idx: usize| spec.used.as_ref().is_none_or(|u| u.contains(&idx));
-        let mut columns = Vec::with_capacity(table.schema.len());
-        for (idx, field) in table.schema.fields.iter().enumerate() {
-            if !keep(idx) {
-                columns.push(Column::Absent);
-                continue;
-            }
-            let dict_kind = spec.dictionaries.iter().find(|(i, _)| *i == idx).map(|(_, k)| *k);
-            let col = match (field.ty, dict_kind) {
-                (Type::Int, _) => {
-                    Column::I64(Arc::new(table.rows.iter().map(|r| r[idx].as_int()).collect()))
+        let columns = (0..table.schema.len())
+            .map(|idx| {
+                if !keep(idx) {
+                    return Column::Absent;
                 }
-                (Type::Float, _) => {
-                    Column::F64(Arc::new(table.rows.iter().map(|r| r[idx].as_float()).collect()))
-                }
-                (Type::Date, _) => {
-                    Column::Date(Arc::new(table.rows.iter().map(|r| r[idx].as_date().0).collect()))
-                }
-                (Type::Bool, _) => {
-                    Column::Bool(Arc::new(table.rows.iter().map(|r| r[idx].as_bool()).collect()))
-                }
-                (Type::Str, None) => Column::Str(Arc::new(
-                    table.rows.iter().map(|r| r[idx].as_str().to_string()).collect(),
-                )),
-                (Type::Str, Some(kind)) => {
-                    let dict =
-                        StringDictionary::build(kind, table.rows.iter().map(|r| r[idx].as_str()));
-                    let codes = table
-                        .rows
-                        .iter()
-                        .map(|r| dict.code(r[idx].as_str()).expect("value seen during build"))
-                        .collect();
-                    Column::Dict(Arc::new(codes), Arc::new(dict))
-                }
-            };
-            columns.push(col);
-        }
-        ColumnTable { schema: table.schema.clone(), len: n, columns }
+                let dict = spec.dictionaries.iter().find(|(i, _)| *i == idx).map(|(_, k)| *k);
+                Column::from_rows(table, idx, dict)
+            })
+            .collect();
+        ColumnTable { schema: table.schema.clone(), len: table.len(), columns }
     }
 
     /// The column at `idx`.
@@ -564,9 +560,8 @@ mod tests {
         let rows = sample();
         let spec = ColumnSpec { dictionaries: vec![(2, DictKind::Normal)], used: None };
         let ct = ColumnTable::from_rows(&rows, &spec);
-        let stats = crate::stats::ColumnStats::new(0, None, None);
         for col in &ct.columns {
-            let Some(enc) = col.encode(&stats) else { continue };
+            let Some(enc) = col.encode() else { continue };
             assert!(enc.approx_bytes() < col.approx_bytes(), "{} must shrink", col.kind_name());
             assert_eq!(enc.len(), col.len());
             for r in 0..col.len() {
@@ -580,9 +575,9 @@ mod tests {
             }
         }
         // The sample's int/date/dict columns all encode.
-        assert!(ct.columns[0].encode(&stats).is_some());
-        assert!(ct.columns[2].encode(&stats).is_some());
-        assert!(ct.columns[3].encode(&stats).is_some());
+        assert!(ct.columns[0].encode().is_some());
+        assert!(ct.columns[2].encode().is_some());
+        assert!(ct.columns[3].encode().is_some());
     }
 
     #[test]
@@ -590,15 +585,14 @@ mod tests {
         let rows = sample();
         let spec = ColumnSpec { dictionaries: vec![(2, DictKind::Normal)], used: None };
         let ct = ColumnTable::from_rows(&rows, &spec);
-        let stats = crate::stats::ColumnStats::new(0, None, None);
         let k = &ct.columns[0];
-        let ek = k.encode(&stats).unwrap();
+        let ek = k.encode().unwrap();
         let (kr, ekr) = (k.i64_reader().unwrap(), ek.i64_reader().unwrap());
         let d = &ct.columns[3];
-        let ed = d.encode(&stats).unwrap();
+        let ed = d.encode().unwrap();
         let (dr, edr) = (d.date_reader().unwrap(), ed.date_reader().unwrap());
         let m = &ct.columns[2];
-        let em = m.encode(&stats).unwrap();
+        let em = m.encode().unwrap();
         let ((mr, dict), (emr, edict)) = (m.dict_reader().unwrap(), em.dict_reader().unwrap());
         assert_eq!(dict.len(), edict.len());
         for r in 0..ct.len {

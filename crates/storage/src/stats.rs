@@ -1,22 +1,15 @@
 //! Loading-time statistics.
 //!
-//! LegoBase sizes its preallocated data structures by "performing worst-case
-//! analysis on a given query", refined by "statistics collected during data
-//! loading" (Sections 3.2.2 and 3.5). These statistics also drive
-//! data-structure-initialization hoisting: the key domain `[min, max]` of an
-//! attribute determines the dense aggregation array.
-//!
-//! Beyond the sizing statistics, [`TableStatistics`] carries the *optimizer*
-//! statistics — per-table row counts and per-column distinct counts and
-//! `[min, max]` bounds for every attribute type — collected in one pass at
-//! load time and served through [`Catalog::stats`](crate::Catalog::stats).
+//! [`TableStatistics`] carries the *optimizer* statistics — per-table row
+//! counts and per-column distinct counts and `[min, max]` bounds for every
+//! attribute type — collected in one pass at load time and served through
+//! [`Catalog::stats`](crate::Catalog::stats).
 //! The cost-based optimizer in `legobase-engine` derives all of its
 //! cardinality estimates from them.
 
-use crate::column::{Column, ColumnTable};
 use crate::row::RowTable;
 use crate::value::Value;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// Default bucket count for collected equi-depth histograms: fine enough to
 /// resolve TPC-H's date-range predicates to a few percent, small enough that
@@ -237,86 +230,6 @@ pub fn value_rank(v: &Value) -> Option<f64> {
     }
 }
 
-/// Statistics of one integer-valued attribute.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IntColumnStats {
-    /// Smallest value seen.
-    pub min: i64,
-    /// Largest value seen.
-    pub max: i64,
-    /// Approximate distinct count.
-    pub distinct: usize,
-}
-
-impl IntColumnStats {
-    /// Computes exact statistics over an integer column.
-    pub fn of(values: &[i64]) -> Option<IntColumnStats> {
-        let min = *values.iter().min()?;
-        let max = *values.iter().max()?;
-        let distinct = values.iter().collect::<HashSet<_>>().len();
-        Some(IntColumnStats { min, max, distinct })
-    }
-
-    /// Width of the key domain (slots a dense array would need).
-    pub fn domain_width(&self) -> usize {
-        (self.max - self.min + 1) as usize
-    }
-
-    /// The paper's criterion for direct-array aggregation: the domain must be
-    /// dense enough that trading memory for the array is sensible. TPC-H key
-    /// domains are "typically ranging up to a couple of thousand sequential
-    /// key values" (Section 3.5.2); sparse ones (Q18's O_ORDERKEY) fall back
-    /// to the lowered hash map.
-    pub fn is_dense(&self, max_slots: usize) -> bool {
-        self.domain_width() <= max_slots
-    }
-}
-
-/// Table-level statistics used for worst-case sizing.
-#[derive(Clone, Debug, Default)]
-pub struct TableStats {
-    /// Number of rows.
-    pub row_count: usize,
-    /// Per-column stats for integer columns (`None` for other types).
-    pub int_columns: Vec<Option<IntColumnStats>>,
-}
-
-impl TableStats {
-    /// Collects statistics from a row-layout table.
-    pub fn of_rows(table: &RowTable) -> TableStats {
-        let mut int_columns = Vec::with_capacity(table.schema.len());
-        for c in 0..table.schema.len() {
-            let ints: Vec<i64> = table
-                .rows
-                .iter()
-                .filter_map(|r| match &r[c] {
-                    Value::Int(v) => Some(*v),
-                    _ => None,
-                })
-                .collect();
-            if ints.len() == table.len() {
-                int_columns.push(IntColumnStats::of(&ints));
-            } else {
-                int_columns.push(None);
-            }
-        }
-        TableStats { row_count: table.len(), int_columns }
-    }
-
-    /// Collects statistics from a column-layout table.
-    pub fn of_columns(table: &ColumnTable) -> TableStats {
-        let int_columns = table
-            .columns
-            .iter()
-            .map(|c| match c {
-                Column::I64(v) => IntColumnStats::of(v),
-                _ => None,
-            })
-            .collect();
-        TableStats { row_count: table.len, int_columns }
-    }
-}
-
 /// Optimizer statistics of one attribute, any type: distinct count plus
 /// `[min, max]` bounds under the storage total order (`None` for columns
 /// that are entirely NULL).
@@ -404,7 +317,6 @@ impl TableStatistics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::ColumnSpec;
     use crate::schema::{Schema, Type};
 
     fn table() -> RowTable {
@@ -413,16 +325,6 @@ mod tests {
             t.push(vec![Value::Int(k), Value::from("x")]);
         }
         t
-    }
-
-    #[test]
-    fn int_stats_exact() {
-        let s = IntColumnStats::of(&[5, 9, 5, 7]).unwrap();
-        assert_eq!(s, IntColumnStats { min: 5, max: 9, distinct: 3 });
-        assert_eq!(s.domain_width(), 5);
-        assert!(s.is_dense(10));
-        assert!(!s.is_dense(4));
-        assert!(IntColumnStats::of(&[]).is_none());
     }
 
     #[test]
@@ -507,17 +409,5 @@ mod tests {
         assert!(s.sketch.is_some());
         // The analytic constructor carries no summaries.
         assert!(ColumnStats::new(3, None, None).histogram.is_none());
-    }
-
-    #[test]
-    fn row_and_column_stats_agree() {
-        let rows = table();
-        let cols = ColumnTable::from_rows(&rows, &ColumnSpec::default());
-        let a = TableStats::of_rows(&rows);
-        let b = TableStats::of_columns(&cols);
-        assert_eq!(a.row_count, b.row_count);
-        assert_eq!(a.int_columns[0], b.int_columns[0]);
-        assert_eq!(a.int_columns[1], None);
-        assert_eq!(b.int_columns[1], None);
     }
 }

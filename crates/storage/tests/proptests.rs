@@ -288,7 +288,7 @@ proptest! {
         days in proptest::collection::vec(8000i32..11000, 64..200),
         words in proptest::collection::vec("[a-c]{1,3}", 64..200),
     ) {
-        use legobase_storage::{Column, ColumnStats};
+        use legobase_storage::Column;
         use std::sync::Arc;
         let dict = StringDictionary::build(DictKind::Normal, words.iter().map(String::as_str));
         let codes: Vec<u32> = words.iter().map(|w| dict.code(w).unwrap()).collect();
@@ -297,9 +297,8 @@ proptest! {
             Column::Date(Arc::new(days)),
             Column::Dict(Arc::new(codes), Arc::new(dict)),
         ];
-        let stats = ColumnStats::new(0, None, None);
         for col in &cols {
-            let enc = col.encode(&stats).expect("small domains must encode");
+            let enc = col.encode().expect("small domains must encode");
             prop_assert!(enc.approx_bytes() < col.approx_bytes());
             for r in 0..col.len() {
                 prop_assert_eq!(enc.value_at(r), col.value_at(r), "row {}", r);

@@ -42,7 +42,9 @@ pub struct TpchData {
     pub catalog: Catalog,
     /// Scale factor the data was generated at.
     pub scale_factor: f64,
-    tables: HashMap<String, RowTable>,
+    /// The immutable base relations, reference-counted so the generic
+    /// engines' loaded databases share them instead of cloning every row.
+    tables: HashMap<String, Arc<RowTable>>,
     /// Archive-mapped packed payloads per `(table, column)` (PR 10): when a
     /// v3 archive is loaded through `mmap`, its bit-packed Int/Date columns
     /// are carried here as zero-copy [`PackedInts`] borrowing the page
@@ -66,6 +68,7 @@ impl TpchData {
         scale_factor: f64,
         tables: HashMap<String, RowTable>,
     ) -> TpchData {
+        let tables = tables.into_iter().map(|(name, t)| (name, Arc::new(t))).collect();
         TpchData { catalog, scale_factor, tables, mapped: HashMap::new() }
     }
 
@@ -98,13 +101,19 @@ impl TpchData {
 
     /// All generated relations.
     pub fn tables(&self) -> impl Iterator<Item = (&str, &RowTable)> {
+        self.tables.iter().map(|(k, v)| (k.as_str(), &**v))
+    }
+
+    /// All generated relations as shareable handles (what the generic
+    /// engines' loader holds instead of a copy).
+    pub fn shared_tables(&self) -> impl Iterator<Item = (&str, &Arc<RowTable>)> {
         self.tables.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Total approximate footprint of the raw row data in bytes (the "input
     /// data size" baseline of Fig. 20).
     pub fn approx_bytes(&self) -> usize {
-        self.tables.values().map(RowTable::approx_bytes).sum()
+        self.tables.values().map(|t| t.approx_bytes()).sum()
     }
 }
 
@@ -158,7 +167,7 @@ impl TpchGenerator {
         for (name, table) in &tables {
             cat.set_stats(name, legobase_storage::TableStatistics::collect(table));
         }
-        TpchData { catalog: cat, scale_factor: self.scale_factor, tables, mapped: HashMap::new() }
+        TpchData::from_parts(cat, self.scale_factor, tables)
     }
 
     fn gen_region(&self, cat: &Catalog) -> RowTable {

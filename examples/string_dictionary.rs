@@ -54,7 +54,12 @@ fn main() {
     let system = LegoBase::generate(0.05);
     let with_dict = Config::StrDictC.settings();
     let without_dict = with_dict.with(|s| s.string_dict = false);
+    // Each run loads cold (the store is emptied first), so the load times
+    // below compare building plain string columns against building
+    // dictionaries — not a cold load against a warm one.
+    system.reset_store();
     let plain = system.run_with_settings(12, &without_dict);
+    system.reset_store();
     let dict = system.run_with_settings(12, &with_dict);
 
     assert!(

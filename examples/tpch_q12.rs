@@ -15,6 +15,9 @@ fn main() {
     println!("{:<26} {:>12} {:>12}", "configuration", "load", "execute");
     let reference = system.run(12, Config::Dbx);
     for config in Config::ALL {
+        // A cold load per configuration, as in the paper: without this the
+        // later rows would reuse the structures the earlier ones built.
+        system.reset_store();
         let out = system.run(12, config);
         assert!(
             out.result.approx_eq(&reference.result, 1e-6),
