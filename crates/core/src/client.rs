@@ -68,6 +68,11 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
+/// Rows reserved up front on the word of a response header. The count is a
+/// wire integer: a larger result grows as its batches actually arrive, so a
+/// header cannot force a huge allocation.
+const MAX_RESERVED_ROWS: u64 = 1 << 16;
+
 /// A blocking connection to a [`TcpServer`](crate::server::TcpServer).
 pub struct Client {
     stream: TcpStream,
@@ -101,7 +106,8 @@ impl Client {
                 return Err(WireError::Corrupt(format!("expected header, got {kind:?}")).into())
             }
         };
-        let mut table = RowTable::with_capacity(header.schema.clone(), header.rows as usize);
+        let reserved = header.rows.min(MAX_RESERVED_ROWS) as usize;
+        let mut table = RowTable::with_capacity(header.schema.clone(), reserved);
         loop {
             match wire::read_frame(&mut self.stream)? {
                 (FrameKind::ResultBatch, p) => {

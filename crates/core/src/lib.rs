@@ -7,17 +7,24 @@
 //! an optimizing compiler (SC), evaluated on the TPC-H workload.
 //!
 //! ```no_run
-//! use legobase::{Config, LegoBase};
+//! use legobase::{Config, LegoBase, QueryRequest};
 //!
 //! // Generate TPC-H data (dbgen substitute) and run Q6 under two
 //! // configurations of Table III.
 //! let system = LegoBase::generate(0.01);
-//! let baseline = system.run(6, Config::Dbx);
-//! let optimized = system.run(6, Config::OptC);
+//! let q6 = QueryRequest::plan(system.plan(6));
+//! let baseline = system.query(&q6.clone().with_config(Config::Dbx))?;
+//! let optimized = system.query(&q6.with_config(Config::OptC))?;
 //! assert!(optimized.result.approx_eq(&baseline.result, 1e-6));
 //! println!("{}", optimized.result.display(10));
-//! println!("generated C:\n{}", optimized.compilation.c_source);
+//! let detail = optimized.detail.expect("facade responses carry the compilation");
+//! println!("generated C:\n{}", detail.compilation.c_source);
+//! # Ok::<(), legobase::QueryError>(())
 //! ```
+//!
+//! [`LegoBase::query`] with a [`QueryRequest`] is the only way to run a
+//! query in-process; a [`Session`] and the TCP [`client`] take the same
+//! request and answer with the same [`QueryResponse`] / [`QueryError`].
 //!
 //! The facade wires the five layers in paper order — [`queries`] builds the
 //! physical plan (§2.1), [`sc`] compiles it into a
@@ -34,11 +41,13 @@
 //! paper-vs-measured record.
 
 pub mod client;
+mod env;
 mod request;
 pub mod server;
 mod service;
 pub mod wire;
 
+pub use env::EnvOverrides;
 pub use legobase_engine as engine;
 pub use legobase_queries as queries;
 pub use legobase_sc as sc;
@@ -46,7 +55,7 @@ pub use legobase_sql as sql;
 pub use legobase_storage as storage;
 pub use legobase_tpch as tpch;
 pub use request::{QueryError, QueryKind, QueryRequest, QueryResponse, RunDetail};
-pub use service::{QueryService, ServeOptions, ServeOutcome, ServiceError, ServiceStats, Session};
+pub use service::{QueryService, ServeOptions, ServiceStats, Session};
 
 pub use legobase_engine::{Config, OptReport, ResultTable, Settings, Specialization};
 pub use legobase_sc::CompileResult;
@@ -55,40 +64,6 @@ pub use legobase_tpch::TpchData;
 use legobase_engine::db::{required_structures, BaseStore, StoreStats, StructureUse};
 use legobase_engine::settings::EngineKind;
 use legobase_engine::{GenericDb, QueryPlan, SpecializedDb};
-use std::time::Duration;
-
-/// The outcome of compiling, loading, and executing one query.
-pub struct RunOutcome {
-    /// The query result.
-    pub result: ResultTable,
-    /// SC pipeline output: specialization report, IR trace, generated C.
-    pub compilation: CompileResult,
-    /// Wall-clock duration of data loading (Fig. 21): assembly, plus the
-    /// partitions, dictionaries and indexes this run was the first to need.
-    pub load_time: Duration,
-    /// Approximate bytes of the structures the loaded database references
-    /// (Fig. 20).
-    pub memory_bytes: usize,
-    /// Wall-clock duration of query execution.
-    pub exec_time: Duration,
-    /// The cost-based optimizer's decision record, with
-    /// [`OptReport::actual_rows`] filled from the executed result — present
-    /// only on the SQL path with [`Settings::optimize`] enabled (hand-built
-    /// plans run unrewritten; they are the optimizer's oracle).
-    pub opt: Option<OptReport>,
-}
-
-/// The outcome of explaining a SQL query without executing it.
-pub struct SqlExplanation {
-    /// The plan that would execute (optimized when the settings say so).
-    pub plan: QueryPlan,
-    /// That plan rendered back to dialect SQL via
-    /// [`legobase_sql::plan_to_sql`].
-    pub sql: String,
-    /// The optimizer's decision record (naive vs chosen join order,
-    /// estimated cardinalities); `None` when the optimizer is disabled.
-    pub report: Option<OptReport>,
-}
 
 /// The LegoBase system façade: data plus the compile→load→execute path.
 pub struct LegoBase {
@@ -98,6 +73,7 @@ pub struct LegoBase {
     /// partitions, indexes — built once on first demand and shared by every
     /// query this system loads (DESIGN.md §3d).
     store: BaseStore,
+    env: EnvOverrides,
 }
 
 impl LegoBase {
@@ -108,7 +84,13 @@ impl LegoBase {
 
     /// Wraps pre-generated TPC-H data.
     pub fn from_data(data: TpchData) -> LegoBase {
-        LegoBase { data, store: BaseStore::new() }
+        LegoBase { data, store: BaseStore::new(), env: EnvOverrides::from_env() }
+    }
+
+    /// The `LEGOBASE_*` overrides this system was constructed under — read
+    /// from the environment once, then, and applied to every request since.
+    pub fn env(&self) -> &EnvOverrides {
+        &self.env
     }
 
     /// Builds, hits, slots and resident bytes of the base-structure store.
@@ -131,27 +113,25 @@ impl LegoBase {
     /// A v3 archive is `mmap`ed read-only: its bit-packed columns borrow
     /// their words zero-copy from the page cache, and the encoded-column
     /// loader adopts them instead of re-encoding — bit-identical results,
-    /// no decode tax on load. Mapping failures and v1/v2 archives fall back
-    /// to the plain read+decode path; set `LEGOBASE_MMAP=0` to force that
-    /// path everywhere (CI runs the equivalence suites once this way).
+    /// no decode tax on load. A mapping failure falls back to the plain
+    /// read+decode path; set `LEGOBASE_MMAP=0` to force that path
+    /// everywhere (CI runs the equivalence suites once this way). Archives
+    /// older than v3 are refused with a typed `BadVersion`.
     ///
     /// ```no_run
-    /// use legobase::{Config, LegoBase};
+    /// use legobase::{LegoBase, ServeOptions};
     /// let system = LegoBase::from_archive("tpch-sf0.1.lbca").expect("valid archive");
-    /// let service = system.serve();
+    /// let service = system.serve_with(ServeOptions::default());
     /// ```
     pub fn from_archive(
         path: impl AsRef<std::path::Path>,
     ) -> Result<LegoBase, tpch::archive::ArchiveError> {
-        let mmap_off = std::env::var("LEGOBASE_MMAP")
-            .map(|v| matches!(v.as_str(), "0" | "false" | "off"))
-            .unwrap_or(false);
-        let data = if mmap_off {
-            tpch::archive::read(path.as_ref())?
+        let read = if EnvOverrides::from_env().mmap_off {
+            tpch::archive::read
         } else {
-            tpch::archive::read_mapped(path.as_ref())?
+            tpch::archive::read_mapped
         };
-        Ok(LegoBase::from_data(data))
+        Ok(LegoBase::from_data(read(path.as_ref())?))
     }
 
     /// Writes this database to a persistent column archive
@@ -168,148 +148,21 @@ impl LegoBase {
         legobase_queries::query(&self.data.catalog, n)
     }
 
-    /// Compiles, loads, and executes TPC-H query `n` under a named
-    /// configuration of Table III.
-    pub fn run(&self, n: usize, config: Config) -> RunOutcome {
-        self.run_plan(&self.plan(n), &config.settings())
-    }
-
-    /// Parses a SQL query against this database's catalog and runs it under
-    /// a named configuration — the text frontend of the system: the SQL
-    /// crate lowers the text into the same [`QueryPlan`] algebra the
-    /// hand-built workload uses, so every engine configuration (and every
-    /// morsel-parallelism degree) executes it unchanged.
-    ///
-    /// Malformed input is reported as a spanned [`legobase_sql::SqlError`]
-    /// (render it against the query text for a caret diagnostic); this path
-    /// never panics on user text.
-    ///
-    /// ```no_run
-    /// use legobase::{Config, LegoBase};
-    /// let system = LegoBase::generate(0.01);
-    /// let out = system
-    ///     .run_sql(
-    ///         "SELECT l_returnflag, count(*) AS n FROM lineitem \
-    ///          GROUP BY l_returnflag ORDER BY l_returnflag",
-    ///         Config::OptC,
-    ///     )
-    ///     .expect("valid SQL");
-    /// println!("{}", out.result.display(10));
-    /// ```
-    pub fn run_sql(&self, sql: &str, config: Config) -> Result<RunOutcome, legobase_sql::SqlError> {
-        self.run_sql_with_settings(sql, &config.settings())
-    }
-
-    /// [`LegoBase::run_sql`] with explicit settings. When
-    /// [`Settings::optimize`] is on (the default; `LEGOBASE_OPTIMIZE=0`
-    /// overrides), the naive lowered plan goes through the cost-based
-    /// optimizer first and the outcome carries the [`OptReport`] with
-    /// actual row counts filled in.
-    ///
-    /// Legacy surface: this is a thin wrapper over [`LegoBase::query`] with
-    /// `QueryRequest::sql(sql).with_settings(*settings)` — new code should
-    /// build a [`QueryRequest`], which adds explain, budgets, and deadlines
-    /// on the same path.
-    pub fn run_sql_with_settings(
-        &self,
-        sql: &str,
-        settings: &Settings,
-    ) -> Result<RunOutcome, legobase_sql::SqlError> {
-        self.query(&QueryRequest::sql(sql).with_settings(*settings))
-            .map(QueryResponse::into_run_outcome)
-            .map_err(|e| match e {
-                QueryError::Sql(e) => e,
-                // This wrapper sets no budget and no deadline, so no other
-                // decline can occur on the single-shot path.
-                other => unreachable!("unexpected single-shot error: {other}"),
-            })
-    }
-
-    /// Parses and optimizes a SQL query, returning — without executing —
-    /// the plan that [`LegoBase::run_sql`] would run, its rendering back to
-    /// dialect SQL, and the optimizer's [`OptReport`]. The `EXPLAIN` of the
-    /// system (`figures -- explain <query>` prints it).
-    ///
-    /// Legacy surface: this is a thin wrapper over [`LegoBase::query`] with
-    /// `QueryRequest::sql(sql).with_config(config).with_explain(true)`.
-    pub fn explain_sql(
-        &self,
-        sql: &str,
-        config: Config,
-    ) -> Result<SqlExplanation, legobase_sql::SqlError> {
-        let resp = self
-            .query(&QueryRequest::sql(sql).with_config(config).with_explain(true))
-            .map_err(|e| match e {
-                QueryError::Sql(e) => e,
-                other => unreachable!("unexpected explain error: {other}"),
-            })?;
-        Ok(SqlExplanation {
-            plan: resp.plan.expect("explain responses carry the plan"),
-            sql: resp.explanation.expect("explain responses carry the rendering"),
-            report: resp.opt,
-        })
-    }
-
-    /// Same as [`LegoBase::run`] with explicit settings (ablations).
-    pub fn run_with_settings(&self, n: usize, settings: &Settings) -> RunOutcome {
-        self.run_plan(&self.plan(n), settings)
-    }
-
-    /// The full paper pipeline for an arbitrary plan: SC compilation derives
-    /// the specialization, the loader builds the physical database, the
-    /// matching executor runs the query.
+    /// Compiles a query and assembles its database from the store — the
+    /// paper pipeline up to execution: SC compilation derives the
+    /// specialization, the loader builds exactly the structures it selected
+    /// (for benchmarks and the service's prepared cache, which execute
+    /// repeatedly against the same load).
     ///
     /// The morsel-driven parallelism degree follows the same
     /// compiler-decides/executor-obeys discipline as every other
     /// specialization: `settings.parallelism` is the *request* (overridable
-    /// with the `LEGOBASE_PARALLELISM` environment variable, which is how CI
-    /// runs the whole suite parallel-enabled), the `Parallelize` transformer
-    /// records the per-query decision in the specialization report, and the
-    /// specialized executor runs with the recorded degree.
-    ///
-    /// Legacy surface: this is a thin wrapper over [`LegoBase::query`] with
-    /// `QueryRequest::plan(query.clone()).with_settings(*settings)`. Unlike
-    /// the unified path it returns the bare [`RunOutcome`] and lets engine
-    /// panics propagate — the behavior the oracle suites pin.
-    pub fn run_plan(&self, query: &QueryPlan, settings: &Settings) -> RunOutcome {
-        self.query(&QueryRequest::plan(query.clone()).with_settings(*settings))
-            .unwrap_or_else(|e| {
-                // Plan requests parse nothing and this wrapper sets no
-                // budget and no deadline — no decline can occur.
-                unreachable!("unexpected plan-run error: {e}")
-            })
-            .into_run_outcome()
-    }
-
-    /// The execution heart of [`LegoBase::query`]: compile, load, execute.
-    /// Also returns the store structures the load asked for.
-    fn execute_plan(
-        &self,
-        query: &QueryPlan,
-        settings: &Settings,
-    ) -> (RunOutcome, Vec<StructureUse>) {
-        let loaded = self.load(query, settings);
-        let t0 = std::time::Instant::now();
-        let result = loaded.execute();
-        let exec_time = t0.elapsed();
-        let report = loaded.load_report();
-        let structures = loaded.structures().to_vec();
-        let outcome = RunOutcome {
-            result,
-            compilation: loaded.compilation,
-            load_time: report.duration,
-            memory_bytes: report.approx_bytes,
-            exec_time,
-            opt: None,
-        };
-        (outcome, structures)
-    }
-
-    /// Compiles a query and assembles its database from the store (for
-    /// benchmarks and the service's prepared cache, which execute
-    /// repeatedly against the same load).
+    /// with `LEGOBASE_PARALLELISM`, which is how CI runs the whole suite
+    /// parallel-enabled), the `Parallelize` transformer records the
+    /// per-query decision in the specialization report, and the specialized
+    /// executor runs with the recorded degree.
     pub fn load(&self, query: &QueryPlan, settings: &Settings) -> LoadedQuery {
-        let settings = &requested_settings(settings);
+        let settings = &self.env.apply(settings);
         let compilation = legobase_sc::compile(query, &self.data.catalog, settings);
         let settings = &decided_settings(settings, &compilation.spec);
         let db = match settings.engine {
@@ -334,58 +187,13 @@ impl LegoBase {
         query: &QueryPlan,
         settings: &Settings,
     ) -> Vec<StructureUse> {
-        let settings = &requested_settings(settings);
+        let settings = &self.env.apply(settings);
         let spec = legobase_sc::compile(query, &self.data.catalog, settings).spec;
         required_structures(&self.data, &spec, &decided_settings(settings, &spec))
             .into_iter()
             .map(|key| StructureUse { resident: self.store.is_resident(&key), key })
             .collect()
     }
-}
-
-/// Applies the environment overrides to the requested settings:
-/// `LEGOBASE_PARALLELISM` (CI uses it to run the entire suite with the
-/// parallel paths on) and `LEGOBASE_OPTIMIZE` (`0`/`false` turns the
-/// cost-based SQL optimizer off — CI's naive-plan equivalence leg). The
-/// parallelism override only replaces the *default* serial request —
-/// settings that explicitly ask for a degree > 1 (ablations, the
-/// thread-scaling figure) keep their request.
-pub(crate) fn requested_settings(settings: &Settings) -> Settings {
-    let mut s = *settings;
-    if s.parallelism == 1 {
-        if let Some(n) =
-            std::env::var("LEGOBASE_PARALLELISM").ok().and_then(|v| v.parse::<usize>().ok())
-        {
-            if n >= 1 {
-                s.parallelism = n;
-            }
-        }
-    }
-    // Like the parallelism override, this only moves settings in one
-    // direction: an off-value forces the optimizer off (CI's naive-plan
-    // leg); anything else — including an empty variable — leaves the
-    // request untouched, so an explicit `optimize: false` ablation is
-    // never silently re-enabled.
-    if let Ok(v) = std::env::var("LEGOBASE_OPTIMIZE") {
-        if matches!(v.trim(), "0" | "false" | "off") {
-            s.optimize = false;
-        }
-    }
-    // Same one-way discipline for encoded columns: `LEGOBASE_ENCODING=0` is
-    // CI's plain-columns leg; anything else leaves the request alone.
-    if let Ok(v) = std::env::var("LEGOBASE_ENCODING") {
-        if matches!(v.trim(), "0" | "false" | "off") {
-            s.encoding = false;
-        }
-    }
-    // And for the adaptive-estimation loop: `LEGOBASE_FEEDBACK=0` is the
-    // ablation leg proving feedback never changes results, only estimates.
-    if let Ok(v) = std::env::var("LEGOBASE_FEEDBACK") {
-        if matches!(v.trim(), "0" | "false" | "off") {
-            s.feedback = false;
-        }
-    }
-    s
 }
 
 /// Replaces the requested parallelism with the decisions the SC pipeline
@@ -471,6 +279,7 @@ mod tests {
     use super::*;
     use legobase_storage::Column;
     use std::sync::Arc;
+    use std::time::Duration;
 
     /// A warm load is assembly, independent of row count: at SF 0.05
     /// (300 k lineitems, where the first Q1 load gathers megabytes) a second

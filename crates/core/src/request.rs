@@ -1,24 +1,29 @@
-//! The unified query API: one request builder, one response, one error.
+//! The query API: one request builder, one response, one error — and the one
+//! set of request stages every surface runs.
 //!
-//! PR 6 left the facade with four near-duplicate entry points (`run_sql`,
-//! `run_sql_with_settings`, `explain_sql`, `run_plan`) duplicated again on
-//! [`Session`](crate::Session) — the wrong surface to freeze into a wire
-//! protocol. [`QueryRequest`] replaces all of them with a single builder
-//! that carries everything a query needs — text or plan, settings, the
-//! explain flag, a memory budget, an optional deadline — and every
-//! execution path ([`LegoBase::query`], [`Session::query`](crate::Session::query),
-//! and the TCP loop in [`crate::server`]) answers with the same
-//! [`QueryResponse`] / [`QueryError`] pair. The legacy entry points survive
-//! as thin wrappers, so nothing built on them changes behavior.
+//! [`QueryRequest`] carries everything a query needs — text or plan,
+//! settings, the explain flag, a memory budget, an optional deadline — and
+//! every execution surface ([`LegoBase::query`],
+//! [`Session::query`](crate::Session::query), and the TCP loop in
+//! [`crate::server`]) answers with the same [`QueryResponse`] /
+//! [`QueryError`] pair.
+//!
+//! A request passes through six stages, each written once in this module:
+//! *resolve* (SQL → plan, optimize), *explain*, *budget check*, *compile +
+//! load*, *deadline-armed execute*, and *response assembly*.
+//! [`LegoBase::query`] is those stages in order; a session wraps around them
+//! only what a service adds (admission, the plan and prepared caches, tenant
+//! scheduling, panic containment, estimate feedback, counters).
 
-use crate::service::{estimate_memory_bytes, ServiceError};
-use crate::{requested_settings, LegoBase, RunOutcome};
+use crate::service::estimate_memory_bytes;
+use crate::{LegoBase, LoadedQuery};
+use legobase_engine::cancel::{self, Cancelled};
 use legobase_engine::db::StructureUse;
 use legobase_engine::{optimizer, Config, OptReport, QueryPlan, ResultTable, Settings};
 use legobase_sql::SqlError;
 use legobase_storage::Catalog;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// What a [`QueryRequest`] asks to run: SQL text (the normal client path)
@@ -36,11 +41,6 @@ pub enum QueryKind {
 /// execution surface of the system — the facade, service sessions, and the
 /// `legobase-wire-v1` TCP protocol all consume it unchanged.
 ///
-/// # Migrating from the legacy entry points
-///
-/// Each pre-PR-9 method maps onto one builder chain (the old methods still
-/// work — they are thin wrappers over this type):
-///
 /// ```no_run
 /// use std::time::Duration;
 /// use legobase::{Config, LegoBase, QueryRequest, Settings};
@@ -48,22 +48,19 @@ pub enum QueryKind {
 /// let system = LegoBase::generate(0.01);
 /// let sql = "SELECT count(*) AS n FROM lineitem";
 ///
-/// // run_sql(sql, Config::OptC)
+/// // SQL under a named configuration of Table III, or explicit settings.
 /// let resp = system.query(&QueryRequest::sql(sql).with_config(Config::OptC))?;
-///
-/// // run_sql_with_settings(sql, &settings)
 /// let settings = Settings::optimized().with_parallelism(4);
 /// let resp = system.query(&QueryRequest::sql(sql).with_settings(settings))?;
 ///
-/// // explain_sql(sql, Config::OptC)
+/// // EXPLAIN: the plan that would run, rendered back to SQL.
 /// let explained = system.query(&QueryRequest::sql(sql).with_explain(true))?;
 /// println!("{}", explained.explanation.expect("explain returns the rendering"));
 ///
-/// // run_plan(&plan, &settings)
-/// let plan = system.plan(6);
-/// let resp = system.query(&QueryRequest::plan(plan).with_settings(settings))?;
+/// // A hand-built plan (TPC-H Q6), never rewritten.
+/// let resp = system.query(&QueryRequest::plan(system.plan(6)).with_settings(settings))?;
 ///
-/// // New capabilities with no legacy equivalent:
+/// // Declined with a typed error when over budget or past the deadline.
 /// let resp = system.query(
 ///     &QueryRequest::sql(sql)
 ///         .with_memory_budget(256 << 20)
@@ -81,11 +78,9 @@ pub struct QueryRequest {
 }
 
 impl QueryRequest {
-    /// A request for a SQL query, with [`Config::OptC`] settings (every
-    /// optimization on, serial) until overridden.
-    pub fn sql(text: impl Into<String>) -> QueryRequest {
+    fn new(kind: QueryKind) -> QueryRequest {
         QueryRequest {
-            kind: QueryKind::Sql(text.into()),
+            kind,
             settings: Config::OptC.settings(),
             explain: false,
             memory_budget: None,
@@ -93,16 +88,16 @@ impl QueryRequest {
         }
     }
 
+    /// A request for a SQL query, with [`Config::OptC`] settings (every
+    /// optimization on, serial) until overridden.
+    pub fn sql(text: impl Into<String>) -> QueryRequest {
+        QueryRequest::new(QueryKind::Sql(text.into()))
+    }
+
     /// A request for a hand-built plan. Plan requests are the oracle path:
     /// they are never rewritten by the optimizer and never cached.
     pub fn plan(plan: QueryPlan) -> QueryRequest {
-        QueryRequest {
-            kind: QueryKind::Plan(plan),
-            settings: Config::OptC.settings(),
-            explain: false,
-            memory_budget: None,
-            deadline: None,
-        }
+        QueryRequest::new(QueryKind::Plan(plan))
     }
 
     /// Replaces the settings with a named configuration of Table III.
@@ -205,7 +200,7 @@ pub struct RunDetail {
     pub memory_bytes: usize,
 }
 
-/// The single response type of the unified API: every execution surface —
+/// The single response type of the query API: every execution surface —
 /// facade, session, TCP client — answers with this.
 pub struct QueryResponse {
     /// The query result — bit-identical across all surfaces for the same
@@ -243,68 +238,10 @@ pub struct QueryResponse {
     pub structures: Vec<StructureUse>,
 }
 
-impl QueryResponse {
-    pub(crate) fn from_run_outcome(
-        outcome: RunOutcome,
-        structures: Vec<StructureUse>,
-        total_time: Duration,
-    ) -> QueryResponse {
-        QueryResponse {
-            result: outcome.result,
-            exec_time: outcome.exec_time,
-            total_time,
-            plan_cached: false,
-            prepared_cached: false,
-            opt: outcome.opt,
-            explanation: None,
-            plan: None,
-            detail: Some(RunDetail {
-                compilation: outcome.compilation,
-                load_time: outcome.load_time,
-                memory_bytes: outcome.memory_bytes,
-            }),
-            structures,
-        }
-    }
-
-    pub(crate) fn explanation(
-        plan: QueryPlan,
-        sql: String,
-        opt: Option<OptReport>,
-        structures: Vec<StructureUse>,
-        total_time: Duration,
-    ) -> QueryResponse {
-        QueryResponse {
-            result: ResultTable(legobase_storage::RowTable::default()),
-            exec_time: Duration::ZERO,
-            total_time,
-            plan_cached: false,
-            prepared_cached: false,
-            opt,
-            explanation: Some(sql),
-            plan: Some(plan),
-            detail: None,
-            structures,
-        }
-    }
-
-    pub(crate) fn into_run_outcome(self) -> RunOutcome {
-        let detail = self.detail.expect("single-shot facade responses carry run detail");
-        RunOutcome {
-            result: self.result,
-            compilation: detail.compilation,
-            load_time: detail.load_time,
-            memory_bytes: detail.memory_bytes,
-            exec_time: self.exec_time,
-            opt: self.opt,
-        }
-    }
-}
-
-/// Why a query was declined or failed — the one error type of the unified
-/// API. Every variant is typed and lossless: [`ServiceError`] and
-/// [`SqlError`] convert in with no field dropped and no variant collapsed
-/// to a string (spans included), so callers match a single enum end to end.
+/// Why a query was declined or failed — the one error type of the API.
+/// Every failure mode is a typed variant, none collapsed to a string (a
+/// [`SqlError`] keeps its span; the wire carries each variant field for
+/// field), so callers match a single enum end to end.
 #[derive(Debug)]
 pub enum QueryError {
     /// The SQL text failed to parse, resolve, or type-check. The spanned
@@ -380,120 +317,239 @@ impl From<SqlError> for QueryError {
     }
 }
 
-impl From<ServiceError> for QueryError {
-    fn from(e: ServiceError) -> QueryError {
-        match e {
-            ServiceError::Sql(e) => QueryError::Sql(e),
-            ServiceError::OverBudget { estimated_bytes, budget_bytes, query } => {
-                QueryError::OverBudget { estimated_bytes, budget_bytes, query }
-            }
-            ServiceError::ShuttingDown => QueryError::ShuttingDown,
-            ServiceError::QueryPanicked { query, message } => {
-                QueryError::QueryPanicked { query, message }
-            }
-            ServiceError::DeadlineExceeded { query, deadline, elapsed } => {
-                QueryError::DeadlineExceeded { query, deadline, elapsed }
-            }
+// ---------------------------------------------------------------------------
+// The request stages
+// ---------------------------------------------------------------------------
+
+/// When a surface picked a request up, and when the request must be done.
+pub(crate) struct Clock {
+    start: Instant,
+    pub(crate) deadline: Option<Instant>,
+}
+
+impl Clock {
+    pub(crate) fn start(request: &QueryRequest) -> Clock {
+        let start = Instant::now();
+        Clock { start, deadline: request.deadline().map(|d| start + d) }
+    }
+
+    /// The typed answer to a deadline that fired, wherever it was observed
+    /// (waiting for admission, before execution, or at a morsel boundary).
+    pub(crate) fn expired(&self, request: &QueryRequest) -> QueryError {
+        QueryError::DeadlineExceeded {
+            query: request.label(),
+            deadline: request.deadline().unwrap_or_default(),
+            elapsed: self.start.elapsed(),
         }
     }
 }
 
-impl From<QueryError> for ServiceError {
-    fn from(e: QueryError) -> ServiceError {
-        match e {
-            QueryError::Sql(e) => ServiceError::Sql(e),
-            QueryError::OverBudget { estimated_bytes, budget_bytes, query } => {
-                ServiceError::OverBudget { estimated_bytes, budget_bytes, query }
+/// What a surface does with a kernel panic — the one documented difference
+/// between the in-process surfaces: the facade lets it propagate (the
+/// behavior the oracle suites pin), a session types it as
+/// [`QueryError::QueryPanicked`] so every other tenant keeps serving.
+#[derive(Clone, Copy)]
+pub(crate) enum Panics {
+    Propagate,
+    Contain,
+}
+
+/// An executable plan and, for optimized SQL, the optimizer's decision
+/// record — what the resolve stage produces and the plan cache keeps.
+pub(crate) struct ResolvedPlan {
+    pub(crate) plan: QueryPlan,
+    pub(crate) report: Option<OptReport>,
+}
+
+/// One request in flight on one system. Its methods are the request stages,
+/// in the order a surface calls them.
+pub(crate) struct InFlight<'a> {
+    request: &'a QueryRequest,
+    system: &'a LegoBase,
+    /// The request's settings under the system's environment overrides.
+    pub(crate) settings: Settings,
+    clock: Clock,
+    panics: Panics,
+}
+
+impl<'a> InFlight<'a> {
+    pub(crate) fn new(
+        request: &'a QueryRequest,
+        system: &'a LegoBase,
+        clock: Clock,
+        panics: Panics,
+    ) -> InFlight<'a> {
+        let settings = system.env().apply(request.settings());
+        InFlight { request, system, settings, clock, panics }
+    }
+
+    fn catalog(&self) -> &'a Catalog {
+        &self.system.data.catalog
+    }
+
+    /// Stage 1: the plan the request runs. SQL is parsed, lowered and — when
+    /// the settings say so — optimized; hand-built plans are the oracle and
+    /// are never rewritten.
+    pub(crate) fn resolve(&self) -> Result<ResolvedPlan, QueryError> {
+        Ok(match self.request.kind() {
+            QueryKind::Sql(text) => {
+                let lowered = legobase_sql::plan(text, self.catalog())?;
+                if self.settings.optimize {
+                    let (plan, report) = optimizer::optimize(&lowered, self.catalog());
+                    ResolvedPlan { plan, report: Some(report) }
+                } else {
+                    ResolvedPlan { plan: lowered, report: None }
+                }
             }
-            QueryError::ShuttingDown => ServiceError::ShuttingDown,
-            QueryError::QueryPanicked { query, message } => {
-                ServiceError::QueryPanicked { query, message }
-            }
-            QueryError::DeadlineExceeded { query, deadline, elapsed } => {
-                ServiceError::DeadlineExceeded { query, deadline, elapsed }
-            }
+            QueryKind::Plan(plan) => ResolvedPlan { plan: plan.clone(), report: None },
+        })
+    }
+
+    /// A response with the fields every surface fills; cache flags and run
+    /// detail are added by whoever has them. The decision record is a copy
+    /// of the resolved one (which may sit in a plan cache, recorded before
+    /// any feedback existed) with the observed row count and the catalog's
+    /// absorbed actuals patched in.
+    fn response(
+        &self,
+        resolved: &ResolvedPlan,
+        result: ResultTable,
+        exec_time: Duration,
+        structures: Vec<StructureUse>,
+    ) -> QueryResponse {
+        let executed = (!self.request.explain()).then_some(result.len());
+        let opt = resolved.report.clone().map(|mut r| {
+            r.actual_rows = executed;
+            r.apply_feedback(self.catalog());
+            r
+        });
+        QueryResponse {
+            result,
+            exec_time,
+            total_time: self.clock.start.elapsed(),
+            plan_cached: false,
+            prepared_cached: false,
+            opt,
+            explanation: None,
+            plan: None,
+            detail: None,
+            structures,
         }
+    }
+
+    /// Stage 2 (explain requests end here): the plan rendered back to SQL,
+    /// the decision record, and the base structures it would load.
+    pub(crate) fn explain(&self, resolved: &ResolvedPlan) -> QueryResponse {
+        let structures = self.system.structures_for(&resolved.plan, &self.settings);
+        let empty = ResultTable(legobase_storage::RowTable::default());
+        QueryResponse {
+            explanation: Some(legobase_sql::plan_to_sql(&resolved.plan, self.catalog())),
+            plan: Some(resolved.plan.clone()),
+            ..self.response(resolved, empty, Duration::ZERO, structures)
+        }
+    }
+
+    /// Stage 3: declines a plan whose estimated load-time memory exceeds
+    /// the request's budget (or `default`, a session's), before any load
+    /// work happens.
+    pub(crate) fn check_budget(
+        &self,
+        plan: &QueryPlan,
+        default: Option<usize>,
+    ) -> Result<(), QueryError> {
+        let Some(budget_bytes) = self.request.memory_budget().or(default) else { return Ok(()) };
+        let estimated_bytes = estimate_memory_bytes(plan, self.catalog(), &self.settings);
+        if estimated_bytes <= budget_bytes {
+            return Ok(());
+        }
+        Err(QueryError::OverBudget { estimated_bytes, budget_bytes, query: self.request.label() })
+    }
+
+    /// Runs a kernel (a load or an execution) and types how it unwound: the
+    /// cancellation sentinel is the deadline firing; anything else is a
+    /// panic, handled as the surface asked.
+    fn guarded<T>(&self, kernel: impl FnOnce() -> T) -> Result<T, QueryError> {
+        catch_unwind(AssertUnwindSafe(kernel)).map_err(|payload| {
+            if payload.is::<Cancelled>() {
+                return self.clock.expired(self.request);
+            }
+            match self.panics {
+                Panics::Propagate => resume_unwind(payload),
+                Panics::Contain => {
+                    let message = (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_string());
+                    QueryError::QueryPanicked { query: self.request.label(), message }
+                }
+            }
+        })
+    }
+
+    /// Stage 4: SC compilation plus assembly of the plan's database from the
+    /// system's store. Loads can panic on malformed hand-built plans.
+    pub(crate) fn load(&self, plan: &QueryPlan) -> Result<LoadedQuery, QueryError> {
+        self.guarded(|| self.system.load(plan, &self.settings))
+    }
+
+    /// Stage 5: one execution under the request's deadline — checked before
+    /// starting, then armed for cooperative cancellation at morsel
+    /// boundaries (`engine::cancel`) — and stage 6, the response.
+    /// `structures` is what the load took from the store (empty when the
+    /// loaded form came from a cache).
+    pub(crate) fn execute(
+        &self,
+        resolved: &ResolvedPlan,
+        loaded: &LoadedQuery,
+        structures: Vec<StructureUse>,
+    ) -> Result<QueryResponse, QueryError> {
+        if self.clock.deadline.is_some_and(|t| Instant::now() >= t) {
+            return Err(self.clock.expired(self.request));
+        }
+        let _armed = self.clock.deadline.map(cancel::deadline_scope);
+        let t_exec = Instant::now();
+        let result = self.guarded(|| loaded.execute())?;
+        Ok(self.response(resolved, result, t_exec.elapsed(), structures))
     }
 }
 
 impl LegoBase {
-    /// Runs one [`QueryRequest`] through the single-shot pipeline — the
-    /// facade implementation of the unified API, and the path every legacy
-    /// entry point ([`LegoBase::run_sql`], [`LegoBase::run_sql_with_settings`],
-    /// [`LegoBase::explain_sql`], [`LegoBase::run_plan`]) now wraps. For
-    /// the amortized multi-tenant path, open a
-    /// [`Session`](crate::Session) and call
+    /// Runs one [`QueryRequest`] through the single-shot pipeline: every
+    /// stage, every time — parse, optimize, SC compilation, load, execute —
+    /// with nothing cached between calls but the base-structure store. The
+    /// response carries the compilation and load accounting in
+    /// [`QueryResponse::detail`]. For the amortized multi-tenant path, open
+    /// a [`Session`](crate::Session) and call
     /// [`Session::query`](crate::Session::query) with the same request.
+    ///
+    /// Malformed SQL is a spanned [`QueryError::Sql`] (render it against
+    /// the text for a caret diagnostic), never a panic; a panic inside a
+    /// kernel — a malformed hand-built plan — propagates to the caller.
+    ///
+    /// ```no_run
+    /// use legobase::{Config, LegoBase, QueryRequest};
+    /// let system = LegoBase::generate(0.01);
+    /// let sql = "SELECT l_returnflag, count(*) AS n FROM lineitem \
+    ///            GROUP BY l_returnflag ORDER BY l_returnflag";
+    /// let out = system.query(&QueryRequest::sql(sql).with_config(Config::OptC))?;
+    /// println!("{}", out.result.display(10));
+    /// # Ok::<(), legobase::QueryError>(())
+    /// ```
     pub fn query(&self, request: &QueryRequest) -> Result<QueryResponse, QueryError> {
-        let t_total = Instant::now();
-        let settings = requested_settings(request.settings());
-        let (plan, report) = match request.kind() {
-            QueryKind::Sql(text) => {
-                let lowered = legobase_sql::plan(text, &self.data.catalog)?;
-                if settings.optimize {
-                    let (p, r) = optimizer::optimize(&lowered, &self.data.catalog);
-                    (p, Some(r))
-                } else {
-                    (lowered, None)
-                }
-            }
-            // Hand-built plans are the oracle: never rewritten.
-            QueryKind::Plan(p) => (p.clone(), None),
-        };
+        let run = InFlight::new(request, self, Clock::start(request), Panics::Propagate);
+        let resolved = run.resolve()?;
         if request.explain() {
-            let sql = legobase_sql::plan_to_sql(&plan, &self.data.catalog);
-            let structures = self.structures_for(&plan, &settings);
-            return Ok(QueryResponse::explanation(
-                plan,
-                sql,
-                report,
-                structures,
-                t_total.elapsed(),
-            ));
+            return Ok(run.explain(&resolved));
         }
-        if let Some(budget) = request.memory_budget() {
-            let est = estimate_memory_bytes(&plan, &self.data.catalog, &settings);
-            if est > budget {
-                return Err(QueryError::OverBudget {
-                    estimated_bytes: est,
-                    budget_bytes: budget,
-                    query: request.label(),
-                });
-            }
-        }
-        let (mut outcome, structures) = match request.deadline() {
-            None => self.execute_plan(&plan, &settings),
-            Some(d) => {
-                let deadline = t_total + d;
-                if Instant::now() >= deadline {
-                    return Err(QueryError::DeadlineExceeded {
-                        query: request.label(),
-                        deadline: d,
-                        elapsed: t_total.elapsed(),
-                    });
-                }
-                let _armed = legobase_engine::cancel::deadline_scope(deadline);
-                match catch_unwind(AssertUnwindSafe(|| self.execute_plan(&plan, &settings))) {
-                    Ok(outcome) => outcome,
-                    Err(payload) if payload.is::<legobase_engine::cancel::Cancelled>() => {
-                        return Err(QueryError::DeadlineExceeded {
-                            query: request.label(),
-                            deadline: d,
-                            elapsed: t_total.elapsed(),
-                        });
-                    }
-                    // The facade keeps its panic semantics: only the typed
-                    // cancellation sentinel becomes an error here (the
-                    // service layer is where panics become typed).
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
+        run.check_budget(&resolved.plan, None)?;
+        let loaded = run.load(&resolved.plan)?;
+        let response = run.execute(&resolved, &loaded, loaded.structures().to_vec())?;
+        let report = loaded.load_report();
+        let detail = RunDetail {
+            compilation: loaded.compilation,
+            load_time: report.duration,
+            memory_bytes: report.approx_bytes,
         };
-        if let Some(mut r) = report {
-            r.actual_rows = Some(outcome.result.len());
-            outcome.opt = Some(r);
-        }
-        Ok(QueryResponse::from_run_outcome(outcome, structures, t_total.elapsed()))
+        Ok(QueryResponse { detail: Some(detail), ..response })
     }
 }
 
@@ -518,9 +574,9 @@ mod tests {
     }
 
     /// The label is the canonicalized text for SQL requests and the plan
-    /// name for plan requests — the same strings the legacy errors carried.
+    /// name for plan requests.
     #[test]
-    fn labels_match_legacy_error_strings() {
+    fn labels_are_canonical_text_or_plan_name() {
         let r = QueryRequest::sql("SELECT   count(*) AS n\nFROM lineitem");
         assert_eq!(r.label(), legobase_sql::cache_text("SELECT count(*) AS n FROM lineitem"));
         let catalog = legobase_tpch::TpchData::generate(0.001).catalog;

@@ -1,6 +1,6 @@
 //! The multi-tenant query service: many sessions, one engine.
 //!
-//! Every [`crate::LegoBase::run_sql`] call is a complete, isolated pipeline —
+//! Every [`LegoBase::query`] call is a complete, isolated pipeline —
 //! parse, optimize, compile, load, execute — with its own scoped worker set.
 //! That is the *oracle*: simple, deterministic, and measured throughout
 //! `EXPERIMENTS.md`. A service handling many clients at once cannot afford
@@ -31,8 +31,8 @@
 //! * **Admission control and budgets** — a session ceiling
 //!   ([`ServeOptions::max_in_flight`]) and a per-query memory budget
 //!   ([`Session::with_memory_budget`]) with *typed* rejection
-//!   ([`ServiceError::OverBudget`]) — the service never panics at a tenant;
-//!   even a panicking kernel comes back as [`ServiceError::QueryPanicked`]
+//!   ([`QueryError::OverBudget`]) — the service never panics at a tenant;
+//!   even a panicking kernel comes back as [`QueryError::QueryPanicked`]
 //!   while every other session keeps serving. Budget estimates reuse the
 //!   catalog's histograms and distinct sketches: packed and dictionary
 //!   column widths are priced from the observed value domain, not from a
@@ -47,34 +47,37 @@
 //!   served from the plan cache are patched with the corrected numbers on
 //!   the way out.
 //!
-//! ```no_run
-//! use legobase::{Config, LegoBase};
 //!
-//! let service = LegoBase::generate(0.01).serve();
+//! [`Session::query`] runs the same request stages as [`LegoBase::query`]
+//! (`request.rs`) — each stage exists once; this module adds only what
+//! stands around them.
+//!
+//! ```no_run
+//! use legobase::{LegoBase, QueryRequest, ServeOptions};
+//!
+//! let service = LegoBase::generate(0.01).serve_with(ServeOptions::default());
 //! let session = service.session();
-//! let out = session
-//!     .run_sql("SELECT count(*) AS n FROM lineitem", Config::OptC)
-//!     .expect("valid SQL");
+//! let out = session.query(&QueryRequest::sql("SELECT count(*) AS n FROM lineitem"))?;
 //! println!("{} ({} cached)", out.result.display(1), out.plan_cached);
 //! service.shutdown();
+//! # Ok::<(), legobase::QueryError>(())
 //! ```
 
-use crate::request::{QueryError, QueryKind, QueryRequest, QueryResponse};
-use crate::{requested_settings, LegoBase, LoadedQuery};
-use legobase_engine::cancel::{self, Cancelled};
+use crate::request::{
+    Clock, InFlight, Panics, QueryError, QueryKind, QueryRequest, QueryResponse, ResolvedPlan,
+};
+use crate::{LegoBase, LoadedQuery};
 use legobase_engine::plan::{used_base_columns, Plan};
 use legobase_engine::settings::EngineKind;
-use legobase_engine::{optimizer, Config, MorselPool, OptReport, QueryPlan, ResultTable, Settings};
-use legobase_sql::SqlError;
+use legobase_engine::{MorselPool, QueryPlan, Settings};
 use legobase_storage::stats::value_rank;
 use legobase_storage::{Catalog, ColumnStats, TableStatistics, Type};
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::fmt;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Configuration of a [`QueryService`] (see [`LegoBase::serve_with`]).
 #[derive(Clone, Debug)]
@@ -158,123 +161,6 @@ impl ServeOptions {
     }
 }
 
-/// Why the service declined (or failed) a query. Every failure mode of the
-/// service is a typed variant — tenants never see a panic.
-///
-/// Legacy surface: the unified [`QueryError`] carries the same variants
-/// (plus nothing extra) and converts to and from this type losslessly; new
-/// code should match [`QueryError`] via [`Session::query`].
-#[derive(Debug)]
-pub enum ServiceError {
-    /// The SQL text failed to parse, resolve, or type-check (spanned).
-    Sql(SqlError),
-    /// The query's estimated load-time memory exceeds the session's budget.
-    OverBudget {
-        /// Estimated bytes the query's data structures would occupy.
-        estimated_bytes: usize,
-        /// The session's budget in bytes.
-        budget_bytes: usize,
-        /// The rejected query (canonicalized text or plan name).
-        query: String,
-    },
-    /// The service is shutting down and no longer admits queries.
-    ShuttingDown,
-    /// The query's kernel panicked during load or execution. The panic was
-    /// contained to this query: the shared pool and every other session
-    /// keep serving.
-    QueryPanicked {
-        /// The failing query (canonicalized text or plan name).
-        query: String,
-        /// The panic payload, stringified.
-        message: String,
-    },
-    /// The request's deadline fired before the query completed (the twin of
-    /// [`QueryError::DeadlineExceeded`], reachable only through requests
-    /// that arm a deadline).
-    DeadlineExceeded {
-        /// The expired query (canonicalized text or plan name).
-        query: String,
-        /// The deadline the request asked for.
-        deadline: Duration,
-        /// Wall-clock time actually elapsed when expiry was observed.
-        elapsed: Duration,
-    },
-}
-
-impl fmt::Display for ServiceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServiceError::Sql(e) => write!(f, "SQL error: {e}"),
-            ServiceError::OverBudget { estimated_bytes, budget_bytes, query } => write!(
-                f,
-                "query `{query}` rejected: estimated {estimated_bytes} bytes exceeds \
-                 the session budget of {budget_bytes} bytes"
-            ),
-            ServiceError::ShuttingDown => f.write_str("service is shutting down"),
-            ServiceError::QueryPanicked { query, message } => {
-                write!(f, "query `{query}` panicked: {message}")
-            }
-            ServiceError::DeadlineExceeded { query, deadline, elapsed } => write!(
-                f,
-                "query `{query}` exceeded its deadline of {deadline:?} (elapsed {elapsed:?})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ServiceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ServiceError::Sql(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<SqlError> for ServiceError {
-    fn from(e: SqlError) -> ServiceError {
-        ServiceError::Sql(e)
-    }
-}
-
-/// The outcome of one query served by a [`Session`].
-pub struct ServeOutcome {
-    /// The query result — bit-identical to the serial
-    /// [`LegoBase::run_sql`] oracle for the same text and settings.
-    pub result: ResultTable,
-    /// Wall-clock duration of query execution (excludes cache lookups and
-    /// any load performed on a prepared-cache miss).
-    pub exec_time: Duration,
-    /// Wall-clock duration from admission to result, caches included.
-    pub total_time: Duration,
-    /// True when the plan came out of the plan cache (parse + optimize
-    /// skipped).
-    pub plan_cached: bool,
-    /// True when the compiled + loaded form came out of the prepared cache.
-    pub prepared_cached: bool,
-    /// The cost-based optimizer's decision record with
-    /// [`OptReport::actual_rows`] filled in — cached alongside the plan, so
-    /// hits report the same decisions the miss recorded. `None` when the
-    /// optimizer is off or on the [`Session::run_plan`] path.
-    pub opt: Option<OptReport>,
-}
-
-impl ServeOutcome {
-    /// Projects a unified [`QueryResponse`] down to the legacy outcome
-    /// shape (drops the explain-only fields, which the legacy entry points
-    /// never populate).
-    fn from_response(resp: QueryResponse) -> ServeOutcome {
-        ServeOutcome {
-            result: resp.result,
-            exec_time: resp.exec_time,
-            total_time: resp.total_time,
-            plan_cached: resp.plan_cached,
-            prepared_cached: resp.prepared_cached,
-            opt: resp.opt,
-        }
-    }
-}
-
 /// A point-in-time snapshot of the service's counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
@@ -353,16 +239,33 @@ impl<K: Eq + Hash + Clone, V> Cache<K, V> {
     }
 }
 
+/// The entry under `key`, made and inserted on a miss, and whether it was a
+/// hit. Making happens outside the cache lock, so a slow parse or load never
+/// stalls other tenants' lookups. A request without a key (a hand-built
+/// plan) goes around the cache and its counters.
+fn through<K: Eq + Hash + Clone, V>(
+    cache: &Mutex<Cache<K, V>>,
+    key: Option<K>,
+    hits: &AtomicU64,
+    misses: &AtomicU64,
+    make: impl FnOnce() -> Result<V, QueryError>,
+) -> Result<(Arc<V>, bool), QueryError> {
+    let Some(key) = key else { return Ok((Arc::new(make()?), false)) };
+    let cached = cache.lock().unwrap().get(&key);
+    if let Some(entry) = cached {
+        hits.fetch_add(1, Ordering::Relaxed);
+        return Ok((entry, true));
+    }
+    misses.fetch_add(1, Ordering::Relaxed);
+    let entry = Arc::new(make()?);
+    cache.lock().unwrap().insert(key, Arc::clone(&entry));
+    Ok((entry, false))
+}
+
 /// Plan-cache key: canonical SQL text, catalog version, optimize flag.
 type PlanKey = (String, u64, bool);
 /// Prepared-cache key: canonical SQL text, catalog version, full settings.
 type PreparedKey = (String, u64, Settings);
-
-/// A parsed (and, when enabled, optimized) plan with its decision record.
-struct CachedPlan {
-    plan: QueryPlan,
-    report: Option<OptReport>,
-}
 
 struct Gate {
     in_flight: usize,
@@ -378,7 +281,7 @@ enum AdmitDecline {
 
 /// A long-lived query service over one TPC-H database: shared morsel pool,
 /// plan + prepared caches, admission control. Construct with
-/// [`LegoBase::serve`]; hand out [`Session`]s with [`QueryService::session`]
+/// [`LegoBase::serve_with`]; hand out [`Session`]s with [`QueryService::session`]
 /// (one per client thread — sessions are cheap handles).
 pub struct QueryService {
     system: RwLock<LegoBase>,
@@ -387,7 +290,7 @@ pub struct QueryService {
     gate: Mutex<Gate>,
     admit: Condvar,
     drained: Condvar,
-    plans: Mutex<Cache<PlanKey, CachedPlan>>,
+    plans: Mutex<Cache<PlanKey, ResolvedPlan>>,
     prepared: Mutex<Cache<PreparedKey, LoadedQuery>>,
     counters: Counters,
     /// Monotonic tenant-id source: every session gets a fresh identity in
@@ -397,14 +300,9 @@ pub struct QueryService {
 }
 
 impl LegoBase {
-    /// Starts a [`QueryService`] over this database with default options.
-    /// The per-query [`LegoBase::run_sql`] path remains available on other
-    /// instances and is the service's correctness oracle.
-    pub fn serve(self) -> QueryService {
-        self.serve_with(ServeOptions::default())
-    }
-
-    /// Starts a [`QueryService`] with explicit [`ServeOptions`].
+    /// Starts a [`QueryService`] over this database. The per-query
+    /// [`LegoBase::query`] path remains available on other instances and is
+    /// the service's correctness oracle.
     pub fn serve_with(self, options: ServeOptions) -> QueryService {
         QueryService {
             system: RwLock::new(self),
@@ -499,7 +397,7 @@ impl QueryService {
     /// Stops admitting queries, waits for every in-flight query to finish,
     /// and joins the shared pool's workers. Idempotent. Sessions that were
     /// blocked in admission (or arrive later) get
-    /// [`ServiceError::ShuttingDown`].
+    /// [`QueryError::ShuttingDown`].
     pub fn shutdown(&self) {
         {
             let mut g = self.gate.lock().unwrap();
@@ -584,268 +482,87 @@ impl Session<'_> {
         self.tenant
     }
 
-    /// Serves one [`QueryRequest`] — **the** implementation of the unified
-    /// API: admission (deadline-aware), plan + prepared caches for SQL
-    /// requests, budget checks, tenant-fair scheduling, cooperative
-    /// deadline cancellation, typed errors throughout. Every legacy entry
-    /// point ([`Session::run_sql`], [`Session::run_sql_with_settings`],
-    /// [`Session::run_plan`]) and the TCP server's connection loop are thin
-    /// wrappers over this method.
+    /// Serves one [`QueryRequest`]: the request stages of
+    /// [`LegoBase::query`] with the service's additions around them —
+    /// deadline-aware admission, the plan and prepared caches (SQL requests
+    /// only; hand-built plans are the oracle and load per call), this
+    /// session's budget and tenant identity, estimate feedback — and every
+    /// failure typed, a kernel panic included. The TCP server's connection
+    /// loop calls exactly this.
     pub fn query(&self, request: &QueryRequest) -> Result<QueryResponse, QueryError> {
+        self.serve(request).inspect_err(|e| {
+            let c = &self.service.counters;
+            let counter = match e {
+                QueryError::OverBudget { .. } => &c.rejected,
+                QueryError::QueryPanicked { .. } => &c.panicked,
+                QueryError::DeadlineExceeded { .. } => &c.expired,
+                QueryError::Sql(_) | QueryError::ShuttingDown => return,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+        })
+    }
+
+    fn serve(&self, request: &QueryRequest) -> Result<QueryResponse, QueryError> {
         let service = self.service;
-        let t_total = Instant::now();
-        let deadline = request.deadline().map(|d| t_total + d);
-        let expired = |when: Duration| {
-            service.counters.expired.fetch_add(1, Ordering::Relaxed);
-            QueryError::DeadlineExceeded {
-                query: request.label(),
-                deadline: request.deadline().unwrap_or_default(),
-                elapsed: when,
-            }
-        };
-        let _slot = service.admit_until(deadline).map_err(|d| match d {
+        let clock = Clock::start(request);
+        let _slot = service.admit_until(clock.deadline).map_err(|d| match d {
             AdmitDecline::ShuttingDown => QueryError::ShuttingDown,
-            AdmitDecline::Expired => expired(t_total.elapsed()),
+            AdmitDecline::Expired => clock.expired(request),
         })?;
-        let settings = requested_settings(request.settings());
         let system = service.read_system();
-        let version = system.data.catalog.version();
+        let run = InFlight::new(request, &system, clock, Panics::Contain);
+        let (settings, version) = (run.settings, system.data.catalog.version());
+        let c = &service.counters;
 
-        // Resolve the executable plan. SQL requests go through the plan
-        // cache (parse + optimize paid once per distinct text); hand-built
-        // plans are the oracle — never rewritten, never cached.
-        let (cached_plan, plan_cached, label) = match request.kind() {
-            QueryKind::Sql(sql) => {
-                let text = legobase_sql::cache_text(sql);
-                let plan_key: PlanKey = (text.clone(), version, settings.optimize);
-                let lookup = service.plans.lock().unwrap().get(&plan_key);
-                match lookup {
-                    Some(p) => {
-                        service.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
-                        (p, true, text)
-                    }
-                    None => {
-                        service.counters.plan_misses.fetch_add(1, Ordering::Relaxed);
-                        let lowered = legobase_sql::plan(sql, &system.data.catalog)?;
-                        let entry = if settings.optimize {
-                            let (plan, report) =
-                                optimizer::optimize(&lowered, &system.data.catalog);
-                            CachedPlan { plan, report: Some(report) }
-                        } else {
-                            CachedPlan { plan: lowered, report: None }
-                        };
-                        let entry = Arc::new(entry);
-                        service.plans.lock().unwrap().insert(plan_key, Arc::clone(&entry));
-                        (entry, false, text)
-                    }
-                }
-            }
-            QueryKind::Plan(plan) => {
-                let entry = Arc::new(CachedPlan { plan: plan.clone(), report: None });
-                (entry, false, plan.name.clone())
-            }
+        // Resolve through the plan cache: parse + optimize are paid once
+        // per distinct text. Hand-built plans have no text and no cache.
+        let text = match request.kind() {
+            QueryKind::Sql(sql) => Some(legobase_sql::cache_text(sql)),
+            QueryKind::Plan(_) => None,
         };
-
+        let plan_key = text.clone().map(|text| (text, version, settings.optimize));
+        let (resolved, plan_cached) =
+            through(&service.plans, plan_key, &c.plan_hits, &c.plan_misses, || run.resolve())?;
         if request.explain() {
-            let sql = legobase_sql::plan_to_sql(&cached_plan.plan, &system.data.catalog);
-            let opt = cached_plan.report.clone().map(|mut r| {
-                r.apply_feedback(&system.data.catalog);
-                r
-            });
-            let structures = system.structures_for(&cached_plan.plan, &settings);
-            let mut resp = QueryResponse::explanation(
-                cached_plan.plan.clone(),
-                sql,
-                opt,
-                structures,
-                t_total.elapsed(),
-            );
-            resp.plan_cached = plan_cached;
-            return Ok(resp);
+            return Ok(QueryResponse { plan_cached, ..run.explain(&resolved) });
         }
+        run.check_budget(&resolved.plan, self.memory_budget)?;
 
-        if let Some(budget) = request.memory_budget().or(self.memory_budget) {
-            let est = estimate_memory_bytes(&cached_plan.plan, &system.data.catalog, &settings);
-            if est > budget {
-                service.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(QueryError::OverBudget {
-                    estimated_bytes: est,
-                    budget_bytes: budget,
-                    query: label,
-                });
-            }
-        }
+        // The compiled + loaded form, through the prepared cache: two
+        // sessions racing on the same key both compile and assemble (the
+        // store builds each structure once), and the loser's insert wins
+        // harmlessly (loads are deterministic, so the entries are identical).
+        let prep_key = text.map(|text| (text, version, settings));
+        let (prepared, prepared_cached) =
+            through(&service.prepared, prep_key, &c.prepared_hits, &c.prepared_misses, || {
+                run.load(&resolved.plan)
+            })?;
 
-        // Compiled + loaded form: prepared cache for SQL requests, a fresh
-        // per-call load for plan requests. Loads can panic on malformed
-        // hand plans — contained to a typed error like everything else.
-        let (prepared, prepared_cached) = match request.kind() {
-            QueryKind::Sql(_) => {
-                let prep_key: PreparedKey = (label.clone(), version, settings);
-                let lookup = service.prepared.lock().unwrap().get(&prep_key);
-                match lookup {
-                    Some(p) => {
-                        service.counters.prepared_hits.fetch_add(1, Ordering::Relaxed);
-                        (p, true)
-                    }
-                    None => {
-                        service.counters.prepared_misses.fetch_add(1, Ordering::Relaxed);
-                        // Loading happens outside the cache lock so a slow
-                        // load never stalls other tenants' lookups; two
-                        // sessions racing on the same key both compile and
-                        // assemble (the store builds each structure once),
-                        // and the loser's insert wins harmlessly (loads are
-                        // deterministic, so the entries are identical).
-                        let loaded = match catch_unwind(AssertUnwindSafe(|| {
-                            system.load(&cached_plan.plan, &settings)
-                        })) {
-                            Ok(l) => Arc::new(l),
-                            Err(payload) => {
-                                service.counters.panicked.fetch_add(1, Ordering::Relaxed);
-                                return Err(QueryError::QueryPanicked {
-                                    query: label,
-                                    message: panic_message(&*payload),
-                                });
-                            }
-                        };
-                        service.prepared.lock().unwrap().insert(prep_key, Arc::clone(&loaded));
-                        (loaded, false)
-                    }
-                }
-            }
-            QueryKind::Plan(_) => {
-                let loaded = match catch_unwind(AssertUnwindSafe(|| {
-                    system.load(&cached_plan.plan, &settings)
-                })) {
-                    Ok(l) => Arc::new(l),
-                    Err(payload) => {
-                        service.counters.panicked.fetch_add(1, Ordering::Relaxed);
-                        return Err(QueryError::QueryPanicked {
-                            query: label,
-                            message: panic_message(&*payload),
-                        });
-                    }
-                };
-                (loaded, false)
-            }
-        };
-
-        // Execute under this session's tenant identity (fair scheduling)
-        // and, when armed, the request's deadline (cooperative cancellation
-        // at morsel boundaries — engine::cancel).
+        // Execute under this session's tenant identity (fair scheduling).
         let _pool = service.pool.attach_as(self.tenant, self.weight);
-        if deadline.is_some_and(|t| Instant::now() >= t) {
-            return Err(expired(t_total.elapsed()));
-        }
-        let _armed = deadline.map(cancel::deadline_scope);
-        let t_exec = Instant::now();
-        let result = match catch_unwind(AssertUnwindSafe(|| prepared.execute())) {
-            Ok(r) => r,
-            Err(payload) if payload.is::<Cancelled>() => {
-                return Err(expired(t_total.elapsed()));
-            }
-            Err(payload) => {
-                service.counters.panicked.fetch_add(1, Ordering::Relaxed);
-                return Err(QueryError::QueryPanicked {
-                    query: label,
-                    message: panic_message(&*payload),
-                });
-            }
-        };
-        let exec_time = t_exec.elapsed();
-        let opt = cached_plan.report.clone().map(|mut r| {
-            r.actual_rows = Some(result.len());
-            // Cached reports were recorded before any feedback existed;
-            // patch them from the store first, so a second run of a
-            // mis-estimated query *reports* the corrected estimate …
-            r.apply_feedback(&system.data.catalog);
-            r
-        });
-        // … and only then judge *this* run: a root estimate more than 2×
-        // off from the observed cardinality is absorbed back into the
-        // catalog. Absorbing bumps the stats epoch, never the catalog
-        // version — feedback sharpens estimates without invalidating the
+        let structures = if prepared_cached { Vec::new() } else { prepared.structures().to_vec() };
+        let response = run.execute(&resolved, &prepared, structures)?;
+        // The response reports the estimate as corrected by earlier runs;
+        // only then is *this* run judged: a root estimate more than 2× off
+        // from the observed cardinality is absorbed back into the catalog.
+        // Absorbing bumps the stats epoch, never the catalog version —
+        // feedback sharpens estimates without invalidating the
         // correctness-keyed caches (results are bit-identical either way).
         if settings.feedback && settings.optimize {
-            if let Some(r) = &opt {
+            if let Some(r) = &response.opt {
                 let root = r.root();
                 let est = root.est_rows.max(1.0);
-                let actual = (result.len() as f64).max(1.0);
+                let actual = (response.result.len() as f64).max(1.0);
                 if (est / actual).max(actual / est) > 2.0 {
                     let fp = root.fingerprint.clone();
                     drop(system);
                     let mut sys = service.system.write().unwrap_or_else(|e| e.into_inner());
-                    sys.data.catalog.absorb_actuals(&[(fp, result.len() as f64)]);
+                    sys.data.catalog.absorb_actuals(&[(fp, response.result.len() as f64)]);
                 }
             }
         }
-        service.counters.ok.fetch_add(1, Ordering::Relaxed);
-        Ok(QueryResponse {
-            result,
-            exec_time,
-            total_time: t_total.elapsed(),
-            plan_cached,
-            prepared_cached,
-            opt,
-            explanation: None,
-            plan: None,
-            detail: None,
-            structures: if prepared_cached { Vec::new() } else { prepared.structures().to_vec() },
-        })
-    }
-
-    /// Serves one SQL query under a named configuration — the service-side
-    /// equivalent of [`LegoBase::run_sql`], with results guaranteed
-    /// bit-identical to it.
-    ///
-    /// Legacy surface: a thin wrapper over [`Session::query`] with
-    /// `QueryRequest::sql(sql).with_config(config)`.
-    pub fn run_sql(&self, sql: &str, config: Config) -> Result<ServeOutcome, ServiceError> {
-        self.run_sql_with_settings(sql, &config.settings())
-    }
-
-    /// [`Session::run_sql`] with explicit settings.
-    ///
-    /// Legacy surface: a thin wrapper over [`Session::query`] with
-    /// `QueryRequest::sql(sql).with_settings(*settings)` — new code should
-    /// build a [`QueryRequest`] and match the unified [`QueryError`].
-    pub fn run_sql_with_settings(
-        &self,
-        sql: &str,
-        settings: &Settings,
-    ) -> Result<ServeOutcome, ServiceError> {
-        self.query(&QueryRequest::sql(sql).with_settings(*settings))
-            .map(ServeOutcome::from_response)
-            .map_err(ServiceError::from)
-    }
-
-    /// Serves one hand-built plan, uncached — the service-side equivalent
-    /// of [`LegoBase::run_plan`] (hand-built plans are the oracle; they are
-    /// never rewritten, and bypassing the caches keeps this path a faithful
-    /// per-call pipeline). A panic anywhere in compile, load, or execution
-    /// comes back as [`ServiceError::QueryPanicked`] without affecting any
-    /// other session.
-    ///
-    /// Legacy surface: a thin wrapper over [`Session::query`] with
-    /// `QueryRequest::plan(query.clone()).with_settings(*settings)`.
-    pub fn run_plan(
-        &self,
-        query: &QueryPlan,
-        settings: &Settings,
-    ) -> Result<ServeOutcome, ServiceError> {
-        self.query(&QueryRequest::plan(query.clone()).with_settings(*settings))
-            .map(ServeOutcome::from_response)
-            .map_err(ServiceError::from)
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+        c.ok.fetch_add(1, Ordering::Relaxed);
+        Ok(QueryResponse { plan_cached, prepared_cached, ..response })
     }
 }
 

@@ -18,7 +18,7 @@
 //! mis-parsed result.
 //!
 //! The payload codecs are plain length-prefixed little-endian serialization
-//! of the unified API types ([`QueryRequest`] in,
+//! of the query API types ([`QueryRequest`] in,
 //! [`QueryResponse`](crate::QueryResponse) pieces out). Two deliberate
 //! limits keep v1 small:
 //!

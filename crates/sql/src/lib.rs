@@ -47,7 +47,7 @@
 //!   equality), and `CROSS JOIN` for single-row stages. The lowering keeps
 //!   the source join order and leaves `WHERE` un-pushed — a deliberately
 //!   *naive canonical plan*; the cost-based optimizer in
-//!   `legobase_engine::optimizer` (run by `LegoBase::run_sql`) chooses the
+//!   `legobase_engine::optimizer` (run by `LegoBase::query` on SQL requests) chooses the
 //!   actual join order and predicate placement.
 //! * `WHERE`/`HAVING` with `AND`/`OR`/`NOT`, `BETWEEN`, `IN` (value lists),
 //!   `LIKE` patterns matching the §3.4 dictionary kinds (`'p%'`, `'%s'`,

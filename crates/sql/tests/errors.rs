@@ -1,6 +1,6 @@
 //! Error-path coverage: every malformed input must come back as a spanned
 //! [`SqlError`] — never a panic. A serving process parses untrusted text;
-//! this suite is the contract that makes `run_sql` safe to expose.
+//! this suite is the contract that makes SQL requests safe to expose.
 
 use legobase_sql::{plan, SqlError};
 use proptest::prelude::*;

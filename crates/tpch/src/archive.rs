@@ -6,14 +6,15 @@
 //! (and CI, which caches the file as an artifact) load with a single
 //! `fs::read` instead of regenerating.
 //!
-//! Layout (all integers little-endian):
+//! Layout (LBCA v3, the only version read or written; all integers
+//! little-endian):
 //!
 //! ```text
 //! magic "LBCA" | version u32 | scale_factor f64 | table_count u32
 //! per table:   name (u16 len + bytes) | row_count u64 | col_count u32
-//! per column:  tag u8 | payload_len u64 | [v3: zero pad to 8-byte file
-//!              offset] | payload | fnv1a(payload) u64
-//! v2+, after the last table, one stats block per table (TABLES order):
+//! per column:  tag u8 | payload_len u64 | zero pad to 8-byte file offset
+//!              | payload | fnv1a(payload) u64
+//! after the last table, one stats block per table (TABLES order):
 //!              payload_len u64 | payload | fnv1a(payload) u64
 //! ```
 //!
@@ -24,24 +25,25 @@
 //! [`ArchiveError`]s (checksums are verified *before* any payload is
 //! parsed).
 //!
-//! Version 2 appends the optimizer statistics — row counts, per-column
+//! The stats blocks carry the optimizer statistics — row counts, per-column
 //! distinct counts and bounds, equi-depth histograms, and distinct sketches
 //! — so a loaded archive serves the same estimates as a fresh `dbgen` run
-//! without a collection pass over the data. Version 1 archives (no stats
-//! block) still load; their statistics are re-collected. A corrupt stats
-//! block is a typed [`ArchiveError::Corrupt`], never a panic, and never a
-//! silent fall-back to stale estimates.
+//! without a collection pass over the data. A corrupt stats block is a typed
+//! [`ArchiveError::Corrupt`], never a panic, and never a silent fall-back to
+//! stale estimates.
 //!
-//! Version 3 (PR 10) aligns every column payload to an 8-byte file offset
-//! with deterministic zero padding (the pad length follows from the cursor
-//! position alone, so writer and reader agree without storing it), and
-//! packed payloads pad their 17-byte header to 24 bytes — the packed words
-//! therefore sit 8-byte aligned in the file. [`read_mapped`] exploits this:
-//! it `mmap`s the archive and hands the engine [`PackedInts`] that borrow
-//! the packed words straight from the page cache (zero copies, zero decode
-//! until a kernel asks). Any mapping failure — and any v1/v2 archive —
-//! falls back to the ordinary read+decode path; misaligned or truncated v3
-//! payloads are typed [`ArchiveError`]s, never panics or unaligned reads.
+//! Every column payload sits at an 8-byte file offset behind deterministic
+//! zero padding (the pad length follows from the cursor position alone, so
+//! writer and reader agree without storing it), and packed payloads pad
+//! their 17-byte header to 24 bytes — the packed words therefore sit 8-byte
+//! aligned in the file. [`read_mapped`] exploits this: it `mmap`s the
+//! archive and hands the engine [`PackedInts`] that borrow the packed words
+//! straight from the page cache (zero copies, zero decode until a kernel
+//! asks). A mapping failure falls back to the ordinary read+decode path;
+//! misaligned or truncated payloads are typed [`ArchiveError`]s, never
+//! panics or unaligned reads. Archives of the two earlier versions (no
+//! stats block; unaligned payloads) exist nowhere and are refused with
+//! [`ArchiveError::BadVersion`].
 
 use crate::gen::TpchData;
 use crate::schema::{catalog, TABLES};
@@ -56,10 +58,13 @@ use std::sync::Arc;
 
 /// File magic: "LegoBase Column Archive".
 pub const MAGIC: [u8; 4] = *b"LBCA";
-/// Current format version (v3 = v2 + 8-byte-aligned mappable payloads).
+/// The format version (statistics blocks, 8-byte-aligned mappable payloads).
 pub const VERSION: u32 = 3;
-/// Oldest version the reader still accepts.
-pub const MIN_VERSION: u32 = 1;
+/// Oldest version the reader accepts: there is one format.
+pub const MIN_VERSION: u32 = VERSION;
+/// Bytes of a packed payload's header (`base i64 | max i64 | width u8`,
+/// zero-padded so the words after it stay 8-byte aligned).
+const PACKED_HEADER: usize = 24;
 
 /// Everything that can go wrong writing or reading an archive.
 #[derive(Debug)]
@@ -128,29 +133,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 // Writing
 // ---------------------------------------------------------------------------
 
-/// Serializes a database to the current archive byte format (v3: columns at
-/// 8-byte-aligned offsets, plus the optimizer-statistics block).
+/// Serializes a database to the archive byte format.
 pub fn to_bytes(data: &TpchData) -> Result<Vec<u8>, ArchiveError> {
-    serialize(data, VERSION)
-}
-
-/// Serializes to the legacy v1 format (no statistics block) — kept so
-/// compatibility tests can mint genuine old archives, and as an escape
-/// hatch for tooling that still speaks v1.
-pub fn to_bytes_v1(data: &TpchData) -> Result<Vec<u8>, ArchiveError> {
-    serialize(data, 1)
-}
-
-/// Serializes to the legacy v2 format (statistics block but unaligned
-/// payloads) — same role as [`to_bytes_v1`] for the v2 generation.
-pub fn to_bytes_v2(data: &TpchData) -> Result<Vec<u8>, ArchiveError> {
-    serialize(data, 2)
-}
-
-fn serialize(data: &TpchData, version: u32) -> Result<Vec<u8>, ArchiveError> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&data.scale_factor.to_le_bytes());
     out.extend_from_slice(&(TABLES.len() as u32).to_le_bytes());
     // TABLES order keeps the bytes deterministic for a given database.
@@ -161,39 +148,37 @@ fn serialize(data: &TpchData, version: u32) -> Result<Vec<u8>, ArchiveError> {
         out.extend_from_slice(&(table.len() as u64).to_le_bytes());
         out.extend_from_slice(&(table.schema.len() as u32).to_le_bytes());
         for c in 0..table.schema.len() {
-            let (tag, payload) = encode_column(name, table, c, version)?;
+            let (tag, payload) = encode_column(name, table, c)?;
             out.push(tag);
             out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            if version >= 3 {
-                // Zero-pad so every payload starts on an 8-byte file offset
-                // (the pad length is a pure function of the cursor position,
-                // so the reader re-derives it without a stored length; it
-                // verifies the pad bytes are zero for determinism).
-                while out.len() % 8 != 0 {
-                    out.push(0);
-                }
+            // Zero-pad so every payload starts on an 8-byte file offset
+            // (the pad length is a pure function of the cursor position,
+            // so the reader re-derives it without a stored length; it
+            // verifies the pad bytes are zero for determinism).
+            while out.len() % 8 != 0 {
+                out.push(0);
             }
-            let sum = fnv1a(&payload);
-            out.extend_from_slice(&payload);
-            out.extend_from_slice(&sum.to_le_bytes());
+            put_checked(&mut out, &payload);
         }
     }
-    if version >= 2 {
-        for &name in &TABLES {
-            let stats = match data.catalog.stats(name) {
-                Some(s) => s.clone(),
-                // The archive always carries statistics; collect on the
-                // spot if this database was assembled without them.
-                None => TableStatistics::collect(data.table(name)),
-            };
-            let payload = encode_stats(&stats);
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            let sum = fnv1a(&payload);
-            out.extend_from_slice(&payload);
-            out.extend_from_slice(&sum.to_le_bytes());
-        }
+    for &name in &TABLES {
+        let stats = match data.catalog.stats(name) {
+            Some(s) => s.clone(),
+            // The archive always carries statistics; collect on the
+            // spot if this database was assembled without them.
+            None => TableStatistics::collect(data.table(name)),
+        };
+        let payload = encode_stats(&stats);
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        put_checked(&mut out, &payload);
     }
     Ok(out)
+}
+
+/// Appends a payload and its checksum.
+fn put_checked(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
 }
 
 // Tags of the stats block's serialized `Value` bounds.
@@ -270,12 +255,7 @@ pub fn write(data: &TpchData, path: &Path) -> Result<(), ArchiveError> {
     Ok(std::fs::write(path, to_bytes(data)?)?)
 }
 
-fn encode_column(
-    name: &str,
-    table: &RowTable,
-    c: usize,
-    version: u32,
-) -> Result<(u8, Vec<u8>), ArchiveError> {
+fn encode_column(name: &str, table: &RowTable, c: usize) -> Result<(u8, Vec<u8>), ArchiveError> {
     let col = || format!("{name}.{}", table.schema.fields[c].name);
     let mismatch = |v: &Value| {
         ArchiveError::Unsupported(format!("{} holds {v:?}, not a {}", col(), table.schema.ty(c)))
@@ -289,7 +269,7 @@ fn encode_column(
                     other => return Err(mismatch(other)),
                 }
             }
-            Ok(pack_or_raw(version, &vals, 8, TAG_I64_PACKED, TAG_I64_RAW, || {
+            Ok(pack_or_raw(&vals, 8, TAG_I64_PACKED, TAG_I64_RAW, || {
                 let mut payload = Vec::with_capacity(vals.len() * 8);
                 for v in &vals {
                     payload.extend_from_slice(&v.to_le_bytes());
@@ -305,7 +285,7 @@ fn encode_column(
                     other => return Err(mismatch(other)),
                 }
             }
-            Ok(pack_or_raw(version, &vals, 4, TAG_DATE_PACKED, TAG_DATE_RAW, || {
+            Ok(pack_or_raw(&vals, 4, TAG_DATE_PACKED, TAG_DATE_RAW, || {
                 let mut payload = Vec::with_capacity(vals.len() * 4);
                 for v in &vals {
                     payload.extend_from_slice(&(*v as i32).to_le_bytes());
@@ -350,12 +330,11 @@ fn encode_column(
 }
 
 /// Packs `vals` frame-of-reference when that beats `raw_width` bytes per
-/// value; otherwise calls `raw` for the plain payload. v3 pads the 17-byte
-/// packed header (`base i64 | max i64 | width u8`) with 7 zero bytes so the
-/// words land on an 8-byte file offset relative to the (aligned) payload
+/// value; otherwise calls `raw` for the plain payload. The 17-byte packed
+/// header (`base i64 | max i64 | width u8`) is padded with 7 zero bytes so
+/// the words land on an 8-byte file offset relative to the (aligned) payload
 /// start — the property [`read_mapped`] needs to borrow them in place.
 fn pack_or_raw(
-    version: u32,
     vals: &[i64],
     raw_width: usize,
     packed_tag: u8,
@@ -363,15 +342,12 @@ fn pack_or_raw(
     raw: impl FnOnce() -> Vec<u8>,
 ) -> (u8, Vec<u8>) {
     let p = PackedInts::from_values(vals);
-    let header = if version >= 3 { 24 } else { 17 };
-    if !vals.is_empty() && header + p.words().len() * 8 < vals.len() * raw_width {
-        let mut payload = Vec::with_capacity(header + p.words().len() * 8);
+    if !vals.is_empty() && PACKED_HEADER + p.words().len() * 8 < vals.len() * raw_width {
+        let mut payload = Vec::with_capacity(PACKED_HEADER + p.words().len() * 8);
         payload.extend_from_slice(&p.base().to_le_bytes());
         payload.extend_from_slice(&p.max().to_le_bytes());
         payload.push(p.width());
-        if version >= 3 {
-            payload.extend_from_slice(&[0u8; 7]);
-        }
+        payload.extend_from_slice(&[0u8; 7]);
         for w in p.words() {
             payload.extend_from_slice(&w.to_le_bytes());
         }
@@ -425,17 +401,83 @@ impl<'a> Cursor<'a> {
     fn f64(&mut self) -> Result<f64, ArchiveError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+
+    /// The file header: magic and version checked, then the scale factor
+    /// and the table count.
+    fn file_header(&mut self) -> Result<(f64, usize), ArchiveError> {
+        if self.take(4)? != MAGIC {
+            return Err(ArchiveError::BadMagic);
+        }
+        let version = self.u32()?;
+        if version != VERSION {
+            return Err(ArchiveError::BadVersion(version));
+        }
+        Ok((self.f64()?, self.u32()? as usize))
+    }
+
+    /// A table record's head: its (known) name, row count and column count.
+    fn table_header(&mut self) -> Result<(String, usize, usize), ArchiveError> {
+        let name_len = self.u16()? as usize;
+        let name = std::str::from_utf8(self.take(name_len)?)
+            .map_err(|_| ArchiveError::Corrupt("non-UTF-8 table name".into()))?
+            .to_string();
+        if !TABLES.contains(&name.as_str()) {
+            return Err(ArchiveError::SchemaMismatch(format!("unknown table `{name}`")));
+        }
+        Ok((name, self.u64()? as usize, self.u32()? as usize))
+    }
+
+    /// A `payload | checksum` pair, checksum verified; `what` names it in
+    /// the error.
+    fn checked(&mut self, len: usize, what: impl Fn() -> String) -> Result<&'a [u8], ArchiveError> {
+        let payload = self.take(len)?;
+        if fnv1a(payload) != self.u64()? {
+            return Err(ArchiveError::Corrupt(format!("checksum mismatch in {}", what())));
+        }
+        Ok(payload)
+    }
+
+    /// A column record: its tag, the file offset of its payload, and the
+    /// payload (pad bytes and checksum verified).
+    fn column(&mut self, table: &str, c: usize) -> Result<(u8, usize, &'a [u8]), ArchiveError> {
+        let tag = self.u8()?;
+        let payload_len = self.u64()? as usize;
+        // Deterministic zero pad up to the next 8-byte file offset. The
+        // checksum covers only the payload, so the reader pins the pad
+        // bytes itself: a nonzero pad is corruption.
+        let pad = (8 - self.pos % 8) % 8;
+        if self.take(pad)?.iter().any(|&b| b != 0) {
+            return Err(ArchiveError::Corrupt(format!(
+                "nonzero alignment pad before `{table}` column {c}"
+            )));
+        }
+        let payload_off = self.pos;
+        Ok((tag, payload_off, self.checked(payload_len, || format!("`{table}` column {c}"))?))
+    }
+
+    /// One table's statistics block.
+    fn stats_block(&mut self, table: &str) -> Result<&'a [u8], ArchiveError> {
+        let payload_len = self.u64()? as usize;
+        self.checked(payload_len, || format!("`{table}` statistics block"))
+    }
+
+    fn finish(&self) -> Result<(), ArchiveError> {
+        if self.pos != self.bytes.len() {
+            return Err(ArchiveError::Corrupt("trailing bytes after last table".into()));
+        }
+        Ok(())
+    }
 }
 
-/// Reads an archive file back into a database with a single `fs::read`.
-/// A v2+ archive serves the statistics it carries (histograms and sketches
-/// included); a v1 archive re-collects them on load — either way the
-/// catalog matches a freshly generated database bit for bit.
+/// Reads an archive file back into a database with a single `fs::read`. The
+/// archive serves the statistics it carries (histograms and sketches
+/// included), so the catalog matches a freshly generated database bit for
+/// bit.
 pub fn read(path: &Path) -> Result<TpchData, ArchiveError> {
     from_bytes(&std::fs::read(path)?)
 }
 
-/// Reads an archive by `mmap`ing it read-only: the packed words of a v3
+/// Reads an archive by `mmap`ing it read-only: the packed words of the
 /// archive's bit-packed columns are *borrowed* from the page cache instead
 /// of copied — [`TpchData::mapped_packed`] serves them to the engine, which
 /// substitutes them for its own re-encode, so a mapped load and a plain
@@ -443,10 +485,9 @@ pub fn read(path: &Path) -> Result<TpchData, ArchiveError> {
 ///
 /// Fallback discipline (DESIGN.md §3e): any mapping failure — filesystem
 /// without mmap, exotic platform, empty file — silently degrades to the
-/// read+decode path, and v1/v2 archives parse exactly as under [`read`]
-/// (no mapped columns, nothing borrowed). Corruption in a v3 archive —
-/// truncated words, a misaligned payload, nonzero alignment padding — is a
-/// typed [`ArchiveError`], never a panic or an unaligned access.
+/// read+decode path. Corruption — truncated words, a misaligned payload,
+/// nonzero alignment padding — is a typed [`ArchiveError`], never a panic
+/// or an unaligned access.
 pub fn read_mapped(path: &Path) -> Result<TpchData, ArchiveError> {
     match Mapping::map_file(path) {
         Ok(map) => {
@@ -462,22 +503,13 @@ pub fn from_bytes(bytes: &[u8]) -> Result<TpchData, ArchiveError> {
     from_bytes_impl(bytes, None)
 }
 
-/// The shared parser. When `mapping` is present (and the archive is v3),
-/// every bit-packed column additionally yields a zero-copy [`PackedInts`]
-/// borrowing its words from the mapping at their 8-byte-aligned file
-/// offset; the row values are still decoded eagerly so the row-oriented
-/// loader pipeline is unchanged.
+/// The shared parser. When `mapping` is present, every bit-packed column
+/// additionally yields a zero-copy [`PackedInts`] borrowing its words from
+/// the mapping at their 8-byte-aligned file offset; the row values are
+/// still decoded eagerly so the row-oriented loader pipeline is unchanged.
 fn from_bytes_impl(bytes: &[u8], mapping: Option<&Arc<Mapping>>) -> Result<TpchData, ArchiveError> {
     let mut cur = Cursor { bytes, pos: 0 };
-    if cur.take(4)? != MAGIC {
-        return Err(ArchiveError::BadMagic);
-    }
-    let version = cur.u32()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(ArchiveError::BadVersion(version));
-    }
-    let scale_factor = cur.f64()?;
-    let table_count = cur.u32()? as usize;
+    let (scale_factor, table_count) = cur.file_header()?;
     if table_count != TABLES.len() {
         return Err(ArchiveError::SchemaMismatch(format!(
             "{table_count} tables, expected {}",
@@ -488,16 +520,8 @@ fn from_bytes_impl(bytes: &[u8], mapping: Option<&Arc<Mapping>>) -> Result<TpchD
     let mut tables = HashMap::new();
     let mut mapped: HashMap<(String, usize), Arc<PackedInts>> = HashMap::new();
     for _ in 0..table_count {
-        let name_len = cur.u16()? as usize;
-        let name = std::str::from_utf8(cur.take(name_len)?)
-            .map_err(|_| ArchiveError::Corrupt("non-UTF-8 table name".into()))?
-            .to_string();
-        if !TABLES.contains(&name.as_str()) {
-            return Err(ArchiveError::SchemaMismatch(format!("unknown table `{name}`")));
-        }
-        let rows = cur.u64()? as usize;
+        let (name, rows, col_count) = cur.table_header()?;
         let schema = cat.table(&name).schema.clone();
-        let col_count = cur.u32()? as usize;
         if col_count != schema.len() {
             return Err(ArchiveError::SchemaMismatch(format!(
                 "`{name}` has {col_count} columns, expected {}",
@@ -506,32 +530,9 @@ fn from_bytes_impl(bytes: &[u8], mapping: Option<&Arc<Mapping>>) -> Result<TpchD
         }
         let mut columns: Vec<Vec<Value>> = Vec::with_capacity(col_count);
         for c in 0..col_count {
-            let tag = cur.u8()?;
-            let payload_len = cur.u64()? as usize;
-            if version >= 3 {
-                // Deterministic zero pad up to the next 8-byte file offset.
-                // The checksum covers only the payload, so the reader pins
-                // the pad bytes itself: a nonzero pad is corruption.
-                let pad = (8 - cur.pos % 8) % 8;
-                if cur.take(pad)?.iter().any(|&b| b != 0) {
-                    return Err(ArchiveError::Corrupt(format!(
-                        "nonzero alignment pad before `{name}` column {c}"
-                    )));
-                }
-            }
-            let payload_off = cur.pos;
-            let payload = cur.take(payload_len)?;
-            let sum = cur.u64()?;
-            if fnv1a(payload) != sum {
-                return Err(ArchiveError::Corrupt(format!(
-                    "checksum mismatch in `{name}` column {c}"
-                )));
-            }
-            let src = PackedSrc {
-                version,
-                map: if version >= 3 { mapping.map(|m| (m, payload_off)) } else { None },
-            };
-            let (vals, mp) = decode_column(&name, c, schema.ty(c), tag, payload, rows, src)?;
+            let (tag, payload_off, payload) = cur.column(&name, c)?;
+            let map = mapping.map(|m| (m, payload_off));
+            let (vals, mp) = decode_column(&name, c, schema.ty(c), tag, payload, rows, map)?;
             if let Some(mp) = mp {
                 mapped.insert((name.clone(), c), mp);
             }
@@ -543,46 +544,23 @@ fn from_bytes_impl(bytes: &[u8], mapping: Option<&Arc<Mapping>>) -> Result<TpchD
         }
         tables.insert(name, table);
     }
-    if version >= 2 {
-        // v2: the statistics travelled with the data — decode, validate,
-        // and serve them without a collection pass.
-        for &name in &TABLES {
-            let payload_len = cur.u64()? as usize;
-            let payload = cur.take(payload_len)?;
-            let sum = cur.u64()?;
-            if fnv1a(payload) != sum {
-                return Err(ArchiveError::Corrupt(format!(
-                    "checksum mismatch in `{name}` statistics block"
-                )));
-            }
-            let table = tables.get(name).ok_or_else(|| {
-                ArchiveError::SchemaMismatch(format!("table `{name}` missing from archive"))
-            })?;
-            let stats = decode_stats(name, payload, table.len(), table.schema.len())?;
-            cat.set_stats(name, stats);
-        }
+    // The statistics travelled with the data — decode, validate, and serve
+    // them without a collection pass.
+    for &name in &TABLES {
+        let payload = cur.stats_block(name)?;
+        let table = tables.get(name).ok_or_else(|| {
+            ArchiveError::SchemaMismatch(format!("table `{name}` missing from archive"))
+        })?;
+        let stats = decode_stats(name, payload, table.len(), table.schema.len())?;
+        cat.set_stats(name, stats);
     }
-    if cur.pos != bytes.len() {
-        return Err(ArchiveError::Corrupt("trailing bytes after last table".into()));
-    }
-    if version < 2 {
-        // v1 archives carry no statistics: re-collect, so the catalog
-        // matches a freshly generated database bit for bit.
-        for (name, table) in &tables {
-            cat.set_stats(name, TableStatistics::collect(table));
-        }
-    }
+    cur.finish()?;
     Ok(TpchData::from_parts(cat, scale_factor, tables).with_mapped(mapped))
 }
 
-/// Where a packed payload may be served from: the archive version (header
-/// layout) plus, for v3, the file mapping and the column payload's byte
-/// offset inside it (so the words can be borrowed zero-copy).
-#[derive(Clone, Copy)]
-struct PackedSrc<'a> {
-    version: u32,
-    map: Option<(&'a Arc<Mapping>, usize)>,
-}
+/// Where a packed payload may be borrowed from: the file mapping and the
+/// column payload's byte offset inside it.
+type PackedSrc<'a> = Option<(&'a Arc<Mapping>, usize)>;
 
 fn decode_column(
     name: &str,
@@ -748,8 +726,8 @@ fn decode_stats(
 
 /// Reads a frame-of-reference payload, re-validating the header through
 /// [`PackedInts::from_parts`] (which rejects tampered widths and word
-/// counts) before decoding. On a v3 payload with a live mapping, also
-/// constructs the zero-copy [`PackedInts`] whose words live at
+/// counts) before decoding. With a live mapping, also constructs the
+/// zero-copy [`PackedInts`] whose words live at
 /// `payload_off + 24` in the mapped file — [`PackedInts::from_parts_mapped`]
 /// re-checks bounds and 8-byte alignment, so a file that lies about its
 /// layout is a typed corruption, not undefined behavior.
@@ -762,12 +740,10 @@ fn read_packed(
     let base = cur.i64()?;
     let max = cur.i64()?;
     let width = cur.u8()?;
-    if src.version >= 3 {
-        // 7 zero bytes pad the 17-byte header to 24 so the words that
-        // follow stay 8-byte aligned relative to the aligned payload start.
-        if cur.take(7)?.iter().any(|&b| b != 0) {
-            return Err(corrupt("nonzero pad in packed header"));
-        }
+    // 7 zero bytes pad the 17-byte header to 24 so the words that follow
+    // stay 8-byte aligned relative to the aligned payload start.
+    if cur.take(7)?.iter().any(|&b| b != 0) {
+        return Err(corrupt("nonzero pad in packed header"));
     }
     let words_pos = cur.pos;
     let n_words = PackedInts::words_for(rows, width);
@@ -781,7 +757,7 @@ fn read_packed(
     if vals.iter().any(|&v| v > p.max()) {
         return Err(corrupt("packed value above declared maximum"));
     }
-    let mapped = match src.map {
+    let mapped = match src {
         Some((m, payload_off)) => Some(Arc::new(
             PackedInts::from_parts_mapped(
                 base,
@@ -813,8 +789,8 @@ pub struct ColumnInfo {
     pub bit_width: Option<u8>,
     /// Bytes the column's payload occupies in the file.
     pub payload_bytes: usize,
-    /// Bytes a v3 mapped load serves zero-copy from the page cache (the
-    /// packed words); 0 for raw columns and for v1/v2 archives.
+    /// Bytes a mapped load serves zero-copy from the page cache (the packed
+    /// words); 0 for raw columns.
     pub mappable_bytes: usize,
 }
 
@@ -832,7 +808,7 @@ pub struct TableInfo {
 /// Archive-level metadata reported by [`inspect`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchiveInfo {
-    /// Format version (1–3).
+    /// Format version.
     pub version: u32,
     /// TPC-H scale factor the archive was generated at.
     pub scale_factor: f64,
@@ -868,59 +844,21 @@ pub fn inspect(path: &Path) -> Result<ArchiveInfo, ArchiveError> {
 /// [`inspect`] over in-memory bytes.
 pub fn inspect_bytes(bytes: &[u8]) -> Result<ArchiveInfo, ArchiveError> {
     let mut cur = Cursor { bytes, pos: 0 };
-    if cur.take(4)? != MAGIC {
-        return Err(ArchiveError::BadMagic);
-    }
-    let version = cur.u32()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(ArchiveError::BadVersion(version));
-    }
-    let scale_factor = cur.f64()?;
-    let table_count = cur.u32()? as usize;
+    let (scale_factor, table_count) = cur.file_header()?;
     let cat = catalog();
     let mut tables = Vec::with_capacity(table_count);
     for _ in 0..table_count {
-        let name_len = cur.u16()? as usize;
-        let name = std::str::from_utf8(cur.take(name_len)?)
-            .map_err(|_| ArchiveError::Corrupt("non-UTF-8 table name".into()))?
-            .to_string();
-        if !TABLES.contains(&name.as_str()) {
-            return Err(ArchiveError::SchemaMismatch(format!("unknown table `{name}`")));
-        }
-        let rows = cur.u64()? as usize;
-        let schema = cat.table(&name).schema.clone();
-        let col_count = cur.u32()? as usize;
+        let (name, rows, col_count) = cur.table_header()?;
+        let schema = &cat.table(&name).schema;
         let mut columns = Vec::with_capacity(col_count);
         for c in 0..col_count {
-            let tag = cur.u8()?;
-            let payload_len = cur.u64()? as usize;
-            if version >= 3 {
-                let pad = (8 - cur.pos % 8) % 8;
-                if cur.take(pad)?.iter().any(|&b| b != 0) {
-                    return Err(ArchiveError::Corrupt(format!(
-                        "nonzero alignment pad before `{name}` column {c}"
-                    )));
-                }
-            }
-            let payload = cur.take(payload_len)?;
-            let sum = cur.u64()?;
-            if fnv1a(payload) != sum {
+            let (tag, _, payload) = cur.column(&name, c)?;
+            let packed = tag == TAG_I64_PACKED || tag == TAG_DATE_PACKED;
+            if packed && payload.len() < PACKED_HEADER {
                 return Err(ArchiveError::Corrupt(format!(
-                    "checksum mismatch in `{name}` column {c}"
+                    "packed payload of `{name}` column {c} shorter than its header"
                 )));
             }
-            let packed = tag == TAG_I64_PACKED || tag == TAG_DATE_PACKED;
-            let header = if version >= 3 { 24 } else { 17 };
-            let bit_width = if packed {
-                if payload.len() < header {
-                    return Err(ArchiveError::Corrupt(format!(
-                        "packed payload of `{name}` column {c} shorter than its header"
-                    )));
-                }
-                Some(payload[16])
-            } else {
-                None
-            };
             let encoding = match tag {
                 TAG_I64_RAW => "i64",
                 TAG_I64_PACKED => "i64-packed",
@@ -935,39 +873,23 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<ArchiveInfo, ArchiveError> {
                     )))
                 }
             };
-            let col_name = schema
-                .fields
-                .get(c)
-                .map(|f| f.name.clone())
-                .unwrap_or_else(|| format!("column{c}"));
             columns.push(ColumnInfo {
-                name: col_name,
+                name: schema.fields.get(c).map_or_else(|| format!("column{c}"), |f| f.name.clone()),
                 encoding,
-                bit_width,
-                payload_bytes: payload_len,
-                mappable_bytes: if packed && version >= 3 { payload_len - header } else { 0 },
+                bit_width: packed.then(|| payload[16]),
+                payload_bytes: payload.len(),
+                mappable_bytes: if packed { payload.len() - PACKED_HEADER } else { 0 },
             });
         }
         tables.push(TableInfo { name, rows, columns });
     }
-    // Stats blocks (v2+) are skipped but still checksum-verified, so
-    // `inspect` on a corrupt file fails the same way `read` would.
-    if version >= 2 {
-        for &name in &TABLES {
-            let payload_len = cur.u64()? as usize;
-            let payload = cur.take(payload_len)?;
-            let sum = cur.u64()?;
-            if fnv1a(payload) != sum {
-                return Err(ArchiveError::Corrupt(format!(
-                    "checksum mismatch in `{name}` statistics block"
-                )));
-            }
-        }
+    // Stats blocks are skipped but still checksum-verified, so `inspect` on
+    // a corrupt file fails the same way `read` would.
+    for &name in &TABLES {
+        cur.stats_block(name)?;
     }
-    if cur.pos != bytes.len() {
-        return Err(ArchiveError::Corrupt("trailing bytes after last table".into()));
-    }
-    Ok(ArchiveInfo { version, scale_factor, file_bytes: bytes.len(), tables })
+    cur.finish()?;
+    Ok(ArchiveInfo { version: VERSION, scale_factor, file_bytes: bytes.len(), tables })
 }
 
 #[cfg(test)]
@@ -1057,22 +979,27 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// There is one format: a header announcing either earlier version is
+    /// refused, typed, by every reader — before anything else is parsed.
     #[test]
-    fn old_versions_still_load() {
-        let data = tiny();
-        for (v, bytes) in
-            [(1, to_bytes_v1(&data).expect("v1")), (2, to_bytes_v2(&data).expect("v2"))]
-        {
-            let back = from_bytes(&bytes).expect("legacy parse");
-            assert_eq!(back.table("lineitem").rows, data.table("lineitem").rows, "v{v} rows");
-            assert_eq!(back.mapped_bytes(), 0, "legacy archives never map");
-            for &name in &TABLES {
-                assert_eq!(
-                    back.catalog.stats(name),
-                    data.catalog.stats(name),
-                    "v{v} `{name}` statistics survive (v2) or re-collect (v1) identically"
-                );
-            }
+    fn older_versions_are_refused_by_every_reader() {
+        let dir = std::env::temp_dir().join("legobase-archive-old-version-test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let mut bytes = to_bytes(&tiny()).expect("serialize");
+        for v in [1u32, 2] {
+            bytes[4..8].copy_from_slice(&v.to_le_bytes());
+            let path = dir.join(format!("tpch-v{v}.lbca"));
+            std::fs::write(&path, &bytes).expect("write");
+            let refused = |e: Option<ArchiveError>, reader: &str| match e {
+                Some(ArchiveError::BadVersion(got)) => assert_eq!(got, v, "{reader}"),
+                Some(e) => panic!("{reader} on v{v}: expected BadVersion, got {e}"),
+                None => panic!("{reader} accepted a v{v} header"),
+            };
+            refused(from_bytes(&bytes).err(), "from_bytes");
+            refused(read(&path).err(), "read");
+            refused(read_mapped(&path).err(), "read_mapped");
+            refused(inspect_bytes(&bytes).err(), "inspect_bytes");
+            std::fs::remove_file(&path).ok();
         }
     }
 
@@ -1113,19 +1040,6 @@ mod tests {
     }
 
     #[test]
-    fn mapped_read_falls_back_for_legacy_versions() {
-        let dir = std::env::temp_dir().join("legobase-archive-mmap-legacy-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("tpch-v1.lbca");
-        let data = tiny();
-        std::fs::write(&path, to_bytes_v1(&data).expect("v1")).expect("write");
-        let back = read_mapped(&path).expect("read_mapped on v1");
-        assert_eq!(back.mapped_bytes(), 0, "v1 payloads are unaligned — nothing borrowed");
-        assert_eq!(back.table("lineitem").rows, data.table("lineitem").rows);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn rejects_nonzero_alignment_pad() {
         let mut bytes = to_bytes(&tiny()).expect("serialize");
         // File header (20) + first table record (2 + "region" + 8 + 4) +
@@ -1161,10 +1075,6 @@ mod tests {
         let total: usize =
             info.tables.iter().flat_map(|t| &t.columns).map(|c| c.payload_bytes).sum();
         assert_eq!(info.mappable_bytes() + info.resident_bytes(), total);
-        // Legacy archives inspect too, with nothing mappable.
-        let v1 = inspect_bytes(&to_bytes_v1(&data).expect("v1")).expect("inspect v1");
-        assert_eq!(v1.version, 1);
-        assert_eq!(v1.mappable_bytes(), 0);
     }
 
     #[test]

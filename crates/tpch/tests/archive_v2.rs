@@ -1,8 +1,7 @@
-//! Archive format v2 (PR 8): the optimizer statistics — histograms and
-//! distinct sketches included — survive a write→read round trip, legacy v1
-//! archives still load (statistics re-collected), and a corrupt statistics
-//! block is a typed [`ArchiveError`], never a panic and never silently
-//! stale estimates.
+//! The archive's statistics blocks (PR 8): the optimizer statistics —
+//! histograms and distinct sketches included — survive a write→read round
+//! trip, and a corrupt statistics block is a typed [`ArchiveError`], never a
+//! panic and never silently stale estimates.
 
 use legobase_tpch::archive::{self, ArchiveError, MAGIC, VERSION};
 use legobase_tpch::{TpchData, TABLES};
@@ -30,20 +29,18 @@ fn v2_round_trips_histograms_and_sketches() {
     assert!(saw_sketch, "no sketch survived the round trip");
 }
 
-/// A genuine v1 archive (no stats block) still loads; its statistics are
-/// re-collected and match the generator's exactly.
-#[test]
-fn v1_archives_still_load_with_recollected_stats() {
-    let data = TpchData::generate(SCALE);
-    let v1 = archive::to_bytes_v1(&data).expect("serialize v1");
-    assert_eq!(u32::from_le_bytes(v1[4..8].try_into().unwrap()), 1);
-    assert!(v1.len() < archive::to_bytes(&data).expect("v2").len(), "v1 carries no stats block");
-    let back = archive::from_bytes(&v1).expect("v1 must stay readable");
-    for &name in &TABLES {
-        let a = data.catalog.stats(name).expect("generated stats");
-        let b = back.catalog.stats(name).expect("re-collected stats");
-        assert_eq!(a, b, "{name}: re-collected statistics differ");
+/// Where the statistics blocks start: the file header, then every table
+/// record walked by the sizes `inspect_bytes` reports.
+fn stats_tail_start(bytes: &[u8]) -> usize {
+    let info = archive::inspect_bytes(bytes).expect("inspect");
+    let mut pos = 4 + 4 + 8 + 4;
+    for t in &info.tables {
+        pos += 2 + t.name.len() + 8 + 4;
+        for c in &t.columns {
+            pos = (pos + 1 + 8).next_multiple_of(8) + c.payload_bytes + 8;
+        }
     }
+    pos
 }
 
 /// Every way a stats block can rot — flipped payload byte (checksum),
@@ -52,14 +49,22 @@ fn v1_archives_still_load_with_recollected_stats() {
 #[test]
 fn corrupt_stats_blocks_are_typed_errors() {
     let data = TpchData::generate(SCALE);
-    let v1_len = archive::to_bytes_v1(&data).expect("v1").len();
-    let bytes = archive::to_bytes(&data).expect("v2");
+    let bytes = archive::to_bytes(&data).expect("serialize");
     assert_eq!(&bytes[..4], &MAGIC);
 
-    // The stats block occupies everything past the v1 prefix: corrupt a
-    // byte inside it and the checksum must refuse before any parsing.
+    // The stats blocks occupy everything past the last table record — one
+    // `len | payload | checksum` per table, ending exactly at the file's end.
+    let tail = stats_tail_start(&bytes);
+    let mut end = tail;
+    for _ in &TABLES {
+        end += 8 + u64::from_le_bytes(bytes[end..end + 8].try_into().unwrap()) as usize + 8;
+    }
+    assert_eq!(end, bytes.len(), "the tail is the {} statistics blocks", TABLES.len());
+
+    // Corrupt a byte inside it and the checksum must refuse before any
+    // parsing.
     let mut flipped = bytes.clone();
-    let mid = v1_len + (flipped.len() - v1_len) / 2;
+    let mid = tail + (flipped.len() - tail) / 2;
     flipped[mid] ^= 0x01;
     match archive::from_bytes(&flipped) {
         Err(ArchiveError::Corrupt(m)) => {
@@ -81,7 +86,7 @@ fn corrupt_stats_blocks_are_typed_errors() {
     assert!(matches!(archive::from_bytes(&padded), Err(ArchiveError::Corrupt(_))));
 }
 
-/// Versions outside `[MIN_VERSION, VERSION]` are rejected up front.
+/// Versions other than `VERSION` are rejected up front.
 #[test]
 fn unknown_versions_rejected() {
     let data = TpchData::generate(SCALE);

@@ -6,15 +6,16 @@
 //! cargo run --release -p legobase --example quickstart
 //! ```
 
-use legobase::{Config, LegoBase};
+use legobase::{Config, LegoBase, QueryRequest};
 
 fn main() {
     // TPC-H at scale factor 0.01 (≈60k lineitems), deterministic.
     let system = LegoBase::generate(0.01);
 
     println!("running TPC-H Q6 under two configurations of Table III…\n");
-    let baseline = system.run(6, Config::Dbx);
-    let optimized = system.run(6, Config::OptC);
+    let q6 = QueryRequest::plan(system.plan(6));
+    let baseline = system.query(&q6.clone().with_config(Config::Dbx)).expect("Q6 runs");
+    let optimized = system.query(&q6.with_config(Config::OptC)).expect("Q6 runs");
 
     println!("DBX (interpreted row store):   {:?}", baseline.exec_time);
     println!("LegoBase(Opt/C) (specialized): {:?}", optimized.exec_time);
@@ -32,7 +33,7 @@ fn main() {
     println!("{}", optimized.result.display(5));
 
     // What the SC pipeline decided for this query.
-    let spec = &optimized.compilation.spec;
+    let spec = optimized.detail.expect("the facade reports its compilation").compilation.spec;
     println!("specialization derived by the SC pipeline:");
     println!("  date indices:   {:?}", spec.date_indexes);
     println!("  used columns:   {:?}", spec.used_columns.get("lineitem"));

@@ -18,7 +18,7 @@
 //! ```
 
 use legobase::storage::{DictKind, StringDictionary};
-use legobase::{Config, LegoBase};
+use legobase::{Config, LegoBase, QueryRequest};
 
 fn main() {
     // ---- Table II, row by row, on a toy attribute -------------------------
@@ -57,10 +57,13 @@ fn main() {
     // Each run loads cold (the store is emptied first), so the load times
     // below compare building plain string columns against building
     // dictionaries — not a cold load against a warm one.
+    let q12 = QueryRequest::plan(system.plan(12));
     system.reset_store();
-    let plain = system.run_with_settings(12, &without_dict);
+    let mut plain = system.query(&q12.clone().with_settings(without_dict)).expect("Q12 runs");
     system.reset_store();
-    let dict = system.run_with_settings(12, &with_dict);
+    let mut dict = system.query(&q12.with_settings(with_dict)).expect("Q12 runs");
+    let plain_detail = plain.detail.take().expect("the facade reports its load");
+    let dict_detail = dict.detail.take().expect("the facade reports its load");
 
     assert!(
         dict.result.approx_eq(&plain.result, 1e-6),
@@ -73,10 +76,10 @@ fn main() {
     println!("  speedup: {:.2}x", plain.exec_time.as_secs_f64() / dict.exec_time.as_secs_f64());
 
     // The trade-off the paper calls out: loading pays for the dictionary.
-    println!("  load time without dictionaries: {:?}", plain.load_time);
-    println!("  load time with dictionaries:    {:?}", dict.load_time);
+    println!("  load time without dictionaries: {:?}", plain_detail.load_time);
+    println!("  load time with dictionaries:    {:?}", dict_detail.load_time);
 
-    let spec = &dict.compilation.spec;
+    let spec = &dict_detail.compilation.spec;
     println!("\ndictionaries chosen by the SC pipeline for Q12:");
     for d in &spec.dictionaries {
         println!("  {}.{}: {:?}", d.table, d.column, d.kind);

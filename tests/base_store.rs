@@ -53,17 +53,24 @@ fn check_shared_matches_fresh(tag: &str, range: std::ops::RangeInclusive<usize>)
     // pass below finds layouts other queries and configurations asked for.
     for n in 1..=22 {
         for config in CONFIGS {
-            shared.run(n, config);
+            shared.query(&QueryRequest::plan(shared.plan(n)).with_config(config)).unwrap();
         }
     }
     for n in range {
         for config in CONFIGS {
             fresh.reset_store();
-            let (a, b) = (shared.run(n, config), fresh.run(n, config));
+            let (a, b) = (
+                shared.query(&QueryRequest::plan(shared.plan(n)).with_config(config)).unwrap(),
+                fresh.query(&QueryRequest::plan(fresh.plan(n)).with_config(config)).unwrap(),
+            );
             assert!(bits(&a.result) == bits(&b.result), "Q{n} hand plan under {config:?}");
             fresh.reset_store();
-            let a = shared.run_sql(tpch_sql(n), config).expect("embedded SQL");
-            let b = fresh.run_sql(tpch_sql(n), config).expect("embedded SQL");
+            let a = shared
+                .query(&QueryRequest::sql(tpch_sql(n)).with_config(config))
+                .expect("embedded SQL");
+            let b = fresh
+                .query(&QueryRequest::sql(tpch_sql(n)).with_config(config))
+                .expect("embedded SQL");
             assert!(bits(&a.result) == bits(&b.result), "Q{n} SQL under {config:?}");
         }
     }
@@ -122,7 +129,7 @@ fn concurrent_misses_build_each_structure_once() {
                 barrier.wait();
                 let got = session.query(&QueryRequest::sql(text.as_str())).expect("variant runs");
                 assert!(!got.prepared_cached);
-                let want = oracle.run_sql(text, Config::OptC).expect("oracle runs");
+                let want = oracle.query(&QueryRequest::sql(text)).expect("oracle runs");
                 assert!(bits(&got.result) == bits(&want.result), "{text}");
             });
         }

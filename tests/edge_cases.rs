@@ -5,7 +5,7 @@
 
 use legobase::engine::expr::{AggKind, Expr};
 use legobase::engine::plan::{AggSpec, JoinKind, Plan, QueryPlan, SortOrder};
-use legobase::{Config, LegoBase};
+use legobase::{Config, LegoBase, QueryRequest};
 use std::sync::OnceLock;
 
 fn system() -> &'static LegoBase {
@@ -17,12 +17,13 @@ fn system() -> &'static LegoBase {
 fn check_all(name: &str, plan: Plan) {
     let q = QueryPlan::new(name, plan);
     let sys = system();
-    let reference = sys.run_plan(&q, &Config::Dbx.settings()).result;
+    let reference =
+        sys.query(&QueryRequest::plan(q.clone()).with_config(Config::Dbx)).unwrap().result;
     for cfg in Config::ALL {
         if cfg == Config::Dbx {
             continue;
         }
-        let got = sys.run_plan(&q, &cfg.settings()).result;
+        let got = sys.query(&QueryRequest::plan(q.clone()).with_config(cfg)).unwrap().result;
         assert!(
             got.approx_eq(&reference, 1e-6),
             "{name}: {cfg:?} disagrees with DBX: {:?}",
@@ -204,12 +205,13 @@ fn multi_stage_query_with_view() {
     };
     let q = QueryPlan::new("staged", root).with_stage("counts", stage);
     let sys = system();
-    let reference = sys.run_plan(&q, &Config::Dbx.settings()).result;
+    let reference =
+        sys.query(&QueryRequest::plan(q.clone()).with_config(Config::Dbx)).unwrap().result;
     for cfg in Config::ALL {
         if cfg == Config::Dbx {
             continue;
         }
-        let got = sys.run_plan(&q, &cfg.settings()).result;
+        let got = sys.query(&QueryRequest::plan(q.clone()).with_config(cfg)).unwrap().result;
         assert!(
             got.approx_eq(&reference, 1e-6),
             "staged: {cfg:?} disagrees with DBX: {:?}",
@@ -255,13 +257,14 @@ fn integer_sum_is_exact_above_2_53() {
         },
     );
     let sys = system();
-    let reference = sys.run_plan(&q, &Config::Dbx.settings()).result;
+    let reference =
+        sys.query(&QueryRequest::plan(q.clone()).with_config(Config::Dbx)).unwrap().result;
     assert_eq!(reference.rows().len(), 5);
     for row in reference.rows() {
         assert_eq!(row[1], legobase::storage::Value::Int(5 * ODD));
     }
     for cfg in [Config::HyPerLike, Config::StrDictC, Config::OptC] {
-        let got = sys.run_plan(&q, &cfg.settings()).result;
+        let got = sys.query(&QueryRequest::plan(q.clone()).with_config(cfg)).unwrap().result;
         assert_eq!(got.rows(), reference.rows(), "{cfg:?}: integer SUM lost exactness");
     }
 }

@@ -24,7 +24,7 @@
 
 use legobase::engine::optimizer;
 use legobase::sql::tpch_sql;
-use legobase::{Config, LegoBase, ServeOptions};
+use legobase::{LegoBase, QueryRequest, ServeOptions};
 use std::sync::OnceLock;
 
 const SCALE: f64 = 0.002;
@@ -35,11 +35,11 @@ fn system() -> &'static LegoBase {
 }
 
 fn optimizer_forced_off() -> bool {
-    std::env::var("LEGOBASE_OPTIMIZE").is_ok_and(|v| matches!(v.trim(), "0" | "false" | "off"))
+    legobase::EnvOverrides::from_env().optimize_off
 }
 
 fn feedback_forced_off() -> bool {
-    std::env::var("LEGOBASE_FEEDBACK").is_ok_and(|v| matches!(v.trim(), "0" | "false" | "off"))
+    legobase::EnvOverrides::from_env().feedback_off
 }
 
 fn q_error(est: f64, actual: f64) -> f64 {
@@ -85,7 +85,8 @@ fn cold_q_errors_within_committed_bounds() {
     let mut table = String::new();
     for (i, &bound) in COLD_BOUNDS.iter().enumerate() {
         let q = i + 1;
-        let out = sys.run_sql(tpch_sql(q), Config::OptC).unwrap_or_else(|e| panic!("Q{q}: {e}"));
+        let out =
+            sys.query(&QueryRequest::sql(tpch_sql(q))).unwrap_or_else(|e| panic!("Q{q}: {e}"));
         let rep = out.opt.expect("optimizer report attached");
         let qe = q_error(rep.est_rows(), out.result.len() as f64);
         table.push_str(&format!(
@@ -112,8 +113,9 @@ fn warm_q_errors_converge_after_feedback() {
     let session = service.session();
     for q in 1..=22 {
         let sql = tpch_sql(q);
-        session.run_sql(sql, Config::OptC).unwrap_or_else(|e| panic!("Q{q} cold: {e}"));
-        let warm = session.run_sql(sql, Config::OptC).unwrap_or_else(|e| panic!("Q{q} warm: {e}"));
+        session.query(&QueryRequest::sql(sql)).unwrap_or_else(|e| panic!("Q{q} cold: {e}"));
+        let warm =
+            session.query(&QueryRequest::sql(sql)).unwrap_or_else(|e| panic!("Q{q} warm: {e}"));
         let rep = warm.opt.expect("optimizer report attached");
         let qe = q_error(rep.est_rows(), warm.result.len() as f64);
         assert!(qe <= 2.0, "Q{q}: warm q-error {qe:.2} after a feedback round\n{}", rep.summary());
@@ -152,8 +154,8 @@ fn q7_reaches_hand_plan_join_order() {
     }
     let service = LegoBase::generate(SCALE).serve_with(ServeOptions::default().with_workers(1));
     let session = service.session();
-    let cold = session.run_sql(sql, Config::OptC).expect("Q7 cold");
-    let warm = session.run_sql(sql, Config::OptC).expect("Q7 warm");
+    let cold = session.query(&QueryRequest::sql(sql)).expect("Q7 cold");
+    let warm = session.query(&QueryRequest::sql(sql)).expect("Q7 warm");
     let (crep, wrep) = (cold.opt.expect("cold report"), warm.opt.expect("warm report"));
     assert_eq!(
         crep.root().chosen_order,

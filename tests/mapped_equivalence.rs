@@ -9,7 +9,7 @@
 //! here means the mapping layer corrupted or misread the words.
 
 use legobase::tpch::archive;
-use legobase::{Config, LegoBase};
+use legobase::{Config, LegoBase, QueryRequest};
 
 const SCALE: f64 = 0.002;
 
@@ -36,8 +36,8 @@ fn check_mapped(tag: &str, range: impl Iterator<Item = usize>) {
     let (plain, mapped) = systems(tag);
     for n in range {
         for config in Config::ALL {
-            let a = plain.run(n, config);
-            let b = mapped.run(n, config);
+            let a = plain.query(&QueryRequest::plan(plain.plan(n)).with_config(config)).unwrap();
+            let b = mapped.query(&QueryRequest::plan(mapped.plan(n)).with_config(config)).unwrap();
             assert!(
                 a.result.0.rows == b.result.0.rows,
                 "Q{n} under {config:?}: mapped load diverges from read load: {}",
@@ -45,8 +45,8 @@ fn check_mapped(tag: &str, range: impl Iterator<Item = usize>) {
             );
         }
         let par4 = legobase::Settings::optimized().with_parallelism(4);
-        let a = plain.run_with_settings(n, &par4);
-        let b = mapped.run_with_settings(n, &par4);
+        let a = plain.query(&QueryRequest::plan(plain.plan(n)).with_settings(par4)).unwrap();
+        let b = mapped.query(&QueryRequest::plan(mapped.plan(n)).with_settings(par4)).unwrap();
         assert!(
             a.result.0.rows == b.result.0.rows,
             "Q{n}: mapped and read loads diverge at parallelism 4"

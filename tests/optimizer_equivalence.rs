@@ -18,14 +18,15 @@
 //! 3. **Rewrite-rule invariance** — each pass individually (pushdown,
 //!    inference, reordering) leaves the results of the hand-built plans
 //!    *and* of randomized plans (proptest section) unchanged.
-//! 4. **Facade behavior** — `run_sql` attaches an `OptReport` with actual
-//!    row counts; `explain_sql` renders the optimized plan back to SQL.
+//! 4. **Facade behavior** — a SQL request attaches an `OptReport` with
+//!    actual row counts; an explain request renders the optimized plan back
+//!    to SQL.
 
 use legobase::engine::optimizer::{self, Passes};
 use legobase::engine::plan::{AggSpec, JoinKind, Plan, QueryPlan, SortOrder};
 use legobase::engine::{AggKind, CmpOp, Expr};
 use legobase::storage::{Date, Value};
-use legobase::{Config, LegoBase};
+use legobase::{Config, LegoBase, QueryError, QueryRequest};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -47,8 +48,9 @@ fn check_queries(range: impl Iterator<Item = usize>) {
         let (optimized, report) = optimizer::optimize(&naive, &sys.data.catalog);
         let hand = sys.plan(n);
         for config in Config::ALL {
-            let got = sys.run_plan(&optimized, &config.settings());
-            let want = sys.run_plan(&hand, &config.settings());
+            let got =
+                sys.query(&QueryRequest::plan(optimized.clone()).with_config(config)).unwrap();
+            let want = sys.query(&QueryRequest::plan(hand.clone()).with_config(config)).unwrap();
             assert!(
                 got.result.approx_eq(&want.result, EPS),
                 "Q{n} under {config:?}: optimized plan diverges from hand-built: {}\n{}",
@@ -135,10 +137,10 @@ fn individual_passes_invariant_on_hand_plans() {
     ];
     for n in 1..=22 {
         let hand = sys.plan(n);
-        let reference = sys.run_plan(&hand, &Config::OptC.settings());
+        let reference = sys.query(&QueryRequest::plan(hand.clone())).unwrap();
         for p in passes {
             let (opt, _) = optimizer::rewrite(&hand, &sys.data.catalog, p);
-            let got = sys.run_plan(&opt, &Config::OptC.settings());
+            let got = sys.query(&QueryRequest::plan(opt.clone())).unwrap();
             assert!(
                 got.result.approx_eq(&reference.result, EPS),
                 "Q{n} under {p:?}: {}",
@@ -148,14 +150,14 @@ fn individual_passes_invariant_on_hand_plans() {
     }
 }
 
-/// `run_sql` rides the optimizer (honoring `LEGOBASE_OPTIMIZE`) and fills
-/// the report's actual row count; `explain_sql` renders the plan.
+/// A SQL request rides the optimizer (honoring `LEGOBASE_OPTIMIZE`) and
+/// fills the report's actual row count; an explain request renders the plan.
 #[test]
 fn facade_reports_and_explains() {
     let sys = system();
-    let optimize_off =
-        std::env::var("LEGOBASE_OPTIMIZE").is_ok_and(|v| matches!(v.trim(), "0" | "false" | "off"));
-    let out = sys.run_sql(legobase::sql::tpch_sql(5), Config::OptC).expect("embedded Q5 runs");
+    let optimize_off = sys.env().optimize_off;
+    let q5 = QueryRequest::sql(legobase::sql::tpch_sql(5));
+    let out = sys.query(&q5).expect("embedded Q5 runs");
     match &out.opt {
         Some(report) => {
             assert!(!optimize_off, "report must be absent when the env override disables");
@@ -163,25 +165,27 @@ fn facade_reports_and_explains() {
             assert!(report.reordered(), "{}", report.summary());
             assert!(report.summary().contains("estimated rows"));
         }
-        None => assert!(optimize_off, "run_sql must attach the OptReport by default"),
+        None => assert!(optimize_off, "a SQL request attaches the OptReport by default"),
     }
 
-    let explanation = sys.explain_sql(legobase::sql::tpch_sql(5), Config::OptC).expect("explains");
-    assert!(explanation.sql.contains("SELECT"), "{}", explanation.sql);
+    let explained = sys.query(&q5.with_explain(true)).expect("explains");
+    let sql = explained.explanation.expect("explain responses carry the rendering");
+    assert!(sql.contains("SELECT"), "{sql}");
     if !optimize_off {
-        let report = explanation.report.expect("report present");
+        let report = explained.opt.expect("report present");
         assert!(report.root().naive_order.len() == 6, "{}", report.summary());
         // The explained plan is executable and equivalent to the hand plan.
-        let got = sys.run_plan(&explanation.plan, &Config::OptC.settings());
-        let want = sys.run_plan(&sys.plan(5), &Config::OptC.settings());
+        let plan = explained.plan.expect("explain responses carry the plan");
+        let got = sys.query(&QueryRequest::plan(plan)).unwrap();
+        let want = sys.query(&QueryRequest::plan(sys.plan(5))).unwrap();
         assert!(got.result.approx_eq(&want.result, EPS));
     }
 
-    let err = match sys.explain_sql("SELECT * FROM nowhere", Config::OptC) {
-        Err(e) => e,
+    match sys.query(&QueryRequest::sql("SELECT * FROM nowhere").with_explain(true)) {
+        Err(QueryError::Sql(e)) => assert!(e.message.contains("nowhere"), "{e}"),
+        Err(e) => panic!("unknown table must be a frontend error, got {e}"),
         Ok(_) => panic!("unknown table must be a frontend error"),
-    };
-    assert!(err.message.contains("nowhere"), "{err}");
+    }
 }
 
 /// The adaptive-estimation loop: a mis-estimated query run twice through
@@ -192,21 +196,19 @@ fn facade_reports_and_explains() {
 /// results identical either way — feedback only ever touches estimates.
 #[test]
 fn feedback_loop_sharpens_repeated_queries() {
-    let optimize_off =
-        std::env::var("LEGOBASE_OPTIMIZE").is_ok_and(|v| matches!(v.trim(), "0" | "false" | "off"));
-    if optimize_off {
+    let env = legobase::EnvOverrides::from_env();
+    if env.optimize_off {
         return; // no OptReport to correct
     }
-    let feedback_off =
-        std::env::var("LEGOBASE_FEEDBACK").is_ok_and(|v| matches!(v.trim(), "0" | "false" | "off"));
+    let feedback_off = env.feedback_off;
     let service =
         LegoBase::generate(SCALE).serve_with(legobase::ServeOptions::default().with_workers(1));
     let session = service.session();
     // Q18's one-group result is badly over-estimated cold (the committed
     // bound in tests/estimation_error.rs documents by how much).
     let sql = legobase::sql::tpch_sql(18);
-    let first = session.run_sql(sql, Config::OptC).expect("Q18");
-    let second = session.run_sql(sql, Config::OptC).expect("Q18 repeated");
+    let first = session.query(&QueryRequest::sql(sql)).expect("Q18");
+    let second = session.query(&QueryRequest::sql(sql)).expect("Q18 repeated");
     assert!(first.result.rows() == second.result.rows(), "feedback must never change results");
     let (a, b) = (first.opt.expect("first report"), second.opt.expect("second report"));
     let actual = (first.result.len() as f64).max(1.0);
@@ -340,8 +342,8 @@ proptest! {
             _ => Passes::all(),
         };
         let (rewritten, _) = optimizer::rewrite(&q, &sys.data.catalog, passes);
-        let want = sys.run_plan(&q, &Config::OptC.settings());
-        let got = sys.run_plan(&rewritten, &Config::OptC.settings());
+        let want = sys.query(&QueryRequest::plan(q.clone())).unwrap();
+        let got = sys.query(&QueryRequest::plan(rewritten.clone())).unwrap();
         prop_assert!(
             got.result.approx_eq(&want.result, EPS),
             "passes {passes:?}: {}\nplan: {q:?}",
@@ -349,8 +351,8 @@ proptest! {
         );
         // And the rewrite is equally invariant under the interpreted
         // Volcano engine (same-engine comparison: original vs rewritten).
-        let dbx_orig = sys.run_plan(&q, &Config::Dbx.settings());
-        let dbx_rw = sys.run_plan(&rewritten, &Config::Dbx.settings());
+        let dbx_orig = sys.query(&QueryRequest::plan(q.clone()).with_config(Config::Dbx)).unwrap();
+        let dbx_rw = sys.query(&QueryRequest::plan(rewritten.clone()).with_config(Config::Dbx)).unwrap();
         prop_assert!(
             dbx_rw.result.approx_eq(&dbx_orig.result, EPS),
             "Dbx: {}",

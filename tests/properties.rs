@@ -9,7 +9,7 @@ use legobase::engine::expr::AggKind;
 use legobase::engine::plan::{AggSpec, JoinKind, Plan, QueryPlan, SortOrder};
 use legobase::engine::Expr;
 use legobase::storage::{Date, Value};
-use legobase::{Config, LegoBase};
+use legobase::{Config, LegoBase, QueryRequest};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -98,9 +98,9 @@ proptest! {
     fn random_aggregations_agree(pred in arb_lineitem_pred(), group in prop_oneof![Just(8usize), Just(9), Just(14)]) {
         let system = system();
         let q = query_for(pred, group, false);
-        let reference = system.run_plan(&q, &Config::Dbx.settings());
+        let reference = system.query(&QueryRequest::plan(q.clone()).with_config(Config::Dbx)).unwrap();
         for config in [Config::TpchC, Config::StrDictC, Config::OptC, Config::OptScala] {
-            let got = system.run_plan(&q, &config.settings());
+            let got = system.query(&QueryRequest::plan(q.clone()).with_config(config)).unwrap();
             prop_assert!(
                 got.result.approx_eq(&reference.result, 1e-6),
                 "{config:?}: {}",
@@ -115,9 +115,9 @@ proptest! {
     fn random_join_aggregations_agree(pred in arb_lineitem_pred()) {
         let system = system();
         let q = query_for(pred, 14, true);
-        let reference = system.run_plan(&q, &Config::Dbx.settings());
+        let reference = system.query(&QueryRequest::plan(q.clone()).with_config(Config::Dbx)).unwrap();
         for config in [Config::HyPerLike, Config::OptC] {
-            let got = system.run_plan(&q, &config.settings());
+            let got = system.query(&QueryRequest::plan(q.clone()).with_config(config)).unwrap();
             prop_assert!(
                 got.result.approx_eq(&reference.result, 1e-6),
                 "{config:?}: {}",

@@ -5,7 +5,7 @@
 //! mistranslated plan).
 
 use legobase::storage::Value;
-use legobase::{Config, LegoBase};
+use legobase::{LegoBase, QueryRequest};
 use std::sync::OnceLock;
 
 fn system() -> &'static LegoBase {
@@ -14,7 +14,7 @@ fn system() -> &'static LegoBase {
 }
 
 fn run(n: usize) -> legobase::ResultTable {
-    system().run(n, Config::OptC).result
+    system().query(&QueryRequest::plan(system().plan(n))).unwrap().result
 }
 
 #[test]

@@ -12,7 +12,7 @@
 use legobase::engine::expr::{AggKind, CmpOp, Expr};
 use legobase::engine::plan::{AggSpec, JoinKind, Plan, QueryPlan, SortOrder};
 use legobase::storage::{Date, Value};
-use legobase::{Config, LegoBase};
+use legobase::{Config, LegoBase, QueryRequest};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -229,7 +229,7 @@ proptest! {
     #[test]
     fn engines_agree_on_random_plans(q in arb_query()) {
         let sys = system();
-        let reference = sys.run_plan(&q, &Config::Dbx.settings()).result;
+        let reference = sys.query(&QueryRequest::plan(q.clone()).with_config(Config::Dbx)).unwrap().result;
         for cfg in [
             Config::NaiveC,
             Config::TpchC,
@@ -237,7 +237,7 @@ proptest! {
             Config::OptC,
             Config::OptScala,
         ] {
-            let got = sys.run_plan(&q, &cfg.settings()).result;
+            let got = sys.query(&QueryRequest::plan(q.clone()).with_config(cfg)).unwrap().result;
             prop_assert!(
                 got.approx_eq(&reference, 1e-6),
                 "{:?} disagrees with DBX on {:#?}: {:?}",
@@ -257,10 +257,10 @@ proptest! {
     fn parallel_degrees_agree_on_random_plans(q in arb_query()) {
         let sys = system();
         for base in [Config::OptC, Config::OptScala] {
-            let serial = sys.run_plan(&q, &base.settings()).result;
+            let serial = sys.query(&QueryRequest::plan(q.clone()).with_config(base)).unwrap().result;
             let mut by_degree = Vec::new();
             for degree in [2usize, 4] {
-                let got = sys.run_plan(&q, &base.settings().with_parallelism(degree)).result;
+                let got = sys.query(&QueryRequest::plan(q.clone()).with_settings(base.settings().with_parallelism(degree))).unwrap().result;
                 prop_assert!(
                     got.approx_eq(&serial, 1e-9),
                     "{:?} degree {} disagrees with serial on {:#?}: {:?}",

@@ -6,7 +6,7 @@
 
 use legobase::engine::plan::{Plan, QueryPlan};
 use legobase::sql::tpch_sql;
-use legobase::{Config, LegoBase, ServeOptions, ServiceError};
+use legobase::{Config, LegoBase, QueryError, QueryRequest, ServeOptions};
 
 const SCALE: f64 = 0.002;
 
@@ -15,19 +15,21 @@ const SCALE: f64 = 0.002;
 /// correctly, concurrently.
 #[test]
 fn over_budget_rejected_while_concurrent_queries_finish() {
-    let oracle = LegoBase::generate(SCALE).run_sql(tpch_sql(6), Config::OptC).expect("oracle Q6");
+    let oracle =
+        LegoBase::generate(SCALE).query(&QueryRequest::sql(tpch_sql(6))).expect("oracle Q6");
     let service = LegoBase::generate(SCALE).serve_with(ServeOptions::default().with_workers(2));
 
     std::thread::scope(|scope| {
         let svc = &service;
-        let ok = scope.spawn(move || svc.session().run_sql(tpch_sql(6), Config::OptC));
-        let rejected = scope
-            .spawn(move || svc.session().with_memory_budget(1).run_sql(tpch_sql(6), Config::OptC));
+        let ok = scope.spawn(move || svc.session().query(&QueryRequest::sql(tpch_sql(6))));
+        let rejected = scope.spawn(move || {
+            svc.session().with_memory_budget(1).query(&QueryRequest::sql(tpch_sql(6)))
+        });
 
         let out = ok.join().expect("no panic").expect("unbudgeted session must succeed");
         assert!(out.result.rows() == oracle.result.rows());
         match rejected.join().expect("no panic") {
-            Err(ServiceError::OverBudget { estimated_bytes, budget_bytes, query }) => {
+            Err(QueryError::OverBudget { estimated_bytes, budget_bytes, query }) => {
                 assert_eq!(budget_bytes, 1);
                 assert!(estimated_bytes > budget_bytes);
                 assert!(query.contains("lineitem"), "rejection names the query");
@@ -45,7 +47,7 @@ fn over_budget_rejected_while_concurrent_queries_finish() {
     let out = service
         .session()
         .with_memory_budget(1 << 32)
-        .run_sql(tpch_sql(6), Config::OptC)
+        .query(&QueryRequest::sql(tpch_sql(6)))
         .expect("generous budget");
     assert!(out.result.rows() == oracle.result.rows());
 }
@@ -57,13 +59,15 @@ fn over_budget_rejected_while_concurrent_queries_finish() {
 fn panicking_plan_is_typed_and_does_not_poison_the_pool() {
     let oracle_sys = LegoBase::generate(SCALE);
     let settings = Config::OptC.settings().with_parallelism(4);
-    let oracle = oracle_sys.run_sql_with_settings(tpch_sql(1), &settings).expect("oracle Q1");
+    let oracle = oracle_sys
+        .query(&QueryRequest::sql(tpch_sql(1)).with_settings(settings))
+        .expect("oracle Q1");
 
     let service = LegoBase::generate(SCALE).serve_with(ServeOptions::default().with_workers(2));
     let bogus = QueryPlan::new("bogus", Plan::scan("no_such_table"));
     for round in 0..3 {
-        match service.session().run_plan(&bogus, &Config::OptC.settings()) {
-            Err(ServiceError::QueryPanicked { query, message }) => {
+        match service.session().query(&QueryRequest::plan(bogus.clone())) {
+            Err(QueryError::QueryPanicked { query, message }) => {
                 assert_eq!(query, "bogus");
                 assert!(message.contains("no_such_table"), "round {round}: payload lost");
             }
@@ -73,7 +77,7 @@ fn panicking_plan_is_typed_and_does_not_poison_the_pool() {
         // The pool still serves degree-4 work, bit-identical as ever.
         let out = service
             .session()
-            .run_sql_with_settings(tpch_sql(1), &settings)
+            .query(&QueryRequest::sql(tpch_sql(1)).with_settings(settings))
             .unwrap_or_else(|e| panic!("round {round}: pool poisoned? {e}"));
         assert!(out.result.rows() == oracle.result.rows(), "round {round}");
     }
@@ -88,7 +92,9 @@ fn panicking_plan_is_typed_and_does_not_poison_the_pool() {
 fn concurrent_panics_and_healthy_queries_coexist() {
     let oracle_sys = LegoBase::generate(SCALE);
     let settings = Config::OptC.settings().with_parallelism(4);
-    let oracle = oracle_sys.run_sql_with_settings(tpch_sql(6), &settings).expect("oracle Q6");
+    let oracle = oracle_sys
+        .query(&QueryRequest::sql(tpch_sql(6)).with_settings(settings))
+        .expect("oracle Q6");
 
     let service = LegoBase::generate(SCALE).serve_with(ServeOptions::default().with_workers(2));
     std::thread::scope(|scope| {
@@ -97,8 +103,8 @@ fn concurrent_panics_and_healthy_queries_coexist() {
             scope.spawn(move || {
                 let bogus = QueryPlan::new("bogus", Plan::scan("no_such_table"));
                 for _ in 0..4 {
-                    let r = svc.session().run_plan(&bogus, &Config::OptC.settings());
-                    assert!(matches!(r, Err(ServiceError::QueryPanicked { .. })));
+                    let r = svc.session().query(&QueryRequest::plan(bogus.clone()));
+                    assert!(matches!(r, Err(QueryError::QueryPanicked { .. })));
                 }
             });
         }
@@ -108,7 +114,7 @@ fn concurrent_panics_and_healthy_queries_coexist() {
                 let session = svc.session();
                 for _ in 0..4 {
                     let out = session
-                        .run_sql_with_settings(tpch_sql(6), &settings)
+                        .query(&QueryRequest::sql(tpch_sql(6)).with_settings(settings))
                         .expect("healthy tenant");
                     assert!(out.result.rows() == oracle.result.rows());
                 }
@@ -124,7 +130,7 @@ fn concurrent_panics_and_healthy_queries_coexist() {
 /// (never error, never deadlock) and every query completes correctly.
 #[test]
 fn in_flight_ceiling_serializes_without_losing_queries() {
-    let oracle = LegoBase::generate(SCALE).run_sql(tpch_sql(6), Config::OptC).expect("oracle");
+    let oracle = LegoBase::generate(SCALE).query(&QueryRequest::sql(tpch_sql(6))).expect("oracle");
     let service = LegoBase::generate(SCALE)
         .serve_with(ServeOptions::default().with_workers(1).with_max_in_flight(1));
     std::thread::scope(|scope| {
@@ -132,7 +138,7 @@ fn in_flight_ceiling_serializes_without_losing_queries() {
             let svc = &service;
             let oracle = &oracle;
             scope.spawn(move || {
-                let out = svc.session().run_sql(tpch_sql(6), Config::OptC).expect("admitted");
+                let out = svc.session().query(&QueryRequest::sql(tpch_sql(6))).expect("admitted");
                 assert!(out.result.rows() == oracle.result.rows());
             });
         }
@@ -145,11 +151,11 @@ fn in_flight_ceiling_serializes_without_losing_queries() {
 #[test]
 fn shut_down_service_declines_new_queries() {
     let service = LegoBase::generate(SCALE).serve_with(ServeOptions::default().with_workers(1));
-    service.session().run_sql(tpch_sql(6), Config::OptC).expect("before shutdown");
+    service.session().query(&QueryRequest::sql(tpch_sql(6))).expect("before shutdown");
     service.shutdown();
     service.shutdown(); // idempotent
-    match service.session().run_sql(tpch_sql(6), Config::OptC) {
-        Err(ServiceError::ShuttingDown) => {}
+    match service.session().query(&QueryRequest::sql(tpch_sql(6))) {
+        Err(QueryError::ShuttingDown) => {}
         Ok(_) => panic!("shut-down service served a query"),
         Err(e) => panic!("expected ShuttingDown, got: {e}"),
     }

@@ -1,6 +1,6 @@
 //! The query service's headline guarantee: N client threads firing the
 //! whole TPC-H workload concurrently through one shared service get results
-//! **bit-identical** to the serial `run_sql` oracle — for every query, under
+//! **bit-identical** to the serial `LegoBase::query` oracle — for every query, under
 //! every named configuration of Table III, and at every morsel-parallelism
 //! degree (CI re-runs this suite under `LEGOBASE_PARALLELISM=4`, pushing all
 //! of the concurrent executions through the shared morsel pool).
@@ -12,7 +12,7 @@
 //! in the result (DESIGN.md §3d).
 
 use legobase::sql::tpch_sql;
-use legobase::{Config, LegoBase, ResultTable, ServeOptions};
+use legobase::{Config, LegoBase, QueryRequest, ResultTable, ServeOptions};
 
 const SCALE: f64 = 0.002;
 
@@ -29,7 +29,7 @@ fn all_configs_and_queries_bit_identical_under_concurrency() {
             (1..=22)
                 .map(|n| {
                     oracle_sys
-                        .run_sql(tpch_sql(n), *config)
+                        .query(&QueryRequest::sql(tpch_sql(n)).with_config(*config))
                         .unwrap_or_else(|e| panic!("oracle Q{n} {config:?}: {e}"))
                         .result
                 })
@@ -49,7 +49,7 @@ fn all_configs_and_queries_bit_identical_under_concurrency() {
                 for k in 0..22usize {
                     let n = 1 + (k + ci * 3) % 22;
                     let out = session
-                        .run_sql(tpch_sql(n), config)
+                        .query(&QueryRequest::sql(tpch_sql(n)).with_config(config))
                         .unwrap_or_else(|e| panic!("service Q{n} {config:?}: {e}"));
                     assert!(
                         out.result.rows() == oracle[ci][n - 1].rows(),
@@ -88,7 +88,12 @@ fn parallel_degree_4_clients_bit_identical_to_oracle() {
             let settings = config.settings().with_parallelism(4);
             queries
                 .iter()
-                .map(|&n| oracle_sys.run_sql_with_settings(tpch_sql(n), &settings).unwrap().result)
+                .map(|&n| {
+                    oracle_sys
+                        .query(&QueryRequest::sql(tpch_sql(n)).with_settings(settings))
+                        .unwrap()
+                        .result
+                })
                 .collect()
         })
         .collect();
@@ -103,7 +108,7 @@ fn parallel_degree_4_clients_bit_identical_to_oracle() {
                 let settings = config.settings().with_parallelism(4);
                 for (qi, &n) in queries.iter().enumerate() {
                     let out = session
-                        .run_sql_with_settings(tpch_sql(n), &settings)
+                        .query(&QueryRequest::sql(tpch_sql(n)).with_settings(settings))
                         .unwrap_or_else(|e| panic!("service Q{n} {config:?} deg 4: {e}"));
                     assert!(
                         out.result.rows() == oracle[ci][qi].rows(),

@@ -5,34 +5,32 @@
 //! invalidation on a catalog statistics refresh.
 
 use legobase::sql::tpch_sql;
-use legobase::{Config, LegoBase, ServeOptions, TpchData};
+use legobase::{Config, LegoBase, QueryRequest, ServeOptions, TpchData};
 
 const SCALE: f64 = 0.002;
 
 /// True when CI's `LEGOBASE_OPTIMIZE=0` leg forces the optimizer off — the
 /// plan cache then keys every text identically and no `OptReport` exists.
 fn optimizer_forced_off() -> bool {
-    std::env::var("LEGOBASE_OPTIMIZE")
-        .map(|v| matches!(v.trim(), "0" | "false" | "off"))
-        .unwrap_or(false)
+    legobase::EnvOverrides::from_env().optimize_off
 }
 
 /// First execution misses both caches, second hits both; results and
 /// optimizer reports are identical either way — and identical to the plain
-/// per-query `run_sql` oracle.
+/// per-query `LegoBase::query` oracle.
 #[test]
 fn hit_miss_counters_and_cached_equivalence() {
     let service = LegoBase::generate(SCALE).serve_with(ServeOptions::default().with_workers(1));
     let session = service.session();
     let sql = tpch_sql(6);
 
-    let first = session.run_sql(sql, Config::OptC).expect("Q6");
+    let first = session.query(&QueryRequest::sql(sql)).expect("Q6");
     assert!(!first.plan_cached && !first.prepared_cached);
     let s = service.stats();
     assert_eq!((s.plan_cache_misses, s.plan_cache_hits), (1, 0));
     assert_eq!((s.prepared_cache_misses, s.prepared_cache_hits), (1, 0));
 
-    let second = session.run_sql(sql, Config::OptC).expect("Q6 cached");
+    let second = session.query(&QueryRequest::sql(sql)).expect("Q6 cached");
     assert!(second.plan_cached && second.prepared_cached);
     let s = service.stats();
     assert_eq!((s.plan_cache_misses, s.plan_cache_hits), (1, 1));
@@ -46,7 +44,7 @@ fn hit_miss_counters_and_cached_equivalence() {
     }
 
     // The oracle agrees bit-for-bit, reports included.
-    let oracle = LegoBase::generate(SCALE).run_sql(sql, Config::OptC).expect("oracle Q6");
+    let oracle = LegoBase::generate(SCALE).query(&QueryRequest::sql(sql)).expect("oracle Q6");
     assert!(first.result.rows() == oracle.result.rows());
     if let (Some(a), Some(o)) = (&first.opt, &oracle.opt) {
         assert_eq!(a.summary(), o.summary(), "service OptReport differs from oracle");
@@ -63,12 +61,13 @@ fn key_canonicalization_and_key_structure() {
     let session = service.session();
     let sql = tpch_sql(6);
 
-    session.run_sql(sql, Config::OptC).expect("Q6");
+    session.query(&QueryRequest::sql(sql)).expect("Q6");
     let reformatted = format!("  -- reformatted copy\n{sql}\n  -- trailing comment");
-    let out = session.run_sql(&reformatted, Config::OptC).expect("Q6 reformatted");
+    let out = session.query(&QueryRequest::sql(&reformatted)).expect("Q6 reformatted");
     assert!(out.plan_cached && out.prepared_cached, "reformatting must not miss");
 
-    let other_config = session.run_sql(sql, Config::OptScala).expect("Q6 OptScala");
+    let other_config =
+        session.query(&QueryRequest::sql(sql).with_config(Config::OptScala)).expect("Q6 OptScala");
     assert!(other_config.plan_cached, "plan cache is settings-independent");
     assert!(!other_config.prepared_cached, "prepared cache is keyed on full settings");
     let s = service.stats();
@@ -85,8 +84,8 @@ fn stats_refresh_invalidates_cached_plans() {
     let session = service.session();
     let sql = tpch_sql(3);
 
-    let before = session.run_sql(sql, Config::OptC).expect("Q3");
-    assert!(session.run_sql(sql, Config::OptC).expect("Q3 cached").plan_cached);
+    let before = session.query(&QueryRequest::sql(sql)).expect("Q3");
+    assert!(session.query(&QueryRequest::sql(sql)).expect("Q3 cached").plan_cached);
 
     // Re-attach the same analytic statistics: semantically a no-op, but a
     // *refresh* — the version bump must invalidate, not the value change.
@@ -94,7 +93,7 @@ fn stats_refresh_invalidates_cached_plans() {
     let stats = fresh.catalog.stats("lineitem").cloned().expect("lineitem stats");
     service.update_stats("lineitem", stats);
 
-    let after = session.run_sql(sql, Config::OptC).expect("Q3 after refresh");
+    let after = session.query(&QueryRequest::sql(sql)).expect("Q3 after refresh");
     assert!(!after.plan_cached, "stale plan served after a statistics refresh");
     assert!(!after.prepared_cached, "stale prepared query served after a refresh");
     assert!(before.result.rows() == after.result.rows(), "refresh changed the result");
@@ -112,9 +111,9 @@ fn disabled_caches_still_serve_correctly() {
         .with_prepared_cache_capacity(0);
     let service = LegoBase::generate(SCALE).serve_with(options);
     let session = service.session();
-    let oracle = LegoBase::generate(SCALE).run_sql(tpch_sql(6), Config::OptC).expect("oracle");
+    let oracle = LegoBase::generate(SCALE).query(&QueryRequest::sql(tpch_sql(6))).expect("oracle");
     for _ in 0..2 {
-        let out = session.run_sql(tpch_sql(6), Config::OptC).expect("Q6 uncached");
+        let out = session.query(&QueryRequest::sql(tpch_sql(6))).expect("Q6 uncached");
         assert!(!out.plan_cached && !out.prepared_cached);
         assert!(out.result.rows() == oracle.result.rows());
     }

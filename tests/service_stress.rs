@@ -6,7 +6,7 @@
 use legobase::engine::expr::{AggKind, CmpOp, Expr};
 use legobase::engine::plan::{AggSpec, JoinKind, Plan, QueryPlan, SortOrder};
 use legobase::storage::Value;
-use legobase::{Config, LegoBase, QueryService, ServeOptions, ServiceError, Settings};
+use legobase::{Config, LegoBase, QueryError, QueryRequest, QueryService, ServeOptions, Settings};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -97,8 +97,8 @@ proptest! {
     fn concurrent_random_plans_match_serial(q in arb_plan(), threads in 2usize..6) {
         let serial = Config::OptC.settings();
         let parallel = serial.with_parallelism(4);
-        let oracle_serial = oracle_system().run_plan(&q, &serial).result;
-        let oracle_parallel = oracle_system().run_plan(&q, &parallel).result;
+        let oracle_serial = oracle_system().query(&QueryRequest::plan(q.clone()).with_settings(serial)).unwrap().result;
+        let oracle_parallel = oracle_system().query(&QueryRequest::plan(q.clone()).with_settings(parallel)).unwrap().result;
         let svc = service();
         std::thread::scope(|scope| {
             for t in 0..threads {
@@ -111,7 +111,7 @@ proptest! {
                 scope.spawn(move || {
                     let out = svc
                         .session()
-                        .run_plan(q, settings)
+                        .query(&QueryRequest::plan(q.clone()).with_settings(*settings))
                         .unwrap_or_else(|e| panic!("thread {t}: {e}"));
                     assert!(
                         out.result.rows() == oracle.rows(),
@@ -134,7 +134,7 @@ proptest! {
 #[test]
 fn shutdown_drains_in_flight_queries_across_restart_cycles() {
     let oracle = oracle_system()
-        .run_sql(legobase::sql::tpch_sql(6), Config::OptC)
+        .query(&QueryRequest::sql(legobase::sql::tpch_sql(6)))
         .expect("oracle Q6")
         .result;
     let mut system = LegoBase::generate(SCALE);
@@ -143,7 +143,7 @@ fn shutdown_drains_in_flight_queries_across_restart_cycles() {
         // Warm path proves the cycle's service works at all.
         let out = service
             .session()
-            .run_sql(legobase::sql::tpch_sql(6), Config::OptC)
+            .query(&QueryRequest::sql(legobase::sql::tpch_sql(6)))
             .unwrap_or_else(|e| panic!("cycle {cycle}: {e}"));
         assert!(out.result.rows() == oracle.rows(), "cycle {cycle}");
 
@@ -151,7 +151,7 @@ fn shutdown_drains_in_flight_queries_across_restart_cycles() {
             let svc = &service;
             let oracle = &oracle;
             let in_flight = scope
-                .spawn(move || svc.session().run_sql(legobase::sql::tpch_sql(6), Config::OptC));
+                .spawn(move || svc.session().query(&QueryRequest::sql(legobase::sql::tpch_sql(6))));
             // Let the client race into admission, then shut down under it.
             std::thread::sleep(std::time::Duration::from_millis(1));
             svc.shutdown();
@@ -162,15 +162,15 @@ fn shutdown_drains_in_flight_queries_across_restart_cycles() {
                         "cycle {cycle}: drained query returned a wrong result"
                     );
                 }
-                Err(ServiceError::ShuttingDown) => {} // lost the admission race
+                Err(QueryError::ShuttingDown) => {} // lost the admission race
                 Err(e) => panic!("cycle {cycle}: expected a drained result, got: {e}"),
             }
         });
 
         // Post-shutdown: typed decline, never a hang.
         assert!(matches!(
-            service.session().run_sql(legobase::sql::tpch_sql(6), Config::OptC),
-            Err(ServiceError::ShuttingDown)
+            service.session().query(&QueryRequest::sql(legobase::sql::tpch_sql(6))),
+            Err(QueryError::ShuttingDown)
         ));
         system = service.into_system();
     }

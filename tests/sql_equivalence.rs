@@ -7,7 +7,7 @@
 //! uses to run this same suite through the morsel-parallel code paths.
 
 use legobase::sql::{plan_named, tpch_sql};
-use legobase::{Config, LegoBase};
+use legobase::{Config, LegoBase, QueryError, QueryRequest};
 
 const SCALE: f64 = 0.002;
 const EPS: f64 = 1e-6;
@@ -20,8 +20,10 @@ fn check_sql_queries(range: impl Iterator<Item = usize>) {
             .unwrap_or_else(|e| panic!("Q{n} failed to lower:\n{}", e.render(sql)));
         let hand = system.plan(n);
         for config in Config::ALL {
-            let from_sql = system.run_plan(&parsed, &config.settings());
-            let from_hand = system.run_plan(&hand, &config.settings());
+            let from_sql =
+                system.query(&QueryRequest::plan(parsed.clone()).with_config(config)).unwrap();
+            let from_hand =
+                system.query(&QueryRequest::plan(hand.clone()).with_config(config)).unwrap();
             assert!(
                 from_sql.result.approx_eq(&from_hand.result, EPS),
                 "Q{n} under {config:?}: SQL plan diverges from the hand-built plan: {}",
@@ -65,8 +67,14 @@ fn sql_plans_encoded_match_plain() {
         let parsed = plan_named(sql, &format!("Q{n}"), &system.data.catalog)
             .unwrap_or_else(|e| panic!("Q{n} failed to lower:\n{}", e.render(sql)));
         for settings in [optimized, optimized.with_parallelism(4)] {
-            let on = system.run_plan(&parsed, &settings);
-            let off = system.run_plan(&parsed, &settings.with(|s| s.encoding = false));
+            let on =
+                system.query(&QueryRequest::plan(parsed.clone()).with_settings(settings)).unwrap();
+            let off = system
+                .query(
+                    &QueryRequest::plan(parsed.clone())
+                        .with_settings(settings.with(|s| s.encoding = false)),
+                )
+                .unwrap();
             assert_eq!(
                 on.result.sorted_rows(),
                 off.result.sorted_rows(),
@@ -87,9 +95,9 @@ fn selective_queries_match_at_larger_scale() {
         let sql = tpch_sql(n);
         let parsed = plan_named(sql, &format!("Q{n}"), &system.data.catalog)
             .unwrap_or_else(|e| panic!("Q{n} failed to lower:\n{}", e.render(sql)));
-        let reference = system.run_plan(&system.plan(n), &Config::OptC.settings());
+        let reference = system.query(&QueryRequest::plan(system.plan(n))).unwrap();
         assert!(!reference.result.is_empty(), "Q{n} still empty at SF 0.02");
-        let got = system.run_plan(&parsed, &Config::OptC.settings());
+        let got = system.query(&QueryRequest::plan(parsed.clone())).unwrap();
         assert!(
             got.result.approx_eq(&reference.result, EPS),
             "Q{n}: {}",
@@ -98,24 +106,20 @@ fn selective_queries_match_at_larger_scale() {
     }
 }
 
-/// The facade entry point parses, runs, and reports spanned errors instead
-/// of panicking.
+/// A SQL request on the facade parses, runs, and reports spanned errors
+/// instead of panicking.
 #[test]
-fn run_sql_facade() {
+fn sql_requests_on_the_facade() {
     let system = LegoBase::generate(0.002);
-    let out = system
-        .run_sql(
-            "SELECT l_returnflag, count(*) AS n FROM lineitem \
-             GROUP BY l_returnflag ORDER BY l_returnflag",
-            Config::OptC,
-        )
-        .expect("valid SQL runs");
+    let sql = "SELECT l_returnflag, count(*) AS n FROM lineitem \
+               GROUP BY l_returnflag ORDER BY l_returnflag";
+    let out = system.query(&QueryRequest::sql(sql)).expect("valid SQL runs");
     assert!(!out.result.is_empty());
     assert_eq!(out.result.rows()[0].len(), 2);
 
-    let err = match system.run_sql("SELECT * FROM no_such_table", Config::OptC) {
-        Err(e) => e,
+    match system.query(&QueryRequest::sql("SELECT * FROM no_such_table")) {
+        Err(QueryError::Sql(e)) => assert!(e.message.contains("no_such_table"), "{e}"),
+        Err(e) => panic!("unknown table must be a frontend error, got {e}"),
         Ok(_) => panic!("unknown table must be a frontend error"),
-    };
-    assert!(err.message.contains("no_such_table"), "{err}");
+    }
 }

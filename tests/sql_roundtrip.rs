@@ -16,7 +16,7 @@ use legobase::engine::expr::{AggKind, CmpOp, Expr};
 use legobase::engine::plan::{AggSpec, JoinKind, Plan, QueryPlan, SortOrder};
 use legobase::sql::{plan_named, plan_to_sql};
 use legobase::storage::{Date, Value};
-use legobase::{Config, LegoBase};
+use legobase::{Config, LegoBase, QueryRequest};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -30,8 +30,9 @@ fn roundtrip_matches(q: &QueryPlan, config: Config) -> Result<(), String> {
     let sql = plan_to_sql(q, &sys.data.catalog);
     let parsed = plan_named(&sql, &q.name, &sys.data.catalog)
         .map_err(|e| format!("printed SQL failed to parse:\n{}\n{}", sql, e.render(&sql)))?;
-    let original = sys.run_plan(q, &config.settings()).result;
-    let reparsed = sys.run_plan(&parsed, &config.settings()).result;
+    let original = sys.query(&QueryRequest::plan(q.clone()).with_config(config)).unwrap().result;
+    let reparsed =
+        sys.query(&QueryRequest::plan(parsed.clone()).with_config(config)).unwrap().result;
     if reparsed.approx_eq(&original, 1e-6) {
         Ok(())
     } else {

@@ -6,7 +6,7 @@
 //! that each optimization is semantics-preserving end to end
 //! (compilation → specialization → loading → execution).
 
-use legobase::{Config, LegoBase};
+use legobase::{Config, LegoBase, QueryRequest, Settings};
 
 const SCALE: f64 = 0.002;
 const EPS: f64 = 1e-6;
@@ -14,7 +14,8 @@ const EPS: f64 = 1e-6;
 fn check_queries(range: impl Iterator<Item = usize>) {
     let system = LegoBase::generate(SCALE);
     for n in range {
-        let reference = system.run(n, Config::Dbx);
+        let reference =
+            system.query(&QueryRequest::plan(system.plan(n)).with_config(Config::Dbx)).unwrap();
         // Highly selective queries (exact part-type matches, >300-quantity
         // orders, …) can legitimately return nothing at tiny scale factors.
         let may_be_empty = matches!(n, 2 | 8 | 16 | 17 | 18 | 19 | 20 | 21);
@@ -26,7 +27,8 @@ fn check_queries(range: impl Iterator<Item = usize>) {
             if config == Config::Dbx {
                 continue;
             }
-            let got = system.run(n, config);
+            let got =
+                system.query(&QueryRequest::plan(system.plan(n)).with_config(config)).unwrap();
             assert!(
                 got.result.approx_eq(&reference.result, EPS),
                 "Q{n} under {config:?} diverges from the Volcano reference: {}",
@@ -63,8 +65,9 @@ fn q6_agrees_across_seeds() {
     for seed in [1u64, 99, 424242] {
         let data = legobase::tpch::TpchGenerator { scale_factor: SCALE, seed }.generate();
         let system = LegoBase::from_data(data);
-        let a = system.run(6, Config::Dbx);
-        let b = system.run(6, Config::OptC);
+        let a = system.query(&QueryRequest::plan(system.plan(6)).with_config(Config::Dbx)).unwrap();
+        let b =
+            system.query(&QueryRequest::plan(system.plan(6)).with_config(Config::OptC)).unwrap();
         assert!(
             b.result.approx_eq(&a.result, EPS),
             "seed {seed}: {}",
@@ -89,25 +92,28 @@ fn check_parallel(range: impl Iterator<Item = usize>) {
     // below would itself be overridden, so the serial-vs-parallel leg is
     // skipped there (the override leg's purpose is running the *whole*
     // suite parallel-enabled; the tight comparison runs in the default leg).
-    // Mirror requested_settings' semantics exactly: only a parseable degree
-    // > 1 actually overrides — an empty or invalid value (e.g. the metrics
-    // CI job's empty matrix cell) leaves the baseline serial and checkable.
-    let env_override = std::env::var("LEGOBASE_PARALLELISM")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .is_some_and(|n| n > 1);
+    // Only a parseable degree > 1 actually overrides — an empty or invalid
+    // value (e.g. the metrics CI job's empty matrix cell) leaves the
+    // baseline serial and checkable.
+    let env_override = system.env().parallelism.is_some_and(|n| n > 1);
     for n in range {
-        let serial =
-            (!env_override).then(|| system.run_with_settings(n, &legobase::Settings::optimized()));
-        if let Some(serial) = &serial {
-            assert_eq!(serial.compilation.spec.parallelism, 1, "Q{n}: serial run must stay serial");
+        // The result and the specialization report at a requested degree.
+        let at_degree = |degree: usize| {
+            let settings = Settings::optimized().with_parallelism(degree);
+            let out = system
+                .query(&QueryRequest::plan(system.plan(n)).with_settings(settings))
+                .expect("plan runs");
+            (out.result, out.detail.expect("facade detail").compilation.spec)
+        };
+        let serial = (!env_override).then(|| at_degree(1));
+        if let Some((_, spec)) = &serial {
+            assert_eq!(spec.parallelism, 1, "Q{n}: serial run must stay serial");
         }
         let mut parallel_results = Vec::new();
         for degree in [2usize, 4] {
-            let settings = legobase::Settings::optimized().with_parallelism(degree);
-            let got = system.run_with_settings(n, &settings);
+            let (got, spec) = at_degree(degree);
             assert_eq!(
-                got.compilation.spec.parallelism, degree,
+                spec.parallelism, degree,
                 "Q{n}: specialization report must record the chosen degree"
             );
             // Join-heavy ORDER BY queries must have their joins and sorts
@@ -116,25 +122,25 @@ fn check_parallel(range: impl Iterator<Item = usize>) {
             // the merge sort, not just the scan pipelines.
             if matches!(n, 3 | 5 | 10) {
                 assert!(
-                    got.compilation.spec.parallel_joins > 0,
+                    spec.parallel_joins > 0,
                     "Q{n}: joins must be cleared for parallel execution"
                 );
                 assert!(
-                    got.compilation.spec.parallel_sorts > 0,
+                    spec.parallel_sorts > 0,
                     "Q{n}: the ORDER BY must be cleared for parallel execution"
                 );
             }
             if n == 6 {
-                assert_eq!(got.compilation.spec.parallel_joins, 0, "Q6 has no join");
+                assert_eq!(spec.parallel_joins, 0, "Q6 has no join");
             }
-            if let Some(serial) = &serial {
+            if let Some((serial, _)) = &serial {
                 assert!(
-                    got.result.approx_eq(&serial.result, 1e-9),
+                    got.approx_eq(serial, 1e-9),
                     "Q{n} at degree {degree} diverges from serial: {}",
-                    got.result.diff(&serial.result, 1e-9).unwrap_or_default()
+                    got.diff(serial, 1e-9).unwrap_or_default()
                 );
             }
-            parallel_results.push(got.result);
+            parallel_results.push(got);
         }
         for other in &parallel_results[1..] {
             assert_eq!(
@@ -173,20 +179,25 @@ fn check_encoded(range: impl Iterator<Item = usize>) {
     // themselves forced plain, so the non-vacuousness assertion (Opt/C must
     // clear ≥ 1 column) cannot hold there; the on≡off comparisons still run
     // (trivially, plain vs plain — the default leg proves the real thing).
-    // Mirror requested_settings' semantics: only "0"/"false"/"off" disables.
-    let env_override =
-        std::env::var("LEGOBASE_ENCODING").is_ok_and(|v| matches!(v.trim(), "0" | "false" | "off"));
+    let env_override = system.env().encoding_off;
     for n in range {
+        // The result and the columns the compiler cleared for encoding.
+        let under = |settings: Settings| {
+            let out = system
+                .query(&QueryRequest::plan(system.plan(n)).with_settings(settings))
+                .expect("plan runs");
+            (out.result, out.detail.expect("facade detail").compilation.spec.encoded_columns)
+        };
         for config in Config::ALL {
-            let on = system.run_with_settings(n, &config.settings());
-            let off = system.run_with_settings(n, &config.settings().with(|s| s.encoding = false));
+            let (on, _) = under(config.settings());
+            let (off, off_encoded) = under(config.settings().with(|s| s.encoding = false));
             assert!(
-                on.result.0.rows == off.result.0.rows,
+                on.0.rows == off.0.rows,
                 "Q{n} under {config:?}: encoded result differs from plain: {}",
-                on.result.diff(&off.result, 0.0).unwrap_or_default()
+                on.diff(&off, 0.0).unwrap_or_default()
             );
             assert!(
-                off.compilation.spec.encoded_columns.is_empty(),
+                off_encoded.is_empty(),
                 "Q{n} under {config:?}: the ablation must clear nothing for encoding"
             );
         }
@@ -194,18 +205,15 @@ fn check_encoded(range: impl Iterator<Item = usize>) {
         // column, so the fully specialized configuration always encodes
         // something — the on-leg above genuinely ran on packed columns.
         if !env_override {
-            let opt = system.run_with_settings(n, &Config::OptC.settings());
-            assert!(
-                !opt.compilation.spec.encoded_columns.is_empty(),
-                "Q{n}: Opt/C cleared no columns for encoding"
-            );
+            let (_, encoded) = under(Config::OptC.settings());
+            assert!(!encoded.is_empty(), "Q{n}: Opt/C cleared no columns for encoding");
         }
-        let par4 = legobase::Settings::optimized().with_parallelism(4);
-        let on4 = system.run_with_settings(n, &par4);
-        let off4 = system.run_with_settings(n, &par4.with(|s| s.encoding = false));
+        let par4 = Settings::optimized().with_parallelism(4);
+        let (on4, _) = under(par4);
+        let (off4, _) = under(par4.with(|s| s.encoding = false));
         assert_eq!(
-            on4.result.sorted_rows(),
-            off4.result.sorted_rows(),
+            on4.sorted_rows(),
+            off4.sorted_rows(),
             "Q{n}: encoded and plain runs diverge at parallelism 4"
         );
     }
@@ -237,10 +245,12 @@ fn q18_to_q22_encoded_matches_plain() {
 fn selective_queries_nonempty_at_larger_scale() {
     let system = LegoBase::generate(0.02);
     for n in [8usize, 17, 18, 19] {
-        let reference = system.run(n, Config::Dbx);
+        let reference =
+            system.query(&QueryRequest::plan(system.plan(n)).with_config(Config::Dbx)).unwrap();
         assert!(!reference.result.is_empty(), "Q{n} still empty at SF 0.02");
         for config in [Config::TpchC, Config::OptC] {
-            let got = system.run(n, config);
+            let got =
+                system.query(&QueryRequest::plan(system.plan(n)).with_config(config)).unwrap();
             assert!(
                 got.result.approx_eq(&reference.result, EPS),
                 "Q{n} under {config:?}: {}",

@@ -1,99 +1,103 @@
-//! The unified request API (PR 9's api_redesign): one `QueryRequest` in,
-//! one `QueryResponse`/`QueryError` out, on every surface — and the four
-//! legacy entry points reduced to thin wrappers that must stay
-//! behavior-identical. Also pins the lossless error mapping: converting
-//! between `ServiceError` and `QueryError` never collapses a variant to a
-//! string and never drops a field (spans included).
+//! One front door: a `QueryRequest` in, a `QueryResponse` / `QueryError`
+//! out, on every surface. The facade, a service session and a loopback TCP
+//! client run the same request stages (`crates/core/src/request.rs`), so
+//! the same request must get the same answer from each — the test that
+//! fails if the stages ever fork again.
 
+use legobase::client::{Client, ClientError};
+use legobase::engine::plan::{Plan, QueryPlan};
 use legobase::sql::tpch_sql;
-use legobase::sql::{Span, SqlError};
-use legobase::{
-    wire, Config, LegoBase, QueryError, QueryRequest, ServeOptions, ServiceError, Settings,
-};
+use legobase::{wire, LegoBase, QueryError, QueryRequest, QueryResponse, ServeOptions};
 use std::time::Duration;
 
 const SCALE: f64 = 0.002;
 
-/// `run_sql` / `run_sql_with_settings` / `run_plan` are wrappers over
-/// `query()`: same bytes, same metadata, for a sample of queries.
-#[test]
-fn legacy_facade_wrappers_match_the_unified_path() {
-    let sys = LegoBase::generate(SCALE);
-    for n in [1usize, 6, 19] {
-        let legacy = sys.run_sql(tpch_sql(n), Config::OptC).expect("legacy run_sql");
-        let unified = sys
-            .query(&QueryRequest::sql(tpch_sql(n)).with_config(Config::OptC))
-            .expect("unified query");
-        assert_eq!(
-            wire::encode_batch(unified.result.rows()),
-            wire::encode_batch(legacy.result.rows()),
-            "Q{n}: wrapper and unified path disagree"
-        );
-        assert_eq!(
-            unified.opt.is_some(),
-            legacy.opt.is_some(),
-            "Q{n}: optimizer report presence must match"
-        );
-        let detail = unified.detail.expect("facade responses carry run detail");
-        assert!(detail.memory_bytes > 0 && !detail.compilation.c_source.is_empty());
-
-        let plan = sys.plan(n);
-        let legacy = sys.run_plan(&plan, &Settings::optimized());
-        let unified = sys
-            .query(&QueryRequest::plan(plan).with_settings(Settings::optimized()))
-            .expect("plan requests cannot fail without budget or deadline");
-        assert_eq!(
-            wire::encode_batch(unified.result.rows()),
-            wire::encode_batch(legacy.result.rows()),
-            "Q{n}: plan wrapper and unified path disagree"
-        );
-        assert!(unified.opt.is_none(), "hand plans never carry an optimizer report");
+/// Everything of an answer that must not depend on the surface: result
+/// bytes, schema and explanation, or the error's variant with every field
+/// but `elapsed`.
+fn answer(outcome: Result<QueryResponse, QueryError>) -> String {
+    match outcome {
+        Ok(r) => format!(
+            "ok: {:?} rows {:?} explanation {:?}",
+            r.result.0.schema,
+            wire::encode_batch(r.result.rows()),
+            r.explanation
+        ),
+        Err(QueryError::DeadlineExceeded { query, deadline, elapsed: _ }) => {
+            format!("deadline of {deadline:?} exceeded by `{query}`")
+        }
+        Err(QueryError::Sql(e)) => format!("sql: {} at {:?}", e.message, e.span),
+        Err(e @ (QueryError::OverBudget { .. } | QueryError::QueryPanicked { .. })) => {
+            format!("{e:?}")
+        }
+        Err(QueryError::ShuttingDown) => "shutting down".to_string(),
     }
 }
 
-/// `explain_sql` is a wrapper over `query(..).with_explain(true)`.
+/// The same six requests — SQL, a hand-built plan, explain, over budget, an
+/// expired deadline, a misspelt table — through all three surfaces.
 #[test]
-fn explain_wrapper_matches_the_unified_path() {
-    let sys = LegoBase::generate(SCALE);
-    let legacy = sys.explain_sql(tpch_sql(6), Config::OptC).expect("legacy explain");
-    let unified = sys
-        .query(&QueryRequest::sql(tpch_sql(6)).with_config(Config::OptC).with_explain(true))
-        .expect("unified explain");
-    assert_eq!(Some(legacy.sql), unified.explanation);
-    assert_eq!(legacy.report.is_some(), unified.opt.is_some());
-    assert!(unified.result.rows().is_empty(), "explain executes nothing");
-    assert!(unified.plan.is_some(), "in-process explain carries the plan");
-}
-
-/// Session legacy wrappers ride the same unified implementation: identical
-/// bytes and identical typed errors.
-#[test]
-fn legacy_session_wrappers_match_the_unified_path() {
+fn surfaces_agree() {
+    let facade = LegoBase::generate(SCALE);
     let service = LegoBase::generate(SCALE).serve_with(ServeOptions::default().with_workers(2));
     let session = service.session();
-    let legacy = session.run_sql(tpch_sql(6), Config::OptC).expect("legacy session run_sql");
-    let unified = session
-        .query(&QueryRequest::sql(tpch_sql(6)).with_config(Config::OptC))
-        .expect("unified session query");
-    assert_eq!(wire::encode_batch(unified.result.rows()), wire::encode_batch(legacy.result.rows()));
-    // The wrapper's second run hits the caches populated by the unified
-    // call — one shared implementation, one shared cache path.
-    let again = session.run_sql(tpch_sql(6), Config::OptC).unwrap();
-    assert!(again.plan_cached && again.prepared_cached);
+    let server = LegoBase::generate(SCALE)
+        .serve_tcp("127.0.0.1:0", ServeOptions::default().with_workers(2))
+        .expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
 
-    // Typed errors: the legacy surface reports the ServiceError twin of
-    // the unified QueryError, span intact.
-    let bad = "SELECT count(*) AS n FROM lineitm";
-    let legacy_err = match session.run_sql(bad, Config::OptC) {
-        Err(ServiceError::Sql(e)) => e,
-        other => panic!("expected SQL error, got {:?}", other.map(|_| "ok")),
-    };
-    let unified_err = match session.query(&QueryRequest::sql(bad)) {
-        Err(QueryError::Sql(e)) => e,
-        other => panic!("expected SQL error, got {:?}", other.map(|_| "ok")),
-    };
-    assert_eq!(legacy_err.message, unified_err.message);
-    assert_eq!(legacy_err.span, unified_err.span);
+    let misspelt = "SELECT count(*) AS n FROM lineitme";
+    let hand_plan = QueryRequest::plan(facade.plan(6));
+    let requests = [
+        ("sql", QueryRequest::sql(tpch_sql(6))),
+        // Plans cross the wire as their SQL rendering, so that is the
+        // request all three surfaces are compared on.
+        ("hand plan", hand_plan.clone().rendered(&facade.data.catalog)),
+        ("explain", QueryRequest::sql(tpch_sql(5)).with_explain(true)),
+        ("over budget", QueryRequest::sql(tpch_sql(1)).with_memory_budget(16)),
+        ("expired", QueryRequest::sql(tpch_sql(1)).with_deadline(Duration::from_nanos(1))),
+        ("misspelt table", QueryRequest::sql(misspelt)),
+    ];
+    for (what, request) in &requests {
+        let want = answer(facade.query(request));
+        assert_eq!(answer(session.query(request)), want, "{what}: session diverges");
+        let over_wire = client.run(request).map_err(|e| match e {
+            ClientError::Query(e) => e,
+            ClientError::Wire(e) => panic!("{what}: the conversation broke: {e}"),
+        });
+        assert_eq!(answer(over_wire), want, "{what}: wire diverges");
+        let kind = match *what {
+            "sql" | "hand plan" | "explain" => "ok: ",
+            "over budget" => "OverBudget",
+            "expired" => "deadline of 1ns",
+            _ => "sql: ",
+        };
+        assert!(want.starts_with(kind), "{what}: {want}");
+    }
+    // The span of the misspelt name survives every surface.
+    match facade.query(&requests[5].1) {
+        Err(QueryError::Sql(e)) => assert_eq!(&misspelt[e.span.start..e.span.end], "lineitme"),
+        _ => panic!("a misspelt table is a spanned SQL error"),
+    }
+    // In process the plan itself is a request too: never rewritten, never
+    // cached, and the same rows as its rendering.
+    let plan_answer = answer(facade.query(&hand_plan));
+    assert_eq!(answer(session.query(&hand_plan)), plan_answer);
+    assert_eq!(plan_answer, answer(facade.query(&requests[1].1)));
+    server.shutdown();
+    service.shutdown();
+}
+
+/// The one documented difference between the in-process surfaces: the
+/// facade lets a kernel panic propagate, a session types it.
+#[test]
+fn kernel_panics_propagate_from_the_facade_and_are_typed_by_a_session() {
+    let bogus = QueryRequest::plan(QueryPlan::new("bogus", Plan::scan("no_such_table")));
+    let facade = LegoBase::generate(SCALE);
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| facade.query(&bogus)));
+    assert!(unwound.is_err(), "the facade must not swallow a kernel panic");
+    let service = facade.serve_with(ServeOptions::default().with_workers(1));
+    assert!(matches!(service.session().query(&bogus), Err(QueryError::QueryPanicked { .. })));
     service.shutdown();
 }
 
@@ -115,58 +119,6 @@ fn request_budget_overrides_session_budget() {
         .query(&QueryRequest::sql(tpch_sql(6)).with_memory_budget(usize::MAX))
         .expect("request budget overrides session budget");
     service.shutdown();
-}
-
-/// The lossless-conversion satellite: every `ServiceError` variant maps to
-/// its own `QueryError` variant and back with every field preserved — no
-/// variant is ever collapsed into a string, and the SQL span survives.
-#[test]
-fn error_conversions_are_lossless_in_both_directions() {
-    let cases: Vec<ServiceError> = vec![
-        ServiceError::Sql(SqlError {
-            message: "no table `lineitm`".into(),
-            span: Span { start: 26, end: 33 },
-        }),
-        ServiceError::OverBudget { estimated_bytes: 777, budget_bytes: 42, query: "q1".into() },
-        ServiceError::ShuttingDown,
-        ServiceError::QueryPanicked { query: "Q9".into(), message: "kernel boom".into() },
-        ServiceError::DeadlineExceeded {
-            query: "Q4".into(),
-            deadline: Duration::from_millis(3),
-            elapsed: Duration::from_millis(9),
-        },
-    ];
-    for original in cases {
-        let description = original.to_string();
-        let unified: QueryError = original.into();
-        // Forward: the variant is structural, not a stringification.
-        match &unified {
-            QueryError::Sql(e) => {
-                assert_eq!(e.message, "no table `lineitm`");
-                assert_eq!(e.span, Span { start: 26, end: 33 }, "span must survive conversion");
-            }
-            QueryError::OverBudget { estimated_bytes, budget_bytes, query } => {
-                assert_eq!((*estimated_bytes, *budget_bytes, query.as_str()), (777, 42, "q1"));
-            }
-            QueryError::ShuttingDown => {}
-            QueryError::QueryPanicked { query, message } => {
-                assert_eq!((query.as_str(), message.as_str()), ("Q9", "kernel boom"));
-            }
-            QueryError::DeadlineExceeded { query, deadline, elapsed } => {
-                assert_eq!(query, "Q4");
-                assert_eq!(*deadline, Duration::from_millis(3));
-                assert_eq!(*elapsed, Duration::from_millis(9));
-            }
-        }
-        // Round trip: back to ServiceError with the same rendering (the
-        // Display strings agree because the fields all survived).
-        let back: ServiceError = unified.into();
-        assert_eq!(back.to_string(), description);
-        assert!(
-            std::error::Error::source(&back).is_some() == matches!(back, ServiceError::Sql(_)),
-            "the SQL source chain survives the round trip"
-        );
-    }
 }
 
 /// Facade deadline semantics: expiry is typed, completion is byte-stable.

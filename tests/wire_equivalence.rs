@@ -35,7 +35,7 @@ fn all_queries_and_configs_bit_identical_over_loopback() {
                     for k in (offset..22).step_by(stride) {
                         let n = k + 1;
                         let expect = oracle
-                            .run_sql(tpch_sql(n), config)
+                            .query(&QueryRequest::sql(tpch_sql(n)).with_config(config))
                             .unwrap_or_else(|e| panic!("oracle Q{n} {config:?}: {e}"))
                             .result;
                         let got = client

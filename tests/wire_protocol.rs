@@ -222,3 +222,40 @@ fn graceful_shutdown_drains_then_refuses() {
     };
     assert!(refused, "a shut-down server must not admit new conversations");
 }
+
+/// The client is a boundary too: a response header is a wire integer, and a
+/// server announcing `u64::MAX` rows must get a typed `Corrupt` (announced
+/// vs delivered) out of `Client::run` — not a capacity-overflow abort
+/// before the first batch arrives.
+#[test]
+fn lying_row_count_is_a_typed_error_on_the_client() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap();
+    let fake_server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        wire::server_handshake(&mut stream).expect("handshake");
+        let (kind, _) = wire::read_frame(&mut stream).expect("request frame");
+        assert_eq!(kind, FrameKind::Request);
+        let header = wire::ResponseHeader {
+            schema: legobase::storage::Schema::of(&[("n", legobase::storage::Type::Int)]),
+            rows: u64::MAX,
+            exec_time: Duration::ZERO,
+            total_time: Duration::ZERO,
+            plan_cached: false,
+            prepared_cached: false,
+            explanation: None,
+        };
+        wire::write_frame(&mut stream, FrameKind::ResponseHeader, &wire::encode_header(&header))
+            .expect("header");
+        wire::write_frame(&mut stream, FrameKind::ResponseEnd, &[]).expect("end");
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    match client.run(&QueryRequest::sql("SELECT count(*) AS n FROM lineitem")) {
+        Err(ClientError::Wire(WireError::Corrupt(m))) => {
+            assert!(m.contains("announced") && m.contains("delivered 0"), "{m}")
+        }
+        Err(e) => panic!("expected a typed Corrupt, got {e}"),
+        Ok(_) => panic!("a header announcing rows that never arrive must not pass"),
+    }
+    fake_server.join().expect("fake server");
+}

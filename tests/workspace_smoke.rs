@@ -9,7 +9,7 @@
 //! equivalence suites even build.
 
 use legobase::engine::settings::EngineKind;
-use legobase::{Config, LegoBase};
+use legobase::{Config, LegoBase, QueryRequest};
 use legobase_tpch::gen::TpchData;
 
 #[test]
@@ -25,8 +25,9 @@ fn volcano_and_specialized_agree_on_generated_data() {
     assert_eq!(specialized.settings().engine, EngineKind::Specialized);
 
     for q in [1usize, 6] {
-        let baseline = system.run(q, volcano);
-        let optimized = system.run(q, specialized);
+        let plan = QueryRequest::plan(system.plan(q));
+        let baseline = system.query(&plan.clone().with_config(volcano)).unwrap();
+        let optimized = system.query(&plan.with_config(specialized)).unwrap();
         assert!(
             optimized.result.approx_eq(&baseline.result, 1e-6),
             "Q{q}: volcano and specialized engines disagree:\n--- volcano ---\n{}\n--- specialized ---\n{}",
@@ -34,7 +35,7 @@ fn volcano_and_specialized_agree_on_generated_data() {
             optimized.result.display(10),
         );
         assert!(
-            !optimized.compilation.c_source.is_empty(),
+            optimized.detail.is_some_and(|d| !d.compilation.c_source.is_empty()),
             "Q{q}: SC pipeline produced no C source"
         );
     }
