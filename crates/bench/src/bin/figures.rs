@@ -452,12 +452,32 @@ fn fig19(system: &LegoBase) {
     println!();
 }
 
+/// The paper's "input data size": what the data weighs as boxed row tuples
+/// — a `Vec` header per tuple, a `Value` per attribute, plus the string
+/// bytes — computed from the columns (the row form itself exists only for
+/// the relations a generic-engine query has scanned).
+fn row_form_bytes(data: &legobase::TpchData) -> usize {
+    use legobase::storage::{Column, Tuple, Value};
+    let relation = |name: &str| {
+        let arity = data.catalog.table(name).schema.len();
+        let strings: usize = (0..arity)
+            .map(|c| match data.plain_column(name, c) {
+                Column::Str(v) => v.iter().map(String::len).sum(),
+                _ => 0,
+            })
+            .sum();
+        let tuple = std::mem::size_of::<Tuple>() + arity * std::mem::size_of::<Value>();
+        data.rows(name) * tuple + strings
+    };
+    legobase::tpch::TABLES.into_iter().map(relation).sum()
+}
+
 /// Fig. 20: memory consumption of the specialized database per query — the
 /// bytes each query *references*; the structures live once in the system's
 /// store, whose resident total after all 22 is printed last.
 fn fig20(system: &LegoBase) {
     println!("\n== Figure 20: memory consumption of LegoBase(Opt/C) per query ==");
-    let raw = system.data.approx_bytes();
+    let raw = row_form_bytes(&system.data);
     println!("raw input data: {:.1} MB", raw as f64 / 1e6);
     println!("{:<5} {:>12} {:>16}", "query", "loaded (MB)", "ratio to input");
     system.reset_store();
@@ -734,6 +754,7 @@ fn explain(system: &LegoBase, n: usize) {
         None => println!("(optimizer disabled via LEGOBASE_OPTIMIZE)"),
     }
     println!("\nplan as SQL:\n{}", explanation.explanation.expect("explain carries the SQL"));
+    println!("\nenvironment overrides: {}", explanation.env.expect("explain carries them"));
     // Twice: before anything ran the store is empty; after one execution
     // every structure the query needs is resident.
     system.query(&QueryRequest::sql(text).with_config(Config::OptC)).expect("Q runs");

@@ -143,6 +143,7 @@ impl Client {
             plan: None,
             detail: None,
             structures: Vec::new(),
+            env: None,
         })
     }
 }

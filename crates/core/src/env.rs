@@ -24,6 +24,28 @@ pub struct EnvOverrides {
     pub mmap_off: bool,
 }
 
+/// The overrides as the assignments that cause them, `none` when nothing
+/// is overridden (what `EXPLAIN` prints).
+impl std::fmt::Display for EnvOverrides {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut active = Vec::new();
+        if let Some(n) = self.parallelism {
+            active.push(format!("LEGOBASE_PARALLELISM={n}"));
+        }
+        let switches = [
+            ("OPTIMIZE", self.optimize_off),
+            ("ENCODING", self.encoding_off),
+            ("FEEDBACK", self.feedback_off),
+            ("MMAP", self.mmap_off),
+        ];
+        active.extend(switches.iter().filter(|s| s.1).map(|s| format!("LEGOBASE_{}=0", s.0)));
+        if active.is_empty() {
+            return f.write_str("none");
+        }
+        f.write_str(&active.join(" "))
+    }
+}
+
 /// The off-values: `0`, `false` or `off`, surrounding whitespace ignored.
 /// Anything else, an empty value included, overrides nothing.
 fn is_off(value: &str) -> bool {
@@ -76,6 +98,13 @@ mod tests {
         for v in ["", "1", "true", "on", "no", "OFF", "00"] {
             assert!(!is_off(v), "{v:?} must override nothing");
         }
+    }
+
+    #[test]
+    fn display_names_the_active_overrides() {
+        assert_eq!(EnvOverrides::default().to_string(), "none");
+        let some = EnvOverrides { parallelism: Some(4), mmap_off: true, ..Default::default() };
+        assert_eq!(some.to_string(), "LEGOBASE_PARALLELISM=4 LEGOBASE_MMAP=0");
     }
 
     /// Overrides move settings one way: a default-serial request takes the

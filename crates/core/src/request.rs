@@ -16,7 +16,7 @@
 //! scheduling, panic containment, estimate feedback, counters).
 
 use crate::service::estimate_memory_bytes;
-use crate::{LegoBase, LoadedQuery};
+use crate::{EnvOverrides, LegoBase, LoadedQuery};
 use legobase_engine::cancel::{self, Cancelled};
 use legobase_engine::db::StructureUse;
 use legobase_engine::{optimizer, Config, OptReport, QueryPlan, ResultTable, Settings};
@@ -236,6 +236,10 @@ pub struct QueryResponse {
     /// structures the query *would* load, marked resident or not.
     /// In-process surfaces only — wire v1 does not transport it.
     pub structures: Vec<StructureUse>,
+    /// For explain requests on in-process surfaces: the `LEGOBASE_*`
+    /// overrides the system was constructed under. The explained plan and
+    /// structures are the request's settings with these applied on top.
+    pub env: Option<EnvOverrides>,
 }
 
 /// Why a query was declined or failed — the one error type of the API.
@@ -434,6 +438,7 @@ impl<'a> InFlight<'a> {
             plan: None,
             detail: None,
             structures,
+            env: None,
         }
     }
 
@@ -445,6 +450,7 @@ impl<'a> InFlight<'a> {
         QueryResponse {
             explanation: Some(legobase_sql::plan_to_sql(&resolved.plan, self.catalog())),
             plan: Some(resolved.plan.clone()),
+            env: Some(*self.system.env()),
             ..self.response(resolved, empty, Duration::ZERO, structures)
         }
     }
@@ -458,7 +464,10 @@ impl<'a> InFlight<'a> {
         default: Option<usize>,
     ) -> Result<(), QueryError> {
         let Some(budget_bytes) = self.request.memory_budget().or(default) else { return Ok(()) };
-        let estimated_bytes = estimate_memory_bytes(plan, self.catalog(), &self.settings);
+        let estimated_bytes =
+            estimate_memory_bytes(plan, self.catalog(), &self.settings, &|table| {
+                self.system.rows_resident(table)
+            });
         if estimated_bytes <= budget_bytes {
             return Ok(());
         }

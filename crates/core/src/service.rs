@@ -67,12 +67,12 @@ use crate::request::{
     Clock, InFlight, Panics, QueryError, QueryKind, QueryRequest, QueryResponse, ResolvedPlan,
 };
 use crate::{LegoBase, LoadedQuery};
-use legobase_engine::plan::{used_base_columns, Plan};
+use legobase_engine::plan::used_base_columns;
 use legobase_engine::settings::EngineKind;
 use legobase_engine::{MorselPool, QueryPlan, Settings};
 use legobase_storage::stats::value_rank;
 use legobase_storage::{Catalog, ColumnStats, TableStatistics, Type};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -569,7 +569,9 @@ impl Session<'_> {
 /// Estimates the bytes the query's loaded data structures would occupy,
 /// from the catalog statistics — the admission-control analog of the
 /// paper's Fig. 20 memory accounting. Follows what the loaded forms
-/// reference: the generic engines the *entire* dataset as row tuples, the
+/// reference: the generic engines the row tuples of the relations the plan
+/// scans — priced as what the request *adds*, so a relation whose row form
+/// the store already holds (`rows_resident`) costs nothing — the
 /// specialized engine typed columns (only the used ones when
 /// unused-field removal is on, dictionary codes instead of strings when
 /// dictionaries are on, plus a partitioning surcharge). Column widths reuse
@@ -585,17 +587,9 @@ pub(crate) fn estimate_memory_bytes(
     query: &QueryPlan,
     catalog: &Catalog,
     settings: &Settings,
+    rows_resident: &dyn Fn(&str) -> bool,
 ) -> usize {
-    let mut base_tables: BTreeSet<&str> = BTreeSet::new();
-    for p in query.plans() {
-        p.walk(&mut |n| {
-            if let Plan::Scan { table } = n {
-                if !table.starts_with('#') {
-                    base_tables.insert(table.as_str());
-                }
-            }
-        });
-    }
+    let base_tables = query.base_tables();
     if base_tables.iter().any(|t| catalog.get(t).is_none()) {
         return 0;
     }
@@ -654,10 +648,11 @@ pub(crate) fn estimate_memory_bytes(
         }
     };
     match settings.engine {
-        // The generic engines scan every table of the dataset as
-        // boxed-value row tuples, independent of the query.
-        EngineKind::Volcano | EngineKind::Push => catalog
-            .names()
+        // The generic engines scan boxed-value row tuples, which the store
+        // derives per relation the first time one of them asks.
+        EngineKind::Volcano | EngineKind::Push => base_tables
+            .iter()
+            .filter(|t| !rows_resident(t))
             .map(|t| {
                 let rows = catalog.stats(t).map_or(0, |s| s.rows);
                 rows * (32 * catalog.table(t).schema.len() + 24)
@@ -730,7 +725,8 @@ mod tests {
         assert!(c.get(&1).is_none());
     }
 
-    /// Generic engines are estimated at the whole dataset; specialized with
+    /// Generic engines are estimated at the row form of the relations the
+    /// plan scans, minus what the store already holds; specialized with
     /// field removal at only the touched columns — and an unknown table is
     /// unestimable (zero), never a panic.
     #[test]
@@ -738,15 +734,23 @@ mod tests {
         let data = legobase_tpch::TpchData::generate(0.002);
         let catalog = data.catalog.clone();
         let q6 = legobase_queries::query(&catalog, 6);
-        let generic = estimate_memory_bytes(&q6, &catalog, &Settings::baseline());
-        let specialized = estimate_memory_bytes(&q6, &catalog, &Settings::optimized());
+        let cold = |_: &str| false;
+        let generic = estimate_memory_bytes(&q6, &catalog, &Settings::baseline(), &cold);
+        let specialized = estimate_memory_bytes(&q6, &catalog, &Settings::optimized(), &cold);
         assert!(generic > 0 && specialized > 0);
         assert!(
             specialized < generic,
             "columnar used-only load ({specialized}) must undercut \
-             whole-dataset rows ({generic})"
+             lineitem as rows ({generic})"
         );
-        let bogus = QueryPlan::new("bogus", Plan::scan("no_such_table"));
-        assert_eq!(estimate_memory_bytes(&bogus, &catalog, &Settings::optimized()), 0);
+        // Q6 scans lineitem only: 16 boxed values and a tuple header a row.
+        assert_eq!(generic, data.rows("lineitem") * (32 * 16 + 24));
+        let q3 = legobase_queries::query(&catalog, 3);
+        let q3_cold = estimate_memory_bytes(&q3, &catalog, &Settings::baseline(), &cold);
+        let q3_warm =
+            estimate_memory_bytes(&q3, &catalog, &Settings::baseline(), &|t| t == "lineitem");
+        assert_eq!(q3_cold - q3_warm, generic, "resident rows are not charged again");
+        let bogus = QueryPlan::new("bogus", legobase_engine::Plan::scan("no_such_table"));
+        assert_eq!(estimate_memory_bytes(&bogus, &catalog, &Settings::optimized(), &cold), 0);
     }
 }

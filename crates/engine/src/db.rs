@@ -3,9 +3,11 @@
 //! Loading is where LegoBase pays for its optimizations (Fig. 21): building
 //! partitions, date indices, and dictionaries all happen here, off the query
 //! critical path. The paper pays that once per query; a served system pays
-//! it once per *dataset*: every structure derived from the base data lives
-//! in one long-lived [`BaseStore`], built lazily on first demand and handed
-//! out as `Arc`s. The loaders below are *assembly* — they obey the
+//! it once per *dataset*: the base data is typed columns, and everything
+//! derived from them — a column's decoded vector, its other layouts,
+//! dictionaries, partitions, indexes, the row tuples the generic engines
+//! scan — lives in one long-lived [`BaseStore`], built lazily on first
+//! demand and handed out as `Arc`s. The loaders below are *assembly* — they obey the
 //! specialization report exactly (used columns only, the dictionary kind
 //! and scan strategy the compiler chose, structures skipped when their key
 //! column is pruned) and fill the loaded database with handles. Both report
@@ -17,8 +19,8 @@ use crate::spec::{Specialization, UnpackStrategy};
 use legobase_storage::column::ColumnTable;
 use legobase_storage::dateindex::DateYearIndex;
 use legobase_storage::partition::{ForeignKeyPartition, PrimaryKeyIndex};
-use legobase_storage::{Column, DictKind, RowTable, Type, Value};
-use legobase_tpch::TpchData;
+use legobase_storage::{Column, DictKind, RowTable, Type};
+use legobase_tpch::{TpchData, TABLES};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,6 +52,9 @@ pub enum StructureKind {
     PkIndex,
     /// The year index on a date attribute (§3.2.3).
     DateIndex,
+    /// The whole relation as row tuples (keyed with column 0) — what the
+    /// generic engines scan, and nothing else asks for.
+    Rows,
 }
 
 /// Identity of one structure derived from the base data.
@@ -74,6 +79,7 @@ impl fmt::Display for StructureKey {
             StructureKind::FkPartition => f.write_str("fk-partition"),
             StructureKind::PkIndex => f.write_str("pk-index"),
             StructureKind::DateIndex => f.write_str("date-index"),
+            StructureKind::Rows => f.write_str("rows"),
         }
     }
 }
@@ -94,10 +100,11 @@ enum Structure {
     Fk(Arc<ForeignKeyPartition>),
     Pk(Arc<PrimaryKeyIndex>),
     Date(Arc<DateYearIndex>),
+    Rows(Arc<RowTable>),
 }
 
-/// A point-in-time snapshot of a [`BaseStore`]'s counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// A point-in-time snapshot of a [`BaseStore`]'s counters and contents.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Structures built since the store was created (or last cleared).
     pub builds: u64,
@@ -107,11 +114,15 @@ pub struct StoreStats {
     pub slots: u64,
     /// Heap bytes of the held structures (mapped archive words excluded).
     pub resident_bytes: u64,
+    /// The structures currently held (`slots` of them, in no order).
+    pub resident: Vec<StructureKey>,
 }
 
 /// The one long-lived home of everything derived from the immutable base
-/// data: columns per `(table, column, layout)` and FK partitions, PK
-/// indexes and date-year indexes per `(table, column)`.
+/// data: columns per `(table, column, layout)` — the plain layout included,
+/// which for an archive-opened database is where a column is first decoded
+/// — FK partitions, PK indexes and date-year indexes per `(table, column)`,
+/// and the row form per table.
 ///
 /// Each slot is built at most once, lazily on first demand and outside the
 /// map lock: two sessions missing on the same column wait for one build
@@ -136,12 +147,16 @@ impl BaseStore {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> StoreStats {
-        let slots = self.lock().values().filter(|cell| cell.get().is_some()).count() as u64;
+        let resident: Vec<StructureKey> = (self.lock().iter())
+            .filter(|(_, cell)| cell.get().is_some())
+            .map(|(key, _)| key.clone())
+            .collect();
         StoreStats {
             builds: self.builds.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
-            slots,
+            slots: resident.len() as u64,
             resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
+            resident,
         }
     }
 
@@ -230,23 +245,22 @@ impl BaseStore {
             (Structure::Column(col), bytes)
         };
         match key.kind {
-            StructureKind::Column(Layout::Plain) => {
-                whole(Column::from_rows(data.table(table), column, None))
-            }
+            // The base representation itself: the generator's vector, or the
+            // archive payload decoded now that someone needs it.
+            StructureKind::Column(Layout::Plain) => whole(data.plain_column(table, column)),
             StructureKind::Column(Layout::Dict(kind)) => {
-                whole(Column::from_rows(data.table(table), column, Some(kind)))
+                whole(data.plain_column(table, column).dict_encoded(kind))
             }
             StructureKind::Column(Layout::Packed) => {
                 // Mapped archive loads (PR 10): when the archive already
                 // holds this column frame-of-reference packed, adopt the
-                // zero-copy words instead of gathering and re-encoding. The
+                // zero-copy words instead of decoding and re-encoding. The
                 // archive writer and `encode` derive the same
                 // base/max/width/words, so results are bit-identical.
-                let rows = data.table(table);
                 let mapped = data
                     .mapped_packed(table, column)
-                    .filter(|mp| mp.len() == rows.len())
-                    .and_then(|mp| match rows.schema.fields[column].ty {
+                    .filter(|mp| mp.len() == data.rows(table))
+                    .and_then(|mp| match data.catalog.table(table).schema.ty(column) {
                         Type::Int => Some(Column::I64Packed(Arc::clone(mp))),
                         Type::Date => Some(Column::DatePacked(Arc::clone(mp))),
                         _ => None,
@@ -279,6 +293,11 @@ impl BaseStore {
                 let bytes = index.approx_bytes();
                 (Structure::Date(Arc::new(index)), bytes)
             }
+            StructureKind::Rows => {
+                let rows = data.row_table(table);
+                let bytes = rows.approx_bytes();
+                (Structure::Rows(Arc::new(rows)), bytes)
+            }
         }
     }
 }
@@ -297,8 +316,8 @@ impl BaseStore {
 ///
 /// Structures whose key column was removed as unused are skipped: a query
 /// that never references an attribute cannot join or filter through it.
-/// The generic engines scan the shared row tables and need only the
-/// partitioning structures.
+/// The generic engines need the row form of the relations the plan scans
+/// and the partitioning structures.
 pub fn required_structures(
     data: &TpchData,
     spec: &Specialization,
@@ -314,8 +333,8 @@ pub fn required_structures(
         keys.push(StructureKey { table: table.to_string(), column, kind });
     };
     if specialized {
-        for (name, table) in data.tables() {
-            for (idx, field) in table.schema.fields.iter().enumerate() {
+        for name in TABLES {
+            for (idx, field) in data.catalog.table(name).schema.fields.iter().enumerate() {
                 if !used(name, idx) {
                     continue;
                 }
@@ -337,6 +356,10 @@ pub fn required_structures(
                 };
                 push(name, idx, StructureKind::Column(layout));
             }
+        }
+    } else {
+        for name in TABLES.into_iter().filter(|t| spec.used_columns.contains_key(*t)) {
+            push(name, 0, StructureKind::Rows);
         }
     }
     if settings.partitioning {
@@ -369,7 +392,8 @@ pub struct LoadReport {
 
 /// The generic (row-layout) database used by the Volcano and push engines.
 pub struct GenericDb {
-    /// Row-layout relations (generic engines), shared with the dataset.
+    /// Row-layout relations (generic engines): the store's row form of the
+    /// relations the plan scans.
     pub tables: HashMap<String, Arc<RowTable>>,
     /// Foreign-key partitions over raw rows, keyed by `(table, column)`.
     pub fk_partitions: HashMap<(String, usize), Arc<ForeignKeyPartition>>,
@@ -382,9 +406,9 @@ pub struct GenericDb {
 }
 
 impl GenericDb {
-    /// Shares the TPC-H row tables; takes row-level partitions from the
-    /// store when `settings.partitioning` requests them (the TPC-H/C
-    /// configuration).
+    /// Takes the row form of the relations the plan scans from the store,
+    /// and row-level partitions when `settings.partitioning` requests them
+    /// (the TPC-H/C configuration).
     pub fn load(
         data: &TpchData,
         store: &BaseStore,
@@ -393,16 +417,17 @@ impl GenericDb {
     ) -> GenericDb {
         let start = Instant::now();
         let mut db = GenericDb {
-            tables: data.shared_tables().map(|(n, t)| (n.to_string(), Arc::clone(t))).collect(),
+            tables: HashMap::new(),
             fk_partitions: HashMap::new(),
             pk_indexes: HashMap::new(),
             structures: Vec::new(),
             report: LoadReport::default(),
         };
         db.structures = store.fetch(data, spec, settings, |at, structure| match structure {
+            Structure::Rows(t) => drop(db.tables.insert(at.0, t)),
             Structure::Fk(p) => drop(db.fk_partitions.insert(at, p)),
             Structure::Pk(p) => drop(db.pk_indexes.insert(at, p)),
-            _ => unreachable!("generic engines need partitioning structures only"),
+            _ => unreachable!("generic engines need rows and partitioning structures only"),
         });
         db.report = LoadReport { duration: start.elapsed(), approx_bytes: db.approx_bytes() };
         db
@@ -452,11 +477,12 @@ impl SpecializedDb {
         settings: &Settings,
     ) -> SpecializedDb {
         let start = Instant::now();
-        let tables = data
-            .tables()
-            .map(|(name, t)| {
-                let columns = vec![Column::Absent; t.schema.len()];
-                (name.to_string(), ColumnTable { schema: t.schema.clone(), len: t.len(), columns })
+        let tables = TABLES
+            .into_iter()
+            .map(|name| {
+                let schema = data.catalog.table(name).schema.clone();
+                let columns = vec![Column::Absent; schema.len()];
+                (name.to_string(), ColumnTable { schema, len: data.rows(name), columns })
             })
             .collect();
         let mut db = SpecializedDb {
@@ -479,6 +505,7 @@ impl SpecializedDb {
             Structure::Fk(p) => drop(db.fk_partitions.insert(at, p)),
             Structure::Pk(p) => drop(db.pk_indexes.insert(at, p)),
             Structure::Date(p) => drop(db.date_indexes.insert(at, p)),
+            Structure::Rows(_) => unreachable!("the specialized engine never asks for rows"),
         });
         db.report = LoadReport { duration: start.elapsed(), approx_bytes: db.approx_bytes() };
         db
@@ -501,16 +528,6 @@ impl SpecializedDb {
             + self.pk_indexes.values().map(|p| p.approx_bytes()).sum::<usize>()
             + self.date_indexes.values().map(|p| p.approx_bytes()).sum::<usize>()
     }
-}
-
-/// Converts a columnar intermediate back to rows (used at result boundaries).
-pub fn column_table_to_rows(ct: &ColumnTable) -> RowTable {
-    let mut out = RowTable::with_capacity(ct.schema.clone(), ct.len);
-    for r in 0..ct.len {
-        let row: Vec<Value> = ct.columns.iter().map(|c| c.value_at(r)).collect();
-        out.push(row);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -544,7 +561,12 @@ mod tests {
         assert_eq!(part.fk_partitions.len(), 1);
         assert_eq!(part.pk_indexes.len(), 1);
         assert!(part.report.approx_bytes > no_part.report.approx_bytes);
-        assert_eq!(part.table("orders").len(), d.table("orders").len());
+        assert_eq!(part.table("orders").len(), d.rows("orders"));
+        // Rows exist for the relations the report names, and only those.
+        let mut loaded: Vec<&str> = part.tables.keys().map(String::as_str).collect();
+        loaded.sort_unstable();
+        assert_eq!(loaded, ["lineitem", "orders"]);
+        assert_eq!(part.table("lineitem").rows, d.row_table("lineitem").rows);
     }
 
     #[test]
@@ -638,7 +660,7 @@ mod tests {
         assert_eq!(store.stats().builds, 5);
         let kinds: Vec<&str> = cols.iter().map(Column::kind_name).collect();
         assert_eq!(kinds, ["Str", "Dict", "Dict", "Dict", "DictPacked"]);
-        for r in 0..d.table("lineitem").len() {
+        for r in 0..d.rows("lineitem") {
             let expect = cols[0].value_at(r);
             assert!(cols.iter().all(|c| c.value_at(r) == expect), "row {r}");
         }
@@ -717,18 +739,5 @@ mod tests {
         assert!(good.fk_partitions.contains_key(&("lineitem".to_string(), 0)));
         assert!(good.structures.iter().any(|s| !s.resident), "the panic cut the first load short");
         assert_eq!(store.stats().builds, store.stats().slots);
-    }
-
-    #[test]
-    fn roundtrip_columns_to_rows() {
-        let d = data();
-        let db = SpecializedDb::load(
-            &d,
-            &BaseStore::new(),
-            &Specialization::default(),
-            &Config::HyPerLike.settings(),
-        );
-        let rt = column_table_to_rows(db.table("nation"));
-        assert_eq!(rt.rows, d.table("nation").rows);
     }
 }

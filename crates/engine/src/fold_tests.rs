@@ -15,9 +15,9 @@ use crate::kernel::{Chunk, GroupResolver};
 use crate::plan::AggSpec;
 use crate::settings::{Config, Settings};
 use crate::specialized::aggregate_chunk;
-use legobase_storage::column::{ColumnSpec, ColumnTable};
+use legobase_storage::column::ColumnTable;
 use legobase_storage::morsel::MORSEL_ROWS;
-use legobase_storage::{Column, Date, DictKind, PackedInts, RowTable, Schema, Type, Value};
+use legobase_storage::{Column, Date, DictKind, PackedInts, Schema, Type, Value};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::collections::HashMap;
@@ -66,9 +66,9 @@ fn chunk(rng: &mut TestRng, rows: usize, layout: Layout, selection: Selection) -
     ]);
     let total = if matches!(selection, Selection::None) { rows } else { 2 * rows + 3 };
     let words = ["AIR", "MAIL", "RAIL", "SHIP"];
-    let mut rt = RowTable::new(schema.clone());
+    let mut ct = ColumnTable::with_capacity(schema.clone(), total);
     for _ in 0..total {
-        rt.push(vec![
+        ct.push([
             Value::Int(rng.below(5) as i64),
             Value::Int(rng.below(10_000_000) as i64),
             Value::from(words[rng.below(4) as usize]),
@@ -81,8 +81,8 @@ fn chunk(rng: &mut TestRng, rows: usize, layout: Layout, selection: Selection) -
             Value::from(words[rng.below(3) as usize]),
         ]);
     }
-    let spec = ColumnSpec { dictionaries: vec![(S, DictKind::Normal)], used: None };
-    let mut cols = ColumnTable::from_rows(&rt, &spec).columns;
+    let mut cols = ct.columns;
+    cols[S] = cols[S].dict_encoded(DictKind::Normal);
     let mut nulls = vec![None; cols.len()];
     match layout {
         Layout::Plain => {}

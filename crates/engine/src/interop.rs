@@ -102,7 +102,7 @@ mod tests {
         let base = GenericDb::load(
             &data,
             &crate::BaseStore::new(),
-            &Specialization::default(),
+            &Specialization::default().scanning_all_tables(),
             &Config::Dbx.settings(),
         );
         let reference = volcano::execute(&q, &base);

@@ -2059,8 +2059,8 @@ impl AggFold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use legobase_storage::column::{ColumnSpec, ColumnTable};
-    use legobase_storage::{Date, DictKind, RowTable, Type};
+    use legobase_storage::column::ColumnTable;
+    use legobase_storage::{Date, DictKind, Type};
 
     fn chunk(dict: Option<DictKind>) -> Chunk {
         let schema = Schema::of(&[
@@ -2069,19 +2069,19 @@ mod tests {
             ("mode", Type::Str),
             ("d", Type::Date),
         ]);
-        let mut rt = RowTable::new(schema.clone());
+        let mut ct = ColumnTable::with_capacity(schema.clone(), 8);
         let modes = ["MAIL", "SHIP", "AIR", "REG AIR"];
         for i in 0..8i64 {
-            rt.push(vec![
+            ct.push([
                 Value::Int(i),
                 Value::Float(i as f64 / 2.0),
                 Value::from(modes[i as usize % 4]),
                 Value::Date(Date::from_ymd(1993 + (i % 3) as i32, 1, 1)),
             ]);
         }
-        let spec =
-            ColumnSpec { dictionaries: dict.map(|k| vec![(2, k)]).unwrap_or_default(), used: None };
-        let ct = ColumnTable::from_rows(&rt, &spec);
+        if let Some(kind) = dict {
+            ct.columns[2] = ct.columns[2].dict_encoded(kind);
+        }
         Chunk {
             schema,
             nulls: vec![None; ct.columns.len()],

@@ -50,7 +50,8 @@
 //!   structures to build (§§3.2–3.4), which columns to keep (§3.6.1), and
 //!   the morsel-parallelism decisions (degree, join/sort clearances).
 //! * [`db`] — the base-structure store (every column layout, dictionary,
-//!   partition and index, built once per dataset) and the loaders that
+//!   partition and index — and the row form the generic engines scan —
+//!   derived once per dataset from its base columns) and the loaders that
 //!   assemble each query's database from it, with timing and memory
 //!   accounting (Figs. 20–21).
 //! * [`interop`] — the inter-operator optimization of Fig. 9 (aggregation

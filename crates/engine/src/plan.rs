@@ -277,6 +277,21 @@ impl QueryPlan {
         self.stages.iter().map(|(_, p)| p).chain(std::iter::once(&self.root))
     }
 
+    /// The base relations the query scans, stage results (`#name`) excluded.
+    pub fn base_tables(&self) -> BTreeSet<&str> {
+        let mut tables = BTreeSet::new();
+        for plan in self.plans() {
+            plan.walk(&mut |node| {
+                if let Plan::Scan { table } = node {
+                    if !table.starts_with('#') {
+                        tables.insert(table.as_str());
+                    }
+                }
+            });
+        }
+        tables
+    }
+
     /// Resolves the schema of every stage and the root. `base` resolves base
     /// tables; stage results are made available as `#name`.
     pub fn schemas(&self, base: &impl Fn(&str) -> Schema) -> (HashMap<String, Schema>, Schema) {

@@ -439,6 +439,7 @@ mod tests {
         spec.add_pk_index("customer", 0);
         spec.add_pk_index("orders", 0);
         spec.add_fk_partition("lineitem", 0);
+        let spec = spec.scanning_all_tables();
         let plain =
             GenericDb::load(&data, &crate::BaseStore::new(), &spec, &Config::Dbx.settings());
         let part =

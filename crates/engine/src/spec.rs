@@ -79,8 +79,11 @@ pub struct Specialization {
     pub date_indexes: Vec<PartitionSpec>,
     /// String attributes to dictionary-encode.
     pub dictionaries: Vec<DictSpec>,
-    /// Attributes referenced per base table (unused-field removal); tables
-    /// absent from the map are not used by the query at all.
+    /// The base tables the query scans, each with the attributes it
+    /// references (filled in by the `ColumnStore` transformer for
+    /// unused-field removal; empty where that analysis did not run). Tables
+    /// absent from the map are not used by the query at all: the generic
+    /// engines load the row form of exactly the tables present.
     pub used_columns: HashMap<String, Vec<usize>>,
     /// Morsel-driven parallelism degree chosen for this query by the
     /// `Parallelize` transformer (1 = serial). Like every other field, this
@@ -223,6 +226,19 @@ impl Specialization {
         } else {
             self.dictionaries.push(DictSpec { table: table.to_string(), column, kind });
         }
+    }
+}
+
+#[cfg(test)]
+impl Specialization {
+    /// This report, marked as scanning every TPC-H relation — what a
+    /// generic-engine load needs when one loaded database serves a test's
+    /// many hand-written plans.
+    pub(crate) fn scanning_all_tables(mut self) -> Specialization {
+        for table in legobase_tpch::TABLES {
+            self.used_columns.entry(table.to_string()).or_default();
+        }
+        self
     }
 }
 

@@ -1536,7 +1536,12 @@ mod tests {
     }
 
     fn check_all_configs(q: &QueryPlan, data: &TpchData, spec: &Specialization) {
-        let base = GenericDb::load(data, &crate::BaseStore::new(), spec, &Config::Dbx.settings());
+        let base = GenericDb::load(
+            data,
+            &crate::BaseStore::new(),
+            &spec.clone().scanning_all_tables(),
+            &Config::Dbx.settings(),
+        );
         let reference = volcano::execute(q, &base);
         for cfg in [Config::HyPerLike, Config::StrDictC, Config::OptC, Config::OptScala] {
             let settings = cfg.settings();

@@ -369,7 +369,7 @@ mod tests {
         GenericDb::load(
             &data,
             &crate::BaseStore::new(),
-            &Specialization::default(),
+            &Specialization::default().scanning_all_tables(),
             &Config::Dbx.settings(),
         )
     }

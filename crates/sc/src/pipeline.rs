@@ -99,7 +99,14 @@ impl Pipeline {
     /// Runs the pipeline over a query.
     pub fn run(&self, query: &QueryPlan, catalog: &Catalog, settings: &Settings) -> CompileResult {
         let start = Instant::now();
-        let mut ctx = TransformCtx { catalog, settings, query, spec: Specialization::default() };
+        // The relations the plan scans are recorded whatever the settings —
+        // the generic engines' loader asks the store for exactly their row
+        // forms; `ColumnStore` fills in the attribute lists.
+        let mut spec = Specialization::default();
+        for table in query.base_tables() {
+            spec.used_columns.entry(table.to_string()).or_default();
+        }
+        let mut ctx = TransformCtx { catalog, settings, query, spec };
         let mut prog = build_ir(query, catalog);
         let mut trace = vec![PhaseTrace {
             name: "OperatorInlining",

@@ -10,7 +10,6 @@
 use crate::date::Date;
 use crate::dict::{DictKind, StringDictionary};
 use crate::packed::{PackedCursor, PackedInts};
-use crate::row::RowTable;
 use crate::schema::{Schema, Type};
 use crate::value::Value;
 use std::fmt;
@@ -185,35 +184,14 @@ impl CodeReader<'_> {
 }
 
 impl Column {
-    /// Gathers attribute `idx` of a row-layout table into a dense native
-    /// vector — the one rows→columns copy of the system. String attributes
-    /// are dictionary-encoded when `dict` names a kind (ignored for every
-    /// other type).
-    pub fn from_rows(table: &RowTable, idx: usize, dict: Option<DictKind>) -> Column {
-        let rows = &table.rows;
-        match (table.schema.fields[idx].ty, dict) {
-            (Type::Int, _) => Column::I64(Arc::new(rows.iter().map(|r| r[idx].as_int()).collect())),
-            (Type::Float, _) => {
-                Column::F64(Arc::new(rows.iter().map(|r| r[idx].as_float()).collect()))
-            }
-            (Type::Date, _) => {
-                Column::Date(Arc::new(rows.iter().map(|r| r[idx].as_date().0).collect()))
-            }
-            (Type::Bool, _) => {
-                Column::Bool(Arc::new(rows.iter().map(|r| r[idx].as_bool()).collect()))
-            }
-            (Type::Str, None) => {
-                Column::Str(Arc::new(rows.iter().map(|r| r[idx].as_str().to_string()).collect()))
-            }
-            (Type::Str, Some(kind)) => {
-                let dict = StringDictionary::build(kind, rows.iter().map(|r| r[idx].as_str()));
-                let codes = rows
-                    .iter()
-                    .map(|r| dict.code(r[idx].as_str()).expect("value seen during build"))
-                    .collect();
-                Column::Dict(Arc::new(codes), Arc::new(dict))
-            }
-        }
+    /// Dictionary-encodes a plain string column: per-row codes plus the
+    /// dictionary of `kind` built over its values (panics on other layouts).
+    pub fn dict_encoded(&self, kind: DictKind) -> Column {
+        let strings = self.as_str();
+        let dict = StringDictionary::build(kind, strings.iter().map(String::as_str));
+        let codes =
+            strings.iter().map(|s| dict.code(s).expect("value seen during build")).collect();
+        Column::Dict(Arc::new(codes), Arc::new(dict))
     }
 
     /// Number of values.
@@ -396,32 +374,6 @@ impl Column {
             _ => None,
         }
     }
-
-    /// The inverse of [`Column::encode`]: materializes the plain layout.
-    /// Encoded variants decode to fresh vectors; plain variants clone the
-    /// `Arc` (no copy). Used by gather paths that build new columns and by
-    /// the equivalence tests.
-    pub fn decode(&self) -> Column {
-        match self {
-            Column::I64Packed(p) => Column::I64(Arc::new(p.iter().collect())),
-            Column::DatePacked(p) => Column::Date(Arc::new(p.iter().map(|v| v as i32).collect())),
-            Column::DictPacked(p, d) => {
-                Column::Dict(Arc::new(p.iter().map(|v| v as u32).collect()), Arc::clone(d))
-            }
-            other => other.clone(),
-        }
-    }
-}
-
-/// Per-attribute conversion policy when building a [`ColumnTable`].
-#[derive(Clone, Debug, Default)]
-pub struct ColumnSpec {
-    /// Attributes to dictionary-encode, with the dictionary kind chosen by the
-    /// `StringDictionary` transformer.
-    pub dictionaries: Vec<(usize, DictKind)>,
-    /// Attributes referenced by the query; everything else becomes
-    /// [`Column::Absent`]. `None` keeps all attributes.
-    pub used: Option<Vec<usize>>,
 }
 
 /// A table in columnar layout (record of arrays).
@@ -436,20 +388,68 @@ pub struct ColumnTable {
 }
 
 impl ColumnTable {
-    /// Converts a row-layout table, applying dictionary encoding and
-    /// unused-field removal according to `spec`.
-    pub fn from_rows(table: &RowTable, spec: &ColumnSpec) -> ColumnTable {
-        let keep = |idx: usize| spec.used.as_ref().is_none_or(|u| u.contains(&idx));
-        let columns = (0..table.schema.len())
-            .map(|idx| {
-                if !keep(idx) {
-                    return Column::Absent;
-                }
-                let dict = spec.dictionaries.iter().find(|(i, _)| *i == idx).map(|(_, k)| *k);
-                Column::from_rows(table, idx, dict)
+    /// An empty relation of `schema`, every attribute in its plain layout
+    /// with room for `rows` rows — what the data generator pushes into, so
+    /// base data is columnar from its first value on.
+    pub fn with_capacity(schema: Schema, rows: usize) -> ColumnTable {
+        fn empty<T>(rows: usize) -> Arc<Vec<T>> {
+            Arc::new(Vec::with_capacity(rows))
+        }
+        let columns = schema
+            .fields
+            .iter()
+            .map(|f| match f.ty {
+                Type::Int => Column::I64(empty(rows)),
+                Type::Float => Column::F64(empty(rows)),
+                Type::Date => Column::Date(empty(rows)),
+                Type::Str => Column::Str(empty(rows)),
+                Type::Bool => Column::Bool(empty(rows)),
             })
             .collect();
-        ColumnTable { schema: table.schema.clone(), len: table.len(), columns }
+        ColumnTable { schema, len: 0, columns }
+    }
+
+    /// Gives back what `with_capacity` and the pushed strings reserved beyond
+    /// their contents, so a finished relation weighs (and reports,
+    /// [`Column::approx_bytes`]) exactly what its decoded archive form does.
+    pub fn shrink_to_fit(&mut self) {
+        for column in &mut self.columns {
+            match column {
+                Column::I64(v) => Arc::make_mut(v).shrink_to_fit(),
+                Column::F64(v) => Arc::make_mut(v).shrink_to_fit(),
+                Column::Date(v) => Arc::make_mut(v).shrink_to_fit(),
+                Column::Bool(v) => Arc::make_mut(v).shrink_to_fit(),
+                Column::Str(v) => {
+                    let strings = Arc::make_mut(v);
+                    strings.iter_mut().for_each(String::shrink_to_fit);
+                    strings.shrink_to_fit();
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Appends one row, one value per attribute in schema order, to a
+    /// relation under construction. Panics on a value of the wrong type
+    /// (NULL included: base data has none) and on a column that is not
+    /// plain or is already shared.
+    pub fn push(&mut self, row: impl IntoIterator<Item = Value>) {
+        fn end<T>(v: &mut Arc<Vec<T>>) -> &mut Vec<T> {
+            Arc::get_mut(v).expect("a relation under construction is not shared")
+        }
+        let mut row = row.into_iter();
+        for (column, field) in self.columns.iter_mut().zip(&self.schema.fields) {
+            match (column, row.next()) {
+                (Column::I64(c), Some(Value::Int(v))) => end(c).push(v),
+                (Column::F64(c), Some(Value::Float(v))) => end(c).push(v),
+                (Column::Date(c), Some(Value::Date(v))) => end(c).push(v.0),
+                (Column::Str(c), Some(Value::Str(v))) => end(c).push(v),
+                (Column::Bool(c), Some(Value::Bool(v))) => end(c).push(v),
+                (_, v) => panic!("`{}` is a {} attribute, row holds {v:?}", field.name, field.ty),
+            }
+        }
+        debug_assert!(row.next().is_none(), "row arity mismatch");
+        self.len += 1;
     }
 
     /// The column at `idx`.
@@ -473,32 +473,40 @@ mod tests {
     use super::*;
     use crate::schema::Field;
 
-    fn sample() -> RowTable {
+    /// Ten rows; `mode` dictionary-encoded when `dict` names a kind.
+    fn sample(dict: Option<DictKind>) -> (Vec<crate::Tuple>, ColumnTable) {
         let schema = Schema::new(vec![
             Field::new("k", Type::Int),
             Field::new("p", Type::Float),
             Field::new("mode", Type::Str),
             Field::new("d", Type::Date),
         ]);
-        let mut t = RowTable::new(schema);
-        for i in 0..10i64 {
-            t.push(vec![
-                Value::Int(i),
-                Value::Float(i as f64 * 1.5),
-                Value::from(if i % 2 == 0 { "MAIL" } else { "SHIP" }),
-                Value::Date(Date::from_ymd(1995, 1, 1 + i as u32)),
-            ]);
+        let rows: Vec<crate::Tuple> = (0..10i64)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Float(i as f64 * 1.5),
+                    Value::from(if i % 2 == 0 { "MAIL" } else { "SHIP" }),
+                    Value::Date(Date::from_ymd(1995, 1, 1 + i as u32)),
+                ]
+            })
+            .collect();
+        let mut ct = ColumnTable::with_capacity(schema, rows.len());
+        for row in &rows {
+            ct.push(row.iter().cloned());
         }
-        t
+        if let Some(kind) = dict {
+            ct.columns[2] = ct.columns[2].dict_encoded(kind);
+        }
+        (rows, ct)
     }
 
     #[test]
-    fn conversion_roundtrip() {
-        let rows = sample();
-        let ct = ColumnTable::from_rows(&rows, &ColumnSpec::default());
+    fn pushed_rows_read_back() {
+        let (rows, ct) = sample(None);
         assert_eq!(ct.len, 10);
-        for (r, row) in rows.rows.iter().enumerate() {
-            for (c, expected) in row.iter().enumerate().take(rows.schema.len()) {
+        for (r, row) in rows.iter().enumerate() {
+            for (c, expected) in row.iter().enumerate() {
                 assert_eq!(&ct.columns[c].value_at(r), expected);
             }
         }
@@ -507,37 +515,27 @@ mod tests {
     }
 
     #[test]
-    fn dictionary_encoding() {
-        let rows = sample();
-        let spec = ColumnSpec { dictionaries: vec![(2, DictKind::Normal)], used: None };
-        let ct = ColumnTable::from_rows(&rows, &spec);
-        let (codes, dict) = ct.by_name("mode").as_dict();
-        assert_eq!(dict.len(), 2);
-        for (r, row) in rows.rows.iter().enumerate() {
-            assert_eq!(dict.decode(codes[r]), row[2].as_str());
-        }
+    #[should_panic(expected = "`p` is a FLOAT attribute, row holds Some(Null)")]
+    fn pushing_a_null_panics() {
+        let (_, mut ct) = sample(None);
+        ct.push([Value::Int(1), Value::Null, Value::from("x"), Value::Date(Date(0))]);
     }
 
     #[test]
-    fn unused_field_removal() {
-        let rows = sample();
-        let spec = ColumnSpec { dictionaries: vec![], used: Some(vec![0, 3]) };
-        let ct = ColumnTable::from_rows(&rows, &spec);
-        assert!(matches!(ct.columns[1], Column::Absent));
-        assert!(matches!(ct.columns[2], Column::Absent));
-        assert!(
-            ct.approx_bytes()
-                < ColumnTable::from_rows(&rows, &ColumnSpec::default()).approx_bytes()
-        );
+    fn dictionary_encoding() {
+        let (rows, ct) = sample(Some(DictKind::Normal));
+        let (codes, dict) = ct.by_name("mode").as_dict();
+        assert_eq!(dict.len(), 2);
+        for (r, row) in rows.iter().enumerate() {
+            assert_eq!(dict.decode(codes[r]), row[2].as_str());
+        }
+        assert!(ct.approx_bytes() < sample(None).1.approx_bytes());
     }
 
     #[test]
     #[should_panic(expected = "unused-field elimination")]
     fn absent_access_panics() {
-        let rows = sample();
-        let spec = ColumnSpec { dictionaries: vec![], used: Some(vec![0]) };
-        let ct = ColumnTable::from_rows(&rows, &spec);
-        ct.columns[1].value_at(0);
+        Column::Absent.value_at(0);
     }
 
     #[test]
@@ -557,21 +555,13 @@ mod tests {
 
     #[test]
     fn encode_roundtrips_through_readers() {
-        let rows = sample();
-        let spec = ColumnSpec { dictionaries: vec![(2, DictKind::Normal)], used: None };
-        let ct = ColumnTable::from_rows(&rows, &spec);
+        let (_, ct) = sample(Some(DictKind::Normal));
         for col in &ct.columns {
             let Some(enc) = col.encode() else { continue };
             assert!(enc.approx_bytes() < col.approx_bytes(), "{} must shrink", col.kind_name());
             assert_eq!(enc.len(), col.len());
             for r in 0..col.len() {
                 assert_eq!(enc.value_at(r), col.value_at(r), "row {r}");
-            }
-            // decode() restores the plain layout bit-identically.
-            let dec = enc.decode();
-            assert_eq!(dec.kind_name(), col.kind_name());
-            for r in 0..col.len() {
-                assert_eq!(dec.value_at(r), col.value_at(r));
             }
         }
         // The sample's int/date/dict columns all encode.
@@ -582,9 +572,7 @@ mod tests {
 
     #[test]
     fn readers_agree_with_plain_access() {
-        let rows = sample();
-        let spec = ColumnSpec { dictionaries: vec![(2, DictKind::Normal)], used: None };
-        let ct = ColumnTable::from_rows(&rows, &spec);
+        let (_, ct) = sample(Some(DictKind::Normal));
         let k = &ct.columns[0];
         let ek = k.encode().unwrap();
         let (kr, ekr) = (k.i64_reader().unwrap(), ek.i64_reader().unwrap());

@@ -3,9 +3,11 @@
 //! "By default LegoBase uses the row layout, since this intuitive data
 //! organization facilitated fast development of the relational operators"
 //! (Section 3.3). The unoptimized engine configurations scan these tables
-//! directly; the optimized ones convert them to [`crate::column::ColumnTable`]
-//! via the `ColumnStore` transformer.
+//! directly; the optimized ones never see a row. Base data is columnar
+//! ([`crate::column::ColumnTable`]); the row form of a relation is derived
+//! from its columns ([`RowTable::from_columns`]) for the engines that ask.
 
+use crate::column::Column;
 use crate::schema::Schema;
 use crate::value::{Tuple, Value};
 
@@ -27,6 +29,23 @@ impl RowTable {
     /// Creates an empty table with row capacity.
     pub fn with_capacity(schema: Schema, cap: usize) -> RowTable {
         RowTable { schema, rows: Vec::with_capacity(cap) }
+    }
+
+    /// The row form of `len` rows held as columns, one per schema field in
+    /// schema order. The columns are consumed one at a time, so a caller
+    /// that produces them lazily never holds more than one beside the rows.
+    pub fn from_columns(
+        schema: Schema,
+        len: usize,
+        columns: impl IntoIterator<Item = Column>,
+    ) -> RowTable {
+        let mut rows: Vec<Tuple> = (0..len).map(|_| Vec::with_capacity(schema.len())).collect();
+        for column in columns {
+            for (r, row) in rows.iter_mut().enumerate() {
+                row.push(column.value_at(r));
+            }
+        }
+        RowTable { schema, rows }
     }
 
     /// Number of rows.
@@ -81,6 +100,22 @@ mod tests {
         assert_eq!(t.get(1, 0).as_int(), 2);
         assert_eq!(t.get(0, 1).as_str(), "x");
         assert!(t.approx_bytes() > 0);
+    }
+
+    #[test]
+    fn from_columns_transposes() {
+        use std::sync::Arc;
+        let schema = Schema::of(&[("a", Type::Int), ("b", Type::Str)]);
+        let columns = [
+            Column::I64(Arc::new(vec![1, 2])),
+            Column::Str(Arc::new(vec!["x".to_string(), "y".to_string()])),
+        ];
+        let t = RowTable::from_columns(schema.clone(), 2, columns);
+        assert_eq!(
+            t.rows,
+            [vec![Value::Int(1), Value::from("x")], vec![Value::Int(2), "y".into()]]
+        );
+        assert!(RowTable::from_columns(schema, 0, Vec::new()).is_empty());
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! The cost-based optimizer in `legobase-engine` derives all of its
 //! cardinality estimates from them.
 
-use crate::row::RowTable;
+use crate::column::{Column, ColumnTable};
+use crate::date::Date;
 use crate::value::Value;
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 
 /// Default bucket count for collected equi-depth histograms: fine enough to
 /// resolve TPC-H's date-range predicates to a few percent, small enough that
@@ -257,6 +258,33 @@ impl ColumnStats {
     }
 }
 
+/// The statistics of one plain column: `cmp` is the storage total order on
+/// its native values, `value` their generic form. A sketch only remembers
+/// the largest hash rank per register, so observing each distinct value
+/// once leaves it in the same state as observing every row.
+fn summarize<T>(
+    values: &[T],
+    cmp: impl Fn(&T, &T) -> Ordering,
+    value: impl Fn(&T) -> Value,
+) -> ColumnStats {
+    let mut distinct: Vec<&T> = values.iter().collect();
+    distinct.sort_unstable_by(|a, b| cmp(a, b));
+    distinct.dedup_by(|a, b| cmp(a, b) == Ordering::Equal);
+    let mut sketch = DistinctSketch::new();
+    for v in &distinct {
+        sketch.insert(&value(v));
+    }
+    // Strings have no rank, and the pass over them ends at the first.
+    let ranks = values.iter().map_while(|v| value_rank(&value(v))).collect();
+    ColumnStats {
+        distinct: distinct.len(),
+        min: distinct.first().map(|v| value(v)),
+        max: distinct.last().map(|v| value(v)),
+        histogram: Histogram::build(ranks, HISTOGRAM_BUCKETS),
+        sketch: Some(sketch),
+    }
+}
+
 /// Optimizer statistics of one relation: row count plus one
 /// [`ColumnStats`] per attribute, in schema order.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -268,39 +296,28 @@ pub struct TableStatistics {
 }
 
 impl TableStatistics {
-    /// Collects exact statistics in one pass over a row-layout table:
-    /// one ordered distinct-value set per column (whose size and extremes
-    /// become NDV and `[min, max]`), plus an equi-depth [`Histogram`] for
-    /// every orderable column and a [`DistinctSketch`] for every column.
-    pub fn collect(table: &RowTable) -> TableStatistics {
-        let arity = table.schema.len();
-        let mut sets: Vec<BTreeSet<&Value>> = vec![BTreeSet::new(); arity];
-        let mut sketches: Vec<DistinctSketch> = vec![DistinctSketch::new(); arity];
-        let mut ranks: Vec<Vec<f64>> = vec![Vec::new(); arity];
-        for row in &table.rows {
-            for (c, v) in row.iter().enumerate() {
-                if !v.is_null() {
-                    sets[c].insert(v);
-                    sketches[c].insert(v);
-                    if let Some(r) = value_rank(v) {
-                        ranks[c].push(r);
-                    }
-                }
-            }
-        }
-        let columns = sets
-            .into_iter()
-            .zip(sketches)
-            .zip(ranks)
-            .map(|((set, sketch), ranks)| ColumnStats {
-                distinct: set.len(),
-                min: set.iter().next().map(|v| (*v).clone()),
-                max: set.iter().next_back().map(|v| (*v).clone()),
-                histogram: Histogram::build(ranks, HISTOGRAM_BUCKETS),
-                sketch: Some(sketch),
+    /// Collects exact statistics over a relation's plain columns: per
+    /// column the distinct values under the storage total order (their
+    /// count and extremes become NDV and `[min, max]`), an equi-depth
+    /// [`Histogram`] for every orderable column and a [`DistinctSketch`]
+    /// for every column. Panics on a column that is not in its plain layout.
+    pub fn collect(table: &ColumnTable) -> TableStatistics {
+        let columns = table
+            .columns
+            .iter()
+            .map(|column| match column {
+                Column::I64(v) => summarize(v, i64::cmp, |&x| Value::Int(x)),
+                Column::F64(v) => summarize(v, f64::total_cmp, |&x| Value::Float(x)),
+                Column::Date(v) => summarize(v, i32::cmp, |&x| Value::Date(Date(x))),
+                Column::Bool(v) => summarize(v, bool::cmp, |&x| Value::Bool(x)),
+                Column::Str(v) => summarize(v, String::cmp, |x| Value::Str(x.clone())),
+                other => panic!(
+                    "statistics are collected over plain columns, found {}",
+                    other.kind_name()
+                ),
             })
             .collect();
-        TableStatistics { rows: table.len(), columns }
+        TableStatistics { rows: table.len, columns }
     }
 
     /// Analytic constructor (e.g. from the TPC-H scale-factor formulas).
@@ -319,21 +336,18 @@ mod tests {
     use super::*;
     use crate::schema::{Schema, Type};
 
-    fn table() -> RowTable {
-        let mut t = RowTable::new(Schema::of(&[("k", Type::Int), ("s", Type::Str)]));
-        for k in [5i64, 9, 5, 7] {
-            t.push(vec![Value::Int(k), Value::from("x")]);
+    fn table(rows: &[(i64, &str)]) -> ColumnTable {
+        let mut t =
+            ColumnTable::with_capacity(Schema::of(&[("k", Type::Int), ("s", Type::Str)]), 4);
+        for &(k, s) in rows {
+            t.push([Value::Int(k), Value::from(s)]);
         }
         t
     }
 
     #[test]
     fn table_statistics_one_pass() {
-        let mut t = RowTable::new(Schema::of(&[("k", Type::Int), ("s", Type::Str)]));
-        for (k, s) in [(5i64, "b"), (9, "a"), (5, "b"), (7, "c")] {
-            t.push(vec![Value::Int(k), Value::from(s)]);
-        }
-        let stats = TableStatistics::collect(&t);
+        let stats = TableStatistics::collect(&table(&[(5, "b"), (9, "a"), (5, "b"), (7, "c")]));
         assert_eq!(stats.rows, 4);
         assert_eq!(stats.columns[0].distinct, 3);
         assert_eq!(stats.columns[0].min, Some(Value::Int(5)));
@@ -342,13 +356,10 @@ mod tests {
         assert_eq!(stats.columns[1].min, Some(Value::from("a")));
         assert_eq!(stats.columns[1].max, Some(Value::from("c")));
         assert_eq!(stats.column(2), None);
-        // NULLs (outer-join results) are excluded from bounds and NDV.
-        let mut n = RowTable::new(Schema::of(&[("x", Type::Int)]));
-        n.push(vec![Value::Null]);
-        n.push(vec![Value::Int(1)]);
-        let s = TableStatistics::collect(&n);
-        assert_eq!(s.columns[0].distinct, 1);
-        assert_eq!(s.columns[0].min, Some(Value::Int(1)));
+        // No rows: no bounds, no histogram, an empty sketch.
+        let empty = TableStatistics::collect(&table(&[]));
+        assert_eq!((empty.rows, empty.columns[0].distinct), (0, 0));
+        assert_eq!((&empty.columns[0].min, &empty.columns[0].histogram), (&None, &None));
     }
 
     #[test]
@@ -396,7 +407,7 @@ mod tests {
 
     #[test]
     fn collect_attaches_distribution_summaries() {
-        let stats = TableStatistics::collect(&table());
+        let stats = TableStatistics::collect(&table(&[(5, "x"), (9, "x"), (5, "x"), (7, "x")]));
         let k = &stats.columns[0];
         let h = k.histogram.as_ref().expect("int column has a histogram");
         assert_eq!(h.total(), 4);

@@ -3,8 +3,8 @@
 //! `dbgen` runs are deterministic but not free — at SF 0.1 the generator is
 //! already the dominant cost of a cold benchmark run. The archive persists a
 //! generated database in a dependency-free columnar format so later runs
-//! (and CI, which caches the file as an artifact) load with a single
-//! `fs::read` instead of regenerating.
+//! (and CI, which caches the file as an artifact) open it instead of
+//! regenerating.
 //!
 //! Layout (LBCA v3, the only version read or written; all integers
 //! little-endian):
@@ -20,39 +20,39 @@
 //!
 //! Integer and date columns store the same frame-of-reference bit-packed
 //! form the engine scans ([`legobase_storage::PackedInts`]) whenever packing
-//! shrinks them — the encoding tag per column records the choice, and the
-//! reader rejects tampered headers and payloads with typed
-//! [`ArchiveError`]s (checksums are verified *before* any payload is
-//! parsed).
+//! shrinks them; the tag per column records the choice. The stats blocks
+//! carry the optimizer statistics — row counts, per-column distinct counts
+//! and bounds, equi-depth histograms, distinct sketches — so an opened
+//! archive serves the same estimates as a fresh `dbgen` run without a pass
+//! over the data.
 //!
-//! The stats blocks carry the optimizer statistics — row counts, per-column
-//! distinct counts and bounds, equi-depth histograms, and distinct sketches
-//! — so a loaded archive serves the same estimates as a fresh `dbgen` run
-//! without a collection pass over the data. A corrupt stats block is a typed
-//! [`ArchiveError::Corrupt`], never a panic, and never a silent fall-back to
-//! stale estimates.
+//! **Opening is map + validate.** [`read_mapped`] `mmap`s the file ([`read`]
+//! reads it onto the heap), verifies every checksum and then every payload —
+//! lengths against row counts, UTF-8, boolean bytes, packed headers and
+//! value domains, the statistics' structure — so whatever is wrong with a
+//! file is a typed [`ArchiveError`] at open, never a panic, a first-query
+//! failure or silently stale estimates. No value is decoded: the database
+//! keeps, per column, where its payload lies, and the engine's store decodes
+//! it into a plain vector when a query first needs it.
 //!
 //! Every column payload sits at an 8-byte file offset behind deterministic
 //! zero padding (the pad length follows from the cursor position alone, so
 //! writer and reader agree without storing it), and packed payloads pad
 //! their 17-byte header to 24 bytes — the packed words therefore sit 8-byte
-//! aligned in the file. [`read_mapped`] exploits this: it `mmap`s the
-//! archive and hands the engine [`PackedInts`] that borrow the packed words
-//! straight from the page cache (zero copies, zero decode until a kernel
-//! asks). A mapping failure falls back to the ordinary read+decode path;
-//! misaligned or truncated payloads are typed [`ArchiveError`]s, never
-//! panics or unaligned reads. Archives of the two earlier versions (no
-//! stats block; unaligned payloads) exist nowhere and are refused with
-//! [`ArchiveError::BadVersion`].
+//! aligned in the file, and a mapped open hands the engine [`PackedInts`]
+//! that borrow them from the page cache and are never copied. A mapping
+//! failure falls back to [`read`]; misaligned or truncated payloads are
+//! typed errors, never unaligned reads. Archives of the two earlier
+//! versions exist nowhere and are refused with [`ArchiveError::BadVersion`].
 
-use crate::gen::TpchData;
+use crate::gen::{BaseColumn, BaseTable, TpchData};
 use crate::schema::{catalog, TABLES};
 use legobase_storage::{
-    ColumnStats, Date, DistinctSketch, Histogram, Mapping, PackedInts, RowTable, TableStatistics,
+    Column, ColumnStats, Date, DistinctSketch, Histogram, Mapping, PackedInts, TableStatistics,
     Type, Value,
 };
-use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -60,8 +60,6 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 4] = *b"LBCA";
 /// The format version (statistics blocks, 8-byte-aligned mappable payloads).
 pub const VERSION: u32 = 3;
-/// Oldest version the reader accepts: there is one format.
-pub const MIN_VERSION: u32 = VERSION;
 /// Bytes of a packed payload's header (`base i64 | max i64 | width u8`,
 /// zero-padded so the words after it stay 8-byte aligned).
 const PACKED_HEADER: usize = 24;
@@ -142,13 +140,13 @@ pub fn to_bytes(data: &TpchData) -> Result<Vec<u8>, ArchiveError> {
     out.extend_from_slice(&(TABLES.len() as u32).to_le_bytes());
     // TABLES order keeps the bytes deterministic for a given database.
     for &name in &TABLES {
-        let table = data.table(name);
+        let arity = data.catalog.table(name).schema.len();
         out.extend_from_slice(&(name.len() as u16).to_le_bytes());
         out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(&(table.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(table.schema.len() as u32).to_le_bytes());
-        for c in 0..table.schema.len() {
-            let (tag, payload) = encode_column(name, table, c)?;
+        out.extend_from_slice(&(data.rows(name) as u64).to_le_bytes());
+        out.extend_from_slice(&(arity as u32).to_le_bytes());
+        for c in 0..arity {
+            let (tag, payload) = encode_column(name, c, &data.plain_column(name, c))?;
             out.push(tag);
             out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
             // Zero-pad so every payload starts on an 8-byte file offset
@@ -162,13 +160,12 @@ pub fn to_bytes(data: &TpchData) -> Result<Vec<u8>, ArchiveError> {
         }
     }
     for &name in &TABLES {
-        let stats = match data.catalog.stats(name) {
-            Some(s) => s.clone(),
-            // The archive always carries statistics; collect on the
-            // spot if this database was assembled without them.
-            None => TableStatistics::collect(data.table(name)),
-        };
-        let payload = encode_stats(&stats);
+        // Generated and opened databases both carry statistics; one whose
+        // catalog was swapped for a bare one cannot be archived.
+        let stats = data.catalog.stats(name).ok_or_else(|| {
+            ArchiveError::Unsupported(format!("`{name}` has no statistics to archive"))
+        })?;
+        let payload = encode_stats(stats);
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         put_checked(&mut out, &payload);
     }
@@ -255,78 +252,44 @@ pub fn write(data: &TpchData, path: &Path) -> Result<(), ArchiveError> {
     Ok(std::fs::write(path, to_bytes(data)?)?)
 }
 
-fn encode_column(name: &str, table: &RowTable, c: usize) -> Result<(u8, Vec<u8>), ArchiveError> {
-    let col = || format!("{name}.{}", table.schema.fields[c].name);
-    let mismatch = |v: &Value| {
-        ArchiveError::Unsupported(format!("{} holds {v:?}, not a {}", col(), table.schema.ty(c)))
-    };
-    match table.schema.ty(c) {
-        Type::Int => {
-            let mut vals = Vec::with_capacity(table.len());
-            for row in &table.rows {
-                match &row[c] {
-                    Value::Int(v) => vals.push(*v),
-                    other => return Err(mismatch(other)),
-                }
-            }
-            Ok(pack_or_raw(&vals, 8, TAG_I64_PACKED, TAG_I64_RAW, || {
-                let mut payload = Vec::with_capacity(vals.len() * 8);
-                for v in &vals {
-                    payload.extend_from_slice(&v.to_le_bytes());
-                }
-                payload
-            }))
+fn encode_column(name: &str, c: usize, column: &Column) -> Result<(u8, Vec<u8>), ArchiveError> {
+    Ok(match column {
+        Column::I64(vals) => pack_or_raw(vals, 8, TAG_I64_PACKED, TAG_I64_RAW, || {
+            le_bytes(vals, |v| v.to_le_bytes())
+        }),
+        Column::Date(days) => {
+            let vals: Vec<i64> = days.iter().map(|&d| d as i64).collect();
+            pack_or_raw(&vals, 4, TAG_DATE_PACKED, TAG_DATE_RAW, || {
+                le_bytes(days, |d| d.to_le_bytes())
+            })
         }
-        Type::Date => {
-            let mut vals = Vec::with_capacity(table.len());
-            for row in &table.rows {
-                match &row[c] {
-                    Value::Date(d) => vals.push(d.0 as i64),
-                    other => return Err(mismatch(other)),
-                }
+        Column::F64(vals) => (TAG_F64, le_bytes(vals, |v| v.to_bits().to_le_bytes())),
+        Column::Str(vals) => {
+            let mut payload = Vec::with_capacity(vals.iter().map(|s| 4 + s.len()).sum());
+            for s in vals.iter() {
+                let len = u32::try_from(s.len()).map_err(|_| {
+                    ArchiveError::Unsupported(format!(
+                        "`{name}` column {c} holds a string of {} bytes",
+                        s.len()
+                    ))
+                })?;
+                payload.extend_from_slice(&len.to_le_bytes());
+                payload.extend_from_slice(s.as_bytes());
             }
-            Ok(pack_or_raw(&vals, 4, TAG_DATE_PACKED, TAG_DATE_RAW, || {
-                let mut payload = Vec::with_capacity(vals.len() * 4);
-                for v in &vals {
-                    payload.extend_from_slice(&(*v as i32).to_le_bytes());
-                }
-                payload
-            }))
+            (TAG_STR, payload)
         }
-        Type::Float => {
-            let mut payload = Vec::with_capacity(table.len() * 8);
-            for row in &table.rows {
-                match &row[c] {
-                    Value::Float(v) => payload.extend_from_slice(&v.to_bits().to_le_bytes()),
-                    other => return Err(mismatch(other)),
-                }
-            }
-            Ok((TAG_F64, payload))
-        }
-        Type::Str => {
-            let mut payload = Vec::new();
-            for row in &table.rows {
-                match &row[c] {
-                    Value::Str(s) => {
-                        payload.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                        payload.extend_from_slice(s.as_bytes());
-                    }
-                    other => return Err(mismatch(other)),
-                }
-            }
-            Ok((TAG_STR, payload))
-        }
-        Type::Bool => {
-            let mut payload = Vec::with_capacity(table.len());
-            for row in &table.rows {
-                match &row[c] {
-                    Value::Bool(b) => payload.push(*b as u8),
-                    other => return Err(mismatch(other)),
-                }
-            }
-            Ok((TAG_BOOL, payload))
-        }
+        Column::Bool(vals) => (TAG_BOOL, vals.iter().map(|&b| b as u8).collect()),
+        other => unreachable!("base columns are plain, found {}", other.kind_name()),
+    })
+}
+
+/// A raw payload: every value's little-endian bytes, back to back.
+fn le_bytes<T, const N: usize>(vals: &[T], bytes: impl Fn(&T) -> [u8; N]) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(vals.len() * N);
+    for v in vals {
+        payload.extend_from_slice(&bytes(v));
     }
+    payload
 }
 
 /// Packs `vals` frame-of-reference when that beats `raw_width` bytes per
@@ -469,46 +432,57 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Reads an archive file back into a database with a single `fs::read`. The
-/// archive serves the statistics it carries (histograms and sketches
-/// included), so the catalog matches a freshly generated database bit for
-/// bit.
-pub fn read(path: &Path) -> Result<TpchData, ArchiveError> {
-    from_bytes(&std::fs::read(path)?)
+/// The bytes of an opened archive: mapped from the file, or read onto the
+/// heap. Every archived column keeps its file alive through one of these.
+enum Source {
+    Mapped(Arc<Mapping>),
+    Read(Vec<u8>),
 }
 
-/// Reads an archive by `mmap`ing it read-only: the packed words of the
-/// archive's bit-packed columns are *borrowed* from the page cache instead
-/// of copied — [`TpchData::mapped_packed`] serves them to the engine, which
-/// substitutes them for its own re-encode, so a mapped load and a plain
-/// [`read`] produce bit-identical query results.
-///
-/// Fallback discipline (DESIGN.md §3e): any mapping failure — filesystem
-/// without mmap, exotic platform, empty file — silently degrades to the
-/// read+decode path. Corruption — truncated words, a misaligned payload,
-/// nonzero alignment padding — is a typed [`ArchiveError`], never a panic
-/// or an unaligned access.
+impl Source {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Source::Mapped(map) => map.bytes(),
+            Source::Read(bytes) => bytes,
+        }
+    }
+}
+
+/// Opens an archive file read onto the heap with a single `fs::read`.
+pub fn read(path: &Path) -> Result<TpchData, ArchiveError> {
+    open(Source::Read(std::fs::read(path)?))
+}
+
+/// Opens an archive by `mmap`ing it read-only: nothing is copied at open,
+/// columns are decoded from the mapping on first use, and the words of its
+/// bit-packed columns never are — [`TpchData::mapped_packed`] serves them to
+/// the engine, which substitutes them for its own re-encode, so a mapped
+/// open and a [`read`] give bit-identical query results. Any mapping
+/// failure — filesystem without mmap, exotic platform, empty file —
+/// silently degrades to [`read`] (DESIGN.md §3e).
 pub fn read_mapped(path: &Path) -> Result<TpchData, ArchiveError> {
     match Mapping::map_file(path) {
-        Ok(map) => {
-            let map = Arc::new(map);
-            from_bytes_impl(map.bytes(), Some(&map))
-        }
+        Ok(map) => open(Source::Mapped(Arc::new(map))),
         Err(_) => read(path),
     }
 }
 
-/// Parses the archive byte format (heap-owned columns, nothing mapped).
+/// Opens the archive byte format from memory (a heap copy, nothing mapped).
 pub fn from_bytes(bytes: &[u8]) -> Result<TpchData, ArchiveError> {
-    from_bytes_impl(bytes, None)
+    open(Source::Read(bytes.to_vec()))
 }
 
-/// The shared parser. When `mapping` is present, every bit-packed column
-/// additionally yields a zero-copy [`PackedInts`] borrowing its words from
-/// the mapping at their 8-byte-aligned file offset; the row values are
-/// still decoded eagerly so the row-oriented loader pipeline is unchanged.
-fn from_bytes_impl(bytes: &[u8], mapping: Option<&Arc<Mapping>>) -> Result<TpchData, ArchiveError> {
-    let mut cur = Cursor { bytes, pos: 0 };
+/// The one reader: structure, checksums and — in [`validate_column`] —
+/// every payload byte a later decode will trust. Kept per column: its tag,
+/// where its payload lies and, for a packed column of a mapped file, the
+/// zero-copy view of its words.
+fn open(source: Source) -> Result<TpchData, ArchiveError> {
+    let source = Arc::new(source);
+    let mapping = match &*source {
+        Source::Mapped(map) => Some(map),
+        Source::Read(_) => None,
+    };
+    let mut cur = Cursor { bytes: source.bytes(), pos: 0 };
     let (scale_factor, table_count) = cur.file_header()?;
     if table_count != TABLES.len() {
         return Err(ArchiveError::SchemaMismatch(format!(
@@ -517,52 +491,54 @@ fn from_bytes_impl(bytes: &[u8], mapping: Option<&Arc<Mapping>>) -> Result<TpchD
         )));
     }
     let mut cat = catalog();
-    let mut tables = HashMap::new();
-    let mut mapped: HashMap<(String, usize), Arc<PackedInts>> = HashMap::new();
+    let mut tables: Vec<BaseTable> = Vec::with_capacity(table_count);
     for _ in 0..table_count {
         let (name, rows, col_count) = cur.table_header()?;
-        let schema = cat.table(&name).schema.clone();
+        let schema = &cat.table(&name).schema;
         if col_count != schema.len() {
             return Err(ArchiveError::SchemaMismatch(format!(
                 "`{name}` has {col_count} columns, expected {}",
                 schema.len()
             )));
         }
-        let mut columns: Vec<Vec<Value>> = Vec::with_capacity(col_count);
+        let mut columns = Vec::with_capacity(col_count);
         for c in 0..col_count {
             let (tag, payload_off, payload) = cur.column(&name, c)?;
-            let map = mapping.map(|m| (m, payload_off));
-            let (vals, mp) = decode_column(&name, c, schema.ty(c), tag, payload, rows, map)?;
-            if let Some(mp) = mp {
-                mapped.insert((name.clone(), c), mp);
-            }
-            columns.push(vals);
+            let src = mapping.map(|m| (m, payload_off));
+            let packed = validate_column(&name, c, schema.ty(c), tag, payload, rows, src)?;
+            columns.push(BaseColumn::Archived(ArchivedColumn {
+                source: Arc::clone(&source),
+                tag,
+                payload: payload_off..payload_off + payload.len(),
+                rows,
+                packed,
+            }));
         }
-        let mut table = RowTable::with_capacity(schema, rows);
-        for r in 0..rows {
-            table.push(columns.iter().map(|col| col[r].clone()).collect());
-        }
-        tables.insert(name, table);
+        tables.push(BaseTable { name, rows, columns });
     }
     // The statistics travelled with the data — decode, validate, and serve
     // them without a collection pass.
     for &name in &TABLES {
         let payload = cur.stats_block(name)?;
-        let table = tables.get(name).ok_or_else(|| {
+        let table = tables.iter().find(|t| t.name == name).ok_or_else(|| {
             ArchiveError::SchemaMismatch(format!("table `{name}` missing from archive"))
         })?;
-        let stats = decode_stats(name, payload, table.len(), table.schema.len())?;
-        cat.set_stats(name, stats);
+        cat.set_stats(name, decode_stats(name, payload, table.rows, table.columns.len())?);
     }
     cur.finish()?;
-    Ok(TpchData::from_parts(cat, scale_factor, tables).with_mapped(mapped))
+    Ok(TpchData { catalog: cat, scale_factor, tables })
 }
 
 /// Where a packed payload may be borrowed from: the file mapping and the
 /// column payload's byte offset inside it.
 type PackedSrc<'a> = Option<(&'a Arc<Mapping>, usize)>;
 
-fn decode_column(
+/// Checks one column payload exactly as strictly as decoding it would —
+/// the tag against the attribute type, the length against the row count,
+/// UTF-8, boolean bytes, packed headers and value domains — in one pass
+/// that materializes nothing. Returns the zero-copy view of a packed
+/// column's words when the file is mapped.
+fn validate_column(
     name: &str,
     c: usize,
     ty: Type,
@@ -570,66 +546,101 @@ fn decode_column(
     payload: &[u8],
     rows: usize,
     src: PackedSrc<'_>,
-) -> Result<(Vec<Value>, Option<Arc<PackedInts>>), ArchiveError> {
+) -> Result<Option<Arc<PackedInts>>, ArchiveError> {
     let corrupt = |m: &str| ArchiveError::Corrupt(format!("`{name}` column {c}: {m}"));
-    let wrong_tag = || corrupt(&format!("tag {tag} does not store a {ty} column"));
-    let mut cur = Cursor { bytes: payload, pos: 0 };
-    let mut mapped = None;
-    let mut out = Vec::with_capacity(rows);
+    let fixed_width = |width: usize| match rows.checked_mul(width) {
+        Some(len) if len == payload.len() => Ok(()),
+        Some(len) if len < payload.len() => Err(corrupt(OVERLONG)),
+        _ => Err(ArchiveError::Truncated),
+    };
     match (ty, tag) {
-        (Type::Int, TAG_I64_RAW) => {
-            for _ in 0..rows {
-                out.push(Value::Int(cur.i64()?));
-            }
-        }
-        (Type::Int, TAG_I64_PACKED) => {
-            let (mp, vals) = read_packed(&mut cur, rows, src, &corrupt)?;
-            mapped = mp;
-            for v in vals {
-                out.push(Value::Int(v));
-            }
-        }
-        (Type::Date, TAG_DATE_RAW) => {
-            for _ in 0..rows {
-                out.push(Value::Date(Date(cur.u32()? as i32)));
-            }
-        }
-        (Type::Date, TAG_DATE_PACKED) => {
-            let (mp, vals) = read_packed(&mut cur, rows, src, &corrupt)?;
-            mapped = mp;
-            for v in vals {
-                let d = i32::try_from(v).map_err(|_| corrupt("day count out of i32 range"))?;
-                out.push(Value::Date(Date(d)));
-            }
-        }
-        (Type::Float, TAG_F64) => {
-            for _ in 0..rows {
-                out.push(Value::Float(cur.f64()?));
+        (Type::Int, TAG_I64_RAW) | (Type::Float, TAG_F64) => fixed_width(8)?,
+        (Type::Date, TAG_DATE_RAW) => fixed_width(4)?,
+        (Type::Bool, TAG_BOOL) => {
+            fixed_width(1)?;
+            if let Some(b) = payload.iter().find(|&&b| b > 1) {
+                return Err(corrupt(&format!("byte {b} is not a boolean")));
             }
         }
         (Type::Str, TAG_STR) => {
+            let mut cur = Cursor { bytes: payload, pos: 0 };
             for _ in 0..rows {
                 let len = cur.u32()? as usize;
-                let s =
-                    std::str::from_utf8(cur.take(len)?).map_err(|_| corrupt("non-UTF-8 string"))?;
-                out.push(Value::Str(s.to_string()));
+                std::str::from_utf8(cur.take(len)?).map_err(|_| corrupt("non-UTF-8 string"))?;
+            }
+            if cur.pos != payload.len() {
+                return Err(corrupt(OVERLONG));
             }
         }
-        (Type::Bool, TAG_BOOL) => {
-            for _ in 0..rows {
-                match cur.u8()? {
-                    0 => out.push(Value::Bool(false)),
-                    1 => out.push(Value::Bool(true)),
-                    b => return Err(corrupt(&format!("byte {b} is not a boolean"))),
+        (Type::Int, TAG_I64_PACKED) | (Type::Date, TAG_DATE_PACKED) => {
+            let packed = read_packed(payload, rows, src, &corrupt)?;
+            if ty == Type::Date && packed.iter().any(|v| i32::try_from(v).is_err()) {
+                return Err(corrupt("day count out of i32 range"));
+            }
+            return Ok(src.map(|_| Arc::new(packed)));
+        }
+        _ => return Err(corrupt(&format!("tag {tag} does not store a {ty} column"))),
+    }
+    Ok(None)
+}
+
+const OVERLONG: &str = "payload longer than its row count";
+
+/// One attribute of an opened archive: where its validated payload lies in
+/// the file's bytes, decoded into a plain column on demand.
+pub(crate) struct ArchivedColumn {
+    source: Arc<Source>,
+    tag: u8,
+    payload: Range<usize>,
+    rows: usize,
+    /// The zero-copy view of a packed column's words (mapped files only).
+    pub(crate) packed: Option<Arc<PackedInts>>,
+}
+
+impl ArchivedColumn {
+    /// The attribute's plain column. [`validate_column`] accepted every
+    /// byte read here when the archive was opened, so nothing can fail —
+    /// short of the mapped file changing underfoot, which the format does
+    /// not defend against (DESIGN.md §3e).
+    pub(crate) fn decode(&self) -> Column {
+        const VALID: &str = "payload validated when the archive was opened";
+        let payload = &self.source.bytes()[self.payload.clone()];
+        let packed = || match &self.packed {
+            Some(p) => Arc::clone(p),
+            None => Arc::new(
+                read_packed(payload, self.rows, None, &|m| ArchiveError::Corrupt(m.into()))
+                    .expect(VALID),
+            ),
+        };
+        fn le<T, const N: usize>(payload: &[u8], value: impl Fn([u8; N]) -> T) -> Arc<Vec<T>> {
+            Arc::new(
+                payload.chunks_exact(N).map(|b| value(b.try_into().expect("N bytes"))).collect(),
+            )
+        }
+        match self.tag {
+            TAG_I64_RAW => Column::I64(le(payload, i64::from_le_bytes)),
+            TAG_F64 => Column::F64(le(payload, f64::from_le_bytes)),
+            TAG_DATE_RAW => Column::Date(le(payload, i32::from_le_bytes)),
+            TAG_I64_PACKED => {
+                let mut values = vec![0; self.rows];
+                packed().unpack_range(0, &mut values);
+                Column::I64(Arc::new(values))
+            }
+            TAG_DATE_PACKED => Column::Date(Arc::new(packed().iter().map(|v| v as i32).collect())),
+            TAG_STR => {
+                let mut cur = Cursor { bytes: payload, pos: 0 };
+                let mut strings = Vec::with_capacity(self.rows);
+                for _ in 0..self.rows {
+                    let len = cur.u32().expect(VALID) as usize;
+                    let s = std::str::from_utf8(cur.take(len).expect(VALID)).expect(VALID);
+                    strings.push(s.to_string());
                 }
+                Column::Str(Arc::new(strings))
             }
+            TAG_BOOL => Column::Bool(Arc::new(payload.iter().map(|&b| b != 0).collect())),
+            tag => unreachable!("tag {tag} was refused when the archive was opened"),
         }
-        _ => return Err(wrong_tag()),
     }
-    if cur.pos != payload.len() {
-        return Err(corrupt("payload longer than its row count"));
-    }
-    Ok((out, mapped))
 }
 
 fn decode_value(
@@ -724,19 +735,20 @@ fn decode_stats(
     Ok(TableStatistics { rows, columns })
 }
 
-/// Reads a frame-of-reference payload, re-validating the header through
-/// [`PackedInts::from_parts`] (which rejects tampered widths and word
-/// counts) before decoding. With a live mapping, also constructs the
-/// zero-copy [`PackedInts`] whose words live at
-/// `payload_off + 24` in the mapped file — [`PackedInts::from_parts_mapped`]
-/// re-checks bounds and 8-byte alignment, so a file that lies about its
-/// layout is a typed corruption, not undefined behavior.
+/// Reads a frame-of-reference payload: header pad, word count against the
+/// row count, the header through [`PackedInts`]' own constructors (which
+/// reject tampered widths), and every value against the declared maximum.
+/// With a live mapping the words are borrowed in place at `payload_off + 24`
+/// — bounds and 8-byte alignment checked first, so a file that lies about
+/// its layout is a typed corruption, not undefined behavior — otherwise
+/// they are copied out of `payload`.
 fn read_packed(
-    cur: &mut Cursor<'_>,
+    payload: &[u8],
     rows: usize,
     src: PackedSrc<'_>,
     corrupt: &impl Fn(&str) -> ArchiveError,
-) -> Result<(Option<Arc<PackedInts>>, Vec<i64>), ArchiveError> {
+) -> Result<PackedInts, ArchiveError> {
+    let mut cur = Cursor { bytes: payload, pos: 0 };
     let base = cur.i64()?;
     let max = cur.i64()?;
     let width = cur.u8()?;
@@ -745,33 +757,30 @@ fn read_packed(
     if cur.take(7)?.iter().any(|&b| b != 0) {
         return Err(corrupt("nonzero pad in packed header"));
     }
-    let words_pos = cur.pos;
     let n_words = PackedInts::words_for(rows, width);
-    let mut words = Vec::with_capacity(n_words);
-    for _ in 0..n_words {
-        words.push(cur.u64()?);
+    let words = cur.take(n_words.checked_mul(8).ok_or(ArchiveError::Truncated)?)?;
+    if cur.pos != payload.len() {
+        return Err(corrupt(OVERLONG));
     }
-    let p = PackedInts::from_parts(base, max, width, rows, words)
-        .ok_or_else(|| corrupt("invalid frame-of-reference header"))?;
-    let vals: Vec<i64> = p.iter().collect();
-    if vals.iter().any(|&v| v > p.max()) {
+    let packed = match src {
+        Some((map, payload_off)) => {
+            let at = payload_off + PACKED_HEADER;
+            if map.u64_slice(at, n_words).is_none() {
+                return Err(corrupt("packed words misaligned or out of mapped bounds"));
+            }
+            PackedInts::from_parts_mapped(base, max, width, rows, Arc::clone(map), at)
+        }
+        None => {
+            let words =
+                words.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")));
+            PackedInts::from_parts(base, max, width, rows, words.collect())
+        }
+    }
+    .ok_or_else(|| corrupt("invalid frame-of-reference header"))?;
+    if packed.iter().any(|v| v > packed.max()) {
         return Err(corrupt("packed value above declared maximum"));
     }
-    let mapped = match src {
-        Some((m, payload_off)) => Some(Arc::new(
-            PackedInts::from_parts_mapped(
-                base,
-                max,
-                width,
-                rows,
-                Arc::clone(m),
-                payload_off + words_pos,
-            )
-            .ok_or_else(|| corrupt("packed words misaligned or out of mapped bounds"))?,
-        )),
-        None => None,
-    };
-    Ok((mapped, vals))
+    Ok(packed)
 }
 
 // ---------------------------------------------------------------------------
@@ -835,61 +844,53 @@ impl ArchiveInfo {
     }
 }
 
-/// Reads just the structure of an archive file — versions, encodings, bit
-/// widths, payload sizes — verifying checksums but decoding no values.
+/// The structure of an archive file — version, encodings, bit widths,
+/// payload sizes — read off an open (which refuses a corrupt file exactly
+/// as [`read_mapped`] does) without decoding a value.
 pub fn inspect(path: &Path) -> Result<ArchiveInfo, ArchiveError> {
-    inspect_bytes(&std::fs::read(path)?)
+    Ok(describe(&read_mapped(path)?, std::fs::metadata(path)?.len() as usize))
 }
 
 /// [`inspect`] over in-memory bytes.
 pub fn inspect_bytes(bytes: &[u8]) -> Result<ArchiveInfo, ArchiveError> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    let (scale_factor, table_count) = cur.file_header()?;
-    let cat = catalog();
-    let mut tables = Vec::with_capacity(table_count);
-    for _ in 0..table_count {
-        let (name, rows, col_count) = cur.table_header()?;
-        let schema = &cat.table(&name).schema;
-        let mut columns = Vec::with_capacity(col_count);
-        for c in 0..col_count {
-            let (tag, _, payload) = cur.column(&name, c)?;
-            let packed = tag == TAG_I64_PACKED || tag == TAG_DATE_PACKED;
-            if packed && payload.len() < PACKED_HEADER {
-                return Err(ArchiveError::Corrupt(format!(
-                    "packed payload of `{name}` column {c} shorter than its header"
-                )));
-            }
-            let encoding = match tag {
+    Ok(describe(&from_bytes(bytes)?, bytes.len()))
+}
+
+fn describe(data: &TpchData, file_bytes: usize) -> ArchiveInfo {
+    let column = |field: &legobase_storage::Field, column: &BaseColumn| {
+        let BaseColumn::Archived(a) = column else {
+            unreachable!("an opened archive holds archived columns")
+        };
+        let packed = a.tag == TAG_I64_PACKED || a.tag == TAG_DATE_PACKED;
+        ColumnInfo {
+            name: field.name.clone(),
+            encoding: match a.tag {
                 TAG_I64_RAW => "i64",
                 TAG_I64_PACKED => "i64-packed",
                 TAG_F64 => "f64",
                 TAG_DATE_RAW => "date",
                 TAG_DATE_PACKED => "date-packed",
                 TAG_STR => "str",
-                TAG_BOOL => "bool",
-                t => {
-                    return Err(ArchiveError::Corrupt(format!(
-                        "unknown encoding tag {t} in `{name}` column {c}"
-                    )))
-                }
-            };
-            columns.push(ColumnInfo {
-                name: schema.fields.get(c).map_or_else(|| format!("column{c}"), |f| f.name.clone()),
-                encoding,
-                bit_width: packed.then(|| payload[16]),
-                payload_bytes: payload.len(),
-                mappable_bytes: if packed { payload.len() - PACKED_HEADER } else { 0 },
-            });
+                _ => "bool",
+            },
+            bit_width: packed.then(|| a.source.bytes()[a.payload.start + 16]),
+            payload_bytes: a.payload.len(),
+            mappable_bytes: if packed { a.payload.len() - PACKED_HEADER } else { 0 },
         }
-        tables.push(TableInfo { name, rows, columns });
-    }
-    // Stats blocks are skipped but still checksum-verified, so `inspect` on
-    // a corrupt file fails the same way `read` would.
-    for &name in &TABLES {
-        cur.stats_block(name)?;
-    }
-    cur.finish()?;
-    Ok(ArchiveInfo { version: VERSION, scale_factor, file_bytes: bytes.len(), tables })
+    };
+    let tables = data
+        .tables
+        .iter()
+        .map(|t| TableInfo {
+            name: t.name.clone(),
+            rows: t.rows,
+            columns: (data.catalog.table(&t.name).schema.fields.iter())
+                .zip(&t.columns)
+                .map(|(field, c)| column(field, c))
+                .collect(),
+        })
+        .collect();
+    ArchiveInfo { version: VERSION, scale_factor: data.scale_factor, file_bytes, tables }
 }
 
 #[cfg(test)]
@@ -907,9 +908,8 @@ mod tests {
         let back = from_bytes(&bytes).expect("parse");
         assert_eq!(back.scale_factor, data.scale_factor);
         for &name in &TABLES {
-            let (a, b) = (data.table(name), back.table(name));
-            assert_eq!(a.schema, b.schema, "{name} schema");
-            assert_eq!(a.rows, b.rows, "{name} rows");
+            assert_eq!(data.rows(name), back.rows(name), "{name} row count");
+            assert_eq!(data.row_table(name).rows, back.row_table(name).rows, "{name} rows");
         }
         // The persisted statistics decode to exactly what the generator
         // attached — histograms and sketches included.
@@ -926,12 +926,8 @@ mod tests {
     fn archive_beats_raw_row_bytes() {
         let data = tiny();
         let bytes = to_bytes(&data).expect("serialize");
-        assert!(
-            bytes.len() < data.approx_bytes(),
-            "archive ({}) should be smaller than the row data ({})",
-            bytes.len(),
-            data.approx_bytes()
-        );
+        let rows: usize = TABLES.iter().map(|t| data.row_table(t).approx_bytes()).sum();
+        assert!(bytes.len() < rows, "archive ({}) vs the data as rows ({rows})", bytes.len());
     }
 
     #[test]
@@ -967,6 +963,50 @@ mod tests {
         );
     }
 
+    /// The payload checks `open` runs, on the shapes no TPC-H column takes
+    /// (booleans, raw dates) and on hostile sizes: the same typed errors the
+    /// eager decoder gave, found without materializing anything — and what
+    /// passes decodes.
+    #[test]
+    fn validation_is_as_strict_as_decoding() {
+        let check = |ty, tag, payload: &[u8], rows| {
+            validate_column("t", 0, ty, tag, payload, rows, None).map(|packed| packed.is_none())
+        };
+        let corrupt = |r: Result<bool, ArchiveError>, what: &str| match r {
+            Err(ArchiveError::Corrupt(m)) => assert!(m.contains(what), "{m}"),
+            other => panic!("expected Corrupt({what}), got {other:?}"),
+        };
+        assert!(check(Type::Bool, TAG_BOOL, &[0, 1, 1], 3).expect("three booleans"));
+        corrupt(check(Type::Bool, TAG_BOOL, &[0, 2, 1], 3), "byte 2 is not a boolean");
+        corrupt(check(Type::Bool, TAG_BOOL, &[0, 1, 1, 0], 3), OVERLONG);
+        assert!(matches!(check(Type::Bool, TAG_BOOL, &[0, 1], 3), Err(ArchiveError::Truncated)));
+        corrupt(check(Type::Bool, TAG_F64, &[0; 24], 3), "tag 2 does not store a BOOL column");
+        assert!(check(Type::Date, TAG_DATE_RAW, &[0; 12], 3).expect("three raw dates"));
+        corrupt(check(Type::Date, TAG_DATE_RAW, &[0; 13], 3), OVERLONG);
+        // A row count no payload could back is short, not an overflow or an
+        // allocation.
+        let huge = usize::MAX / 2;
+        assert!(matches!(
+            check(Type::Int, TAG_I64_RAW, &[0; 8], huge),
+            Err(ArchiveError::Truncated)
+        ));
+        assert!(matches!(check(Type::Str, TAG_STR, &[0; 8], huge), Err(ArchiveError::Truncated)));
+        // Packed day counts must fit the date type.
+        let (_, wide) = pack_or_raw(&[0, 1 << 40], 100, TAG_DATE_PACKED, TAG_DATE_RAW, Vec::new);
+        corrupt(check(Type::Date, TAG_DATE_PACKED, &wide, 2), "day count out of i32 range");
+
+        let decode = |tag, payload: &[u8], rows| {
+            let source = Arc::new(Source::Read(payload.to_vec()));
+            ArchivedColumn { source, tag, payload: 0..payload.len(), rows, packed: None }.decode()
+        };
+        assert_eq!(decode(TAG_BOOL, &[0, 1, 1], 3).value_at(2), Value::Bool(true));
+        let days: Vec<u8> = [9_000i32, -1].iter().flat_map(|d| d.to_le_bytes()).collect();
+        assert_eq!(decode(TAG_DATE_RAW, &days, 2).value_at(1), Value::Date(Date(-1)));
+        let (tag, narrow) = pack_or_raw(&[7, 9, 8], 100, TAG_DATE_PACKED, TAG_DATE_RAW, Vec::new);
+        assert!(check(Type::Date, tag, &narrow, 3).expect("three packed dates"));
+        assert_eq!(decode(tag, &narrow, 3).value_at(1), Value::Date(Date(9)));
+    }
+
     #[test]
     fn file_round_trip() {
         let dir = std::env::temp_dir().join("legobase-archive-test");
@@ -975,7 +1015,7 @@ mod tests {
         let data = tiny();
         write(&data, &path).expect("write");
         let back = read(&path).expect("read");
-        assert_eq!(back.table("lineitem").rows, data.table("lineitem").rows);
+        assert_eq!(back.row_table("lineitem").rows, data.row_table("lineitem").rows);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1015,12 +1055,12 @@ mod tests {
         assert!(mapped.mapped_bytes() > 0, "a v3 load should borrow packed words zero-copy");
         assert_eq!(plain.mapped_bytes(), 0, "the plain path owns everything");
         for &name in &TABLES {
-            assert_eq!(plain.table(name).rows, mapped.table(name).rows, "{name} rows");
+            assert_eq!(plain.row_table(name).rows, mapped.row_table(name).rows, "{name} rows");
             assert_eq!(plain.catalog.stats(name), mapped.catalog.stats(name), "{name} stats");
         }
         // The borrowed words decode to exactly the values the eager path
         // materialized — the substitution the engine performs is lossless.
-        let li = plain.table("lineitem");
+        let li = plain.row_table("lineitem");
         let mut checked = 0;
         for c in 0..li.schema.len() {
             if let Some(p) = mapped.mapped_packed("lineitem", c) {
@@ -1062,7 +1102,7 @@ mod tests {
         assert_eq!(info.file_bytes, bytes.len());
         assert_eq!(info.tables.len(), TABLES.len());
         let li = info.tables.iter().find(|t| t.name == "lineitem").expect("lineitem");
-        assert_eq!(li.rows, data.table("lineitem").len());
+        assert_eq!(li.rows, data.rows("lineitem"));
         let packed: Vec<_> =
             li.columns.iter().filter(|c| c.encoding.ends_with("-packed")).collect();
         assert!(!packed.is_empty(), "lineitem should hold packed columns");

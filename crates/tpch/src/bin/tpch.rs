@@ -2,7 +2,9 @@
 //!
 //! ```text
 //! tpch archive <scale-factor> <out.lbca>   generate and write an archive
-//! tpch info <file.lbca>                    print an archive's contents
+//! tpch info <file.lbca>                    open an archive (time and peak
+//!                                          memory of the open), then print
+//!                                          its contents
 //! ```
 
 use legobase_tpch::{archive, TpchData, TABLES};
@@ -11,7 +13,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage:
   tpch archive <scale-factor> <out.lbca>   generate and write an archive
-  tpch info <file.lbca>                    print an archive's contents";
+  tpch info <file.lbca>                    open an archive, print what the open cost and its contents";
 
 enum Cmd {
     Archive { scale_factor: f64, out: PathBuf },
@@ -53,29 +55,46 @@ fn main() -> ExitCode {
             }
             let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
             println!(
-                "wrote {} (sf {scale_factor}): {bytes} bytes, {} raw row bytes; \
-                 generate {:.2?}, write {:.2?}",
+                "wrote {} (sf {scale_factor}): {bytes} bytes; generate {:.2?}, write {:.2?}",
                 out.display(),
-                data.approx_bytes(),
                 gen_time,
                 t1.elapsed()
             );
             for &name in &TABLES {
-                println!("  {name:<9} {:>9} rows", data.table(name).len());
+                println!("  {name:<9} {:>9} rows", data.rows(name));
             }
             ExitCode::SUCCESS
         }
-        Cmd::Info { path } => match archive::inspect(&path) {
-            Ok(info) => {
-                print!("{}", render_info(&path.display().to_string(), &info));
-                ExitCode::SUCCESS
+        Cmd::Info { path } => {
+            // `inspect` opens the archive as a server would (mapped, every
+            // payload validated, nothing decoded): its duration and the
+            // process's memory high-water mark right after are what an open
+            // costs.
+            let t0 = std::time::Instant::now();
+            let info = archive::inspect(&path);
+            let (open_ms, hwm) = (t0.elapsed().as_secs_f64() * 1e3, vm_hwm_bytes());
+            match info {
+                Ok(info) => {
+                    print!("{}", render_info(&path.display().to_string(), &info));
+                    let ratio = hwm as f64 / info.file_bytes as f64;
+                    println!("open_ms {open_ms:.1}  VmHWM {hwm} bytes ({ratio:.2} x file)");
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    eprintln!("{e}");
+                    ExitCode::FAILURE
+                }
             }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        },
+        }
     }
+}
+
+/// The process's peak resident set so far (0 where `/proc` reports none).
+fn vm_hwm_bytes() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"));
+    let kb = line.and_then(|l| l.split_whitespace().nth(1)?.parse::<usize>().ok());
+    kb.unwrap_or(0) * 1024
 }
 
 /// Renders the `tpch info` report: archive version, scale factor, and per

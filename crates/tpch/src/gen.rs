@@ -1,11 +1,13 @@
 //! The deterministic `dbgen` substitute.
 
-use crate::schema::catalog;
+use crate::archive::ArchivedColumn;
+use crate::schema::{catalog, TABLES};
 use crate::text;
-use legobase_storage::{Catalog, Date, PackedInts, RowTable, Value};
+use legobase_storage::{
+    Catalog, Column, ColumnTable, Date, PackedInts, RowTable, TableStatistics, Value,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// `dbgen`'s CURRENTDATE constant (Clause 4.2.2.12), used for return flags
@@ -36,22 +38,41 @@ impl Default for TpchGenerator {
     }
 }
 
-/// The generated database: catalog plus one row table per relation.
+/// One attribute of the base data: a typed column, either owned in its
+/// plain layout (generated data) or still the validated payload of an
+/// opened archive, decoded when someone first asks for it.
+pub(crate) enum BaseColumn {
+    Plain(Column),
+    Archived(ArchivedColumn),
+}
+
+impl BaseColumn {
+    fn mapped_packed(&self) -> Option<&Arc<PackedInts>> {
+        match self {
+            BaseColumn::Plain(_) => None,
+            BaseColumn::Archived(a) => a.packed.as_ref(),
+        }
+    }
+}
+
+/// One base relation: its row count and one [`BaseColumn`] per attribute.
+pub(crate) struct BaseTable {
+    pub(crate) name: String,
+    pub(crate) rows: usize,
+    pub(crate) columns: Vec<BaseColumn>,
+}
+
+/// The database: catalog plus the typed columns of every relation — the
+/// one base representation. Everything else (other layouts, dictionaries,
+/// partitions, indexes, row tuples for the generic engines) is derived from
+/// these columns by the engine's base-structure store, on first demand.
 pub struct TpchData {
     /// Schema catalog for the generated tables.
     pub catalog: Catalog,
     /// Scale factor the data was generated at.
     pub scale_factor: f64,
-    /// The immutable base relations, reference-counted so the generic
-    /// engines' loaded databases share them instead of cloning every row.
-    tables: HashMap<String, Arc<RowTable>>,
-    /// Archive-mapped packed payloads per `(table, column)` (PR 10): when a
-    /// v3 archive is loaded through `mmap`, its bit-packed Int/Date columns
-    /// are carried here as zero-copy [`PackedInts`] borrowing the page
-    /// cache, and the specialized loader substitutes them instead of
-    /// re-packing the same values. Empty for generated databases and
-    /// read-decoded archives.
-    mapped: HashMap<(String, usize), Arc<PackedInts>>,
+    /// The relations, in [`TABLES`] order.
+    pub(crate) tables: Vec<BaseTable>,
 }
 
 impl TpchData {
@@ -61,59 +82,45 @@ impl TpchData {
         TpchGenerator { scale_factor, ..Default::default() }.generate()
     }
 
-    /// Reassembles a database from its parts (the archive reader's
-    /// constructor).
-    pub(crate) fn from_parts(
-        catalog: Catalog,
-        scale_factor: f64,
-        tables: HashMap<String, RowTable>,
-    ) -> TpchData {
-        let tables = tables.into_iter().map(|(name, t)| (name, Arc::new(t))).collect();
-        TpchData { catalog, scale_factor, tables, mapped: HashMap::new() }
+    fn table(&self, name: &str) -> &BaseTable {
+        let found = self.tables.iter().find(|t| t.name == name);
+        found.unwrap_or_else(|| panic!("unknown table `{name}`"))
     }
 
-    /// Attaches archive-mapped packed columns (the `mmap` reader's
-    /// finishing step).
-    pub(crate) fn with_mapped(
-        mut self,
-        mapped: HashMap<(String, usize), Arc<PackedInts>>,
-    ) -> TpchData {
-        self.mapped = mapped;
-        self
+    /// Row count of a relation (panics if absent).
+    pub fn rows(&self, table: &str) -> usize {
+        self.table(table).rows
+    }
+
+    /// Attribute `column` of `table` in its plain layout: a handle on the
+    /// generator's vector, or a fresh decode of the archive's payload — the
+    /// base-structure store asks once per column and keeps the answer.
+    pub fn plain_column(&self, table: &str, column: usize) -> Column {
+        match &self.table(table).columns[column] {
+            BaseColumn::Plain(c) => c.clone(),
+            BaseColumn::Archived(a) => a.decode(),
+        }
+    }
+
+    /// A relation as row tuples, derived from its columns (what the generic
+    /// engines scan; the store builds it once per relation they ask for).
+    pub fn row_table(&self, table: &str) -> RowTable {
+        let schema = self.catalog.table(table).schema.clone();
+        let columns = (0..schema.len()).map(|c| self.plain_column(table, c));
+        RowTable::from_columns(schema, self.rows(table), columns)
     }
 
     /// The archive-mapped packed payload for `(table, column)`, when this
     /// database was loaded zero-copy from a v3 archive.
     pub fn mapped_packed(&self, table: &str, column: usize) -> Option<&Arc<PackedInts>> {
-        self.mapped.get(&(table.to_string(), column))
+        self.table(table).columns.get(column)?.mapped_packed()
     }
 
-    /// Total bytes served from the mapped archive (page-cache borrowed, not
-    /// resident copies). Zero unless loaded via `mmap`.
+    /// Total bytes of packed words served from the mapped archive
+    /// (page-cache borrowed, never copied). Zero unless loaded via `mmap`.
     pub fn mapped_bytes(&self) -> usize {
-        self.mapped.values().map(|p| p.mapped_bytes()).sum()
-    }
-
-    /// A generated relation by name (panics if absent).
-    pub fn table(&self, name: &str) -> &RowTable {
-        self.tables.get(name).unwrap_or_else(|| panic!("unknown table `{name}`"))
-    }
-
-    /// All generated relations.
-    pub fn tables(&self) -> impl Iterator<Item = (&str, &RowTable)> {
-        self.tables.iter().map(|(k, v)| (k.as_str(), &**v))
-    }
-
-    /// All generated relations as shareable handles (what the generic
-    /// engines' loader holds instead of a copy).
-    pub fn shared_tables(&self) -> impl Iterator<Item = (&str, &Arc<RowTable>)> {
-        self.tables.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Total approximate footprint of the raw row data in bytes (the "input
-    /// data size" baseline of Fig. 20).
-    pub fn approx_bytes(&self) -> usize {
-        self.tables.values().map(|t| t.approx_bytes()).sum()
+        let columns = self.tables.iter().flat_map(|t| &t.columns);
+        columns.filter_map(BaseColumn::mapped_packed).map(|p| p.mapped_bytes()).sum()
     }
 }
 
@@ -146,35 +153,45 @@ impl TpchGenerator {
         SmallRng::seed_from_u64(self.seed.wrapping_mul(0x9E37_79B9).wrapping_add(stream))
     }
 
-    /// Runs the generator, attaching optimizer statistics — collected in one
-    /// pass per relation — to the catalog (`Catalog::stats`).
+    /// Runs the generator, attaching optimizer statistics — collected per
+    /// relation over its finished columns — to the catalog
+    /// (`Catalog::stats`).
     pub fn generate(&self) -> TpchData {
-        let cat = catalog();
+        let mut cat = catalog();
         let (n_supp, n_part, n_cust, n_orders) = self.counts();
-        let mut tables = HashMap::new();
-
-        tables.insert("region".to_string(), self.gen_region(&cat));
-        tables.insert("nation".to_string(), self.gen_nation(&cat));
-        tables.insert("supplier".to_string(), self.gen_supplier(&cat, n_supp));
-        tables.insert("customer".to_string(), self.gen_customer(&cat, n_cust));
-        tables.insert("part".to_string(), self.gen_part(&cat, n_part));
-        tables.insert("partsupp".to_string(), self.gen_partsupp(&cat, n_part, n_supp));
         let (orders, lineitem) = self.gen_orders_lineitem(&cat, n_orders, n_cust, n_part, n_supp);
-        tables.insert("orders".to_string(), orders);
-        tables.insert("lineitem".to_string(), lineitem);
-
-        let mut cat = cat;
-        for (name, table) in &tables {
-            cat.set_stats(name, legobase_storage::TableStatistics::collect(table));
-        }
-        TpchData::from_parts(cat, self.scale_factor, tables)
+        // In `TABLES` order; every relation draws from its own RNG stream.
+        let generated = [
+            self.gen_region(&cat),
+            self.gen_nation(&cat),
+            self.gen_supplier(&cat, n_supp),
+            self.gen_customer(&cat, n_cust),
+            self.gen_part(&cat, n_part),
+            self.gen_partsupp(&cat, n_part, n_supp),
+            orders,
+            lineitem,
+        ];
+        let tables = TABLES
+            .iter()
+            .zip(generated)
+            .map(|(&name, mut table)| {
+                table.shrink_to_fit();
+                cat.set_stats(name, TableStatistics::collect(&table));
+                BaseTable {
+                    name: name.to_string(),
+                    rows: table.len,
+                    columns: table.columns.into_iter().map(BaseColumn::Plain).collect(),
+                }
+            })
+            .collect();
+        TpchData { catalog: cat, scale_factor: self.scale_factor, tables }
     }
 
-    fn gen_region(&self, cat: &Catalog) -> RowTable {
+    fn gen_region(&self, cat: &Catalog) -> ColumnTable {
         let mut rng = self.rng(1);
-        let mut t = RowTable::with_capacity(cat.table("region").schema.clone(), 5);
+        let mut t = ColumnTable::with_capacity(cat.table("region").schema.clone(), 5);
         for (k, name) in text::REGIONS.iter().enumerate() {
-            t.push(vec![
+            t.push([
                 Value::Int(k as i64),
                 Value::from(*name),
                 Value::from(text::comment(&mut rng, 3, 8, 0.0)),
@@ -183,11 +200,11 @@ impl TpchGenerator {
         t
     }
 
-    fn gen_nation(&self, cat: &Catalog) -> RowTable {
+    fn gen_nation(&self, cat: &Catalog) -> ColumnTable {
         let mut rng = self.rng(2);
-        let mut t = RowTable::with_capacity(cat.table("nation").schema.clone(), 25);
+        let mut t = ColumnTable::with_capacity(cat.table("nation").schema.clone(), 25);
         for (k, (name, region)) in text::NATIONS.iter().enumerate() {
-            t.push(vec![
+            t.push([
                 Value::Int(k as i64),
                 Value::from(*name),
                 Value::Int(*region),
@@ -197,12 +214,12 @@ impl TpchGenerator {
         t
     }
 
-    fn gen_supplier(&self, cat: &Catalog, n: usize) -> RowTable {
+    fn gen_supplier(&self, cat: &Catalog, n: usize) -> ColumnTable {
         let mut rng = self.rng(3);
-        let mut t = RowTable::with_capacity(cat.table("supplier").schema.clone(), n);
+        let mut t = ColumnTable::with_capacity(cat.table("supplier").schema.clone(), n);
         for i in 1..=n as i64 {
             let nation = rng.gen_range(0..25i64);
-            t.push(vec![
+            t.push([
                 Value::Int(i),
                 Value::from(format!("Supplier#{i:09}")),
                 Value::from(text::comment(&mut rng, 2, 4, 0.0)),
@@ -216,12 +233,12 @@ impl TpchGenerator {
         t
     }
 
-    fn gen_customer(&self, cat: &Catalog, n: usize) -> RowTable {
+    fn gen_customer(&self, cat: &Catalog, n: usize) -> ColumnTable {
         let mut rng = self.rng(4);
-        let mut t = RowTable::with_capacity(cat.table("customer").schema.clone(), n);
+        let mut t = ColumnTable::with_capacity(cat.table("customer").schema.clone(), n);
         for i in 1..=n as i64 {
             let nation = rng.gen_range(0..25i64);
-            t.push(vec![
+            t.push([
                 Value::Int(i),
                 Value::from(format!("Customer#{i:09}")),
                 Value::from(text::comment(&mut rng, 2, 4, 0.0)),
@@ -235,13 +252,13 @@ impl TpchGenerator {
         t
     }
 
-    fn gen_part(&self, cat: &Catalog, n: usize) -> RowTable {
+    fn gen_part(&self, cat: &Catalog, n: usize) -> ColumnTable {
         let mut rng = self.rng(5);
-        let mut t = RowTable::with_capacity(cat.table("part").schema.clone(), n);
+        let mut t = ColumnTable::with_capacity(cat.table("part").schema.clone(), n);
         for i in 1..=n as i64 {
             let mfgr = rng.gen_range(1..=5);
             let brand = mfgr * 10 + rng.gen_range(1..=5);
-            t.push(vec![
+            t.push([
                 Value::Int(i),
                 Value::from(text::part_name(&mut rng)),
                 Value::from(format!("Manufacturer#{mfgr}")),
@@ -256,9 +273,9 @@ impl TpchGenerator {
         t
     }
 
-    fn gen_partsupp(&self, cat: &Catalog, n_part: usize, n_supp: usize) -> RowTable {
+    fn gen_partsupp(&self, cat: &Catalog, n_part: usize, n_supp: usize) -> ColumnTable {
         let mut rng = self.rng(6);
-        let mut t = RowTable::with_capacity(cat.table("partsupp").schema.clone(), n_part * 4);
+        let mut t = ColumnTable::with_capacity(cat.table("partsupp").schema.clone(), n_part * 4);
         if n_part == 0 || n_supp == 0 {
             // No parts or no suppliers ⇒ no part-supplier pairs (and the
             // spec's suppkey formula below would divide by zero).
@@ -269,7 +286,7 @@ impl TpchGenerator {
             for j in 0..4i64 {
                 // Spec formula: guarantees distinct (partkey, suppkey) pairs.
                 let suppkey = (pk + j * (s / 4 + (pk - 1) / s)) % s + 1;
-                t.push(vec![
+                t.push([
                     Value::Int(pk),
                     Value::Int(suppkey),
                     Value::Int(rng.gen_range(1..=9999)),
@@ -288,11 +305,11 @@ impl TpchGenerator {
         n_cust: usize,
         n_part: usize,
         n_supp: usize,
-    ) -> (RowTable, RowTable) {
+    ) -> (ColumnTable, ColumnTable) {
         let mut rng = self.rng(7);
-        let mut orders = RowTable::with_capacity(cat.table("orders").schema.clone(), n_orders);
+        let mut orders = ColumnTable::with_capacity(cat.table("orders").schema.clone(), n_orders);
         let mut lineitem =
-            RowTable::with_capacity(cat.table("lineitem").schema.clone(), n_orders * 4);
+            ColumnTable::with_capacity(cat.table("lineitem").schema.clone(), n_orders * 4);
         let (start, end) = order_date_range();
         let horizon = current_date();
         let n_clerks = ((n_orders / 1_000).max(10)) as i64;
@@ -342,7 +359,7 @@ impl TpchGenerator {
                     n_open += 1;
                 }
                 total += extended * (1.0 + tax) * (1.0 - discount);
-                lineitem.push(vec![
+                lineitem.push([
                     Value::Int(okey),
                     Value::Int(partkey),
                     Value::Int(suppkey),
@@ -368,7 +385,7 @@ impl TpchGenerator {
             } else {
                 "P"
             };
-            orders.push(vec![
+            orders.push([
                 Value::Int(okey),
                 Value::Int(custkey),
                 Value::from(status),
@@ -397,14 +414,14 @@ mod tests {
     #[test]
     fn row_counts_scale() {
         let d = small();
-        assert_eq!(d.table("region").len(), 5);
-        assert_eq!(d.table("nation").len(), 25);
-        assert_eq!(d.table("supplier").len(), 20);
-        assert_eq!(d.table("customer").len(), 300);
-        assert_eq!(d.table("part").len(), 400);
-        assert_eq!(d.table("partsupp").len(), 1600);
-        assert_eq!(d.table("orders").len(), 3000);
-        let lpo = d.table("lineitem").len() as f64 / d.table("orders").len() as f64;
+        assert_eq!(d.rows("region"), 5);
+        assert_eq!(d.rows("nation"), 25);
+        assert_eq!(d.rows("supplier"), 20);
+        assert_eq!(d.rows("customer"), 300);
+        assert_eq!(d.rows("part"), 400);
+        assert_eq!(d.rows("partsupp"), 1600);
+        assert_eq!(d.rows("orders"), 3000);
+        let lpo = d.rows("lineitem") as f64 / d.rows("orders") as f64;
         assert!((3.0..5.0).contains(&lpo), "≈4 lineitems per order, got {lpo}");
     }
 
@@ -412,9 +429,9 @@ mod tests {
     fn deterministic() {
         let a = TpchGenerator { scale_factor: 0.002, seed: 7 }.generate();
         let b = TpchGenerator { scale_factor: 0.002, seed: 7 }.generate();
-        assert_eq!(a.table("lineitem").rows, b.table("lineitem").rows);
+        assert_eq!(a.row_table("lineitem").rows, b.row_table("lineitem").rows);
         let c = TpchGenerator { scale_factor: 0.002, seed: 8 }.generate();
-        assert_ne!(a.table("lineitem").rows, c.table("lineitem").rows);
+        assert_ne!(a.row_table("lineitem").rows, c.row_table("lineitem").rows);
     }
 
     #[test]
@@ -429,10 +446,10 @@ mod tests {
             ),
             ("nation", vec![("n_regionkey", "region", "r_regionkey")]),
         ] {
-            let t = d.table(name);
+            let t = d.row_table(name);
             for (col, ref_table, ref_col) in fk_checks {
                 let ci = t.schema.col(col);
-                let rt = d.table(ref_table);
+                let rt = d.row_table(ref_table);
                 let rci = rt.schema.col(ref_col);
                 let keys: HashSet<i64> = rt.rows.iter().map(|r| r[rci].as_int()).collect();
                 for row in &t.rows {
@@ -449,7 +466,7 @@ mod tests {
     #[test]
     fn order_keys_sparse_and_unique() {
         let d = small();
-        let t = d.table("orders");
+        let t = d.row_table("orders");
         let keys: Vec<i64> = t.rows.iter().map(|r| r[0].as_int()).collect();
         let distinct: HashSet<i64> = keys.iter().copied().collect();
         assert_eq!(distinct.len(), keys.len());
@@ -469,12 +486,11 @@ mod tests {
     fn sf_zero_generates_floor_sizes_without_panicking() {
         for sf in [0.0, -1.0, f64::NAN] {
             let d = TpchData::generate(sf);
-            assert_eq!(d.table("supplier").len(), 10, "sf {sf}");
-            assert_eq!(d.table("part").len(), 200, "sf {sf}");
-            assert_eq!(d.table("customer").len(), 150, "sf {sf}");
-            assert_eq!(d.table("orders").len(), 1_500, "sf {sf}");
-            assert!(!d.table("lineitem").is_empty(), "sf {sf}");
-            assert!(d.approx_bytes() > 0);
+            assert_eq!(d.rows("supplier"), 10, "sf {sf}");
+            assert_eq!(d.rows("part"), 200, "sf {sf}");
+            assert_eq!(d.rows("customer"), 150, "sf {sf}");
+            assert_eq!(d.rows("orders"), 1_500, "sf {sf}");
+            assert!(d.rows("lineitem") > 0, "sf {sf}");
         }
     }
 
@@ -486,26 +502,26 @@ mod tests {
     fn zero_counts_yield_empty_tables() {
         let g = TpchGenerator { scale_factor: 0.0, seed: 7 };
         let cat = catalog();
-        assert_eq!(g.gen_partsupp(&cat, 0, 10).len(), 0);
-        assert_eq!(g.gen_partsupp(&cat, 10, 0).len(), 0);
+        assert_eq!(g.gen_partsupp(&cat, 0, 10).len, 0);
+        assert_eq!(g.gen_partsupp(&cat, 10, 0).len, 0);
         let (orders, lineitem) = g.gen_orders_lineitem(&cat, 100, 0, 10, 10);
-        assert_eq!((orders.len(), lineitem.len()), (0, 0));
+        assert_eq!((orders.len, lineitem.len), (0, 0));
         let (orders, lineitem) = g.gen_orders_lineitem(&cat, 100, 10, 0, 10);
-        assert_eq!((orders.len(), lineitem.len()), (0, 0));
+        assert_eq!((orders.len, lineitem.len), (0, 0));
         let (orders, lineitem) = g.gen_orders_lineitem(&cat, 100, 10, 10, 0);
-        assert_eq!((orders.len(), lineitem.len()), (0, 0));
+        assert_eq!((orders.len, lineitem.len), (0, 0));
         // Zero orders with everything else present is simply empty output.
         let (orders, lineitem) = g.gen_orders_lineitem(&cat, 0, 10, 10, 10);
-        assert_eq!((orders.len(), lineitem.len()), (0, 0));
-        assert_eq!(g.gen_supplier(&cat, 0).len(), 0);
-        assert_eq!(g.gen_customer(&cat, 0).len(), 0);
-        assert_eq!(g.gen_part(&cat, 0).len(), 0);
+        assert_eq!((orders.len, lineitem.len), (0, 0));
+        assert_eq!(g.gen_supplier(&cat, 0).len, 0);
+        assert_eq!(g.gen_customer(&cat, 0).len, 0);
+        assert_eq!(g.gen_part(&cat, 0).len, 0);
     }
 
     #[test]
     fn composite_lineitem_pk_unique() {
         let d = small();
-        let t = d.table("lineitem");
+        let t = d.row_table("lineitem");
         let mut seen = HashSet::new();
         for r in &t.rows {
             assert!(seen.insert((r[0].as_int(), r[3].as_int())));
@@ -515,7 +531,7 @@ mod tests {
     #[test]
     fn date_invariants() {
         let d = small();
-        let t = d.table("lineitem");
+        let t = d.row_table("lineitem");
         let (lo, _) = order_date_range();
         let hi = Date::from_ymd(1998, 12, 31);
         let (s, c, r) = (
@@ -536,7 +552,7 @@ mod tests {
     #[test]
     fn flags_follow_current_date() {
         let d = small();
-        let t = d.table("lineitem");
+        let t = d.row_table("lineitem");
         let horizon = current_date();
         let (rf, ls, sd, rd) = (
             t.schema.col("l_returnflag"),
@@ -558,7 +574,7 @@ mod tests {
     fn workload_patterns_present() {
         // Q13/Q16/Q14 patterns must occur at small scale already.
         let d = small();
-        let o = d.table("orders");
+        let o = d.row_table("orders");
         let oc = o.schema.col("o_comment");
         assert!(o.rows.iter().any(|r| {
             let c = r[oc].as_str();
@@ -566,10 +582,10 @@ mod tests {
                 .position(|w| w == "special")
                 .is_some_and(|i| c.split(' ').skip(i + 1).any(|w| w == "requests"))
         }));
-        let p = d.table("part");
+        let p = d.row_table("part");
         let pt = p.schema.col("p_type");
         assert!(p.rows.iter().any(|r| r[pt].as_str().starts_with("PROMO")));
-        let cust = d.table("customer");
+        let cust = d.row_table("customer");
         let seg = cust.schema.col("c_mktsegment");
         assert!(cust.rows.iter().any(|r| r[seg].as_str() == "BUILDING"));
     }

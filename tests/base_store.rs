@@ -10,9 +10,11 @@
 //! default leg the archive-mapped ones; `LEGOBASE_ENCODING=0` and
 //! `LEGOBASE_PARALLELISM=4` reach the loaders through the facade as usual.
 
+use legobase::engine::db::{Layout, StructureKey, StructureKind};
 use legobase::sql::tpch_sql;
 use legobase::storage::Value;
 use legobase::{Config, LegoBase, QueryError, QueryRequest, ResultTable, ServeOptions};
+use std::collections::HashSet;
 use std::sync::Barrier;
 
 const SCALE: f64 = 0.002;
@@ -161,6 +163,75 @@ fn concurrent_misses_build_each_structure_once() {
     assert_eq!(service.stats().store_builds, stats.store_builds);
     let system = service.into_system();
     assert_eq!(system.store_stats().builds, system.store_stats().slots, "a slot was built twice");
+}
+
+/// Opening an archive decodes nothing, and running the whole workload under
+/// the default (specialized) configuration decodes only what it reads: no
+/// relation is ever turned into rows, and no column outside the union of
+/// the 22 specialization reports' used columns gets a plain slot.
+#[test]
+fn only_the_columns_the_workload_uses_are_ever_decoded() {
+    let system = archive_system("lazy");
+    assert_eq!(system.store_stats().slots, 0, "an open builds nothing");
+    let mut used: HashSet<(String, usize)> = HashSet::new();
+    for n in 1..=22 {
+        let reply = system.query(&QueryRequest::sql(tpch_sql(n))).expect("embedded SQL");
+        let spec = reply.detail.expect("facade replies carry the compilation").compilation.spec;
+        for (table, columns) in &spec.used_columns {
+            used.extend(columns.iter().map(|&c| (table.clone(), c)));
+        }
+    }
+    let stats = system.store_stats();
+    assert!(stats.slots > 0 && stats.resident.len() as u64 == stats.slots);
+    for key in &stats.resident {
+        assert_ne!(key.kind, StructureKind::Rows, "{key}: the specialized engine never sees a row");
+        if key.kind == StructureKind::Column(Layout::Plain) {
+            assert!(used.contains(&(key.table.clone(), key.column)), "{key} decoded but unused");
+        }
+    }
+    // The workload leaves most of the wide relations' attributes untouched.
+    let arity = |t: &str| system.data.catalog.table(t).schema.len();
+    let total: usize = legobase::tpch::TABLES.into_iter().map(arity).sum();
+    assert!(used.len() < total, "{} of {total} attributes used", used.len());
+}
+
+/// The row form is one more store slot, asked for by the generic engines
+/// only and per relation the plan scans: one `Dbx` Q6 leaves exactly
+/// lineitem's rows in the store, and eight sessions missing on it at the
+/// same instant build it once.
+#[test]
+fn rows_are_a_store_slot_built_once_for_the_engines_that_ask() {
+    let rows_of = |table: &str| StructureKey {
+        table: table.to_string(),
+        column: 0,
+        kind: StructureKind::Rows,
+    };
+    let system = archive_system("rows");
+    let dbx_q6 = QueryRequest::plan(system.plan(6)).with_config(Config::Dbx);
+    let first = system.query(&dbx_q6).expect("Q6 under DBX");
+    assert_eq!(system.store_stats().resident, [rows_of("lineitem")]);
+    assert_eq!(first.structures.len(), 1);
+    assert!(!first.structures[0].resident && first.structures[0].key == rows_of("lineitem"));
+    let again = system.query(&dbx_q6).expect("Q6 under DBX");
+    assert!(again.structures[0].resident && system.store_stats().builds == 1);
+    assert!(bits(&again.result) == bits(&first.result));
+
+    let service = archive_system("rows-once")
+        .serve_with(ServeOptions::default().with_prepared_cache_capacity(0).with_workers(8));
+    let barrier = Barrier::new(8);
+    std::thread::scope(|scope| {
+        for _ in 0..8 {
+            let (service, barrier, first, dbx_q6) = (&service, &barrier, &first, &dbx_q6);
+            scope.spawn(move || {
+                let session = service.session();
+                barrier.wait();
+                let got = session.query(dbx_q6).expect("Q6 under DBX");
+                assert!(bits(&got.result) == bits(&first.result));
+            });
+        }
+    });
+    let stats = service.into_system().store_stats();
+    assert_eq!((stats.builds, stats.resident), (1, vec![rows_of("lineitem")]));
 }
 
 /// FIFO-evicting every prepared entry drops handles, not structures: the

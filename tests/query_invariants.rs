@@ -87,7 +87,7 @@ fn q5_nations_belong_to_asia() {
 fn q6_matches_manual_computation() {
     // Recompute Q6 directly over the raw data.
     let data = &system().data;
-    let li = data.table("lineitem");
+    let li = data.row_table("lineitem");
     let (sd, d, q, ep) = (
         li.schema.col("l_shipdate"),
         li.schema.col("l_discount"),
@@ -150,18 +150,18 @@ fn q11_values_exceed_global_threshold() {
     let r = run(11);
     // Recompute the German stock total to validate the HAVING threshold.
     let data = &system().data;
-    let nation = data.table("nation");
+    let nation = data.row_table("nation");
     let germany: i64 =
         nation.rows.iter().find(|row| row[1].as_str() == "GERMANY").expect("GERMANY exists")[0]
             .as_int();
-    let supplier = data.table("supplier");
+    let supplier = data.row_table("supplier");
     let german_suppliers: std::collections::HashSet<i64> = supplier
         .rows
         .iter()
         .filter(|row| row[3].as_int() == germany)
         .map(|row| row[0].as_int())
         .collect();
-    let ps = data.table("partsupp");
+    let ps = data.row_table("partsupp");
     let mut total = 0.0;
     for row in &ps.rows {
         if german_suppliers.contains(&row[1].as_int()) {
@@ -195,7 +195,7 @@ fn q13_distribution_covers_all_customers() {
     // Σ custdist = number of customers (every customer lands in exactly one
     // c_count bucket thanks to the left outer join).
     let total: i64 = r.rows().iter().map(|row| row[1].as_int()).sum();
-    assert_eq!(total, system().data.table("customer").len() as i64);
+    assert_eq!(total, system().data.rows("customer") as i64);
     // A zero-orders bucket must exist (custkey % 3 == 0 never orders).
     assert!(r.rows().iter().any(|row| row[0].as_int() == 0));
 }

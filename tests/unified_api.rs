@@ -74,6 +74,11 @@ fn surfaces_agree() {
         };
         assert!(want.starts_with(kind), "{what}: {want}");
     }
+    // An explain reply says which environment overrides it was planned
+    // under, on both in-process surfaces.
+    for explained in [facade.query(&requests[2].1), session.query(&requests[2].1)] {
+        assert_eq!(explained.expect("explain").env.as_ref(), Some(facade.env()));
+    }
     // The span of the misspelt name survives every surface.
     match facade.query(&requests[5].1) {
         Err(QueryError::Sql(e)) => assert_eq!(&misspelt[e.span.start..e.span.end], "lineitme"),
