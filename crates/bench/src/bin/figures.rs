@@ -1265,7 +1265,7 @@ fn table4() {
                 let path = entry.path();
                 if path.is_dir() {
                     dirs.push(path);
-                } else if path.extension().is_some_and(|e| e == "rs") {
+                } else if path.extension().is_some_and(|e| e == "rs") && !is_test_module(&path) {
                     lines += non_test_lines(&read(&path));
                 }
             }
@@ -1274,6 +1274,12 @@ fn table4() {
         println!("{:<44} {lines:>6}", path.file_name().unwrap_or_default().to_string_lossy());
     }
     println!("{:<44} {total:>6}", "Total");
+}
+
+/// A whole-file test module (`fold_tests.rs`, `block_tests.rs`): its
+/// `#[cfg(test)]` sits on the `mod` line in `lib.rs`, not in the file.
+fn is_test_module(path: &std::path::Path) -> bool {
+    path.file_stem().is_some_and(|stem| stem.to_string_lossy().ends_with("_tests"))
 }
 
 /// Lines that are neither blank nor a comment — Table IV's measure.

@@ -23,18 +23,18 @@ use proptest::test_runner::TestRng;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-const K: usize = 0; // small dense int key
-const W: usize = 1; // wide sparse int key
-const S: usize = 2; // dictionary string
-const X: usize = 3; // float
-const Y: usize = 4; // float in [0, 0.1)
-const I: usize = 5; // small signed int
-const D: usize = 6; // date
-const BIG: usize = 7; // ints of magnitude just above 2^53
-const T: usize = 8; // plain string
+pub(crate) const K: usize = 0; // small dense int key
+pub(crate) const W: usize = 1; // wide sparse int key
+pub(crate) const S: usize = 2; // dictionary string
+pub(crate) const X: usize = 3; // float
+pub(crate) const Y: usize = 4; // float in [0, 0.1)
+pub(crate) const I: usize = 5; // small signed int
+pub(crate) const D: usize = 6; // date
+pub(crate) const BIG: usize = 7; // ints of magnitude just above 2^53
+pub(crate) const T: usize = 8; // plain string
 
 #[derive(Clone, Copy, Debug, PartialEq)]
-enum Layout {
+pub(crate) enum Layout {
     Plain,
     Packed,
     /// `X` and `I` carry validity masks, as below the NULL-extended side of
@@ -43,7 +43,7 @@ enum Layout {
 }
 
 #[derive(Clone, Copy, Debug)]
-enum Selection {
+pub(crate) enum Selection {
     None,
     Ascending,
     /// Three ascending runs back to back — the shape a date-index scan
@@ -52,7 +52,7 @@ enum Selection {
 }
 
 /// A chunk of `rows` logical rows.
-fn chunk(rng: &mut TestRng, rows: usize, layout: Layout, selection: Selection) -> Chunk {
+pub(crate) fn chunk(rng: &mut TestRng, rows: usize, layout: Layout, selection: Selection) -> Chunk {
     let schema = Schema::of(&[
         ("k", Type::Int),
         ("w", Type::Int),
@@ -350,7 +350,7 @@ proptest! {
         let plain_maps = no_motion.with(|s| s.hashmap_lowering = false);
         let interpreted = Config::OptScala.settings();
         // (group-by columns, settings, the resolver they must select)
-        let groupings: [(&[usize], Settings, &str); 8] = [
+        let groupings: [(&[usize], Settings, &str); 10] = [
             (&[], opt, "singleton"),
             (&[K], opt, "direct"),
             (&[S, K], opt, "direct"),
@@ -359,6 +359,11 @@ proptest! {
             (&[W], plain_maps, "hash"),
             (&[T, K], opt, "generic"),
             (&[S, K], interpreted, "generic"),
+            // Generic keys hash in place and verify by reference: rows that
+            // agree on the coded prefix (`I`) but differ in the string, NULL
+            // keys (`I` under the nullable layout), float keys.
+            (&[I, T], opt, "generic"),
+            (&[Y, K], opt, "generic"),
         ];
         let sizes = [0, 1, 1023, 1024, 1025, 2 * 1024 + 1, MORSEL_ROWS + 1, 2 * MORSEL_ROWS + 1025];
         let mut aggs = aggregates();

@@ -12,8 +12,8 @@
 use crate::expr::{AggKind, ArithOp, CmpOp, Expr};
 use crate::interp;
 use crate::plan::AggSpec;
-use legobase_storage::specialized::ChainedArrayMap;
-use legobase_storage::{metrics, Column, PackedInts, Schema, Type, Value};
+use legobase_storage::specialized::{hash_u64, ChainedArrayMap};
+use legobase_storage::{metrics, Column, PackedInts, Schema, StringDictionary, Type, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -109,17 +109,9 @@ impl Chunk {
         }
     }
 
-    /// Iterates physical indices in logical order.
-    pub fn physical_rows(&self) -> Box<dyn Iterator<Item = usize> + '_> {
-        match &self.sel {
-            Some(s) => Box::new(s.iter().map(|&r| r as usize)),
-            None => Box::new(0..self.total),
-        }
-    }
-
     /// Hands the logical rows `range` to `f` in blocks of at most
-    /// [`BLOCK_ROWS`] physical ids, in logical order — the per-row loops'
-    /// statically dispatched alternative to [`Chunk::physical_rows`].
+    /// [`BLOCK_ROWS`] physical ids, in logical order — how every operator
+    /// walks a chunk.
     pub fn for_each_block(&self, range: std::ops::Range<usize>, mut f: impl FnMut(Rows<'_>)) {
         match &self.sel {
             Some(s) => s[range].chunks(BLOCK_ROWS).for_each(|ids| f(Rows::Ids(ids))),
@@ -169,14 +161,8 @@ impl Chunk {
 pub type BoolK = Box<dyn Fn(usize) -> bool + Send + Sync>;
 /// A compiled row → `f64` kernel.
 pub type F64K = Box<dyn Fn(usize) -> f64 + Send + Sync>;
-/// A compiled row → `i64` (key code) kernel.
-pub type I64K = Box<dyn Fn(usize) -> i64 + Send + Sync>;
 /// A compiled row → [`Value`] kernel (generic fallback).
 pub type ValK = Box<dyn Fn(usize) -> Value + Send + Sync>;
-/// A compiled `(left_phys, right_phys) → bool` join-residual kernel. Like
-/// the row kernels it captures only `Arc`-shared columns, so morsel-parallel
-/// probe workers evaluate one shared residual concurrently.
-pub type PairK = Box<dyn Fn(usize, usize) -> bool + Send + Sync>;
 
 /// Compiles a predicate against a chunk's physical representation.
 pub fn compile_bool(e: &Expr, chunk: &Chunk) -> BoolK {
@@ -234,11 +220,9 @@ fn numeric(e: &Expr, chunk: &Chunk) -> Option<F64K> {
                 Column::Date(v) => Some(Box::new(move |r| v[r] as f64)),
                 Column::Bool(v) => Some(Box::new(move |r| v[r] as i64 as f64)),
                 // Packed columns on a per-row path unpack on access (one
-                // shift/mask): heavy decoded consumers stay plain under the
-                // scratch strategy and the hot filters run the fused block
-                // path, so this only covers the residual cases (e.g. a
-                // selection-vector scan) — never worth pinning a
-                // whole-column decode cache for (PR 10).
+                // shift/mask): the filters and aggregates batch-unpack in
+                // the block program, so this only covers what its per-row
+                // filler keeps (a `CASE` condition, interpreted mode).
                 Column::I64Packed(p) => Some(Box::new(move |r| p.get(r) as f64)),
                 Column::DatePacked(p) => Some(Box::new(move |r| p.get(r) as f64)),
                 _ => None,
@@ -294,15 +278,6 @@ fn date_kernel(e: &Expr, chunk: &Chunk) -> Option<Box<dyn Fn(usize) -> i32 + Sen
 }
 
 fn compile_cmp(op: CmpOp, a: &Expr, b: &Expr, chunk: &Chunk) -> BoolK {
-    // Packed column vs. literal: pre-encode the literal once and compare raw
-    // offsets — the scan never leaves the packed domain (PR 7's
-    // scan-without-decompress contract).
-    if let Some(k) = packed_cmp(op, a, b, chunk) {
-        return k;
-    }
-    if let Some(k) = packed_cmp(op.flip(), b, a, chunk) {
-        return k;
-    }
     // Numeric fast path (ints, floats, dates).
     if let (Some(fa), Some(fb)) = (numeric(a, chunk), numeric(b, chunk)) {
         return match op {
@@ -361,61 +336,20 @@ fn compile_cmp(op: CmpOp, a: &Expr, b: &Expr, chunk: &Chunk) -> BoolK {
         if va.is_null() || vb.is_null() {
             return false;
         }
-        let ord = va.cmp(&vb);
-        match op {
-            CmpOp::Eq => ord.is_eq(),
-            CmpOp::Ne => ord.is_ne(),
-            CmpOp::Lt => ord.is_lt(),
-            CmpOp::Le => ord.is_le(),
-            CmpOp::Gt => ord.is_gt(),
-            CmpOp::Ge => ord.is_ge(),
-        }
+        ord_holds(op, va.cmp(&vb))
     })
 }
 
-/// Compiles `col op lit` over a packed column without decompressing: the
-/// literal is encoded into the column's frame of reference once, and the
-/// per-row test compares raw `width`-bit offsets (unsigned comparison is
-/// order-preserving because both sides are offsets from the same base).
-/// Literals outside the encodable domain clamp to a constant predicate.
-fn packed_cmp(op: CmpOp, a: &Expr, b: &Expr, chunk: &Chunk) -> Option<BoolK> {
-    let Expr::Col(i) = a else { return None };
-    if chunk.nulls[*i].is_some() {
-        return None;
-    }
-    let lit = match b {
-        Expr::Lit(Value::Int(v)) => *v,
-        Expr::Lit(Value::Date(d)) => d.0 as i64,
-        _ => return None,
-    };
-    let p = match &chunk.cols[*i] {
-        Column::I64Packed(p) | Column::DatePacked(p) => Arc::clone(p),
-        _ => return None,
-    };
-    Some(packed_lit_kernel(op, p, lit))
-}
-
-fn packed_lit_kernel(op: CmpOp, p: Arc<PackedInts>, lit: i64) -> BoolK {
-    match p.encode(lit) {
-        Some(raw) => match op {
-            CmpOp::Eq => Box::new(move |r| p.get_raw(r) == raw),
-            CmpOp::Ne => Box::new(move |r| p.get_raw(r) != raw),
-            CmpOp::Lt => Box::new(move |r| p.get_raw(r) < raw),
-            CmpOp::Le => Box::new(move |r| p.get_raw(r) <= raw),
-            CmpOp::Gt => Box::new(move |r| p.get_raw(r) > raw),
-            CmpOp::Ge => Box::new(move |r| p.get_raw(r) >= raw),
-        },
-        None => {
-            // Every stored value is on one side of the literal.
-            let all_below_lit = lit > p.max();
-            let result = match op {
-                CmpOp::Eq => false,
-                CmpOp::Ne => true,
-                CmpOp::Lt | CmpOp::Le => all_below_lit,
-                CmpOp::Gt | CmpOp::Ge => !all_below_lit,
-            };
-            Box::new(move |_| result)
-        }
+/// Whether `a op b` holds given how `a` orders against `b`.
+#[inline(always)]
+fn ord_holds(op: CmpOp, ord: std::cmp::Ordering) -> bool {
+    match op {
+        CmpOp::Eq => ord.is_eq(),
+        CmpOp::Ne => ord.is_ne(),
+        CmpOp::Lt => ord.is_lt(),
+        CmpOp::Le => ord.is_le(),
+        CmpOp::Gt => ord.is_gt(),
+        CmpOp::Ge => ord.is_ge(),
     }
 }
 
@@ -538,18 +472,24 @@ fn compile_word_seq(a: &Expr, chunk: &Chunk, w1: String, w2: String) -> BoolK {
     })
 }
 
+/// One flag per dictionary code: is the code's string a member of `vals`?
+fn in_list_flags(dict: &StringDictionary, vals: &[Value]) -> Vec<bool> {
+    let mut flags = vec![false; dict.len()];
+    for v in vals {
+        if let Value::Str(s) = v {
+            if let Some(c) = dict.code(s) {
+                flags[c as usize] = true;
+            }
+        }
+    }
+    flags
+}
+
 fn compile_in_list(a: &Expr, vals: &[Value], chunk: &Chunk) -> BoolK {
     if let Expr::Col(i) = a {
         match chunk.cols[*i].clone() {
             Column::Dict(codes, dict) => {
-                let mut flags = vec![false; dict.len()];
-                for v in vals {
-                    if let Value::Str(s) = v {
-                        if let Some(c) = dict.code(s) {
-                            flags[c as usize] = true;
-                        }
-                    }
-                }
+                let flags = in_list_flags(&dict, vals);
                 return Box::new(move |r| flags[codes[r] as usize]);
             }
             Column::Str(v) => {
@@ -585,14 +525,7 @@ fn compile_in_list(a: &Expr, vals: &[Value], chunk: &Chunk) -> BoolK {
                 return Box::new(move |r| set.contains(&p.get_raw(r)));
             }
             Column::DictPacked(codes, dict) => {
-                let mut flags = vec![false; dict.len()];
-                for v in vals {
-                    if let Value::Str(s) = v {
-                        if let Some(c) = dict.code(s) {
-                            flags[c as usize] = true;
-                        }
-                    }
-                }
+                let flags = in_list_flags(&dict, vals);
                 return Box::new(move |r| flags[codes.get(r) as usize]);
             }
             _ => {}
@@ -613,31 +546,6 @@ pub fn compile_f64(e: &Expr, chunk: &Chunk) -> F64K {
     }
     let f = compile_value(e, chunk);
     Box::new(move |r| f(r).as_float())
-}
-
-/// Compiles a groupable column to an `i64` code kernel: integers verbatim,
-/// dates as day counts, dictionary strings as codes, booleans as 0/1.
-/// Returns `None` for plain strings (the caller falls back to generic keys).
-pub fn code_kernel(col: usize, chunk: &Chunk) -> Option<I64K> {
-    if chunk.nulls[col].is_some() {
-        return None;
-    }
-    match chunk.cols[col].clone() {
-        Column::I64(v) => Some(Box::new(move |r| v[r])),
-        Column::Date(v) => Some(Box::new(move |r| v[r] as i64)),
-        Column::Dict(codes, _) => Some(Box::new(move |r| codes[r] as i64)),
-        Column::Bool(v) => Some(Box::new(move |r| v[r] as i64)),
-        // Packed columns group on unpacked values/codes directly — the key
-        // code an aggregation sees is identical to the plain layout's, so
-        // grouped results stay bit-identical. Group keys are classified as
-        // heavy uses, so the loader keeps those columns plain; this arm only
-        // covers hand-built plans, and a shift/mask per access beats pinning
-        // a whole-column decode cache there too.
-        Column::I64Packed(p) => Some(Box::new(move |r| p.get(r))),
-        Column::DatePacked(p) => Some(Box::new(move |r| p.get(r))),
-        Column::DictPacked(p, _) => Some(Box::new(move |r| p.get(r))),
-        _ => None,
-    }
 }
 
 /// Generic value kernel: the universal fallback.
@@ -679,30 +587,20 @@ pub fn compile_value(e: &Expr, chunk: &Chunk) -> ValK {
     }
 }
 
-// ---- fused unpack-filter (PR 10) ----
+// ---- block operands ----
 
-/// Per-worker reusable scratch for the fused unpack-filter path: one decode
-/// buffer per fused column plus the survivor mask. Buffers grow to the
-/// morsel size once and are reused for every subsequent morsel, so the hot
-/// filter loop performs no allocations after warm-up.
-pub struct UnpackScratch {
-    bufs: Vec<Vec<i64>>,
-    mask: Vec<bool>,
-}
-
-/// An integer-valued block operand: one side of a block-evaluable
-/// comparison, an integer leaf of a block expression, or a group-key column.
+/// An integer-valued block operand: one side of a block comparison, an
+/// integer leaf of a block expression, a join key or a group-key column.
 #[derive(Clone)]
-enum IntSrc {
-    /// Packed column: batch-unpacked into scratch one block at a time —
-    /// never materialized whole. `slot` is the filter scratch slot (unused
-    /// outside [`BlockPred`]).
-    Unpack { p: Arc<PackedInts>, slot: usize },
+pub(crate) enum IntSrc {
+    /// Packed column: batch-unpacked one block at a time — never
+    /// materialized whole.
+    Unpack(Arc<PackedInts>),
     /// Plain integer column.
     I64(Arc<Vec<i64>>),
     /// Plain date column (day counts widen to `i64`).
     Date(Arc<Vec<i32>>),
-    /// Dictionary codes (group keys only).
+    /// Dictionary codes.
     Dict(Arc<Vec<u32>>),
     /// Boolean column as 0/1.
     Bool(Arc<Vec<bool>>),
@@ -711,16 +609,16 @@ enum IntSrc {
 }
 
 impl IntSrc {
-    /// Value at physical row `start + i`; `bufs` holds this morsel's fused
-    /// decodes (indexed from 0).
+    /// Value at physical row `p` (random access: join residuals, group-key
+    /// verification).
     #[inline(always)]
-    fn at(&self, bufs: &[Vec<i64>], start: usize, i: usize) -> i64 {
+    pub(crate) fn get(&self, p: usize) -> i64 {
         match self {
-            IntSrc::Unpack { slot, .. } => bufs[*slot][i],
-            IntSrc::I64(v) => v[start + i],
-            IntSrc::Date(v) => v[start + i] as i64,
-            IntSrc::Dict(v) => v[start + i] as i64,
-            IntSrc::Bool(v) => v[start + i] as i64,
+            IntSrc::Unpack(packed) => packed.get(p),
+            IntSrc::I64(v) => v[p],
+            IntSrc::Date(v) => v[p] as i64,
+            IntSrc::Dict(v) => v[p] as i64,
+            IntSrc::Bool(v) => v[p] as i64,
             IntSrc::Const(c) => *c,
         }
     }
@@ -731,7 +629,7 @@ impl IntSrc {
     /// kernels read.
     fn load(&self, rows: &Rows<'_>, out: &mut [i64]) {
         match self {
-            IntSrc::Unpack { p, .. } => match rows {
+            IntSrc::Unpack(p) => match rows {
                 Rows::Range(r) => p.unpack_range(r.start, out),
                 Rows::Ids(ids) => {
                     let cursor = p.cursor();
@@ -758,9 +656,10 @@ fn load_col<T: Copy, U>(v: &[T], rows: &Rows<'_>, out: &mut [U], cast: impl Fn(T
     }
 }
 
-/// The integer view of a non-nullable groupable column — the block
-/// counterpart of [`code_kernel`], with identical codes: integers verbatim,
-/// dates as day counts, dictionary strings as codes, booleans as 0/1.
+/// The integer view of a non-nullable codeable column: integers verbatim,
+/// dates as day counts, dictionary strings as codes, booleans as 0/1 — the
+/// key code a join or an aggregation sees is the same over plain and packed
+/// layouts. `None` for plain strings, floats and nullable columns.
 fn key_src(col: usize, chunk: &Chunk) -> Option<IntSrc> {
     if chunk.nulls[col].is_some() {
         return None;
@@ -771,14 +670,13 @@ fn key_src(col: usize, chunk: &Chunk) -> Option<IntSrc> {
         Column::Dict(codes, _) => Some(IntSrc::Dict(codes)),
         Column::Bool(v) => Some(IntSrc::Bool(v)),
         Column::I64Packed(p) | Column::DatePacked(p) | Column::DictPacked(p, _) => {
-            Some(IntSrc::Unpack { p, slot: 0 })
+            Some(IntSrc::Unpack(p))
         }
         _ => None,
     }
 }
 
-/// A per-distinct-code test for a dictionary predicate evaluated over
-/// batch-unpacked codes.
+/// A per-distinct-code test of a dictionary predicate.
 enum CodeTest {
     /// Equality against one resolved dictionary code.
     Eq { code: i64, eq: bool },
@@ -786,247 +684,25 @@ enum CodeTest {
     Flags(Vec<bool>),
 }
 
-/// One conjunct of a fused filter.
-enum Conjunct {
-    /// Integer comparison evaluated block-at-a-time over the morsel.
-    Block { op: CmpOp, a: IntSrc, b: IntSrc },
-    /// Dictionary predicate over packed codes: codes batch-unpack into
-    /// scratch slot `slot`, then the morsel runs through the code test.
-    Code { p: Arc<PackedInts>, slot: usize, test: CodeTest },
-    /// Anything else runs as the ordinary per-row kernel.
-    Row(BoolK),
-}
-
-/// A filter compiled for fused morsel-at-a-time evaluation (PR 10): packed
-/// predicate columns on the fused strategy are batch-unpacked into
-/// per-worker scratch and compared there, so hot pipelines never materialize
-/// a decoded column. Selects exactly the rows the per-row path selects.
-pub struct BlockPred {
-    conjuncts: Vec<Conjunct>,
-    slots: usize,
-}
-
-impl BlockPred {
-    /// Fresh scratch sized for this predicate's fused columns (one per
-    /// worker in the morsel-parallel path).
-    pub fn scratch(&self) -> UnpackScratch {
-        UnpackScratch { bufs: vec![Vec::new(); self.slots], mask: Vec::new() }
-    }
-
-    /// Evaluates physical rows `[start, start + n)` and appends the
-    /// survivors to `out` in row order.
-    pub fn eval(&self, scratch: &mut UnpackScratch, start: usize, n: usize, out: &mut Vec<u32>) {
-        // Batch-decode every fused operand for this morsel (each slot once —
-        // slots are assigned per operand occurrence).
-        let unpack = |p: &PackedInts, slot: usize, bufs: &mut Vec<Vec<i64>>| {
-            let buf = &mut bufs[slot];
-            if buf.len() < n {
-                buf.resize(n, 0);
-            }
-            p.unpack_range(start, &mut buf[..n]);
-        };
-        for c in &self.conjuncts {
-            match c {
-                Conjunct::Block { a, b, .. } => {
-                    for src in [a, b] {
-                        if let IntSrc::Unpack { p, slot } = src {
-                            unpack(p, *slot, &mut scratch.bufs);
-                        }
-                    }
-                }
-                Conjunct::Code { p, slot, .. } => unpack(p, *slot, &mut scratch.bufs),
-                Conjunct::Row(_) => {}
-            }
-        }
-        let UnpackScratch { bufs, mask } = scratch;
-        mask.clear();
-        mask.resize(n, true);
-        for c in &self.conjuncts {
-            match c {
-                Conjunct::Block { op, a, b } => {
-                    // Tight branch-free comparison loop over the decoded
-                    // morsel: no per-row closure dispatch, autovectorizable.
-                    macro_rules! cmp_loop {
-                        ($cmp:expr) => {
-                            for (i, m) in mask.iter_mut().enumerate() {
-                                *m &= $cmp(a.at(bufs, start, i), b.at(bufs, start, i));
-                            }
-                        };
-                    }
-                    match op {
-                        CmpOp::Eq => cmp_loop!(|x, y| x == y),
-                        CmpOp::Ne => cmp_loop!(|x, y| x != y),
-                        CmpOp::Lt => cmp_loop!(|x, y| x < y),
-                        CmpOp::Le => cmp_loop!(|x, y| x <= y),
-                        CmpOp::Gt => cmp_loop!(|x, y| x > y),
-                        CmpOp::Ge => cmp_loop!(|x, y| x >= y),
-                    }
-                }
-                Conjunct::Code { slot, test, .. } => {
-                    let buf = &bufs[*slot][..n];
-                    match test {
-                        CodeTest::Eq { code, eq } => {
-                            for (i, m) in mask.iter_mut().enumerate() {
-                                *m &= (buf[i] == *code) == *eq;
-                            }
-                        }
-                        CodeTest::Flags(flags) => {
-                            for (i, m) in mask.iter_mut().enumerate() {
-                                *m &= flags[buf[i] as usize];
-                            }
-                        }
-                    }
-                }
-                Conjunct::Row(k) => {
-                    for (i, m) in mask.iter_mut().enumerate() {
-                        if *m {
-                            *m = k(start + i);
-                        }
-                    }
-                }
-            }
-        }
-        for (i, keep) in mask.iter().enumerate() {
-            legobase_storage::metrics::branch_eval();
-            if *keep {
-                out.push((start + i) as u32);
-            }
+/// The conjuncts of a predicate, left to right.
+pub(crate) fn conjuncts(e: &Expr) -> Vec<&Expr> {
+    fn rec<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+        if let Expr::And(a, b) = e {
+            rec(a, out);
+            rec(b, out);
+        } else {
+            out.push(e);
         }
     }
-}
-
-fn flatten_and<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-    if let Expr::And(a, b) = e {
-        flatten_and(a, out);
-        flatten_and(b, out);
-    } else {
-        out.push(e);
-    }
-}
-
-/// Compiles one comparison operand for the block path, allocating a scratch
-/// slot when the column is packed: batch-unpacking a morsel is cheaper per
-/// value than any per-row extract, whatever strategy cleared the column.
-fn int_src(e: &Expr, chunk: &Chunk, slots: &mut usize) -> Option<IntSrc> {
-    match e {
-        Expr::Col(i) => {
-            if chunk.nulls[*i].is_some() {
-                return None;
-            }
-            match chunk.cols[*i].clone() {
-                Column::I64(v) => Some(IntSrc::I64(v)),
-                Column::Date(v) => Some(IntSrc::Date(v)),
-                Column::I64Packed(p) | Column::DatePacked(p) => {
-                    let slot = *slots;
-                    *slots += 1;
-                    Some(IntSrc::Unpack { p, slot })
-                }
-                _ => None,
-            }
-        }
-        Expr::Lit(Value::Int(v)) => Some(IntSrc::Const(*v)),
-        Expr::Lit(Value::Date(d)) => Some(IntSrc::Const(d.0 as i64)),
-        _ => None,
-    }
-}
-
-/// Tries to compile one conjunct as a dictionary-code test over packed codes
-/// (`Conjunct::Code`), mirroring the per-row dictionary kernels exactly:
-/// equality pre-resolves the target code, ordering and membership pre-resolve
-/// a per-distinct truth table. Returns `None` for every shape the per-row
-/// path should keep (plain columns, unresolvable literals, non-string
-/// comparisons).
-fn code_conjunct(leaf: &Expr, chunk: &Chunk, slots: &mut usize) -> Option<Conjunct> {
-    let (i, test) = match leaf {
-        Expr::Cmp(op, a, b) => {
-            let (op, i, s) = match (a.as_ref(), b.as_ref()) {
-                (Expr::Col(i), Expr::Lit(Value::Str(s))) => (*op, *i, s),
-                (Expr::Lit(Value::Str(s)), Expr::Col(i)) => (op.flip(), *i, s),
-                _ => return None,
-            };
-            let Column::DictPacked(_, dict) = &chunk.cols[i] else { return None };
-            let test = if matches!(op, CmpOp::Eq | CmpOp::Ne) {
-                // An unresolvable literal makes the conjunct constant; the
-                // per-row path handles that without a scratch slot.
-                let code = dict.code(s)? as i64;
-                CodeTest::Eq { code, eq: op == CmpOp::Eq }
-            } else {
-                let s = s.clone();
-                CodeTest::Flags(dict.matching_flags(|v| str_cmp(op, v, &s)))
-            };
-            (i, test)
-        }
-        Expr::InList(a, vals) => {
-            let Expr::Col(i) = a.as_ref() else { return None };
-            let Column::DictPacked(_, dict) = &chunk.cols[*i] else { return None };
-            let mut flags = vec![false; dict.len()];
-            for v in vals {
-                if let Value::Str(s) = v {
-                    if let Some(c) = dict.code(s) {
-                        flags[c as usize] = true;
-                    }
-                }
-            }
-            (*i, CodeTest::Flags(flags))
-        }
-        _ => return None,
-    };
-    if chunk.nulls[i].is_some() {
-        return None;
-    }
-    let Column::DictPacked(p, _) = chunk.cols[i].clone() else { return None };
-    let slot = *slots;
-    *slots += 1;
-    Some(Conjunct::Code { p, slot, test })
-}
-
-/// Compiles a predicate for fused morsel-at-a-time evaluation. Returns
-/// `None` unless at least one conjunct batch-unpacks a packed column —
-/// when nothing unpacks, the ordinary per-row path is equal or better and
-/// stays in charge. Per-morsel batch unpacking beats both the per-row
-/// word-compare and per-row flag lookups, so every packed operand the block
-/// path understands — int and date comparisons, dictionary equality,
-/// ordering, and membership — takes a scratch slot.
-pub fn compile_block_pred(e: &Expr, chunk: &Chunk) -> Option<BlockPred> {
-    let mut leaves = Vec::new();
-    flatten_and(e, &mut leaves);
-    let mut slots = 0usize;
-    let mut conjuncts = Vec::new();
-    for leaf in leaves {
-        if let Some(c) = code_conjunct(leaf, chunk, &mut slots) {
-            conjuncts.push(c);
-            continue;
-        }
-        let compiled = match leaf {
-            Expr::Cmp(op, a, b) => {
-                let before = slots;
-                match (int_src(a, chunk, &mut slots), int_src(b, chunk, &mut slots)) {
-                    (Some(sa), Some(sb)) => Conjunct::Block { op: *op, a: sa, b: sb },
-                    _ => {
-                        slots = before; // roll back a half-compiled pair
-                        Conjunct::Row(compile_bool(leaf, chunk))
-                    }
-                }
-            }
-            _ => Conjunct::Row(compile_bool(leaf, chunk)),
-        };
-        conjuncts.push(compiled);
-    }
-    if slots == 0 {
-        return None;
-    }
-    Some(BlockPred { conjuncts, slots })
+    let mut out = Vec::new();
+    rec(e, &mut out);
+    out
 }
 
 // ---- expression compilation respecting the `compiled_exprs` flag ----
 
 /// Reads one value out of a column set (by physical row).
-pub(crate) fn value_from(
-    cols: &[Column],
-    nulls: &[Option<Arc<Vec<bool>>>],
-    c: usize,
-    p: usize,
-) -> Value {
+fn value_from(cols: &[Column], nulls: &[Option<Arc<Vec<bool>>>], c: usize, p: usize) -> Value {
     if let Some(m) = &nulls[c] {
         if m[p] {
             return Value::Null;
@@ -1146,18 +822,41 @@ enum Node {
     /// The per-row closure filler (`Case`/`Year`/nullable inputs, and every
     /// expression when `compiled_exprs` is off); rows flagged in the `null`
     /// mask register are skipped.
-    Row { k: F64K, null: Option<usize> },
-    /// Per-row NULL test into a mask register.
-    Null(BoolK),
+    Row {
+        k: F64K,
+        null: Option<usize>,
+    },
+    /// Boolean literal broadcast.
+    ConstB(bool),
+    /// Comparison of two integer registers into a mask: one slice loop.
+    CmpI(CmpOp, usize, usize),
+    /// Comparison of two float registers into a mask.
+    CmpF(CmpOp, usize, usize),
+    /// Dictionary predicate (Table II) over a register of codes.
+    Code(usize, CodeTest),
+    /// Connectives over mask registers.
+    And(usize, usize),
+    Or(usize, usize),
+    Not(usize),
+    /// The per-row predicate filler (LIKE, word sequences, nullable inputs,
+    /// NULL tests, and every predicate when `compiled_exprs` is off). Under
+    /// `short = (m, v)` it is the right operand of `m AND ..` (`v` false) or
+    /// `m OR ..` (`v` true): rows where `m` already holds `v` keep it and
+    /// the closure runs only on the rest.
+    RowB {
+        k: BoolK,
+        short: Option<(usize, bool)>,
+    },
 }
 
-/// Numeric expressions compiled together into one register program that
-/// evaluates a block of rows at a time into typed scratch vectors. The
-/// program is a DAG: structurally equal subexpressions — Q1's
-/// `l_extendedprice * (1 - l_discount)` inside `charge`, a column read by
-/// three aggregates — compile to one node and are computed once per block.
-/// Every node computes exactly the values the per-row kernels of
-/// [`compile_f64`] compute, so results are bit-identical to them.
+/// Numeric expressions and predicates compiled together into one register
+/// program that evaluates a block of rows at a time into typed scratch
+/// vectors. The program is a DAG: structurally equal numeric subexpressions
+/// — Q1's `l_extendedprice * (1 - l_discount)` inside `charge`, a column
+/// read by three aggregates or two conjuncts — compile to one node and are
+/// computed once per block. Every node computes exactly the values the
+/// per-row kernels of [`compile_f64`] / [`compile_bool`] compute, so results
+/// are bit-identical to them.
 pub(crate) struct BlockExprs {
     nodes: Vec<Node>,
     /// `(expression, integer-typed?, register)` of every shared node.
@@ -1213,9 +912,12 @@ impl BlockExprs {
 
     /// The integer register of a non-nullable integer-coded column.
     fn int_leaf(&mut self, col: usize, chunk: &Chunk) -> Option<usize> {
-        let e = Expr::Col(col);
-        self.lookup(&e, true)
-            .or_else(|| Some(self.shared(&e, true, Node::Int(key_src(col, chunk)?))))
+        Some(self.int_reg(&Expr::Col(col), key_src(col, chunk)?))
+    }
+
+    /// The shared register that loads integer operand `e` from `src`.
+    fn int_reg(&mut self, e: &Expr, src: IntSrc) -> usize {
+        self.lookup(e, true).unwrap_or_else(|| self.shared(e, true, Node::Int(src)))
     }
 
     /// The register holding `e` as exact `i64`, when `e` is integer columns
@@ -1252,14 +954,92 @@ impl BlockExprs {
         Some(self.shared(e, true, node))
     }
 
+    /// The mask register holding predicate `e`: comparisons over int / date
+    /// / float operands, dictionary-code tests and the connectives become
+    /// block nodes; everything else — and every predicate when `compiled`
+    /// is off — is the per-row filler.
+    pub(crate) fn mask_reg(&mut self, e: &Expr, chunk: &Chunk, compiled: bool) -> usize {
+        let node = compiled
+            .then(|| self.mask_node(e, chunk))
+            .flatten()
+            .unwrap_or_else(|| Node::RowB { k: pred(e, chunk, compiled), short: None });
+        self.push(node)
+    }
+
+    /// The block node computing `e`, or `None` when only the per-row kernel
+    /// of [`compile_bool`] covers it.
+    fn mask_node(&mut self, e: &Expr, chunk: &Chunk) -> Option<Node> {
+        match e {
+            Expr::Lit(Value::Bool(b)) => Some(Node::ConstB(*b)),
+            Expr::And(a, b) => Some(self.connective(a, b, chunk, false)),
+            Expr::Or(a, b) => Some(self.connective(a, b, chunk, true)),
+            Expr::Not(a) => Some(Node::Not(self.mask_reg(a, chunk, true))),
+            Expr::Cmp(op, a, b) => self.cmp_node(*op, a, b, chunk),
+            Expr::InList(a, vals) => {
+                let Expr::Col(i) = a.as_ref() else { return None };
+                let dict = dict_of(*i, chunk)?;
+                Some(Node::Code(
+                    self.int_leaf(*i, chunk)?,
+                    CodeTest::Flags(in_list_flags(dict, vals)),
+                ))
+            }
+            _ => None,
+        }
+    }
+
+    /// `a AND b` (`or` false) or `a OR b`. A right operand only the per-row
+    /// filler covers runs on the rows the left one left undecided, like the
+    /// short-circuit of the per-row kernels.
+    fn connective(&mut self, a: &Expr, b: &Expr, chunk: &Chunk, or: bool) -> Node {
+        let ra = self.mask_reg(a, chunk, true);
+        match self.mask_node(b, chunk) {
+            Some(node) if or => Node::Or(ra, self.push(node)),
+            Some(node) => Node::And(ra, self.push(node)),
+            None => Node::RowB { k: compile_bool(b, chunk), short: Some((ra, or)) },
+        }
+    }
+
+    /// `a op b` as a block node, mirroring [`compile_cmp`] case by case: a
+    /// dictionary column against a string literal tests codes, two integer
+    /// operands compare as `i64` (equal to the per-row `f64` comparison for
+    /// |v| < 2^53), and whatever the per-row path calls numeric compares as
+    /// `f64`.
+    fn cmp_node(&mut self, op: CmpOp, a: &Expr, b: &Expr, chunk: &Chunk) -> Option<Node> {
+        let against_literal = match (a, b) {
+            (Expr::Col(i), Expr::Lit(Value::Str(s))) => Some((op, *i, s)),
+            (Expr::Lit(Value::Str(s)), Expr::Col(i)) => Some((op.flip(), *i, s)),
+            _ => None,
+        };
+        if let Some((op, i, s)) = against_literal {
+            let dict = dict_of(i, chunk)?;
+            let test = if matches!(op, CmpOp::Eq | CmpOp::Ne) {
+                // A literal outside the dictionary decides the comparison.
+                let Some(code) = dict.code(s) else { return Some(Node::ConstB(op == CmpOp::Ne)) };
+                CodeTest::Eq { code: code as i64, eq: op == CmpOp::Eq }
+            } else {
+                CodeTest::Flags(dict.matching_flags(|v| str_cmp(op, v, s)))
+            };
+            return Some(Node::Code(self.int_leaf(i, chunk)?, test));
+        }
+        if let (Some(sa), Some(sb)) = (int_operand(a, chunk), int_operand(b, chunk)) {
+            return Some(Node::CmpI(op, self.int_reg(a, sa), self.int_reg(b, sb)));
+        }
+        (numeric(a, chunk).is_some() && numeric(b, chunk).is_some())
+            .then(|| Node::CmpF(op, self.f64_reg(a, chunk, true), self.f64_reg(b, chunk, true)))
+    }
+
     /// Fresh registers for this program (one set per worker).
     pub(crate) fn scratch(&self) -> Vec<Reg> {
         self.nodes
             .iter()
             .map(|n| match n {
                 Node::Int(_) | Node::ArithI(..) => Reg::I(Vec::new()),
-                Node::Null(_) => Reg::B(Vec::new()),
-                _ => Reg::F(Vec::new()),
+                Node::F64(_)
+                | Node::ConstF(_)
+                | Node::ToF(_)
+                | Node::ArithF(..)
+                | Node::Row { .. } => Reg::F(Vec::new()),
+                _ => Reg::B(Vec::new()),
             })
             .collect()
     }
@@ -1320,13 +1100,92 @@ impl BlockExprs {
                         }
                     }
                 }
-                (Node::Null(k), Reg::B(out)) => {
+                (Node::ConstB(_), Reg::B(out)) if out.len() >= n => {}
+                (Node::ConstB(b), Reg::B(out)) => out.resize(n, *b),
+                (Node::CmpI(op, a, b), Reg::B(out)) => {
+                    cmp_into(*op, &done[*a].i()[..n], &done[*b].i()[..n], out)
+                }
+                (Node::CmpF(op, a, b), Reg::B(out)) => {
+                    cmp_into(*op, &done[*a].f()[..n], &done[*b].f()[..n], out)
+                }
+                (Node::Code(a, test), Reg::B(out)) => {
                     out.resize(n, false);
-                    rows.for_each(|i, p| out[i] = k(p));
+                    let codes = out.iter_mut().zip(&done[*a].i()[..n]);
+                    match test {
+                        CodeTest::Eq { code, eq } => {
+                            codes.for_each(|(o, &c)| *o = (c == *code) == *eq)
+                        }
+                        CodeTest::Flags(flags) => codes.for_each(|(o, &c)| *o = flags[c as usize]),
+                    }
+                }
+                (Node::And(a, b), Reg::B(out)) => {
+                    out.resize(n, false);
+                    let ab = done[*a].b()[..n].iter().zip(&done[*b].b()[..n]);
+                    out.iter_mut().zip(ab).for_each(|(o, (&x, &y))| *o = x & y);
+                }
+                (Node::Or(a, b), Reg::B(out)) => {
+                    out.resize(n, false);
+                    let ab = done[*a].b()[..n].iter().zip(&done[*b].b()[..n]);
+                    out.iter_mut().zip(ab).for_each(|(o, (&x, &y))| *o = x | y);
+                }
+                (Node::Not(a), Reg::B(out)) => {
+                    out.resize(n, false);
+                    out.iter_mut().zip(&done[*a].b()[..n]).for_each(|(o, &x)| *o = !x);
+                }
+                (Node::RowB { k, short }, Reg::B(out)) => {
+                    out.resize(n, false);
+                    match short {
+                        None => rows.for_each(|i, p| out[i] = k(p)),
+                        Some((m, v)) => {
+                            let m = done[*m].b();
+                            rows.for_each(|i, p| out[i] = if m[i] == *v { *v } else { k(p) });
+                        }
+                    }
                 }
                 _ => unreachable!("BlockExprs::scratch types each register by its node"),
             }
         }
+    }
+}
+
+/// `out[i] = a[i] op b[i]`: one tight, autovectorizable loop per operator.
+fn cmp_into<T: PartialOrd + Copy>(op: CmpOp, a: &[T], b: &[T], out: &mut Vec<bool>) {
+    out.resize(a.len(), false);
+    let abo = a.iter().zip(b).zip(out.iter_mut());
+    match op {
+        CmpOp::Eq => abo.for_each(|((x, y), o)| *o = x == y),
+        CmpOp::Ne => abo.for_each(|((x, y), o)| *o = x != y),
+        CmpOp::Lt => abo.for_each(|((x, y), o)| *o = x < y),
+        CmpOp::Le => abo.for_each(|((x, y), o)| *o = x <= y),
+        CmpOp::Gt => abo.for_each(|((x, y), o)| *o = x > y),
+        CmpOp::Ge => abo.for_each(|((x, y), o)| *o = x >= y),
+    }
+}
+
+/// The dictionary of a non-nullable dictionary-encoded column.
+fn dict_of(col: usize, chunk: &Chunk) -> Option<&StringDictionary> {
+    match &chunk.cols[col] {
+        Column::Dict(_, dict) | Column::DictPacked(_, dict) if chunk.nulls[col].is_none() => {
+            Some(dict)
+        }
+        _ => None,
+    }
+}
+
+/// The source of an operand of an exact integer block comparison: a
+/// non-nullable integer or date column (plain or packed), an integer or date
+/// literal.
+fn int_operand(e: &Expr, chunk: &Chunk) -> Option<IntSrc> {
+    match e {
+        Expr::Col(i) => match chunk.cols[*i] {
+            Column::I64(_) | Column::Date(_) | Column::I64Packed(_) | Column::DatePacked(_) => {
+                key_src(*i, chunk)
+            }
+            _ => None,
+        },
+        Expr::Lit(Value::Int(v)) => Some(IntSrc::Const(*v)),
+        Expr::Lit(Value::Date(d)) => Some(IntSrc::Const(d.0 as i64)),
+        _ => None,
     }
 }
 
@@ -1367,6 +1226,394 @@ pub(crate) fn eval_i64_column(e: &Expr, chunk: &Chunk, compiled: bool) -> Vec<i6
     })
 }
 
+/// Materializes a predicate as an owned vector (`Bool`-typed projections).
+pub(crate) fn eval_bool_column(e: &Expr, chunk: &Chunk, compiled: bool) -> Vec<bool> {
+    let mut exprs = BlockExprs::new();
+    let r = exprs.mask_reg(e, chunk, compiled);
+    materialize(&exprs, chunk, |regs, n, out| out.extend_from_slice(&regs[r].b()[..n]))
+}
+
+/// A predicate compiled for block-at-a-time selection: the one filter every
+/// operator uses — `Select` over base and intermediate chunks, the residual
+/// of a date-index scan — at every degree. Shared read-only by morsel
+/// workers; each brings its own [`BlockSel::scratch`].
+pub(crate) struct BlockSel {
+    exprs: BlockExprs,
+    mask: usize,
+}
+
+impl BlockSel {
+    pub(crate) fn compile(e: &Expr, chunk: &Chunk, compiled: bool) -> BlockSel {
+        let mut exprs = BlockExprs::new();
+        let mask = exprs.mask_reg(e, chunk, compiled);
+        BlockSel { exprs, mask }
+    }
+
+    /// Fresh per-worker registers.
+    pub(crate) fn scratch(&self) -> Vec<Reg> {
+        self.exprs.scratch()
+    }
+
+    /// Appends the physical ids of the block's rows that satisfy the
+    /// predicate to `out`, in block order — exactly the rows, in exactly the
+    /// order, a per-row `if pred(p) { out.push(p) }` loop selects.
+    pub(crate) fn select(&self, rows: &Rows<'_>, regs: &mut [Reg], out: &mut Vec<u32>) {
+        self.exprs.eval(rows, regs);
+        let keep = &regs[self.mask].b()[..rows.len()];
+        // Branch-free compaction: every id is stored, the cursor only moves
+        // past survivors — no data-dependent branch to mispredict.
+        let base = out.len();
+        out.resize(base + keep.len(), 0);
+        let mut k = base;
+        rows.for_each(|i, p| {
+            out[k] = p as u32;
+            k += keep[i] as usize;
+        });
+        out.truncate(k);
+    }
+}
+
+// ---- joins ----
+
+/// The coded join keys of one side, extracted a block at a time.
+pub(crate) struct JoinKeys(Vec<IntSrc>);
+
+impl JoinKeys {
+    /// `None` when a key column has no integer code (plain strings, floats,
+    /// nullable columns): the join then keys on generic values.
+    pub(crate) fn new(cols: &[usize], chunk: &Chunk) -> Option<JoinKeys> {
+        cols.iter().map(|&c| key_src(c, chunk)).collect::<Option<_>>().map(JoinKeys)
+    }
+
+    /// Calls `f(key, phys)` for the logical rows `range` of `chunk`, in
+    /// order. A single key is the code itself; several pack their low 32
+    /// bits side by side (TPC-H keys are positive and well below 2^32 at
+    /// benchmark scales).
+    pub(crate) fn for_each(
+        &self,
+        chunk: &Chunk,
+        range: std::ops::Range<usize>,
+        mut f: impl FnMut(i64, usize),
+    ) {
+        let (mut keys, mut part) = (Vec::new(), Vec::new());
+        chunk.for_each_block(range, |rows| {
+            keys.clear();
+            keys.resize(rows.len(), 0);
+            for (nth, src) in self.0.iter().enumerate() {
+                if nth == 0 {
+                    src.load(&rows, &mut keys);
+                    continue;
+                }
+                part.resize(rows.len(), 0);
+                src.load(&rows, &mut part);
+                keys.iter_mut().zip(&part).for_each(|(k, &v)| *k = (*k << 32) | (v & 0xFFFF_FFFF));
+            }
+            rows.for_each(|i, p| f(keys[i], p));
+        });
+    }
+}
+
+/// One side of a typed residual comparison: a value of the left or right
+/// row of a candidate pair, or a literal.
+enum PairVal {
+    I(IntSrc),
+    F(Arc<Vec<f64>>),
+    ConstF(f64),
+}
+
+struct PairOperand {
+    right: bool,
+    val: PairVal,
+}
+
+impl PairOperand {
+    fn int(&self, lp: usize, rp: usize) -> i64 {
+        match &self.val {
+            PairVal::I(src) => src.get(if self.right { rp } else { lp }),
+            _ => unreachable!("integer comparisons hold integer operands"),
+        }
+    }
+
+    fn float(&self, lp: usize, rp: usize) -> f64 {
+        let p = if self.right { rp } else { lp };
+        match &self.val {
+            PairVal::I(src) => src.get(p) as f64,
+            PairVal::F(v) => v[p],
+            PairVal::ConstF(c) => *c,
+        }
+    }
+}
+
+struct PairCmp {
+    op: CmpOp,
+    a: PairOperand,
+    b: PairOperand,
+    /// Both operands are integers (or both dates): compare as `i64`.
+    int: bool,
+}
+
+struct InterpPair {
+    expr: Expr,
+    refs: Vec<usize>,
+    left: Chunk,
+    right: Chunk,
+}
+
+/// A join residual over a candidate pair `(left_phys, right_phys)`. Shared
+/// read-only by morsel-parallel probe workers.
+pub(crate) struct PairPred(PairKind);
+
+enum PairKind {
+    /// A conjunction of comparisons between non-nullable int / date / float
+    /// columns of either side and literals, read in place with the
+    /// interpreter's ordering (`Value::cmp`: exact integers, IEEE total
+    /// order once a float is involved).
+    Typed(Vec<PairCmp>),
+    /// Anything else: the interpreter over a gathered mini-tuple of the
+    /// concatenated schema.
+    Interp(Box<InterpPair>),
+}
+
+impl PairPred {
+    pub(crate) fn compile(e: &Expr, lchunk: &Chunk, rchunk: &Chunk) -> PairPred {
+        let operand = |e: &Expr| -> Option<(PairOperand, Type)> {
+            let (right, val, ty) = match e {
+                Expr::Col(c) => {
+                    let right = *c >= lchunk.cols.len();
+                    let (chunk, c) =
+                        if right { (rchunk, c - lchunk.cols.len()) } else { (lchunk, *c) };
+                    match &chunk.cols[c] {
+                        Column::F64(v) if chunk.nulls[c].is_none() => {
+                            (right, PairVal::F(Arc::clone(v)), Type::Float)
+                        }
+                        Column::I64(_) | Column::I64Packed(_) => {
+                            (right, PairVal::I(key_src(c, chunk)?), Type::Int)
+                        }
+                        Column::Date(_) | Column::DatePacked(_) => {
+                            (right, PairVal::I(key_src(c, chunk)?), Type::Date)
+                        }
+                        _ => return None,
+                    }
+                }
+                Expr::Lit(Value::Int(v)) => (false, PairVal::I(IntSrc::Const(*v)), Type::Int),
+                Expr::Lit(Value::Date(d)) => {
+                    (false, PairVal::I(IntSrc::Const(d.0 as i64)), Type::Date)
+                }
+                Expr::Lit(Value::Float(v)) => (false, PairVal::ConstF(*v), Type::Float),
+                _ => return None,
+            };
+            Some((PairOperand { right, val }, ty))
+        };
+        let typed = conjuncts(e).into_iter().map(|leaf| {
+            let Expr::Cmp(op, a, b) = leaf else { return None };
+            let ((a, ta), (b, tb)) = (operand(a)?, operand(b)?);
+            // Dates only order against dates; numbers order across int/float.
+            let int = match (ta, tb) {
+                (Type::Int, Type::Int) | (Type::Date, Type::Date) => true,
+                (Type::Int | Type::Float, Type::Int | Type::Float) => false,
+                _ => return None,
+            };
+            Some(PairCmp { op: *op, a, b, int })
+        });
+        if let Some(cmps) = typed.collect::<Option<Vec<_>>>() {
+            return PairPred(PairKind::Typed(cmps));
+        }
+        let mut refs = Vec::new();
+        e.collect_cols(&mut refs);
+        let (left, right) = (lchunk.clone(), rchunk.clone());
+        PairPred(PairKind::Interp(Box::new(InterpPair { expr: e.clone(), refs, left, right })))
+    }
+
+    /// Evaluates the residual on one candidate pair.
+    #[inline]
+    pub(crate) fn test(&self, lp: usize, rp: usize) -> bool {
+        match &self.0 {
+            PairKind::Typed(cmps) => cmps.iter().all(|c| {
+                let ord = if c.int {
+                    c.a.int(lp, rp).cmp(&c.b.int(lp, rp))
+                } else {
+                    c.a.float(lp, rp).total_cmp(&c.b.float(lp, rp))
+                };
+                ord_holds(c.op, ord)
+            }),
+            PairKind::Interp(interp) => {
+                let InterpPair { expr, refs, left, right } = &**interp;
+                let l_arity = left.cols.len();
+                let mut row = vec![Value::Null; l_arity + right.cols.len()];
+                for &c in refs {
+                    row[c] = if c < l_arity {
+                        left.value_at(c, lp)
+                    } else {
+                        right.value_at(c - l_arity, rp)
+                    };
+                }
+                interp::eval_pred(expr, &row)
+            }
+        }
+    }
+}
+
+/// The shared density rule of the direct-array structures (the aggregate's
+/// `Direct` store, a join's direct build side): the key domain may span at
+/// most eight slots per row.
+pub(crate) fn dense(domain: i64, rows: usize) -> bool {
+    domain <= (8 * rows.max(128)) as i64
+}
+
+/// A fixed-size bit set: which rows of a base table a selection kept, which
+/// keys of a dense domain a semi-join's build side holds.
+pub(crate) struct Bitset(Vec<u64>);
+
+impl Bitset {
+    pub(crate) fn new(len: usize) -> Bitset {
+        Bitset(vec![0; len.div_ceil(64)])
+    }
+
+    #[inline(always)]
+    pub(crate) fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    /// The set of `ids` among `0..len`. The ids are marked in four
+    /// interleaved lanes: neighbours of an ascending selection vector fall
+    /// into one word, and marking them back to back would serialize on that
+    /// word's store-to-load round trip.
+    pub(crate) fn from_ids(len: usize, ids: &[u32]) -> Bitset {
+        let mut set = Bitset::new(len);
+        let lane = ids.len() / 4;
+        for i in 0..lane {
+            for l in 0..4 {
+                set.set(ids[l * lane + i] as usize);
+            }
+        }
+        ids[4 * lane..].iter().for_each(|&i| set.set(i as usize));
+        set
+    }
+
+    /// False for any `i` beyond the set's length.
+    #[inline(always)]
+    pub(crate) fn get(&self, i: usize) -> bool {
+        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+}
+
+/// A join build side over a small dense key domain as a direct array — the
+/// hoisted-initialization store of Section 3.5.2 applied to joins: no
+/// hashing, no key comparison. `heads[key - min]` starts the chain of build
+/// rows holding `key`, newest first — the match order of the
+/// `ChainedMultiMap` it stands in for, so the pair sequence is unchanged.
+pub(crate) struct DirectMultiMap {
+    min: i64,
+    heads: Vec<i32>,
+    rows: Vec<u32>,
+    nexts: Vec<i32>,
+}
+
+impl DirectMultiMap {
+    pub(crate) fn new(min: i64, domain: usize, expected: usize) -> DirectMultiMap {
+        DirectMultiMap {
+            min,
+            heads: vec![-1; domain],
+            rows: Vec::with_capacity(expected),
+            nexts: Vec::with_capacity(expected),
+        }
+    }
+
+    /// Adds a build row; `key` must lie inside the domain.
+    #[inline]
+    pub(crate) fn insert(&mut self, key: i64, row: u32) {
+        let head = &mut self.heads[(key - self.min) as usize];
+        self.nexts.push(*head);
+        *head = self.rows.len() as i32;
+        self.rows.push(row);
+    }
+
+    /// Calls `f` with the build rows holding `key` until it returns true;
+    /// keys outside the domain match nothing.
+    #[inline]
+    pub(crate) fn for_each_match(&self, key: i64, mut f: impl FnMut(u32) -> bool) {
+        let slot = key.checked_sub(self.min).and_then(|i| self.heads.get(usize::try_from(i).ok()?));
+        let mut idx = slot.copied().unwrap_or(-1);
+        while idx >= 0 {
+            if f(self.rows[idx as usize]) {
+                return;
+            }
+            idx = self.nexts[idx as usize];
+        }
+    }
+}
+
+// ---- sort keys ----
+
+/// One `ORDER BY` key column, read in place.
+enum SortCol<'a> {
+    I64(&'a [i64]),
+    F64(&'a [f64]),
+    Date(&'a [i32]),
+    Bool(&'a [bool]),
+    Str(&'a [String]),
+    Dict(&'a [u32], &'a StringDictionary),
+    Packed(&'a PackedInts),
+    DictPacked(&'a PackedInts, &'a StringDictionary),
+}
+
+/// The `ORDER BY` keys of a chunk as a comparator over physical row ids:
+/// the order `Value::cmp` gives the gathered key tuples — NULL first, floats
+/// by IEEE total order, dictionary strings by their text — without
+/// gathering them. The serial argsort and the per-morsel sorts + merge of
+/// the parallel one share this single comparator.
+pub(crate) struct SortKeys<'a>(Vec<(SortCol<'a>, Option<&'a [bool]>, bool)>);
+
+impl<'a> SortKeys<'a> {
+    pub(crate) fn new(chunk: &'a Chunk, keys: &[(usize, crate::plan::SortOrder)]) -> SortKeys<'a> {
+        let key = |&(c, dir): &(usize, crate::plan::SortOrder)| {
+            let col = match &chunk.cols[c] {
+                Column::I64(v) => SortCol::I64(v),
+                Column::F64(v) => SortCol::F64(v),
+                Column::Date(v) => SortCol::Date(v),
+                Column::Bool(v) => SortCol::Bool(v),
+                Column::Str(v) => SortCol::Str(v),
+                Column::Dict(codes, dict) => SortCol::Dict(codes, dict),
+                Column::I64Packed(p) | Column::DatePacked(p) => SortCol::Packed(p),
+                Column::DictPacked(p, dict) => SortCol::DictPacked(p, dict),
+                Column::Absent => panic!("sort key column {c} was not materialized"),
+            };
+            (col, chunk.nulls[c].as_ref().map(|m| &m[..]), dir == crate::plan::SortOrder::Desc)
+        };
+        SortKeys(keys.iter().map(key).collect())
+    }
+
+    /// Orders physical rows `a` and `b` under the keys and their directions.
+    pub(crate) fn cmp(&self, a: u32, b: u32) -> std::cmp::Ordering {
+        use std::cmp::Ordering;
+        let (a, b) = (a as usize, b as usize);
+        for (col, nulls, desc) in &self.0 {
+            let ord = match nulls.map(|m| (m[a], m[b])) {
+                Some((true, true)) => Ordering::Equal,
+                Some((true, false)) => Ordering::Less,
+                Some((false, true)) => Ordering::Greater,
+                _ => match col {
+                    SortCol::I64(v) => v[a].cmp(&v[b]),
+                    SortCol::F64(v) => v[a].total_cmp(&v[b]),
+                    SortCol::Date(v) => v[a].cmp(&v[b]),
+                    SortCol::Bool(v) => v[a].cmp(&v[b]),
+                    SortCol::Str(v) => v[a].cmp(&v[b]),
+                    SortCol::Dict(codes, dict) => dict.decode(codes[a]).cmp(dict.decode(codes[b])),
+                    SortCol::Packed(p) => p.get(a).cmp(&p.get(b)),
+                    SortCol::DictPacked(p, dict) => {
+                        dict.decode(p.get(a) as u32).cmp(dict.decode(p.get(b) as u32))
+                    }
+                },
+            };
+            let ord = if *desc { ord.reverse() } else { ord };
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        Ordering::Equal
+    }
+}
+
 // ---- block-at-a-time aggregation ----
 
 /// Packs the coded group keys of a block into one dense `i64` per row using
@@ -1374,7 +1621,7 @@ pub(crate) fn eval_i64_column(e: &Expr, chunk: &Chunk, compiled: bool) -> Vec<i6
 #[derive(Clone)]
 pub(crate) struct KeyPacker {
     srcs: Vec<IntSrc>,
-    mins: Vec<i64>,
+    pub(crate) mins: Vec<i64>,
     strides: Vec<i64>,
     pub(crate) domain: i64,
 }
@@ -1457,9 +1704,62 @@ pub(crate) enum GroupResolver {
     Lowered { keys: KeyPacker, map: ChainedArrayMap<u32> },
     /// Generic hash map over packed keys.
     Hash { keys: KeyPacker, map: HashMap<u64, u32> },
-    /// Generic `Vec<Value>` keys (plain strings, nullable keys, interpreted
-    /// mode).
-    Generic { cols: Vec<usize>, map: HashMap<Vec<Value>, u32> },
+    /// Keys without a dense integer packing (plain strings, floats, nullable
+    /// keys, interpreted mode): each row's key is hashed in place — `coded`
+    /// columns from block loads, the `rest` cell by cell — and compared by
+    /// reference against the group's representative row. `map` holds, per
+    /// hash, the slot of the group that owns it; a different key with the
+    /// same hash moves on to the next hash of its probe sequence.
+    Generic { coded: Vec<IntSrc>, rest: Vec<usize>, map: HashMap<u64, u32> },
+}
+
+/// Folds `v` into the running key hash `h`.
+#[inline(always)]
+fn mix(h: u64, v: u64) -> u64 {
+    hash_u64(h.rotate_left(5) ^ v)
+}
+
+/// Hash of one key cell, read in place; equal cells ([`same_cell`]) hash
+/// equally.
+fn cell_hash(chunk: &Chunk, col: usize, p: usize) -> u64 {
+    if chunk.nulls[col].as_ref().is_some_and(|m| m[p]) {
+        return 0x6E75_6C6C;
+    }
+    match &chunk.cols[col] {
+        Column::I64(v) => v[p] as u64,
+        Column::F64(v) => v[p].to_bits(),
+        Column::Date(v) => v[p] as u64,
+        Column::Bool(v) => v[p] as u64,
+        Column::Str(v) => v[p].bytes().fold(0, |h, b| mix(h, b as u64)),
+        Column::Dict(codes, _) => codes[p] as u64,
+        Column::I64Packed(pk) | Column::DatePacked(pk) | Column::DictPacked(pk, _) => {
+            pk.get(p) as u64
+        }
+        Column::Absent => 0,
+    }
+}
+
+/// Whether rows `p` and `q` hold the same value in `col` — `Value`
+/// equality (NULL equals NULL, floats by bit pattern) without building the
+/// values.
+fn same_cell(chunk: &Chunk, col: usize, p: usize, q: usize) -> bool {
+    if let Some(m) = &chunk.nulls[col] {
+        if m[p] || m[q] {
+            return m[p] && m[q];
+        }
+    }
+    match &chunk.cols[col] {
+        Column::I64(v) => v[p] == v[q],
+        Column::F64(v) => v[p].to_bits() == v[q].to_bits(),
+        Column::Date(v) => v[p] == v[q],
+        Column::Bool(v) => v[p] == v[q],
+        Column::Str(v) => v[p] == v[q],
+        Column::Dict(codes, _) => codes[p] == codes[q],
+        Column::I64Packed(pk) | Column::DatePacked(pk) | Column::DictPacked(pk, _) => {
+            pk.get(p) == pk.get(q)
+        }
+        Column::Absent => true,
+    }
 }
 
 impl GroupResolver {
@@ -1478,10 +1778,25 @@ impl GroupResolver {
             GroupResolver::Hash { keys, .. } => {
                 GroupResolver::Hash { keys: keys.clone(), map: HashMap::new() }
             }
-            GroupResolver::Generic { cols, .. } => {
-                GroupResolver::Generic { cols: cols.clone(), map: HashMap::new() }
+            GroupResolver::Generic { coded, rest, .. } => GroupResolver::Generic {
+                coded: coded.clone(),
+                rest: rest.clone(),
+                map: HashMap::new(),
+            },
+        }
+    }
+
+    /// The generic-key resolver of `group_by`. Interpreted mode (`compiled`
+    /// off) reads every key cell by cell.
+    pub(crate) fn generic(group_by: &[usize], chunk: &Chunk, compiled: bool) -> GroupResolver {
+        let (mut coded, mut rest) = (Vec::new(), Vec::new());
+        for &c in group_by {
+            match compiled.then(|| key_src(c, chunk)).flatten() {
+                Some(src) => coded.push(src),
+                None => rest.push(c),
             }
         }
+        GroupResolver::Generic { coded, rest, map: HashMap::new() }
     }
 
     /// Writes the group slot of every row of the block into `s.gid`; a key
@@ -1536,13 +1851,39 @@ impl GroupResolver {
                 metrics::hash_probes(n as u64);
                 metrics::allocations((reprs.len() - first_new) as u64);
             }
-            GroupResolver::Generic { cols, map } => {
+            GroupResolver::Generic { coded, rest, map } => {
+                let hashes = &mut s.keys;
+                hashes.clear();
+                hashes.resize(n, 0);
+                s.tmp.resize(n, 0);
+                for src in coded.iter() {
+                    src.load(rows, &mut s.tmp);
+                    let hv = hashes.iter_mut().zip(&s.tmp);
+                    hv.for_each(|(h, &v)| *h = mix(*h as u64, v as u64) as i64);
+                }
                 rows.for_each(|i, p| {
-                    let key: Vec<Value> = cols.iter().map(|&c| chunk.value_at(c, p)).collect();
-                    gid[i] = *map.entry(key).or_insert_with(|| {
-                        reprs.push(p as u32);
-                        reprs.len() as u32 - 1
-                    });
+                    let mut h = hashes[i] as u64;
+                    for &c in rest.iter() {
+                        h = mix(h, cell_hash(chunk, c, p));
+                    }
+                    gid[i] = loop {
+                        match map.entry(h) {
+                            std::collections::hash_map::Entry::Vacant(slot) => {
+                                slot.insert(reprs.len() as u32);
+                                reprs.push(p as u32);
+                                break reprs.len() as u32 - 1;
+                            }
+                            std::collections::hash_map::Entry::Occupied(slot) => {
+                                let (g, q) = (*slot.get(), reprs[*slot.get() as usize] as usize);
+                                if coded.iter().all(|src| src.get(p) == src.get(q))
+                                    && rest.iter().all(|&c| same_cell(chunk, c, p, q))
+                                {
+                                    break g;
+                                }
+                                h = hash_u64(h) | 1;
+                            }
+                        }
+                    };
                 });
                 metrics::hash_probes(n as u64);
                 metrics::allocations((reprs.len() - first_new) as u64);
@@ -1875,14 +2216,19 @@ impl AggFold {
                     _ => None,
                 };
                 let Some(mask) = mask else { return Agg::Rows };
-                (AggInput::None, Some(self.exprs.push(Node::Null(Box::new(move |r| mask[r])))))
+                (
+                    AggInput::None,
+                    Some(
+                        self.exprs.push(Node::RowB { k: Box::new(move |r| mask[r]), short: None }),
+                    ),
+                )
             }
             AggKind::Min | AggKind::Max => (AggInput::Val(valk(e, chunk, compiled)), None),
             AggKind::Sum | AggKind::Avg => {
                 if let Some(guard) = null_guard(e, chunk, compiled) {
                     // Nullable arguments go through the per-row filler
                     // behind their NULL mask.
-                    let null = self.exprs.push(Node::Null(guard));
+                    let null = self.exprs.push(Node::RowB { k: guard, short: None });
                     let k = f64k(e, chunk, compiled);
                     (AggInput::F(self.exprs.push(Node::Row { k, null: Some(null) })), Some(null))
                 } else if let Some(r) =
@@ -2199,86 +2545,123 @@ mod tests {
     }
 
     #[test]
-    fn code_kernels_cover_groupable_kinds() {
+    fn key_sources_cover_groupable_kinds() {
         let ch = chunk(Some(DictKind::Normal));
-        assert_eq!(code_kernel(0, &ch).unwrap()(3), 3);
-        let dk = code_kernel(2, &ch).unwrap();
-        assert_eq!(dk(0), 0); // first distinct value gets code 0
-        assert_eq!(dk(4), 0); // same mode repeats
-        assert!(code_kernel(2, &chunk(None)).is_none()); // plain strings
-        assert!(code_kernel(3, &ch).is_some()); // dates
+        assert_eq!(key_src(0, &ch).unwrap().get(3), 3);
+        let dk = key_src(2, &ch).unwrap();
+        assert_eq!(dk.get(0), 0); // first distinct value gets code 0
+        assert_eq!(dk.get(4), 0); // same mode repeats
+        assert!(key_src(2, &chunk(None)).is_none()); // plain strings
+        assert!(key_src(3, &ch).is_some()); // dates
 
-        // Packed layouts produce the same key codes as plain ones.
+        // Packed layouts produce the same key codes as plain ones, by random
+        // access and by block load.
         let enc = encode_chunk(chunk(Some(DictKind::Normal)));
         for col in [0usize, 2, 3] {
-            let (kp, ke) = (code_kernel(col, &ch).unwrap(), code_kernel(col, &enc).unwrap());
+            let (kp, ke) = (key_src(col, &ch).unwrap(), key_src(col, &enc).unwrap());
+            let (mut bp, mut be) = (vec![0; ch.total], vec![0; ch.total]);
+            kp.load(&Rows::Range(0..ch.total), &mut bp);
+            ke.load(&Rows::Range(0..ch.total), &mut be);
             for r in 0..ch.total {
-                assert_eq!(kp(r), ke(r), "col {col} row {r}");
+                assert_eq!(kp.get(r), ke.get(r), "col {col} row {r}");
+                assert_eq!((bp[r], be[r]), (kp.get(r), kp.get(r)), "col {col} row {r}");
             }
         }
     }
 
-    /// The fused block path must select exactly the rows the per-row path
-    /// selects, at every morsel split, and must decline when nothing fuses.
+    /// The block selection must select exactly the rows the per-row kernels
+    /// select, over plain and packed layouts, at every block split. (The
+    /// seeded matrix lives in `sel_tests.rs`; this pins the named shapes.)
     #[test]
-    fn block_pred_matches_per_row_path() {
-        let ch = encode_chunk(chunk(Some(DictKind::Normal)));
-        assert!(matches!(ch.cols[0], Column::I64Packed(_)));
-        // Each predicate contains at least one packed operand the block path
-        // understands (comparing ints to day counts is semantically
-        // meaningless but exercises the block loop) plus assorted row
-        // conjuncts.
+    fn block_selection_matches_per_row_path() {
         let exprs = vec![
             Expr::lt(Expr::col(0), Expr::col(3)),
             Expr::and(
-                Expr::ge(Expr::col(0), Expr::lit(1i64)), // packed lit: fuses too
+                Expr::ge(Expr::col(0), Expr::lit(1i64)),
                 Expr::lt(Expr::col(0), Expr::col(3)),
             ),
             Expr::and(
                 Expr::lt(Expr::col(0), Expr::col(3)),
-                Expr::eq(Expr::col(2), Expr::lit("SHIP")), // dict eq: Code conjunct
+                Expr::eq(Expr::col(2), Expr::lit("SHIP")),
             ),
-            Expr::and(
-                Expr::lt(Expr::col(1), Expr::lit(2.5)), // float: row conjunct
-                Expr::gt(Expr::col(3), Expr::col(0)),
-            ),
-            // Dict membership and ordering compile as Code conjuncts.
+            Expr::and(Expr::lt(Expr::col(1), Expr::lit(2.5)), Expr::gt(Expr::col(3), Expr::col(0))),
             Expr::in_list(Expr::col(2), vec![Value::from("SHIP"), Value::from("MAIL")]),
             Expr::and(
                 Expr::ge(Expr::col(2), Expr::lit("MAIL")),
                 Expr::gt(Expr::col(0), Expr::lit(0i64)),
             ),
+            Expr::or(
+                Expr::eq(Expr::col(2), Expr::lit("NO-SUCH-MODE")),
+                Expr::starts_with(Expr::col(2), "REG"),
+            ),
+            Expr::not(Expr::and(
+                Expr::contains(Expr::col(2), "AI"),
+                Expr::le(Expr::col(1), Expr::col(0)),
+            )),
         ];
-        for e in &exprs {
-            let Some(bp) = compile_block_pred(e, &ch) else {
-                panic!("expr {e} should fuse");
-            };
-            let per_row = compile_bool(e, &ch);
-            let expect: Vec<u32> =
-                (0..ch.total).filter(|&r| per_row(r)).map(|r| r as u32).collect();
-            // Every split of the rows into "morsels" yields the same sel.
-            for step in [1usize, 3, ch.total] {
-                let mut scratch = bp.scratch();
-                let mut got = Vec::new();
-                let mut start = 0;
-                while start < ch.total {
-                    let n = step.min(ch.total - start);
-                    bp.eval(&mut scratch, start, n, &mut got);
-                    start += n;
+        for ch in [chunk(Some(DictKind::Normal)), encode_chunk(chunk(Some(DictKind::Normal)))] {
+            for e in &exprs {
+                let per_row = compile_bool(e, &ch);
+                let expect: Vec<u32> =
+                    (0..ch.total).filter(|&r| per_row(r)).map(|r| r as u32).collect();
+                for compiled in [true, false] {
+                    let filter = BlockSel::compile(e, &ch, compiled);
+                    for step in [1usize, 3, ch.total] {
+                        let (mut regs, mut got) = (filter.scratch(), Vec::new());
+                        for start in (0..ch.total).step_by(step) {
+                            let rows = Rows::Range(start..(start + step).min(ch.total));
+                            filter.select(&rows, &mut regs, &mut got);
+                        }
+                        assert_eq!(got, expect, "expr {e} step {step} compiled {compiled}");
+                    }
+                    assert_eq!(
+                        eval_bool_column(e, &ch, compiled),
+                        (0..ch.total).map(&per_row).collect::<Vec<_>>()
+                    );
                 }
-                assert_eq!(got, expect, "expr {e} step {step}");
             }
         }
-        // A plain (unencoded) chunk has nothing to batch-unpack, so the
-        // block compiler declines and the per-row path stays in charge.
-        let plain = chunk(None);
-        for e in &exprs {
-            assert!(compile_block_pred(e, &plain).is_none(), "expr {e} on plain chunk");
+        // Comparisons and dictionary tests are block nodes; only the LIKE
+        // needs the per-row filler.
+        let ch = chunk(Some(DictKind::Normal));
+        let fillers = |e: &Expr| {
+            let filter = BlockSel::compile(e, &ch, true);
+            filter.exprs.nodes.iter().filter(|n| matches!(n, Node::RowB { .. })).count()
+        };
+        assert_eq!(exprs[..6].iter().map(fillers).sum::<usize>(), 0);
+        assert_eq!(fillers(&exprs[6]), 1);
+    }
+
+    /// Comparison-shaped residuals over non-nullable int / date / float
+    /// columns and literals compile to the typed pair kernel; everything
+    /// else keeps the interpreter. (`block_tests.rs` holds both to the
+    /// interpreter's answers.)
+    #[test]
+    fn pair_residuals_compile_typed_where_they_can() {
+        let (l, mut r) = (chunk(Some(DictKind::Normal)), encode_chunk(chunk(None)));
+        let rc = |c: usize| Expr::col(l.cols.len() + c);
+        let typed = |e: &Expr, l: &Chunk, r: &Chunk| {
+            matches!(PairPred::compile(e, l, r).0, PairKind::Typed(_))
+        };
+        for e in [
+            Expr::ne(rc(0), Expr::col(0)),
+            Expr::lt(Expr::col(3), rc(3)),
+            Expr::ge(rc(1), Expr::col(0)), // float against int
+            Expr::and(Expr::gt(rc(0), Expr::lit(3i64)), Expr::le(Expr::lit(0.5), Expr::col(1))),
+        ] {
+            assert!(typed(&e, &l, &r), "{e}");
         }
-        // An unresolvable dictionary literal makes the conjunct constant;
-        // alone it allocates no slot, so the block compiler declines.
-        let unresolvable = Expr::eq(Expr::col(2), Expr::lit("NO-SUCH-MODE"));
-        assert!(compile_block_pred(&unresolvable, &ch).is_none());
+        for e in [
+            Expr::eq(Expr::col(2), rc(2)), // strings
+            Expr::lt(Expr::col(3), rc(0)), // a date orders against no number
+            Expr::or(Expr::ne(rc(0), Expr::col(0)), Expr::lt(Expr::col(1), rc(1))),
+        ] {
+            assert!(!typed(&e, &l, &r), "{e}");
+        }
+        // A nullable operand keeps the interpreter's NULL handling.
+        let e = Expr::ne(rc(0), Expr::col(0));
+        r.nulls[0] = Some(Arc::new(vec![false; r.total]));
+        assert!(!typed(&e, &l, &r));
     }
 
     #[test]
@@ -2303,7 +2686,8 @@ mod tests {
         assert_eq!(ch.len(), 3);
         assert_eq!(ch.phys(1), 2);
         assert_eq!(ch.row_values(0)[0], Value::Int(6));
-        let phys: Vec<usize> = ch.physical_rows().collect();
+        let mut phys = Vec::new();
+        ch.for_each_block(0..ch.len(), |rows| rows.for_each(|_, p| phys.push(p)));
         assert_eq!(phys, vec![6, 2, 4]);
     }
 
@@ -2357,7 +2741,8 @@ mod tests {
                 for e in &exprs {
                     for compiled in [true, false] {
                         let k = f64k(e, &ch, compiled);
-                        let expect: Vec<u64> = ch.physical_rows().map(|p| k(p).to_bits()).collect();
+                        let expect: Vec<u64> =
+                            (0..ch.len()).map(|i| k(ch.phys(i)).to_bits()).collect();
                         let got = eval_f64_column(e, &ch, compiled);
                         let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
                         assert_eq!(got, expect, "expr {e} encoded {encoded} compiled {compiled}");
@@ -2367,7 +2752,7 @@ mod tests {
                 let big =
                     Expr::add(Expr::mul(Expr::col(0), Expr::lit(2i64)), Expr::lit(1i64 << 53));
                 let exact: Vec<i64> =
-                    ch.physical_rows().map(|p| 2 * p as i64 + (1 << 53)).collect();
+                    (0..ch.len()).map(|i| 2 * ch.phys(i) as i64 + (1 << 53)).collect();
                 assert_eq!(eval_i64_column(&big, &ch, true), exact);
                 assert_eq!(eval_i64_column(&Expr::year(Expr::col(3)), &ch, true)[0], 1993);
             }

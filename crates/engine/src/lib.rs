@@ -57,6 +57,8 @@
 //! * [`interop`] — the inter-operator optimization of Fig. 9 (aggregation
 //!   merged into the join's materialization).
 
+#[cfg(test)]
+mod block_tests;
 pub mod cancel;
 pub mod closure;
 pub mod db;

@@ -15,9 +15,9 @@
 //! * **column_store** — operators materialize only the attributes their
 //!   ancestors reference (late materialization); with the flag off, every
 //!   intermediate carries all attributes, reproducing the row-layout cost;
-//! * **code_motion** — aggregation stores over small key domains become
-//!   dense pre-initialized arrays (Section 3.5.2) and output vectors are
-//!   pre-sized from statistics (Section 3.5.1);
+//! * **code_motion** — aggregation stores and join build sides over small
+//!   dense key domains become pre-initialized direct arrays (Section 3.5.2)
+//!   and output vectors are pre-sized from statistics (Section 3.5.1);
 //! * **compiled_exprs** — off reproduces Opt/Scala: specialized data
 //!   structures but per-tuple interpreted evaluation;
 //! * **parallelism** — a degree > 1 runs the pipelines morsel-driven over
@@ -32,30 +32,33 @@
 //!   the join/sort clearances are specialization decisions recorded by the
 //!   SC pipeline's `Parallelize` transformer, exactly like the
 //!   data-structure choices.
+//!
+//! Every operator walks its input a block of at most `kernel::BLOCK_ROWS`
+//! rows at a time (DESIGN.md §3 "Block-at-a-time"): predicates, join keys,
+//! group keys and aggregate inputs are evaluated by `kernel`'s block program
+//! into typed scratch vectors, and the per-row closures are only its filler
+//! for what the block nodes do not cover.
 
 use crate::expr::{CmpOp, Expr};
-use crate::interp;
 use crate::kernel::{
-    self, AggFold, BoolK, Chunk, GroupResolver, KeyPacker, MaskedColumn, PairK, I64K,
+    self, AggFold, Bitset, BlockSel, Chunk, DirectMultiMap, GroupResolver, JoinKeys, KeyPacker,
+    MaskedColumn, PairPred, Rows, SortKeys, BLOCK_ROWS,
 };
 use crate::parallel::{go_parallel, row_morsels, run_morsels};
 use crate::plan::{AggSpec, JoinKind, Plan, QueryPlan, SortOrder};
 use crate::result::ResultTable;
 use crate::settings::Settings;
 use crate::SpecializedDb;
-use legobase_storage::dateindex::RangeSegment;
-use legobase_storage::morsel::{merge_sorted_runs, MORSEL_ROWS};
-use legobase_storage::partition::{join_partition, JOIN_PARTITIONS};
+use legobase_storage::dateindex::{DateYearIndex, RangeSegment};
+use legobase_storage::morsel::{merge_sorted_runs, Morsel, MORSEL_ROWS};
+use legobase_storage::partition::{
+    join_partition, ForeignKeyPartition, PrimaryKeyIndex, JOIN_PARTITIONS,
+};
 use legobase_storage::specialized::{ChainedArrayMap, ChainedMultiMap};
 use legobase_storage::{metrics, Column, Date, RowTable, Schema, Value};
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
-
-/// Maximum dense-domain width for the direct-array aggregation store. TPC-H
-/// key domains are "typically up to a couple of thousand sequential values"
-/// (Section 3.5.2); sparse keys such as Q18's O_ORDERKEY exceed this and
-/// fall back to the lowered hash map (the paper's footnote 12).
-const DIRECT_ARRAY_MAX: i64 = 1 << 16;
 
 /// Column-need set: `None` = all columns required.
 type Need = Option<BTreeSet<usize>>;
@@ -95,27 +98,6 @@ impl<'a> Exec<'a> {
         } else {
             self.db.table(table).schema.clone()
         }
-    }
-
-    /// The compiled decision to run this query's joins morsel-parallel,
-    /// gated on the operator input being large enough to split. Both factors
-    /// are degree-independent for degrees ≥ 2, so every degree takes the
-    /// same code path (half of the bit-identical-across-degrees contract).
-    fn par_join(&self, rows: usize) -> bool {
-        self.settings.parallel_joins && go_parallel(self.settings.parallelism, rows)
-    }
-
-    /// The compiled decision to run this query's sorts morsel-parallel.
-    fn par_sort(&self, rows: usize) -> bool {
-        self.settings.parallel_sorts && go_parallel(self.settings.parallelism, rows)
-    }
-
-    /// Compiles the fused unpack-filter for a base-scan predicate, when at
-    /// least one referenced packed column can batch-unpack per morsel
-    /// (PR 10).
-    fn block_pred(&self, predicate: &Expr, chunk: &Chunk) -> Option<kernel::BlockPred> {
-        chunk.base.as_deref()?;
-        kernel::compile_block_pred(predicate, chunk)
     }
 
     // ---- operators ----
@@ -164,79 +146,7 @@ impl<'a> Exec<'a> {
             }
         }
         let mut chunk = self.run(input, &child_need_select(need, predicate));
-        // Fused unpack-filter (PR 10): on a fresh base scan whose predicate
-        // reads fused-strategy packed columns, batch-unpack each morsel into
-        // per-worker scratch and filter there — the decoded column is never
-        // materialized. Selects exactly the rows the per-row path selects,
-        // so the selection vector (and every downstream result) is
-        // bit-identical at any degree.
-        if self.settings.compiled_exprs && chunk.sel.is_none() {
-            if let Some(bp) = self.block_pred(predicate, &chunk) {
-                let n = chunk.len();
-                if go_parallel(self.settings.parallelism, n) {
-                    let parts: Vec<Vec<u32>> = run_morsels(
-                        self.settings.parallelism,
-                        &row_morsels(n),
-                        || bp.scratch(),
-                        |scratch, m| {
-                            let mut sel = Vec::new();
-                            bp.eval(scratch, m.start, m.len(), &mut sel);
-                            sel
-                        },
-                    );
-                    chunk.sel = Some(Arc::new(parts.concat()));
-                } else {
-                    let mut sel = Vec::new();
-                    if self.settings.code_motion {
-                        sel.reserve(n);
-                    }
-                    let mut scratch = bp.scratch();
-                    for m in row_morsels(n) {
-                        bp.eval(&mut scratch, m.start, m.len(), &mut sel);
-                    }
-                    chunk.sel = Some(Arc::new(sel));
-                }
-                return chunk;
-            }
-        }
-        let pred = kernel::pred(predicate, &chunk, self.settings.compiled_exprs);
-        if go_parallel(self.settings.parallelism, chunk.len()) {
-            // Morsel-driven filter: workers share the compiled predicate
-            // (kernels are Sync) and evaluate disjoint logical-row ranges;
-            // concatenating the per-morsel survivors in morsel order yields
-            // exactly the selection vector the serial loop builds.
-            let parts: Vec<Vec<u32>> = run_morsels(
-                self.settings.parallelism,
-                &row_morsels(chunk.len()),
-                || (),
-                |(), m| {
-                    let mut sel = Vec::new();
-                    for i in m.range() {
-                        let p = chunk.phys(i);
-                        metrics::branch_eval();
-                        if pred(p) {
-                            sel.push(p as u32);
-                        }
-                    }
-                    sel
-                },
-            );
-            // Concatenating in morsel-index order is the deterministic
-            // assembly step of every parallel selection path.
-            chunk.sel = Some(Arc::new(parts.concat()));
-            return chunk;
-        }
-        let mut sel = Vec::new();
-        if self.settings.code_motion {
-            sel.reserve(chunk.len());
-        }
-        for p in chunk.physical_rows() {
-            metrics::branch_eval();
-            if pred(p) {
-                sel.push(p as u32);
-            }
-        }
-        chunk.sel = Some(Arc::new(sel));
+        chunk.sel = Some(Arc::new(select_chunk(self.settings, &chunk, predicate)));
         chunk
     }
 
@@ -246,7 +156,7 @@ impl<'a> Exec<'a> {
             return None;
         }
         let chunk = self.scan(table);
-        let conjuncts = split_conjuncts(predicate);
+        let conjuncts = kernel::conjuncts(predicate);
         // Find an indexed date column constrained by the conjuncts.
         for (col_idx, col) in chunk.cols.iter().enumerate() {
             if !matches!(col, Column::Date(_) | Column::DatePacked(_)) {
@@ -261,22 +171,19 @@ impl<'a> Exec<'a> {
             }
             let lo = lo.unwrap_or(Date(i32::MIN / 2));
             let hi = hi.unwrap_or(Date(i32::MAX / 2));
-            // Residual = conjuncts not fully captured by the range.
-            let residual: Vec<&Expr> = conjuncts
+            // Year buckets the range covers whole only need the conjuncts
+            // it does not capture; the boundary buckets run the entire
+            // predicate, whose captured conjuncts *are* the range test.
+            let compiled = self.settings.compiled_exprs;
+            let residual = conjuncts
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| !covered.contains(i))
-                .map(|(_, e)| *e)
-                .collect();
-            let res_pred: Option<BoolK> = if residual.is_empty() {
-                None
-            } else {
-                let combined =
-                    residual.iter().fold(Expr::lit(true), |acc, e| Expr::and(acc, (*e).clone()));
-                Some(kernel::pred(&combined, &chunk, self.settings.compiled_exprs))
-            };
-            let days = chunk.cols[col_idx].date_reader().expect("date-indexed column");
-            let sel = self.date_index_scan(index, days, lo, hi, &res_pred);
+                .map(|(_, e)| (*e).clone())
+                .reduce(Expr::and)
+                .map(|r| BlockSel::compile(&r, &chunk, compiled));
+            let whole = BlockSel::compile(predicate, &chunk, compiled);
+            let sel = self.date_index_scan(index, lo, hi, [Some(&whole), residual.as_ref()]);
             let mut out = chunk;
             out.sel = Some(Arc::new(sel));
             return Some(out);
@@ -284,72 +191,51 @@ impl<'a> Exec<'a> {
         None
     }
 
-    /// Collects the rows a year index yields for `[lo, hi]` (plus an
-    /// optional residual predicate), serially or morsel-parallel. The
-    /// parallel path partitions the index's year buckets into bounded
-    /// segments and concatenates per-segment survivors in segment order,
-    /// reproducing the serial emission order bit for bit.
+    /// Collects the rows a year index yields for `[lo, hi]`: the ids of
+    /// every bucket segment, filtered a block at a time by `filters[full]`
+    /// (none = all pass). Morsel-parallel, the buckets split into bounded
+    /// sub-segments — a split that depends only on the index and the range,
+    /// never on the degree; per-segment survivors concatenate in segment
+    /// order either way, which is `DateYearIndex::scan_range`'s emission
+    /// order (`segments_replay_scan_range_order` in the dateindex tests).
     fn date_index_scan(
         &self,
-        index: &legobase_storage::dateindex::DateYearIndex,
-        days: legobase_storage::DateReader<'_>,
+        index: &DateYearIndex,
         lo: Date,
         hi: Date,
-        res_pred: &Option<BoolK>,
+        filters: [Option<&BlockSel>; 2],
     ) -> Vec<u32> {
-        let segments = index.range_segments(lo, hi);
-        let candidates: usize = segments.iter().map(|s| s.end - s.start).sum();
+        let mut work = index.range_segments(lo, hi);
+        let candidates: usize = work.iter().map(|s| s.end - s.start).sum();
         if go_parallel(self.settings.parallelism, candidates) {
-            // Split each bucket into morsel-sized sub-segments (the split
-            // depends only on the index and the range, never on the degree).
-            let mut work: Vec<RangeSegment> = Vec::new();
-            for s in &segments {
-                let mut start = s.start;
-                while start < s.end {
-                    let end = (start + MORSEL_ROWS).min(s.end);
-                    work.push(RangeSegment { start, end, full: s.full });
-                    start = end;
-                }
-            }
-            let row_ids = index.row_ids();
-            let parts: Vec<Vec<u32>> = run_morsels(
-                self.settings.parallelism,
-                &work,
-                || (),
-                |(), seg: RangeSegment| {
-                    let mut sel = Vec::new();
-                    for &row in &row_ids[seg.start..seg.end] {
-                        let in_range = seg.full || {
-                            let d = days.get(row as usize);
-                            d >= lo.0 && d <= hi.0
-                        };
-                        if in_range && res_pred.as_ref().is_none_or(|p| p(row as usize)) {
-                            sel.push(row);
-                        }
-                    }
-                    sel
-                },
-            );
-            return parts.concat();
+            let split = |s: &RangeSegment| {
+                let (end, full) = (s.end, s.full);
+                (s.start..end).step_by(MORSEL_ROWS).map(move |start| RangeSegment {
+                    start,
+                    end: (start + MORSEL_ROWS).min(end),
+                    full,
+                })
+            };
+            work = work.iter().flat_map(split).collect();
         }
-        // Serial path: consuming the segments in order reproduces
-        // `DateYearIndex::scan_range`'s emission order bit for bit (proven by
-        // `segments_replay_scan_range_order` in the dateindex tests), and the
-        // reader keeps the scan working over packed day counts.
         let row_ids = index.row_ids();
-        let mut sel = Vec::new();
-        for s in &segments {
-            for &row in &row_ids[s.start..s.end] {
-                let in_range = s.full || {
-                    let d = days.get(row as usize);
-                    d >= lo.0 && d <= hi.0
-                };
-                if in_range && res_pred.as_ref().is_none_or(|p| p(row as usize)) {
-                    sel.push(row);
+        let parts = run_morsels(
+            self.settings.parallelism,
+            &work,
+            || filters.map(|f| f.map(BlockSel::scratch)),
+            |regs, seg: RangeSegment| {
+                let ids = &row_ids[seg.start..seg.end];
+                let mut sel = Vec::new();
+                match (filters[seg.full as usize], &mut regs[seg.full as usize]) {
+                    (Some(filter), Some(regs)) => ids
+                        .chunks(BLOCK_ROWS)
+                        .for_each(|block| filter.select(&Rows::Ids(block), regs, &mut sel)),
+                    _ => sel.extend_from_slice(ids),
                 }
-            }
-        }
-        sel
+                sel
+            },
+        );
+        concat_parts(parts)
     }
 
     fn project(&self, input: &Plan, exprs: &[(Expr, String)], need: &Need) -> Chunk {
@@ -384,7 +270,7 @@ impl<'a> Exec<'a> {
                 continue;
             }
             if let Expr::Col(c) = e {
-                let (col, mask) = gather_column(&chunk, *c, &sel_vec(&chunk));
+                let (col, mask) = gather_column(&chunk, *c, &phys_ids(&chunk, 0..n));
                 cols.push(col);
                 nulls.push(mask);
                 continue;
@@ -416,73 +302,36 @@ impl<'a> Exec<'a> {
             Type::Float if !nullable => {
                 (Column::F64(Arc::new(kernel::eval_f64_column(e, chunk, compiled))), None)
             }
-            Type::Float => {
-                let k = kernel::valk(e, chunk, compiled);
-                let mut v = Vec::with_capacity(n);
-                let mut mask = Vec::with_capacity(n);
-                for p in chunk.physical_rows() {
-                    let val = k(p);
-                    mask.push(val.is_null());
-                    v.push(if val.is_null() { 0.0 } else { val.as_float() });
-                }
-                let any = mask.iter().any(|&m| m);
-                (Column::F64(Arc::new(v)), any.then(|| Arc::new(mask)))
-            }
             Type::Int if !nullable => {
                 (Column::I64(Arc::new(kernel::eval_i64_column(e, chunk, compiled))), None)
             }
-            Type::Int => {
-                let k = kernel::valk(e, chunk, compiled);
-                let mut v = Vec::with_capacity(n);
-                let mut mask = Vec::with_capacity(n);
-                for p in chunk.physical_rows() {
-                    let val = k(p);
-                    mask.push(val.is_null());
-                    v.push(if val.is_null() { 0 } else { val.as_int() });
-                }
-                let any = mask.iter().any(|&m| m);
-                (Column::I64(Arc::new(v)), any.then(|| Arc::new(mask)))
-            }
             Type::Bool => {
-                let k = kernel::pred(e, chunk, compiled);
-                let mut v = Vec::with_capacity(n);
-                for p in chunk.physical_rows() {
-                    v.push(k(p));
-                }
-                (Column::Bool(Arc::new(v)), None)
+                (Column::Bool(Arc::new(kernel::eval_bool_column(e, chunk, compiled))), None)
             }
             _ => {
                 let k = kernel::valk(e, chunk, compiled);
                 let mut vals = Vec::with_capacity(n);
-                let mut mask = Vec::with_capacity(n);
-                let mut any_null = false;
-                for p in chunk.physical_rows() {
-                    let v = k(p);
-                    any_null |= v.is_null();
-                    mask.push(v.is_null());
-                    vals.push(v);
-                }
-                let col =
-                    match ty {
-                        Type::Str => Column::Str(Arc::new(
-                            vals.into_iter()
-                                .map(|v| {
-                                    if v.is_null() {
-                                        String::new()
-                                    } else {
-                                        v.as_str().to_string()
-                                    }
-                                })
-                                .collect(),
-                        )),
-                        Type::Date => Column::Date(Arc::new(
-                            vals.into_iter()
-                                .map(|v| if v.is_null() { 0 } else { v.as_date().0 })
-                                .collect(),
-                        )),
-                        _ => unreachable!("typed paths handled above"),
-                    };
-                (col, any_null.then(|| Arc::new(mask)))
+                chunk.for_each_block(0..n, |rows| rows.for_each(|_, p| vals.push(k(p))));
+                let mask: Vec<bool> = vals.iter().map(Value::is_null).collect();
+                // NULL cells hold the type's zero behind the mask.
+                let live = vals.iter().zip(&mask);
+                let col = match ty {
+                    Type::Float => Column::F64(Arc::new(
+                        live.map(|(v, &null)| if null { 0.0 } else { v.as_float() }).collect(),
+                    )),
+                    Type::Int => Column::I64(Arc::new(
+                        live.map(|(v, &null)| if null { 0 } else { v.as_int() }).collect(),
+                    )),
+                    Type::Date => Column::Date(Arc::new(
+                        live.map(|(v, &null)| if null { 0 } else { v.as_date().0 }).collect(),
+                    )),
+                    Type::Str => Column::Str(Arc::new(
+                        live.map(|(v, &null)| if null { String::new() } else { v.as_str().into() })
+                            .collect(),
+                    )),
+                    Type::Bool => unreachable!("predicates never yield NULL"),
+                };
+                (col, mask.contains(&true).then(|| Arc::new(mask)))
             }
         }
     }
@@ -493,82 +342,13 @@ impl<'a> Exec<'a> {
             n.extend(keys.iter().map(|(c, _)| *c));
         }
         let mut chunk = self.run(input, &child_need);
-        let n = chunk.len();
-        if self.par_sort(n) {
-            let sel = self.par_sort_sel(&chunk, keys);
-            chunk.sel = Some(Arc::new(sel));
-            return chunk;
-        }
-        // Gather key values once, argsort logical indices.
-        let key_vals: Vec<Vec<Value>> = (0..n)
-            .map(|i| {
-                let p = chunk.phys(i);
-                keys.iter().map(|(c, _)| chunk.value_at(*c, p)).collect()
-            })
-            .collect();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        // Serial and parallel sorts share one comparator: the bit-identical
-        // contract between them is only as strong as this single source.
-        order.sort_by(|&a, &b| cmp_key_rows(&key_vals[a as usize], &key_vals[b as usize], keys));
-        let sel: Vec<u32> = order.into_iter().map(|i| chunk.phys(i as usize) as u32).collect();
-        chunk.sel = Some(Arc::new(sel));
+        chunk.sel = Some(Arc::new(sort_chunk(self.settings, &chunk, keys)));
         chunk
-    }
-
-    /// Morsel-parallel ORDER BY: key gathering and local argsorts run per
-    /// morsel; the per-morsel runs combine through the deterministic k-way
-    /// merge of `storage::morsel` (ties break toward the earlier morsel).
-    /// Because each local sort is stable and the merge favors earlier runs —
-    /// which hold earlier logical positions — the result is exactly the
-    /// serial stable argsort, bit for bit, at every degree (DESIGN.md §3).
-    fn par_sort_sel(&self, chunk: &Chunk, keys: &[(usize, SortOrder)]) -> Vec<u32> {
-        let degree = self.settings.parallelism;
-        let ms = row_morsels(chunk.len());
-        // One pass per morsel: gather that morsel's key tuples and
-        // stable-argsort its logical indices against them — a second
-        // worker-spawn round just to sort keys the same morsel gathered
-        // would double the scheduling overhead for nothing.
-        let parts: Vec<(Vec<Vec<Value>>, Vec<u32>)> = run_morsels(
-            degree,
-            &ms,
-            || (),
-            |(), m| {
-                let local_keys: Vec<Vec<Value>> = m
-                    .range()
-                    .map(|i| {
-                        let p = chunk.phys(i);
-                        keys.iter().map(|(c, _)| chunk.value_at(*c, p)).collect::<Vec<Value>>()
-                    })
-                    .collect();
-                let mut idx: Vec<u32> = (m.start as u32..m.end as u32).collect();
-                // Stable within the morsel.
-                idx.sort_by(|a, b| {
-                    cmp_key_rows(
-                        &local_keys[*a as usize - m.start],
-                        &local_keys[*b as usize - m.start],
-                        keys,
-                    )
-                });
-                (local_keys, idx)
-            },
-        );
-        let mut key_vals: Vec<Vec<Value>> = Vec::with_capacity(chunk.len());
-        let mut runs: Vec<Vec<u32>> = Vec::with_capacity(parts.len());
-        for (local_keys, idx) in parts {
-            key_vals.extend(local_keys);
-            runs.push(idx);
-        }
-        let cmp =
-            |a: &u32, b: &u32| cmp_key_rows(&key_vals[*a as usize], &key_vals[*b as usize], keys);
-        let order = merge_sorted_runs(runs, &cmp);
-        order.into_iter().map(|i| chunk.phys(i as usize) as u32).collect()
     }
 
     fn limit(&self, input: &Plan, n: usize, need: &Need) -> Chunk {
         let mut chunk = self.run(input, need);
-        let mut sel = sel_vec(&chunk);
-        sel.truncate(n);
-        chunk.sel = Some(Arc::new(sel));
+        chunk.sel = Some(Arc::new(phys_ids(&chunk, 0..n.min(chunk.len()))));
         chunk
     }
 
@@ -624,433 +404,44 @@ impl<'a> Exec<'a> {
         };
         let rchunk = self.run(right, &rneed);
 
-        // Key kernels (all TPC-H join keys are codeable: ints or dict codes).
-        let lkeys: Option<Vec<I64K>> =
-            left_keys.iter().map(|&c| kernel::code_kernel(c, &lchunk)).collect();
-        let rkeys: Option<Vec<I64K>> =
-            right_keys.iter().map(|&c| kernel::code_kernel(c, &rchunk)).collect();
-
-        let res = residual.map(|r| self.residual_pred(r, &lchunk, &rchunk));
-
-        // Fused probe: the aggregation's own key→slot structure answers the
-        // join lookups; no second hash table is ever built. A load-time
-        // partition on the probe side is cheaper still (a direct array
-        // dereference per build row, Fig. 10), so the fused probe only runs
-        // when no partition serves this join — matching the paper, where
-        // partitioning already eliminates the intermediate structures of
-        // most joins and fusion handles the rest.
-        let partitioned_probe = self.settings.partitioning
-            && right_keys.len() == 1
-            && rchunk.base.as_ref().is_some_and(|t| {
-                let key = (t.clone(), right_keys[0]);
-                self.db.fk_partitions.contains_key(&key) || self.db.pk_indexes.contains_key(&key)
-            });
-        if let (false, Some(gi), Some(rk)) = (
-            partitioned_probe,
-            &group_index,
-            right_keys.first().and_then(|&c| kernel::code_kernel(c, &rchunk)),
-        ) {
-            if right_keys.len() == 1 {
-                let pairs = if self.par_join(rchunk.len()) {
-                    // Parallel fused probe: the aggregation's key→slot index
-                    // is shared read-only across workers; probe-side morsels
-                    // flow through `run_morsels` and their matches
-                    // concatenate in morsel-index order, reproducing the
-                    // serial emission order exactly.
-                    run_morsels(
-                        self.settings.parallelism,
-                        &row_morsels(rchunk.len()),
-                        || (),
-                        |(), m| {
-                            let mut pairs = Vec::new();
-                            for i in m.range() {
-                                let rp = rchunk.phys(i);
-                                if let Some(g) = gi.lookup(rk(rp)) {
-                                    if res.as_ref().is_none_or(|f| f(g as usize, rp)) {
-                                        pairs.push((g, rp as u32));
-                                    }
-                                }
-                            }
-                            pairs
-                        },
-                    )
-                    .concat()
-                } else {
-                    let mut pairs = Vec::new();
-                    for rp in rchunk.physical_rows() {
-                        if let Some(g) = gi.lookup(rk(rp)) {
-                            if res.as_ref().is_none_or(|f| f(g as usize, rp)) {
-                                pairs.push((g, rp as u32));
-                            }
-                        }
-                    }
-                    pairs
-                };
-                return self.gather_join_output(&lchunk, &rchunk, pairs, kind, need);
+        // Coded keys (all TPC-H join keys are: ints or dictionary codes),
+        // extracted a block at a time; anything else keys on generic values.
+        let keys = JoinKeys::new(left_keys, &lchunk).zip(JoinKeys::new(right_keys, &rchunk));
+        let res = residual.map(|r| PairPred::compile(r, &lchunk, &rchunk));
+        let res = res.as_ref();
+        let (s, partition) = (self.settings, self.partition(&rchunk, right_keys));
+        let pairs = match (&keys, partition, &group_index) {
+            (Some((lk, _)), Some(build), _) => probe_build(s, &lchunk, lk, &build, kind, res),
+            // Fused probe (Fig. 9): the aggregation's own key→slot structure
+            // answers the join lookups, probed by the right side; no second
+            // table is ever built. A load-time partition on the probe side
+            // is cheaper still (a direct array dereference per build row,
+            // Fig. 10), so the fused probe only runs when no partition
+            // serves this join — matching the paper, where partitioning
+            // already eliminates the intermediate structures of most joins
+            // and fusion handles the rest.
+            (Some((_, rk)), None, Some(gi)) => {
+                probe_pairs(s, &rchunk, Some(rk), gi, kind, res, true)
             }
-        }
-
-        let pairs = match (lkeys, rkeys) {
-            (Some(lk), Some(rk)) => {
-                self.join_pairs_coded(&lchunk, &rchunk, &lk, &rk, right, right_keys, kind, &res)
-            }
-            _ => self.join_pairs_generic(&lchunk, &rchunk, left_keys, right_keys, kind, &res),
+            _ => join_pairs(s, &lchunk, &rchunk, keys.as_ref(), left_keys, right_keys, kind, res),
         };
-
         self.gather_join_output(&lchunk, &rchunk, pairs, kind, need)
     }
 
-    fn residual_pred(&self, r: &Expr, lchunk: &Chunk, rchunk: &Chunk) -> PairK {
-        // Residuals see the concatenated schema; evaluate over a gathered
-        // mini-tuple (residuals are rare and cheap).
-        let l_arity = lchunk.cols.len();
-        let mut cols = Vec::new();
-        r.collect_cols(&mut cols);
-        let lcols = lchunk.cols.clone();
-        let lnulls = lchunk.nulls.clone();
-        let rcols = rchunk.cols.clone();
-        let rnulls = rchunk.nulls.clone();
-        let r = r.clone();
-        let total = l_arity + rcols.len();
-        Box::new(move |lp, rp| {
-            let mut row = vec![Value::Null; total];
-            for &c in &cols {
-                row[c] = if c < l_arity {
-                    kernel::value_from(&lcols, &lnulls, c, lp)
-                } else {
-                    kernel::value_from(&rcols, &rnulls, c - l_arity, rp)
-                };
-            }
-            interp::eval_pred(&r, &row)
-        })
-    }
-
-    /// Produces matched `(left_phys, right_phys)` pairs for coded keys.
-    /// `right_phys == u32::MAX` marks a preserved-but-unmatched left row.
-    #[allow(clippy::too_many_arguments)]
-    fn join_pairs_coded(
-        &self,
-        lchunk: &Chunk,
-        rchunk: &Chunk,
-        lk: &[I64K],
-        rk: &[I64K],
-        right_plan: &Plan,
-        right_keys: &[usize],
-        kind: JoinKind,
-        res: &Option<PairK>,
-    ) -> Vec<(u32, u32)> {
-        // Partitioned path (Fig. 10): the right side is a filtered base scan
-        // with a load-time partition on the single join key.
-        if self.settings.partitioning && right_keys.len() == 1 {
-            if let Some(table) = rchunk.base.clone() {
-                let key = (table, right_keys[0]);
-                if self.db.fk_partitions.contains_key(&key) || self.db.pk_indexes.contains_key(&key)
-                {
-                    return self.join_pairs_partitioned(lchunk, rchunk, lk, &key, kind, res);
-                }
-            }
+    /// The load-time partition (Fig. 10) that serves a join whose right side
+    /// is a (filtered) base-table scan keyed on the single `right_keys`.
+    fn partition(&self, rchunk: &Chunk, right_keys: &[usize]) -> Option<Build<'_>> {
+        if !self.settings.partitioning || right_keys.len() != 1 {
+            return None;
         }
-        let _ = right_plan;
-        // Hash build over the right side, serial or morsel-parallel
-        // (DESIGN.md §3). Each side gates independently, so a small build
-        // side under a large probe side still parallelizes the probe (and
-        // vice versa); both gates depend only on row counts, never on the
-        // degree, so every degree ≥ 2 takes the same path, and with both
-        // gates false the functions below run the exact serial build+probe.
-        let build_parallel = self.par_join(rchunk.len());
-        let probe_parallel = self.par_join(lchunk.len());
-        if self.settings.hashmap_lowering {
-            self.join_pairs_lowered(
-                lchunk,
-                rchunk,
-                lk,
-                rk,
-                kind,
-                res,
-                build_parallel,
-                probe_parallel,
-            )
-        } else {
-            self.join_pairs_generic_hash(
-                lchunk,
-                rchunk,
-                lk,
-                rk,
-                kind,
-                res,
-                build_parallel,
-                probe_parallel,
-            )
+        let key = (rchunk.base.clone()?, right_keys[0]);
+        // The partition indexes *all* physical rows of the base table; a
+        // selection on the chunk narrows it through a bitset.
+        let valid = || rchunk.sel.as_ref().map(|sel| Bitset::from_ids(rchunk.total, sel));
+        if let Some(fk) = self.db.fk_partitions.get(&key) {
+            return Some(Build::Fk(fk, valid()));
         }
-    }
-
-    /// Radix-scatters the build side into per-morsel × per-partition
-    /// `(packed key, physical row)` lists — phase one of the parallel build.
-    /// The scatter is a pure function of the chunk and the keys; worker
-    /// identity never shapes it.
-    fn scatter_build_side(&self, rchunk: &Chunk, rk: &[I64K]) -> Vec<Vec<Vec<(u64, u32)>>> {
-        run_morsels(
-            self.settings.parallelism,
-            &row_morsels(rchunk.len()),
-            || (),
-            |(), m| {
-                let mut parts: Vec<Vec<(u64, u32)>> = vec![Vec::new(); JOIN_PARTITIONS];
-                for i in m.range() {
-                    let p = rchunk.phys(i);
-                    let key = pack_keys(rk, p);
-                    parts[join_partition(key)].push((key, p as u32));
-                }
-                parts
-            },
-        )
-    }
-
-    /// Lowered hash join (Fig. 11; no load-time partition applies), the
-    /// single source for the serial *and* morsel-parallel paths — with both
-    /// gates false this is exactly the serial whole-side build + probe loop.
-    /// Parallel build: the build side is radix-partitioned into
-    /// [`JOIN_PARTITIONS`] key-disjoint chained sub-tables — scatter over
-    /// build-side morsels, then each sub-table filled by walking the
-    /// scattered morsels in index order. A sub-table receives its rows in
-    /// the same relative order as the serial whole-side build, so every
-    /// per-key chain (and hence the match order a probe observes) is
-    /// identical to serial. Parallel probe: probe-side morsels each probe
-    /// exactly one sub-table per row, and results concatenate in
-    /// morsel-index order. Every gate combination is therefore
-    /// bit-identical to the serial lowered join.
-    #[allow(clippy::too_many_arguments)]
-    fn join_pairs_lowered(
-        &self,
-        lchunk: &Chunk,
-        rchunk: &Chunk,
-        lk: &[I64K],
-        rk: &[I64K],
-        kind: JoinKind,
-        res: &Option<PairK>,
-        build_parallel: bool,
-        probe_parallel: bool,
-    ) -> Vec<(u32, u32)> {
-        let degree = self.settings.parallelism;
-        let tables: Vec<ChainedMultiMap> = if build_parallel {
-            let scattered = self.scatter_build_side(rchunk, rk);
-            let pids: Vec<usize> = (0..JOIN_PARTITIONS).collect();
-            run_morsels(
-                degree,
-                &pids,
-                || (),
-                |(), pid| {
-                    let expected: usize = scattered.iter().map(|m| m[pid].len()).sum();
-                    let mut mm = ChainedMultiMap::with_capacity(expected.max(1));
-                    for morsel_parts in &scattered {
-                        for &(key, row) in &morsel_parts[pid] {
-                            mm.insert(key, row);
-                        }
-                    }
-                    mm
-                },
-            )
-        } else {
-            // Build side too small to split: one whole-side table, shared
-            // read-only by the parallel probe.
-            let mut mm = ChainedMultiMap::with_capacity(rchunk.len().max(1));
-            for p in rchunk.physical_rows() {
-                mm.insert(pack_keys(rk, p), p as u32);
-            }
-            vec![mm]
-        };
-        let probe_one = |lp: usize, pairs: &mut Vec<(u32, u32)>| {
-            let key = pack_keys(lk, lp);
-            let mm = if tables.len() == 1 { &tables[0] } else { &tables[join_partition(key)] };
-            let mut matched = false;
-            let mut emit_break = false;
-            mm.for_each_match(key, |rp| {
-                if emit_break {
-                    return;
-                }
-                if res.as_ref().is_none_or(|f| f(lp, rp as usize)) {
-                    matched = true;
-                    match kind {
-                        JoinKind::Inner | JoinKind::LeftOuter => pairs.push((lp as u32, rp)),
-                        JoinKind::Semi | JoinKind::Anti => emit_break = true,
-                    }
-                }
-            });
-            finish_left_row(lp, matched, kind, pairs);
-        };
-        probe_pairs(lchunk, probe_parallel, degree, &probe_one)
-    }
-
-    /// Generic (SipHash, per-entry allocation) hash join — the unlowered
-    /// analog of [`Exec::join_pairs_lowered`], also serving serial and
-    /// parallel alike; per-partition `HashMap`s fill their per-key candidate
-    /// vectors in global row order (the same order the serial build
-    /// produces).
-    #[allow(clippy::too_many_arguments)]
-    fn join_pairs_generic_hash(
-        &self,
-        lchunk: &Chunk,
-        rchunk: &Chunk,
-        lk: &[I64K],
-        rk: &[I64K],
-        kind: JoinKind,
-        res: &Option<PairK>,
-        build_parallel: bool,
-        probe_parallel: bool,
-    ) -> Vec<(u32, u32)> {
-        let degree = self.settings.parallelism;
-        let tables: Vec<HashMap<u64, Vec<u32>>> = if build_parallel {
-            let scattered = self.scatter_build_side(rchunk, rk);
-            let pids: Vec<usize> = (0..JOIN_PARTITIONS).collect();
-            run_morsels(
-                degree,
-                &pids,
-                || (),
-                |(), pid| {
-                    let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
-                    for morsel_parts in &scattered {
-                        for &(key, row) in &morsel_parts[pid] {
-                            metrics::hash_probe();
-                            metrics::allocation();
-                            table.entry(key).or_default().push(row);
-                        }
-                    }
-                    table
-                },
-            )
-        } else {
-            let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
-            for p in rchunk.physical_rows() {
-                metrics::hash_probe();
-                metrics::allocation();
-                table.entry(pack_keys(rk, p)).or_default().push(p as u32);
-            }
-            vec![table]
-        };
-        let probe_one = |lp: usize, pairs: &mut Vec<(u32, u32)>| {
-            metrics::hash_probe();
-            let key = pack_keys(lk, lp);
-            let table = if tables.len() == 1 { &tables[0] } else { &tables[join_partition(key)] };
-            let mut matched = false;
-            if let Some(cands) = table.get(&key) {
-                metrics::chain_steps(cands.len() as u64);
-                for &rp in cands {
-                    if res.as_ref().is_none_or(|f| f(lp, rp as usize)) {
-                        matched = true;
-                        match kind {
-                            JoinKind::Inner | JoinKind::LeftOuter => pairs.push((lp as u32, rp)),
-                            JoinKind::Semi | JoinKind::Anti => break,
-                        }
-                    }
-                }
-            }
-            finish_left_row(lp, matched, kind, pairs);
-        };
-        probe_pairs(lchunk, probe_parallel, degree, &probe_one)
-    }
-
-    fn join_pairs_partitioned(
-        &self,
-        lchunk: &Chunk,
-        rchunk: &Chunk,
-        lk: &[I64K],
-        part_key: &(String, usize),
-        kind: JoinKind,
-        res: &Option<PairK>,
-    ) -> Vec<(u32, u32)> {
-        // The partition indexes *all* physical rows of the base table; the
-        // chunk may carry a selection, so build a validity bitmap once.
-        let valid: Option<Vec<bool>> = rchunk.sel.as_ref().map(|sel| {
-            let mut v = vec![false; rchunk.total];
-            for &p in sel.iter() {
-                v[p as usize] = true;
-            }
-            v
-        });
-        let fk = self.db.fk_partitions.get(part_key);
-        let pk = self.db.pk_indexes.get(part_key);
-        // The per-probe-row body is shared between the serial loop and the
-        // morsel-parallel probe: the load-time partition is immutable, so
-        // workers dereference it concurrently and the per-morsel matches
-        // concatenate in morsel-index order — identical to the serial
-        // emission order (DESIGN.md §3).
-        let probe_one = |lp: usize, pairs: &mut Vec<(u32, u32)>| {
-            let key = lk[0](lp);
-            let mut matched = false;
-            let check = |rp: u32| {
-                if valid.as_ref().is_some_and(|v| !v[rp as usize]) {
-                    return false;
-                }
-                res.as_ref().is_none_or(|f| f(lp, rp as usize))
-            };
-            match (fk, pk) {
-                (Some(fkp), _) => {
-                    for &rp in fkp.bucket(key) {
-                        if check(rp) {
-                            matched = true;
-                            match kind {
-                                JoinKind::Inner | JoinKind::LeftOuter => {
-                                    pairs.push((lp as u32, rp))
-                                }
-                                JoinKind::Semi | JoinKind::Anti => break,
-                            }
-                        }
-                    }
-                }
-                (None, Some(pki)) => {
-                    metrics::hash_probe();
-                    if let Some(rp) = pki.lookup(key) {
-                        if check(rp) {
-                            matched = true;
-                            if matches!(kind, JoinKind::Inner | JoinKind::LeftOuter) {
-                                pairs.push((lp as u32, rp));
-                            }
-                        }
-                    }
-                }
-                (None, None) => unreachable!("partition presence checked by caller"),
-            }
-            finish_left_row(lp, matched, kind, pairs);
-        };
-        probe_pairs(lchunk, self.par_join(lchunk.len()), self.settings.parallelism, &probe_one)
-    }
-
-    /// Generic (Value-keyed) join for non-codeable keys. The build stays
-    /// serial (generic keys never dominate a TPC-H plan); the probe runs
-    /// morsel-parallel over the shared read-only table when the compiled
-    /// degree and the probe-side size allow.
-    fn join_pairs_generic(
-        &self,
-        lchunk: &Chunk,
-        rchunk: &Chunk,
-        left_keys: &[usize],
-        right_keys: &[usize],
-        kind: JoinKind,
-        res: &Option<PairK>,
-    ) -> Vec<(u32, u32)> {
-        let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-        for p in rchunk.physical_rows() {
-            let key: Vec<Value> = right_keys.iter().map(|&c| rchunk.value_at(c, p)).collect();
-            metrics::hash_probe();
-            table.entry(key).or_default().push(p as u32);
-        }
-        let probe_one = |lp: usize, pairs: &mut Vec<(u32, u32)>| {
-            let key: Vec<Value> = left_keys.iter().map(|&c| lchunk.value_at(c, lp)).collect();
-            metrics::hash_probe();
-            let mut matched = false;
-            if let Some(cands) = table.get(&key) {
-                for &rp in cands {
-                    if res.as_ref().is_none_or(|f| f(lp, rp as usize)) {
-                        matched = true;
-                        match kind {
-                            JoinKind::Inner | JoinKind::LeftOuter => pairs.push((lp as u32, rp)),
-                            JoinKind::Semi | JoinKind::Anti => break,
-                        }
-                    }
-                }
-            }
-            finish_left_row(lp, matched, kind, pairs);
-        };
-        probe_pairs(lchunk, self.par_join(lchunk.len()), self.settings.parallelism, &probe_one)
+        self.db.pk_indexes.get(&key).map(|pk| Build::Pk(pk, valid()))
     }
 
     fn gather_join_output(
@@ -1157,19 +548,14 @@ fn group_resolver(settings: &Settings, group_by: &[usize], chunk: &Chunk) -> Gro
     let n = chunk.len();
     // Interpreted mode (Opt/Scala) always takes the generic-key path.
     match settings.compiled_exprs.then(|| KeyPacker::fit(group_by, chunk)).flatten() {
-        Some(keys) => {
-            let direct = settings.code_motion
-                && keys.domain <= DIRECT_ARRAY_MAX
-                && keys.domain <= (8 * n.max(128)) as i64;
-            if direct {
-                GroupResolver::Direct { slots: vec![-1; keys.domain as usize], keys }
-            } else if settings.hashmap_lowering {
-                GroupResolver::Lowered { keys, map: ChainedArrayMap::with_capacity(n.max(16)) }
-            } else {
-                GroupResolver::Hash { keys, map: HashMap::new() }
-            }
+        Some(keys) if settings.code_motion && kernel::dense(keys.domain, n) => {
+            GroupResolver::Direct { slots: vec![-1; keys.domain as usize], keys }
         }
-        None => GroupResolver::Generic { cols: group_by.to_vec(), map: HashMap::new() },
+        Some(keys) if settings.hashmap_lowering => {
+            GroupResolver::Lowered { keys, map: ChainedArrayMap::with_capacity(n.max(16)) }
+        }
+        Some(keys) => GroupResolver::Hash { keys, map: HashMap::new() },
+        None => GroupResolver::generic(group_by, chunk, settings.compiled_exprs),
     }
 }
 
@@ -1219,53 +605,427 @@ pub(crate) fn aggregate_chunk(
     (resolver, reprs, fold.finish(groups))
 }
 
-/// Compares two gathered sort-key tuples under the per-key directions.
-fn cmp_key_rows(a: &[Value], b: &[Value], keys: &[(usize, SortOrder)]) -> std::cmp::Ordering {
-    for (k, (_, dir)) in keys.iter().enumerate() {
-        let ord = a[k].cmp(&b[k]);
-        let ord = match dir {
-            SortOrder::Asc => ord,
-            SortOrder::Desc => ord.reverse(),
-        };
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
+/// The selection vector of `predicate` over `chunk`: one block loop for
+/// every chunk shape and degree. Workers share the compiled filter and
+/// evaluate disjoint logical-row ranges; per-morsel survivors concatenate in
+/// morsel order, so the vector is the one a serial per-row loop builds.
+pub(crate) fn select_chunk(settings: &Settings, chunk: &Chunk, predicate: &Expr) -> Vec<u32> {
+    let filter = BlockSel::compile(predicate, chunk, settings.compiled_exprs);
+    let (n, presize) = (chunk.len(), settings.code_motion);
+    collect_rows(
+        settings.parallelism,
+        go_parallel(settings.parallelism, n),
+        n,
+        || filter.scratch(),
+        |regs, range, sel| {
+            if presize {
+                sel.reserve(range.len());
+            }
+            metrics::branch_evals(range.len() as u64);
+            chunk.for_each_block(range, |rows| filter.select(&rows, regs, sel));
+        },
+    )
 }
 
-/// Drives a join probe over the probe side, serially or morsel-parallel.
-///
-/// `probe_one` appends the matches of one probe row; it is shared read-only
-/// across workers. Per-morsel outputs concatenate in morsel-index order, so
-/// the parallel probe emits exactly the pair sequence of the serial loop —
-/// the deterministic-assembly step shared by every parallel join path.
-fn probe_pairs(
+/// The selection vector that orders `chunk` by `keys`: a stable argsort of
+/// the physical ids (they start in logical order) over the key columns read
+/// in place — whole, or, morsel-parallel, one run per morsel combined by the
+/// deterministic k-way merge of `storage::morsel`. Each local sort is stable
+/// and the merge breaks ties toward the earlier run, which holds earlier
+/// logical positions, so both are the serial stable sort bit for bit
+/// (DESIGN.md §3); they share the one comparator.
+pub(crate) fn sort_chunk(
+    settings: &Settings,
+    chunk: &Chunk,
+    keys: &[(usize, SortOrder)],
+) -> Vec<u32> {
+    let n = chunk.len();
+    let by = SortKeys::new(chunk, keys);
+    let parallel = settings.parallel_sorts && go_parallel(settings.parallelism, n);
+    let runs = run_morsels(
+        settings.parallelism,
+        &work_items(parallel, n),
+        || (),
+        |(), m| {
+            let mut ids = phys_ids(chunk, m.range());
+            ids.sort_by(|&a, &b| by.cmp(a, b));
+            ids
+        },
+    );
+    merge_sorted_runs(runs, &|a: &u32, b: &u32| by.cmp(*a, *b))
+}
+
+/// The compiled decision to run a join side of `rows` rows morsel-parallel,
+/// gated on the side being large enough to split. Both factors are
+/// degree-independent for degrees ≥ 2, so every degree takes the same code
+/// path (half of the bit-identical-across-degrees contract).
+fn par_join(settings: &Settings, rows: usize) -> bool {
+    settings.parallel_joins && go_parallel(settings.parallelism, rows)
+}
+
+/// The pairs of a join no load-time structure and no fused aggregation
+/// serves: a table built over the right side, probed by the left.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn join_pairs(
+    settings: &Settings,
     lchunk: &Chunk,
-    parallel: bool,
-    degree: usize,
-    probe_one: &(impl Fn(usize, &mut Vec<(u32, u32)>) + Sync),
+    rchunk: &Chunk,
+    keys: Option<&(JoinKeys, JoinKeys)>,
+    left_keys: &[usize],
+    right_keys: &[usize],
+    kind: JoinKind,
+    res: Option<&PairPred>,
 ) -> Vec<(u32, u32)> {
-    if parallel {
-        run_morsels(
-            degree,
-            &row_morsels(lchunk.len()),
-            || (),
-            |(), m| {
-                let mut pairs = Vec::new();
-                for i in m.range() {
-                    probe_one(lchunk.phys(i), &mut pairs);
-                }
-                pairs
-            },
-        )
-        .concat()
+    let Some((lk, rk)) = keys else {
+        // Non-codeable keys: generic values. The build stays serial (generic
+        // keys never dominate a TPC-H plan).
+        let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
+        rchunk.for_each_block(0..rchunk.len(), |rows| {
+            rows.for_each(|_, p| {
+                metrics::hash_probe();
+                let key = right_keys.iter().map(|&c| rchunk.value_at(c, p)).collect();
+                table.entry(key).or_default().push(p as u32);
+            })
+        });
+        return probe_pairs(settings, lchunk, None, &(table, left_keys), kind, res, false);
+    };
+    let key_only = res.is_none() && matches!(kind, JoinKind::Semi | JoinKind::Anti);
+    let build = hash_build(settings, rchunk, rk, right_keys, key_only);
+    probe_build(settings, lchunk, lk, &build, kind, res)
+}
+
+/// Builds the join table over the right side — the `Settings` decision of
+/// Fig. 19's ablation. Lowered (Fig. 11): a direct array (a key bitset when
+/// the probe only asks whether a key exists, `key_only`) over a small dense
+/// single-key domain, by the rule and under the flag of the aggregate's
+/// direct store (Section 3.5.2), else chained tables; unlowered: generic
+/// SipHash maps with per-entry allocation. Every structure yields a key's
+/// build rows in one fixed order, so the pair sequence depends on no degree.
+pub(crate) fn hash_build(
+    s: &Settings,
+    rchunk: &Chunk,
+    rk: &JoinKeys,
+    right_keys: &[usize],
+    key_only: bool,
+) -> Build<'static> {
+    let n = rchunk.len();
+    let dense = (s.hashmap_lowering && s.code_motion && right_keys.len() == 1)
+        .then(|| KeyPacker::fit(right_keys, rchunk))
+        .flatten()
+        .filter(|fit| kernel::dense(fit.domain, n));
+    if let Some(fit) = dense {
+        let (min, domain) = (fit.mins[0], fit.domain as usize);
+        metrics::hash_probes(n as u64);
+        return if key_only {
+            let mut bits = Bitset::new(domain);
+            rk.for_each(rchunk, 0..n, |key, _| bits.set((key - min) as usize));
+            Build::Bits(min, bits)
+        } else {
+            let mut table = DirectMultiMap::new(min, domain, n);
+            rk.for_each(rchunk, 0..n, |key, p| table.insert(key, p as u32));
+            Build::Direct(table)
+        };
+    }
+    // Each side gates independently, so a small build side under a large
+    // probe side still parallelizes the probe (and vice versa).
+    let parallel = par_join(s, n);
+    if s.hashmap_lowering {
+        let new = |expected: usize| ChainedMultiMap::with_capacity(expected.max(1));
+        Build::Chained(build_tables(s, rchunk, rk, parallel, new, |t, key, row| t.insert(key, row)))
     } else {
-        let mut pairs = Vec::new();
-        for lp in lchunk.physical_rows() {
-            probe_one(lp, &mut pairs);
+        let new = |_| HashMap::<u64, Vec<u32>>::new();
+        Build::Hash(build_tables(s, rchunk, rk, parallel, new, |t, key, row| {
+            metrics::hash_probe();
+            metrics::allocation();
+            t.entry(key).or_default().push(row);
+        }))
+    }
+}
+
+/// Fills one table with the whole build side or, morsel-parallel,
+/// [`JOIN_PARTITIONS`] key-disjoint sub-tables: the build side is
+/// radix-scattered per morsel (a pure function of the chunk and the keys;
+/// worker identity never shapes it), then each sub-table is filled by
+/// walking the scattered morsels in index order. A sub-table receives its
+/// rows in the same relative order as the serial whole-side build, so the
+/// match order a probe observes per key is identical to serial (DESIGN.md
+/// §3).
+fn build_tables<T: Send>(
+    settings: &Settings,
+    rchunk: &Chunk,
+    rk: &JoinKeys,
+    parallel: bool,
+    new: impl Fn(usize) -> T + Sync,
+    insert: impl Fn(&mut T, u64, u32) + Sync,
+) -> Vec<T> {
+    let n = rchunk.len();
+    if !parallel {
+        let mut table = new(n);
+        rk.for_each(rchunk, 0..n, |key, p| insert(&mut table, key as u64, p as u32));
+        return vec![table];
+    }
+    let degree = settings.parallelism;
+    let scattered = run_morsels(
+        degree,
+        &row_morsels(n),
+        || (),
+        |(), m| {
+            let mut parts: Vec<Vec<(u64, u32)>> = vec![Vec::new(); JOIN_PARTITIONS];
+            rk.for_each(rchunk, m.range(), |key, p| {
+                parts[join_partition(key as u64)].push((key as u64, p as u32))
+            });
+            parts
+        },
+    );
+    let pids: Vec<usize> = (0..JOIN_PARTITIONS).collect();
+    run_morsels(
+        degree,
+        &pids,
+        || (),
+        |(), pid| {
+            let mut table = new(scattered.iter().map(|m| m[pid].len()).sum());
+            for morsel_parts in &scattered {
+                for &(key, row) in &morsel_parts[pid] {
+                    insert(&mut table, key, row);
+                }
+            }
+            table
+        },
+    )
+}
+
+/// Probes a coded-key build side in whichever structure it is: each gets its
+/// own statically dispatched copy of the probe loop.
+fn probe_build(
+    s: &Settings,
+    probe: &Chunk,
+    keys: &JoinKeys,
+    build: &Build<'_>,
+    kind: JoinKind,
+    res: Option<&PairPred>,
+) -> Vec<(u32, u32)> {
+    let keys = Some(keys);
+    match build {
+        Build::Fk(fk, valid) => probe_pairs(s, probe, keys, &(*fk, valid), kind, res, false),
+        Build::Pk(pk, valid) => probe_pairs(s, probe, keys, &(*pk, valid), kind, res, false),
+        Build::Direct(table) => probe_pairs(s, probe, keys, table, kind, res, false),
+        Build::Bits(min, bits) => probe_pairs(s, probe, keys, &(*min, bits), kind, res, false),
+        Build::Chained(tables) => probe_pairs(s, probe, keys, tables, kind, res, false),
+        Build::Hash(tables) => probe_pairs(s, probe, keys, tables, kind, res, false),
+    }
+}
+
+/// Probes `build` with every row of `probe`, serially or morsel-parallel,
+/// and returns the matched `(left_phys, right_phys)` pairs; `right_phys ==
+/// u32::MAX` marks a preserved-but-unmatched (or, for semi/anti, the
+/// emitted) left row. The one emit path of every join shape: keys arrive a
+/// block at a time, candidates come from the build structure in its fixed
+/// order, the residual filters them, and per-morsel outputs concatenate in
+/// morsel-index order — the pair sequence of the serial loop at every
+/// degree. `flip`: the probe side is the join's *right* input (the fused
+/// probe).
+fn probe_pairs(
+    settings: &Settings,
+    probe: &Chunk,
+    keys: Option<&JoinKeys>,
+    build: &impl BuildSide,
+    kind: JoinKind,
+    res: Option<&PairPred>,
+    flip: bool,
+) -> Vec<(u32, u32)> {
+    let n = probe.len();
+    // Inner and outer joins emit every match; semi and anti joins stop at
+    // the first.
+    let all = matches!(kind, JoinKind::Inner | JoinKind::LeftOuter);
+    collect_rows(
+        settings.parallelism,
+        par_join(settings, n),
+        n,
+        || (),
+        |(), range, pairs| {
+            let mut one = |key: i64, p: usize| {
+                let mut matched = false;
+                build.candidates(key, probe, p, |b| {
+                    let (lp, rp) = if flip { (b, p as u32) } else { (p as u32, b) };
+                    if res.is_some_and(|f| !f.test(lp as usize, rp as usize)) {
+                        return false;
+                    }
+                    matched = true;
+                    if all {
+                        pairs.push((lp, rp));
+                    }
+                    !all
+                });
+                finish_left_row(p, matched, kind, pairs);
+            };
+            match keys {
+                Some(keys) => keys.for_each(probe, range, one),
+                None => probe.for_each_block(range, |rows| rows.for_each(|_, p| one(0, p))),
+            }
+        },
+    )
+}
+
+/// The build side of a coded-key join, in the structure `Settings` selected.
+pub(crate) enum Build<'a> {
+    /// Load-time foreign-key partition of the right side's base table
+    /// (Fig. 10), narrowed to the chunk's selection.
+    Fk(&'a ForeignKeyPartition, Option<Bitset>),
+    /// Load-time primary-key array, likewise.
+    Pk(&'a PrimaryKeyIndex, Option<Bitset>),
+    /// Direct array over a small dense key domain.
+    Direct(DirectMultiMap),
+    /// Which keys of a small dense domain (from the given minimum) exist:
+    /// semi/anti joins without residual.
+    Bits(i64, Bitset),
+    /// Lowered chained tables (Fig. 11): one, or key-disjoint radix
+    /// partitions.
+    Chained(Vec<ChainedMultiMap>),
+    /// Generic hash maps, likewise one or radix-partitioned.
+    Hash(Vec<HashMap<u64, Vec<u32>>>),
+}
+
+/// What a probe asks of a build side. Each structure gets its own copy of
+/// the probe loop (static dispatch), all share the one emit path in
+/// [`probe_pairs`].
+trait BuildSide: Sync {
+    /// Calls `f` with the build rows matching probe row `p` (coded key
+    /// `key`), in the structure's fixed order, until `f` returns true.
+    fn candidates(&self, key: i64, probe: &Chunk, p: usize, f: impl FnMut(u32) -> bool);
+}
+
+/// Whether the chunk's selection kept base row `rp`.
+#[inline(always)]
+fn kept(valid: &Option<Bitset>, rp: u32) -> bool {
+    valid.as_ref().is_none_or(|v| v.get(rp as usize))
+}
+
+impl BuildSide for (&ForeignKeyPartition, &Option<Bitset>) {
+    #[inline(always)]
+    fn candidates(&self, key: i64, _: &Chunk, _: usize, mut f: impl FnMut(u32) -> bool) {
+        for &rp in self.0.bucket(key) {
+            if kept(self.1, rp) && f(rp) {
+                break;
+            }
         }
-        pairs
+    }
+}
+
+impl BuildSide for (&PrimaryKeyIndex, &Option<Bitset>) {
+    #[inline(always)]
+    fn candidates(&self, key: i64, _: &Chunk, _: usize, mut f: impl FnMut(u32) -> bool) {
+        metrics::hash_probe();
+        if let Some(rp) = self.0.lookup(key).filter(|&rp| kept(self.1, rp)) {
+            f(rp);
+        }
+    }
+}
+
+/// The group index of the fused aggregation on the left (Fig. 9).
+impl BuildSide for GroupResolver {
+    #[inline(always)]
+    fn candidates(&self, key: i64, _: &Chunk, _: usize, mut f: impl FnMut(u32) -> bool) {
+        if let Some(g) = self.lookup(key) {
+            f(g);
+        }
+    }
+}
+
+impl BuildSide for DirectMultiMap {
+    #[inline(always)]
+    fn candidates(&self, key: i64, _: &Chunk, _: usize, f: impl FnMut(u32) -> bool) {
+        metrics::hash_probe();
+        self.for_each_match(key, f);
+    }
+}
+
+impl BuildSide for (i64, &Bitset) {
+    #[inline(always)]
+    fn candidates(&self, key: i64, _: &Chunk, _: usize, mut f: impl FnMut(u32) -> bool) {
+        metrics::hash_probe();
+        // A key below the minimum wraps far beyond the set: absent.
+        if self.1.get(key.wrapping_sub(self.0) as usize) {
+            f(u32::MAX);
+        }
+    }
+}
+
+impl BuildSide for Vec<ChainedMultiMap> {
+    #[inline(always)]
+    fn candidates(&self, key: i64, _: &Chunk, _: usize, mut f: impl FnMut(u32) -> bool) {
+        let mut done = false;
+        radix_table(self, key).for_each_match(key as u64, |rp| done = done || f(rp));
+    }
+}
+
+impl BuildSide for Vec<HashMap<u64, Vec<u32>>> {
+    #[inline(always)]
+    fn candidates(&self, key: i64, _: &Chunk, _: usize, mut f: impl FnMut(u32) -> bool) {
+        metrics::hash_probe();
+        if let Some(cands) = radix_table(self, key).get(&(key as u64)) {
+            metrics::chain_steps(cands.len() as u64);
+            let _ = cands.iter().any(|&rp| f(rp));
+        }
+    }
+}
+
+/// Generic values of the given probe-side columns (non-codeable keys).
+impl BuildSide for (HashMap<Vec<Value>, Vec<u32>>, &[usize]) {
+    fn candidates(&self, _: i64, probe: &Chunk, p: usize, mut f: impl FnMut(u32) -> bool) {
+        metrics::hash_probe();
+        let key: Vec<Value> = self.1.iter().map(|&c| probe.value_at(c, p)).collect();
+        if let Some(cands) = self.0.get(&key) {
+            let _ = cands.iter().any(|&rp| f(rp));
+        }
+    }
+}
+
+/// The table holding `key`: the only one, or its radix partition.
+#[inline(always)]
+fn radix_table<T>(tables: &[T], key: i64) -> &T {
+    if tables.len() == 1 {
+        &tables[0]
+    } else {
+        &tables[join_partition(key as u64)]
+    }
+}
+
+/// Runs `work` over the logical rows `0..rows` of an operator's input and
+/// returns what it emitted, in row order. A serial operator is one work item
+/// over all rows; a morsel-parallel one hands the fixed morsels of the
+/// determinism contract to `run_morsels` and concatenates their outputs in
+/// morsel-index order — the deterministic assembly step every parallel
+/// selection and probe shares, around one loop body.
+fn collect_rows<S, T: Clone + Send>(
+    degree: usize,
+    parallel: bool,
+    rows: usize,
+    setup: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, Range<usize>, &mut Vec<T>) + Sync,
+) -> Vec<T> {
+    concat_parts(run_morsels(degree, &work_items(parallel, rows), setup, |state, m: Morsel| {
+        let mut out = Vec::new();
+        work(state, m.range(), &mut out);
+        out
+    }))
+}
+
+/// The work items over `rows` logical rows: the fixed morsels of the
+/// determinism contract when the operator runs parallel, else all rows as one.
+fn work_items(parallel: bool, rows: usize) -> Vec<Morsel> {
+    if parallel {
+        row_morsels(rows)
+    } else {
+        vec![Morsel { start: 0, end: rows }]
+    }
+}
+
+/// Concatenates per-item outputs in item order (a single one moves).
+fn concat_parts<T: Clone>(mut parts: Vec<Vec<T>>) -> Vec<T> {
+    if parts.len() == 1 {
+        parts.pop().expect("one part")
+    } else {
+        parts.concat()
     }
 }
 
@@ -1371,39 +1131,12 @@ fn gather_column_nullable(
     (col, Some(Arc::new(mask)))
 }
 
-fn sel_vec(chunk: &Chunk) -> Vec<u32> {
+/// The physical ids of the logical rows `range`.
+fn phys_ids(chunk: &Chunk, range: Range<usize>) -> Vec<u32> {
     match &chunk.sel {
-        Some(s) => s.as_ref().clone(),
-        None => (0..chunk.total as u32).collect(),
+        Some(s) => s[range].to_vec(),
+        None => (range.start as u32..range.end as u32).collect(),
     }
-}
-
-fn pack_keys(kks: &[I64K], p: usize) -> u64 {
-    if kks.len() == 1 {
-        kks[0](p) as u64
-    } else {
-        // Multi-key joins pack 32-bit halves (TPC-H keys are positive and
-        // well below 2^32 at benchmark scales).
-        let mut key = 0u64;
-        for kk in kks {
-            key = (key << 32) | (kk(p) as u64 & 0xFFFF_FFFF);
-        }
-        key
-    }
-}
-
-fn split_conjuncts(e: &Expr) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    fn rec<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-        if let Expr::And(a, b) = e {
-            rec(a, out);
-            rec(b, out);
-        } else {
-            out.push(e);
-        }
-    }
-    rec(e, &mut out);
-    out
 }
 
 /// Extracts `[lo, hi]` bounds on `col` from comparison conjuncts; returns
@@ -1416,7 +1149,7 @@ fn date_bounds(conjuncts: &[&Expr], col: usize) -> (Option<Date>, Option<Date>, 
         let Expr::Cmp(op, a, b) = e else { continue };
         let (c, d, op) = match (a.as_ref(), b.as_ref()) {
             (Expr::Col(c), Expr::Lit(Value::Date(d))) => (*c, *d, *op),
-            (Expr::Lit(Value::Date(d)), Expr::Col(c)) => (*c, *d, flip(*op)),
+            (Expr::Lit(Value::Date(d)), Expr::Col(c)) => (*c, *d, op.flip()),
             _ => continue,
         };
         if c != col {
@@ -1450,16 +1183,6 @@ fn date_bounds(conjuncts: &[&Expr], col: usize) -> (Option<Date>, Option<Date>, 
         }
     }
     (lo, hi, covered)
-}
-
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-        other => other,
-    }
 }
 
 fn child_need_select(need: &Need, predicate: &Expr) -> Need {

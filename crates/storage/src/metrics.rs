@@ -69,6 +69,13 @@ pub fn branch_eval() {
     bump!(BRANCH_EVALS, 1);
 }
 
+/// Records `n` branch evaluations at once (block-at-a-time selection counts
+/// per block, not per row).
+#[inline(always)]
+pub fn branch_evals(n: u64) {
+    bump!(BRANCH_EVALS, n);
+}
+
 /// Records a materialized intermediate tuple.
 #[inline(always)]
 pub fn tuple_materialized() {
