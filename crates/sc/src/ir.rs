@@ -219,10 +219,10 @@ impl Expr {
     }
 
     /// Symbols referenced by this expression.
-    pub fn syms(&self, out: &mut Vec<Sym>) {
+    pub fn syms(&self, out: &mut impl Extend<Sym>) {
         match self {
-            Expr::Sym(s) | Expr::Field(s, _) => out.push(*s),
-            Expr::ColumnLoad { idx, .. } => out.push(*idx),
+            Expr::Sym(s) | Expr::Field(s, _) => out.extend([*s]),
+            Expr::ColumnLoad { idx, .. } => out.extend([*idx]),
             Expr::Bin(_, a, b) => {
                 a.syms(out);
                 b.syms(out);
@@ -259,22 +259,28 @@ impl Expr {
         }
     }
 
-    /// Rewrites sub-expressions bottom-up through `f`.
-    pub fn rewrite(&self, f: &impl Fn(&Expr) -> Option<Expr>) -> Expr {
-        let rebuilt = match self {
-            Expr::Bin(op, a, b) => Expr::bin(*op, a.rewrite(f), b.rewrite(f)),
-            Expr::Not(a) => Expr::Not(Box::new(a.rewrite(f))),
-            Expr::YearOf(a) => Expr::YearOf(Box::new(a.rewrite(f))),
-            Expr::StrOp(op, a, p) => Expr::StrOp(*op, Box::new(a.rewrite(f)), p.clone()),
-            Expr::DictOp { op, code, lit } => {
-                Expr::DictOp { op: *op, code: Box::new(code.rewrite(f)), lit: lit.clone() }
+    /// Rewrites sub-expressions bottom-up through `f`, in place: children
+    /// first, then `f` sees the node with its rewritten children, and a
+    /// replacement is not visited again.
+    pub fn rewrite(&mut self, f: &impl Fn(&Expr) -> Option<Expr>) {
+        match self {
+            Expr::Bin(_, a, b) => {
+                a.rewrite(f);
+                b.rewrite(f);
             }
-            Expr::Call(name, args) => {
-                Expr::Call(name.clone(), args.iter().map(|a| a.rewrite(f)).collect())
+            Expr::Not(a) | Expr::YearOf(a) => a.rewrite(f),
+            Expr::StrOp(_, a, _) => a.rewrite(f),
+            Expr::DictOp { code, .. } => code.rewrite(f),
+            Expr::Call(_, args) => {
+                for a in args {
+                    a.rewrite(f);
+                }
             }
-            other => other.clone(),
-        };
-        f(&rebuilt).unwrap_or(rebuilt)
+            _ => {}
+        }
+        if let Some(replacement) = f(self) {
+            *self = replacement;
+        }
     }
 }
 
@@ -587,70 +593,85 @@ impl Program {
 }
 
 impl Stmt {
-    /// Nested statement bodies of this node.
-    pub fn bodies(&self) -> Vec<&Vec<Stmt>> {
+    /// Nested statement bodies of this node (an `If`'s two branches, a
+    /// loop's body).
+    pub fn bodies(&self) -> impl Iterator<Item = &Vec<Stmt>> {
+        let (first, second) = match self {
+            Stmt::If { then_b, else_b, .. } => (Some(then_b), Some(else_b)),
+            Stmt::ScanLoop { body, .. }
+            | Stmt::TiledScanLoop { body, .. }
+            | Stmt::DateIndexLoop { body, .. }
+            | Stmt::MultiMapLookup { body, .. }
+            | Stmt::PartitionLookupLoop { body, .. }
+            | Stmt::BucketArrayLookup { body, .. }
+            | Stmt::AggForeach { body, .. } => (Some(body), None),
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// [`Stmt::bodies`], mutably: traversals take a body with
+    /// `mem::take`, rewrite it, and put it back — nothing is copied.
+    pub fn bodies_mut(&mut self) -> impl Iterator<Item = &mut Vec<Stmt>> {
+        let (first, second) = match self {
+            Stmt::If { then_b, else_b, .. } => (Some(then_b), Some(else_b)),
+            Stmt::ScanLoop { body, .. }
+            | Stmt::TiledScanLoop { body, .. }
+            | Stmt::DateIndexLoop { body, .. }
+            | Stmt::MultiMapLookup { body, .. }
+            | Stmt::PartitionLookupLoop { body, .. }
+            | Stmt::BucketArrayLookup { body, .. }
+            | Stmt::AggForeach { body, .. } => (Some(body), None),
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// Visits this statement's own expressions (not those of its bodies).
+    pub fn exprs(&self, f: &mut impl FnMut(&Expr)) {
         match self {
-            Stmt::If { then_b, else_b, .. } => vec![then_b, else_b],
-            Stmt::ScanLoop { body, .. }
-            | Stmt::TiledScanLoop { body, .. }
-            | Stmt::DateIndexLoop { body, .. }
-            | Stmt::MultiMapLookup { body, .. }
-            | Stmt::PartitionLookupLoop { body, .. }
-            | Stmt::BucketArrayLookup { body, .. }
-            | Stmt::AggForeach { body, .. } => vec![body],
-            _ => vec![],
-        }
-    }
-
-    /// Applies `f` to every nested body, rebuilding the statement.
-    pub fn map_bodies(&self, f: &impl Fn(&[Stmt]) -> Vec<Stmt>) -> Stmt {
-        let mut s = self.clone();
-        match &mut s {
-            Stmt::If { then_b, else_b, .. } => {
-                *then_b = f(then_b);
-                *else_b = f(else_b);
-            }
-            Stmt::ScanLoop { body, .. }
-            | Stmt::TiledScanLoop { body, .. }
-            | Stmt::DateIndexLoop { body, .. }
-            | Stmt::MultiMapLookup { body, .. }
-            | Stmt::PartitionLookupLoop { body, .. }
-            | Stmt::BucketArrayLookup { body, .. }
-            | Stmt::AggForeach { body, .. } => *body = f(body),
-            _ => {}
-        }
-        s
-    }
-
-    /// Applies an expression rewriter to every expression in this statement
-    /// (not descending into bodies — use with a statement traversal).
-    pub fn map_exprs(&self, f: &impl Fn(&Expr) -> Option<Expr>) -> Stmt {
-        let rw = |e: &Expr| e.rewrite(f);
-        let mut s = self.clone();
-        match &mut s {
             Stmt::Let { value, .. }
             | Stmt::Var { init: value, .. }
-            | Stmt::Assign { value, .. } => *value = rw(value),
-            Stmt::If { cond, .. } => *cond = rw(cond),
+            | Stmt::Assign { value, .. } => f(value),
+            Stmt::If { cond, .. } => f(cond),
             Stmt::MultiMapInsert { key, .. }
             | Stmt::MultiMapLookup { key, .. }
             | Stmt::PartitionLookupLoop { key, .. }
             | Stmt::BucketArrayInsert { key, .. }
-            | Stmt::BucketArrayLookup { key, .. } => *key = rw(key),
+            | Stmt::BucketArrayLookup { key, .. } => f(key),
             Stmt::AggUpdate { key, updates, .. } => {
-                *key = rw(key);
+                f(key);
                 for (_, e) in updates {
-                    *e = rw(e);
+                    f(e);
                 }
             }
-            Stmt::Emit { values } => {
-                for v in values {
-                    *v = rw(v);
-                }
-            }
+            Stmt::Emit { values } => values.iter().for_each(f),
             _ => {}
         }
-        s
+    }
+
+    /// [`Stmt::exprs`], mutably: `s.exprs_mut(&mut |e| e.rewrite(rule))`
+    /// rewrites the statement's expressions in place.
+    pub fn exprs_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        match self {
+            Stmt::Let { value, .. }
+            | Stmt::Var { init: value, .. }
+            | Stmt::Assign { value, .. } => f(value),
+            Stmt::If { cond, .. } => f(cond),
+            Stmt::MultiMapInsert { key, .. }
+            | Stmt::MultiMapLookup { key, .. }
+            | Stmt::PartitionLookupLoop { key, .. }
+            | Stmt::BucketArrayInsert { key, .. }
+            | Stmt::BucketArrayLookup { key, .. } => f(key),
+            Stmt::AggUpdate { key, updates, .. } => {
+                f(key);
+                for (_, e) in updates {
+                    f(e);
+                }
+            }
+            Stmt::Emit { values } => values.iter_mut().for_each(f),
+            _ => {}
+        }
     }
 }
 
@@ -700,12 +721,12 @@ mod tests {
     #[test]
     fn expr_rewrite_bottom_up() {
         // Replace Float(24.0) with Float(25.0) everywhere.
-        let e = Expr::bin(
+        let mut out = Expr::bin(
             BinOp::Lt,
             Expr::Float(24.0),
             Expr::bin(BinOp::Add, Expr::Float(24.0), Expr::Float(1.0)),
         );
-        let out = e.rewrite(&|x| match x {
+        out.rewrite(&|x| match x {
             Expr::Float(v) if *v == 24.0 => Some(Expr::Float(25.0)),
             _ => None,
         });

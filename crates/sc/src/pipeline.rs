@@ -98,6 +98,18 @@ impl Pipeline {
 
     /// Runs the pipeline over a query.
     pub fn run(&self, query: &QueryPlan, catalog: &Catalog, settings: &Settings) -> CompileResult {
+        self.run_observed(query, catalog, settings, |_, _| {})
+    }
+
+    /// Runs the pipeline, handing `on_phase` the program after every phase
+    /// (`OperatorInlining` first): Fig. 7's stage walk, with no stage kept.
+    pub fn run_observed(
+        &self,
+        query: &QueryPlan,
+        catalog: &Catalog,
+        settings: &Settings,
+        mut on_phase: impl FnMut(&PhaseTrace, &Program),
+    ) -> CompileResult {
         let start = Instant::now();
         // The relations the plan scans are recorded whatever the settings —
         // the generic engines' loader asks the store for exactly their row
@@ -113,19 +125,18 @@ impl Pipeline {
             size: prog.size(),
             duration: start.elapsed(),
         }];
-        let mut program_stages = vec![prog.clone()];
+        on_phase(&trace[0], &prog);
         for t in &self.transformers {
             let t0 = Instant::now();
             prog = t.run(prog, &mut ctx);
             trace.push(PhaseTrace { name: t.name(), size: prog.size(), duration: t0.elapsed() });
-            program_stages.push(prog.clone());
+            on_phase(trace.last().expect("just pushed"), &prog);
         }
         let cgen_start = Instant::now();
         let c_source = cgen::emit_c(&prog, catalog, &ctx.spec);
         let cgen_time = cgen_start.elapsed();
         CompileResult {
             program: prog,
-            stages: program_stages,
             spec: ctx.spec,
             trace,
             c_source,
@@ -154,10 +165,9 @@ pub struct PhaseTrace {
 
 /// The output of compiling one query.
 pub struct CompileResult {
-    /// Final (lowest-level) program.
+    /// Final (lowest-level) program; the earlier stages are handed to
+    /// [`Pipeline::run_observed`]'s hook, never kept.
     pub program: Program,
-    /// Program snapshot after every phase (Fig. 7's progressive lowering).
-    pub stages: Vec<Program>,
     /// Load/execution decisions for the specialized engine.
     pub spec: Specialization,
     /// Per-phase trace (sizes and timings).
@@ -363,7 +373,10 @@ mod tests {
     fn trace_records_every_phase_and_shrinks_ir() {
         let cat = catalog();
         let q = legobase_queries::query(&cat, 3);
-        let result = compile(&q, &cat, &Settings::optimized());
+        let settings = Settings::optimized();
+        let mut observed = Vec::new();
+        let result = Pipeline::for_settings(&settings)
+            .run_observed(&q, &cat, &settings, |t, p| observed.push((t.name, p.size())));
         assert!(result.trace.len() >= 8);
         assert_eq!(result.trace[0].name, "OperatorInlining");
         // Cleanup passes must not grow the program.
@@ -372,7 +385,9 @@ mod tests {
                 assert!(w[1].size <= w[0].size, "cleanup grew the IR: {w:?}");
             }
         }
-        assert_eq!(result.stages.len(), result.trace.len());
+        // The hook sees every phase once, in order, with the program it left.
+        let traced: Vec<_> = result.trace.iter().map(|t| (t.name, t.size)).collect();
+        assert_eq!(observed, traced);
     }
 
     /// Fusion runs before date indexing; it must never merge a loop in a

@@ -227,12 +227,13 @@ mod tests {
         let cat = legobase_tpch::catalog();
         let q = legobase_queries::query(&cat, 12);
         // Stage 0 = the operator-inlined program before any lowering.
-        let result = Pipeline::for_settings(&Config::NaiveC.settings()).run(
-            &q,
-            &cat,
-            &Config::NaiveC.settings(),
-        );
-        let scala = emit_scala(&result.stages[0]);
+        let settings = Config::NaiveC.settings();
+        let mut scala = String::new();
+        Pipeline::for_settings(&settings).run_observed(&q, &cat, &settings, |t, p| {
+            if t.name == "OperatorInlining" {
+                scala = emit_scala(p);
+            }
+        });
         assert!(scala.contains("new MultiMap[Int, Record]"), "{scala}");
         assert!(scala.contains(".addBinding("));
         assert!(scala.contains("getOrElseUpdate"));
@@ -256,11 +257,15 @@ mod tests {
         let cat = legobase_tpch::catalog();
         let settings = Settings::optimized();
         for q in legobase_queries::all_queries(&cat) {
-            let result = Pipeline::for_settings(&settings).run(&q, &cat, &settings);
-            for stage in &result.stages {
+            Pipeline::for_settings(&settings).run_observed(&q, &cat, &settings, |t, stage| {
                 let text = emit_scala(stage);
-                assert!(text.lines().count() >= 3, "{}: degenerate rendering", q.name);
-            }
+                assert!(
+                    text.lines().count() >= 3,
+                    "{} after {}: degenerate rendering",
+                    q.name,
+                    t.name
+                );
+            });
         }
     }
 }

@@ -5,7 +5,7 @@
 use crate::ir::*;
 use crate::rules::{rewrite_exprs, rewrite_stmts, TransformCtx, Transformer};
 use legobase_storage::Date;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 // --------------------------------------------------------------------------
 // ParamPromDCEAndPartiallyEvaluate — the cleanup pass re-run after every
@@ -43,7 +43,7 @@ impl Transformer for Cleanup {
 /// bound by a `Let` replaces later occurrences of the same expression.
 /// Mutation of any symbol an expression reads invalidates its cache entry.
 pub fn common_subexpression_eliminate(mut prog: Program) -> Program {
-    prog.stmts = cse_block(&prog.stmts, &mut Vec::new());
+    cse_block(&mut prog.stmts, &mut Vec::new());
     prog
 }
 
@@ -56,35 +56,41 @@ fn cse_candidate(e: &Expr) -> bool {
     }
 }
 
-fn cse_block(stmts: &[Stmt], available: &mut Vec<(Expr, Sym)>) -> Vec<Stmt> {
-    let mut out = Vec::with_capacity(stmts.len());
+fn cse_block(stmts: &mut [Stmt], available: &mut Vec<(Expr, Sym)>) {
     for s in stmts {
-        // Substitute already-available expressions in this statement.
-        let avail = available.clone();
-        let s = s.map_exprs(&|e| {
-            avail.iter().find(|(cached, _)| cached == e).map(|(_, sym)| Expr::Sym(*sym))
+        // Substitute already-available expressions in this statement. Only
+        // candidate-shaped nodes can equal a cached expression.
+        let avail = &*available;
+        s.exprs_mut(&mut |e| {
+            e.rewrite(&|e| {
+                if !matches!(e, Expr::Bin(..) | Expr::Not(_) | Expr::YearOf(_)) {
+                    return None;
+                }
+                avail.iter().find(|(cached, _)| cached == e).map(|(_, sym)| Expr::Sym(*sym))
+            })
         });
         // Recurse into bodies with an inherited (branch-local) table.
-        let s = s.map_bodies(&|b| cse_block(b, &mut available.clone()));
+        for body in s.bodies_mut() {
+            cse_block(body, &mut available.clone());
+        }
         // Record new definitions / invalidate on mutation.
-        match &s {
+        match s {
             Stmt::Let { sym, value, .. } if cse_candidate(value) => {
                 available.push((value.clone(), *sym));
             }
             Stmt::Assign { sym, .. } | Stmt::Var { sym, .. } => {
                 // Any cached expression reading the mutated symbol is stale.
                 let dead = *sym;
+                let mut syms = Vec::new();
                 available.retain(|(e, s2)| {
-                    let mut syms = Vec::new();
+                    syms.clear();
                     e.syms(&mut syms);
                     !syms.contains(&dead) && *s2 != dead
                 });
             }
             _ => {}
         }
-        out.push(s);
     }
-    out
 }
 
 /// Folds constant sub-expressions (partial evaluation).
@@ -200,7 +206,8 @@ pub fn scalar_replace(prog: Program) -> Program {
     // Resolve chains (x = y; z = x).
     let resolve = |mut e: Expr| {
         for _ in 0..subst.len() + 1 {
-            let next = e.rewrite(&|x| match x {
+            let mut next = e.clone();
+            next.rewrite(&|x| match x {
                 Expr::Sym(s) => subst.get(s).cloned(),
                 _ => None,
             });
@@ -226,49 +233,23 @@ pub fn scalar_replace(prog: Program) -> Program {
 /// unused collections.
 pub fn dead_code_eliminate(mut prog: Program) -> Program {
     for _ in 0..4 {
-        let mut used: Vec<Sym> = Vec::new();
-        let mut maps_used: Vec<Sym> = Vec::new();
+        let mut used: HashSet<Sym> = HashSet::new();
+        let mut maps_used: HashSet<Sym> = HashSet::new();
         prog.walk(&mut |s| {
+            // An assignment keeps its own target alive only if the target is
+            // read elsewhere: its expressions are the value alone.
+            s.exprs(&mut |e| e.syms(&mut used));
             match s {
-                Stmt::Let { value, .. } | Stmt::Var { init: value, .. } => value.syms(&mut used),
-                Stmt::Assign { sym, value } => {
-                    // An assignment keeps its own target alive only if the
-                    // target is read elsewhere; record only the value syms.
-                    value.syms(&mut used);
-                    let _ = sym;
+                Stmt::MultiMapInsert { map, row, .. }
+                | Stmt::BucketArrayInsert { arr: map, row, .. } => {
+                    maps_used.insert(*map);
+                    used.insert(*row);
                 }
-                Stmt::If { cond, .. } => cond.syms(&mut used),
-                Stmt::MultiMapInsert { map, key, row } => {
-                    maps_used.push(*map);
-                    key.syms(&mut used);
-                    used.push(*row);
-                }
-                Stmt::MultiMapLookup { map, key, .. } => {
-                    maps_used.push(*map);
-                    key.syms(&mut used);
-                }
-                Stmt::BucketArrayInsert { arr, key, row } => {
-                    maps_used.push(*arr);
-                    key.syms(&mut used);
-                    used.push(*row);
-                }
-                Stmt::BucketArrayLookup { arr, key, .. } => {
-                    maps_used.push(*arr);
-                    key.syms(&mut used);
-                }
-                Stmt::AggUpdate { map, key, updates } => {
-                    maps_used.push(*map);
-                    key.syms(&mut used);
-                    for (_, e) in updates {
-                        e.syms(&mut used);
-                    }
-                }
-                Stmt::AggForeach { map, .. } => maps_used.push(*map),
-                Stmt::PartitionLookupLoop { key, .. } => key.syms(&mut used),
-                Stmt::Emit { values } => {
-                    for v in values {
-                        v.syms(&mut used);
-                    }
+                Stmt::MultiMapLookup { map, .. }
+                | Stmt::BucketArrayLookup { arr: map, .. }
+                | Stmt::AggUpdate { map, .. }
+                | Stmt::AggForeach { map, .. } => {
+                    maps_used.insert(*map);
                 }
                 _ => {}
             }

@@ -3,7 +3,6 @@
 //! never loaded.
 use crate::ir::*;
 use crate::rules::{TransformCtx, Transformer};
-use std::collections::HashMap;
 
 // --------------------------------------------------------------------------
 // ColumnStore (Section 3.3) + unused-field removal (Section 3.6.1)
@@ -19,7 +18,7 @@ impl Transformer for ColumnStore {
         "ColumnStore"
     }
 
-    fn run(&self, prog: Program, ctx: &mut TransformCtx<'_>) -> Program {
+    fn run(&self, mut prog: Program, ctx: &mut TransformCtx<'_>) -> Program {
         // ---- analysis: referenced attributes per base table (the same
         // analysis powers unused-field removal).
         let used = legobase_engine::plan::used_base_columns(ctx.query, &|t: &str| {
@@ -35,36 +34,40 @@ impl Transformer for ColumnStore {
 
         // ---- IR rewriting: row-field access on base rows becomes a direct
         // column-vector load (array of records → record of arrays, Fig. 13).
-        fn rewrite_with_env(stmts: &[Stmt], env: &mut HashMap<Sym, String>) -> Vec<Stmt> {
-            let mut out = Vec::with_capacity(stmts.len());
+        // `env` is a stack of the base-row binders in scope: a loop's row is
+        // visible to its own expressions, its body, and its later siblings,
+        // and leaves scope with the enclosing block.
+        fn rewrite_with_env(stmts: &mut [Stmt], env: &mut Vec<(Sym, String)>) {
+            let scope = env.len();
             for s in stmts {
-                // Extend the environment for loops that bind base rows.
-                let bound = match s {
+                match s {
                     Stmt::ScanLoop { row, table, .. } if !table.starts_with('#') => {
-                        Some((*row, table.clone()))
+                        env.push((*row, table.clone()))
                     }
-                    Stmt::DateIndexLoop { row, table, .. } => Some((*row, table.clone())),
-                    Stmt::PartitionLookupLoop { row, table, .. } => Some((*row, table.clone())),
-                    _ => None,
-                };
-                if let Some((r, t)) = &bound {
-                    env.insert(*r, t.clone());
+                    Stmt::DateIndexLoop { row, table, .. }
+                    | Stmt::PartitionLookupLoop { row, table, .. } => {
+                        env.push((*row, table.clone()))
+                    }
+                    _ => {}
                 }
-                let s2 = s.map_bodies(&|b| rewrite_with_env(b, &mut env.clone()));
-                let env2 = env.clone();
-                let s3 = s2.map_exprs(&|e| match e {
-                    Expr::Field(r, f) => env2.get(r).map(|t| Expr::ColumnLoad {
-                        table: t.clone(),
-                        column: f.clone(),
-                        idx: *r,
-                    }),
-                    _ => None,
+                for body in s.bodies_mut() {
+                    rewrite_with_env(body, env);
+                }
+                let env = &*env;
+                s.exprs_mut(&mut |e| {
+                    e.rewrite(&|e| match e {
+                        Expr::Field(r, f) => {
+                            env.iter().rev().find(|(bound, _)| bound == r).map(|(_, t)| {
+                                Expr::ColumnLoad { table: t.clone(), column: f.clone(), idx: *r }
+                            })
+                        }
+                        _ => None,
+                    })
                 });
-                out.push(s3);
             }
-            out
+            env.truncate(scope);
         }
-        let stmts = rewrite_with_env(&prog.stmts, &mut HashMap::new());
-        Program { stmts, ..prog }
+        rewrite_with_env(&mut prog.stmts, &mut Vec::new());
+        prog
     }
 }

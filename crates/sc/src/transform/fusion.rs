@@ -1,7 +1,8 @@
 //! HorizontalFusion (Table IV; footnote 18): adjacent loops over the same
 //! range fuse into one loop when their bodies are independent.
 use crate::ir::*;
-use crate::rules::{TransformCtx, Transformer};
+use crate::rules::{walk_mut, TransformCtx, Transformer};
+use std::mem;
 
 // --------------------------------------------------------------------------
 // HorizontalFusion (Table IV; footnote 18)
@@ -29,63 +30,57 @@ impl Transformer for HorizontalFusion {
 
 /// The fusion pass as a plain function (it is purely structural and needs no
 /// compilation context) — used by the semantics property tests.
-pub fn horizontal_fuse(prog: Program) -> Program {
-    Program { stmts: fuse_block(&prog.stmts), ..prog }
+pub fn horizontal_fuse(mut prog: Program) -> Program {
+    fuse_block(&mut prog.stmts);
+    prog
 }
 
-fn fuse_block(stmts: &[Stmt]) -> Vec<Stmt> {
+fn fuse_block(stmts: &mut Vec<Stmt>) {
     // Bottom-up: fuse inside nested bodies first, then adjacent siblings.
-    let mut out: Vec<Stmt> = stmts.iter().map(|s| s.map_bodies(&|b| fuse_block(b))).collect();
-    let mut i = 0;
-    while i + 1 < out.len() {
-        match try_fuse(&out[i], &out[i + 1]) {
-            Some(fused) => {
-                out[i] = fused;
-                out.remove(i + 1);
-                // Stay at i: the fused loop may merge with the next one too.
-            }
-            None => i += 1,
+    for s in stmts.iter_mut() {
+        for body in s.bodies_mut() {
+            fuse_block(body);
         }
     }
-    out
+    let mut i = 0;
+    while i + 1 < stmts.len() {
+        if can_fuse(&stmts[i], &stmts[i + 1]) {
+            let mut second = stmts.remove(i + 1);
+            let (from, body) = loop_parts(&mut second).expect("can_fuse matched a loop");
+            let mut moved = mem::take(body);
+            let (to, fused) = loop_parts(&mut stmts[i]).expect("can_fuse matched a loop");
+            subst_sym(&mut moved, from, to);
+            fused.append(&mut moved);
+            // Stay at i: the fused loop may merge with the next one too.
+        } else {
+            i += 1;
+        }
+    }
 }
 
-fn try_fuse(a: &Stmt, b: &Stmt) -> Option<Stmt> {
-    match (a, b) {
+/// True when `a` and `b` are loops over the same range with independent
+/// bodies.
+fn can_fuse(a: &Stmt, b: &Stmt) -> bool {
+    let same_range = match (a, b) {
+        (Stmt::ScanLoop { table: t1, .. }, Stmt::ScanLoop { table: t2, .. }) => t1 == t2,
         (
-            Stmt::ScanLoop { row: r1, table: t1, body: b1 },
-            Stmt::ScanLoop { row: r2, table: t2, body: b2 },
-        ) if t1 == t2 => fuse_bodies(*r1, b1, *r2, b2).map(|body| Stmt::ScanLoop {
-            row: *r1,
-            table: t1.clone(),
-            body,
-        }),
-        (
-            Stmt::DateIndexLoop { row: r1, table: t1, column: c1, lo: l1, hi: h1, body: b1 },
-            Stmt::DateIndexLoop { row: r2, table: t2, column: c2, lo: l2, hi: h2, body: b2 },
-        ) if t1 == t2 && c1 == c2 && l1 == l2 && h1 == h2 => {
-            fuse_bodies(*r1, b1, *r2, b2).map(|body| Stmt::DateIndexLoop {
-                row: *r1,
-                table: t1.clone(),
-                column: c1.clone(),
-                lo: *l1,
-                hi: *h1,
-                body,
-            })
+            Stmt::DateIndexLoop { table: t1, column: c1, lo: l1, hi: h1, .. },
+            Stmt::DateIndexLoop { table: t2, column: c2, lo: l2, hi: h2, .. },
+        ) => t1 == t2 && c1 == c2 && l1 == l2 && h1 == h2,
+        _ => false,
+    };
+    let effects = |s: &Stmt| body_effects(s.bodies().next().expect("a loop has a body"));
+    same_range && fusable(&effects(a), &effects(b))
+}
+
+/// The row binder and body of a loop this pass fuses.
+fn loop_parts(s: &mut Stmt) -> Option<(Sym, &mut Vec<Stmt>)> {
+    match s {
+        Stmt::ScanLoop { row, body, .. } | Stmt::DateIndexLoop { row, body, .. } => {
+            Some((*row, body))
         }
         _ => None,
     }
-}
-
-fn fuse_bodies(r1: Sym, b1: &[Stmt], r2: Sym, b2: &[Stmt]) -> Option<Vec<Stmt>> {
-    let e1 = body_effects(b1);
-    let e2 = body_effects(b2);
-    if !fusable(&e1, &e2) {
-        return None;
-    }
-    let mut fused = b1.to_vec();
-    fused.extend(subst_sym(b2, r2, r1));
-    Some(fused)
 }
 
 /// Read/write footprint of a loop body, used as the fusion safety check.
@@ -107,71 +102,45 @@ struct Effects {
 }
 
 fn body_effects(stmts: &[Stmt]) -> Effects {
-    let mut e = Effects::default();
-    fn expr_effects(x: &Expr, e: &mut Effects) {
-        x.syms(&mut e.reads);
-        x.visit(&mut |sub| {
-            if matches!(sub, Expr::Call(..)) {
-                e.opaque = true;
-            }
-        });
-    }
     fn rec(stmts: &[Stmt], e: &mut Effects) {
         for s in stmts {
+            s.exprs(&mut |x| {
+                x.syms(&mut e.reads);
+                x.visit(&mut |sub| e.opaque |= matches!(sub, Expr::Call(..)));
+            });
             match s {
-                Stmt::Comment(_) => {}
-                Stmt::Let { value, .. } | Stmt::Var { init: value, .. } => {
-                    expr_effects(value, e);
-                }
-                Stmt::Assign { sym, value } => {
-                    e.writes.push(*sym);
-                    expr_effects(value, e);
-                }
-                Stmt::If { cond, .. } => expr_effects(cond, e),
-                Stmt::ScanLoop { .. } | Stmt::TiledScanLoop { .. } | Stmt::DateIndexLoop { .. } => {
-                }
-                Stmt::MultiMapNew { .. } | Stmt::BucketArrayNew { .. } | Stmt::AggMapNew { .. } => {
-                }
-                Stmt::MultiMapInsert { map, key, row } => {
+                Stmt::Assign { sym, .. } => e.writes.push(*sym),
+                Stmt::MultiMapInsert { map, row, .. }
+                | Stmt::BucketArrayInsert { arr: map, row, .. } => {
                     e.map_writes.push(*map);
-                    expr_effects(key, e);
                     e.reads.push(*row);
                 }
-                Stmt::MultiMapLookup { map, key, .. } => {
-                    e.map_reads.push(*map);
-                    expr_effects(key, e);
+                Stmt::AggUpdate { map, .. } => e.map_writes.push(*map),
+                Stmt::MultiMapLookup { map, .. }
+                | Stmt::BucketArrayLookup { arr: map, .. }
+                | Stmt::AggForeach { map, .. } => e.map_reads.push(*map),
+                Stmt::Emit { .. } | Stmt::SortEmitted { .. } | Stmt::LimitEmitted { .. } => {
+                    e.emits = true
                 }
-                Stmt::PartitionLookupLoop { key, .. } => expr_effects(key, e), // load-time data: immutable
-                Stmt::BucketArrayInsert { arr, key, row } => {
-                    e.map_writes.push(*arr);
-                    expr_effects(key, e);
-                    e.reads.push(*row);
-                }
-                Stmt::BucketArrayLookup { arr, key, .. } => {
-                    e.map_reads.push(*arr);
-                    expr_effects(key, e);
-                }
-                Stmt::AggUpdate { map, key, updates } => {
-                    e.map_writes.push(*map);
-                    expr_effects(key, e);
-                    for (_, u) in updates {
-                        expr_effects(u, e);
-                    }
-                }
-                Stmt::AggForeach { map, .. } => e.map_reads.push(*map),
-                Stmt::Emit { values } => {
-                    e.emits = true;
-                    for v in values {
-                        expr_effects(v, e);
-                    }
-                }
-                Stmt::SortEmitted { .. } | Stmt::LimitEmitted { .. } => e.emits = true,
+                // Partitions are load-time data: immutable.
+                Stmt::Comment(_)
+                | Stmt::Let { .. }
+                | Stmt::Var { .. }
+                | Stmt::If { .. }
+                | Stmt::ScanLoop { .. }
+                | Stmt::TiledScanLoop { .. }
+                | Stmt::DateIndexLoop { .. }
+                | Stmt::PartitionLookupLoop { .. }
+                | Stmt::MultiMapNew { .. }
+                | Stmt::BucketArrayNew { .. }
+                | Stmt::AggMapNew { .. } => {}
             }
             for b in s.bodies() {
                 rec(b, e);
             }
         }
     }
+    let mut e = Effects::default();
     rec(stmts, &mut e);
     e
 }
@@ -192,29 +161,26 @@ fn fusable(a: &Effects, b: &Effects) -> bool {
 /// Renames every free use of `from` to `to` in a statement list (loop-row
 /// substitution for fusion). Binders are never renamed: symbols are unique
 /// program-wide, so `from` cannot be re-bound inside `stmts`.
-fn subst_sym(stmts: &[Stmt], from: Sym, to: Sym) -> Vec<Stmt> {
-    stmts
-        .iter()
-        .map(|s| {
-            let s = s.map_bodies(&|b| subst_sym(b, from, to));
-            let mut s = s.map_exprs(&|e| match e {
+fn subst_sym(stmts: &mut [Stmt], from: Sym, to: Sym) {
+    walk_mut(stmts, &mut |s| {
+        s.exprs_mut(&mut |e| {
+            e.rewrite(&|e| match e {
                 Expr::Sym(x) if *x == from => Some(Expr::Sym(to)),
                 Expr::Field(x, f) if *x == from => Some(Expr::Field(to, f.clone())),
                 Expr::ColumnLoad { table, column, idx } if *idx == from => {
                     Some(Expr::ColumnLoad { table: table.clone(), column: column.clone(), idx: to })
                 }
                 _ => None,
-            });
-            // Row-valued statement operands are symbols outside expressions.
-            match &mut s {
-                Stmt::MultiMapInsert { row, .. } | Stmt::BucketArrayInsert { row, .. }
-                    if *row == from =>
-                {
-                    *row = to;
-                }
-                _ => {}
+            })
+        });
+        // Row-valued statement operands are symbols outside expressions.
+        match s {
+            Stmt::MultiMapInsert { row, .. } | Stmt::BucketArrayInsert { row, .. }
+                if *row == from =>
+            {
+                *row = to;
             }
-            s
-        })
-        .collect()
+            _ => {}
+        }
+    });
 }

@@ -50,8 +50,6 @@ pub use tiling::LoopTiling;
 
 #[cfg(test)]
 mod tests {
-    #[allow(unused_imports)]
-    use super::promote::stmt_exprs;
     use super::*;
     use crate::ir::{BinOp, Expr, Stmt};
     use crate::ir::{Program, Sym, Ty};
@@ -255,7 +253,7 @@ mod tests {
                     promoted_vars += 1;
                 }
             }
-            stmt_exprs(s, &mut |e| {
+            s.exprs(&mut |e| {
                 e.visit(&mut |x| {
                     if matches!(x, Expr::Field(_, f) if f == "l_quantity") {
                         field_reads += 1;

@@ -2,7 +2,7 @@
 //! records (Table IV; Section 3.6.2): repeatedly-read row fields become
 //! locals loaded once per iteration.
 use crate::ir::*;
-use crate::rules::{TransformCtx, Transformer};
+use crate::rules::{walk_mut, TransformCtx, Transformer};
 use legobase_storage::Type;
 use std::collections::HashMap;
 
@@ -25,119 +25,92 @@ impl Transformer for FieldPromotion {
     }
 
     fn run(&self, mut prog: Program, ctx: &mut TransformCtx<'_>) -> Program {
-        let next = std::cell::Cell::new(prog.next_sym);
-        let stmts = promote_block(&prog.stmts, ctx.catalog, &next);
-        prog.stmts = stmts;
-        prog.next_sym = next.get();
+        promote_block(&mut prog.stmts, ctx.catalog, &mut prog.next_sym);
         prog
     }
 }
 
-fn promote_block(
-    stmts: &[Stmt],
-    catalog: &legobase_storage::Catalog,
-    next: &std::cell::Cell<u32>,
-) -> Vec<Stmt> {
-    stmts
-        .iter()
-        .map(|s| {
-            let s = s.map_bodies(&|b| promote_block(b, catalog, next));
-            // Loops binding a base-table row are promotion sites.
-            let (row, table) = match &s {
-                Stmt::ScanLoop { row, table, .. }
-                | Stmt::TiledScanLoop { row, table, .. }
-                | Stmt::DateIndexLoop { row, table, .. }
-                | Stmt::PartitionLookupLoop { row, table, .. } => (*row, table.clone()),
-                _ => return s,
-            };
-            let Some(meta) = catalog.get(&table) else { return s };
-            // Count field reads of this row in the whole body (both the
-            // row-layout `Field` form and the columnar `ColumnLoad` form,
-            // remembering which form the body uses so the hoisted load
-            // keeps the same layout).
-            let mut counts: HashMap<String, (usize, bool)> = HashMap::new();
-            for b in s.bodies() {
-                for st in b.iter() {
-                    count_field_reads(st, row, &mut counts);
-                }
-            }
-            let mut promoted: Vec<(String, Sym, bool)> = Vec::new();
-            for (field, (n, columnar)) in &counts {
-                if *n >= 2 && meta.schema.index_of(field).is_some() {
-                    let sym = Sym(next.get());
-                    next.set(next.get() + 1);
-                    promoted.push((field.clone(), sym, *columnar));
-                }
-            }
-            if promoted.is_empty() {
-                return s;
-            }
-            promoted.sort(); // deterministic output order
-            let renames: Vec<(String, Sym)> =
-                promoted.iter().map(|(f, sym, _)| (f.clone(), *sym)).collect();
-            s.map_bodies(&|b| {
-                let mut out: Vec<Stmt> = Vec::with_capacity(b.len() + promoted.len());
-                for (field, sym, columnar) in &promoted {
-                    let i = meta.schema.index_of(field).expect("checked above");
-                    let ty = match meta.schema.ty(i) {
-                        Type::Int => crate::ir::Ty::I64,
-                        Type::Float => crate::ir::Ty::F64,
-                        // Columnar string vectors hold dictionary codes
-                        // (integers) by this stage; row-layout strings stay
-                        // pointers.
-                        Type::Str if *columnar => crate::ir::Ty::I64,
-                        Type::Str => crate::ir::Ty::Str,
-                        Type::Date => crate::ir::Ty::Date,
-                        Type::Bool => crate::ir::Ty::Bool,
-                    };
-                    let init = if *columnar {
-                        Expr::ColumnLoad { table: table.clone(), column: field.clone(), idx: row }
-                    } else {
-                        Expr::Field(row, field.clone())
-                    };
-                    // `Var`, not `Let`: scalar replacement substitutes
-                    // trivial `Let`s back into their uses, which would undo
-                    // the promotion.
-                    out.push(Stmt::Var { sym: *sym, ty, init });
-                }
-                for st in b {
-                    out.push(replace_field_reads(st, row, &renames));
-                }
-                out
-            })
-        })
-        .collect()
-}
-
-/// Visits every expression of a statement (not descending into bodies).
-pub(crate) fn stmt_exprs(s: &Stmt, f: &mut impl FnMut(&Expr)) {
-    match s {
-        Stmt::Let { value, .. } | Stmt::Var { init: value, .. } | Stmt::Assign { value, .. } => {
-            f(value)
+fn promote_block(stmts: &mut [Stmt], catalog: &legobase_storage::Catalog, next: &mut u32) {
+    for s in stmts {
+        for body in s.bodies_mut() {
+            promote_block(body, catalog, next);
         }
-        Stmt::If { cond, .. } => f(cond),
-        Stmt::MultiMapInsert { key, .. }
-        | Stmt::MultiMapLookup { key, .. }
-        | Stmt::PartitionLookupLoop { key, .. }
-        | Stmt::BucketArrayInsert { key, .. }
-        | Stmt::BucketArrayLookup { key, .. } => f(key),
-        Stmt::AggUpdate { key, updates, .. } => {
-            f(key);
-            for (_, e) in updates {
-                f(e);
-            }
-        }
-        Stmt::Emit { values } => {
-            for v in values {
-                f(v);
-            }
-        }
-        _ => {}
+        promote_loop(s, catalog, next);
     }
 }
 
+/// Promotes the repeatedly read fields of one loop's row; loops binding a
+/// base-table row are the promotion sites.
+fn promote_loop(s: &mut Stmt, catalog: &legobase_storage::Catalog, next: &mut u32) {
+    let (row, table, body) = match s {
+        Stmt::ScanLoop { row, table, body }
+        | Stmt::TiledScanLoop { row, table, body, .. }
+        | Stmt::DateIndexLoop { row, table, body, .. }
+        | Stmt::PartitionLookupLoop { row, table, body, .. } => (*row, &*table, body),
+        _ => return,
+    };
+    let Some(meta) = catalog.get(table) else { return };
+    // Count field reads of this row in the whole body (both the row-layout
+    // `Field` form and the columnar `ColumnLoad` form, remembering which form
+    // the body uses so the hoisted load keeps the same layout).
+    let mut counts: HashMap<String, (usize, bool)> = HashMap::new();
+    for st in body.iter() {
+        count_field_reads(st, row, &mut counts);
+    }
+    // Number the candidates in field order, not in `HashMap` order: the
+    // symbols land in the IR and the C text.
+    let mut candidates: Vec<(String, bool)> = counts
+        .into_iter()
+        .filter(|(field, (n, _))| *n >= 2 && meta.schema.index_of(field).is_some())
+        .map(|(field, (_, columnar))| (field, columnar))
+        .collect();
+    if candidates.is_empty() {
+        return;
+    }
+    candidates.sort();
+    let mut vars = Vec::with_capacity(candidates.len());
+    let mut renames: Vec<(String, Sym)> = Vec::with_capacity(candidates.len());
+    for (field, columnar) in candidates {
+        let sym = Sym(*next);
+        *next += 1;
+        let i = meta.schema.index_of(&field).expect("checked above");
+        let ty = match meta.schema.ty(i) {
+            Type::Int => crate::ir::Ty::I64,
+            Type::Float => crate::ir::Ty::F64,
+            // Columnar string vectors hold dictionary codes (integers) by
+            // this stage; row-layout strings stay pointers.
+            Type::Str if columnar => crate::ir::Ty::I64,
+            Type::Str => crate::ir::Ty::Str,
+            Type::Date => crate::ir::Ty::Date,
+            Type::Bool => crate::ir::Ty::Bool,
+        };
+        let init = if columnar {
+            Expr::ColumnLoad { table: table.clone(), column: field.clone(), idx: row }
+        } else {
+            Expr::Field(row, field.clone())
+        };
+        // `Var`, not `Let`: scalar replacement substitutes trivial `Let`s
+        // back into their uses, which would undo the promotion.
+        vars.push(Stmt::Var { sym, ty, init });
+        renames.push((field, sym));
+    }
+    walk_mut(body, &mut |st| {
+        st.exprs_mut(&mut |e| {
+            e.rewrite(&|e| {
+                let field = match e {
+                    Expr::Field(r, f) if *r == row => f,
+                    Expr::ColumnLoad { idx, column, .. } if *idx == row => column,
+                    _ => return None,
+                };
+                renames.iter().find(|(f, _)| f == field).map(|(_, sym)| Expr::Sym(*sym))
+            })
+        })
+    });
+    body.splice(0..0, vars);
+}
+
 fn count_field_reads(s: &Stmt, row: Sym, counts: &mut HashMap<String, (usize, bool)>) {
-    stmt_exprs(s, &mut |e| {
+    s.exprs(&mut |e| {
         e.visit(&mut |x| match x {
             Expr::Field(r, f) if *r == row => counts.entry(f.clone()).or_default().0 += 1,
             Expr::ColumnLoad { column, idx, .. } if *idx == row => {
@@ -153,16 +126,4 @@ fn count_field_reads(s: &Stmt, row: Sym, counts: &mut HashMap<String, (usize, bo
             count_field_reads(st, row, counts);
         }
     }
-}
-
-fn replace_field_reads(s: &Stmt, row: Sym, promoted: &[(String, Sym)]) -> Stmt {
-    let s = s.map_bodies(&|b| b.iter().map(|st| replace_field_reads(st, row, promoted)).collect());
-    s.map_exprs(&|e| {
-        let field = match e {
-            Expr::Field(r, f) if *r == row => f,
-            Expr::ColumnLoad { idx, column, .. } if *idx == row => column,
-            _ => return None,
-        };
-        promoted.iter().find(|(f, _)| f == field).map(|(_, sym)| Expr::Sym(*sym))
-    })
 }

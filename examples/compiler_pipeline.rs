@@ -6,12 +6,25 @@
 //! cargo run --release -p legobase --example compiler_pipeline
 //! ```
 
+use legobase::sc::Pipeline;
 use legobase::{LegoBase, Settings};
 
 fn main() {
     let system = LegoBase::generate(0.002);
     let query = system.plan(6);
-    let result = legobase::sc::compile(&query, &system.data.catalog, &Settings::optimized());
+    let settings = Settings::optimized();
+    // The hook sees every stage; keep the operator-inlined one for Fig. 7c.
+    let mut inlined = None;
+    let result = Pipeline::for_settings(&settings).run_observed(
+        &query,
+        &system.data.catalog,
+        &settings,
+        |phase, prog| {
+            if phase.name == "OperatorInlining" {
+                inlined = Some(legobase::sc::scala::emit_scala(prog));
+            }
+        },
+    );
 
     println!("== transformation pipeline for {} (Fig. 5b order) ==", query.name);
     println!("{:<38} {:>8} {:>12}", "phase", "IR size", "time");
@@ -32,7 +45,7 @@ fn main() {
     println!("used columns:  {:?}", result.spec.used_columns);
 
     println!("\n== operator-inlined program (Fig. 7c analog, Scala rendering) ==");
-    println!("{}", legobase::sc::scala::emit_scala(&result.stages[0]));
+    println!("{}", inlined.expect("OperatorInlining is always the first phase"));
 
     println!("== fully lowered program (Scala rendering) ==");
     println!("{}", legobase::sc::scala::emit_scala(&result.program));
