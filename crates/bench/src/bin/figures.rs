@@ -67,7 +67,7 @@ fn usage() -> String {
         "usage: figures [{}]\n\
          figures explain <q1..q22>  (EXPLAIN one TPC-H query: optimized plan + report)\n\
          figures serve [--tcp]  (service throughput; --tcp drives the workload through \
-         loopback legobase-wire-v1 connections instead of in-process sessions)\n\
+         loopback legobase-wire-v2 connections instead of in-process sessions)\n\
          env: LEGOBASE_SF (scale factor, default 0.02), LEGOBASE_RUNS (timed \
          repetitions, default 3), LEGOBASE_THREADS_SF (threads figure, default 0.1),\n\
          LEGOBASE_BENCH_OUT (baseline output, default bench-trajectory.json), \
@@ -850,7 +850,7 @@ fn baseline(system: &LegoBase) {
     rows.push(BenchRow { query: "miss-22".into(), min_ms: best });
     let serve_system = service.into_system();
     // TCP front-door row (`serve-tcp-c8`): the serve-c8 batch again, but
-    // through 8 loopback `legobase-wire-v1` connections — the same queries
+    // through 8 loopback `legobase-wire-v2` connections — the same queries
     // plus framing, checksumming, and socket copies. Gated like serve-c8.
     let server = serve_system
         .serve_tcp("127.0.0.1:0", legobase::ServeOptions::default())
@@ -963,7 +963,7 @@ fn serve_batch(service: &legobase::QueryService, clients: usize) -> f64 {
 /// queries (default 440 — twenty rounds of the workload; raised to the
 /// client count when lower), round-robin over the texts with staggered
 /// starts so distinct queries overlap in flight. With `--tcp` the same
-/// workload goes through loopback `legobase-wire-v1` connections instead
+/// workload goes through loopback `legobase-wire-v2` connections instead
 /// of in-process sessions, measuring the front door's framing + socket
 /// overhead (levels 1/8/64 — a thread and file descriptor per connection).
 fn serve_figure(tcp: bool) {
@@ -1030,7 +1030,7 @@ fn serve_figure(tcp: bool) {
 }
 
 /// The `serve --tcp` variant: one TCP server on an ephemeral loopback port,
-/// each client a `legobase-wire-v1` connection (its own tenant in the fair
+/// each client a `legobase-wire-v2` connection (its own tenant in the fair
 /// scheduler). One server serves every level — `TcpServer` owns its system,
 /// so unlike the in-process figure the service is not rebuilt per level and
 /// cache-hit rates are reported per level from counter deltas.
@@ -1043,7 +1043,7 @@ fn serve_tcp_figure(sf: f64, per_level: usize) {
         .expect("serve --tcp: cannot bind a loopback port");
     let addr = server.local_addr();
     println!(
-        "\n== TCP front door (legobase-wire-v1 on {addr}): {workers}-worker shared morsel \
+        "\n== TCP front door (legobase-wire-v2 on {addr}): {workers}-worker shared morsel \
          pool, TPC-H SQL workload under Opt/C (SF {sf}) =="
     );
     println!(
@@ -1089,7 +1089,7 @@ fn serve_tcp_figure(sf: f64, per_level: usize) {
 }
 
 /// The `serve_batch` twin over TCP: the same fixed 44-query batch, but each
-/// of the `clients` threads drives a loopback `legobase-wire-v1` connection
+/// of the `clients` threads drives a loopback `legobase-wire-v2` connection
 /// (connect + handshake included in the wall clock, mirroring how
 /// `serve_batch` opens a fresh session per thread).
 fn serve_batch_tcp(addr: std::net::SocketAddr, clients: usize) -> f64 {
@@ -1384,7 +1384,7 @@ mod tests {
     fn serve_tcp_mode_is_documented() {
         assert_eq!(parse_subcommand("serve"), Ok("serve"));
         let usage = usage();
-        for needle in ["serve [--tcp]", "legobase-wire-v1"] {
+        for needle in ["serve [--tcp]", "legobase-wire-v2"] {
             assert!(usage.contains(needle), "usage must mention `{needle}`: {usage}");
         }
     }

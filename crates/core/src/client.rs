@@ -1,4 +1,4 @@
-//! Blocking `legobase-wire-v1` client (DESIGN.md §3f).
+//! Blocking `legobase-wire-v2` client (DESIGN.md §3f).
 //!
 //! [`Client`] is the reference consumer of the wire protocol: the
 //! loopback-equivalence suite drives all 22 TPC-H queries through it and
@@ -22,8 +22,9 @@ use crate::request::{QueryError, QueryResponse};
 use crate::wire::{self, FrameKind, WireError};
 use crate::QueryRequest;
 use legobase_engine::ResultTable;
-use legobase_storage::RowTable;
+use legobase_storage::{RowTable, Schema, Tuple, Type, Value};
 use std::fmt;
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Instant;
 
@@ -73,9 +74,44 @@ impl From<std::io::Error> for ClientError {
 /// header cannot force a huge allocation.
 const MAX_RESERVED_ROWS: u64 = 1 << 16;
 
+/// A batch must have the header's shape: every row of the schema's arity,
+/// every value NULL or of its field's type. Anything else would become a
+/// `RowTable` that panics when a caller indexes it.
+fn check_batch(schema: &Schema, rows: &[Tuple]) -> Result<(), WireError> {
+    for row in rows {
+        if row.len() != schema.len() {
+            return Err(WireError::Corrupt(format!(
+                "batch row has {} values, header schema has {} fields",
+                row.len(),
+                schema.len()
+            )));
+        }
+        for (value, field) in row.iter().zip(&schema.fields) {
+            let fits = matches!(
+                (value, field.ty),
+                (Value::Null, _)
+                    | (Value::Int(_), Type::Int)
+                    | (Value::Float(_), Type::Float)
+                    | (Value::Str(_), Type::Str)
+                    | (Value::Date(_), Type::Date)
+                    | (Value::Bool(_), Type::Bool)
+            );
+            if !fits {
+                return Err(WireError::Corrupt(format!(
+                    "batch value {value:?} in {} column `{}`",
+                    field.ty, field.name
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// A blocking connection to a [`TcpServer`](crate::server::TcpServer).
+/// Requests go out in one write each; responses are read through a 64 KiB
+/// buffer, so a small reply costs one read.
 pub struct Client {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -84,7 +120,7 @@ impl Client {
         let mut stream = TcpStream::connect(addr).map_err(WireError::Io)?;
         stream.set_nodelay(true).ok();
         wire::client_handshake(&mut stream)?;
-        Ok(Client { stream })
+        Ok(Client { stream: BufReader::with_capacity(wire::IO_BUFFER, stream) })
     }
 
     /// Runs one request and collects the full response. Plan-kind requests
@@ -97,7 +133,8 @@ impl Client {
     pub fn run(&mut self, request: &QueryRequest) -> Result<QueryResponse, ClientError> {
         let t0 = Instant::now();
         let payload = wire::encode_request(request)?;
-        wire::write_frame(&mut self.stream, FrameKind::Request, &payload).map_err(WireError::Io)?;
+        wire::write_frame(self.stream.get_mut(), FrameKind::Request, &payload)
+            .map_err(WireError::Io)?;
 
         let header = match wire::read_frame(&mut self.stream)? {
             (FrameKind::ResponseHeader, p) => wire::decode_header(&p)?,
@@ -111,9 +148,9 @@ impl Client {
         loop {
             match wire::read_frame(&mut self.stream)? {
                 (FrameKind::ResultBatch, p) => {
-                    for row in wire::decode_batch(&p)? {
-                        table.rows.push(row);
-                    }
+                    let rows = wire::decode_batch(&p)?;
+                    check_batch(&header.schema, &rows)?;
+                    table.rows.extend(rows);
                 }
                 (FrameKind::ResponseEnd, _) => break,
                 (FrameKind::Error, p) => return Err(ClientError::Query(wire::decode_error(&p)?)),

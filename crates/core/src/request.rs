@@ -39,7 +39,7 @@ pub enum QueryKind {
 
 /// One query, fully described: the single request type behind every
 /// execution surface of the system — the facade, service sessions, and the
-/// `legobase-wire-v1` TCP protocol all consume it unchanged.
+/// `legobase-wire-v2` TCP protocol all consume it unchanged.
 ///
 /// ```no_run
 /// use std::time::Duration;
@@ -173,7 +173,7 @@ impl QueryRequest {
     /// Converts a plan-kind request into an equivalent SQL-kind request by
     /// rendering the plan through [`legobase_sql::plan_to_sql`] (round-trip
     /// proven for the whole workload). This is how hand-built plans cross
-    /// the wire: `legobase-wire-v1` transports SQL text only, and the
+    /// the wire: `legobase-wire-v2` transports SQL text only, and the
     /// rendering needs the catalog, which the remote server does not share.
     /// SQL-kind requests pass through unchanged.
     pub fn rendered(self, catalog: &Catalog) -> QueryRequest {
@@ -218,7 +218,7 @@ pub struct QueryResponse {
     /// prepared cache.
     pub prepared_cached: bool,
     /// The cost-based optimizer's decision record (SQL path with
-    /// [`Settings::optimize`] on). In-process surfaces only — wire v1 does
+    /// [`Settings::optimize`] on). In-process surfaces only — the wire does
     /// not transport it.
     pub opt: Option<OptReport>,
     /// For explain requests: the would-be plan rendered to dialect SQL.
@@ -234,7 +234,7 @@ pub struct QueryResponse {
     /// does not. Empty when a session served the loaded form from its
     /// prepared cache (nothing was asked for); for explain requests, the
     /// structures the query *would* load, marked resident or not.
-    /// In-process surfaces only — wire v1 does not transport it.
+    /// In-process surfaces only — the wire does not transport it.
     pub structures: Vec<StructureUse>,
     /// For explain requests on in-process surfaces: the `LEGOBASE_*`
     /// overrides the system was constructed under. The explained plan and

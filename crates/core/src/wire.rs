@@ -1,4 +1,4 @@
-//! `legobase-wire-v1`: the dependency-free binary protocol of the TCP front
+//! `legobase-wire-v2`: the dependency-free binary protocol of the TCP front
 //! door (DESIGN.md §3f).
 //!
 //! Everything on the wire is a **frame**:
@@ -7,20 +7,26 @@
 //! u8  kind        (1=Request 2=ResponseHeader 3=ResultBatch 4=ResponseEnd 5=Error)
 //! u32 len         (payload bytes, little-endian, ≤ MAX_FRAME)
 //! [len bytes]     payload
-//! u64 checksum    (FNV-1a over the payload, little-endian)
+//! u64 checksum    ([`checksum`] of the payload, little-endian)
 //! ```
 //!
 //! preceded by one 8-byte **handshake** exchange: the client sends
 //! [`MAGIC`]` + u32 version`, the server answers `MAGIC + version` on
-//! agreement or `"LBER" + its version` on mismatch and closes. The checksum
-//! mirrors the column archive's integrity discipline (LBCA): a flipped bit
+//! agreement or `"LBER" + its version` on mismatch and closes. A flipped bit
 //! anywhere in a payload is a typed [`WireError::Corrupt`], never a
-//! mis-parsed result.
+//! mis-parsed result. Version 2 changed only the checksum (v1 used byte-serial
+//! FNV-1a); a v1 peer is refused at the handshake.
+//!
+//! Every message is one write: [`write_frame`] hands the whole frame to its
+//! writer in one `write_all` and does not flush, so a caller that buffers
+//! (the server writes each response through one `BufWriter`) decides when
+//! bytes leave. [`read_frame`] grows the payload buffer as bytes arrive, so
+//! a length prefix alone never reserves more than one 64 KiB I/O buffer.
 //!
 //! The payload codecs are plain length-prefixed little-endian serialization
 //! of the query API types ([`QueryRequest`] in,
 //! [`QueryResponse`](crate::QueryResponse) pieces out). Two deliberate
-//! limits keep v1 small:
+//! limits keep the protocol small:
 //!
 //! * plan-kind requests do not cross the wire — render them to dialect SQL
 //!   first with [`QueryRequest::rendered`] (round-trip proven for the whole
@@ -47,12 +53,15 @@ pub const MAGIC: [u8; 4] = *b"LBWP";
 /// Handshake reply magic on version mismatch.
 pub const MISMATCH: [u8; 4] = *b"LBER";
 /// Protocol version spoken by this build.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Hard ceiling on a frame payload; larger length prefixes are rejected
 /// before any allocation ([`WireError::Oversized`]).
 pub const MAX_FRAME: u32 = 64 << 20;
+/// Bytes of the read buffer and the write buffer of each peer, and the most
+/// [`read_frame`] reserves for a payload before its bytes arrive.
+pub(crate) const IO_BUFFER: usize = 64 << 10;
 
-/// Frame kinds of `legobase-wire-v1`.
+/// Frame kinds of `legobase-wire-v2`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
@@ -143,8 +152,9 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// FNV-1a over `bytes` — the same integrity primitive the column archive
-/// uses, reimplemented here so the wire stays dependency-free.
+/// FNV-1a over `bytes`. No longer the frame checksum (that is [`checksum`]
+/// since v2); kept for callers that fingerprint bytes with the same function
+/// the column archive uses.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -154,43 +164,125 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Writes one frame (kind, length, payload, checksum).
+const CHECK_K1: u64 = 0x9e37_79b9_7f4a_7c15;
+const CHECK_K2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const CHECK_SEEDS: [u64; 4] =
+    [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344, 0xa409_3822_299f_31d0, 0x082e_fa98_ec4e_6c89];
+
+/// Folds one word into a checksum lane. For a fixed word this is a bijection
+/// of the lane (add, rotate, multiply by an odd constant), and for a fixed
+/// lane a bijection of the word — so changing any one word always changes
+/// the lane, and every later step carries that change to the result.
+#[inline(always)]
+fn check_round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(CHECK_K2)).rotate_left(31).wrapping_mul(CHECK_K1)
+}
+
+#[inline(always)]
+fn le_word(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("an 8-byte slice"))
+}
+
+/// The frame checksum of `legobase-wire-v2`: four independent lanes over the
+/// payload's little-endian `u64` words (word `i` goes to lane `i % 4`), then
+/// the length, the four lanes, the words left over and the zero-padded byte
+/// tail folded into one value through the same round, and a final
+/// avalanche. Every step is a bijection of the state it updates, so a
+/// payload that differs from another in a single word — any number of bits
+/// in one aligned 8 bytes — always gets a different checksum; the four
+/// lanes keep four multiplies in flight where byte-serial FNV-1a has one
+/// per byte.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = CHECK_SEEDS;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = check_round(*lane, le_word(block, 8 * i));
+        }
+    }
+    let mut h = (bytes.len() as u64).wrapping_mul(CHECK_K1);
+    for lane in lanes {
+        h = check_round(h, lane);
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
+    for word in &mut words {
+        h = check_round(h, le_word(word, 0));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = check_round(h, u64::from_le_bytes(last));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(CHECK_K2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(CHECK_K1);
+    h ^ (h >> 32)
+}
+
+/// Writes one frame — kind, length, payload, checksum — as one contiguous
+/// `write_all`, and does not flush: a buffered caller flushes once per
+/// message.
 pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> std::io::Result<()> {
-    debug_assert!(payload.len() as u64 <= MAX_FRAME as u64);
-    w.write_all(&[kind as u8])?;
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&fnv1a(payload).to_le_bytes())?;
-    w.flush()
+    write_frame_with(w, kind, payload.len(), |out| out.extend_from_slice(payload))
+}
+
+/// Writes a result-batch frame, the rows encoded straight into the frame.
+pub(crate) fn write_batch(w: &mut impl Write, rows: &[Tuple]) -> std::io::Result<()> {
+    write_frame_with(w, FrameKind::ResultBatch, 0, |out| put_batch(out, rows))
+}
+
+/// [`write_frame`] with the payload appended to the frame buffer by
+/// `encode` (`capacity` is a hint of its size), so no payload is copied.
+fn write_frame_with(
+    w: &mut impl Write,
+    kind: FrameKind,
+    capacity: usize,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(5 + capacity + 8);
+    frame.push(kind as u8);
+    frame.extend_from_slice(&[0; 4]);
+    encode(&mut frame);
+    let len = frame.len() - 5;
+    debug_assert!(len as u64 <= MAX_FRAME as u64);
+    frame[1..5].copy_from_slice(&(len as u32).to_le_bytes());
+    let sum = checksum(&frame[5..]);
+    frame.extend_from_slice(&sum.to_le_bytes());
+    w.write_all(&frame)
 }
 
 /// Reads one frame, verifying length bound and checksum. A peer that hangs
-/// up mid-frame surfaces as `WireError::Io(UnexpectedEof)`.
+/// up mid-frame surfaces as `WireError::Io(UnexpectedEof)`. The payload
+/// buffer starts at no more than 64 KiB and grows only as bytes arrive, so
+/// a length prefix cannot make the reader hold memory its peer never sends.
 pub fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>), WireError> {
     let mut kind = [0u8; 1];
     r.read_exact(&mut kind)?;
-    read_frame_after_kind(r, kind[0])
-}
-
-/// [`read_frame`] for callers that already consumed the kind byte (the
-/// server polls the first byte with a short timeout to notice shutdown).
-pub(crate) fn read_frame_after_kind(
-    r: &mut impl Read,
-    kind: u8,
-) -> Result<(FrameKind, Vec<u8>), WireError> {
-    let kind = FrameKind::from_u8(kind)?;
+    let kind = FrameKind::from_u8(kind[0])?;
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
     let len = u32::from_le_bytes(len);
     if len > MAX_FRAME {
         return Err(WireError::Oversized { len });
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let len = len as usize;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        // Grow by what has arrived so far, at least one I/O buffer: the
+        // buffer never holds more than twice the bytes received, or one
+        // I/O buffer past them.
+        let have = payload.len();
+        let step = (len - have).min(have.max(IO_BUFFER));
+        payload.reserve_exact(step);
+        payload.resize(have + step, 0);
+        r.read_exact(&mut payload[have..])?;
+    }
     let mut sum = [0u8; 8];
     r.read_exact(&mut sum)?;
     let expect = u64::from_le_bytes(sum);
-    let got = fnv1a(&payload);
+    let got = checksum(&payload);
     if got != expect {
         return Err(WireError::Corrupt(format!(
             "payload checksum mismatch (expected {expect:#018x}, computed {got:#018x})"
@@ -199,10 +291,17 @@ pub(crate) fn read_frame_after_kind(
     Ok((kind, payload))
 }
 
+/// The 8 handshake bytes: a magic and a version.
+fn handshake_bytes(magic: [u8; 4]) -> [u8; 8] {
+    let mut out = [0u8; 8];
+    out[..4].copy_from_slice(&magic);
+    out[4..].copy_from_slice(&VERSION.to_le_bytes());
+    out
+}
+
 /// Client side of the 8-byte handshake: announce, then check the echo.
 pub fn client_handshake(stream: &mut (impl Read + Write)) -> Result<(), WireError> {
-    stream.write_all(&MAGIC)?;
-    stream.write_all(&VERSION.to_le_bytes())?;
+    stream.write_all(&handshake_bytes(MAGIC))?;
     stream.flush()?;
     let mut reply = [0u8; 8];
     stream.read_exact(&mut reply)?;
@@ -224,16 +323,14 @@ pub fn server_handshake(stream: &mut (impl Read + Write)) -> Result<(), WireErro
         return Err(WireError::BadMagic);
     }
     let peer = u32::from_le_bytes([hello[4], hello[5], hello[6], hello[7]]);
-    if peer != VERSION {
-        stream.write_all(&MISMATCH)?;
-        stream.write_all(&VERSION.to_le_bytes())?;
-        stream.flush()?;
-        return Err(WireError::VersionMismatch { peer });
-    }
-    stream.write_all(&MAGIC)?;
-    stream.write_all(&VERSION.to_le_bytes())?;
+    let agreed = peer == VERSION;
+    stream.write_all(&handshake_bytes(if agreed { MAGIC } else { MISMATCH }))?;
     stream.flush()?;
-    Ok(())
+    if agreed {
+        Ok(())
+    } else {
+        Err(WireError::VersionMismatch { peer })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -373,13 +470,13 @@ fn take_settings(c: &mut Cursor<'_>) -> Result<Settings, WireError> {
 
 /// Serializes a SQL-kind [`QueryRequest`] into a request-frame payload.
 ///
-/// Plan-kind requests are not representable in wire v1 (the plan algebra is
+/// Plan-kind requests are not representable on the wire (the plan algebra is
 /// an in-process type); convert with [`QueryRequest::rendered`] first — the
 /// error here is typed, not a panic.
 pub fn encode_request(req: &QueryRequest) -> Result<Vec<u8>, WireError> {
     let QueryKind::Sql(text) = req.kind() else {
         return Err(WireError::Corrupt(
-            "plan-kind requests do not cross wire v1; render to SQL with \
+            "plan-kind requests do not cross the wire; render to SQL with \
              QueryRequest::rendered first"
                 .into(),
         ));
@@ -558,17 +655,21 @@ fn take_value(c: &mut Cursor<'_>) -> Result<Value, WireError> {
 
 /// Serializes a batch of result rows (all of equal arity).
 pub fn encode_batch(rows: &[Tuple]) -> Vec<u8> {
-    let arity = rows.first().map_or(0, Vec::len);
     let mut out = Vec::new();
+    put_batch(&mut out, rows);
+    out
+}
+
+fn put_batch(out: &mut Vec<u8>, rows: &[Tuple]) {
+    let arity = rows.first().map_or(0, Vec::len);
     out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
     out.extend_from_slice(&(arity as u16).to_le_bytes());
     for row in rows {
         debug_assert_eq!(row.len(), arity);
         for v in row {
-            put_value(&mut out, v);
+            put_value(out, v);
         }
     }
-    out
 }
 
 /// Decodes a batch of result rows.
@@ -695,6 +796,114 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    /// The frame checksum is part of the protocol: a change that moves any
+    /// of these values needs a new [`VERSION`].
+    #[test]
+    fn checksum_matches_reference_vectors() {
+        let counting: Vec<u8> = (0..=255).collect();
+        for (input, sum) in [
+            (&b""[..], 0x7a4d_cf3a_8b87_2842),
+            (b"a", 0xd78f_10a2_0b34_a0d2),
+            (b"foobar", 0xbdcd_2ffb_6de8_cfdf),
+            (b"legobase-wire-v2 frame checksum!", 0x5ca8_3673_9a23_ca2d),
+            (&counting[..], 0x4778_c72d_d3a2_49bf),
+            (&counting[..199], 0xa8a9_08e1_dc91_e9f0),
+        ] {
+            assert_eq!(checksum(input), sum, "checksum of {} bytes", input.len());
+        }
+    }
+
+    /// Deterministic filler bytes (an LCG), so corruption tests run on
+    /// payloads that look like data rather than zeros.
+    fn filler(n: usize) -> Vec<u8> {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    fn corrupt_at(frame: &[u8], byte: usize, mask: u8) -> bool {
+        let mut bad = frame.to_vec();
+        bad[byte] ^= mask;
+        matches!(read_frame(&mut bad.as_slice()), Err(WireError::Corrupt(_)))
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_payload_is_corrupt() {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, FrameKind::ResultBatch, &filler(4096)).unwrap();
+        // Payload and checksum bytes: everything after kind and length.
+        for byte in 5..frame.len() {
+            for bit in 0..8 {
+                assert!(corrupt_at(&frame, byte, 1 << bit), "flip of bit {bit} in byte {byte}");
+            }
+        }
+        // Any change confined to one aligned word is caught too.
+        for word in 0..4096 / 8 {
+            let mut bad = frame.clone();
+            for b in &mut bad[5 + 8 * word..5 + 8 * word + 8] {
+                *b = !*b;
+            }
+            assert!(matches!(read_frame(&mut bad.as_slice()), Err(WireError::Corrupt(_))));
+        }
+    }
+
+    #[test]
+    fn flips_at_both_ends_of_a_row_export_payload_are_corrupt() {
+        // The size of the benchmark's row-export reply (x1), with a byte
+        // tail so the last word is a partial one.
+        let len = 133_123;
+        let mut frame = Vec::new();
+        write_frame(&mut frame, FrameKind::ResultBatch, &filler(len)).unwrap();
+        for byte in (5..13).chain(5 + len - 8..5 + len) {
+            for bit in 0..8 {
+                assert!(corrupt_at(&frame, byte, 1 << bit), "flip of bit {bit} in byte {byte}");
+            }
+        }
+    }
+
+    /// One in-memory end of a connection: reads `input`, records writes.
+    struct Duplex<'a> {
+        input: &'a [u8],
+        output: Vec<u8>,
+    }
+
+    impl Read for Duplex<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.input.read(buf)
+        }
+    }
+
+    impl Write for Duplex<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.output.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_v1_peer_gets_lber_and_a_typed_mismatch() {
+        let mut v1_hello = MAGIC.to_vec();
+        v1_hello.extend_from_slice(&1u32.to_le_bytes());
+        // A v1 client meets this server: refused with LBER + our version.
+        let mut conn = Duplex { input: &v1_hello, output: Vec::new() };
+        assert!(matches!(server_handshake(&mut conn), Err(WireError::VersionMismatch { peer: 1 })));
+        assert_eq!(&conn.output[..4], b"LBER");
+        assert_eq!(conn.output[4..], 2u32.to_le_bytes());
+        // This client meets a v1 server echoing its own version.
+        let mut conn = Duplex { input: &v1_hello, output: Vec::new() };
+        assert!(matches!(client_handshake(&mut conn), Err(WireError::VersionMismatch { peer: 1 })));
+        assert_eq!(conn.output, handshake_bytes(MAGIC));
     }
 
     #[test]

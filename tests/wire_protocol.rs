@@ -1,4 +1,4 @@
-//! Adversarial coverage of `legobase-wire-v1` (DESIGN.md §3f): a server
+//! Adversarial coverage of `legobase-wire-v2` (DESIGN.md §3f): a server
 //! facing malformed frames, truncated streams, version skew, and mid-query
 //! disconnects must answer with typed errors or clean closes — never a
 //! panic, and never a wedged accept loop. After every abuse the same server
@@ -29,19 +29,24 @@ fn assert_still_serving(server: &legobase::server::TcpServer) {
     assert_eq!(resp.result.rows().len(), 1);
 }
 
+/// Version skew is refused with the server's version — including v1, whose
+/// frames would all read as corrupt under v2's checksum.
 #[test]
 fn version_mismatch_is_typed_and_connection_refused() {
+    assert_eq!(VERSION, 2);
     let server = server();
-    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-    raw.write_all(&MAGIC).unwrap();
-    raw.write_all(&99u32.to_le_bytes()).unwrap();
-    let mut reply = [0u8; 8];
-    raw.read_exact(&mut reply).unwrap();
-    assert_eq!([reply[0], reply[1], reply[2], reply[3]], *b"LBER");
-    assert_eq!(u32::from_le_bytes([reply[4], reply[5], reply[6], reply[7]]), VERSION);
-    // The server closed after the refusal.
-    let mut probe = [0u8; 1];
-    assert_eq!(raw.read(&mut probe).unwrap_or(0), 0, "connection must be closed");
+    for peer in [1u32, 99] {
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.write_all(&MAGIC).unwrap();
+        raw.write_all(&peer.to_le_bytes()).unwrap();
+        let mut reply = [0u8; 8];
+        raw.read_exact(&mut reply).unwrap();
+        assert_eq!([reply[0], reply[1], reply[2], reply[3]], *b"LBER", "peer v{peer}");
+        assert_eq!(u32::from_le_bytes([reply[4], reply[5], reply[6], reply[7]]), VERSION);
+        // The server closed after the refusal.
+        let mut probe = [0u8; 1];
+        assert_eq!(raw.read(&mut probe).unwrap_or(0), 0, "connection must be closed");
+    }
     assert_still_serving(&server);
     server.shutdown();
 }
@@ -258,4 +263,56 @@ fn lying_row_count_is_a_typed_error_on_the_client() {
         Ok(_) => panic!("a header announcing rows that never arrive must not pass"),
     }
     fake_server.join().expect("fake server");
+}
+
+/// A fake server that answers one request with a one-column header and then
+/// `batch` — a result the client must check against the header's schema.
+fn client_run_against(batch: Vec<legobase::storage::Tuple>) -> Result<(), ClientError> {
+    use legobase::storage::{Schema, Type};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap();
+    let fake_server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        wire::server_handshake(&mut stream).expect("handshake");
+        let (kind, _) = wire::read_frame(&mut stream).expect("request frame");
+        assert_eq!(kind, FrameKind::Request);
+        let header = wire::ResponseHeader {
+            schema: Schema::of(&[("n", Type::Int)]),
+            rows: batch.len() as u64,
+            exec_time: Duration::ZERO,
+            total_time: Duration::ZERO,
+            plan_cached: false,
+            prepared_cached: false,
+            explanation: None,
+        };
+        wire::write_frame(&mut stream, FrameKind::ResponseHeader, &wire::encode_header(&header))
+            .expect("header");
+        wire::write_frame(&mut stream, FrameKind::ResultBatch, &wire::encode_batch(&batch))
+            .expect("batch");
+        wire::write_frame(&mut stream, FrameKind::ResponseEnd, &[]).expect("end");
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    let result = client.run(&QueryRequest::sql("SELECT count(*) AS n FROM lineitem")).map(drop);
+    fake_server.join().expect("fake server");
+    result
+}
+
+/// The client checks every batch against the header's schema: a batch of
+/// the wrong arity or with a value of the wrong type is a typed `Corrupt`,
+/// not a `RowTable` that panics when a caller indexes it.
+#[test]
+fn a_batch_that_does_not_fit_the_header_is_a_typed_error_on_the_client() {
+    use legobase::storage::Value;
+    for (batch, expect) in [
+        (vec![vec![Value::Int(1), Value::Int(2)]], "2 values"),
+        (vec![vec![Value::Str("1".into())]], "Str"),
+    ] {
+        match client_run_against(batch) {
+            Err(ClientError::Wire(WireError::Corrupt(m))) => assert!(m.contains(expect), "{m}"),
+            Err(e) => panic!("expected a typed Corrupt, got {e}"),
+            Ok(()) => panic!("a batch that does not fit the header's schema must not pass"),
+        }
+    }
+    // NULL fits any column, and a well-formed batch passes.
+    client_run_against(vec![vec![Value::Null], vec![Value::Int(7)]]).expect("fitting batch");
 }
