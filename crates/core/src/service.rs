@@ -665,7 +665,7 @@ pub(crate) fn estimate_memory_bytes(
             // columns rather than reject (or panic at) the tenant.
             let used = if settings.field_removal {
                 catch_unwind(AssertUnwindSafe(|| {
-                    used_base_columns(query, &|t| catalog.table(t).schema.clone())
+                    used_base_columns(query, &|t| catalog.table(t).schema.len())
                 }))
                 .ok()
             } else {

@@ -233,8 +233,13 @@ impl Expr {
 
     /// Static result type against an input schema.
     pub fn ty(&self, schema: &Schema) -> Type {
+        self.ty_of(&|i| schema.ty(i))
+    }
+
+    /// Static result type given the type of each input column.
+    pub fn ty_of(&self, col_ty: &impl Fn(usize) -> Type) -> Type {
         match self {
-            Expr::Col(i) => schema.ty(*i),
+            Expr::Col(i) => col_ty(*i),
             Expr::Lit(v) => match v {
                 Value::Int(_) => Type::Int,
                 Value::Float(_) => Type::Float,
@@ -254,14 +259,14 @@ impl Expr {
             | Expr::InList(..)
             | Expr::IsNull(_) => Type::Bool,
             Expr::Arith(_, a, b) => {
-                if a.ty(schema) == Type::Int && b.ty(schema) == Type::Int {
+                if a.ty_of(col_ty) == Type::Int && b.ty_of(col_ty) == Type::Int {
                     Type::Int
                 } else {
                     Type::Float
                 }
             }
             Expr::Substr(..) => Type::Str,
-            Expr::Case(_, t, _) => t.ty(schema),
+            Expr::Case(_, t, _) => t.ty_of(col_ty),
             Expr::Year(_) => Type::Int,
         }
     }

@@ -55,6 +55,8 @@ use crate::expr::{CmpOp, Expr};
 use crate::plan::{JoinKind, Plan, QueryPlan};
 use legobase_storage::{Catalog, Histogram, Schema, Type, Value};
 use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Exhaustive dynamic programming (over bushy join trees) is used up to
@@ -341,16 +343,16 @@ impl<'a> Ctx<'a> {
         Ctx { catalog, stage_schemas: HashMap::new(), stage_ests: HashMap::new() }
     }
 
-    fn schema(&self, table: &str) -> Schema {
-        if let Some(s) = self.stage_schemas.get(table) {
-            return s.clone();
+    fn schema(&self, table: &str) -> &Schema {
+        match self.stage_schemas.get(table) {
+            Some(s) => s,
+            None => &self.catalog.table(table).schema,
         }
-        self.catalog.table(table).schema.clone()
     }
 
     fn register_stage(&mut self, key: &str, plan: &Plan) {
         let est = estimate(plan, self);
-        let schema = plan.schema(&|t: &str| self.schema(t));
+        let schema = plan.schema(&|t: &str| self.schema(t).clone());
         self.stage_schemas.insert(key.to_string(), schema);
         self.stage_ests.insert(key.to_string(), est);
     }
@@ -378,7 +380,7 @@ impl<'a> Ctx<'a> {
                     lo: c.min.as_ref().and_then(value_ord),
                     hi: c.max.as_ref().and_then(value_ord),
                     width: schema.fields.get(i).map_or(8.0, |f| type_width(f.ty)),
-                    hist: c.histogram.clone().map(Arc::new),
+                    hist: c.histogram.clone(),
                 })
                 .collect();
             return PlanEst { rows, cols };
@@ -493,7 +495,7 @@ fn estimate(plan: &Plan, ctx: &Ctx) -> PlanEst {
         }
         Plan::Project { input, exprs } => {
             let est = estimate(input, ctx);
-            let cols = exprs.iter().map(|(e, _)| expr_est(e, &est)).collect();
+            let cols = exprs.iter().map(|(e, _)| expr_est(e, &est.cols, est.rows)).collect();
             PlanEst { rows: est.rows, cols }
         }
         Plan::HashJoin { left, right, left_keys, right_keys, kind, residual } => {
@@ -609,10 +611,11 @@ fn flip(op: CmpOp) -> CmpOp {
     }
 }
 
-/// Estimated shape of a scalar expression over an input estimate.
-fn expr_est(e: &Expr, input: &PlanEst) -> ColEst {
+/// Estimated shape of a scalar expression over an input's column estimates
+/// and row count.
+fn expr_est(e: &Expr, cols: &[ColEst], rows: f64) -> ColEst {
     match e {
-        Expr::Col(i) => input.cols.get(*i).cloned().unwrap_or_else(|| ColEst::unknown(input.rows)),
+        Expr::Col(i) => cols.get(*i).cloned().unwrap_or_else(|| ColEst::unknown(rows)),
         Expr::Lit(v) => {
             let o = value_ord(v);
             let width = match v {
@@ -624,7 +627,7 @@ fn expr_est(e: &Expr, input: &PlanEst) -> ColEst {
             ColEst { ndv: 1.0, lo: o, hi: o, width, hist: None }
         }
         Expr::Year(a) => {
-            let inner = expr_est(a, input);
+            let inner = expr_est(a, cols, rows);
             let year = |d: f64| 1970.0 + (d / 365.2425).floor();
             let lo = inner.lo.map(year);
             let hi = inner.hi.map(year);
@@ -635,8 +638,8 @@ fn expr_est(e: &Expr, input: &PlanEst) -> ColEst {
             ColEst { ndv, lo, hi, width: 8.0, hist: None }
         }
         Expr::Arith(op, a, b) => {
-            let (ea, eb) = (expr_est(a, input), expr_est(b, input));
-            let ndv = (ea.ndv * eb.ndv).min(input.rows.max(1.0));
+            let (ea, eb) = (expr_est(a, cols, rows), expr_est(b, cols, rows));
+            let ndv = (ea.ndv * eb.ndv).min(rows.max(1.0));
             let bounds = match (ea.lo, ea.hi, eb.lo, eb.hi) {
                 (Some(al), Some(ah), Some(bl), Some(bh)) => {
                     use crate::expr::ArithOp::*;
@@ -658,9 +661,9 @@ fn expr_est(e: &Expr, input: &PlanEst) -> ColEst {
             ColEst { ndv, lo: bounds.map(|b| b.0), hi: bounds.map(|b| b.1), width: 8.0, hist: None }
         }
         Expr::Case(_, t, f) => {
-            let (et, ef) = (expr_est(t, input), expr_est(f, input));
+            let (et, ef) = (expr_est(t, cols, rows), expr_est(f, cols, rows));
             ColEst {
-                ndv: (et.ndv + ef.ndv).min(input.rows.max(1.0)),
+                ndv: (et.ndv + ef.ndv).min(rows.max(1.0)),
                 lo: match (et.lo, ef.lo) {
                     (Some(a), Some(b)) => Some(a.min(b)),
                     _ => None,
@@ -674,7 +677,7 @@ fn expr_est(e: &Expr, input: &PlanEst) -> ColEst {
             }
         }
         Expr::Substr(a, _, _) => {
-            let inner = expr_est(a, input);
+            let inner = expr_est(a, cols, rows);
             ColEst { ndv: inner.ndv, lo: None, hi: None, width: 16.0, hist: None }
         }
         Expr::Cmp(..)
@@ -692,9 +695,9 @@ fn expr_est(e: &Expr, input: &PlanEst) -> ColEst {
     }
 }
 
-/// Textbook selectivity of a boolean expression against column estimates.
+/// Textbook selectivity of a boolean expression against column estimates
+/// (of an input whose row count does not bound the expressions' NDVs).
 fn selectivity(e: &Expr, cols: &[ColEst]) -> f64 {
-    let input = PlanEst { rows: f64::MAX, cols: cols.to_vec() };
     let s = match e {
         Expr::And(a, b) => selectivity(a, cols) * selectivity(b, cols),
         Expr::Or(a, b) => {
@@ -702,9 +705,9 @@ fn selectivity(e: &Expr, cols: &[ColEst]) -> f64 {
             x + y - x * y
         }
         Expr::Not(a) => 1.0 - selectivity(a, cols),
-        Expr::Cmp(op, a, b) => cmp_selectivity(*op, a, b, &input),
+        Expr::Cmp(op, a, b) => cmp_selectivity(*op, a, b, cols),
         Expr::InList(a, vals) => {
-            let est = expr_est(a, &input);
+            let est = expr_est(a, cols, f64::MAX);
             let uniform = 1.0 / est.ndv.max(1.0);
             match est.hist_base() {
                 // Sum the histogram's per-value masses: heavy dictionary
@@ -731,8 +734,8 @@ fn selectivity(e: &Expr, cols: &[ColEst]) -> f64 {
     s.clamp(1e-7, 1.0)
 }
 
-fn cmp_selectivity(op: CmpOp, a: &Expr, b: &Expr, input: &PlanEst) -> f64 {
-    let (ea, eb) = (expr_est(a, input), expr_est(b, input));
+fn cmp_selectivity(op: CmpOp, a: &Expr, b: &Expr, cols: &[ColEst]) -> f64 {
+    let (ea, eb) = (expr_est(a, cols, f64::MAX), expr_est(b, cols, f64::MAX));
     // Column-to-column comparisons.
     let a_is_col = !matches!(a, Expr::Lit(_));
     let b_is_col = !matches!(b, Expr::Lit(_));
@@ -885,7 +888,7 @@ fn partition_serves(right: &Plan, right_keys: &[usize], catalog: &Catalog) -> bo
         return false;
     }
     let Some((table, col)) = base_column(right, right_keys[0]) else { return false };
-    let Some(meta) = catalog.get(&table) else { return false };
+    let Some(meta) = catalog.get(table) else { return false };
     meta.primary_key == [col] || meta.foreign_keys.iter().any(|fk| fk.column == col)
 }
 
@@ -896,12 +899,12 @@ fn partition_serves(right: &Plan, right_keys: &[usize], catalog: &Catalog) -> bo
 /// key domain the other side's values are drawn from under PK–FK
 /// containment.
 fn pk_domain(plan: &Plan, locals: &[usize], catalog: &Catalog) -> Option<f64> {
-    let mut table: Option<String> = None;
+    let mut table: Option<&str> = None;
     let mut cols: Vec<usize> = Vec::new();
     for &c in locals {
         let (t, bc) = base_column(plan, c)?;
-        match &table {
-            Some(existing) if *existing != t => return None,
+        match table {
+            Some(existing) if existing != t => return None,
             _ => table = Some(t),
         }
         if !cols.contains(&bc) {
@@ -909,7 +912,7 @@ fn pk_domain(plan: &Plan, locals: &[usize], catalog: &Catalog) -> Option<f64> {
         }
     }
     let t = table?;
-    let meta = catalog.get(&t)?;
+    let meta = catalog.get(t)?;
     if meta.primary_key.is_empty() {
         return None;
     }
@@ -919,12 +922,12 @@ fn pk_domain(plan: &Plan, locals: &[usize], catalog: &Catalog) -> Option<f64> {
     if cols != pk {
         return None;
     }
-    Some((catalog.stats(&t)?.rows as f64).max(1.0))
+    Some((catalog.stats(t)?.rows as f64).max(1.0))
 }
 
-fn base_column(plan: &Plan, col: usize) -> Option<(String, usize)> {
+fn base_column(plan: &Plan, col: usize) -> Option<(&str, usize)> {
     match plan {
-        Plan::Scan { table } if !table.starts_with('#') => Some((table.clone(), col)),
+        Plan::Scan { table } if !table.starts_with('#') => Some((table, col)),
         Plan::Select { input, .. } => base_column(input, col),
         Plan::Project { input, exprs } => match &exprs.get(col)?.0 {
             Expr::Col(i) => base_column(input, *i),
@@ -944,12 +947,13 @@ struct Pending {
     moved: bool,
 }
 
-/// Pushes filter conjuncts as close to the scans as semantics allow.
-/// Returns the rewritten plan and the number of conjuncts that ended up
-/// strictly below the operator where they started.
-pub fn push_predicates(plan: &Plan, lookup: &impl Fn(&str) -> Schema) -> (Plan, usize) {
+/// Pushes filter conjuncts as close to the scans as semantics allow
+/// (`arity_of` resolves a scanned relation's column count). Returns the
+/// rewritten plan and the number of conjuncts that ended up strictly below
+/// the operator where they started.
+pub fn push_predicates(plan: &Plan, arity_of: &impl Fn(&str) -> usize) -> (Plan, usize) {
     let mut moved = 0usize;
-    let out = push(plan, Vec::new(), lookup, &mut moved);
+    let out = push(plan, Vec::new(), arity_of, &mut moved);
     (out, moved)
 }
 
@@ -1037,7 +1041,7 @@ fn mark(mut preds: Vec<Pending>) -> Vec<Pending> {
 fn push(
     plan: &Plan,
     mut preds: Vec<Pending>,
-    lookup: &impl Fn(&str) -> Schema,
+    arity_of: &impl Fn(&str) -> usize,
     moved: &mut usize,
 ) -> Plan {
     match plan {
@@ -1045,7 +1049,7 @@ fn push(
             let mut conj = Vec::new();
             split_conjuncts(predicate, &mut conj);
             preds.extend(conj.into_iter().map(|expr| Pending { expr, moved: false }));
-            push(input, preds, lookup, moved)
+            push(input, preds, arity_of, moved)
         }
         Plan::Project { input, exprs } => {
             // Substitute output expressions into the predicates: valid for
@@ -1054,21 +1058,21 @@ fn push(
                 .into_iter()
                 .map(|p| Pending { expr: substitute(&p.expr, exprs), moved: true })
                 .collect();
-            let inner = push(input, substituted, lookup, moved);
+            let inner = push(input, substituted, arity_of, moved);
             Plan::projected(inner, exprs.clone())
         }
         Plan::Sort { input, keys } => {
             // Filtering commutes with (stable) sorting.
-            let inner = push(input, mark(preds), lookup, moved);
+            let inner = push(input, mark(preds), arity_of, moved);
             Plan::Sort { input: Box::new(inner), keys: keys.clone() }
         }
         Plan::Distinct { input } => {
-            let inner = push(input, mark(preds), lookup, moved);
+            let inner = push(input, mark(preds), arity_of, moved);
             Plan::deduplicated(inner)
         }
         Plan::Limit { input, n } => {
             // Filtering does not commute with a row limit.
-            let inner = push(input, Vec::new(), lookup, moved);
+            let inner = push(input, Vec::new(), arity_of, moved);
             settle(Plan::limited(inner, *n), preds, moved)
         }
         Plan::Agg { input, group_by, aggs } => {
@@ -1086,11 +1090,11 @@ fn push(
                     above.push(p);
                 }
             }
-            let inner = push(input, below, lookup, moved);
+            let inner = push(input, below, arity_of, moved);
             settle(Plan::aggregated(inner, group_by.clone(), aggs.clone()), above, moved)
         }
         Plan::HashJoin { left, right, left_keys, right_keys, kind, residual } => {
-            let l_arity = left.schema(lookup).len();
+            let l_arity = left.arity(arity_of);
             let mut left_preds = Vec::new();
             let mut right_preds = Vec::new();
             let mut above = Vec::new();
@@ -1164,8 +1168,8 @@ fn push(
                     }
                 }
             }
-            let new_left = push(left, left_preds, lookup, moved);
-            let new_right = push(right, right_preds, lookup, moved);
+            let new_left = push(left, left_preds, arity_of, moved);
+            let new_right = push(right, right_preds, arity_of, moved);
             let joined = Plan::hash_join(
                 new_left,
                 new_right,
@@ -1380,7 +1384,7 @@ fn flatten(
         }
         other => {
             let sub = reorder_node(other, ctx, passes, stats);
-            let schema = sub.schema(&|t: &str| ctx.schema(t));
+            let schema = sub.schema(&|t: &str| ctx.schema(t).clone());
             let arity = schema.len();
             region.leaves.push(RegionLeaf {
                 name: leaf_name(&sub),
@@ -1598,7 +1602,7 @@ fn rebuild_region(plan: &Plan, ctx: &Ctx, passes: Passes, stats: &mut PassStats)
         ests: &[PlanEst],
         pair_sel: &[Vec<f64>],
         joint: &[(Vec<usize>, f64)],
-        memo: &mut HashMap<u64, f64>,
+        memo: &mut SubsetMemo,
     ) -> f64 {
         if let Some(&c) = memo.get(&set) {
             return c;
@@ -1627,7 +1631,7 @@ fn rebuild_region(plan: &Plan, ctx: &Ctx, passes: Passes, stats: &mut PassStats)
     }
 
     let early_model = build_model(&folded_ests);
-    let card_early = |set: u64, memo: &mut HashMap<u64, f64>| -> f64 {
+    let card_early = |set: u64, memo: &mut SubsetMemo| -> f64 {
         subset_rows(set, &folded_ests, &early_model.pair_sel, &early_model.joint, memo)
     };
 
@@ -1654,10 +1658,11 @@ fn rebuild_region(plan: &Plan, ctx: &Ctx, passes: Passes, stats: &mut PassStats)
     // one key column that resolves to a base-table primary/foreign key —
     // the specialized engine serves that probe from its load-time
     // partition without building a hash table.
+    let edge_leaves: Vec<(usize, usize)> =
+        region.edges.iter().map(|&(a, b)| (region.leaf_of(a), region.leaf_of(b))).collect();
     let exempt = |i: usize, probe: u64| -> bool {
-        let mut key_cols: Vec<usize> = Vec::new();
-        for &(a, b) in &region.edges {
-            let (la, lb) = (region.leaf_of(a), region.leaf_of(b));
+        let mut key: Option<usize> = None;
+        for (&(a, b), &(la, lb)) in region.edges.iter().zip(&edge_leaves) {
             let g = if la == i && probe & (1 << lb) != 0 {
                 a
             } else if lb == i && probe & (1 << la) != 0 {
@@ -1665,16 +1670,15 @@ fn rebuild_region(plan: &Plan, ctx: &Ctx, passes: Passes, stats: &mut PassStats)
             } else {
                 continue;
             };
-            if !key_cols.contains(&g) {
-                key_cols.push(g);
+            match key {
+                Some(k) if k != g => return false, // a second key column
+                _ => key = Some(g),
             }
         }
-        if key_cols.len() != 1 {
-            return false;
-        }
-        let local = key_cols[0] - region.leaves[i].offset;
+        let Some(key) = key else { return false };
+        let local = key - region.leaves[i].offset;
         match base_column(&region.leaves[i].plan, local) {
-            Some((t, c)) => ctx.catalog.get(&t).is_some_and(|m| {
+            Some((t, c)) => ctx.catalog.get(t).is_some_and(|m| {
                 m.primary_key == [c] || m.foreign_keys.iter().any(|fk| fk.column == c)
             }),
             None => false,
@@ -1689,9 +1693,9 @@ fn rebuild_region(plan: &Plan, ctx: &Ctx, passes: Passes, stats: &mut PassStats)
     // the mode — when the syntactic order is feasible and not worse, keep
     // it; stable plans beat churn on ties.
     let plan_mode = |ests: &[PlanEst],
-                     card: &dyn Fn(u64, &mut HashMap<u64, f64>) -> f64|
+                     card: &dyn Fn(u64, &mut SubsetMemo) -> f64|
      -> Option<(Option<f64>, JoinTree, f64)> {
-        let mut memo = HashMap::new();
+        let mut memo = SubsetMemo::default();
         let naive_cost = tree_cost(&naive_tree, &card, &width_of, &cross, &exempt, &mut memo);
         let chosen_tree: JoinTree = if n <= 1 || !passes.join_reorder {
             naive_tree.clone()
@@ -1722,11 +1726,11 @@ fn rebuild_region(plan: &Plan, ctx: &Ctx, passes: Passes, stats: &mut PassStats)
         (true, 0.0, early?)
     } else {
         let late_model = build_model(&base_ests);
-        let card_late = |set: u64, memo: &mut HashMap<u64, f64>| -> f64 {
+        let card_late = |set: u64, memo: &mut SubsetMemo| -> f64 {
             subset_rows(set, &base_ests, &late_model.pair_sel, &late_model.joint, memo)
         };
         let late_extra: f64 = {
-            let mut memo = HashMap::new();
+            let mut memo = SubsetMemo::default();
             let mut rows = card_late(full, &mut memo);
             let w = width_of(full);
             folds
@@ -1752,8 +1756,9 @@ fn rebuild_region(plan: &Plan, ctx: &Ctx, passes: Passes, stats: &mut PassStats)
         }
     };
 
-    let emitted = emit_region(&region, leaf_preds, joint_preds, &chosen_tree, use_early)?;
-    let names: Vec<String> = region.leaves.iter().map(|l| l.name.clone()).collect();
+    let names: Vec<String> =
+        region.leaves.iter_mut().map(|l| std::mem::take(&mut l.name)).collect();
+    let emitted = emit_region(region, leaf_preds, joint_preds, &chosen_tree, use_early)?;
     let mut chosen_leaves = Vec::new();
     chosen_tree.leaves(&mut chosen_leaves);
     stats.regions.push(RegionSummary {
@@ -1821,11 +1826,11 @@ impl JoinTree {
 /// when any join in the tree would be a cross product.
 fn tree_cost(
     tree: &JoinTree,
-    card: &impl Fn(u64, &mut HashMap<u64, f64>) -> f64,
+    card: &impl Fn(u64, &mut SubsetMemo) -> f64,
     width_of: &impl Fn(u64) -> f64,
     cross: &impl Fn(u64, u64) -> bool,
     exempt: &impl Fn(usize, u64) -> bool,
-    memo: &mut HashMap<u64, f64>,
+    memo: &mut SubsetMemo,
 ) -> Option<f64> {
     match tree {
         JoinTree::Leaf(_) => Some(0.0),
@@ -1852,54 +1857,92 @@ fn tree_cost(
 
 /// Exhaustive DP over connected subsets, bushy trees included: every
 /// subset's best tree is the cheapest (probe, build) split whose halves
-/// are joinable. `O(3^n)` splits, bounded by [`DP_LIMIT`].
+/// are joinable. `O(3^n)` splits, bounded by [`DP_LIMIT`]. The table is
+/// dense over the `2^n` subsets and keeps each one's cost and probe half;
+/// only the winning tree is ever built, once the table is full.
 fn best_tree_dp(
     n: usize,
-    card: &impl Fn(u64, &mut HashMap<u64, f64>) -> f64,
+    card: &impl Fn(u64, &mut SubsetMemo) -> f64,
     width_of: &impl Fn(u64) -> f64,
     cross: &impl Fn(u64, u64) -> bool,
     exempt: &impl Fn(usize, u64) -> bool,
-    memo: &mut HashMap<u64, f64>,
+    memo: &mut SubsetMemo,
 ) -> Option<JoinTree> {
     let full = (1u64 << n) - 1;
-    let mut dp: HashMap<u64, (f64, JoinTree)> = HashMap::new();
+    // `best[set]`: the cheapest cost of `set` and the probe half of the
+    // split that reaches it (0 for a single leaf); `None` while no split of
+    // `set` is joinable.
+    let mut best: Vec<Option<(f64, u64)>> = vec![None; 1 << n];
     for i in 0..n {
-        dp.insert(1 << i, (0.0, JoinTree::Leaf(i)));
+        best[1 << i] = Some((0.0, 0));
     }
+    // A subset's output volume (rows × width), priced once.
+    let mut volumes: Vec<Option<f64>> = vec![None; 1 << n];
+    let mut volume = |set: u64, memo: &mut SubsetMemo| -> f64 {
+        *volumes[set as usize].get_or_insert_with(|| card(set, memo) * width_of(set) / WIDTH_UNIT)
+    };
     // Numeric order visits every proper subset before its supersets.
     for set in 1..=full {
         if set.count_ones() < 2 {
             continue;
         }
-        let mut best: Option<(f64, JoinTree)> = None;
+        let mut here: Option<(f64, u64)> = None;
         let mut s1 = (set - 1) & set;
         while s1 != 0 {
             let s2 = set ^ s1;
             // Both (s1, s2) and (s2, s1) orderings occur as `s1` walks the
-            // subsets, so each half is tried as probe and as build.
-            if cross(s1, s2) {
-                let build = if s2.count_ones() == 1 && exempt(s2.trailing_zeros() as usize, s1) {
-                    0.0
-                } else {
-                    card(s2, memo) * width_of(s2) / WIDTH_UNIT
-                };
-                if let (Some((c1, t1)), Some((c2, t2))) = (dp.get(&s1), dp.get(&s2)) {
-                    let cost = c1 + c2 + card(set, memo) * width_of(set) / WIDTH_UNIT + build;
-                    if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                        best = Some((
-                            cost,
-                            JoinTree::Join(Box::new(t1.clone()), Box::new(t2.clone())),
-                        ));
+            // subsets, so each half is tried as probe and as build. A split
+            // counts when both halves are joinable and an edge joins them.
+            if let (Some((c1, _)), Some((c2, _))) = (best[s1 as usize], best[s2 as usize]) {
+                if cross(s1, s2) {
+                    let exempt = s2.count_ones() == 1 && exempt(s2.trailing_zeros() as usize, s1);
+                    let build = if exempt { 0.0 } else { volume(s2, memo) };
+                    let cost = c1 + c2 + volume(set, memo) + build;
+                    if here.is_none_or(|(c, _)| cost < c) {
+                        here = Some((cost, s1));
                     }
                 }
             }
             s1 = (s1 - 1) & set;
         }
-        if let Some(b) = best {
-            dp.insert(set, b);
+        best[set as usize] = here;
+    }
+    fn tree(set: u64, best: &[Option<(f64, u64)>]) -> JoinTree {
+        match best[set as usize] {
+            Some((_, probe)) if probe != 0 => {
+                JoinTree::Join(Box::new(tree(probe, best)), Box::new(tree(set ^ probe, best)))
+            }
+            _ => JoinTree::Leaf(set.trailing_zeros() as usize),
         }
     }
-    dp.remove(&full).map(|(_, t)| t)
+    best[full as usize].map(|_| tree(full, &best))
+}
+
+/// The subset-cardinality memo of one region: `u64` leaf-set keys under a
+/// multiply-shift hash instead of SipHash (the keys are the planner's own,
+/// and the DP looks one up for every split it prices).
+type SubsetMemo = HashMap<u64, f64, BuildHasherDefault<SubsetHasher>>;
+
+/// Multiply-shift hashing of a `u64`: the odd multiplier spreads every key
+/// bit into the high bits of the product, and the rotation brings those
+/// down to where the table takes its bucket index.
+#[derive(Default)]
+struct SubsetHasher(u64);
+
+impl Hasher for SubsetHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
 
 /// Greedy construction for oversized regions: start from the smallest
@@ -1908,9 +1951,9 @@ fn best_tree_dp(
 fn best_order_greedy(
     n: usize,
     leaf_ests: &[PlanEst],
-    card: &impl Fn(u64, &mut HashMap<u64, f64>) -> f64,
+    card: &impl Fn(u64, &mut SubsetMemo) -> f64,
     connected: &impl Fn(usize, u64) -> bool,
-    memo: &mut HashMap<u64, f64>,
+    memo: &mut SubsetMemo,
 ) -> Option<Vec<usize>> {
     let first = (0..n).min_by(|&a, &b| {
         leaf_ests[a].rows.partial_cmp(&leaf_ests[b].rows).expect("row estimates are finite")
@@ -1996,64 +2039,66 @@ fn infer_predicates(region: &mut Region) -> usize {
 /// two subtrees ride as that join's residual. Semi/anti joins attach at
 /// the earliest feasible subtree when `unaries_early` is set, and only at
 /// the region root otherwise — `rebuild_region` prices both placements and
-/// passes the cheaper one.
+/// passes the cheaper one. Every leaf and every semi/anti right side is
+/// emitted once, so they move out of `region` into the emitted plan.
 fn emit_region(
-    region: &Region,
+    mut region: Region,
     leaf_preds: Vec<Vec<Expr>>,
     joint_preds: Vec<Expr>,
     tree: &JoinTree,
     unaries_early: bool,
 ) -> Option<Plan> {
     let total = region.total_arity();
-    let leaf_plan = |i: usize| -> Plan {
-        let leaf = &region.leaves[i];
-        match all_opt(leaf_preds[i].clone()) {
-            Some(p) => Plan::filtered(leaf.plan.clone(), p),
-            None => leaf.plan.clone(),
-        }
-    };
-
+    let take = |plan: &mut Plan| std::mem::replace(plan, Plan::Scan { table: String::new() });
+    let mut leaf_plans: Vec<Option<Plan>> = region
+        .leaves
+        .iter_mut()
+        .zip(leaf_preds)
+        .map(|(leaf, preds)| {
+            let plan = take(&mut leaf.plan);
+            Some(match all_opt(preds) {
+                Some(p) => Plan::filtered(plan, p),
+                None => plan,
+            })
+        })
+        .collect();
+    // A unary's right side is still here until it attaches.
+    let mut unary_rights: Vec<Option<Plan>> =
+        region.unaries.iter_mut().map(|u| Some(take(&mut u.right))).collect();
     let mut joint_pending: Vec<Option<Expr>> = joint_preds.into_iter().map(Some).collect();
-    let mut unary_pending: Vec<bool> = vec![true; region.unaries.len()];
 
     /// Emits one subtree; returns its plan plus the global columns of its
     /// output, in output order.
     fn emit(
         tree: &JoinTree,
         region: &Region,
-        leaf_plan: &impl Fn(usize) -> Plan,
+        leaf_plans: &mut [Option<Plan>],
         joint_pending: &mut [Option<Expr>],
-        unary_pending: &mut [bool],
+        unary_rights: &mut [Option<Plan>],
         unaries_early: bool,
         at_root: bool,
     ) -> Option<(Plan, Vec<usize>)> {
+        let total = region.total_arity();
         let (mut plan, globals) = match tree {
             JoinTree::Leaf(i) => {
                 let leaf = &region.leaves[*i];
                 let globals: Vec<usize> = (leaf.offset..leaf.offset + leaf.schema.len()).collect();
-                (leaf_plan(*i), globals)
+                (leaf_plans[*i].take().expect("a join tree holds each leaf once"), globals)
             }
             JoinTree::Join(l, r) => {
                 let (pl, gl) =
-                    emit(l, region, leaf_plan, joint_pending, unary_pending, unaries_early, false)?;
+                    emit(l, region, leaf_plans, joint_pending, unary_rights, unaries_early, false)?;
                 let (pr, gr) =
-                    emit(r, region, leaf_plan, joint_pending, unary_pending, unaries_early, false)?;
-                let pos_l: HashMap<usize, usize> =
-                    gl.iter().enumerate().map(|(p, &g)| (g, p)).collect();
-                let pos_r: HashMap<usize, usize> =
-                    gr.iter().enumerate().map(|(p, &g)| (g, p)).collect();
+                    emit(r, region, leaf_plans, joint_pending, unary_rights, unaries_early, false)?;
+                let (pos_l, pos_r) = (Positions::new(&gl, total), Positions::new(&gr, total));
                 // Keys: every edge between the two subtrees.
                 let mut left_keys: Vec<usize> = Vec::new();
                 let mut right_keys: Vec<usize> = Vec::new();
                 for &(a, b) in &region.edges {
-                    let (ga, gb) = if pos_l.contains_key(&a) && pos_r.contains_key(&b) {
-                        (a, b)
-                    } else if pos_l.contains_key(&b) && pos_r.contains_key(&a) {
-                        (b, a)
-                    } else {
-                        continue;
+                    let (lk, rk) = match (pos_l.get(a), pos_r.get(b), pos_l.get(b), pos_r.get(a)) {
+                        (Some(lk), Some(rk), _, _) | (_, _, Some(lk), Some(rk)) => (lk, rk),
+                        _ => continue,
                     };
-                    let (lk, rk) = (pos_l[&ga], pos_r[&gb]);
                     if !left_keys.iter().zip(&right_keys).any(|(&l, &r)| l == lk && r == rk) {
                         left_keys.push(lk);
                         right_keys.push(rk);
@@ -2071,13 +2116,13 @@ fn emit_region(
                     let mut cols = Vec::new();
                     p.collect_cols(&mut cols);
                     let closed =
-                        cols.iter().all(|c| pos_l.contains_key(c) || pos_r.contains_key(c));
-                    let uses_both = cols.iter().any(|c| pos_l.contains_key(c))
-                        && cols.iter().any(|c| pos_r.contains_key(c));
+                        cols.iter().all(|&c| pos_l.get(c).is_some() || pos_r.get(c).is_some());
+                    let uses_both = cols.iter().any(|&c| pos_l.get(c).is_some())
+                        && cols.iter().any(|&c| pos_r.get(c).is_some());
                     if closed && uses_both {
-                        residual.push(p.map_cols(&|c| {
-                            pos_l.get(&c).copied().unwrap_or_else(|| l_arity + pos_r[&c])
-                        }));
+                        residual.push(
+                            p.map_cols(&|c| pos_l.get(c).unwrap_or_else(|| l_arity + pos_r.at(c))),
+                        );
                         *slot = None;
                     }
                 }
@@ -2097,14 +2142,14 @@ fn emit_region(
         // Attach whatever this subtree newly closes: joint predicates whose
         // columns all live here (possible in bushy shapes, where a pred's
         // leaves meet inside one subtree), then semi/anti joins.
-        let pos: HashMap<usize, usize> = globals.iter().enumerate().map(|(p, &g)| (g, p)).collect();
+        let pos = Positions::new(&globals, total);
         let mut filters = Vec::new();
         for slot in joint_pending.iter_mut() {
             let Some(p) = slot else { continue };
             let mut cols = Vec::new();
             p.collect_cols(&mut cols);
-            if !cols.is_empty() && cols.iter().all(|c| pos.contains_key(c)) {
-                filters.push(p.map_cols(&|c| pos[&c]));
+            if !cols.is_empty() && cols.iter().all(|&c| pos.get(c).is_some()) {
+                filters.push(p.map_cols(&|c| pos.at(c)));
                 *slot = None;
             }
         }
@@ -2112,46 +2157,45 @@ fn emit_region(
             plan = Plan::filtered(plan, p);
         }
         let arity = globals.len();
-        for (u, pending) in region.unaries.iter().zip(unary_pending.iter_mut()) {
-            if !*pending || !(unaries_early || at_root) {
+        for (u, right) in region.unaries.iter().zip(unary_rights.iter_mut()) {
+            if right.is_none() || !(unaries_early || at_root) {
                 continue;
             }
-            let keys_ok = u.left_keys.iter().all(|k| pos.contains_key(k));
+            let keys_ok = u.left_keys.iter().all(|&k| pos.get(k).is_some());
             let res_ok = u.residual.as_ref().is_none_or(|r| {
                 let mut cols = Vec::new();
                 r.collect_cols(&mut cols);
-                cols.iter().all(|c| *c >= RIGHT_BASE || pos.contains_key(c))
+                cols.iter().all(|&c| c >= RIGHT_BASE || pos.get(c).is_some())
             });
             if !(keys_ok && res_ok) {
                 continue;
             }
-            let left_keys = u.left_keys.iter().map(|k| pos[k]).collect();
+            let left_keys = u.left_keys.iter().map(|&k| pos.at(k)).collect();
             let residual = u.residual.as_ref().map(|r| {
-                r.map_cols(&|c| if c >= RIGHT_BASE { arity + (c - RIGHT_BASE) } else { pos[&c] })
+                r.map_cols(&|c| if c >= RIGHT_BASE { arity + (c - RIGHT_BASE) } else { pos.at(c) })
             });
             plan = Plan::hash_join(
                 plan,
-                u.right.clone(),
+                right.take().expect("checked above"),
                 left_keys,
                 u.right_keys.clone(),
                 u.kind,
                 residual,
             );
-            *pending = false;
         }
         Some((plan, globals))
     }
 
     let (mut current, globals) = emit(
         tree,
-        region,
-        &leaf_plan,
+        &region,
+        &mut leaf_plans,
         &mut joint_pending,
-        &mut unary_pending,
+        &mut unary_rights,
         unaries_early,
         true,
     )?;
-    let pos: HashMap<usize, usize> = globals.iter().enumerate().map(|(p, &g)| (g, p)).collect();
+    let pos = Positions::new(&globals, total);
 
     // Column-free predicates (constant folds) apply at the top; anything
     // else still pending could not be placed — keep the original shape.
@@ -2160,31 +2204,54 @@ fn emit_region(
         let Some(p) = slot else { continue };
         let mut cols = Vec::new();
         p.collect_cols(&mut cols);
-        if !cols.iter().all(|c| pos.contains_key(c)) {
+        if !cols.iter().all(|&c| pos.get(c).is_some()) {
             return None;
         }
-        leftovers.push(p.map_cols(&|c| pos[&c]));
+        leftovers.push(p.map_cols(&|c| pos.at(c)));
         *slot = None;
     }
     if let Some(p) = all_opt(leftovers) {
         current = Plan::filtered(current, p);
     }
-    if unary_pending.iter().any(|&p| p) {
+    if unary_rights.iter().any(Option::is_some) {
         return None; // a semi/anti join could not be re-attached
     }
 
     // Restore the original column order.
-    let identity = (0..total).all(|g| pos.get(&g) == Some(&g));
+    let identity = (0..total).all(|g| pos.get(g) == Some(g));
     if !identity {
         let mut exprs: Vec<(Expr, String)> = Vec::with_capacity(total);
-        for leaf in &region.leaves {
-            for (c, f) in leaf.schema.fields.iter().enumerate() {
-                exprs.push((Expr::Col(pos[&(leaf.offset + c)]), f.name.clone()));
+        for leaf in &mut region.leaves {
+            for (c, f) in leaf.schema.fields.iter_mut().enumerate() {
+                exprs.push((Expr::Col(pos.at(leaf.offset + c)), std::mem::take(&mut f.name)));
             }
         }
         current = Plan::projected(current, exprs);
     }
     Some(current)
+}
+
+/// Where each global column of a region sits in one subtree's output.
+struct Positions(Vec<Option<usize>>);
+
+impl Positions {
+    fn new(globals: &[usize], total: usize) -> Positions {
+        let mut pos = vec![None; total];
+        for (p, &g) in globals.iter().enumerate() {
+            pos[g] = Some(p);
+        }
+        Positions(pos)
+    }
+
+    /// The output position of global column `g`, if the subtree has it.
+    fn get(&self, g: usize) -> Option<usize> {
+        self.0.get(g).copied().flatten()
+    }
+
+    /// The output position of a column the subtree is known to have.
+    fn at(&self, g: usize) -> usize {
+        self.get(g).expect("column resolved in this subtree")
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -2198,12 +2265,14 @@ fn rewrite_stage(
     label: &str,
     lineage: &str,
 ) -> (Plan, StageReport) {
-    let lookup = |t: &str| ctx.schema(t);
+    let arity_of = |t: &str| ctx.schema(t).len();
     let (plan, pushed) =
-        if passes.pushdown { push_predicates(plan, &lookup) } else { (plan.clone(), 0) };
+        if passes.pushdown { push_predicates(plan, &arity_of) } else { (plan.clone(), 0) };
     let mut stats = PassStats::default();
     let plan = reorder_node(&plan, ctx, passes, &mut stats);
-    let fingerprint = fnv_hex(&format!("{lineage}|{label}|{plan:?}"));
+    let mut digest = Fnv::new();
+    write!(digest, "{lineage}|{label}|{plan:?}").expect("hashing cannot fail");
+    let fingerprint = format!("{:016x}", digest.0);
     let model_rows = estimate(&plan, ctx).rows;
     let (est_rows, feedback_applied) = match ctx.catalog.feedback_rows(&fingerprint) {
         Some(rows) => (rows, true),
@@ -2233,15 +2302,24 @@ fn rewrite_stage(
     )
 }
 
-/// FNV-1a digest, hex-rendered — the stable stage identity the feedback
-/// store keys on.
-fn fnv_hex(s: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
+/// FNV-1a over whatever is formatted into it — the stable stage identity
+/// the feedback store keys on, hashed as the plan is rendered instead of
+/// from a rendered copy.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    format!("{h:016x}")
+}
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+        Ok(())
+    }
 }
 
 /// Inlines single-use stages that are pure join pipelines (scans, filters,
@@ -2398,7 +2476,7 @@ mod tests {
     #[test]
     fn pushdown_moves_filter_below_join() {
         let cat = catalog();
-        let lookup = |t: &str| cat.table(t).schema.clone();
+        let arity_of = |t: &str| cat.table(t).schema.len();
         // Select over join, predicate on the right side only.
         let join = Plan::hash_join(
             Plan::scan("mid"),
@@ -2409,7 +2487,7 @@ mod tests {
             None,
         );
         let plan = Plan::filtered(join, Expr::eq(Expr::col(3), Expr::lit(7i64)));
-        let (pushed, n) = push_predicates(&plan, &lookup);
+        let (pushed, n) = push_predicates(&plan, &arity_of);
         assert_eq!(n, 1);
         // The filter must now sit on the scan of `big`.
         let Plan::HashJoin { right, .. } = &pushed else { panic!("join expected: {pushed:?}") };
@@ -2423,7 +2501,7 @@ mod tests {
     #[test]
     fn pushdown_respects_outer_and_limit() {
         let cat = catalog();
-        let lookup = |t: &str| cat.table(t).schema.clone();
+        let arity_of = |t: &str| cat.table(t).schema.len();
         let join = Plan::hash_join(
             Plan::scan("mid"),
             Plan::scan("big"),
@@ -2433,13 +2511,13 @@ mod tests {
             None,
         );
         let plan = Plan::filtered(join, Expr::eq(Expr::col(3), Expr::lit(7i64)));
-        let (pushed, n) = push_predicates(&plan, &lookup);
+        let (pushed, n) = push_predicates(&plan, &arity_of);
         assert_eq!(n, 0, "right side of an outer join must not receive filters");
         assert!(matches!(pushed, Plan::Select { .. }));
 
         let limited = Plan::limited(Plan::scan("big"), 5);
         let plan = Plan::filtered(limited, Expr::eq(Expr::col(0), Expr::lit(1i64)));
-        let (pushed, n) = push_predicates(&plan, &lookup);
+        let (pushed, n) = push_predicates(&plan, &arity_of);
         assert_eq!(n, 0, "filters must not cross LIMIT");
         assert!(matches!(pushed, Plan::Select { .. }));
     }
@@ -2534,7 +2612,7 @@ mod tests {
         ranks.extend((0..1_000).map(|i| (i % 101) as f64));
         let hist = Histogram::build(ranks, 64).unwrap();
         let mut stats = cat.stats("big").unwrap().clone();
-        stats.columns[2].histogram = Some(hist);
+        stats.columns[2].histogram = Some(Arc::new(hist));
         cat.set_stats("big", stats);
         let hot = q(Plan::filtered(Plan::scan("big"), Expr::eq(Expr::col(2), Expr::lit(7i64))));
         let hot_rows = estimated_rows(&hot, &cat);
@@ -2549,7 +2627,7 @@ mod tests {
     #[test]
     fn or_factoring_pushes_side_disjunctions() {
         let cat = catalog();
-        let lookup = |t: &str| cat.table(t).schema.clone();
+        let arity_of = |t: &str| cat.table(t).schema.len();
         let join = Plan::hash_join(
             Plan::scan("mid"),
             Plan::scan("big"),
@@ -2570,7 +2648,7 @@ mod tests {
             ),
         );
         let plan = Plan::filtered(join, pair_or.clone());
-        let (pushed, n) = push_predicates(&plan, &lookup);
+        let (pushed, n) = push_predicates(&plan, &arity_of);
         assert_eq!(n, 2, "both derived disjunctions must sink: {pushed:?}");
         // Exact filter still on top; each side now holds a Select.
         let Plan::Select { input, predicate } = &pushed else {

@@ -212,6 +212,28 @@ impl Plan {
         n
     }
 
+    /// Output arity given a resolver for table arities: what
+    /// [`Plan::schema`]`.len()` returns, without building a schema — the
+    /// walk stops at the nearest projection or aggregation, which fix their
+    /// own width.
+    pub fn arity(&self, arity_of: &impl Fn(&str) -> usize) -> usize {
+        match self {
+            Plan::Scan { table } => arity_of(table),
+            Plan::Select { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. }
+            | Plan::Distinct { input } => input.arity(arity_of),
+            Plan::Project { exprs, .. } => exprs.len(),
+            Plan::HashJoin { left, right, kind, .. } => match kind {
+                JoinKind::Inner | JoinKind::LeftOuter => {
+                    left.arity(arity_of) + right.arity(arity_of)
+                }
+                JoinKind::Semi | JoinKind::Anti => left.arity(arity_of),
+            },
+            Plan::Agg { group_by, aggs, .. } => group_by.len() + aggs.len(),
+        }
+    }
+
     /// Computes the output schema given a resolver for table names.
     pub fn schema(&self, lookup: &impl Fn(&str) -> Schema) -> Schema {
         match self {
@@ -220,10 +242,7 @@ impl Plan {
             | Plan::Sort { input, .. }
             | Plan::Limit { input, .. }
             | Plan::Distinct { input } => input.schema(lookup),
-            Plan::Project { input, exprs } => {
-                let inner = input.schema(lookup);
-                Schema::new(exprs.iter().map(|(e, name)| Field::new(name, e.ty(&inner))).collect())
-            }
+            Plan::Project { input, exprs } => projected_schema(&input.schema(lookup), exprs),
             Plan::HashJoin { left, right, kind, .. } => {
                 let l = left.schema(lookup);
                 match kind {
@@ -232,21 +251,30 @@ impl Plan {
                 }
             }
             Plan::Agg { input, group_by, aggs } => {
-                let inner = input.schema(lookup);
-                let mut fields: Vec<Field> =
-                    group_by.iter().map(|&i| inner.fields[i].clone()).collect();
-                for a in aggs {
-                    let ty = match a.kind {
-                        AggKind::Count => Type::Int,
-                        AggKind::Avg => Type::Float,
-                        AggKind::Sum | AggKind::Min | AggKind::Max => a.expr.ty(&inner),
-                    };
-                    fields.push(Field::new(&a.name, ty));
-                }
-                Schema::new(fields)
+                aggregated_schema(&input.schema(lookup), group_by, aggs)
             }
         }
     }
+}
+
+/// Output schema of a [`Plan::Project`] over an input of schema `input`.
+pub fn projected_schema(input: &Schema, exprs: &[(Expr, String)]) -> Schema {
+    Schema::new(exprs.iter().map(|(e, name)| Field::new(name, e.ty(input))).collect())
+}
+
+/// Output schema of a [`Plan::Agg`] over an input of schema `input`: the
+/// group columns, then one column per aggregate.
+pub fn aggregated_schema(input: &Schema, group_by: &[usize], aggs: &[AggSpec]) -> Schema {
+    let mut fields: Vec<Field> = group_by.iter().map(|&i| input.fields[i].clone()).collect();
+    for a in aggs {
+        let ty = match a.kind {
+            AggKind::Count => Type::Int,
+            AggKind::Avg => Type::Float,
+            AggKind::Sum | AggKind::Min | AggKind::Max => a.expr.ty(input),
+        };
+        fields.push(Field::new(&a.name, ty));
+    }
+    Schema::new(fields)
 }
 
 /// A complete query: materialized stages plus the final plan.
@@ -324,15 +352,21 @@ fn resolve(
 
 /// Which columns of which *base* tables a query touches. Drives unused-field
 /// removal (Section 3.6.1) and the column-layout loader.
+/// `base_arity` resolves a base table's column count.
 pub fn used_base_columns(
     query: &QueryPlan,
-    base: &impl Fn(&str) -> Schema,
+    base_arity: &impl Fn(&str) -> usize,
 ) -> HashMap<String, BTreeSet<usize>> {
-    let (stage_schemas, _) = query.schemas(base);
-    let lookup = |t: &str| resolve(t, base, &stage_schemas);
+    let mut stage_arity: HashMap<String, usize> = HashMap::new();
+    for (name, plan) in &query.stages {
+        let arity =
+            plan.arity(&|t: &str| stage_arity.get(t).copied().unwrap_or_else(|| base_arity(t)));
+        stage_arity.insert(format!("#{name}"), arity);
+    }
+    let arity_of = |t: &str| stage_arity.get(t).copied().unwrap_or_else(|| base_arity(t));
     let mut used: HashMap<String, BTreeSet<usize>> = HashMap::new();
     for plan in query.plans() {
-        collect_used(plan, None, &lookup, &mut used);
+        collect_used(plan, None, &arity_of, &mut used);
     }
     used
 }
@@ -342,7 +376,7 @@ pub fn used_base_columns(
 fn collect_used(
     plan: &Plan,
     need: Option<&BTreeSet<usize>>,
-    lookup: &impl Fn(&str) -> Schema,
+    arity_of: &impl Fn(&str) -> usize,
     used: &mut HashMap<String, BTreeSet<usize>>,
 ) {
     match plan {
@@ -353,15 +387,15 @@ fn collect_used(
             let entry = used.entry(table.clone()).or_default();
             match need {
                 Some(cols) => entry.extend(cols.iter().copied()),
-                None => entry.extend(0..lookup(table).len()),
+                None => entry.extend(0..arity_of(table)),
             }
         }
         Plan::Select { input, predicate } => {
-            let mut n = need.cloned().unwrap_or_else(|| all_cols(input, lookup));
+            let mut n = need.cloned().unwrap_or_else(|| all_cols(input, arity_of));
             let mut cols = Vec::new();
             predicate.collect_cols(&mut cols);
             n.extend(cols);
-            collect_used(input, Some(&n), lookup, used);
+            collect_used(input, Some(&n), arity_of, used);
         }
         Plan::Project { input, exprs } => {
             let mut n = BTreeSet::new();
@@ -372,14 +406,14 @@ fn collect_used(
                     n.extend(cols);
                 }
             }
-            collect_used(input, Some(&n), lookup, used);
+            collect_used(input, Some(&n), arity_of, used);
         }
         Plan::HashJoin { left, right, left_keys, right_keys, residual, kind } => {
-            let l_arity = left.schema(lookup).len();
+            let l_arity = left.arity(arity_of);
             let mut ln: BTreeSet<usize> = left_keys.iter().copied().collect();
             let mut rn: BTreeSet<usize> = right_keys.iter().copied().collect();
             let out_arity = match kind {
-                JoinKind::Inner | JoinKind::LeftOuter => l_arity + right.schema(lookup).len(),
+                JoinKind::Inner | JoinKind::LeftOuter => l_arity + right.arity(arity_of),
                 JoinKind::Semi | JoinKind::Anti => l_arity,
             };
             let need_all: BTreeSet<usize> = (0..out_arity).collect();
@@ -401,8 +435,8 @@ fn collect_used(
                     }
                 }
             }
-            collect_used(left, Some(&ln), lookup, used);
-            collect_used(right, Some(&rn), lookup, used);
+            collect_used(left, Some(&ln), arity_of, used);
+            collect_used(right, Some(&rn), arity_of, used);
         }
         Plan::Agg { input, group_by, aggs } => {
             let mut n: BTreeSet<usize> = group_by.iter().copied().collect();
@@ -411,21 +445,21 @@ fn collect_used(
                 a.expr.collect_cols(&mut cols);
                 n.extend(cols);
             }
-            collect_used(input, Some(&n), lookup, used);
+            collect_used(input, Some(&n), arity_of, used);
         }
         Plan::Sort { input, keys } => {
-            let mut n = need.cloned().unwrap_or_else(|| all_cols(input, lookup));
+            let mut n = need.cloned().unwrap_or_else(|| all_cols(input, arity_of));
             n.extend(keys.iter().map(|(i, _)| *i));
-            collect_used(input, Some(&n), lookup, used);
+            collect_used(input, Some(&n), arity_of, used);
         }
-        Plan::Limit { input, .. } => collect_used(input, need, lookup, used),
+        Plan::Limit { input, .. } => collect_used(input, need, arity_of, used),
         // Distinct compares whole rows, so every column is needed.
-        Plan::Distinct { input } => collect_used(input, None, lookup, used),
+        Plan::Distinct { input } => collect_used(input, None, arity_of, used),
     }
 }
 
-fn all_cols(plan: &Plan, lookup: &impl Fn(&str) -> Schema) -> BTreeSet<usize> {
-    (0..plan.schema(lookup).len()).collect()
+fn all_cols(plan: &Plan, arity_of: &impl Fn(&str) -> usize) -> BTreeSet<usize> {
+    (0..plan.arity(arity_of)).collect()
 }
 
 #[cfg(test)]
@@ -528,7 +562,7 @@ mod tests {
     #[test]
     fn used_columns_pruned() {
         let q = QueryPlan::new("t", sample_plan());
-        let used = used_base_columns(&q, &base);
+        let used = used_base_columns(&q, &|t: &str| base(t).len());
         // r: a (key + group), b (agg). c unused.
         assert_eq!(used["r"], BTreeSet::from([0, 1]));
         // s: x (key), y (predicate).

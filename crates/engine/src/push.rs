@@ -246,7 +246,7 @@ impl<'a> Exec<'a> {
     ) -> Vec<Tuple> {
         let left_rows = self.run(left);
         let right_rows = self.run(right);
-        let right_arity = right.schema(&|t: &str| self.schema_of(t)).len();
+        let right_arity = right.arity(&|t: &str| self.schema_of(t).len());
         let res = residual.map(|r| Pred::of(r, self.settings));
         let mut table: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::new();
         for t in &right_rows {

@@ -45,7 +45,9 @@ use crate::kernel::{
     MaskedColumn, PairPred, Rows, SortKeys, BLOCK_ROWS,
 };
 use crate::parallel::{go_parallel, row_morsels, run_morsels};
-use crate::plan::{AggSpec, JoinKind, Plan, QueryPlan, SortOrder};
+use crate::plan::{
+    aggregated_schema, projected_schema, AggSpec, JoinKind, Plan, QueryPlan, SortOrder,
+};
 use crate::result::ResultTable;
 use crate::settings::Settings;
 use crate::SpecializedDb;
@@ -92,11 +94,10 @@ pub fn chunk_to_rows(chunk: &Chunk) -> RowTable {
 }
 
 impl<'a> Exec<'a> {
-    fn schema_of(&self, table: &str) -> Schema {
-        if let Some(c) = self.temps.get(table) {
-            c.schema.clone()
-        } else {
-            self.db.table(table).schema.clone()
+    fn schema_of(&self, table: &str) -> &Schema {
+        match self.temps.get(table) {
+            Some(c) => &c.schema,
+            None => &self.db.table(table).schema,
         }
     }
 
@@ -251,8 +252,8 @@ impl<'a> Exec<'a> {
             }
         }
         let chunk = self.run(input, &Some(child_need));
-        let schema = Plan::Project { input: Box::new(input.clone()), exprs: exprs.to_vec() }
-            .schema(&|t: &str| self.schema_of(t));
+        // Output names and types come from the input chunk's own schema.
+        let schema = projected_schema(&chunk.schema, exprs);
         let n = chunk.len();
         let mut cols = Vec::with_capacity(exprs.len());
         let mut nulls = Vec::with_capacity(exprs.len());
@@ -382,9 +383,8 @@ impl<'a> Exec<'a> {
     ) -> Chunk {
         // Split needs for the two sides; keys and residual columns are
         // always needed.
-        let lookup = |t: &str| self.schema_of(t);
-        let l_arity = left.schema(&lookup).len();
-        let r_arity = right.schema(&lookup).len();
+        let arity_of = |t: &str| self.schema_of(t).len();
+        let (l_arity, r_arity) = (left.arity(&arity_of), right.arity(&arity_of));
         let (lneed, rneed) =
             split_join_need(need, l_arity, r_arity, left_keys, right_keys, residual, kind);
 
@@ -517,13 +517,8 @@ impl<'a> Exec<'a> {
         let (resolver, reprs, agg_cols) = aggregate_chunk(self.settings, &chunk, group_by, aggs);
 
         // Emit output: group columns gathered from representative rows, then
-        // aggregate columns from the stores.
-        let schema = Plan::Agg {
-            input: Box::new(input.clone()),
-            group_by: group_by.to_vec(),
-            aggs: aggs.to_vec(),
-        }
-        .schema(&|t: &str| self.schema_of(t));
+        // aggregate columns from the stores, named from the input chunk.
+        let schema = aggregated_schema(&chunk.schema, group_by, aggs);
         let (mut cols, mut nulls): (Vec<_>, Vec<_>) =
             group_by.iter().map(|&g| gather_column(&chunk, g, &reprs)).unzip();
         for (col, mask) in agg_cols {

@@ -302,7 +302,7 @@ impl<'a> Exec<'a> {
                 exprs: exprs.iter().map(|(e, _)| e.clone()).collect(),
             }),
             Plan::HashJoin { left, right, left_keys, right_keys, kind, residual } => {
-                let right_arity = right.schema(&|t: &str| self.schema_of(t)).len();
+                let right_arity = right.arity(&|t: &str| self.schema_of(t).len());
                 Box::new(HashJoinOp::build(
                     self.build(left),
                     self.build(right),

@@ -10,17 +10,18 @@ use legobase_engine::Expr;
 use legobase_storage::{Catalog, Schema};
 use std::collections::HashMap;
 
-/// Build context: resolves base and stage schemas.
-pub struct Ctx {
-    catalog: Catalog,
+/// Build context: resolves base and stage schemas. Borrows the catalog —
+/// a lowering reads a few table schemas, never the statistics beside them.
+pub struct Ctx<'a> {
+    catalog: &'a Catalog,
     stages: Vec<(String, Plan)>,
     stage_schemas: HashMap<String, Schema>,
 }
 
-impl Ctx {
+impl<'a> Ctx<'a> {
     /// Creates a builder context over a catalog.
-    pub fn new(catalog: &Catalog) -> Ctx {
-        Ctx { catalog: catalog.clone(), stages: Vec::new(), stage_schemas: HashMap::new() }
+    pub fn new(catalog: &'a Catalog) -> Ctx<'a> {
+        Ctx { catalog, stages: Vec::new(), stage_schemas: HashMap::new() }
     }
 
     fn schema_of(&self, table: &str) -> Schema {
@@ -160,49 +161,35 @@ impl Node {
     }
 
     /// Appends a row limit.
-    pub fn limit(&self, n: usize) -> Node {
-        Node {
-            plan: Plan::Limit { input: Box::new(self.plan.clone()), n },
-            schema: self.schema.clone(),
-        }
+    pub fn limit(self, n: usize) -> Node {
+        Node { plan: Plan::limited(self.plan, n), schema: self.schema }
     }
 
     /// Appends duplicate elimination.
-    pub fn distinct(&self) -> Node {
-        Node {
-            plan: Plan::Distinct { input: Box::new(self.plan.clone()) },
-            schema: self.schema.clone(),
-        }
+    pub fn distinct(self) -> Node {
+        Node { plan: Plan::deduplicated(self.plan), schema: self.schema }
     }
 
     /// Cross join with a (typically single-row) node, implemented as an
     /// equi-join on an appended constant key — how flattened scalar
     /// subqueries (Q11, Q15, Q17, Q22) consume their aggregate stage.
-    pub fn cross_join(&self, right: Node) -> Node {
-        let l = self.append_const_key();
-        let r = right.append_const_key();
-        let mut joined = l.join(r, &["__k"], &["__k"], JoinKind::Inner);
+    pub fn cross_join(self, right: Node) -> Node {
+        let (l, r) = (self.append_const_key(), right.append_const_key());
+        let (lk, rk) = (l.schema.len() - 1, r.schema.len() - 1);
+        let schema = l.schema.concat(&r.schema);
+        let joined = Plan::hash_join(l.plan, r.plan, vec![lk], vec![rk], JoinKind::Inner, None);
         // Drop the two helper keys.
-        let keep: Vec<(Expr, String)> = joined
-            .schema
+        let (keep, fields): (Vec<(Expr, String)>, Vec<_>) = schema
             .fields
-            .iter()
+            .into_iter()
             .enumerate()
             .filter(|(_, f)| f.name != "__k")
-            .map(|(i, f)| (Expr::Col(i), f.name.clone()))
-            .collect();
-        let fields = keep
-            .iter()
-            .map(|(e, n)| legobase_storage::Field::new(n, e.ty(&joined.schema)))
-            .collect();
-        joined = Node {
-            plan: Plan::Project { input: Box::new(joined.plan), exprs: keep },
-            schema: Schema::new(fields),
-        };
-        joined
+            .map(|(i, f)| ((Expr::Col(i), f.name.clone()), f))
+            .unzip();
+        Node { plan: Plan::projected(joined, keep), schema: Schema::new(fields) }
     }
 
-    fn append_const_key(&self) -> Node {
+    fn append_const_key(self) -> Node {
         let mut exprs: Vec<(Expr, String)> = self
             .schema
             .fields
@@ -211,14 +198,9 @@ impl Node {
             .map(|(i, f)| (Expr::Col(i), f.name.clone()))
             .collect();
         exprs.push((Expr::lit(1i64), "__k".to_string()));
-        let fields = exprs
-            .iter()
-            .map(|(e, n)| legobase_storage::Field::new(n, e.ty(&self.schema)))
-            .collect();
-        Node {
-            plan: Plan::Project { input: Box::new(self.plan.clone()), exprs },
-            schema: Schema::new(fields),
-        }
+        let mut fields = self.schema.fields;
+        fields.push(legobase_storage::Field::new("__k", legobase_storage::Type::Int));
+        Node { plan: Plan::projected(self.plan, exprs), schema: Schema::new(fields) }
     }
 }
 
@@ -238,13 +220,10 @@ mod tests {
     use legobase_engine::plan::SortOrder;
     use legobase_engine::CmpOp;
 
-    fn ctx() -> Ctx {
-        Ctx::new(&legobase_tpch::catalog())
-    }
-
     #[test]
     fn names_resolve_through_operators() {
-        let c = ctx();
+        let cat = legobase_tpch::catalog();
+        let c = Ctx::new(&cat);
         let n = c
             .scan("orders")
             .filter(Expr::cmp(CmpOp::Gt, Expr::Col(3), Expr::lit(0.0)))
@@ -256,7 +235,8 @@ mod tests {
 
     #[test]
     fn join_concat_and_jcol() {
-        let c = ctx();
+        let cat = legobase_tpch::catalog();
+        let c = Ctx::new(&cat);
         let l = c.scan("orders");
         let r = c.scan("customer");
         assert_eq!(jcol(&l, &r, "o_custkey"), Expr::Col(1));
@@ -268,7 +248,8 @@ mod tests {
 
     #[test]
     fn cross_join_drops_helper_key() {
-        let c = ctx();
+        let cat = legobase_tpch::catalog();
+        let c = Ctx::new(&cat);
         let l = c.scan("region");
         let r = c.scan("nation").agg(&[], vec![(AggKind::Count, Expr::lit(1i64), "n_nations")]);
         let x = l.cross_join(r);
@@ -279,7 +260,8 @@ mod tests {
 
     #[test]
     fn stages_register() {
-        let mut c = ctx();
+        let cat = legobase_tpch::catalog();
+        let mut c = Ctx::new(&cat);
         let s = c.scan("nation").agg(&[], vec![(AggKind::Count, Expr::lit(1i64), "n")]);
         c.stage("counts", s);
         let root = c.scan("#counts");

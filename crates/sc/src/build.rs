@@ -11,24 +11,32 @@ use crate::ir::{AggOp, BinOp, Expr, KeyMeta, Program, Stmt, StrFn, Ty};
 use legobase_engine::expr::{AggKind, ArithOp, CmpOp, Expr as PExpr};
 use legobase_engine::plan::{JoinKind, Plan, QueryPlan};
 use legobase_storage::{Catalog, Schema, Type, Value};
+use std::borrow::Cow;
+use std::collections::HashMap;
 
-/// One visible column of the operator currently being inlined.
+/// One visible column of the operator currently being inlined. Names and
+/// provenance borrow the plan, the catalog and the stage schemas (`'a`), so
+/// passing a binding up through the operators copies no strings.
 #[derive(Clone, Debug)]
-struct BindItem {
-    name: String,
+struct BindItem<'a> {
+    name: Cow<'a, str>,
     expr: Expr,
     ty: Type,
-    /// Base-table provenance, when the value is a raw field of a scanned
-    /// relation (drives the partitioning/date-index/dictionary analyses).
-    prov: Option<(String, String)>,
+    /// Base-table provenance (table, column), when the value is a raw field
+    /// of a scanned relation (drives the partitioning/date-index/dictionary
+    /// analyses).
+    prov: Option<(&'a str, &'a str)>,
 }
 
-type Binding = Vec<BindItem>;
+type Binding<'a> = Vec<BindItem<'a>>;
+
+/// The code an operator runs at its innermost point, given its output.
+type Consume<'c, 'a> = dyn FnMut(&mut Builder<'a>, &Binding<'a>) -> Vec<Stmt> + 'c;
 
 struct Builder<'a> {
     catalog: &'a Catalog,
+    stage_schemas: &'a HashMap<String, Schema>,
     prog: Program,
-    stage_schemas: std::collections::HashMap<String, Schema>,
     buffer_counter: usize,
 }
 
@@ -37,8 +45,8 @@ pub fn build_ir(query: &QueryPlan, catalog: &Catalog) -> Program {
     let (stage_schemas, _) = query.schemas(&|t: &str| catalog.table(t).schema.clone());
     let mut b = Builder {
         catalog,
+        stage_schemas: &stage_schemas,
         prog: Program { name: query.name.clone(), stmts: Vec::new(), next_sym: 0 },
-        stage_schemas,
         buffer_counter: 0,
     };
     for (name, plan) in &query.stages {
@@ -56,34 +64,29 @@ pub fn build_ir(query: &QueryPlan, catalog: &Catalog) -> Program {
 }
 
 impl<'a> Builder<'a> {
-    fn schema_of(&self, table: &str) -> Schema {
-        if let Some(s) = self.stage_schemas.get(table) {
-            s.clone()
-        } else {
-            self.catalog.table(table).schema.clone()
+    fn schema_of(&self, table: &str) -> &'a Schema {
+        match self.stage_schemas.get(table) {
+            Some(s) => s,
+            None => &self.catalog.table(table).schema,
         }
     }
 
     /// Produces loop code for `plan`, calling `consume` at the innermost
     /// point with the operator's output binding.
-    fn produce(
-        &mut self,
-        plan: &Plan,
-        consume: &mut dyn FnMut(&mut Builder, &Binding) -> Vec<Stmt>,
-    ) -> Vec<Stmt> {
+    fn produce(&mut self, plan: &'a Plan, consume: &mut Consume<'_, 'a>) -> Vec<Stmt> {
         match plan {
             Plan::Scan { table } => {
                 let row = self.prog.fresh();
-                let schema = self.schema_of(table);
                 let is_base = !table.starts_with('#');
-                let binding: Binding = schema
+                let binding: Binding = self
+                    .schema_of(table)
                     .fields
                     .iter()
                     .map(|f| BindItem {
-                        name: f.name.clone(),
+                        name: Cow::Borrowed(&f.name),
                         expr: Expr::Field(row, f.name.clone()),
                         ty: f.ty,
-                        prov: is_base.then(|| (table.clone(), f.name.clone())),
+                        prov: is_base.then_some((table.as_str(), f.name.as_str())),
                     })
                     .collect();
                 let body = consume(self, &binding);
@@ -95,27 +98,22 @@ impl<'a> Builder<'a> {
             }),
             Plan::Project { input, exprs } => self.produce(input, &mut |b, binding| {
                 let mut stmts = Vec::new();
-                let mut out = Vec::new();
+                let mut out = Vec::with_capacity(exprs.len());
                 for (e, name) in exprs {
                     let ir = b.tr(e, binding);
+                    let ty = e.ty_of(&|i| binding[i].ty);
                     // Column pass-through keeps provenance; computed columns
                     // are bound to fresh symbols (later cleaned by scalar
                     // replacement if trivial).
                     let (expr, prov) = match e {
-                        PExpr::Col(i) => (ir, binding[*i].prov.clone()),
+                        PExpr::Col(i) => (ir, binding[*i].prov),
                         _ => {
                             let sym = b.prog.fresh();
-                            let ty = e.ty(&schema_of_binding(binding));
                             stmts.push(Stmt::Let { sym, ty: ir_ty(ty), value: ir });
                             (Expr::sym(sym), None)
                         }
                     };
-                    out.push(BindItem {
-                        name: name.clone(),
-                        expr,
-                        ty: e.ty(&schema_of_binding(binding)),
-                        prov,
-                    });
+                    out.push(BindItem { name: Cow::Borrowed(name), expr, ty, prov });
                 }
                 stmts.extend(consume(b, &out));
                 stmts
@@ -152,7 +150,7 @@ impl<'a> Builder<'a> {
             }
             Plan::Distinct { input } => {
                 // Modeled as an aggregation on all columns with no aggregates.
-                let schema = plan.schema(&|t: &str| self.schema_of(t));
+                let schema = plan.schema(&|t: &str| self.schema_of(t).clone());
                 let map = self.prog.fresh();
                 let mut stmts = vec![Stmt::AggMapNew {
                     sym: map,
@@ -170,10 +168,10 @@ impl<'a> Builder<'a> {
                 let aggs_sym = self.prog.fresh();
                 let binding: Binding = schema
                     .fields
-                    .iter()
+                    .into_iter()
                     .map(|f| BindItem {
-                        name: f.name.clone(),
                         expr: Expr::Field(key_sym, f.name.clone()),
+                        name: Cow::Owned(f.name),
                         ty: f.ty,
                         prov: None,
                     })
@@ -186,16 +184,15 @@ impl<'a> Builder<'a> {
     }
 
     #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments)]
     fn produce_join(
         &mut self,
-        left: &Plan,
-        right: &Plan,
+        left: &'a Plan,
+        right: &'a Plan,
         left_keys: &[usize],
         right_keys: &[usize],
         kind: JoinKind,
         residual: Option<&PExpr>,
-        consume: &mut dyn FnMut(&mut Builder, &Binding) -> Vec<Stmt>,
+        consume: &mut Consume<'_, 'a>,
     ) -> Vec<Stmt> {
         // Inner joins build over the left input and stream the right one
         // (Fig. 7c). Left-preserving joins (semi/anti/outer) build over the
@@ -217,13 +214,13 @@ impl<'a> Builder<'a> {
                 // with direct base-table rows (Fig. 10), which is only valid
                 // when the build side *is* a (filtered) base-table binding.
                 let pure_base = binding.iter().all(|i| {
-                    i.prov.as_ref().is_some_and(|(t, c)| {
-                        *c == i.name && Some(t) == binding[0].prov.as_ref().map(|(t0, _)| t0)
+                    i.prov.is_some_and(|(t, c)| {
+                        c == i.name && Some(t) == binding[0].prov.map(|(t0, _)| t0)
                     })
                 });
                 if pure_base && build_keys.len() == 1 {
-                    if let Some((t, c)) = &binding[build_keys[0]].prov {
-                        key_meta = KeyMeta { table: Some(t.clone()), column: Some(c.clone()) };
+                    if let Some((t, c)) = binding[build_keys[0]].prov {
+                        key_meta = KeyMeta { table: Some(t.into()), column: Some(c.into()) };
                     }
                 }
             }
@@ -245,29 +242,22 @@ impl<'a> Builder<'a> {
         stmts.extend(build);
 
         let build_binding = build_binding_saved.unwrap_or_default();
-        let build_names: Vec<(String, Type)> =
-            build_binding.iter().map(|i| (i.name.clone(), i.ty)).collect();
 
         // Stream phase.
         let probe = self.produce(stream_plan, &mut |b, sbinding| {
             let key = pack_key(stream_keys.iter().map(|&k| sbinding[k].expr.clone()).collect());
             let mrow = b.prog.fresh();
             // Fields of the matched (build-side) record.
-            let matched: Binding = build_names
-                .iter()
-                .map(|(n, ty)| BindItem {
-                    name: n.clone(),
-                    expr: Expr::Field(mrow, n.clone()),
-                    ty: *ty,
-                    prov: None,
-                })
-                .collect();
+            let matched = build_binding.iter().map(|i| BindItem {
+                name: i.name.clone(),
+                expr: Expr::Field(mrow, i.name.to_string()),
+                ty: i.ty,
+                prov: None,
+            });
             // The plan-level joined schema is always left ++ right.
             let joined: Binding = match kind {
-                JoinKind::Inner => {
-                    matched.iter().cloned().chain(sbinding.iter().cloned()).collect()
-                }
-                _ => sbinding.iter().cloned().chain(matched.iter().cloned()).collect(),
+                JoinKind::Inner => matched.chain(sbinding.iter().cloned()).collect(),
+                _ => sbinding.iter().cloned().chain(matched).collect(),
             };
             let residual_cond = residual.map(|r| b.tr(r, &joined));
             match kind {
@@ -310,10 +300,10 @@ impl<'a> Builder<'a> {
                     let null_joined: Binding = sbinding
                         .iter()
                         .cloned()
-                        .chain(build_names.iter().map(|(n, ty)| BindItem {
-                            name: n.clone(),
+                        .chain(build_binding.iter().map(|i| BindItem {
+                            name: i.name.clone(),
                             expr: Expr::Call("null".into(), vec![]),
-                            ty: *ty,
+                            ty: i.ty,
                             prov: None,
                         }))
                         .collect();
@@ -336,24 +326,15 @@ impl<'a> Builder<'a> {
 
     fn produce_agg(
         &mut self,
-        input: &Plan,
+        input: &'a Plan,
         group_by: &[usize],
-        aggs: &[legobase_engine::plan::AggSpec],
-        consume: &mut dyn FnMut(&mut Builder, &Binding) -> Vec<Stmt>,
+        aggs: &'a [legobase_engine::plan::AggSpec],
+        consume: &mut Consume<'_, 'a>,
     ) -> Vec<Stmt> {
         let map = self.prog.fresh();
         let mut key_meta = KeyMeta::default();
         let mut naggs = 0usize;
-        let mut agg_items: Vec<(String, Type)> = Vec::new();
-        let mut group_items: Vec<(String, Type)> = Vec::new();
-        for a in aggs {
-            let ty = match a.kind {
-                AggKind::Count => Type::Int,
-                AggKind::Avg => Type::Float,
-                _ => Type::Float,
-            };
-            agg_items.push((a.name.clone(), ty));
-        }
+        let mut group_items: Vec<(Cow<'a, str>, Type)> = Vec::new();
 
         let update_code = self.produce(input, &mut |b, binding| {
             if group_items.is_empty() {
@@ -361,8 +342,8 @@ impl<'a> Builder<'a> {
                     group_items.push((binding[g].name.clone(), binding[g].ty));
                 }
                 if group_by.len() == 1 {
-                    if let Some((t, c)) = &binding[group_by[0]].prov {
-                        key_meta = KeyMeta { table: Some(t.clone()), column: Some(c.clone()) };
+                    if let Some((t, c)) = binding[group_by[0]].prov {
+                        key_meta = KeyMeta { table: Some(t.into()), column: Some(c.into()) };
                     }
                 }
             }
@@ -372,9 +353,8 @@ impl<'a> Builder<'a> {
                 let e = b.tr(&a.expr, binding);
                 match a.kind {
                     AggKind::Sum => {
-                        let sch = schema_of_binding(binding);
-                        let op =
-                            if a.expr.ty(&sch) == Type::Int { AggOp::SumI } else { AggOp::SumF };
+                        let ty = a.expr.ty_of(&|i| binding[i].ty);
+                        let op = if ty == Type::Int { AggOp::SumI } else { AggOp::SumF };
                         updates.push((op, e));
                     }
                     AggKind::Count => updates.push((AggOp::Count, e)),
@@ -402,17 +382,18 @@ impl<'a> Builder<'a> {
         let key_sym = self.prog.fresh();
         let aggs_sym = self.prog.fresh();
         let binding: Binding = group_items
-            .iter()
-            .map(|(n, ty)| BindItem {
-                name: n.clone(),
-                expr: Expr::Field(key_sym, n.clone()),
-                ty: *ty,
+            .into_iter()
+            .map(|(name, ty)| BindItem {
+                expr: Expr::Field(key_sym, name.to_string()),
+                name,
+                ty,
                 prov: None,
             })
-            .chain(agg_items.iter().map(|(n, ty)| BindItem {
-                name: n.clone(),
-                expr: Expr::Field(aggs_sym, n.clone()),
-                ty: *ty,
+            .chain(aggs.iter().map(|a| BindItem {
+                name: Cow::Borrowed(&a.name),
+                expr: Expr::Field(aggs_sym, a.name.clone()),
+                // The IR's aggregate slots are counts or doubles.
+                ty: if matches!(a.kind, AggKind::Count) { Type::Int } else { Type::Float },
                 prov: None,
             }))
             .collect();
@@ -422,7 +403,7 @@ impl<'a> Builder<'a> {
     }
 
     /// Runs `plan` with an `Emit` consumer targeting buffer `name`.
-    fn materialize_into(&mut self, plan: &Plan, name: &str) -> Vec<Stmt> {
+    fn materialize_into(&mut self, plan: &'a Plan, name: &str) -> Vec<Stmt> {
         let mut stmts = vec![Stmt::Comment(format!("materialize into {name}"))];
         let inner = self.produce(plan, &mut |_, binding| {
             vec![Stmt::Emit { values: binding.iter().map(|i| i.expr.clone()).collect() }]
@@ -436,16 +417,16 @@ impl<'a> Builder<'a> {
         &mut self,
         name: &str,
         source: &Plan,
-        consume: &mut dyn FnMut(&mut Builder, &Binding) -> Vec<Stmt>,
+        consume: &mut Consume<'_, 'a>,
     ) -> Vec<Stmt> {
-        let schema = source.schema(&|t: &str| self.schema_of(t));
+        let schema = source.schema(&|t: &str| self.schema_of(t).clone());
         let row = self.prog.fresh();
         let binding: Binding = schema
             .fields
-            .iter()
+            .into_iter()
             .map(|f| BindItem {
-                name: f.name.clone(),
                 expr: Expr::Field(row, f.name.clone()),
+                name: Cow::Owned(f.name),
                 ty: f.ty,
                 prov: None,
             })
@@ -567,11 +548,6 @@ fn ir_ty(t: Type) -> Ty {
         Type::Date => Ty::Date,
         Type::Bool => Ty::Bool,
     }
-}
-
-/// Reconstructs a schema view of a binding (for plan-expression typing).
-fn schema_of_binding(binding: &Binding) -> Schema {
-    Schema::new(binding.iter().map(|i| legobase_storage::Field::new(&i.name, i.ty)).collect())
 }
 
 /// Packs one or more key expressions into a single key expression.

@@ -13,8 +13,8 @@
 use crate::ir::{AggOp, AggStoreKind, Expr, Program, Stmt, StrFn, Sym};
 use legobase_engine::Specialization;
 use legobase_storage::{Catalog, Type};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fmt::Write;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::fmt::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Writes generated C to `dir/file_name`, creating `dir` first.
@@ -41,7 +41,7 @@ pub fn emit_c(prog: &Program, catalog: &Catalog, spec: &Specialization) -> Strin
         spec,
         out: String::new(),
         indent: 1,
-        row_tables: HashMap::new(),
+        row_tables: HashSet::new(),
         base_tables: BTreeSet::new(),
         columns: BTreeSet::new(),
         partitions: BTreeSet::new(),
@@ -55,15 +55,15 @@ pub fn emit_c(prog: &Program, catalog: &Catalog, spec: &Specialization) -> Strin
             Stmt::ScanLoop { table, .. } | Stmt::TiledScanLoop { table, .. }
                 if !table.starts_with('#') =>
             {
-                gen.base_tables.insert(table.clone());
+                gen.base_tables.insert(table);
             }
             Stmt::DateIndexLoop { table, column, .. } => {
-                gen.base_tables.insert(table.clone());
-                gen.date_indexed.insert((table.clone(), column.clone()));
+                gen.base_tables.insert(table);
+                gen.date_indexed.insert((table, column));
             }
             Stmt::PartitionLookupLoop { table, column, .. } => {
-                gen.base_tables.insert(table.clone());
-                gen.partitions.insert((table.clone(), column.clone()));
+                gen.base_tables.insert(table);
+                gen.partitions.insert((table, column));
             }
             Stmt::AggMapNew { sym, naggs, store, .. } => {
                 gen.agg_stores.insert(*sym, (*naggs, *store));
@@ -72,36 +72,36 @@ pub fn emit_c(prog: &Program, catalog: &Catalog, spec: &Specialization) -> Strin
         }
         collect_exprs(s, &mut |e| {
             if let Expr::ColumnLoad { table, column, .. } = e {
-                gen.columns.insert((table.clone(), column.clone()));
-                gen.base_tables.insert(table.clone());
+                gen.columns.insert((table, column));
+                gen.base_tables.insert(table);
             }
         });
     });
 
-    let mut body = String::new();
-    std::mem::swap(&mut gen.out, &mut body);
-    gen.emit_block(&prog.stmts);
-    std::mem::swap(&mut gen.out, &mut body);
-
+    // The prelude depends on the pre-pass only; the body is written after
+    // it, straight into the same buffer.
     let mut out = String::new();
     gen.prelude(&mut out, &prog.name);
     let _ = writeln!(out, "void {}(void) {{", sanitize(&prog.name));
-    out.push_str(&body);
-    out.push_str("}\n");
-    out
+    gen.out = out;
+    gen.emit_block(&prog.stmts);
+    gen.out.push_str("}\n");
+    gen.out
 }
 
+/// The emitter. Statements and expressions are written into `out` as they
+/// are walked — no intermediate string per line or per expression node.
 struct CGen<'a> {
     catalog: &'a Catalog,
     spec: &'a Specialization,
     out: String,
     indent: usize,
     /// Row symbols bound to base tables (typed struct access).
-    row_tables: HashMap<Sym, String>,
-    base_tables: BTreeSet<String>,
-    columns: BTreeSet<(String, String)>,
-    partitions: BTreeSet<(String, String)>,
-    date_indexed: BTreeSet<(String, String)>,
+    row_tables: HashSet<Sym>,
+    base_tables: BTreeSet<&'a str>,
+    columns: BTreeSet<(&'a str, &'a str)>,
+    partitions: BTreeSet<(&'a str, &'a str)>,
+    date_indexed: BTreeSet<(&'a str, &'a str)>,
     agg_stores: BTreeMap<Sym, (usize, AggStoreKind)>,
 }
 
@@ -227,12 +227,33 @@ impl CGen<'_> {
         out.push('\n');
     }
 
-    fn line(&mut self, s: &str) {
+    /// Starts a line at the current indentation.
+    fn pad(&mut self) {
         for _ in 0..self.indent {
             self.out.push_str("    ");
         }
-        self.out.push_str(s);
+    }
+
+    /// Writes one whole line.
+    fn line(&mut self, args: fmt::Arguments<'_>) {
+        self.pad();
+        let _ = self.out.write_fmt(args);
         self.out.push('\n');
+    }
+
+    /// Writes `{pre}{e}{post}` as one line.
+    fn expr_line(&mut self, pre: fmt::Arguments<'_>, e: &Expr, post: &str) {
+        self.pad();
+        let _ = self.out.write_fmt(pre);
+        self.expr(e);
+        self.out.push_str(post);
+        self.out.push('\n');
+    }
+
+    /// Closes a block opened one level up.
+    fn close(&mut self) {
+        self.indent -= 1;
+        self.line(format_args!("}}"));
     }
 
     fn emit_block(&mut self, stmts: &[Stmt]) {
@@ -241,144 +262,125 @@ impl CGen<'_> {
         }
     }
 
+    /// Binds a row symbol of a base-table loop (or a buffer row).
+    fn bind_row(&mut self, row: Sym, table: &str, is_base: bool) {
+        if is_base {
+            self.line(format_args!("struct {table}_row* {row} = &{table}[{row}_i];"));
+            self.line(format_args!("(void){row};"));
+        } else {
+            self.line(format_args!("rec_t {row} = 0; (void){row}; /* buffer row */"));
+        }
+    }
+
     fn emit_stmt(&mut self, s: &Stmt) {
         match s {
-            Stmt::Comment(c) => self.line(&format!("/* {c} */")),
+            Stmt::Comment(c) => self.line(format_args!("/* {c} */")),
             Stmt::Let { sym, ty, value } => {
-                let v = self.expr(value);
-                self.line(&format!("{} {sym} = {v};", ty));
+                self.expr_line(format_args!("{ty} {sym} = "), value, ";")
             }
-            Stmt::Var { sym, ty, init } => {
-                let v = self.expr(init);
-                self.line(&format!("{} {sym} = {v};", ty));
-            }
-            Stmt::Assign { sym, value } => {
-                let v = self.expr(value);
-                self.line(&format!("{sym} = {v};"));
-            }
+            Stmt::Var { sym, ty, init } => self.expr_line(format_args!("{ty} {sym} = "), init, ";"),
+            Stmt::Assign { sym, value } => self.expr_line(format_args!("{sym} = "), value, ";"),
             Stmt::If { cond, then_b, else_b } => {
-                let c = self.expr(cond);
-                self.line(&format!("if ({c}) {{"));
+                self.expr_line(format_args!("if ("), cond, ") {");
                 self.indent += 1;
                 self.emit_block(then_b);
-                self.indent -= 1;
                 if else_b.is_empty() {
-                    self.line("}");
+                    self.close();
                 } else {
-                    self.line("} else {");
+                    self.indent -= 1;
+                    self.line(format_args!("}} else {{"));
                     self.indent += 1;
                     self.emit_block(else_b);
-                    self.indent -= 1;
-                    self.line("}");
+                    self.close();
                 }
             }
             Stmt::ScanLoop { row, table, body } => {
                 let tname = sanitize(table);
                 let is_base = self.catalog.get(table).is_some();
                 if is_base {
-                    self.row_tables.insert(*row, table.clone());
+                    self.row_tables.insert(*row);
                 }
                 let size = if is_base { format!("{tname}_size") } else { "0 /* buffer */".into() };
-                self.line(&format!("for (long {row}_i = 0; {row}_i < {size}; {row}_i++) {{"));
+                self.line(format_args!("for (long {row}_i = 0; {row}_i < {size}; {row}_i++) {{"));
                 self.indent += 1;
-                if is_base {
-                    self.line(&format!("struct {tname}_row* {row} = &{tname}[{row}_i];"));
-                    self.line(&format!("(void){row};"));
-                } else {
-                    self.line(&format!("rec_t {row} = 0; (void){row}; /* buffer row */"));
-                }
+                self.bind_row(*row, &tname, is_base);
                 self.emit_block(body);
-                self.indent -= 1;
-                self.line("}");
+                self.close();
             }
             Stmt::TiledScanLoop { row, table, tile, body } => {
                 // Two-level blocked iteration (Section 3.6.3, loop tiling).
                 let tname = sanitize(table);
                 let is_base = self.catalog.get(table).is_some();
                 if is_base {
-                    self.row_tables.insert(*row, table.clone());
+                    self.row_tables.insert(*row);
                 }
                 let size = if is_base { format!("{tname}_size") } else { "0 /* buffer */".into() };
-                self.line(&format!(
+                self.line(format_args!(
                     "for (long {row}_t = 0; {row}_t < {size}; {row}_t += {tile}) {{"
                 ));
                 self.indent += 1;
-                self.line(&format!(
+                self.line(format_args!(
                     "long {row}_hi = {row}_t + {tile} < {size} ? {row}_t + {tile} : {size};"
                 ));
-                self.line(&format!(
+                self.line(format_args!(
                     "for (long {row}_i = {row}_t; {row}_i < {row}_hi; {row}_i++) {{"
                 ));
                 self.indent += 1;
-                if is_base {
-                    self.line(&format!("struct {tname}_row* {row} = &{tname}[{row}_i];"));
-                    self.line(&format!("(void){row};"));
-                } else {
-                    self.line(&format!("rec_t {row} = 0; (void){row}; /* buffer row */"));
-                }
+                self.bind_row(*row, &tname, is_base);
                 self.emit_block(body);
-                self.indent -= 1;
-                self.line("}");
-                self.indent -= 1;
-                self.line("}");
+                self.close();
+                self.close();
             }
             Stmt::DateIndexLoop { row, table, column, lo, hi, body } => {
-                self.row_tables.insert(*row, table.clone());
-                self.line(&format!(
+                self.row_tables.insert(*row);
+                self.line(format_args!(
                     "/* date index on {table}.{column}: skip buckets outside [{lo}, {hi}] (Fig. 12) */"
                 ));
-                self.line(&format!(
+                self.line(format_args!(
                     "for (int year = YEAR_OF({lo}); year <= YEAR_OF({hi}); year++) {{"
                 ));
                 self.indent += 1;
-                let off = format!("dateidx_{table}_{column}_off");
-                let rows = format!("dateidx_{table}_{column}_rows");
-                let first = format!("dateidx_{table}_{column}_first_year");
-                self.line(&format!("long b = year - {first};"));
-                self.line(&format!("for (unsigned j = {off}[b]; j < {off}[b + 1]; j++) {{"));
-                self.indent += 1;
-                self.line(&format!("long {row}_i = {rows}[j];"));
-                self.line(&format!("struct {table}_row* {row} = &{table}[{row}_i];"));
-                self.line(&format!("(void){row};"));
-                self.emit_block(body);
-                self.indent -= 1;
-                self.line("}");
-                self.indent -= 1;
-                self.line("}");
-            }
-            Stmt::PartitionLookupLoop { table, column, key, row, body } => {
-                self.row_tables.insert(*row, table.clone());
-                let k = self.expr(key);
-                let off = format!("part_{table}_{column}_off");
-                let rows = format!("part_{table}_{column}_rows");
-                let min = format!("part_{table}_{column}_min");
-                self.line(&format!("/* partitioned access on {table}.{column} (Fig. 10) */"));
-                self.line(&format!("long bkt = ({k}) - {min};"));
-                self.line(&format!("for (unsigned j = {off}[bkt]; j < {off}[bkt + 1]; j++) {{"));
-                self.indent += 1;
-                self.line(&format!("long {row}_i = {rows}[j];"));
-                self.line(&format!("struct {table}_row* {row} = &{table}[{row}_i];"));
-                self.line(&format!("(void){row};"));
-                self.emit_block(body);
-                self.indent -= 1;
-                self.line("}");
-            }
-            Stmt::MultiMapNew { sym, .. } => {
-                self.line(&format!("GHashTable* {sym} = g_hash_table_new(); (void){sym};"));
-            }
-            Stmt::MultiMapInsert { map, key, row } => {
-                let k = self.expr(key);
-                self.line(&format!("MM_INSERT({map}, {k}, {row});"));
-            }
-            Stmt::MultiMapLookup { map, key, row, body } => {
-                let k = self.expr(key);
-                self.line(&format!(
-                    "for (rec_t {row} = BUCKET_FIRST({map}, {k}); {row}; {row} = BUCKET_NEXT({row})) {{"
+                let idx = format_args!("dateidx_{table}_{column}");
+                self.line(format_args!("long b = year - {idx}_first_year;"));
+                self.line(format_args!(
+                    "for (unsigned j = {idx}_off[b]; j < {idx}_off[b + 1]; j++) {{"
                 ));
                 self.indent += 1;
+                self.line(format_args!("long {row}_i = {idx}_rows[j];"));
+                self.bind_row(*row, table, true);
                 self.emit_block(body);
-                self.indent -= 1;
-                self.line("}");
+                self.close();
+                self.close();
+            }
+            Stmt::PartitionLookupLoop { table, column, key, row, body } => {
+                self.row_tables.insert(*row);
+                let part = format_args!("part_{table}_{column}");
+                self.line(format_args!("/* partitioned access on {table}.{column} (Fig. 10) */"));
+                self.expr_line(format_args!("long bkt = ("), key, &format!(") - {part}_min;"));
+                self.line(format_args!(
+                    "for (unsigned j = {part}_off[bkt]; j < {part}_off[bkt + 1]; j++) {{"
+                ));
+                self.indent += 1;
+                self.line(format_args!("long {row}_i = {part}_rows[j];"));
+                self.bind_row(*row, table, true);
+                self.emit_block(body);
+                self.close();
+            }
+            Stmt::MultiMapNew { sym, .. } => {
+                self.line(format_args!("GHashTable* {sym} = g_hash_table_new(); (void){sym};"));
+            }
+            Stmt::MultiMapInsert { map, key, row } => {
+                self.expr_line(format_args!("MM_INSERT({map}, "), key, &format!(", {row});"));
+            }
+            Stmt::MultiMapLookup { map, key, row, body } => {
+                self.expr_line(
+                    format_args!("for (rec_t {row} = BUCKET_FIRST({map}, "),
+                    key,
+                    &format!("); {row}; {row} = BUCKET_NEXT({row})) {{"),
+                );
+                self.indent += 1;
+                self.emit_block(body);
+                self.close();
             }
             Stmt::BucketArrayNew { sym, hoisted, .. } => {
                 let note = if *hoisted {
@@ -386,56 +388,65 @@ impl CGen<'_> {
                 } else {
                     "chained bucket array (Fig. 11)"
                 };
-                self.line(&format!("/* {note} */"));
-                self.line(&format!("rec_t* {sym}_buckets = calloc(1 << 16, sizeof(rec_t));"));
-                self.line(&format!("(void){sym}_buckets;"));
+                self.line(format_args!("/* {note} */"));
+                self.line(format_args!("rec_t* {sym}_buckets = calloc(1 << 16, sizeof(rec_t));"));
+                self.line(format_args!("(void){sym}_buckets;"));
             }
             Stmt::BucketArrayInsert { arr, key, row } => {
-                let k = self.expr(key);
-                self.line(&format!("/* chain {row} at the head of its bucket */"));
-                self.line(&format!("{arr}_buckets[(unsigned long)({k}) & 0xFFFF] = {row};"));
+                self.line(format_args!("/* chain {row} at the head of its bucket */"));
+                self.expr_line(
+                    format_args!("{arr}_buckets[(unsigned long)("),
+                    key,
+                    &format!(") & 0xFFFF] = {row};"),
+                );
             }
             Stmt::BucketArrayLookup { arr, key, row, body } => {
-                let k = self.expr(key);
-                self.line(&format!(
-                    "for (rec_t {row} = {arr}_buckets[(unsigned long)({k}) & 0xFFFF]; {row}; {row} = BUCKET_NEXT({row})) {{"
-                ));
+                self.expr_line(
+                    format_args!("for (rec_t {row} = {arr}_buckets[(unsigned long)("),
+                    key,
+                    &format!(") & 0xFFFF]; {row}; {row} = BUCKET_NEXT({row})) {{"),
+                );
                 self.indent += 1;
                 self.emit_block(body);
-                self.indent -= 1;
-                self.line("}");
+                self.close();
             }
             Stmt::AggMapNew { sym, naggs, store, hoisted, .. } => match store {
                 AggStoreKind::SingleValue => {
-                    self.line("/* singleton hash map lowered to scalars (Sec. 3.2.2) */");
+                    self.line(format_args!(
+                        "/* singleton hash map lowered to scalars (Sec. 3.2.2) */"
+                    ));
                     for i in 0..*naggs.max(&1) {
-                        self.line(&format!("double {sym}_agg{i} = 0;"));
-                        self.line(&format!("(void){sym}_agg{i};"));
+                        self.line(format_args!("double {sym}_agg{i} = 0;"));
+                        self.line(format_args!("(void){sym}_agg{i};"));
                     }
                 }
                 AggStoreKind::DirectArray => {
-                    self.line(&format!(
+                    self.line(format_args!(
                         "/* dense pre-initialized aggregation array (Sec. 3.5.2){} */",
                         if *hoisted { ", hoisted" } else { "" }
                     ));
-                    self.line(&format!(
+                    self.line(format_args!(
                         "double (*{sym}_aggs)[{n}] = calloc(1 << 16, sizeof(*{sym}_aggs));",
                         n = naggs.max(&1)
                     ));
-                    self.line(&format!("(void){sym}_aggs;"));
+                    self.line(format_args!("(void){sym}_aggs;"));
                 }
                 AggStoreKind::LoweredArray => {
-                    self.line("/* aggregation map lowered to native arrays (Fig. 11) */");
-                    self.line(&format!(
+                    self.line(format_args!(
+                        "/* aggregation map lowered to native arrays (Fig. 11) */"
+                    ));
+                    self.line(format_args!(
                         "double (*{sym}_aggs)[{n}] = calloc(1 << 16, sizeof(*{sym}_aggs));",
                         n = naggs.max(&1)
                     ));
-                    self.line(&format!("int* {sym}_buckets = calloc(1 << 16, sizeof(int));"));
-                    self.line(&format!("(void){sym}_aggs; (void){sym}_buckets;"));
+                    self.line(format_args!("int* {sym}_buckets = calloc(1 << 16, sizeof(int));"));
+                    self.line(format_args!("(void){sym}_aggs; (void){sym}_buckets;"));
                 }
                 AggStoreKind::GenericHashMap => {
-                    self.line("/* generic GLib hash map (unoptimized configuration) */");
-                    self.line(&format!("GHashTable* {sym} = g_hash_table_new(); (void){sym};"));
+                    self.line(format_args!(
+                        "/* generic GLib hash map (unoptimized configuration) */"
+                    ));
+                    self.line(format_args!("GHashTable* {sym} = g_hash_table_new(); (void){sym};"));
                 }
             },
             Stmt::AggUpdate { map, key, updates } => {
@@ -443,79 +454,140 @@ impl CGen<'_> {
                 match store {
                     Some(AggStoreKind::SingleValue) => {
                         for (i, (op, e)) in updates.iter().enumerate() {
-                            let v = self.expr(e);
-                            self.line(&agg_update_line(&format!("{map}_agg{i}"), *op, &v));
+                            self.agg_update(format_args!("{map}_agg{i}"), *op, e);
                         }
                     }
                     Some(AggStoreKind::DirectArray) | Some(AggStoreKind::LoweredArray) => {
-                        let k = self.expr(key);
-                        self.line(&format!(
-                            "double* slots = {map}_aggs[(unsigned long)({k}) & 0xFFFF];"
-                        ));
+                        self.expr_line(
+                            format_args!("double* slots = {map}_aggs[(unsigned long)("),
+                            key,
+                            ") & 0xFFFF];",
+                        );
                         for (i, (op, e)) in updates.iter().enumerate() {
-                            let v = self.expr(e);
-                            self.line(&agg_update_line(&format!("slots[{i}]"), *op, &v));
+                            self.agg_update(format_args!("slots[{i}]"), *op, e);
                         }
                     }
                     _ => {
-                        let k = self.expr(key);
-                        self.line(&format!("double* slots = AGG_SLOTS({map}, {k});"));
-                        self.line("(void)slots;");
+                        self.expr_line(
+                            format_args!("double* slots = AGG_SLOTS({map}, "),
+                            key,
+                            ");",
+                        );
+                        self.line(format_args!("(void)slots;"));
                         for (i, (op, e)) in updates.iter().enumerate() {
-                            let v = self.expr(e);
-                            self.line(&format!("/* slot {i}: */ (void)({v}); /* {op:?} */"));
+                            self.expr_line(
+                                format_args!("/* slot {i}: */ (void)("),
+                                e,
+                                &format!("); /* {op:?} */"),
+                            );
                         }
                     }
                 }
             }
             Stmt::AggForeach { map, key_sym, aggs_sym, body } => {
-                self.line(&format!("AGG_FOREACH({map}, {key_sym}, {aggs_sym}) {{"));
+                self.line(format_args!("AGG_FOREACH({map}, {key_sym}, {aggs_sym}) {{"));
                 self.indent += 1;
                 self.emit_block(body);
-                self.indent -= 1;
-                self.line("}");
+                self.close();
             }
             Stmt::Emit { values } => {
-                let vals: Vec<String> = values.iter().map(|v| self.expr(v)).collect();
-                self.line(&format!("EMIT({});", vals.join(", ")));
+                self.pad();
+                self.out.push_str("EMIT(");
+                self.list(values);
+                self.out.push_str(");\n");
             }
             Stmt::SortEmitted { keys } => {
-                let desc: Vec<String> = keys
-                    .iter()
-                    .map(|(c, asc)| format!("{}{}", c, if *asc { "" } else { " desc" }))
-                    .collect();
-                self.line(&format!("SORT_EMITTED({});", desc.join(", ")));
+                self.pad();
+                self.out.push_str("SORT_EMITTED(");
+                for (i, (c, asc)) in keys.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    let _ = write!(self.out, "{sep}{c}{}", if *asc { "" } else { " desc" });
+                }
+                self.out.push_str(");\n");
             }
-            Stmt::LimitEmitted { n } => self.line(&format!("LIMIT_EMITTED({n});")),
+            Stmt::LimitEmitted { n } => self.line(format_args!("LIMIT_EMITTED({n});")),
         }
     }
 
-    fn expr(&mut self, e: &Expr) -> String {
+    /// One aggregate slot update; `value` is rendered where it is used.
+    fn agg_update(&mut self, slot: fmt::Arguments<'_>, op: AggOp, value: &Expr) {
+        match op {
+            AggOp::SumF | AggOp::SumI => self.expr_line(format_args!("{slot} += "), value, ";"),
+            AggOp::Count => self.expr_line(format_args!("{slot} += 1; (void)("), value, ");"),
+            AggOp::Min | AggOp::Max => {
+                let cmp = if op == AggOp::Min { '<' } else { '>' };
+                self.pad();
+                self.out.push_str("if ((");
+                self.expr(value);
+                let _ = write!(self.out, ") {cmp} {slot}) {slot} = ");
+                self.expr(value);
+                self.out.push_str(";\n");
+            }
+        }
+    }
+
+    /// Writes `args` separated by `", "`.
+    fn list(&mut self, args: &[Expr]) {
+        for (i, a) in args.iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            self.expr(a);
+        }
+    }
+
+    /// Writes `{name}({args})`.
+    fn call(&mut self, name: &str, args: &[Expr]) {
+        self.out.push_str(name);
+        self.out.push('(');
+        self.list(args);
+        self.out.push(')');
+    }
+
+    fn expr(&mut self, e: &Expr) {
         match e {
-            Expr::Int(v) => format!("{v}L"),
+            Expr::Int(v) => {
+                let _ = write!(self.out, "{v}L");
+            }
             Expr::Float(v) => {
-                if v.fract() == 0.0 {
-                    format!("{v:.1}")
+                let _ = if v.fract() == 0.0 {
+                    write!(self.out, "{v:.1}")
                 } else {
-                    format!("{v}")
-                }
+                    write!(self.out, "{v}")
+                };
             }
-            Expr::Bool(b) => if *b { "1" } else { "0" }.to_string(),
-            Expr::Str(s) => format!("{s:?}"),
-            Expr::Date(d) => format!("{d} /* days */"),
-            Expr::Sym(s) => s.to_string(),
+            Expr::Bool(b) => self.out.push(if *b { '1' } else { '0' }),
+            Expr::Str(s) => {
+                let _ = write!(self.out, "{s:?}");
+            }
+            Expr::Date(d) => {
+                let _ = write!(self.out, "{d} /* days */");
+            }
+            Expr::Sym(s) => {
+                let _ = write!(self.out, "{s}");
+            }
             Expr::Field(row, f) => {
-                if self.row_tables.contains_key(row) {
-                    format!("{row}->{f}")
+                let _ = if self.row_tables.contains(row) {
+                    write!(self.out, "{row}->{f}")
                 } else {
-                    format!("REC_F({row}, {f})")
-                }
+                    write!(self.out, "REC_F({row}, {f})")
+                };
             }
-            Expr::ColumnLoad { table, column, idx } => format!("{table}_{column}[{idx}_i]"),
+            Expr::ColumnLoad { table, column, idx } => {
+                let _ = write!(self.out, "{table}_{column}[{idx}_i]");
+            }
             Expr::Bin(op, a, b) => {
-                format!("({} {} {})", self.expr(a), op.c_token(), self.expr(b))
+                self.out.push('(');
+                self.expr(a);
+                let _ = write!(self.out, " {} ", op.c_token());
+                self.expr(b);
+                self.out.push(')');
             }
-            Expr::Not(a) => format!("(!{})", self.expr(a)),
+            Expr::Not(a) => {
+                self.out.push_str("(!");
+                self.expr(a);
+                self.out.push(')');
+            }
             Expr::StrOp(op, a, lit) => {
                 let f = match op {
                     StrFn::Eq => "STR_EQ",
@@ -525,7 +597,9 @@ impl CGen<'_> {
                     StrFn::Contains => "STR_CONTAINS",
                     StrFn::WordSeq => "STR_WORDSEQ",
                 };
-                format!("{f}({}, {lit:?})", self.expr_as_str(a))
+                let _ = write!(self.out, "{f}(");
+                self.expr_as_str(a);
+                let _ = write!(self.out, ", {lit:?})");
             }
             Expr::DictOp { op, code, lit } => {
                 let f = match op {
@@ -535,75 +609,71 @@ impl CGen<'_> {
                     StrFn::EndsWith | StrFn::Contains => "DICT_FLAG",
                     StrFn::WordSeq => "DICT_TOKENSEQ",
                 };
-                format!("{f}({}, {lit:?})", self.expr(code))
+                let _ = write!(self.out, "{f}(");
+                self.expr(code);
+                let _ = write!(self.out, ", {lit:?})");
             }
-            Expr::YearOf(a) => format!("YEAR_OF({})", self.expr(a)),
-            Expr::Call(name, args) => {
-                let rendered: Vec<String> = args.iter().map(|a| self.expr(a)).collect();
-                match name.as_str() {
-                    "ternary" => {
-                        format!("TERNARY({}, {}, {})", rendered[0], rendered[1], rendered[2])
+            Expr::YearOf(a) => self.call("YEAR_OF", std::slice::from_ref(a)),
+            Expr::Call(name, args) => match name.as_str() {
+                "ternary" => self.call("TERNARY", &args[..3]),
+                "pack" => {
+                    // Left-nested pairs: PACK2(PACK2(a, b), c).
+                    for _ in 1..args.len() {
+                        self.out.push_str("PACK2(");
                     }
-                    "pack" => {
-                        let mut it = rendered.into_iter();
-                        let first = it.next().unwrap_or_default();
-                        it.fold(first, |acc, x| format!("PACK2({acc}, {x})"))
+                    for (i, a) in args.iter().enumerate() {
+                        if i > 0 {
+                            self.out.push_str(", ");
+                        }
+                        self.expr(a);
+                        if i > 0 {
+                            self.out.push(')');
+                        }
                     }
-                    "record" => format!("RECORD({})", rendered.join(", ")),
-                    "pool_record" => format!("POOL_RECORD({})", rendered.join(", ")),
-                    "substr" => {
-                        format!("SUBSTR({}, {}, {})", rendered[0], rendered[1], rendered[2])
-                    }
-                    "is_null" => format!("IS_NULL({})", rendered[0]),
-                    "null" => "NULL_VALUE".to_string(),
-                    other => format!("{}({})", sanitize(other), rendered.join(", ")),
                 }
-            }
+                "record" => self.call("RECORD", args),
+                "pool_record" => self.call("POOL_RECORD", args),
+                "substr" => self.call("SUBSTR", &args[..3]),
+                "is_null" => self.call("IS_NULL", &args[..1]),
+                "null" => self.out.push_str("NULL_VALUE"),
+                other => self.call(&sanitize(other), args),
+            },
         }
     }
 
     /// String-typed rendering of an operand of a raw string op: record
     /// fields render through the string accessor.
-    fn expr_as_str(&mut self, e: &Expr) -> String {
+    fn expr_as_str(&mut self, e: &Expr) {
         match e {
-            Expr::Field(row, f) if !self.row_tables.contains_key(row) => {
-                format!("REC_S({row}, {f})")
+            Expr::Field(row, f) if !self.row_tables.contains(row) => {
+                let _ = write!(self.out, "REC_S({row}, {f})");
             }
             other => self.expr(other),
         }
     }
 }
 
-fn agg_update_line(slot: &str, op: AggOp, value: &str) -> String {
-    match op {
-        AggOp::SumF | AggOp::SumI => format!("{slot} += {value};"),
-        AggOp::Count => format!("{slot} += 1; (void)({value});"),
-        AggOp::Min => format!("if (({value}) < {slot}) {slot} = {value};"),
-        AggOp::Max => format!("if (({value}) > {slot}) {slot} = {value};"),
-    }
-}
-
-fn collect_exprs(s: &Stmt, f: &mut impl FnMut(&Expr)) {
-    let visit = |e: &Expr, f: &mut dyn FnMut(&Expr)| e.visit(&mut |x| f(x));
+fn collect_exprs<'a>(s: &'a Stmt, f: &mut impl FnMut(&'a Expr)) {
+    let mut visit = |e: &'a Expr| e.visit(&mut *f);
     match s {
         Stmt::Let { value, .. } | Stmt::Var { init: value, .. } | Stmt::Assign { value, .. } => {
-            visit(value, f)
+            visit(value)
         }
-        Stmt::If { cond, .. } => visit(cond, f),
+        Stmt::If { cond, .. } => visit(cond),
         Stmt::MultiMapInsert { key, .. }
         | Stmt::MultiMapLookup { key, .. }
         | Stmt::PartitionLookupLoop { key, .. }
         | Stmt::BucketArrayInsert { key, .. }
-        | Stmt::BucketArrayLookup { key, .. } => visit(key, f),
+        | Stmt::BucketArrayLookup { key, .. } => visit(key),
         Stmt::AggUpdate { key, updates, .. } => {
-            visit(key, f);
+            visit(key);
             for (_, e) in updates {
-                visit(e, f);
+                visit(e);
             }
         }
         Stmt::Emit { values } => {
             for v in values {
-                visit(v, f);
+                visit(v);
             }
         }
         _ => {}

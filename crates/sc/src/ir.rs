@@ -240,7 +240,7 @@ impl Expr {
     }
 
     /// Visits every sub-expression (pre-order).
-    pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         f(self);
         match self {
             Expr::Bin(_, a, b) => {
@@ -561,8 +561,8 @@ impl Program {
     }
 
     /// Pre-order visit of every statement (including nested bodies).
-    pub fn walk(&self, f: &mut impl FnMut(&Stmt)) {
-        fn rec(stmts: &[Stmt], f: &mut impl FnMut(&Stmt)) {
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
+        fn rec<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
             for s in stmts {
                 f(s);
                 for b in s.bodies() {

@@ -22,7 +22,7 @@ impl Transformer for ColumnStore {
         // ---- analysis: referenced attributes per base table (the same
         // analysis powers unused-field removal).
         let used = legobase_engine::plan::used_base_columns(ctx.query, &|t: &str| {
-            ctx.catalog.table(t).schema.clone()
+            ctx.catalog.table(t).schema.len()
         });
         for (table, cols) in used {
             ctx.spec.used_columns.entry(table).or_default().extend(cols.iter().copied());

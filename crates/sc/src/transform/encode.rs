@@ -40,61 +40,56 @@ impl Transformer for Encode {
         // * `heavy` — everything outside selection predicates (projections,
         //   join keys and residuals, aggregates, group/sort keys): the
         //   decoded values are read repeatedly downstream.
-        let mut lit: HashSet<(String, usize)> = HashSet::new();
-        let mut pred: HashSet<(String, usize)> = HashSet::new();
-        let mut heavy: HashSet<(String, usize)> = HashSet::new();
-        let mut touched: Vec<(String, usize)> = Vec::new();
-        let mut scans: HashMap<String, usize> = HashMap::new();
-        walk_plans(ctx, |plan, resolve| match plan {
+        let mut lit: HashSet<(&str, usize)> = HashSet::new();
+        let mut pred: HashSet<(&str, usize)> = HashSet::new();
+        let mut heavy: HashSet<(&str, usize)> = HashSet::new();
+        let mut touched: Vec<(&str, usize)> = Vec::new();
+        let mut scans: HashMap<&str, usize> = HashMap::new();
+        walk_plans(ctx, |plan, inputs| match plan {
             Plan::Scan { table } if !table.starts_with('#') => {
-                *scans.entry(table.clone()).or_insert(0) += 1;
+                *scans.entry(table).or_insert(0) += 1;
             }
-            Plan::Select { input, predicate } => {
-                let p = resolve(input);
-                collect_col_refs(predicate, &p, &mut touched);
-                classify_pred(predicate, &p, &mut lit, &mut pred);
+            Plan::Select { predicate, .. } => {
+                collect_col_refs(predicate, &inputs[0], &mut touched);
+                classify_pred(predicate, &inputs[0], &mut lit, &mut pred);
             }
-            Plan::Project { input, exprs } => {
-                let p = resolve(input);
+            Plan::Project { exprs, .. } => {
                 for (e, _) in exprs {
-                    collect_col_refs(e, &p, &mut touched);
-                    collect_into(e, &p, &mut heavy);
+                    collect_col_refs(e, &inputs[0], &mut touched);
+                    collect_into(e, &inputs[0], &mut heavy);
                 }
             }
-            Plan::HashJoin { left, right, left_keys, right_keys, residual, .. } => {
-                let l = resolve(left);
-                let r = resolve(right);
+            Plan::HashJoin { left_keys, right_keys, residual, .. } => {
+                let (l, r) = (&inputs[0], &inputs[1]);
                 for &k in left_keys {
-                    push_prov(&l, k, &mut touched);
-                    insert_prov(&l, k, &mut heavy);
+                    push_prov(l, k, &mut touched);
+                    insert_prov(l, k, &mut heavy);
                 }
                 for &k in right_keys {
-                    push_prov(&r, k, &mut touched);
-                    insert_prov(&r, k, &mut heavy);
+                    push_prov(r, k, &mut touched);
+                    insert_prov(r, k, &mut heavy);
                 }
                 if let Some(res) = residual {
-                    let mut p = l;
-                    p.extend(r);
+                    let p = [&l[..], &r[..]].concat();
                     collect_col_refs(res, &p, &mut touched);
                     collect_into(res, &p, &mut heavy);
                 }
             }
-            Plan::Agg { input, group_by, aggs } => {
-                let p = resolve(input);
+            Plan::Agg { group_by, aggs, .. } => {
+                let p = &inputs[0];
                 for a in aggs {
-                    collect_col_refs(&a.expr, &p, &mut touched);
-                    collect_into(&a.expr, &p, &mut heavy);
+                    collect_col_refs(&a.expr, p, &mut touched);
+                    collect_into(&a.expr, p, &mut heavy);
                 }
                 for &g in group_by {
-                    push_prov(&p, g, &mut touched);
-                    insert_prov(&p, g, &mut heavy);
+                    push_prov(p, g, &mut touched);
+                    insert_prov(p, g, &mut heavy);
                 }
             }
-            Plan::Sort { input, keys } => {
-                let p = resolve(input);
+            Plan::Sort { keys, .. } => {
                 for (k, _) in keys {
-                    push_prov(&p, *k, &mut touched);
-                    insert_prov(&p, *k, &mut heavy);
+                    push_prov(&inputs[0], *k, &mut touched);
+                    insert_prov(&inputs[0], *k, &mut heavy);
                 }
             }
             _ => {}
@@ -105,16 +100,20 @@ impl Transformer for Encode {
         // earlier in the pipeline); everything else stays plain. Each cleared
         // column also gets the cheapest scan strategy that covers every one
         // of its uses (add_encoded_column_with downgrades toward safety when
-        // a column shows up in several classes).
-        for (t, c) in touched {
-            let ty = ctx.catalog.table(&t).schema.ty(c);
+        // a column shows up in several classes). The classes are final once
+        // the walk is done, so a column is decided at its first use.
+        let mut decided: HashSet<(&str, usize)> = HashSet::new();
+        for key @ (t, c) in touched {
+            if !decided.insert(key) {
+                continue;
+            }
+            let ty = ctx.catalog.table(t).schema.ty(c);
             let encodable = matches!(ty, Type::Int | Type::Date)
-                || (ty == Type::Str && ctx.spec.dict_kind(&t, c).is_some());
+                || (ty == Type::Str && ctx.spec.dict_kind(t, c).is_some());
             if !encodable {
                 continue;
             }
-            let key = (t.clone(), c);
-            let multi_scan = scans.get(&t).copied().unwrap_or(0) > 1;
+            let multi_scan = scans.get(t).copied().unwrap_or(0) > 1;
             let strategy = if heavy.contains(&key) {
                 UnpackStrategy::ScratchUnpack
             } else if pred.contains(&key) {
@@ -137,19 +136,16 @@ impl Transformer for Encode {
             } else {
                 UnpackStrategy::WordCompare
             };
-            ctx.spec.add_encoded_column_with(&t, c, strategy);
+            ctx.spec.add_encoded_column_with(t, c, strategy);
         }
 
         let n = ctx.spec.encoded_columns.len();
         if n > 0 {
             // The banner lands in the generated C, like Parallelize's; the
-            // per-strategy split documents the PR 10 scan pricing.
+            // per-strategy split documents the scan pricing (DESIGN.md
+            // §3e). Every cleared column has exactly one recorded strategy.
             let count = |s: UnpackStrategy| {
-                ctx.spec
-                    .encoded_columns
-                    .iter()
-                    .filter(|p| ctx.spec.unpack_strategy(&p.table, p.column) == Some(s))
-                    .count()
+                ctx.spec.unpack_strategies.values().filter(|&&u| u == s).count()
             };
             prog.stmts.insert(
                 0,
@@ -168,11 +164,11 @@ impl Transformer for Encode {
 /// Classifies the column references of a selection predicate: literal
 /// comparisons (and pre-encodable membership/equality tests) go to `lit`,
 /// everything else that reads a column goes to `pred`.
-fn classify_pred(
+fn classify_pred<'q>(
     e: &PExpr,
-    prov: &Prov,
-    lit: &mut HashSet<(String, usize)>,
-    pred: &mut HashSet<(String, usize)>,
+    prov: &Prov<'q>,
+    lit: &mut HashSet<(&'q str, usize)>,
+    pred: &mut HashSet<(&'q str, usize)>,
 ) {
     match e {
         PExpr::And(a, b) | PExpr::Or(a, b) => {
@@ -196,25 +192,25 @@ fn classify_pred(
     }
 }
 
-fn insert_prov(prov: &Prov, idx: usize, out: &mut HashSet<(String, usize)>) {
-    if let Some(Some((t, c))) = prov.get(idx) {
-        out.insert((t.clone(), *c));
+fn insert_prov<'q>(prov: &Prov<'q>, idx: usize, out: &mut HashSet<(&'q str, usize)>) {
+    if let Some(Some(base)) = prov.get(idx) {
+        out.insert(*base);
     }
 }
 
-fn collect_into(e: &PExpr, prov: &Prov, out: &mut HashSet<(String, usize)>) {
+fn collect_into<'q>(e: &PExpr, prov: &Prov<'q>, out: &mut HashSet<(&'q str, usize)>) {
     let mut v = Vec::new();
     collect_col_refs(e, prov, &mut v);
     out.extend(v);
 }
 
-fn push_prov(prov: &Prov, idx: usize, out: &mut Vec<(String, usize)>) {
-    if let Some(Some((t, c))) = prov.get(idx) {
-        out.push((t.clone(), *c));
+fn push_prov<'q>(prov: &Prov<'q>, idx: usize, out: &mut Vec<(&'q str, usize)>) {
+    if let Some(Some(base)) = prov.get(idx) {
+        out.push(*base);
     }
 }
 
-fn collect_col_refs(e: &PExpr, prov: &Prov, out: &mut Vec<(String, usize)>) {
+fn collect_col_refs<'q>(e: &PExpr, prov: &Prov<'q>, out: &mut Vec<(&'q str, usize)>) {
     match e {
         PExpr::Col(i) => push_prov(prov, *i, out),
         PExpr::Lit(_) => {}

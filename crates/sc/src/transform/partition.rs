@@ -28,7 +28,7 @@ impl Transformer for PartitioningAndDateIndices {
         // ---- analysis (plan level): which partitions to build at load time.
         let mut decisions: Vec<(String, usize, bool)> = Vec::new(); // (table, col, is_pk)
         let mut date_cols: Vec<(String, usize)> = Vec::new();
-        walk_plans(ctx, |plan, _resolve| {
+        walk_plans(ctx, |plan, _| {
             if let Plan::HashJoin { right, right_keys, .. } = plan {
                 if right_keys.len() == 1 {
                     if let Some(table) = base_table(right) {

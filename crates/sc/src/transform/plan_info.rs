@@ -5,6 +5,7 @@
 use crate::rules::TransformCtx;
 use legobase_engine::expr::Expr as PExpr;
 use legobase_engine::plan::{JoinKind, Plan};
+use legobase_storage::Catalog;
 use std::collections::HashMap;
 
 // --------------------------------------------------------------------------
@@ -13,85 +14,68 @@ use std::collections::HashMap;
 // the operator objects still present at high IR levels.
 // --------------------------------------------------------------------------
 
-pub(crate) type Prov = Vec<Option<(String, usize)>>;
+/// Per output column, the base (table, column) it carries unchanged; the
+/// table names borrow the plan's own scans.
+pub(crate) type Prov<'q> = Vec<Option<(&'q str, usize)>>;
 
-pub(crate) fn provenance(
-    plan: &Plan,
-    ctx: &TransformCtx<'_>,
-    stage_prov: &HashMap<String, Prov>,
-) -> Prov {
-    match plan {
-        Plan::Scan { table } => {
-            if let Some(p) = stage_prov.get(table) {
-                p.clone()
-            } else {
-                let schema = &ctx.catalog.table(table).schema;
-                (0..schema.len()).map(|i| Some((table.clone(), i))).collect()
-            }
-        }
-        Plan::Select { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::Distinct { input } => provenance(input, ctx, stage_prov),
-        Plan::Project { input, exprs } => {
-            let inner = provenance(input, ctx, stage_prov);
-            exprs
-                .iter()
-                .map(|(e, _)| match e {
-                    PExpr::Col(i) => inner[*i].clone(),
-                    _ => None,
-                })
-                .collect()
-        }
-        Plan::HashJoin { left, right, kind, .. } => {
-            let mut l = provenance(left, ctx, stage_prov);
-            match kind {
-                JoinKind::Inner | JoinKind::LeftOuter => {
-                    l.extend(provenance(right, ctx, stage_prov));
-                }
-                JoinKind::Semi | JoinKind::Anti => {}
-            }
-            l
-        }
-        Plan::Agg { input, group_by, aggs } => {
-            let inner = provenance(input, ctx, stage_prov);
-            let mut out: Prov = group_by.iter().map(|&g| inner[g].clone()).collect();
-            out.extend(std::iter::repeat_n(None, aggs.len()));
-            out
-        }
+/// Runs `visit(plan, inputs)` over every operator of the query, stages
+/// first, each plan in pre-order. `inputs` holds the provenance of the
+/// operator's inputs: none for a scan, the left then the right side for a
+/// join, the one input otherwise. One bottom-up walk derives every
+/// operator's provenance once, from its inputs'.
+pub(crate) fn walk_plans<'q>(ctx: &TransformCtx<'q>, mut visit: impl FnMut(&'q Plan, &[Prov<'q>])) {
+    let (query, catalog) = (ctx.query, ctx.catalog);
+    let mut stages: HashMap<String, Prov<'q>> = HashMap::new();
+    let mut visits: Vec<(&'q Plan, Vec<Prov<'q>>)> = Vec::new();
+    for (name, plan) in &query.stages {
+        let prov = provenance(plan, catalog, &stages, &mut visits);
+        stages.insert(format!("#{name}"), prov);
+    }
+    provenance(&query.root, catalog, &stages, &mut visits);
+    for (plan, inputs) in &visits {
+        visit(plan, inputs);
     }
 }
 
-/// Runs `visit(plan, prov_of_its_input(s))` over every operator of the query.
-pub(crate) fn walk_plans(
-    ctx: &TransformCtx<'_>,
-    mut visit: impl FnMut(&Plan, &dyn Fn(&Plan) -> Prov),
-) {
-    let mut stage_prov: HashMap<String, Prov> = HashMap::new();
-    let mut all: Vec<&Plan> = Vec::new();
-    for (name, plan) in &ctx.query.stages {
-        // Record the stage output provenance before the later plans run.
-        all.push(plan);
-        let resolver_map = stage_prov.clone();
-        let p = provenance(plan, ctx, &resolver_map);
-        stage_prov.insert(format!("#{name}"), p);
-    }
-    all.push(&ctx.query.root);
-    let resolver_map = stage_prov;
-    for plan in all {
-        let resolve = |p: &Plan| provenance(p, ctx, &resolver_map);
-        fn rec(
-            plan: &Plan,
-            visit: &mut impl FnMut(&Plan, &dyn Fn(&Plan) -> Prov),
-            resolve: &dyn Fn(&Plan) -> Prov,
-        ) {
-            visit(plan, resolve);
-            for c in plan.children() {
-                rec(c, visit, resolve);
-            }
+/// The provenance of `plan`'s output. Appends `plan` and its subtree to
+/// `visits` in pre-order, each with its inputs' provenance.
+fn provenance<'q>(
+    plan: &'q Plan,
+    catalog: &Catalog,
+    stages: &HashMap<String, Prov<'q>>,
+    visits: &mut Vec<(&'q Plan, Vec<Prov<'q>>)>,
+) -> Prov<'q> {
+    let slot = visits.len();
+    visits.push((plan, Vec::new()));
+    let inputs: Vec<Prov<'q>> =
+        plan.children().into_iter().map(|c| provenance(c, catalog, stages, visits)).collect();
+    let out = match plan {
+        Plan::Scan { table } => match stages.get(table) {
+            Some(p) => p.clone(),
+            None => (0..catalog.table(table).schema.len()).map(|i| Some((&**table, i))).collect(),
+        },
+        Plan::Select { .. } | Plan::Sort { .. } | Plan::Limit { .. } | Plan::Distinct { .. } => {
+            inputs[0].clone()
         }
-        rec(plan, &mut visit, &resolve);
-    }
+        Plan::Project { exprs, .. } => exprs
+            .iter()
+            .map(|(e, _)| match e {
+                PExpr::Col(i) => inputs[0][*i],
+                _ => None,
+            })
+            .collect(),
+        Plan::HashJoin { kind, .. } => match kind {
+            JoinKind::Inner | JoinKind::LeftOuter => [&inputs[0][..], &inputs[1][..]].concat(),
+            JoinKind::Semi | JoinKind::Anti => inputs[0].clone(),
+        },
+        Plan::Agg { group_by, aggs, .. } => {
+            let mut out: Prov = group_by.iter().map(|&g| inputs[0][g]).collect();
+            out.extend(std::iter::repeat_n(None, aggs.len()));
+            out
+        }
+    };
+    visits[slot].1 = inputs;
+    out
 }
 
 /// The base table a plan node scans, seen through filters (the executor's

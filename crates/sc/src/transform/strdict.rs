@@ -4,7 +4,7 @@ use super::plan_info::*;
 use crate::ir::*;
 use crate::rules::{rewrite_exprs, TransformCtx, Transformer};
 use legobase_engine::expr::{CmpOp, Expr as PExpr};
-use legobase_engine::plan::{JoinKind, Plan};
+use legobase_engine::plan::Plan;
 use legobase_storage::{DictKind, Type};
 
 // --------------------------------------------------------------------------
@@ -24,38 +24,32 @@ impl Transformer for StringDictionary {
     fn run(&self, prog: Program, ctx: &mut TransformCtx<'_>) -> Program {
         // ---- analysis: find string operations over base attributes and
         // string-typed group keys; decide dictionary kinds.
-        let mut dicts: Vec<(String, usize, DictKind)> = Vec::new();
-        walk_plans(ctx, |plan, resolve| {
-            let mut scan_expr = |e: &PExpr, prov: &Prov| collect_string_ops(e, prov, &mut dicts);
+        let mut dicts: Vec<(&str, usize, DictKind)> = Vec::new();
+        let catalog = ctx.catalog;
+        walk_plans(ctx, |plan, inputs| {
+            let out = &mut dicts;
             match plan {
-                Plan::Select { input, predicate } => scan_expr(predicate, &resolve(input)),
-                Plan::Project { input, exprs } => {
-                    let p = resolve(input);
+                Plan::Select { predicate, .. } => collect_string_ops(predicate, &inputs[0], out),
+                Plan::Project { exprs, .. } => {
                     for (e, _) in exprs {
-                        scan_expr(e, &p);
+                        collect_string_ops(e, &inputs[0], out);
                     }
                 }
-                Plan::HashJoin { left, right, residual: Some(r), kind, .. } => {
-                    let mut p = resolve(left);
-                    match kind {
-                        JoinKind::Inner | JoinKind::LeftOuter => p.extend(resolve(right)),
-                        // Residuals of semi/anti joins see the concatenated
-                        // schema too.
-                        JoinKind::Semi | JoinKind::Anti => p.extend(resolve(right)),
-                    }
-                    scan_expr(r, &p);
+                // Residuals of every join kind see the concatenated schema.
+                Plan::HashJoin { residual: Some(r), .. } => {
+                    collect_string_ops(r, &[&inputs[0][..], &inputs[1][..]].concat(), out)
                 }
-                Plan::Agg { input, group_by, aggs } => {
-                    let p = resolve(input);
+                Plan::Agg { group_by, aggs, .. } => {
+                    let p = &inputs[0];
                     for a in aggs {
-                        scan_expr(&a.expr, &p);
+                        collect_string_ops(&a.expr, p, out);
                     }
                     // String-typed group keys become dictionary codes so the
                     // executor can pack them (Q1's return flag / line status).
                     for &g in group_by {
-                        if let Some((t, c)) = &p[g] {
-                            if ctx.catalog.table(t).schema.ty(*c) == Type::Str {
-                                dicts.push((t.clone(), *c, DictKind::Normal));
+                        if let Some((t, c)) = p[g] {
+                            if catalog.table(t).schema.ty(c) == Type::Str {
+                                out.push((t, c, DictKind::Normal));
                             }
                         }
                     }
@@ -64,7 +58,7 @@ impl Transformer for StringDictionary {
             }
         });
         for (t, c, k) in dicts {
-            ctx.spec.add_dictionary(&t, c, k);
+            ctx.spec.add_dictionary(t, c, k);
         }
 
         // ---- IR rewriting: string ops become integer ops (Table II).
@@ -77,11 +71,11 @@ impl Transformer for StringDictionary {
     }
 }
 
-fn collect_string_ops(e: &PExpr, prov: &Prov, out: &mut Vec<(String, usize, DictKind)>) {
+fn collect_string_ops<'q>(e: &PExpr, prov: &Prov<'q>, out: &mut Vec<(&'q str, usize, DictKind)>) {
     let mut record = |inner: &PExpr, kind: DictKind| {
         if let PExpr::Col(i) = inner {
             if let Some(Some((t, c))) = prov.get(*i) {
-                out.push((t.clone(), *c, kind));
+                out.push((t, *c, kind));
             }
         }
     };

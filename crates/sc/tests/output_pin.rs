@@ -4,54 +4,13 @@
 //! text or the specialization report fails here; a PR that changes SC output
 //! on purpose regenerates the digests from the failure message.
 
+mod pin;
+
 use legobase_engine::{Config, QueryPlan, Settings, Specialization};
 use legobase_sc::Pipeline;
 use legobase_storage::Catalog;
-use std::collections::BTreeMap;
+use pin::{write_spec, Fnv};
 use std::fmt::Write;
-
-/// FNV-1a-64 over everything written into it.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Write for Fnv {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(())
-    }
-}
-
-/// The report with its hash maps in key order. Destructured field by field,
-/// so a new field does not compile until the pin covers it.
-fn write_spec(h: &mut Fnv, spec: &Specialization) {
-    let Specialization {
-        fk_partitions,
-        pk_indexes,
-        date_indexes,
-        dictionaries,
-        used_columns,
-        parallelism,
-        parallel_joins,
-        parallel_sorts,
-        encoded_columns,
-        unpack_strategies,
-    } = spec;
-    let used: BTreeMap<_, _> = used_columns.iter().collect();
-    let strategies: BTreeMap<_, _> = unpack_strategies.iter().collect();
-    write!(
-        h,
-        "{fk_partitions:?}{pk_indexes:?}{date_indexes:?}{dictionaries:?}{used:?}\
-         {parallelism}/{parallel_joins}/{parallel_sorts}{encoded_columns:?}{strategies:?}"
-    )
-    .unwrap();
-}
 
 /// One query's digest over `Config::ALL` × degree {1, 4} × encoding on/off:
 /// every phase's IR (through the pipeline's hook), the final IR, the C text

@@ -31,10 +31,11 @@ use crate::ast::{self, Ast, AstKind, JoinType, Select, SelectItem, TableRef};
 use crate::error::{Result, Span, SqlError};
 use crate::parser;
 use legobase_engine::expr::{AggKind, CmpOp, Expr};
-use legobase_engine::plan::{AggSpec, JoinKind, Plan, QueryPlan, SortOrder};
+use legobase_engine::plan::{projected_schema, AggSpec, JoinKind, Plan, QueryPlan, SortOrder};
 use legobase_queries::builder::{Ctx, Node};
 use legobase_storage::{Catalog, Field, Schema, Type};
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 /// Parses and lowers `sql` against `catalog` into an executable plan named
 /// `"sql"`.
@@ -46,7 +47,12 @@ pub fn plan(sql: &str, catalog: &Catalog) -> Result<QueryPlan> {
 /// texts, so reports read `Q3` rather than `sql`).
 pub fn plan_named(sql: &str, name: &str, catalog: &Catalog) -> Result<QueryPlan> {
     let query = parser::parse_query(sql)?;
-    let mut lw = Lowerer { catalog, ctx: Ctx::new(catalog), ctes: Vec::new(), next_stage: 0 };
+    // Generated stage names avoid every CTE of the query, including the
+    // ones not lowered yet: a later `WITH __s1 AS …` must not collide with
+    // the stage an earlier subquery was given.
+    let reserved = query.ctes.iter().map(|c| c.name.name.as_str()).collect();
+    let mut lw =
+        Lowerer { catalog, ctx: Ctx::new(catalog), ctes: Vec::new(), reserved, next_stage: 0 };
     for cte in &query.ctes {
         if lw.ctes.contains(&cte.name.name) {
             return Err(SqlError::new(
@@ -75,7 +81,8 @@ struct Item {
     alias: Option<String>,
     /// Table (or CTE) name.
     table: String,
-    schema: Schema,
+    /// Shared, so the per-join `ON` scopes copy an item without its fields.
+    schema: Rc<Schema>,
     /// Column offset in the concatenated row (`usize::MAX` when invisible).
     offset: usize,
     /// Columns participate in unqualified/qualified lookups. Semi/anti join
@@ -113,7 +120,7 @@ impl Scope {
             items: vec![Item {
                 alias: None,
                 table: String::new(),
-                schema,
+                schema: Rc::new(schema),
                 offset: 0,
                 visible: true,
             }],
@@ -183,8 +190,11 @@ struct AggCall {
 
 struct Lowerer<'a> {
     catalog: &'a Catalog,
-    ctx: Ctx,
+    ctx: Ctx<'a>,
+    /// CTEs lowered so far (the ones a table reference may resolve to).
     ctes: Vec<String>,
+    /// Every CTE name of the query, which generated stage names avoid.
+    reserved: Vec<&'a str>,
     next_stage: usize,
 }
 
@@ -193,7 +203,7 @@ impl<'a> Lowerer<'a> {
         loop {
             self.next_stage += 1;
             let name = format!("__s{}", self.next_stage);
-            if !self.ctes.contains(&name) {
+            if !self.reserved.contains(&name.as_str()) {
                 return name;
             }
         }
@@ -225,9 +235,9 @@ impl<'a> Lowerer<'a> {
 
         // Pass A: resolve relations and assign concatenation offsets.
         let mut scope = Scope::default();
-        let mut resolved: Vec<(String, Schema)> = Vec::new(); // scan name per item
+        let mut resolved: Vec<String> = Vec::new(); // scan name per item
         let add_item = |scope: &mut Scope,
-                        resolved: &mut Vec<(String, Schema)>,
+                        resolved: &mut Vec<String>,
                         tr: &TableRef,
                         kind: Option<JoinType>|
          -> Result<()> {
@@ -240,11 +250,11 @@ impl<'a> Lowerer<'a> {
             scope.items.push(Item {
                 alias: tr.alias.as_ref().map(|a| a.name.clone()),
                 table: tr.name.name.clone(),
-                schema: schema.clone(),
+                schema,
                 offset,
                 visible,
             });
-            resolved.push((scan_name, schema));
+            resolved.push(scan_name);
             Ok(())
         };
         add_item(&mut scope, &mut resolved, &from.first, None)?;
@@ -290,12 +300,12 @@ impl<'a> Lowerer<'a> {
 
         // Pass C: build the left-deep tree in syntactic order, classifying
         // each ON clause.
-        let mut arity_so_far = resolved[0].1.len();
-        let mut node = self.scan_item(&resolved[0].0, &[]);
+        let mut arity_so_far = scope.items[0].schema.len();
+        let mut node = self.scan_item(&resolved[0], Vec::new());
         for (j, join) in from.joins.iter().enumerate() {
             let idx = j + 1;
-            let (scan_name, right_schema) = &resolved[idx];
-            let right_arity = right_schema.len();
+            let scan_name = &resolved[idx];
+            let right_arity = scope.items[idx].schema.len();
             let mut right_filters: Vec<Expr> = Vec::new();
             let mut keys: Vec<(usize, usize)> = Vec::new();
             let mut residual: Vec<Expr> = Vec::new();
@@ -350,7 +360,7 @@ impl<'a> Lowerer<'a> {
                     }
                 }
             }
-            let right = self.scan_item(scan_name, &right_filters);
+            let right = self.scan_item(scan_name, right_filters);
             match join.kind {
                 JoinType::Cross => {
                     if !keys.is_empty() || !residual.is_empty() {
@@ -373,7 +383,7 @@ impl<'a> Lowerer<'a> {
                         JoinType::Cross => unreachable!("handled above"),
                     };
                     let (lk, rk) = keys.into_iter().unzip();
-                    node = join_nodes(&node, right, lk, rk, kind, all_opt(residual));
+                    node = join_nodes(node, right, lk, rk, kind, all_opt(residual));
                 }
             }
             if scope.items[idx].visible {
@@ -381,31 +391,31 @@ impl<'a> Lowerer<'a> {
             }
         }
         if let Some(p) = all_opt(post) {
-            node = node.filter(p);
+            node = filter_node(node, p);
         }
         Ok((node, scope, corr, ops))
     }
 
     /// Scans a base table or stage, applying the right-side `ON` filters of
     /// the join that introduces it (outer-join matching semantics).
-    fn scan_item(&mut self, scan_name: &str, filters: &[Expr]) -> Node {
+    fn scan_item(&mut self, scan_name: &str, filters: Vec<Expr>) -> Node {
         let node = self.ctx.scan(scan_name);
-        match all_opt(filters.to_vec()) {
-            Some(p) => node.filter(p),
+        match all_opt(filters) {
+            Some(p) => filter_node(node, p),
             None => node,
         }
     }
 
     /// Resolves a table reference to its scan name (`#name` for CTEs) and
     /// schema.
-    fn resolve_table(&self, tr: &TableRef) -> Result<(String, Schema)> {
+    fn resolve_table(&self, tr: &TableRef) -> Result<(String, Rc<Schema>)> {
         if self.ctes.contains(&tr.name.name) {
             let scan = format!("#{}", tr.name.name);
             let schema = self.ctx.scan(&scan).schema;
-            return Ok((scan, schema));
+            return Ok((scan, Rc::new(schema)));
         }
         match self.catalog.get(&tr.name.name) {
-            Some(meta) => Ok((tr.name.name.clone(), meta.schema.clone())),
+            Some(meta) => Ok((tr.name.name.clone(), Rc::new(meta.schema.clone()))),
             None => Err(SqlError::new(format!("unknown table `{}`", tr.name.name), tr.name.span)),
         }
     }
@@ -469,7 +479,7 @@ impl<'a> Lowerer<'a> {
             sub
         };
         let kind = if negated { JoinKind::Anti } else { JoinKind::Semi };
-        Ok(join_nodes(&node, right, vec![lhs_pos], vec![0], kind, None))
+        Ok(join_nodes(node, right, vec![lhs_pos], vec![0], kind, None))
     }
 
     /// `[NOT] EXISTS (SELECT …)` → semi/anti join. Equality correlations
@@ -509,7 +519,7 @@ impl<'a> Lowerer<'a> {
         }
         let kind = if negated { JoinKind::Anti } else { JoinKind::Semi };
         let (lk, rk) = keys.into_iter().unzip();
-        Ok(join_nodes(&node, sub, lk, rk, kind, all_opt(residual)))
+        Ok(join_nodes(node, sub, lk, rk, kind, all_opt(residual)))
     }
 
     /// `expr CMP (SELECT agg …)` → the subquery becomes a materialized
@@ -561,9 +571,14 @@ impl<'a> Lowerer<'a> {
         let (sub, sub_scope, corr, sub_ops) = self.lower_from_where(select, Some(scope))?;
         let sub = self.apply_subq_ops(sub, &sub_scope, sub_ops)?;
 
-        let before = node.schema.clone();
-        let restore: Vec<(Expr, String)> =
-            before.fields.iter().enumerate().map(|(i, f)| (Expr::Col(i), f.name.clone())).collect();
+        let before = node.schema.len();
+        let restore: Vec<(Expr, String)> = node
+            .schema
+            .fields
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (Expr::Col(i), f.name.clone()))
+            .collect();
 
         if corr.is_empty() {
             // Uncorrelated: a global aggregate — one row — cross-joined in.
@@ -574,8 +589,8 @@ impl<'a> Lowerer<'a> {
             let stage = self.gen_stage();
             self.ctx.stage(&stage, value);
             let joined = node.cross_join(self.ctx.scan(&format!("#{stage}")));
-            let filtered = joined.filter(Expr::cmp(op, lhs_expr, Expr::Col(before.len())));
-            Ok(project_node(&filtered, restore))
+            let filtered = filter_node(joined, Expr::cmp(op, lhs_expr, Expr::Col(before)));
+            Ok(project_node(filtered, restore))
         } else {
             // Correlated: group the subquery by its correlation columns,
             // stage it, join back on those columns, then compare.
@@ -642,13 +657,13 @@ impl<'a> Lowerer<'a> {
             let mut shaped: Vec<(Expr, String)> =
                 (0..g).map(|k| (Expr::Col(k), format!("{stage}_k{k}"))).collect();
             shaped.push((value_expr, format!("{stage}_v")));
-            let staged = project_node(&agg_node, shaped);
+            let staged = project_node(agg_node, shaped);
             self.ctx.stage(&stage, staged);
             let stage_scan = self.ctx.scan(&format!("#{stage}"));
             let joined =
-                join_nodes(&node, stage_scan, outer_keys, (0..g).collect(), JoinKind::Inner, None);
-            let filtered = joined.filter(Expr::cmp(op, lhs_expr, Expr::Col(before.len() + g)));
-            Ok(project_node(&filtered, restore))
+                join_nodes(node, stage_scan, outer_keys, (0..g).collect(), JoinKind::Inner, None);
+            let filtered = filter_node(joined, Expr::cmp(op, lhs_expr, Expr::Col(before + g)));
+            Ok(project_node(filtered, restore))
         }
     }
 
@@ -677,7 +692,7 @@ impl<'a> Lowerer<'a> {
         };
 
         let mut node =
-            if is_identity(&outputs, &node.schema) { node } else { project_node(&node, outputs) };
+            if is_identity(&outputs, &node.schema) { node } else { project_node(node, outputs) };
         if sel.distinct {
             node = node.distinct();
         }
@@ -826,7 +841,7 @@ impl<'a> Lowerer<'a> {
             let mut shaped: Vec<(Expr, String)> =
                 group_lowered.iter().map(|(e, _, n)| (e.clone(), n.clone())).collect();
             shaped.push((arg_expr, "__dk".to_string()));
-            let deduped = project_node(&node, shaped).distinct();
+            let deduped = project_node(node, shaped).distinct();
             let mut fields: Vec<Field> =
                 group_lowered.iter().map(|(_, ty, n)| Field::new(n, *ty)).collect();
             fields.push(Field::new(&call.name, Type::Int));
@@ -885,7 +900,7 @@ impl<'a> Lowerer<'a> {
                     name: call.name.clone(),
                 });
             }
-            let pre = project_node(&node, shaped);
+            let pre = project_node(node, shaped);
             let schema = Schema::new(fields);
             let plan = Plan::aggregated(pre.plan, (0..g).collect(), specs);
             (Node { plan, schema: schema.clone() }, schema)
@@ -914,7 +929,7 @@ impl<'a> Lowerer<'a> {
                 plain.push(e);
             }
             if let Some(p) = all_opt(plain) {
-                node = node.filter(p);
+                node = filter_node(node, p);
             }
             node = self.apply_subq_ops(node, &agg_scope, ops)?;
         }
@@ -1166,7 +1181,7 @@ impl<'a> Lowerer<'a> {
 
 /// Positional hash join between two builder nodes.
 fn join_nodes(
-    left: &Node,
+    left: Node,
     right: Node,
     left_keys: Vec<usize>,
     right_keys: Vec<usize>,
@@ -1175,18 +1190,23 @@ fn join_nodes(
 ) -> Node {
     let schema = match kind {
         JoinKind::Inner | JoinKind::LeftOuter => left.schema.concat(&right.schema),
-        JoinKind::Semi | JoinKind::Anti => left.schema.clone(),
+        JoinKind::Semi | JoinKind::Anti => left.schema,
     };
     Node {
-        plan: Plan::hash_join(left.plan.clone(), right.plan, left_keys, right_keys, kind, residual),
+        plan: Plan::hash_join(left.plan, right.plan, left_keys, right_keys, kind, residual),
         schema,
     }
 }
 
 /// Positional projection node.
-fn project_node(input: &Node, exprs: Vec<(Expr, String)>) -> Node {
-    let fields = exprs.iter().map(|(e, n)| Field::new(n, e.ty(&input.schema))).collect();
-    Node { plan: Plan::projected(input.plan.clone(), exprs), schema: Schema::new(fields) }
+fn project_node(input: Node, exprs: Vec<(Expr, String)>) -> Node {
+    let schema = projected_schema(&input.schema, &exprs);
+    Node { plan: Plan::projected(input.plan, exprs), schema }
+}
+
+/// Filter node; the schema passes through.
+fn filter_node(input: Node, predicate: Expr) -> Node {
+    Node { plan: Plan::filtered(input.plan, predicate), schema: input.schema }
 }
 
 /// `Some(conjunction)` unless the list is empty.

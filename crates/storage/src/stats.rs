@@ -11,6 +11,7 @@ use crate::column::{Column, ColumnTable};
 use crate::date::Date;
 use crate::value::Value;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Default bucket count for collected equi-depth histograms: fine enough to
 /// resolve TPC-H's date-range predicates to a few percent, small enough that
@@ -245,7 +246,8 @@ pub struct ColumnStats {
     pub max: Option<Value>,
     /// Equi-depth histogram over the value distribution (orderable scalar
     /// columns only; `None` for strings and for analytic statistics).
-    pub histogram: Option<Histogram>,
+    /// Shared, so the optimizer's per-scan estimates never copy buckets.
+    pub histogram: Option<Arc<Histogram>>,
     /// Distinct-count sketch (collected statistics only).
     pub sketch: Option<DistinctSketch>,
 }
@@ -280,7 +282,7 @@ fn summarize<T>(
         distinct: distinct.len(),
         min: distinct.first().map(|v| value(v)),
         max: distinct.last().map(|v| value(v)),
-        histogram: Histogram::build(ranks, HISTOGRAM_BUCKETS),
+        histogram: Histogram::build(ranks, HISTOGRAM_BUCKETS).map(Arc::new),
         sketch: Some(sketch),
     }
 }

@@ -711,7 +711,7 @@ fn decode_stats(
                 for _ in 0..n_bounds - 1 {
                     counts.push(cur.u64()?);
                 }
-                Some(Histogram { bounds, counts })
+                Some(Arc::new(Histogram { bounds, counts }))
             }
             t => return Err(col_corrupt(&format!("bad histogram marker {t}"))),
         };

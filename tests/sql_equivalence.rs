@@ -123,3 +123,29 @@ fn sql_requests_on_the_facade() {
         Ok(_) => panic!("unknown table must be a frontend error"),
     }
 }
+
+/// A CTE may be named like a stage the lowering generates for a subquery
+/// (`__s1`, …): the generated names must avoid every CTE of the query, not
+/// just the ones lowered so far, or a later CTE silently replaces the
+/// subquery's stage and the query answers wrongly.
+#[test]
+fn cte_named_like_a_generated_stage() {
+    let system = LegoBase::generate(SCALE);
+    let text = |cte: &str| {
+        format!(
+            "WITH big AS (SELECT o_orderkey, o_totalprice FROM orders \
+                          WHERE o_totalprice > (SELECT avg(o_totalprice) AS a FROM orders)), \
+                  {cte} AS (SELECT n_nationkey FROM nation WHERE n_regionkey = 1) \
+             SELECT count(*) AS c FROM big JOIN {cte} ON o_orderkey = n_nationkey"
+        )
+    };
+    let (clash, plain) = (text("__s1"), text("nat"));
+    let lowered = legobase::sql::plan(&clash, &system.data.catalog).expect("valid SQL lowers");
+    let mut names: Vec<&str> = lowered.stages.iter().map(|(n, _)| n.as_str()).collect();
+    let stages = names.len();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), stages, "stage names must be unique: {:?}", lowered.stages);
+    let run = |sql: &str| system.query(&QueryRequest::sql(sql)).expect("valid SQL runs").result;
+    assert_eq!(run(&clash).rows(), run(&plain).rows(), "the CTE's name changed the answer");
+}
