@@ -828,8 +828,8 @@ fn baseline(system: &LegoBase) {
     }
     // Plan-cache-miss latency row (`miss-22`): the 22 SQL texts through one
     // session with both caches off, so every request pays parse, optimize,
-    // SC compile and a load — on a store the rows above already warmed, so
-    // the load is assembly. Minimum over the timed passes.
+    // SC's decisions (no IR, no C) and a load — on a store the rows above
+    // already warmed, so the load is assembly. Minimum over the timed passes.
     let uncached = legobase::ServeOptions::default()
         .with_plan_cache_capacity(0)
         .with_prepared_cache_capacity(0);

@@ -161,11 +161,11 @@ impl LegoBase {
         legobase_queries::query(&self.data.catalog, n)
     }
 
-    /// Compiles a query and assembles its database from the store — the
-    /// paper pipeline up to execution: SC compilation derives the
-    /// specialization, the loader builds exactly the structures it selected
-    /// (for benchmarks and the service's prepared cache, which execute
-    /// repeatedly against the same load).
+    /// Decides a query and assembles its database from the store — what the
+    /// executor needs and nothing more: SC's decisions
+    /// ([`legobase_sc::specialize`], no IR, no C) select the structures, the
+    /// loader takes exactly those from the store. This is what a service's
+    /// prepared cache holds and what a served miss pays.
     ///
     /// The morsel-driven parallelism degree follows the same
     /// compiler-decides/executor-obeys discipline as every other
@@ -174,22 +174,41 @@ impl LegoBase {
     /// parallel-enabled), the `Parallelize` transformer records the
     /// per-query decision in the specialization report, and the specialized
     /// executor runs with the recorded degree.
+    pub fn prepare(&self, query: &QueryPlan, settings: &Settings) -> PreparedQuery {
+        let settings = &self.env.apply(settings);
+        let spec = legobase_sc::specialize(query, &self.data.catalog, settings);
+        self.assemble(query, settings, &spec)
+    }
+
+    /// [`LegoBase::prepare`] plus the inspection artifacts: the full SC
+    /// compilation — the same decisions, then the lowered IR, its trace and
+    /// the generated C — next to the same assembled database (for the
+    /// facade's [`RunDetail`], benchmarks and examples, which report what
+    /// the compiler emitted).
     pub fn load(&self, query: &QueryPlan, settings: &Settings) -> LoadedQuery {
         let settings = &self.env.apply(settings);
         let compilation = legobase_sc::compile(query, &self.data.catalog, settings);
-        let settings = &decided_settings(settings, &compilation.spec);
+        LoadedQuery { prepared: self.assemble(query, settings, &compilation.spec), compilation }
+    }
+
+    /// The one assembly: the executor's settings under `spec`'s decisions,
+    /// and the database the engine asks the store for.
+    fn assemble(
+        &self,
+        query: &QueryPlan,
+        settings: &Settings,
+        spec: &Specialization,
+    ) -> PreparedQuery {
+        let settings = decided_settings(settings, spec);
         let db = match settings.engine {
             EngineKind::Volcano | EngineKind::Push => {
-                Db::Generic(GenericDb::load(&self.data, &self.store, &compilation.spec, settings))
+                Db::Generic(GenericDb::load(&self.data, &self.store, spec, &settings))
             }
-            EngineKind::Specialized => Db::Specialized(SpecializedDb::load(
-                &self.data,
-                &self.store,
-                &compilation.spec,
-                settings,
-            )),
+            EngineKind::Specialized => {
+                Db::Specialized(SpecializedDb::load(&self.data, &self.store, spec, &settings))
+            }
         };
-        LoadedQuery { query: query.clone(), settings: *settings, compilation, db }
+        PreparedQuery { query: query.clone(), settings, db }
     }
 
     /// The store structures `query` would load under `settings`, each with
@@ -201,7 +220,7 @@ impl LegoBase {
         settings: &Settings,
     ) -> Vec<StructureUse> {
         let settings = &self.env.apply(settings);
-        let spec = legobase_sc::compile(query, &self.data.catalog, settings).spec;
+        let spec = legobase_sc::specialize(query, &self.data.catalog, settings);
         required_structures(&self.data, &spec, &decided_settings(settings, &spec))
             .into_iter()
             .map(|key| StructureUse { resident: self.store.is_resident(&key), key })
@@ -233,18 +252,35 @@ enum Db {
     Specialized(SpecializedDb),
 }
 
-/// A query compiled and loaded, ready for repeated execution.
-pub struct LoadedQuery {
-    /// The compiled plan.
+/// A query decided and assembled, ready for repeated execution
+/// ([`LegoBase::prepare`]).
+pub struct PreparedQuery {
+    /// The plan it executes.
     pub query: QueryPlan,
-    /// The configuration it was compiled under.
+    /// The configuration it executes under: the request's, with SC's
+    /// per-query decisions (degree, clearances, encoding) applied.
     pub settings: Settings,
-    /// SC pipeline output.
-    pub compilation: CompileResult,
     db: Db,
 }
 
-impl LoadedQuery {
+/// A prepared query together with its full SC compilation
+/// ([`LegoBase::load`]); dereferences to the [`PreparedQuery`] it executes.
+pub struct LoadedQuery {
+    /// The executable form, identical to what [`LegoBase::prepare`] gives.
+    pub prepared: PreparedQuery,
+    /// SC pipeline output: specialization report, IR trace, generated C.
+    pub compilation: CompileResult,
+}
+
+impl std::ops::Deref for LoadedQuery {
+    type Target = PreparedQuery;
+
+    fn deref(&self) -> &PreparedQuery {
+        &self.prepared
+    }
+}
+
+impl PreparedQuery {
     /// Executes the loaded query once.
     pub fn execute(&self) -> ResultTable {
         match (&self.db, self.settings.engine) {

@@ -9,14 +9,16 @@
 //! [`QueryError`] pair.
 //!
 //! A request passes through six stages, each written once in this module:
-//! *resolve* (SQL → plan, optimize), *explain*, *budget check*, *compile +
-//! load*, *deadline-armed execute*, and *response assembly*.
-//! [`LegoBase::query`] is those stages in order; a session wraps around them
-//! only what a service adds (admission, the plan and prepared caches, tenant
-//! scheduling, panic containment, estimate feedback, counters).
+//! *resolve* (SQL → plan, optimize), *explain*, *budget check*, *prepare*
+//! (SC's decisions + assembly from the store; the facade's *load* also
+//! lowers and emits C for inspection), *deadline-armed execute*, and
+//! *response assembly*. [`LegoBase::query`] is those stages in order; a
+//! session wraps around them only what a service adds (admission, the plan
+//! and prepared caches, tenant scheduling, panic containment, estimate
+//! feedback, counters).
 
 use crate::service::estimate_memory_bytes;
-use crate::{EnvOverrides, LegoBase, LoadedQuery};
+use crate::{EnvOverrides, LegoBase, LoadedQuery, PreparedQuery};
 use legobase_engine::cancel::{self, Cancelled};
 use legobase_engine::db::StructureUse;
 use legobase_engine::{optimizer, Config, OptReport, QueryPlan, ResultTable, Settings};
@@ -214,7 +216,7 @@ pub struct QueryResponse {
     pub total_time: Duration,
     /// True when a session served the plan from its plan cache.
     pub plan_cached: bool,
-    /// True when a session served the compiled + loaded form from its
+    /// True when a session served the decided + assembled form from its
     /// prepared cache.
     pub prepared_cached: bool,
     /// The cost-based optimizer's decision record (SQL path with
@@ -494,8 +496,15 @@ impl<'a> InFlight<'a> {
         })
     }
 
-    /// Stage 4: SC compilation plus assembly of the plan's database from the
-    /// system's store. Loads can panic on malformed hand-built plans.
+    /// Stage 4: SC's decisions plus assembly of the plan's database from
+    /// the system's store — what a session executes and caches. Assembly
+    /// can panic on malformed hand-built plans.
+    pub(crate) fn prepare(&self, plan: &QueryPlan) -> Result<PreparedQuery, QueryError> {
+        self.guarded(|| self.system.prepare(plan, &self.settings))
+    }
+
+    /// Stage 4 on the facade: [`InFlight::prepare`] plus the full SC
+    /// compilation (lowered IR and C) its [`RunDetail`] reports.
     pub(crate) fn load(&self, plan: &QueryPlan) -> Result<LoadedQuery, QueryError> {
         self.guarded(|| self.system.load(plan, &self.settings))
     }
@@ -503,12 +512,12 @@ impl<'a> InFlight<'a> {
     /// Stage 5: one execution under the request's deadline — checked before
     /// starting, then armed for cooperative cancellation at morsel
     /// boundaries (`engine::cancel`) — and stage 6, the response.
-    /// `structures` is what the load took from the store (empty when the
-    /// loaded form came from a cache).
+    /// `structures` is what the assembly took from the store (empty when
+    /// the prepared form came from a cache).
     pub(crate) fn execute(
         &self,
         resolved: &ResolvedPlan,
-        loaded: &LoadedQuery,
+        prepared: &PreparedQuery,
         structures: Vec<StructureUse>,
     ) -> Result<QueryResponse, QueryError> {
         if self.clock.deadline.is_some_and(|t| Instant::now() >= t) {
@@ -516,7 +525,7 @@ impl<'a> InFlight<'a> {
         }
         let _armed = self.clock.deadline.map(cancel::deadline_scope);
         let t_exec = Instant::now();
-        let result = self.guarded(|| loaded.execute())?;
+        let result = self.guarded(|| prepared.execute())?;
         Ok(self.response(resolved, result, t_exec.elapsed(), structures))
     }
 }

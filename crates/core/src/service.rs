@@ -20,8 +20,9 @@
 //!   canonicalized SQL ([`legobase_sql::cache_text`]), the catalog version,
 //!   and the optimize flag. A statistics refresh bumps the catalog version,
 //!   so stale plans are never served.
-//! * **Prepared cache** — the compiled + loaded form of a cached plan, keyed
-//!   additionally on the full [`Settings`], shared read-only across
+//! * **Prepared cache** — the decided + assembled form of a cached plan
+//!   ([`LegoBase::prepare`]: SC's specialization decisions, no IR or C),
+//!   keyed additionally on the full [`Settings`], shared read-only across
 //!   sessions. An entry holds `Arc` handles into the system's
 //!   base-structure store (DESIGN.md §3d), not data: the columns,
 //!   dictionaries, partitions and indexes are built once per dataset, so a
@@ -66,7 +67,7 @@
 use crate::request::{
     Clock, InFlight, Panics, QueryError, QueryKind, QueryRequest, QueryResponse, ResolvedPlan,
 };
-use crate::{LegoBase, LoadedQuery};
+use crate::{LegoBase, PreparedQuery};
 use legobase_engine::plan::used_base_columns;
 use legobase_engine::settings::EngineKind;
 use legobase_engine::{MorselPool, QueryPlan, Settings};
@@ -97,7 +98,7 @@ pub struct ServeOptions {
     /// Plan-cache entries kept (distinct SQL texts × settings variants)
     /// before FIFO eviction. `0` disables the cache.
     pub plan_cache_capacity: usize,
-    /// Prepared-query cache entries kept (compiled + loaded form) before
+    /// Prepared-query cache entries kept (decided + assembled form) before
     /// FIFO eviction. `0` disables the cache.
     pub prepared_cache_capacity: usize,
     /// Default scheduling weight of every session in the shared pool's
@@ -170,7 +171,7 @@ pub struct ServiceStats {
     pub plan_cache_misses: u64,
     /// Prepared-cache lookups that found a loaded query.
     pub prepared_cache_hits: u64,
-    /// Prepared-cache lookups that had to compile + load.
+    /// Prepared-cache lookups that had to decide + assemble.
     pub prepared_cache_misses: u64,
     /// Queries that completed successfully.
     pub queries_ok: u64,
@@ -291,7 +292,7 @@ pub struct QueryService {
     admit: Condvar,
     drained: Condvar,
     plans: Mutex<Cache<PlanKey, ResolvedPlan>>,
-    prepared: Mutex<Cache<PreparedKey, LoadedQuery>>,
+    prepared: Mutex<Cache<PreparedKey, PreparedQuery>>,
     counters: Counters,
     /// Monotonic tenant-id source: every session gets a fresh identity in
     /// the pool's weighted deficit round-robin. Starts at 1 — tenant 0 is
@@ -528,14 +529,16 @@ impl Session<'_> {
         }
         run.check_budget(&resolved.plan, self.memory_budget)?;
 
-        // The compiled + loaded form, through the prepared cache: two
-        // sessions racing on the same key both compile and assemble (the
-        // store builds each structure once), and the loser's insert wins
-        // harmlessly (loads are deterministic, so the entries are identical).
+        // The decided + assembled form, through the prepared cache: SC's
+        // decisions only — the executor never reads the IR or the C, so a
+        // miss builds neither. Two sessions racing on the same key both
+        // decide and assemble (the store builds each structure once), and
+        // the loser's insert wins harmlessly (assembly is deterministic, so
+        // the entries are identical).
         let prep_key = text.map(|text| (text, version, settings));
         let (prepared, prepared_cached) =
             through(&service.prepared, prep_key, &c.prepared_hits, &c.prepared_misses, || {
-                run.load(&resolved.plan)
+                run.prepare(&resolved.plan)
             })?;
 
         // Execute under this session's tenant identity (fair scheduling).

@@ -447,7 +447,7 @@ mod tests {
                 "t",
                 legobase_engine::plan::Plan::scan("lineitem"),
             );
-            let mut ctx = TransformCtx {
+            let ctx = TransformCtx {
                 catalog: &catalog,
                 settings: &settings,
                 query: &query,
@@ -455,8 +455,8 @@ mod tests {
             };
             let p = loops_program(&specs);
             let original = eval_with_tables(&p, &tables).expect("in subset");
-            let promoted = crate::transform::FieldPromotion.run(p.clone(), &mut ctx);
-            let tiled = crate::transform::LoopTiling { tile }.run(promoted, &mut ctx);
+            let promoted = crate::transform::FieldPromotion.run(p.clone(), &ctx);
+            let tiled = crate::transform::LoopTiling { tile }.run(promoted, &ctx);
             let after = eval_with_tables(&tiled, &tables)
                 .expect("promotion+tiling stay in subset");
             for i in 0..4u32 {

@@ -21,7 +21,8 @@
 //! column layout §3.3, string dictionaries §3.4, code motion §3.5, loop
 //! fusion, field promotion), plus the beyond-the-paper
 //! [`transform::Parallelize`], which decides the per-query morsel-driven
-//! degree and the join/sort parallelization clearances.
+//! degree and the join/sort parallelization clearances, counted from the
+//! plan's scans, hash joins and keyed sorts.
 //!
 //! The pipeline produces two artifacts per query:
 //! * a [`legobase_engine::Specialization`] report — the load/execution
@@ -30,6 +31,14 @@
 //! * the C source of the specialized query (inspectable, compiled with the
 //!   system `cc` in tests; DESIGN.md §4 walks one query through the whole
 //!   path).
+//!
+//! The two are made by separate halves of every transformer
+//! ([`rules::Transformer`]): `decide` reads the physical plan and records
+//! the report, `run` lowers the IR under the finished report. [`specialize`]
+//! runs only the decisions — what a served miss needs, since the executor
+//! obeys the report and never reads the IR — while [`compile`] decides,
+//! then builds, lowers and emits C for inspection (the facade's
+//! `LegoBase::load`, `figures`, the examples).
 
 pub mod build;
 pub mod cgen;
@@ -40,4 +49,4 @@ pub mod rules;
 pub mod scala;
 pub mod transform;
 
-pub use pipeline::{compile, CompileResult, Pipeline};
+pub use pipeline::{compile, specialize, CompileResult, Pipeline};

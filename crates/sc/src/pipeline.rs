@@ -96,21 +96,29 @@ impl Pipeline {
         self.transformers.iter().map(|t| t.name()).collect()
     }
 
-    /// Runs the pipeline over a query.
-    pub fn run(&self, query: &QueryPlan, catalog: &Catalog, settings: &Settings) -> CompileResult {
-        self.run_observed(query, catalog, settings, |_, _| {})
-    }
-
-    /// Runs the pipeline, handing `on_phase` the program after every phase
-    /// (`OperatorInlining` first): Fig. 7's stage walk, with no stage kept.
-    pub fn run_observed(
+    /// The load/execution decisions alone: every transformer's `decide`, in
+    /// pipeline order, over the plan — no IR is built, nothing is lowered,
+    /// no C is emitted. Equal to [`Pipeline::run`]'s `spec` (the
+    /// workspace's `specialize_pin` test holds the two together); this is
+    /// what a served miss pays for SC.
+    pub fn specialize(
         &self,
         query: &QueryPlan,
         catalog: &Catalog,
         settings: &Settings,
-        mut on_phase: impl FnMut(&PhaseTrace, &Program),
-    ) -> CompileResult {
-        let start = Instant::now();
+    ) -> Specialization {
+        self.decide(query, catalog, settings, |_, _| {}).spec
+    }
+
+    /// Runs every `decide`, handing `timed` each transformer's index and
+    /// decision time.
+    fn decide<'a>(
+        &self,
+        query: &'a QueryPlan,
+        catalog: &'a Catalog,
+        settings: &'a Settings,
+        mut timed: impl FnMut(usize, Duration),
+    ) -> TransformCtx<'a> {
         // The relations the plan scans are recorded whatever the settings —
         // the generic engines' loader asks the store for exactly their row
         // forms; `ColumnStore` fills in the attribute lists.
@@ -119,17 +127,50 @@ impl Pipeline {
             spec.used_columns.entry(table.to_string()).or_default();
         }
         let mut ctx = TransformCtx { catalog, settings, query, spec };
+        for (i, t) in self.transformers.iter().enumerate() {
+            let t0 = Instant::now();
+            t.decide(&mut ctx);
+            timed(i, t0.elapsed());
+        }
+        ctx
+    }
+
+    /// Runs the pipeline over a query.
+    pub fn run(&self, query: &QueryPlan, catalog: &Catalog, settings: &Settings) -> CompileResult {
+        self.run_observed(query, catalog, settings, |_, _| {})
+    }
+
+    /// Runs the pipeline, handing `on_phase` the program after every phase
+    /// (`OperatorInlining` first): Fig. 7's stage walk, with no stage kept.
+    /// The decisions are made first ([`Pipeline::specialize`]); then the
+    /// plan is inlined and lowered under them and stringified to C. A
+    /// phase's duration is its decision plus its IR pass.
+    pub fn run_observed(
+        &self,
+        query: &QueryPlan,
+        catalog: &Catalog,
+        settings: &Settings,
+        mut on_phase: impl FnMut(&PhaseTrace, &Program),
+    ) -> CompileResult {
+        let start = Instant::now();
+        let mut decided = vec![Duration::ZERO; self.transformers.len()];
+        let ctx = self.decide(query, catalog, settings, |i, d| decided[i] = d);
+        let inline_start = Instant::now();
         let mut prog = build_ir(query, catalog);
         let mut trace = vec![PhaseTrace {
             name: "OperatorInlining",
             size: prog.size(),
-            duration: start.elapsed(),
+            duration: inline_start.elapsed(),
         }];
         on_phase(&trace[0], &prog);
-        for t in &self.transformers {
+        for (t, decision) in self.transformers.iter().zip(decided) {
             let t0 = Instant::now();
-            prog = t.run(prog, &mut ctx);
-            trace.push(PhaseTrace { name: t.name(), size: prog.size(), duration: t0.elapsed() });
+            prog = t.run(prog, &ctx);
+            trace.push(PhaseTrace {
+                name: t.name(),
+                size: prog.size(),
+                duration: decision + t0.elapsed(),
+            });
             on_phase(trace.last().expect("just pushed"), &prog);
         }
         let cgen_start = Instant::now();
@@ -184,6 +225,12 @@ pub struct CompileResult {
 /// LegoBase pipeline.
 pub fn compile(query: &QueryPlan, catalog: &Catalog, settings: &Settings) -> CompileResult {
     Pipeline::for_settings(settings).run(query, catalog, settings)
+}
+
+/// Convenience: the standard LegoBase pipeline's decisions for `query`
+/// under `settings` — [`compile`]'s `spec` without the IR or the C.
+pub fn specialize(query: &QueryPlan, catalog: &Catalog, settings: &Settings) -> Specialization {
+    Pipeline::for_settings(settings).specialize(query, catalog, settings)
 }
 
 #[cfg(test)]

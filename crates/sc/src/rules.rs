@@ -6,6 +6,14 @@
 //! the pipeline"). Rules are closures pattern-matching on IR nodes; the
 //! framework owns the traversal so optimization authors never touch
 //! scheduling or code-generation internals.
+//!
+//! A transformer has two halves. [`Transformer::decide`] reads the physical
+//! plan and records load/execution decisions in the [`Specialization`] — no
+//! IR exists yet when it runs. [`Transformer::run`] is the IR pass: it
+//! lowers the program under decisions that are already final and cannot
+//! add to them. The executor needs only the first half
+//! ([`Pipeline::specialize`](crate::Pipeline::specialize)); the IR and its C
+//! are for inspection ([`Pipeline::run`](crate::Pipeline::run)).
 
 use crate::ir::{Expr, Program, Stmt};
 use legobase_engine::{Settings, Specialization};
@@ -31,8 +39,11 @@ pub struct TransformCtx<'a> {
 pub trait Transformer {
     /// Display name, shown in the pipeline trace.
     fn name(&self) -> &'static str;
-    /// Transforms the program, optionally recording decisions in `ctx.spec`.
-    fn run(&self, prog: Program, ctx: &mut TransformCtx<'_>) -> Program;
+    /// Records this stage's plan-level decisions in `ctx.spec`. Every
+    /// stage's `decide` runs, in pipeline order, before any IR is built.
+    fn decide(&self, _ctx: &mut TransformCtx<'_>) {}
+    /// Transforms the program under the decisions of the whole pipeline.
+    fn run(&self, prog: Program, ctx: &TransformCtx<'_>) -> Program;
 }
 
 /// Applies a statement rewriter bottom-up over the whole program. The rule

@@ -21,7 +21,7 @@ impl Transformer for Cleanup {
         "ParamPromDCEAndPartiallyEvaluate"
     }
 
-    fn run(&self, mut prog: Program, _ctx: &mut TransformCtx<'_>) -> Program {
+    fn run(&self, mut prog: Program, _ctx: &TransformCtx<'_>) -> Program {
         for _ in 0..4 {
             let before = prog.size();
             prog = constant_fold(prog);

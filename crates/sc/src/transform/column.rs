@@ -18,7 +18,7 @@ impl Transformer for ColumnStore {
         "ColumnStore"
     }
 
-    fn run(&self, mut prog: Program, ctx: &mut TransformCtx<'_>) -> Program {
+    fn decide(&self, ctx: &mut TransformCtx<'_>) {
         // ---- analysis: referenced attributes per base table (the same
         // analysis powers unused-field removal).
         let used = legobase_engine::plan::used_base_columns(ctx.query, &|t: &str| {
@@ -31,7 +31,9 @@ impl Transformer for ColumnStore {
             cols.sort_unstable();
             cols.dedup();
         }
+    }
 
+    fn run(&self, mut prog: Program, _ctx: &TransformCtx<'_>) -> Program {
         // ---- IR rewriting: row-field access on base rows becomes a direct
         // column-vector load (array of records → record of arrays, Fig. 13).
         // `env` is a stack of the base-row binders in scope: a loop's row is

@@ -2,10 +2,11 @@
 //! for packed storage — frame-of-reference bit-packed integers and dates,
 //! and bit-packed dictionary codes.
 //!
-//! Like `Parallelize`, this transformer is a pure decision pass: it leaves
-//! the IR untouched (the kernels already scan packed columns without
-//! decompressing) and records which `(table, column)` pairs the loader
-//! should re-encode after the partition/index/dictionary builds. Only
+//! Like `Parallelize`, this transformer is a pure decision pass: its
+//! `decide` records which `(table, column)` pairs the loader should
+//! re-encode after the partition/index/dictionary builds, and its IR pass
+//! only adds a banner (the kernels already scan packed columns without
+//! decompressing). Only
 //! integer, date, and dictionary-coded string attributes are cleared —
 //! floats, booleans, and raw strings always stay plain — and the loader's
 //! profitability check ([`legobase_storage::Column::encode`]) may still
@@ -27,7 +28,7 @@ impl Transformer for Encode {
         "Encode"
     }
 
-    fn run(&self, mut prog: Program, ctx: &mut TransformCtx<'_>) -> Program {
+    fn decide(&self, ctx: &mut TransformCtx<'_>) {
         // ---- analysis: every base (table, column) the query reads, via the
         // same plan-level provenance the other decision passes use — split
         // into the three usage classes that price the scan side of the
@@ -138,7 +139,9 @@ impl Transformer for Encode {
             };
             ctx.spec.add_encoded_column_with(t, c, strategy);
         }
+    }
 
+    fn run(&self, mut prog: Program, ctx: &TransformCtx<'_>) -> Program {
         let n = ctx.spec.encoded_columns.len();
         if n > 0 {
             // The banner lands in the generated C, like Parallelize's; the

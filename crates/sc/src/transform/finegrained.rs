@@ -16,7 +16,7 @@ impl Transformer for FineGrained {
         "FineGrained(&&→&)"
     }
 
-    fn run(&self, prog: Program, _ctx: &mut TransformCtx<'_>) -> Program {
+    fn run(&self, prog: Program, _ctx: &TransformCtx<'_>) -> Program {
         // `x && y → x & y` when the right operand is pure and cheap (no
         // string loop, no call): improves branch prediction.
         rewrite_exprs(prog, &|e| match e {

@@ -23,7 +23,7 @@ impl Transformer for HorizontalFusion {
         "HorizontalFusion"
     }
 
-    fn run(&self, prog: Program, _ctx: &mut TransformCtx<'_>) -> Program {
+    fn run(&self, prog: Program, _ctx: &TransformCtx<'_>) -> Program {
         horizontal_fuse(prog)
     }
 }

@@ -16,7 +16,7 @@ impl Transformer for HashMapLowering {
         "HashMapLowering"
     }
 
-    fn run(&self, prog: Program, _ctx: &mut TransformCtx<'_>) -> Program {
+    fn run(&self, prog: Program, _ctx: &TransformCtx<'_>) -> Program {
         rewrite_stmts(prog, &|s| match s {
             Stmt::MultiMapNew { sym, .. } => Some(vec![Stmt::BucketArrayNew {
                 sym: *sym,

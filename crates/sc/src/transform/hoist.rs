@@ -18,7 +18,7 @@ impl Transformer for CodeMotionHoisting {
         "HashMapHoisting+MallocHoisting"
     }
 
-    fn run(&self, prog: Program, _ctx: &mut TransformCtx<'_>) -> Program {
+    fn run(&self, prog: Program, _ctx: &TransformCtx<'_>) -> Program {
         // Mark every remaining store as hoisted (pool pre-allocated at load
         // time, sized by worst-case analysis) and upgrade dense aggregation
         // stores to direct arrays with hoisted initialization.

@@ -2,17 +2,21 @@
 //! Fig. 5b pipeline, one module per transformer (the per-transformer line
 //! counts are the Table IV productivity experiment — see `figures table4`).
 //!
-//! Each transformer does two things, matching the paper's architecture:
+//! Each transformer does up to two things, matching the paper's
+//! architecture, in two methods:
 //!
-//! 1. **IR rewriting** — replace high-level nodes with their lowered form
-//!    (the progressive lowering of Fig. 7);
-//! 2. **Specialization reporting** — record the load-time decisions
-//!    (partitions to build, date attributes to index, dictionary kinds,
-//!    attributes to keep) in the [`crate::rules::TransformCtx`]'s
+//! 1. **Specialization decisions** (`decide`) — record the load-time
+//!    decisions (partitions to build, date attributes to index, dictionary
+//!    kinds, attributes to keep, columns to pack, the parallel degree) in
+//!    the [`crate::rules::TransformCtx`]'s
 //!    [`legobase_engine::Specialization`], which the specialized executor
-//!    consumes. Analyses run over the still-visible operator structure,
+//!    consumes. Analyses run over the physical plan's operator structure,
 //!    exactly as the paper's high-level transformers pattern-match on
-//!    operator objects.
+//!    operator objects — no IR is needed, which is how a served miss
+//!    decides without lowering anything;
+//! 2. **IR rewriting** (`run`) — replace high-level nodes with their
+//!    lowered form (the progressive lowering of Fig. 7), reading the
+//!    decisions but never adding to them.
 
 mod plan_info;
 
@@ -80,7 +84,7 @@ mod tests {
     #[test]
     fn horizontal_fusion_merges_independent_scans() {
         let (catalog, settings, query) = ctx_parts();
-        let mut ctx = TransformCtx {
+        let ctx = TransformCtx {
             catalog: &catalog,
             settings: &settings,
             query: &query,
@@ -97,7 +101,7 @@ mod tests {
                 Stmt::Emit { values: vec![Expr::sym(Sym(0)), Expr::sym(Sym(1))] },
             ],
         };
-        let out = HorizontalFusion.run(prog, &mut ctx);
+        let out = HorizontalFusion.run(prog, &ctx);
         assert_eq!(out.count(|s| matches!(s, Stmt::ScanLoop { .. })), 1, "loops must fuse");
         // The second body's row was renamed to the surviving binder.
         let mut saw_renamed = false;
@@ -116,7 +120,7 @@ mod tests {
     #[test]
     fn horizontal_fusion_respects_flow_dependencies() {
         let (catalog, settings, query) = ctx_parts();
-        let mut ctx = TransformCtx {
+        let ctx = TransformCtx {
             catalog: &catalog,
             settings: &settings,
             query: &query,
@@ -142,7 +146,7 @@ mod tests {
                 Stmt::Emit { values: vec![Expr::sym(Sym(1))] },
             ],
         };
-        let out = HorizontalFusion.run(prog, &mut ctx);
+        let out = HorizontalFusion.run(prog, &ctx);
         assert_eq!(
             out.count(|s| matches!(s, Stmt::ScanLoop { .. })),
             2,
@@ -153,7 +157,7 @@ mod tests {
     #[test]
     fn horizontal_fusion_rejects_double_emit_and_different_tables() {
         let (catalog, settings, query) = ctx_parts();
-        let mut ctx = TransformCtx {
+        let ctx = TransformCtx {
             catalog: &catalog,
             settings: &settings,
             query: &query,
@@ -170,7 +174,7 @@ mod tests {
             next_sym: 10,
             stmts: vec![emit_loop(0, "lineitem"), emit_loop(1, "lineitem")],
         };
-        let out = HorizontalFusion.run(prog, &mut ctx);
+        let out = HorizontalFusion.run(prog, &ctx);
         assert_eq!(out.count(|s| matches!(s, Stmt::ScanLoop { .. })), 2);
         // Different relations: never fusable.
         let prog = Program {
@@ -178,14 +182,14 @@ mod tests {
             next_sym: 10,
             stmts: vec![emit_loop(0, "lineitem"), emit_loop(1, "orders")],
         };
-        let out = HorizontalFusion.run(prog, &mut ctx);
+        let out = HorizontalFusion.run(prog, &ctx);
         assert_eq!(out.count(|s| matches!(s, Stmt::ScanLoop { .. })), 2);
     }
 
     #[test]
     fn horizontal_fusion_chains_three_loops() {
         let (catalog, settings, query) = ctx_parts();
-        let mut ctx = TransformCtx {
+        let ctx = TransformCtx {
             catalog: &catalog,
             settings: &settings,
             query: &query,
@@ -199,14 +203,14 @@ mod tests {
         }
         stmts.push(Stmt::Emit { values: (0..3).map(|i| Expr::sym(Sym(i))).collect() });
         let prog = Program { name: "chain".into(), next_sym: 20, stmts };
-        let out = HorizontalFusion.run(prog, &mut ctx);
+        let out = HorizontalFusion.run(prog, &ctx);
         assert_eq!(out.count(|s| matches!(s, Stmt::ScanLoop { .. })), 1, "all three loops fuse");
     }
 
     #[test]
     fn field_promotion_hoists_repeated_reads() {
         let (catalog, settings, query) = ctx_parts();
-        let mut ctx = TransformCtx {
+        let ctx = TransformCtx {
             catalog: &catalog,
             settings: &settings,
             query: &query,
@@ -242,7 +246,7 @@ mod tests {
                 Stmt::Emit { values: vec![Expr::sym(Sym(1))] },
             ],
         };
-        let out = FieldPromotion.run(prog, &mut ctx);
+        let out = FieldPromotion.run(prog, &ctx);
         // Exactly one Var was inserted inside the loop, initialized from the
         // promoted field; the two uses now reference the local.
         let mut promoted_vars = 0;
@@ -277,7 +281,7 @@ mod tests {
         // struct access), and a dictionary-coded string column promotes as
         // an integer local.
         let (catalog, settings, query) = ctx_parts();
-        let mut ctx = TransformCtx {
+        let ctx = TransformCtx {
             catalog: &catalog,
             settings: &settings,
             query: &query,
@@ -300,7 +304,7 @@ mod tests {
                 }],
             }],
         };
-        let out = FieldPromotion.run(prog, &mut ctx);
+        let out = FieldPromotion.run(prog, &ctx);
         let mut qty_init_columnar = false;
         let mut shipmode_ty_int = false;
         out.walk(&mut |s| {
@@ -320,7 +324,7 @@ mod tests {
     #[test]
     fn field_promotion_skips_unknown_rows() {
         let (catalog, settings, query) = ctx_parts();
-        let mut ctx = TransformCtx {
+        let ctx = TransformCtx {
             catalog: &catalog,
             settings: &settings,
             query: &query,
@@ -340,14 +344,14 @@ mod tests {
             }],
         };
         let before = prog.clone();
-        let out = FieldPromotion.run(prog, &mut ctx);
+        let out = FieldPromotion.run(prog, &ctx);
         assert_eq!(out, before);
     }
 
     #[test]
     fn loop_tiling_wraps_base_scans_only() {
         let (catalog, settings, query) = ctx_parts();
-        let mut ctx = TransformCtx {
+        let ctx = TransformCtx {
             catalog: &catalog,
             settings: &settings,
             query: &query,
@@ -365,7 +369,7 @@ mod tests {
                 },
             ],
         };
-        let out = LoopTiling { tile: 256 }.run(prog, &mut ctx);
+        let out = LoopTiling { tile: 256 }.run(prog, &ctx);
         assert_eq!(out.count(|s| matches!(s, Stmt::TiledScanLoop { tile: 256, .. })), 1);
         assert_eq!(
             out.count(|s| matches!(s, Stmt::ScanLoop { table, .. } if table == "#stage1")),

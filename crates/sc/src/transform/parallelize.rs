@@ -2,32 +2,36 @@
 //!
 //! The paper's generated C executes queries single-threaded; this opt-in
 //! transformer extends the same compiler-decides/executor-obeys discipline to
-//! intra-query parallelism. It inspects the fully inlined program for
-//! top-level relation-scanning loops (the pipelines the specialized engine
-//! can cut into morsels: sequential scans, tiled scans, date-index scans)
-//! and, when at least one exists, records the requested worker-thread degree
-//! in the [`Specialization`](legobase_engine::Specialization) report. A
-//! query with nothing morsel-partitionable (in practice only degenerate
-//! plans — every TPC-H query scans a relation) is pinned to serial
-//! execution.
+//! intra-query parallelism. Its decision reads the physical plan, not the
+//! IR: when the query scans at least one relation (in practice always —
+//! every plan bottoms out in scans, which the specialized engine cuts into
+//! morsels), the requested worker-thread degree is recorded in the
+//! [`Specialization`] report; a query with nothing morsel-partitionable is
+//! pinned to serial execution.
 //!
-//! Beyond the degree, the transformer also learns **which join and sort
+//! Beyond the degree, the transformer also decides **which join and sort
 //! operators are safe to parallelize** and records those clearances in the
-//! report (`parallel_joins` / `parallel_sorts`). Join structures — generic
-//! multi-maps, their lowered bucket-array forms, and partitioned Fig. 10
-//! lookups — are key-partitionable by construction, so every one found in a
-//! parallelizable program is cleared for the radix-partitioned build and the
-//! morsel-parallel probe. A sort is cleared when it actually orders by keys
-//! (a keyless `SortEmitted` is a no-op the executor never parallelizes).
+//! report (`parallel_joins` / `parallel_sorts`). Every `HashJoin` is
+//! key-partitionable by construction — whatever its build side lowers to
+//! later (a generic multi-map, a chained bucket array, a load-time partition
+//! lookup) — so each one in a parallelizable plan is cleared for the
+//! radix-partitioned build and the morsel-parallel probe. A `Sort` is
+//! cleared when it actually orders by keys (a keyless sort is a no-op the
+//! executor never parallelizes). These counts equal what the IR holds after
+//! lowering: one join table per `HashJoin`, one `SortEmitted` per `Sort`.
 //!
-//! The transformer only *decides*; the mechanics — fixed-size morsels over
-//! the shared columns, per-morsel partial states, deterministic merge in
-//! morsel order, key-disjoint join sub-tables, the tie-toward-earlier-run
-//! k-way sort merge — live in `legobase_engine::specialized` and
-//! `legobase_storage::{morsel, partition}`, documented in DESIGN.md §3.
+//! The transformer only *decides*; its IR pass just marks the decision with
+//! a banner comment in the lowered program and the generated C. The
+//! mechanics — fixed-size morsels over the shared columns, per-morsel
+//! partial states, deterministic merge in morsel order, key-disjoint join
+//! sub-tables, the tie-toward-earlier-run k-way sort merge — live in
+//! `legobase_engine::specialized` and `legobase_storage::{morsel,
+//! partition}`, documented in DESIGN.md §3.
 
 use crate::ir::{Program, Stmt};
 use crate::rules::{TransformCtx, Transformer};
+use legobase_engine::plan::Plan;
+use legobase_engine::Specialization;
 
 /// Decides the per-query morsel-driven parallelism degree plus the join/sort
 /// clearances and records them in the specialization report (a comment marks
@@ -39,39 +43,42 @@ impl Transformer for Parallelize {
         "Parallelize"
     }
 
-    fn run(&self, prog: Program, ctx: &mut TransformCtx<'_>) -> Program {
-        let requested = ctx.settings.parallelism.max(1);
-        let mut scans = 0usize;
-        let mut joins = 0usize;
-        let mut sorts = 0usize;
-        prog.walk(&mut |s| match s {
-            Stmt::ScanLoop { .. } | Stmt::TiledScanLoop { .. } | Stmt::DateIndexLoop { .. } => {
-                scans += 1;
-            }
-            // Join tables in every lowering state: the generic multi-map,
-            // its chained bucket-array form, and the load-time-partition
-            // dereference that replaces both.
-            Stmt::MultiMapNew { .. }
-            | Stmt::BucketArrayNew { .. }
-            | Stmt::PartitionLookupLoop { .. } => joins += 1,
-            Stmt::SortEmitted { keys } if !keys.is_empty() => sorts += 1,
-            _ => {}
-        });
-        let degree = if scans > 0 { requested } else { 1 };
-        ctx.spec.parallelism = degree;
-        ctx.spec.parallel_joins = if degree > 1 { joins } else { 0 };
-        ctx.spec.parallel_sorts = if degree > 1 { sorts } else { 0 };
-        if degree > 1 {
-            let mut banner = format!("morsel-driven parallel execution, degree {degree}");
-            if joins > 0 || sorts > 0 {
-                banner.push_str(&format!(" ({joins} partitioned join(s), {sorts} merge sort(s))"));
-            }
-            let mut stmts = vec![Stmt::Comment(banner)];
-            stmts.extend(prog.stmts);
-            return Program { stmts, ..prog };
+    fn decide(&self, ctx: &mut TransformCtx<'_>) {
+        let (mut scans, mut joins, mut sorts) = (0usize, 0usize, 0usize);
+        for plan in ctx.query.plans() {
+            plan.walk(&mut |p| match p {
+                Plan::Scan { .. } => scans += 1,
+                Plan::HashJoin { .. } => joins += 1,
+                Plan::Sort { keys, .. } if !keys.is_empty() => sorts += 1,
+                _ => {}
+            });
         }
-        prog
+        record(&mut ctx.spec, ctx.settings.parallelism, scans, joins, sorts);
     }
+
+    fn run(&self, prog: Program, ctx: &TransformCtx<'_>) -> Program {
+        let spec = &ctx.spec;
+        if spec.parallelism <= 1 {
+            return prog;
+        }
+        let (joins, sorts) = (spec.parallel_joins, spec.parallel_sorts);
+        let mut banner = format!("morsel-driven parallel execution, degree {}", spec.parallelism);
+        if joins > 0 || sorts > 0 {
+            banner.push_str(&format!(" ({joins} partitioned join(s), {sorts} merge sort(s))"));
+        }
+        let mut stmts = vec![Stmt::Comment(banner)];
+        stmts.extend(prog.stmts);
+        Program { stmts, ..prog }
+    }
+}
+
+/// The decision from the plan's operator counts: the requested degree when
+/// there is anything to cut into morsels, and the clearances only then.
+fn record(spec: &mut Specialization, requested: usize, scans: usize, joins: usize, sorts: usize) {
+    let degree = if scans > 0 { requested.max(1) } else { 1 };
+    spec.parallelism = degree;
+    spec.parallel_joins = if degree > 1 { joins } else { 0 };
+    spec.parallel_sorts = if degree > 1 { sorts } else { 0 };
 }
 
 #[cfg(test)]
@@ -148,9 +155,18 @@ mod tests {
             query: &q,
             spec: Default::default(),
         };
+        // Every plan scans something, so the plan-level decision takes the
+        // requested degree; with nothing to cut into morsels it would not.
+        Parallelize.decide(&mut ctx);
+        assert_eq!(ctx.spec.parallelism, 8);
+        record(&mut ctx.spec, 8, 0, 2, 1);
+        assert_eq!(
+            (ctx.spec.parallelism, ctx.spec.parallel_joins, ctx.spec.parallel_sorts),
+            (1, 0, 0)
+        );
+        // A serial decision leaves the program unmarked.
         let empty = Program { stmts: Vec::new(), ..crate::build::build_ir(&q, &catalog) };
-        let out = Parallelize.run(empty, &mut ctx);
-        assert_eq!(ctx.spec.parallelism, 1);
+        let out = Parallelize.run(empty, &ctx);
         assert!(out.stmts.is_empty());
     }
 }

@@ -24,7 +24,7 @@ impl Transformer for PartitioningAndDateIndices {
         "PartitioningAndDateIndices"
     }
 
-    fn run(&self, prog: Program, ctx: &mut TransformCtx<'_>) -> Program {
+    fn decide(&self, ctx: &mut TransformCtx<'_>) {
         // ---- analysis (plan level): which partitions to build at load time.
         let mut decisions: Vec<(String, usize, bool)> = Vec::new(); // (table, col, is_pk)
         let mut date_cols: Vec<(String, usize)> = Vec::new();
@@ -66,7 +66,9 @@ impl Transformer for PartitioningAndDateIndices {
         for (table, col) in &date_cols {
             ctx.spec.add_date_index(table, *col);
         }
+    }
 
+    fn run(&self, prog: Program, ctx: &TransformCtx<'_>) -> Program {
         // ---- IR rewriting: lower MultiMaps with annotated keys to direct
         // partition dereferences (Fig. 10), and date-filtered scans to
         // year-bucket loops (Fig. 12).

@@ -24,7 +24,7 @@ impl Transformer for FieldPromotion {
         "FieldPromotion"
     }
 
-    fn run(&self, mut prog: Program, ctx: &mut TransformCtx<'_>) -> Program {
+    fn run(&self, mut prog: Program, ctx: &TransformCtx<'_>) -> Program {
         promote_block(&mut prog.stmts, ctx.catalog, &mut prog.next_sym);
         prog
     }

@@ -15,7 +15,7 @@ impl Transformer for ScalaToCLowering {
         "ScalaToCLowering"
     }
 
-    fn run(&self, prog: Program, _ctx: &mut TransformCtx<'_>) -> Program {
+    fn run(&self, prog: Program, _ctx: &TransformCtx<'_>) -> Program {
         // All remaining constructs have a one-to-one C rendering; this pass
         // is the explicit boundary after which the code generator runs
         // ("generation of the final code becomes a trivial and naive

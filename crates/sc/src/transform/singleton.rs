@@ -17,7 +17,7 @@ impl Transformer for SingletonHashMapToValue {
         "SingletonHashMapToValue"
     }
 
-    fn run(&self, prog: Program, _ctx: &mut TransformCtx<'_>) -> Program {
+    fn run(&self, prog: Program, _ctx: &TransformCtx<'_>) -> Program {
         // An aggregation map whose every update uses a constant key is a
         // single global aggregate (e.g. Q6's key "Total").
         let mut constant_key: HashMap<Sym, bool> = HashMap::new();

@@ -21,7 +21,7 @@ impl Transformer for StringDictionary {
         "StringDictionary"
     }
 
-    fn run(&self, prog: Program, ctx: &mut TransformCtx<'_>) -> Program {
+    fn decide(&self, ctx: &mut TransformCtx<'_>) {
         // ---- analysis: find string operations over base attributes and
         // string-typed group keys; decide dictionary kinds.
         let mut dicts: Vec<(&str, usize, DictKind)> = Vec::new();
@@ -60,7 +60,9 @@ impl Transformer for StringDictionary {
         for (t, c, k) in dicts {
             ctx.spec.add_dictionary(t, c, k);
         }
+    }
 
+    fn run(&self, prog: Program, _ctx: &TransformCtx<'_>) -> Program {
         // ---- IR rewriting: string ops become integer ops (Table II).
         rewrite_exprs(prog, &|e| match e {
             Expr::StrOp(op, arg, lit) => {

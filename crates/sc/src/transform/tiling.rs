@@ -39,7 +39,7 @@ impl Transformer for LoopTiling {
         "LoopTiling"
     }
 
-    fn run(&self, prog: Program, ctx: &mut TransformCtx<'_>) -> Program {
+    fn run(&self, prog: Program, ctx: &TransformCtx<'_>) -> Program {
         let tile = self.tile.max(1);
         rewrite_stmts(prog, &|s| match s {
             Stmt::ScanLoop { row, table, body } if ctx.catalog.get(table).is_some() => {

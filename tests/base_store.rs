@@ -273,3 +273,30 @@ fn eviction_leaves_the_store_warm() {
     assert_eq!(stats.store_builds, builds, "no text after the first built anything");
     assert!(stats.store_hits >= (capacity + 1) as u64 * first.structures.len() as u64);
 }
+
+/// `EXPLAIN` names exactly what an executed miss takes from the store — the
+/// same SC decisions, made without lowering anything: for every text,
+/// configuration and degree, the explained structures (keys and residency)
+/// equal the ones the same text's uncached run reports right after it.
+#[test]
+fn explain_lists_what_the_miss_loads() {
+    let service = archive_system("explain")
+        .serve_with(ServeOptions::default().with_workers(1).with_prepared_cache_capacity(0));
+    let session = service.session();
+    for n in 1..=22 {
+        for config in Config::ALL {
+            for degree in [1, 4] {
+                let settings = config.settings().with_parallelism(degree);
+                let request = QueryRequest::sql(tpch_sql(n)).with_settings(settings);
+                let explained =
+                    session.query(&request.clone().with_explain(true)).expect("explain");
+                let executed = session.query(&request).expect("embedded SQL");
+                assert!(!executed.prepared_cached && !executed.structures.is_empty());
+                assert_eq!(
+                    explained.structures, executed.structures,
+                    "Q{n} under {config:?} at degree {degree}"
+                );
+            }
+        }
+    }
+}
