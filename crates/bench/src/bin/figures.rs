@@ -21,14 +21,15 @@
 //!   join-reordering decision per query.
 //! * `explain <q1..q22>` — one query's `OptReport` (naive vs chosen join
 //!   order, estimated rows) and the optimized plan rendered back to SQL.
-//! * `baseline` — measures per-query minimum time under Opt/C, for the
-//!   hand-built plans (`Q<n>`) and the optimized-SQL plans (`Q<n>-sql`),
-//!   and writes the `legobase-bench-v1` JSON trajectory file
-//!   (`LEGOBASE_BENCH_OUT`, default `bench-trajectory.json`; a PR commits
-//!   its own run as `BENCH_PR<n>.json`). When
-//!   `LEGOBASE_BASELINE` names a committed baseline, the run exits 1 on
-//!   any >25% speed-normalized regression — this is CI's perf gate. Not
-//!   part of `all` (it writes files and gates).
+//! * `baseline` — CI's perf gate: ratios of measurements interleaved in one
+//!   run (optimized-SQL ÷ hand plan per query, cache-less ÷ warm service,
+//!   per-row time at one scale ÷ the next), written as the
+//!   `legobase-bench-v2` file (`LEGOBASE_BENCH_OUT`, default
+//!   `bench-trajectory.json`; a PR commits its own run as
+//!   `BENCH_PR<n>.json`, and `bench/baseline.json` is a copy of one). When
+//!   `LEGOBASE_BASELINE` names a committed baseline, the run exits 1 on any
+//!   ratio more than 25% above it, or on a row only one side has. Not part
+//!   of `all` (it writes files and gates).
 //!
 //! Absolute numbers differ from the paper (different machine, scale factor,
 //! and generated-code substrate — see DESIGN.md); the *shapes* (who wins, by
@@ -71,7 +72,7 @@ fn usage() -> String {
          env: LEGOBASE_SF (scale factor, default 0.02), LEGOBASE_RUNS (timed \
          repetitions, default 3), LEGOBASE_THREADS_SF (threads figure, default 0.1),\n\
          LEGOBASE_BENCH_OUT (baseline output, default bench-trajectory.json), \
-         LEGOBASE_BASELINE (committed baseline to gate against; exit 1 on regression),\n\
+         LEGOBASE_BASELINE (committed ratios to gate against; exit 1 on a >25% rise),\n\
          LEGOBASE_OPTIMIZE (0 turns the cost-based SQL optimizer off), \
          LEGOBASE_FEEDBACK (0 turns adaptive estimation feedback off; esterr warm leg),\n\
          LEGOBASE_SERVE_QUERIES (queries per serve concurrency level, default 440),\n\
@@ -779,181 +780,125 @@ fn explain(system: &LegoBase, n: usize) {
     }
 }
 
-/// CI perf gate: per-query minimum time under Opt/C — for both the
-/// hand-built plans (`Q<n>`) and the optimized-SQL plans (`Q<n>-sql`),
-/// interleaved in one round-robin — written as the `legobase-bench-v1`
-/// JSON trajectory and (optionally) compared against a committed baseline
-/// with the speed-normalized >25% rule of
+/// CI perf gate: ratios of measurements taken in one interleaved round-robin
+/// (`legobase_bench::interleaved_minima`), so the box's speed cancels within
+/// the run and no row needs a cross-run normalization:
+///
+/// * `Q<n>-sql/hand` — the optimized-SQL plan ÷ the hand-built plan of each
+///   TPC-H query under Opt/C, the two adjacent in every round;
+/// * `miss/hit` — the 22 SQL texts through a service with both caches off
+///   (every request pays lowering, optimizer, SC's decisions and assembly)
+///   ÷ the same texts through a warm service, alternating in every round;
+/// * `Q<n>-sf<big>/sf<small>` — per-lineitem-row time of the optimized SQL
+///   plan at one scale ÷ the next smaller one: Q1, Q6, Q21 at SF 0.1 ÷ the
+///   run's SF, Q1, Q6 at SF 1 ÷ SF 0.1, every scale loaded first and timed
+///   in one round-robin.
+///
+/// Writes `legobase-bench-v2` to `LEGOBASE_BENCH_OUT`; with
+/// `LEGOBASE_BASELINE` set, exits 1 on the failures of
 /// `legobase_bench::bench_regressions`.
 fn baseline(system: &LegoBase) {
-    use legobase::engine::optimizer;
     use legobase_bench::{
-        bench_json, bench_regressions, min_times_plans, parse_bench_json, scale_factor, BenchRow,
+        bench_json, bench_regressions, interleaved_minima, parse_bench_json, Ratio, THRESHOLD,
     };
-    let mut plans = Vec::new();
-    let mut names = Vec::new();
-    for n in 1..=22 {
-        plans.push(system.plan(n));
-        names.push(format!("Q{n}"));
-    }
-    for n in 1..=22 {
-        let text = legobase::sql::tpch_sql(n);
-        let naive = legobase::sql::plan_named(text, &format!("Q{n}"), &system.data.catalog)
-            .expect("embedded TPC-H SQL lowers");
-        let (optimized, _) = optimizer::optimize(&naive, &system.data.catalog);
-        plans.push(optimized);
-        names.push(format!("Q{n}-sql"));
-    }
-    let times = min_times_plans(system, &plans, &Settings::optimized());
-    let mut rows: Vec<BenchRow> = times
-        .iter()
-        .zip(&names)
-        .map(|(&t, name)| BenchRow { query: name.clone(), min_ms: ms(t) })
+    let settings = Settings::optimized();
+    let sf = system.data.scale_factor;
+    let mut rows = Vec::new();
+    let mut push = |row: String, num: f64, den: f64, unit: &str| {
+        println!("{row:<16} {num:>10.4} / {den:>10.4} {unit:<6} = {:.4}", num / den);
+        rows.push(Ratio::new(row, num, den));
+    };
+    let execute = |q: &legobase::PreparedQuery| {
+        std::hint::black_box(q.execute().len());
+    };
+
+    let prepared: Vec<_> = (1..=22)
+        .flat_map(|n| [system.plan(n), optimized_sql(system, n)])
+        .map(|plan| system.prepare(&plan, &settings))
         .collect();
-    // Service throughput rows (`serve-c1`, `serve-c8`): wall-clock of a
-    // fixed 44-query batch (the 22 SQL texts, twice) through one shared
-    // query service, minimum over the same number of timed rounds as the
-    // per-query rows — after one untimed round that warms the plan and
-    // prepared caches, mirroring a steady-state multi-tenant server.
-    let mut serve_system = LegoBase::generate(scale_factor());
-    for clients in [1usize, 8] {
-        let service = serve_system.serve_with(legobase::ServeOptions::default());
-        serve_batch(&service, clients);
-        let mut best = f64::INFINITY;
-        for _ in 0..legobase_bench::runs() {
-            best = best.min(serve_batch(&service, clients));
-        }
-        rows.push(BenchRow { query: format!("serve-c{clients}"), min_ms: best });
-        serve_system = service.into_system();
+    let times = interleaved_minima(&prepared, execute);
+    drop(prepared);
+    for (n, pair) in (1..).zip(times.chunks(2)) {
+        push(format!("Q{n}-sql/hand"), ms(pair[1]), ms(pair[0]), "ms");
     }
-    // Plan-cache-miss latency row (`miss-22`): the 22 SQL texts through one
-    // session with both caches off, so every request pays parse, optimize,
-    // SC's decisions (no IR, no C) and a load — on a store the rows above
-    // already warmed, so the load is assembly. Minimum over the timed passes.
+
     let uncached = legobase::ServeOptions::default()
         .with_plan_cache_capacity(0)
         .with_prepared_cache_capacity(0);
-    let service = serve_system.serve_with(uncached);
-    let miss_pass = || {
+    let services = [
+        system_at(sf).serve_with(uncached),
+        system_at(sf).serve_with(legobase::ServeOptions::default()),
+    ];
+    let times = interleaved_minima(&services, |service| {
         let session = service.session();
-        let start = std::time::Instant::now();
         for q in 1..=22 {
             if let Err(e) = session.query(&QueryRequest::sql(legobase::sql::tpch_sql(q))) {
-                eprintln!("miss-22 Q{q}: {e}");
+                eprintln!("miss/hit Q{q}: {e}");
                 std::process::exit(1);
             }
         }
-        ms(start.elapsed())
+    });
+    services.iter().for_each(legobase::QueryService::shutdown);
+    push("miss/hit".into(), ms(times[0]), ms(times[1]), "ms");
+
+    let (sf01, sf1) = (system_at(0.1), system_at(1.0));
+    let mut ladder = Vec::new();
+    for (db, queries) in [(system, &[1usize, 6, 21][..]), (&sf01, &[1, 6, 21]), (&sf1, &[1, 6])] {
+        for &n in queries {
+            ladder.push((db, n, db.prepare(&optimized_sql(db, n), &settings)));
+        }
+    }
+    let times = interleaved_minima(&ladder, |(_, _, q)| execute(q));
+    let per_row = |i: usize| {
+        let db = ladder[i].0;
+        times[i].as_secs_f64() * 1e9 / db.data.rows("lineitem") as f64
     };
-    miss_pass();
-    let best = (0..legobase_bench::runs()).map(|_| miss_pass()).fold(f64::INFINITY, f64::min);
-    rows.push(BenchRow { query: "miss-22".into(), min_ms: best });
-    let serve_system = service.into_system();
-    // TCP front-door row (`serve-tcp-c8`): the serve-c8 batch again, but
-    // through 8 loopback `legobase-wire-v2` connections — the same queries
-    // plus framing, checksumming, and socket copies. Gated like serve-c8.
-    let server = serve_system
-        .serve_tcp("127.0.0.1:0", legobase::ServeOptions::default())
-        .expect("serve-tcp-c8 row: cannot bind a loopback port");
-    let addr = server.local_addr();
-    serve_batch_tcp(addr, 8);
-    let mut best = f64::INFINITY;
-    for _ in 0..legobase_bench::runs() {
-        best = best.min(serve_batch_tcp(addr, 8));
+    // The ladder ascends, so the last earlier entry of the same query at a
+    // smaller scale is the next scale down.
+    for (i, &(big, n, _)) in ladder.iter().enumerate() {
+        let below = ladder[..i]
+            .iter()
+            .rposition(|&(db, m, _)| m == n && db.data.scale_factor < big.data.scale_factor);
+        if let Some(j) = below {
+            let (b, s) = (big.data.scale_factor, ladder[j].0.data.scale_factor);
+            push(format!("Q{n}-sf{b}/sf{s}"), per_row(i), per_row(j), "ns/row");
+        }
     }
-    rows.push(BenchRow { query: "serve-tcp-c8".into(), min_ms: best });
-    server.shutdown();
-    // SF 0.1 headline rows (`Q1-sql-sf0.1`, `Q6-sql-sf0.1`, `Q21-sql-sf0.1`):
-    // the optimized SQL scan queries at the next scale step, so the
-    // trajectory records more than the tiny default SF. Q21 joins the set in
-    // PR 10: its repeated lineitem scans are exactly where re-unpacking per
-    // scan regressed, and this row pins the memoized-decode fix. The archive
-    // cache (system_at) keeps the extra generation off CI's critical path.
-    let sf01 = system_at(0.1);
-    let mut plans01 = Vec::new();
-    for n in [1usize, 6, 21] {
-        let text = legobase::sql::tpch_sql(n);
-        let naive = legobase::sql::plan_named(text, &format!("Q{n}"), &sf01.data.catalog)
-            .expect("embedded TPC-H SQL lowers");
-        let (optimized, _) = optimizer::optimize(&naive, &sf01.data.catalog);
-        plans01.push(optimized);
-    }
-    let times01 = min_times_plans(&sf01, &plans01, &Settings::optimized());
-    for (n, t) in [1usize, 6, 21].iter().zip(&times01) {
-        rows.push(BenchRow { query: format!("Q{n}-sql-sf0.1"), min_ms: ms(*t) });
-    }
-    drop(sf01);
-    // SF 1 headline rows (`Q1-sql-sf1`, `Q6-sql-sf1`): the paper's headline
-    // scale for the scan queries, end to end from the CI-cached v3 archive —
-    // a mapped zero-copy load, not a regeneration (PR 10).
-    let sf1 = system_at(1.0);
-    let mut plans1 = Vec::new();
-    for n in [1usize, 6] {
-        let text = legobase::sql::tpch_sql(n);
-        let naive = legobase::sql::plan_named(text, &format!("Q{n}"), &sf1.data.catalog)
-            .expect("embedded TPC-H SQL lowers");
-        let (optimized, _) = optimizer::optimize(&naive, &sf1.data.catalog);
-        plans1.push(optimized);
-    }
-    let times1 = min_times_plans(&sf1, &plans1, &Settings::optimized());
-    for (n, t) in [1usize, 6].iter().zip(&times1) {
-        rows.push(BenchRow { query: format!("Q{n}-sql-sf1"), min_ms: ms(*t) });
-    }
+
     let out_path =
         std::env::var("LEGOBASE_BENCH_OUT").unwrap_or_else(|_| "bench-trajectory.json".into());
-    let json = bench_json(scale_factor(), "OptC", legobase_bench::runs(), &rows);
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    if let Err(e) = std::fs::write(&out_path, bench_json(sf, &rows)) {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(1);
     }
-    println!("wrote {out_path}:");
-    print!("{json}");
-    if let Ok(baseline_path) = std::env::var("LEGOBASE_BASELINE") {
-        let text = match std::fs::read_to_string(&baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read baseline {baseline_path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let Some(old) = parse_bench_json(&text) else {
-            eprintln!("baseline {baseline_path} has no parseable rows");
-            std::process::exit(1);
-        };
-        let regs = bench_regressions(&old, &rows, 0.25, 1.0);
-        if regs.is_empty() {
-            println!("perf gate: no regression vs {baseline_path} (>25% normalized, >1 ms)");
-        } else {
-            for r in &regs {
-                eprintln!("perf regression: {r}");
-            }
+    println!("wrote {out_path}");
+    let Ok(baseline_path) = std::env::var("LEGOBASE_BASELINE") else { return };
+    let old = std::fs::read_to_string(&baseline_path).map_err(|e| e.to_string());
+    let old = match old.and_then(|text| parse_bench_json(&text)) {
+        Ok(old) => old,
+        Err(e) => {
+            eprintln!("baseline {baseline_path}: {e}");
             std::process::exit(1);
         }
+    };
+    let regs = bench_regressions(&old, &rows);
+    if regs.is_empty() {
+        println!("perf gate: every ratio within +{:.0}% of {baseline_path}", THRESHOLD * 100.0);
+    } else {
+        for r in &regs {
+            eprintln!("perf regression: {r}");
+        }
+        std::process::exit(1);
     }
 }
 
-/// One fixed batch through the query service: all 22 TPC-H SQL texts twice
-/// (44 queries), split round-robin across `clients` concurrent sessions.
-/// Returns wall-clock milliseconds for the whole batch.
-fn serve_batch(service: &legobase::QueryService, clients: usize) -> f64 {
-    const BATCH: usize = 44;
-    let start = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let n = BATCH / clients + usize::from(c < BATCH % clients);
-            scope.spawn(move || {
-                let session = service.session();
-                for k in 0..n {
-                    let q = 1 + (c + k * clients) % 22;
-                    if let Err(e) = session.query(&QueryRequest::sql(legobase::sql::tpch_sql(q))) {
-                        eprintln!("serve batch Q{q}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            });
-        }
-    });
-    ms(start.elapsed())
+/// The optimizer's plan for TPC-H query `n`'s SQL text over `system`'s
+/// catalog.
+fn optimized_sql(system: &LegoBase, n: usize) -> legobase::engine::QueryPlan {
+    let catalog = &system.data.catalog;
+    let naive = legobase::sql::plan_named(legobase::sql::tpch_sql(n), &format!("Q{n}"), catalog)
+        .expect("embedded TPC-H SQL lowers");
+    legobase::engine::optimizer::optimize(&naive, catalog).0
 }
 
 /// Multi-tenant throughput of the query service (not a paper figure — the
@@ -1086,35 +1031,6 @@ fn serve_tcp_figure(sf: f64, per_level: usize) {
         );
     }
     server.shutdown();
-}
-
-/// The `serve_batch` twin over TCP: the same fixed 44-query batch, but each
-/// of the `clients` threads drives a loopback `legobase-wire-v2` connection
-/// (connect + handshake included in the wall clock, mirroring how
-/// `serve_batch` opens a fresh session per thread).
-fn serve_batch_tcp(addr: std::net::SocketAddr, clients: usize) -> f64 {
-    use legobase::client::Client;
-    use legobase::QueryRequest;
-    const BATCH: usize = 44;
-    let start = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let n = BATCH / clients + usize::from(c < BATCH % clients);
-            scope.spawn(move || {
-                let mut client = Client::connect(addr).expect("serve-tcp batch: connect");
-                for k in 0..n {
-                    let q = 1 + (c + k * clients) % 22;
-                    let request =
-                        QueryRequest::sql(legobase::sql::tpch_sql(q)).with_config(Config::OptC);
-                    if let Err(e) = client.run(&request) {
-                        eprintln!("serve-tcp batch Q{q}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            });
-        }
-    });
-    ms(start.elapsed())
 }
 
 /// Thread scaling of the morsel-driven specialized engine (not a paper

@@ -5,9 +5,10 @@
 //! figure of the evaluation section — Figs. 16–22, Table IV, plus the
 //! beyond-the-paper `threads` scaling figure for the morsel-driven parallel
 //! engine — via [`time_query`] (median-of-N timings over a pre-loaded
-//! database). The Criterion benches under `benches/` provide statistically
-//! robust timings for representative queries and for the storage
-//! substrate's micro-operations. `EXPERIMENTS.md` records the
+//! database), and runs the CI perf gate on [`interleaved_minima`] and
+//! [`bench_regressions`]. The Criterion benches under `benches/` provide
+//! statistically robust timings for representative queries and for the
+//! storage substrate's micro-operations. `EXPERIMENTS.md` records the
 //! paper-vs-measured outcome of every figure.
 
 use legobase::{LegoBase, Settings};
@@ -56,155 +57,131 @@ pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Minimum execution time of every TPC-H query under `settings`, measured
-/// in **interleaved round-robin passes**: all 22 queries are loaded once,
-/// then `max(runs(), 9)` passes each execute every query once, and each
-/// query keeps its minimum across passes.
+/// Runs `run` on every item once per round, in order — one untimed warm-up
+/// round, then timed ones until there were `max(runs(), 9)` of them and
+/// they took a second — and returns each item's minimum time.
 ///
-/// This is the measurement behind the CI perf gate, chosen against two
-/// failure modes observed with naive timing: (a) a median-of-3 at
-/// sub-millisecond scale flags 2x phantom regressions between back-to-back
-/// runs of the same binary — scheduler noise only ever *adds* time, so the
-/// minimum is the stable statistic; and (b) measuring queries one after
-/// another lets a single busy period on a shared runner inflate a
-/// *contiguous block* of queries, which speed-normalization cannot cancel —
-/// interleaving spreads any busy window across all queries evenly.
-pub fn min_times_all_queries(system: &LegoBase, settings: &Settings) -> Vec<Duration> {
-    let plans: Vec<_> = (1..=22).map(|n| system.plan(n)).collect();
-    min_times_plans(system, &plans, settings)
-}
-
-/// [`min_times_all_queries`] over an arbitrary plan list — the perf gate
-/// interleaves the hand-built plans *and* the optimized-SQL plans in the
-/// same round-robin, so a busy window on a shared runner spreads across
-/// both populations evenly.
-pub fn min_times_plans(
-    system: &LegoBase,
-    plans: &[legobase::engine::QueryPlan],
-    settings: &Settings,
-) -> Vec<Duration> {
-    let loaded: Vec<_> = plans.iter().map(|p| system.load(p, settings)).collect();
-    for q in &loaded {
-        let _ = q.execute(); // warm-up pass
-    }
-    let mut best = vec![Duration::MAX; loaded.len()];
-    for _ in 0..runs().max(9) {
-        for (i, q) in loaded.iter().enumerate() {
+/// This is the measurement behind the CI perf gate. Scheduler noise only
+/// ever adds time, so the minimum is the stable statistic; and because the
+/// items alternate inside every round, a busy period on a shared box lands
+/// on all of them instead of on a contiguous block, so the ratio of two
+/// items' minima cancels the box's speed. Nine rounds of sub-millisecond
+/// items fit inside one busy period; a second of them reaches past it
+/// (EXPERIMENTS.md, "CI performance baseline").
+pub fn interleaved_minima<T>(items: &[T], mut run: impl FnMut(&T)) -> Vec<Duration> {
+    items.iter().for_each(&mut run);
+    let mut best = vec![Duration::MAX; items.len()];
+    let (start, min_rounds) = (Instant::now(), runs().max(9));
+    let mut rounds = 0;
+    while rounds < min_rounds || start.elapsed() < Duration::from_secs(1) {
+        rounds += 1;
+        for (best, item) in best.iter_mut().zip(items) {
             let t0 = Instant::now();
-            let r = q.execute();
-            let dt = t0.elapsed();
-            std::hint::black_box(r.len());
-            best[i] = best[i].min(dt);
+            run(item);
+            *best = (*best).min(t0.elapsed());
         }
     }
     best
 }
 
-/// One row of the CI performance baseline (`BENCH_*.json`, schema
-/// documented in EXPERIMENTS.md).
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchRow {
-    /// Query name (`Q1`–`Q22`).
-    pub query: String,
-    /// Minimum execution time in milliseconds over the interleaved passes
-    /// of [`min_times_all_queries`] — the gate's robust stand-in for a
-    /// median, named for what it is.
-    pub min_ms: f64,
+/// How far a ratio may grow over its baseline value before the gate fails
+/// (+25%). The one threshold: every row is held to it, and a row that
+/// cannot pass at it is dropped rather than given its own.
+pub const THRESHOLD: f64 = 0.25;
+
+/// The trajectory file's schema: ratio rows only, no absolute times.
+const SCHEMA: &str = "legobase-bench-v2";
+
+/// One row of the CI perf gate: a ratio of two measurements taken in the
+/// same [`interleaved_minima`] round-robin, so the box's speed cancels.
+#[derive(Debug, PartialEq)]
+pub struct Ratio {
+    /// `<numerator>/<denominator>`, e.g. `Q5-sql/hand`, `miss/hit`,
+    /// `Q1-sf1/sf0.1`.
+    pub row: String,
+    /// Numerator ÷ denominator.
+    pub ratio: f64,
 }
 
-/// Serializes a bench run as `legobase-bench-v1` JSON — hand-rolled since
-/// the build environment has no serde; one query per line, the layout
-/// [`parse_bench_json`] expects back.
-pub fn bench_json(scale_factor: f64, config: &str, runs: usize, rows: &[BenchRow]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"legobase-bench-v1\",\n");
-    out.push_str(&format!("  \"scale_factor\": {scale_factor},\n"));
-    out.push_str(&format!("  \"config\": \"{config}\",\n"));
-    out.push_str(&format!("  \"runs\": {runs},\n"));
-    out.push_str("  \"queries\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"query\": \"{}\", \"min_ms\": {:.4}}}{comma}\n",
-            row.query, row.min_ms
+impl Ratio {
+    /// The ratio of two measurements in the same unit.
+    pub fn new(row: impl Into<String>, numerator: f64, denominator: f64) -> Ratio {
+        Ratio { row: row.into(), ratio: numerator / denominator }
+    }
+}
+
+/// Serializes a gate run as `legobase-bench-v2` JSON — hand-rolled since
+/// the build environment has no serde; one row per line, the layout
+/// [`parse_bench_json`] reads back. A run's file *is* a baseline:
+/// re-recording `bench/baseline.json` is copying it.
+pub fn bench_json(scale_factor: f64, rows: &[Ratio]) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| format!("    {{\"row\": \"{}\", \"ratio\": {:.4}}}", r.row, r.ratio))
+        .collect();
+    format!(
+        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"scale_factor\": {scale_factor},\n  \
+         \"ratios\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
+    )
+}
+
+/// The raw text of `"key": value` on one line, quotes stripped.
+fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let rest = line[line.find(&format!("\"{key}\":"))? + key.len() + 3..].trim_start();
+    match rest.strip_prefix('"') {
+        Some(quoted) => quoted.split('"').next(),
+        None => rest.split([',', '}']).next().map(str::trim),
+    }
+}
+
+/// Parses the rows back out of [`bench_json`]'s layout. A file of another
+/// schema — notably a `legobase-bench-v1` baseline of absolute `min_ms`
+/// rows — or a malformed or empty one is an error: the gate must fail
+/// loudly, not compare the wrong quantities or pass silently.
+pub fn parse_bench_json(text: &str) -> Result<Vec<Ratio>, String> {
+    let schema = text.lines().find_map(|l| field(l, "schema")).unwrap_or("none");
+    if schema != SCHEMA {
+        return Err(format!(
+            "schema `{schema}` is not `{SCHEMA}`; the gate compares ratios only, so re-record \
+             the baseline by copying a `figures -- baseline` run's output"
         ));
     }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parses the per-query rows back out of [`bench_json`]'s layout (one
-/// `{"query": …, "min_ms": …}` object per line). Returns `None` when no
-/// rows parse — a corrupt or foreign file must fail the gate loudly, not
-/// pass it silently.
-pub fn parse_bench_json(text: &str) -> Option<Vec<BenchRow>> {
     let mut rows = Vec::new();
     for line in text.lines() {
-        let Some(q_at) = line.find("\"query\"") else { continue };
-        let rest = &line[q_at + "\"query\"".len()..];
-        let mut quotes = rest.split('"');
-        quotes.next()?; // up to the opening quote of the value
-        let query = quotes.next()?.to_string();
-        let p_at = line.find("\"min_ms\"")?;
-        let after = line[p_at + "\"min_ms\"".len()..].trim_start_matches([':', ' ']);
-        let num: String = after
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-            .collect();
-        rows.push(BenchRow { query, min_ms: num.parse().ok()? });
+        let Some(row) = field(line, "row") else { continue };
+        let ratio = field(line, "ratio").and_then(|v| v.parse().ok());
+        let Some(ratio) = ratio else { return Err(format!("row `{row}` has no ratio")) };
+        rows.push(Ratio { row: row.to_string(), ratio });
     }
     if rows.is_empty() {
-        None
-    } else {
-        Some(rows)
+        return Err("no rows".into());
     }
+    Ok(rows)
 }
 
-/// Compares a fresh bench run against a committed baseline and returns one
-/// diagnostic line per regression (empty = gate passes).
-///
-/// CI runners and developer machines differ in absolute speed, so the gate
-/// compares **normalized** times: each query's minimum divided by the geometric
-/// mean of its own run. A query regresses when its normalized time grows by
-/// more than `threshold` (e.g. 0.25 for +25%) *and* its absolute minimum
-/// exceeds `abs_floor_ms` (sub-floor queries are timer noise). A query that
-/// disappears from the new run is always a regression.
-pub fn bench_regressions(
-    old: &[BenchRow],
-    new: &[BenchRow],
-    threshold: f64,
-    abs_floor_ms: f64,
-) -> Vec<String> {
-    let norm = |rows: &[BenchRow]| {
-        // Normalize against the queries above the floor only: sub-floor
-        // timings jitter by 2x run to run, and letting them into the
-        // geomean shifts every other query's normalized value with them.
-        let mut basis: Vec<f64> =
-            rows.iter().map(|r| r.min_ms).filter(|&p| p >= abs_floor_ms).collect();
-        if basis.len() < 3 {
-            basis = rows.iter().map(|r| r.min_ms.max(1e-3)).collect();
-        }
-        let g = geomean(&basis);
-        rows.iter().map(|r| (r.query.clone(), r.min_ms.max(1e-3) / g)).collect::<Vec<_>>()
-    };
-    let old_norm = norm(old);
-    let new_norm = norm(new);
+/// Compares a fresh run against a committed baseline and returns one
+/// diagnostic line per failure (empty = gate passes): a ratio more than
+/// [`THRESHOLD`] above its baseline value, a baseline row the run lacks,
+/// and a run row the baseline lacks (it would otherwise never be gated).
+pub fn bench_regressions(old: &[Ratio], new: &[Ratio]) -> Vec<String> {
+    let find = |rows: &[Ratio], row: &str| rows.iter().find(|r| r.row == row).map(|r| r.ratio);
     let mut out = Vec::new();
-    for (query, old_n) in &old_norm {
-        let Some((_, new_n)) = new_norm.iter().find(|(q, _)| q == query) else {
-            out.push(format!("{query}: present in baseline but missing from this run"));
-            continue;
-        };
-        let ratio = new_n / old_n;
-        let abs = new.iter().find(|r| &r.query == query).map(|r| r.min_ms).unwrap_or(0.0);
-        if ratio > 1.0 + threshold && abs > abs_floor_ms {
-            out.push(format!(
-                "{query}: normalized time grew {:.0}% (> {:.0}% allowed), min {abs:.2} ms",
-                (ratio - 1.0) * 100.0,
-                threshold * 100.0
-            ));
+    for o in old {
+        match find(new, &o.row) {
+            None => out.push(format!("{}: in the baseline but missing from this run", o.row)),
+            Some(n) if n > o.ratio * (1.0 + THRESHOLD) => out.push(format!(
+                "{}: ratio {n:.3} vs baseline {:.3}, grew {:.0}% (> {:.0}% allowed)",
+                o.row,
+                o.ratio,
+                (n / o.ratio - 1.0) * 100.0,
+                THRESHOLD * 100.0
+            )),
+            Some(_) => {}
         }
+    }
+    for n in new.iter().filter(|n| find(old, &n.row).is_none()) {
+        out.push(format!("{}: not in baseline (re-record it from this run)", n.row));
     }
     out
 }
@@ -234,40 +211,74 @@ mod tests {
         assert!(runs() >= 1);
     }
 
-    fn rows(ms: &[f64]) -> Vec<BenchRow> {
-        ms.iter()
+    /// A gate run from measured (numerator, denominator) times: row `R<i>`.
+    fn run(times: &[(f64, f64)]) -> Vec<Ratio> {
+        times
+            .iter()
             .enumerate()
-            .map(|(i, &min_ms)| BenchRow { query: format!("Q{}", i + 1), min_ms })
+            .map(|(i, &(n, d))| Ratio::new(format!("R{}", i + 1), n, d))
             .collect()
     }
 
+    const BASE: [(f64, f64); 3] = [(10.0, 5.0), (3.0, 4.0), (0.2, 0.1)];
+
     #[test]
     fn bench_json_roundtrips() {
-        let input = rows(&[1.5, 20.0, 0.125]);
-        let text = bench_json(0.01, "OptC", 3, &input);
-        assert!(text.contains("legobase-bench-v1"));
-        let parsed = parse_bench_json(&text).expect("own output parses");
-        assert_eq!(parsed.len(), 3);
-        assert_eq!(parsed[0].query, "Q1");
-        assert!((parsed[1].min_ms - 20.0).abs() < 1e-9);
-        assert_eq!(parse_bench_json("not json at all"), None);
-        assert_eq!(parse_bench_json("{\"queries\": []}"), None);
+        let rows = run(&BASE);
+        let text = bench_json(0.01, &rows);
+        assert!(text.contains("legobase-bench-v2") && !text.contains("ms"), "{text}");
+        assert_eq!(parse_bench_json(&text), Ok(rows));
+        assert!(parse_bench_json("not json at all").is_err());
+        let empty = bench_json(0.01, &[]);
+        assert_eq!(parse_bench_json(&empty), Err("no rows".into()));
+        let bad = text.replace("\"ratio\": 0.7500", "\"ratio\": x");
+        assert!(parse_bench_json(&bad).unwrap_err().contains("R2"), "{bad}");
     }
 
     #[test]
-    fn regression_gate_is_speed_normalized() {
-        let old = rows(&[10.0, 10.0, 10.0]);
-        // Uniformly 2x slower machine: no regression.
-        assert!(bench_regressions(&old, &rows(&[20.0, 20.0, 20.0]), 0.25, 1.0).is_empty());
-        // One query 2x slower than its peers: flagged.
-        let regs = bench_regressions(&old, &rows(&[20.0, 20.0, 40.0]), 0.25, 1.0);
+    fn uniformly_slower_run_is_green() {
+        let slow: Vec<_> = BASE.iter().map(|&(n, d)| (2.0 * n, 2.0 * d)).collect();
+        assert_eq!(bench_regressions(&run(&BASE), &run(&slow)), Vec::<String>::new());
+    }
+
+    #[test]
+    fn one_ratio_up_half_is_red_and_named() {
+        let mut worse = BASE;
+        worse[1].0 *= 1.5;
+        let regs = bench_regressions(&run(&BASE), &run(&worse));
         assert_eq!(regs.len(), 1, "{regs:?}");
-        assert!(regs[0].starts_with("Q3:"), "{regs:?}");
-        // Sub-floor queries are timer noise, not regressions.
-        let tiny_old = rows(&[0.01, 10.0]);
-        assert!(bench_regressions(&tiny_old, &rows(&[0.05, 10.0]), 0.25, 1.0).is_empty());
-        // A vanished query always fails the gate.
-        let regs = bench_regressions(&old, &rows(&[10.0, 10.0]), 0.25, 1.0);
-        assert!(regs.iter().any(|r| r.contains("missing")), "{regs:?}");
+        assert!(regs[0].starts_with("R2:") && regs[0].contains("grew 50%"), "{regs:?}");
+        // Within the threshold, and any improvement, passes.
+        worse[1].0 = BASE[1].0 * 1.2;
+        worse[2].0 = BASE[2].0 * 0.5;
+        assert!(bench_regressions(&run(&BASE), &run(&worse)).is_empty());
+    }
+
+    #[test]
+    fn both_sides_slowing_together_is_green() {
+        let mut both = BASE;
+        both[0] = (BASE[0].0 * 1.6, BASE[0].1 * 1.6);
+        assert!(bench_regressions(&run(&BASE), &run(&both)).is_empty());
+    }
+
+    #[test]
+    fn missing_row_is_red() {
+        let regs = bench_regressions(&run(&BASE), &run(&BASE[..2]));
+        assert_eq!(regs, vec!["R3: in the baseline but missing from this run".to_string()]);
+    }
+
+    #[test]
+    fn unbaselined_row_is_red() {
+        let regs = bench_regressions(&run(&BASE[..2]), &run(&BASE));
+        assert_eq!(regs.len(), 1, "{regs:?}");
+        assert!(regs[0].starts_with("R3: not in baseline"), "{regs:?}");
+    }
+
+    #[test]
+    fn absolute_v1_baseline_is_rejected() {
+        let v1 = "{\n  \"schema\": \"legobase-bench-v1\",\n  \"queries\": [\n    \
+                  {\"query\": \"Q1\", \"min_ms\": 1.5050}\n  ]\n}\n";
+        let err = parse_bench_json(v1).unwrap_err();
+        assert!(err.contains("legobase-bench-v1") && err.contains("re-record"), "{err}");
     }
 }

@@ -155,14 +155,7 @@ impl From<std::io::Error> for WireError {
 /// FNV-1a over `bytes`. No longer the frame checksum (that is [`checksum`]
 /// since v2); kept for callers that fingerprint bytes with the same function
 /// the column archive uses.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use legobase_storage::fnv1a;
 
 const CHECK_K1: u64 = 0x9e37_79b9_7f4a_7c15;
 const CHECK_K2: u64 = 0xc2b2_ae3d_27d4_eb4f;

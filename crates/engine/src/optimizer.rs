@@ -53,7 +53,7 @@
 
 use crate::expr::{CmpOp, Expr};
 use crate::plan::{JoinKind, Plan, QueryPlan};
-use legobase_storage::{Catalog, Histogram, Schema, Type, Value};
+use legobase_storage::{Catalog, Fnv, Histogram, Schema, Type, Value};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -2270,6 +2270,8 @@ fn rewrite_stage(
         if passes.pushdown { push_predicates(plan, &arity_of) } else { (plan.clone(), 0) };
     let mut stats = PassStats::default();
     let plan = reorder_node(&plan, ctx, passes, &mut stats);
+    // The stable stage identity the feedback store keys on, hashed as the
+    // plan is rendered instead of from a rendered copy.
     let mut digest = Fnv::new();
     write!(digest, "{lineage}|{label}|{plan:?}").expect("hashing cannot fail");
     let fingerprint = format!("{:016x}", digest.0);
@@ -2300,26 +2302,6 @@ fn rewrite_stage(
             feedback_applied,
         },
     )
-}
-
-/// FNV-1a over whatever is formatted into it — the stable stage identity
-/// the feedback store keys on, hashed as the plan is rendered instead of
-/// from a rendered copy.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-        }
-        Ok(())
-    }
 }
 
 /// Inlines single-use stages that are pure join pipelines (scans, filters,

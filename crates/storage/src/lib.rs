@@ -35,11 +35,14 @@
 //! * [`metrics`] — portable proxy counters standing in for the paper's CPU
 //!   performance counters (Fig. 18).
 //! * [`stats`] — the optimizer statistics collected at loading time.
+//! * [`fnv`] — FNV-1a, the one byte hash the archive checksum, the
+//!   optimizer's fingerprints and the statistics share.
 
 pub mod column;
 pub mod date;
 pub mod dateindex;
 pub mod dict;
+pub mod fnv;
 pub mod mapped;
 pub mod metrics;
 pub mod morsel;
@@ -55,6 +58,7 @@ pub mod value;
 pub use column::{CodeReader, Column, ColumnError, ColumnTable, DateReader, I64Reader};
 pub use date::Date;
 pub use dict::{DictKind, StringDictionary};
+pub use fnv::{fnv1a, Fnv};
 pub use mapped::Mapping;
 pub use packed::{PackedCursor, PackedInts};
 pub use row::RowTable;

@@ -9,6 +9,7 @@
 
 use crate::column::{Column, ColumnTable};
 use crate::date::Date;
+use crate::fnv::fnv1a;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -197,21 +198,14 @@ impl DistinctSketch {
 /// with a splitmix64 avalanche so low-entropy inputs (sequential keys) still
 /// spread over all register indices.
 fn value_hash(v: &Value) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    let mut h = match v {
+        Value::Null => fnv1a(&[0]),
+        Value::Int(i) => fnv1a(&i.to_le_bytes()),
+        Value::Float(f) => fnv1a(&f.to_bits().to_le_bytes()),
+        Value::Str(s) => fnv1a(s.as_bytes()),
+        Value::Date(d) => fnv1a(&d.0.to_le_bytes()),
+        Value::Bool(b) => fnv1a(&[*b as u8 + 2]),
     };
-    match v {
-        Value::Null => eat(&[0]),
-        Value::Int(i) => eat(&i.to_le_bytes()),
-        Value::Float(f) => eat(&f.to_bits().to_le_bytes()),
-        Value::Str(s) => eat(s.as_bytes()),
-        Value::Date(d) => eat(&d.0.to_le_bytes()),
-        Value::Bool(b) => eat(&[*b as u8 + 2]),
-    }
     // splitmix64 finalizer.
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);

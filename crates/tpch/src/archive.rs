@@ -47,9 +47,10 @@
 
 use crate::gen::{BaseColumn, BaseTable, TpchData};
 use crate::schema::{catalog, TABLES};
+// The format's checksum is FNV-1a over each payload (byte-order independent).
 use legobase_storage::{
-    Column, ColumnStats, Date, DistinctSketch, Histogram, Mapping, PackedInts, TableStatistics,
-    Type, Value,
+    fnv1a, Column, ColumnStats, Date, DistinctSketch, Histogram, Mapping, PackedInts,
+    TableStatistics, Type, Value,
 };
 use std::fmt;
 use std::ops::Range;
@@ -115,17 +116,6 @@ const TAG_DATE_RAW: u8 = 3;
 const TAG_DATE_PACKED: u8 = 4;
 const TAG_STR: u8 = 5;
 const TAG_BOOL: u8 = 6;
-
-/// FNV-1a over a byte slice — the format's checksum (dependency-free and
-/// byte-order independent).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 // ---------------------------------------------------------------------------
 // Writing
