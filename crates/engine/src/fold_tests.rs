@@ -11,7 +11,7 @@
 
 use crate::expr::{AggKind, Expr};
 use crate::interp;
-use crate::kernel::{Chunk, GroupResolver};
+use crate::kernel::{AggFold, BlockSel, Chunk, GroupResolver, REGISTER_SLOTS};
 use crate::plan::AggSpec;
 use crate::settings::{Config, Settings};
 use crate::specialized::aggregate_chunk;
@@ -297,7 +297,19 @@ fn engine(
     group_by: &[usize],
     aggs: &[AggSpec],
 ) -> (GroupResolver, Vec<Vec<Value>>) {
-    let (resolver, reprs, cols) = aggregate_chunk(settings, chunk, group_by, aggs);
+    let fold = AggFold::compile(aggs, chunk, settings.compiled_exprs);
+    fold_with(settings, chunk, group_by, &fold, None)
+}
+
+/// [`engine`] with a compiled `fold`, under an optional keep-mask.
+fn fold_with(
+    settings: &Settings,
+    chunk: &Chunk,
+    group_by: &[usize],
+    fold: &AggFold,
+    keep: Option<&BlockSel>,
+) -> (GroupResolver, Vec<Vec<Value>>) {
+    let (resolver, reprs, cols) = aggregate_chunk(settings, chunk, group_by, fold, keep);
     let rows = reprs
         .iter()
         .enumerate()
@@ -350,9 +362,13 @@ proptest! {
         let plain_maps = no_motion.with(|s| s.hashmap_lowering = false);
         let interpreted = Config::OptScala.settings();
         // (group-by columns, settings, the resolver they must select)
-        let groupings: [(&[usize], Settings, &str); 10] = [
+        let groupings: [(&[usize], Settings, &str); 12] = [
             (&[], opt, "singleton"),
             (&[K], opt, "direct"),
+            // Both sides of the register bound: `REGISTER_SLOTS` key values
+            // sum in registers, one more in memory.
+            (&[AT_BOUND], opt, "direct"),
+            (&[PAST_BOUND], opt, "direct"),
             (&[S, K], opt, "direct"),
             (&[W], opt, "lowered"),
             (&[K, D], no_motion, "lowered"),
@@ -372,7 +388,8 @@ proptest! {
         for rows in sizes {
             for selection in [Selection::None, Selection::Ascending, Selection::Buckets] {
                 for layout in [Layout::Plain, Layout::Packed, Layout::Nullable] {
-                    let chunk = chunk(&mut rng, rows, layout, selection);
+                    let base = chunk(&mut rng, rows, layout, selection);
+                    let chunk = extended(&mut rng, &base, &vec![true; base.total]);
                     let mut references = HashMap::new();
                     for (group_by, settings, resolver) in &groupings {
                         let (serial, morsels) = references.entry(*group_by).or_insert_with(|| {
@@ -407,10 +424,109 @@ proptest! {
                             if rows > 1 || !group_by.contains(&W) {
                                 prop_assert_eq!(resolver_name(&used), *resolver);
                             }
+                            // Every key value occurs once a block is full.
+                            if let (true, [c @ (AT_BOUND | PAST_BOUND)]) = (rows > 1023, group_by) {
+                                prop_assert_eq!(used.register_slots().is_some(), *c == AT_BOUND);
+                            }
                         }
                     }
                 }
             }
         }
     }
+
+    #[test]
+    fn masked_fold_equals_compacted_ids_and_reference(seed in any::<u64>()) {
+        let opt = Config::OptC.settings();
+        let plain_maps = opt.with(|s| {
+            s.code_motion = false;
+            s.hashmap_lowering = false;
+        });
+        let groupings: [(&[usize], Settings, &str); 8] = [
+            (&[], opt, "singleton"),
+            (&[K], opt, "direct"),
+            (&[PAST_BOUND], opt, "direct"),
+            (&[W], opt, "lowered"),
+            (&[W], plain_maps, "hash"),
+            (&[T, K], opt, "generic"),
+            (&[S, K], Config::OptScala.settings(), "generic"),
+            (&[I, T], opt, "generic"),
+        ];
+        let mut rng = TestRng::from_seed(seed);
+        for rows in [0, 1, 1025, 2 * MORSEL_ROWS + 1025] {
+            for layout in [Layout::Plain, Layout::Packed, Layout::Nullable] {
+                let base = chunk(&mut rng, rows, layout, Selection::None);
+                let random: Vec<bool> = (0..rows).map(|_| rng.below(2) == 0).collect();
+                let masks: [(&str, Vec<bool>); 4] = [
+                    ("drop all", vec![false; rows]),
+                    ("keep all", vec![true; rows]),
+                    ("alternate", (0..rows).map(|r| r % 2 == 0).collect()),
+                    ("random", random),
+                ];
+                for (mask, keep) in &masks {
+                    let masked = extended(&mut rng, &base, keep);
+                    let ids = (0..rows as u32).filter(|&r| keep[r as usize]).collect::<Vec<_>>();
+                    let kept = ids.len();
+                    let compacted = Chunk { sel: Some(Arc::new(ids)), ..masked.clone() };
+                    for (group_by, settings, resolver) in &groupings {
+                        for degree in [1, 4] {
+                            let settings = settings.with_parallelism(degree);
+                            let mut aggs = aggregates();
+                            if settings.compiled_exprs {
+                                aggs.push(exact_big_sum());
+                            }
+                            let morsel = if degree > 1 { MORSEL_ROWS } else { usize::MAX };
+                            let expected = reference(&compacted, group_by, &aggs, morsel);
+                            let (_, by_ids) = engine(&settings, &compacted, group_by, &aggs);
+                            let fold = AggFold::compile(&aggs, &masked, settings.compiled_exprs);
+                            let filter = BlockSel::compile(&kept_pred(), &masked, settings.compiled_exprs);
+                            let (used, got) =
+                                fold_with(&settings, &masked, group_by, &fold, Some(&filter));
+                            let case = format!(
+                                "rows {rows} ({kept} kept, {mask}) {layout:?} group by {group_by:?} \
+                                 ({resolver}) degree {degree}"
+                            );
+                            prop_assert!(same(&got, &by_ids), "{case}:\n got {got:?}\n ids {by_ids:?}");
+                            prop_assert!(same(&got, &expected), "{case}:\n got {got:?}\n ref {expected:?}");
+                            if rows > 1 {
+                                prop_assert_eq!(resolver_name(&used), *resolver);
+                            }
+                            if group_by.is_empty() && kept == 0 {
+                                // One row: COUNT(*) 0, SUM(x) NULL.
+                                prop_assert_eq!(got.len(), 1);
+                                prop_assert_eq!(&got[0][5], &Value::Int(0));
+                                prop_assert_eq!(&got[0][0], &Value::Null);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Appended by [`extended`]: the 0/1 keep column, and keys of
+/// `REGISTER_SLOTS` and one more values — both sides of the register bound.
+const KEEP: usize = 9;
+const AT_BOUND: usize = 10;
+const PAST_BOUND: usize = 11;
+
+/// `chunk` with the [`KEEP`] column holding `keep` (one entry per physical
+/// row) and random [`AT_BOUND`] / [`PAST_BOUND`] keys.
+fn extended(rng: &mut TestRng, chunk: &Chunk, keep: &[bool]) -> Chunk {
+    let extra = Schema::of(&[("keep", Type::Int), ("at", Type::Int), ("past", Type::Int)]);
+    let mut ch = Chunk { schema: chunk.schema.concat(&extra), ..chunk.clone() };
+    let keys =
+        |rng: &mut TestRng, n: usize| (0..ch.total).map(|_| rng.below(n as u64) as i64).collect();
+    let (at, past) = (keys(rng, REGISTER_SLOTS), keys(rng, REGISTER_SLOTS + 1));
+    for col in [keep.iter().map(|&k| k as i64).collect(), at, past] {
+        ch.cols.push(Column::I64(Arc::new(col)));
+        ch.nulls.push(None);
+    }
+    ch
+}
+
+/// The predicate whose keep-mask is the [`KEEP`] column.
+fn kept_pred() -> Expr {
+    Expr::eq(Expr::col(KEEP), Expr::lit(1i64))
 }

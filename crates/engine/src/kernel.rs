@@ -1235,8 +1235,9 @@ pub(crate) fn eval_bool_column(e: &Expr, chunk: &Chunk, compiled: bool) -> Vec<b
 
 /// A predicate compiled for block-at-a-time selection: the one filter every
 /// operator uses — `Select` over base and intermediate chunks, the residual
-/// of a date-index scan — at every degree. Shared read-only by morsel
-/// workers; each brings its own [`BlockSel::scratch`].
+/// of a date-index scan, the keep-mask of a dense-range aggregate — at every
+/// degree. Shared read-only by morsel workers; each brings its own
+/// [`BlockSel::scratch`].
 pub(crate) struct BlockSel {
     exprs: BlockExprs,
     mask: usize,
@@ -1254,23 +1255,38 @@ impl BlockSel {
         self.exprs.scratch()
     }
 
+    /// The keep-mask of the block: entry `i` tells whether the block's
+    /// `i`-th row satisfies the predicate.
+    pub(crate) fn mask<'r>(&self, rows: &Rows<'_>, regs: &'r mut [Reg]) -> &'r [bool] {
+        self.exprs.eval(rows, regs);
+        &regs[self.mask].b()[..rows.len()]
+    }
+
     /// Appends the physical ids of the block's rows that satisfy the
     /// predicate to `out`, in block order — exactly the rows, in exactly the
     /// order, a per-row `if pred(p) { out.push(p) }` loop selects.
     pub(crate) fn select(&self, rows: &Rows<'_>, regs: &mut [Reg], out: &mut Vec<u32>) {
-        self.exprs.eval(rows, regs);
-        let keep = &regs[self.mask].b()[..rows.len()];
-        // Branch-free compaction: every id is stored, the cursor only moves
-        // past survivors — no data-dependent branch to mispredict.
-        let base = out.len();
-        out.resize(base + keep.len(), 0);
-        let mut k = base;
-        rows.for_each(|i, p| {
-            out[k] = p as u32;
-            k += keep[i] as usize;
-        });
-        out.truncate(k);
+        let keep = self.mask(rows, regs);
+        match rows {
+            Rows::Range(r) => compact(keep, r.start as u32..r.end as u32, out),
+            Rows::Ids(ids) => compact(keep, ids.iter().copied(), out),
+        }
     }
+}
+
+/// Appends the `ids` that `keep` flags to `out`, in order. Branch-free:
+/// every id is stored, the cursor only moves past survivors — no
+/// data-dependent branch to mispredict.
+#[inline(always)]
+fn compact(keep: &[bool], ids: impl Iterator<Item = u32>, out: &mut Vec<u32>) {
+    let base = out.len();
+    out.resize(base + keep.len(), 0);
+    let mut k = base;
+    for (&kept, id) in keep.iter().zip(ids) {
+        out[k] = id;
+        k += kept as usize;
+    }
+    out.truncate(k);
 }
 
 // ---- joins ----
@@ -1801,11 +1817,29 @@ impl GroupResolver {
 
     /// Writes the group slot of every row of the block into `s.gid`; a key
     /// seen for the first time takes the next slot and appends its row to
-    /// `reprs`.
+    /// `reprs`. Under a keep-mask, dropped rows take no slot: their entry is
+    /// [`DROPPED`] and they are not hashed, probed or counted.
     fn resolve(
         &mut self,
         chunk: &Chunk,
         rows: &Rows<'_>,
+        keep: Option<&[bool]>,
+        s: &mut FoldScratch,
+        reprs: &mut Vec<u32>,
+    ) {
+        // One copy of the loops per case, so an unmasked block tests nothing.
+        match keep {
+            None => self.resolve_kept(chunk, rows, |_| true, s, reprs),
+            Some(m) => self.resolve_kept(chunk, rows, |i| m[i], s, reprs),
+        }
+    }
+
+    #[inline(always)]
+    fn resolve_kept(
+        &mut self,
+        chunk: &Chunk,
+        rows: &Rows<'_>,
+        kept: impl Fn(usize) -> bool,
         s: &mut FoldScratch,
         reprs: &mut Vec<u32>,
     ) {
@@ -1816,39 +1850,53 @@ impl GroupResolver {
         gid.resize(n, 0);
         match self {
             GroupResolver::Singleton => {
-                if reprs.is_empty() && n > 0 {
-                    reprs.push(rows.phys(0) as u32);
+                for (i, g) in gid.iter_mut().enumerate() {
+                    *g = if kept(i) { 0 } else { DROPPED };
+                }
+                if reprs.is_empty() {
+                    reprs.extend((0..n).find(|&i| kept(i)).map(|i| rows.phys(i) as u32));
                 }
             }
             GroupResolver::Direct { keys, slots } => {
                 keys.pack(rows, &mut s.keys, &mut s.tmp);
                 for (i, (g, &key)) in gid.iter_mut().zip(&s.keys).enumerate() {
+                    let kept = kept(i);
                     let slot = &mut slots[key as usize];
-                    if *slot < 0 {
+                    if *slot < 0 && kept {
                         *slot = reprs.len() as i32;
                         reprs.push(rows.phys(i) as u32);
                     }
-                    *g = *slot as u32;
+                    *g = if kept { *slot as u32 } else { DROPPED };
                 }
             }
             GroupResolver::Lowered { keys, map } => {
                 keys.pack(rows, &mut s.keys, &mut s.tmp);
                 for (i, (g, &key)) in gid.iter_mut().zip(&s.keys).enumerate() {
-                    *g = *map.get_or_insert_with(key as u64, || {
-                        reprs.push(rows.phys(i) as u32);
-                        reprs.len() as u32 - 1
-                    });
+                    *g = if !kept(i) {
+                        DROPPED
+                    } else {
+                        *map.get_or_insert_with(key as u64, || {
+                            reprs.push(rows.phys(i) as u32);
+                            reprs.len() as u32 - 1
+                        })
+                    };
                 }
             }
             GroupResolver::Hash { keys, map } => {
                 keys.pack(rows, &mut s.keys, &mut s.tmp);
+                let mut probes = 0;
                 for (i, (g, &key)) in gid.iter_mut().zip(&s.keys).enumerate() {
+                    if !kept(i) {
+                        *g = DROPPED;
+                        continue;
+                    }
+                    probes += 1;
                     *g = *map.entry(key as u64).or_insert_with(|| {
                         reprs.push(rows.phys(i) as u32);
                         reprs.len() as u32 - 1
                     });
                 }
-                metrics::hash_probes(n as u64);
+                metrics::hash_probes(probes);
                 metrics::allocations((reprs.len() - first_new) as u64);
             }
             GroupResolver::Generic { coded, rest, map } => {
@@ -1861,7 +1909,13 @@ impl GroupResolver {
                     let hv = hashes.iter_mut().zip(&s.tmp);
                     hv.for_each(|(h, &v)| *h = mix(*h as u64, v as u64) as i64);
                 }
+                let mut probes = 0;
                 rows.for_each(|i, p| {
+                    if !kept(i) {
+                        gid[i] = DROPPED;
+                        return;
+                    }
+                    probes += 1;
                     let mut h = hashes[i] as u64;
                     for &c in rest.iter() {
                         h = mix(h, cell_hash(chunk, c, p));
@@ -1885,7 +1939,7 @@ impl GroupResolver {
                         }
                     };
                 });
-                metrics::hash_probes(n as u64);
+                metrics::hash_probes(probes);
                 metrics::allocations((reprs.len() - first_new) as u64);
             }
         }
@@ -1904,6 +1958,17 @@ impl GroupResolver {
             GroupResolver::Lowered { map, .. } => map.clear(),
             GroupResolver::Hash { map, .. } => map.clear(),
             GroupResolver::Generic { map, .. } => map.clear(),
+        }
+    }
+
+    /// The slot count of a store small enough to sum in registers.
+    pub(crate) fn register_slots(&self) -> Option<usize> {
+        match self {
+            GroupResolver::Singleton => Some(1),
+            GroupResolver::Direct { keys, .. } if keys.domain <= REGISTER_SLOTS as i64 => {
+                Some(keys.domain as usize)
+            }
+            _ => None,
         }
     }
 
@@ -2119,13 +2184,14 @@ enum Agg {
 }
 
 /// Per-worker scratch of the block fold: the expression registers, the packed
-/// keys and the group-id vector of the current block. Grows to the block size
-/// once and is reused for every block.
+/// keys, the group-id vector and the fold positions of the current block.
+/// Grows to the block size once and is reused for every block.
 pub(crate) struct FoldScratch {
     regs: Vec<Reg>,
     keys: Vec<i64>,
     tmp: Vec<i64>,
     gid: Vec<u32>,
+    pos: Vec<u32>,
 }
 
 /// The groups found so far and their accumulators: the running state of a
@@ -2150,17 +2216,124 @@ impl Groups {
     }
 }
 
-/// Calls `f(slot, value)` for every row whose input is not NULL, in row
-/// order.
+/// The slot of a row a keep-mask dropped: it folds into no group.
+const DROPPED: u32 = u32::MAX;
+
+/// Stores of at most this many slots — a direct array over a small key domain,
+/// or the single slot of a global aggregate — sum in registers (see
+/// [`AggFold`]). Measured on a Q1-shaped fold of 300k rows (five lanes and a
+/// count, keys random or in runs): registers take 0.74–0.87 × the memory
+/// path's time up to 64 groups and lose from ~128 on (EXPERIMENTS.md "Q1,
+/// split by phase").
+pub(crate) const REGISTER_SLOTS: usize = 64;
+
+/// Calls `f(i)` for the positions `pos` of a block of `n` rows, in order; all
+/// of them (`None`) in row order.
+#[inline(always)]
+fn each(n: usize, pos: Option<&[u32]>, mut f: impl FnMut(usize)) {
+    match pos {
+        None => (0..n).for_each(f),
+        Some(p) => p.iter().for_each(|&i| f(i as usize)),
+    }
+}
+
+/// Calls `f(slot, value)` for every row of `pos` (see [`each`]) whose input
+/// is not NULL, in order.
 #[inline]
-fn scatter<T: Copy>(gid: &[u32], v: &[T], null: Option<&[bool]>, mut f: impl FnMut(usize, T)) {
-    match null {
-        None => gid.iter().zip(v).for_each(|(&g, &x)| f(g as usize, x)),
-        Some(m) => gid.iter().zip(v).zip(m).for_each(|((&g, &x), &is_null)| {
+fn scatter<T: Copy>(
+    gid: &[u32],
+    pos: Option<&[u32]>,
+    v: &[T],
+    null: Option<&[bool]>,
+    mut f: impl FnMut(usize, T),
+) {
+    match (pos, null) {
+        (None, None) => gid.iter().zip(v).for_each(|(&g, &x)| f(g as usize, x)),
+        (None, Some(m)) => gid.iter().zip(v).zip(m).for_each(|((&g, &x), &is_null)| {
             if !is_null {
                 f(g as usize, x)
             }
         }),
+        (Some(_), _) => each(gid.len(), pos, |i| {
+            if null.is_none_or(|m| !m[i]) {
+                f(gid[i] as usize, v[i])
+            }
+        }),
+    }
+}
+
+/// Stable, branch-free counting sort of a block's rows by slot: `order` lists
+/// the row positions slot by slot, dropped rows last (bucket `slots`); slot
+/// `g` holds `order[bounds[g]..bounds[g + 1]]`. The block is cut into four
+/// quarters, counted and placed side by side with a cursor set each, so a
+/// run of one slot does not chain every row's cursor update through the
+/// previous row's store.
+fn sort_by_slot(gid: &[u32], slots: usize, order: &mut Vec<u32>) -> [usize; REGISTER_SLOTS + 2] {
+    const WAYS: usize = 4;
+    let bucket = |g: u32| (g as usize).min(slots);
+    let quarter = gid.len().div_ceil(WAYS);
+    let mut cursors = [[0; REGISTER_SLOTS + 1]; WAYS];
+    for j in 0..quarter {
+        for (w, counts) in cursors.iter_mut().enumerate() {
+            if let Some(&g) = gid.get(w * quarter + j) {
+                counts[bucket(g)] += 1;
+            }
+        }
+    }
+    // Bucket by bucket, quarter by quarter: each quarter's count becomes its
+    // first position.
+    let mut bounds = [0; REGISTER_SLOTS + 2];
+    let mut at = 0;
+    for b in 0..=slots {
+        bounds[b] = at;
+        for counts in cursors.iter_mut() {
+            (counts[b], at) = (at, at + counts[b]);
+        }
+    }
+    bounds[slots + 1] = at;
+    order.resize(gid.len(), 0);
+    for j in 0..quarter {
+        for (w, next) in cursors.iter_mut().enumerate() {
+            let i = w * quarter + j;
+            if let Some(&g) = gid.get(i) {
+                let b = bucket(g);
+                order[next[b]] = i as u32;
+                next[b] += 1;
+            }
+        }
+    }
+    bounds
+}
+
+/// Adds the inputs of the rows `run`, in order, to slot `g` of every lane,
+/// the running sums held in locals: up to eight lanes per pass, so the lanes'
+/// independent additions overlap while each adds in row order.
+fn add_run(run: &[u32], inputs: &[&[f64]], lanes: &mut [Vec<f64>], g: usize) {
+    for (inputs, lanes) in inputs.chunks(8).zip(lanes.chunks_mut(8)) {
+        match inputs.len() {
+            1 => add_lanes::<1>(run, inputs, lanes, g),
+            2 => add_lanes::<2>(run, inputs, lanes, g),
+            3 => add_lanes::<3>(run, inputs, lanes, g),
+            4 => add_lanes::<4>(run, inputs, lanes, g),
+            5 => add_lanes::<5>(run, inputs, lanes, g),
+            6 => add_lanes::<6>(run, inputs, lanes, g),
+            7 => add_lanes::<7>(run, inputs, lanes, g),
+            _ => add_lanes::<8>(run, inputs, lanes, g),
+        }
+    }
+}
+
+#[inline(always)]
+fn add_lanes<const K: usize>(run: &[u32], inputs: &[&[f64]], lanes: &mut [Vec<f64>], g: usize) {
+    let v: [&[f64]; K] = std::array::from_fn(|l| inputs[l]);
+    let mut acc: [f64; K] = std::array::from_fn(|l| lanes[l][g]);
+    for &i in run {
+        for l in 0..K {
+            acc[l] += v[l][i as usize];
+        }
+    }
+    for (lane, acc) in lanes.iter_mut().zip(acc) {
+        lane[g] = acc;
     }
 }
 
@@ -2173,8 +2346,11 @@ fn scatter<T: Copy>(gid: &[u32], v: &[T], null: Option<&[bool]>, mut f: impl FnM
 /// **in row order** — the lanes in one fused loop (independent accumulators
 /// overlap in the pipeline; a loop per aggregate would serialize on the
 /// store-to-load dependency of consecutive rows of one group), the rest in
-/// a loop each. Every float sum adds the same values in the same order as a
-/// row-at-a-time fold.
+/// a loop each. A store of at most [`REGISTER_SLOTS`] slots first
+/// counting-sorts the block's rows by slot and adds each group's rows into
+/// locals written back once per block, which removes that dependency. Under
+/// a keep-mask only the rows it flags fold. Every float sum adds the same
+/// values in the same order as a row-at-a-time fold over the kept rows.
 pub(crate) struct AggFold {
     exprs: BlockExprs,
     /// Input register of every lane.
@@ -2260,6 +2436,7 @@ impl AggFold {
             keys: Vec::new(),
             tmp: Vec::new(),
             gid: Vec::new(),
+            pos: Vec::new(),
         }
     }
 
@@ -2280,60 +2457,86 @@ impl AggFold {
         groups.grow();
     }
 
-    /// Folds one block of rows into `groups`, whose slots `resolver` numbers.
+    /// Folds one block of rows into `groups`, whose slots `resolver` numbers;
+    /// under `keep`, only the rows it flags.
     pub(crate) fn fold_block(
         &self,
         chunk: &Chunk,
         rows: &Rows<'_>,
+        keep: Option<&[bool]>,
         resolver: &mut GroupResolver,
         groups: &mut Groups,
         s: &mut FoldScratch,
     ) {
         let n = rows.len();
-        resolver.resolve(chunk, rows, s, &mut groups.reprs);
+        resolver.resolve(chunk, rows, keep, s, &mut groups.reprs);
         self.exprs.eval(rows, &mut s.regs);
         groups.grow();
         let (gid, regs) = (&s.gid[..], &s.regs[..]);
         let inputs: Vec<&[f64]> = self.lane_regs.iter().map(|&r| &regs[r].f()[..n]).collect();
-        for (i, &g) in gid.iter().enumerate() {
-            let g = g as usize;
-            groups.rows[g] += 1;
-            for (sums, v) in groups.lanes.iter_mut().zip(&inputs) {
-                sums[g] += v[i];
+        // The positions every aggregate folds, each group's rows in row order:
+        // all rows (`None`), the kept ones, or the kept ones sorted by slot.
+        let pos = match resolver.register_slots() {
+            Some(slots) => {
+                let bounds = sort_by_slot(gid, slots, &mut s.pos);
+                for g in 0..groups.reprs.len() {
+                    let run = &s.pos[bounds[g]..bounds[g + 1]];
+                    if !run.is_empty() {
+                        groups.rows[g] += run.len() as i64;
+                        add_run(run, &inputs, &mut groups.lanes, g);
+                    }
+                }
+                Some(&s.pos[..bounds[slots]])
             }
-        }
+            None => {
+                let pos = keep.map(|m| {
+                    s.pos.clear();
+                    compact(m, 0..m.len() as u32, &mut s.pos);
+                    &s.pos[..]
+                });
+                let (counts, lanes) = (&mut groups.rows, &mut groups.lanes);
+                each(n, pos, |i| {
+                    let g = gid[i] as usize;
+                    counts[g] += 1;
+                    for (sums, v) in lanes.iter_mut().zip(&inputs) {
+                        sums[g] += v[i];
+                    }
+                });
+                pos
+            }
+        };
         for (agg, state) in self.own.iter().zip(&mut groups.own) {
             let null = agg.null.map(|m| &regs[m].b()[..n]);
             match (state, &agg.input) {
                 (AggState::SumF { sums, touched }, AggInput::F(r)) => {
-                    scatter(gid, &regs[*r].f()[..n], null, |g, x| {
+                    scatter(gid, pos, &regs[*r].f()[..n], null, |g, x| {
                         sums[g] += x;
                         touched[g] = true;
                     });
                 }
                 (AggState::SumI { sums, touched }, AggInput::I(r)) => {
-                    scatter(gid, &regs[*r].i()[..n], null, |g, x| {
+                    scatter(gid, pos, &regs[*r].i()[..n], null, |g, x| {
                         sums[g] += x;
                         touched[g] = true;
                     });
                 }
                 (AggState::SumI { sums, touched }, AggInput::F(r)) => {
-                    scatter(gid, &regs[*r].f()[..n], null, |g, x| {
+                    scatter(gid, pos, &regs[*r].f()[..n], null, |g, x| {
                         sums[g] += x as i64;
                         touched[g] = true;
                     });
                 }
                 (AggState::Count { counts }, AggInput::None) => {
-                    scatter(gid, gid, null, |g, _| counts[g] += 1);
+                    scatter(gid, pos, gid, null, |g, _| counts[g] += 1);
                 }
                 (AggState::Avg { sums, counts }, AggInput::F(r)) => {
-                    scatter(gid, &regs[*r].f()[..n], null, |g, x| {
+                    scatter(gid, pos, &regs[*r].f()[..n], null, |g, x| {
                         sums[g] += x;
                         counts[g] += 1;
                     });
                 }
-                (AggState::MinMax { vals, is_min }, AggInput::Val(k)) => rows.for_each(|i, p| {
-                    let v = k(p);
+                (AggState::MinMax { vals, is_min }, AggInput::Val(k)) => each(n, pos, |i| {
+                    let v = k(rows.phys(i));
                     if !v.is_null() {
                         keep_extreme(&mut vals[gid[i] as usize], v, *is_min);
                     }
@@ -2369,7 +2572,7 @@ impl AggFold {
         part: &Groups,
         s: &mut FoldScratch,
     ) {
-        resolver.resolve(chunk, &Rows::Ids(&part.reprs), s, &mut into.reprs);
+        resolver.resolve(chunk, &Rows::Ids(&part.reprs), None, s, &mut into.reprs);
         into.grow();
         for (local, &g) in s.gid.iter().enumerate() {
             let g = g as usize;

@@ -139,11 +139,9 @@ impl<'a> Exec<'a> {
     fn select(&self, input: &Plan, predicate: &Expr, need: &Need) -> Chunk {
         // Date-index path: a fresh base scan filtered by a date range on an
         // indexed attribute (Fig. 12).
-        if self.settings.date_indices {
-            if let Plan::Scan { table } = input {
-                if let Some(chunk) = self.select_via_date_index(table, predicate) {
-                    return chunk;
-                }
+        if let Plan::Scan { table } = input {
+            if let Some(chunk) = self.select_via_date_index(table, predicate) {
+                return chunk;
             }
         }
         let mut chunk = self.run(input, &child_need_select(need, predicate));
@@ -151,45 +149,73 @@ impl<'a> Exec<'a> {
         chunk
     }
 
-    /// Tries to answer a base-table selection through the year index.
-    fn select_via_date_index(&self, table: &str, predicate: &Expr) -> Option<Chunk> {
-        if self.temps.contains_key(table) {
+    /// The year index over base table `table`'s first indexed date column the
+    /// `conjuncts` bound, the bounded range `[lo, hi]` and the conjuncts the
+    /// range captures; `None` with date indices off, for a stage result or
+    /// when no indexed column is bounded.
+    fn date_range(
+        &self,
+        table: &str,
+        conjuncts: &[&Expr],
+    ) -> Option<(&DateYearIndex, Date, Date, BTreeSet<usize>)> {
+        if !self.settings.date_indices || self.temps.contains_key(table) {
             return None;
         }
-        let chunk = self.scan(table);
-        let conjuncts = kernel::conjuncts(predicate);
-        // Find an indexed date column constrained by the conjuncts.
-        for (col_idx, col) in chunk.cols.iter().enumerate() {
+        for (col_idx, col) in self.db.table(table).columns.iter().enumerate() {
             if !matches!(col, Column::Date(_) | Column::DatePacked(_)) {
                 continue;
             }
             let Some(index) = self.db.date_indexes.get(&(table.to_string(), col_idx)) else {
                 continue;
             };
-            let (lo, hi, covered) = date_bounds(&conjuncts, col_idx);
+            let (lo, hi, covered) = date_bounds(conjuncts, col_idx);
             if lo.is_none() && hi.is_none() {
                 continue;
             }
             let lo = lo.unwrap_or(Date(i32::MIN / 2));
             let hi = hi.unwrap_or(Date(i32::MAX / 2));
-            // Year buckets the range covers whole only need the conjuncts
-            // it does not capture; the boundary buckets run the entire
-            // predicate, whose captured conjuncts *are* the range test.
-            let compiled = self.settings.compiled_exprs;
-            let residual = conjuncts
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !covered.contains(i))
-                .map(|(_, e)| (*e).clone())
-                .reduce(Expr::and)
-                .map(|r| BlockSel::compile(&r, &chunk, compiled));
-            let whole = BlockSel::compile(predicate, &chunk, compiled);
-            let sel = self.date_index_scan(index, lo, hi, [Some(&whole), residual.as_ref()]);
-            let mut out = chunk;
-            out.sel = Some(Arc::new(sel));
-            return Some(out);
+            return Some((index, lo, hi, covered));
         }
         None
+    }
+
+    /// Tries to answer a base-table selection through the year index.
+    fn select_via_date_index(&self, table: &str, predicate: &Expr) -> Option<Chunk> {
+        let conjuncts = kernel::conjuncts(predicate);
+        let (index, lo, hi, covered) = self.date_range(table, &conjuncts)?;
+        let chunk = self.scan(table);
+        // Year buckets the range covers whole only need the conjuncts it does
+        // not capture; the boundary buckets run the entire predicate, whose
+        // captured conjuncts *are* the range test.
+        let compiled = self.settings.compiled_exprs;
+        let residual = conjuncts
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !covered.contains(i))
+            .map(|(_, e)| (*e).clone())
+            .reduce(Expr::and)
+            .map(|r| BlockSel::compile(&r, &chunk, compiled));
+        let whole = BlockSel::compile(predicate, &chunk, compiled);
+        let sel = self.date_index_scan(index, lo, hi, [Some(&whole), residual.as_ref()]);
+        let mut out = chunk;
+        out.sel = Some(Arc::new(sel));
+        Some(out)
+    }
+
+    /// The base-table scan under a selection whose date range the year index
+    /// says keeps at least half of the table, with the predicate compiled as
+    /// its keep-mask: an aggregate above folds such a table where it lies
+    /// rather than through the index's year buckets.
+    fn dense_date_range(&self, input: &Plan) -> Option<(Chunk, BlockSel)> {
+        let Plan::Select { input, predicate } = input else { return None };
+        let Plan::Scan { table } = input.as_ref() else { return None };
+        let (index, lo, hi, _) = self.date_range(table, &kernel::conjuncts(predicate))?;
+        if 2 * index.range_candidates(lo, hi) < self.db.table(table).len {
+            return None;
+        }
+        let chunk = self.scan(table);
+        let keep = BlockSel::compile(predicate, &chunk, self.settings.compiled_exprs);
+        Some((chunk, keep))
     }
 
     /// Collects the rows a year index yields for `[lo, hi]`: the ids of
@@ -513,8 +539,13 @@ impl<'a> Exec<'a> {
             a.expr.collect_cols(&mut cols);
             child_need.extend(cols);
         }
-        let chunk = self.run(input, &Some(child_need));
-        let (resolver, reprs, agg_cols) = aggregate_chunk(self.settings, &chunk, group_by, aggs);
+        let (chunk, keep) = match self.dense_date_range(input) {
+            Some((chunk, keep)) => (chunk, Some(keep)),
+            None => (self.run(input, &Some(child_need)), None),
+        };
+        let fold = AggFold::compile(aggs, &chunk, self.settings.compiled_exprs);
+        let (resolver, reprs, agg_cols) =
+            aggregate_chunk(self.settings, &chunk, group_by, &fold, keep.as_ref());
 
         // Emit output: group columns gathered from representative rows, then
         // aggregate columns from the stores, named from the input chunk.
@@ -554,34 +585,46 @@ fn group_resolver(settings: &Settings, group_by: &[usize], chunk: &Chunk) -> Gro
     }
 }
 
-/// Aggregates a chunk block-at-a-time (`kernel::AggFold`): returns the
-/// resolver, each group's first-occurrence row and the aggregate output
-/// columns. Serial execution folds the blocks in order into one running
-/// state. Above the parallel threshold every fixed-size morsel folds into
-/// its own partial, and the partials merge on the caller in morsel-index
-/// order, which reproduces the serial slot numbering and fixes every
-/// floating-point reassociation point at a morsel boundary — results are
-/// bit-identical across degrees ≥ 2 (DESIGN.md §3). Both paths run the same
-/// `fold_block`.
+/// Aggregates a chunk block-at-a-time with `fold` (`kernel::AggFold`):
+/// returns the resolver, each group's first-occurrence row and the aggregate
+/// output columns. Serial execution folds the blocks in order into one
+/// running state. Above the parallel threshold every fixed-size morsel folds
+/// into its own partial, and the partials merge on the caller in
+/// morsel-index order, which reproduces the serial slot numbering and fixes
+/// every floating-point reassociation point at a morsel boundary — results
+/// are bit-identical across degrees ≥ 2 (DESIGN.md §3). Both paths run the
+/// same `fold_block`.
+///
+/// With `keep` (`chunk` is a base-table scan without a selection) each
+/// physical block folds under `keep`'s mask: dropped rows take no slot,
+/// nothing is gathered and no selection vector exists. The partials then cut
+/// where [`kept_morsels`] says the selected chunk's morsels would, so the
+/// result is the one the selected chunk gives, bit for bit, at every degree.
 pub(crate) fn aggregate_chunk(
     settings: &Settings,
     chunk: &Chunk,
     group_by: &[usize],
-    aggs: &[AggSpec],
+    fold: &AggFold,
+    keep: Option<&BlockSel>,
 ) -> (GroupResolver, Vec<u32>, Vec<MaskedColumn>) {
     let n = chunk.len();
-    let fold = AggFold::compile(aggs, chunk, settings.compiled_exprs);
     let mut resolver = group_resolver(settings, group_by, chunk);
     let mut groups = fold.groups();
     let mut scratch = fold.scratch();
-    if go_parallel(settings.parallelism, n) {
+    let parallel = match keep {
+        None => go_parallel(settings.parallelism, n).then(|| (row_morsels(n), None)),
+        Some(keep) => kept_morsels(settings, chunk, keep).map(|(ms, kept)| (ms, Some(kept))),
+    };
+    if let Some((morsels, kept)) = parallel {
         let partials = run_morsels(
             settings.parallelism,
-            &row_morsels(n),
+            &morsels,
             || (resolver.fresh(MORSEL_ROWS), fold.groups(), fold.scratch()),
             |(resolver, groups, scratch), m| {
                 chunk.for_each_block(m.range(), |rows| {
-                    fold.fold_block(chunk, &rows, resolver, groups, scratch)
+                    // A masked chunk has no selection: its rows are physical.
+                    let mask = kept.as_ref().map(|k| &k[rows.phys(0)..][..rows.len()]);
+                    fold.fold_block(chunk, &rows, mask, resolver, groups, scratch)
                 });
                 fold.take_partial(resolver, groups, scratch)
             },
@@ -589,15 +632,74 @@ pub(crate) fn aggregate_chunk(
         for part in &partials {
             fold.merge(chunk, &mut resolver, &mut groups, part, &mut scratch);
         }
-    } else if n == 0 && group_by.is_empty() {
-        fold.add_empty_group(&mut groups);
     } else {
+        let mut regs = keep.map(BlockSel::scratch);
         chunk.for_each_block(0..n, |rows| {
-            fold.fold_block(chunk, &rows, &mut resolver, &mut groups, &mut scratch)
+            let mask = keep.zip(regs.as_mut()).map(|(keep, regs)| keep.mask(&rows, regs));
+            fold.fold_block(chunk, &rows, mask, &mut resolver, &mut groups, &mut scratch)
         });
+    }
+    if group_by.is_empty() && groups.reprs.is_empty() {
+        fold.add_empty_group(&mut groups);
     }
     let reprs = std::mem::take(&mut groups.reprs);
     (resolver, reprs, fold.finish(groups))
+}
+
+/// The morsels of a masked fold above the parallel threshold and the
+/// keep-mask of every physical row. Each morsel is the physical row range
+/// holding [`MORSEL_ROWS`] kept rows, the rows `row_morsels` puts in one
+/// morsel of the selected chunk. The mask is evaluated once, a physical
+/// morsel per worker, and the fold reads it back rather than evaluating the
+/// predicate again. `None` when the kept rows stay below the threshold.
+fn kept_morsels(
+    settings: &Settings,
+    chunk: &Chunk,
+    keep: &BlockSel,
+) -> Option<(Vec<Morsel>, Vec<bool>)> {
+    let total = chunk.total;
+    if !go_parallel(settings.parallelism, total) {
+        return None;
+    }
+    let parts = run_morsels(
+        settings.parallelism,
+        &row_morsels(total),
+        || keep.scratch(),
+        |regs, m| {
+            let mut mask = Vec::with_capacity(m.len());
+            chunk.for_each_block(m.range(), |rows| mask.extend_from_slice(keep.mask(&rows, regs)));
+            let kept = mask.iter().filter(|&&k| k).count();
+            (mask, kept)
+        },
+    );
+    if !go_parallel(settings.parallelism, parts.iter().map(|(_, kept)| kept).sum()) {
+        return None;
+    }
+    let (mut starts, mut seen, mut at) = (vec![0], 0, 0);
+    for (mask, kept) in &parts {
+        // While the next morsel's first kept row (by rank) lies in this part.
+        while starts.len() * MORSEL_ROWS < seen + kept {
+            starts.push(at + nth_kept(mask, starts.len() * MORSEL_ROWS - seen));
+        }
+        (seen, at) = (seen + kept, at + mask.len());
+    }
+    let ends = starts[1..].iter().copied().chain([total]);
+    let morsels = starts.iter().zip(ends).map(|(&start, end)| Morsel { start, end }).collect();
+    Some((morsels, concat_parts(parts.into_iter().map(|(mask, _)| mask).collect())))
+}
+
+/// The position of the kept entry of rank `rank` (from 0) in `mask`,
+/// counted 64 entries at a time.
+fn nth_kept(mask: &[bool], mut rank: usize) -> usize {
+    for (c, word) in mask.chunks(64).enumerate() {
+        let kept = word.iter().filter(|&&k| k).count();
+        if rank < kept {
+            let kept = word.iter().enumerate().filter(|(_, &k)| k);
+            return 64 * c + kept.map(|(i, _)| i).nth(rank).expect("rank < kept");
+        }
+        rank -= kept;
+    }
+    unreachable!("the mask keeps fewer rows than its count")
 }
 
 /// The selection vector of `predicate` over `chunk`: one block loop for
@@ -1719,6 +1821,105 @@ mod tests {
             ],
         };
         check_all_configs(&QueryPlan::new("dateidx", plan), &data, &spec);
+    }
+
+    /// A Q1-shaped aggregate over a date range that keeps more than half of
+    /// `lineitem` folds the base table in place under the predicate's
+    /// keep-mask; its answer is the one the full scan gives (date indices
+    /// off), bit for bit, at degree 1 and across morsels at degree 4.
+    #[test]
+    fn dense_date_range_equals_full_scan() {
+        let (data, mut spec) = setup();
+        let li = data.catalog.table("lineitem").schema.clone();
+        let c = |name: &str| Expr::col(li.col(name));
+        spec.used_columns.insert(
+            "lineitem".into(),
+            [
+                "l_quantity",
+                "l_extendedprice",
+                "l_discount",
+                "l_tax",
+                "l_returnflag",
+                "l_linestatus",
+                "l_shipdate",
+            ]
+            .map(|n| li.col(n))
+            .to_vec(),
+        );
+        let select = |from: Date, to: Date| Plan::Select {
+            input: Box::new(Plan::scan("lineitem")),
+            predicate: Expr::all(vec![
+                Expr::ge(c("l_shipdate"), Expr::lit(from)),
+                Expr::le(c("l_shipdate"), Expr::lit(to)),
+                Expr::lt(c("l_quantity"), Expr::lit(45.0)),
+            ]),
+        };
+        let dense = select(Date::from_ymd(1992, 6, 1), Date::from_ymd(1998, 9, 2));
+        let disc_price =
+            || Expr::mul(c("l_extendedprice"), Expr::sub(Expr::lit(1.0), c("l_discount")));
+        let plan = |group_by: Vec<usize>| Plan::Agg {
+            input: Box::new(dense.clone()),
+            group_by,
+            aggs: vec![
+                AggSpec::new(AggKind::Sum, c("l_quantity"), "sum_qty"),
+                AggSpec::new(AggKind::Sum, c("l_extendedprice"), "sum_base_price"),
+                AggSpec::new(AggKind::Sum, disc_price(), "sum_disc_price"),
+                AggSpec::new(
+                    AggKind::Sum,
+                    Expr::mul(disc_price(), Expr::add(Expr::lit(1.0), c("l_tax"))),
+                    "sum_charge",
+                ),
+                AggSpec::new(AggKind::Avg, c("l_quantity"), "avg_qty"),
+                AggSpec::new(AggKind::Avg, c("l_discount"), "avg_disc"),
+                AggSpec::new(AggKind::Min, c("l_extendedprice"), "min_price"),
+                AggSpec::new(AggKind::Count, Expr::lit(1i64), "count_order"),
+            ],
+        };
+        let grouped = QueryPlan::new(
+            "dense_q1",
+            Plan::Sort {
+                input: Box::new(plan(vec![li.col("l_returnflag"), li.col("l_linestatus")])),
+                keys: vec![(0, SortOrder::Asc), (1, SortOrder::Asc)],
+            },
+        );
+        let global = QueryPlan::new("dense_global", plan(vec![]));
+        let bits = |r: &ResultTable| -> Vec<Vec<String>> {
+            let cell = |v: &Value| match v {
+                Value::Float(f) => format!("{:#x}", f.to_bits()),
+                v => format!("{v:?}"),
+            };
+            r.rows().iter().map(|row| row.iter().map(cell).collect()).collect()
+        };
+        for q in [&grouped, &global] {
+            check_all_configs(q, &data, &spec);
+            for cfg in [Config::HyPerLike, Config::StrDictC, Config::OptC, Config::OptScala] {
+                for degree in [1, 4] {
+                    let settings = cfg.settings().with_parallelism(degree);
+                    let full_scan = settings.with(|s| s.date_indices = false);
+                    let db = crate::SpecializedDb::load(
+                        &data,
+                        &crate::BaseStore::new(),
+                        &spec,
+                        &settings,
+                    );
+                    let got = execute(q, &db, &settings);
+                    assert!(!got.is_empty());
+                    assert_eq!(
+                        bits(&got),
+                        bits(&execute(q, &db, &full_scan)),
+                        "{cfg:?} degree {degree} on {}",
+                        q.name
+                    );
+                }
+            }
+        }
+        // The range above takes the masked path; Q6's one year does not.
+        let settings = Config::OptC.settings();
+        let db = crate::SpecializedDb::load(&data, &crate::BaseStore::new(), &spec, &settings);
+        let exec = Exec { db: &db, settings: &settings, temps: HashMap::new() };
+        assert!(exec.dense_date_range(&dense).is_some());
+        let one_year = select(Date::from_ymd(1994, 1, 1), Date::from_ymd(1994, 12, 31));
+        assert!(exec.dense_date_range(&one_year).is_none());
     }
 
     #[test]

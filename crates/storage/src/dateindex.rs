@@ -88,24 +88,23 @@ impl DateYearIndex {
     /// parallel scan partition an index scan and still concatenate a
     /// bit-identical selection vector.
     pub fn range_segments(&self, lo: Date, hi: Date) -> Vec<RangeSegment> {
-        let mut out = Vec::new();
-        if lo > hi {
-            return out;
-        }
-        let lo_year = lo.year();
-        let hi_year = hi.year();
-        for year in self.year_range() {
-            if year < lo_year || year > hi_year {
-                continue; // whole bucket skipped (Fig. 12b)
-            }
+        self.segments(lo, hi).collect()
+    }
+
+    /// How many rows the year buckets intersecting `[lo, hi]` hold — an
+    /// upper bound on the rows the range keeps, counted without allocating.
+    pub fn range_candidates(&self, lo: Date, hi: Date) -> usize {
+        self.segments(lo, hi).map(|s| s.end - s.start).sum()
+    }
+
+    fn segments(&self, lo: Date, hi: Date) -> impl Iterator<Item = RangeSegment> + '_ {
+        let years = if lo > hi { 0..0 } else { lo.year()..hi.year() + 1 };
+        self.year_range().filter(move |y| years.contains(y)).filter_map(move |year| {
             let idx = (year - self.first_year) as usize;
             let full = Date::from_ymd(year, 1, 1) >= lo && Date::from_ymd(year, 12, 31) <= hi;
             let (start, end) = (self.offsets[idx] as usize, self.offsets[idx + 1] as usize);
-            if start < end {
-                out.push(RangeSegment { start, end, full });
-            }
-        }
-        out
+            (start < end).then_some(RangeSegment { start, end, full })
+        })
     }
 
     /// Visits every row whose date lies in `[lo, hi]` (inclusive), skipping
@@ -229,6 +228,11 @@ mod tests {
         assert!(segs.iter().any(|s| s.full));
         // Inverted range: no segments.
         assert!(idx.range_segments(hi, lo).is_empty());
+        // The candidate count is the segments' total length.
+        let lengths: usize = segs.iter().map(|s| s.end - s.start).sum();
+        assert_eq!(idx.range_candidates(lo, hi), lengths);
+        assert_eq!(idx.range_candidates(hi, lo), 0);
+        assert_eq!(idx.range_candidates(Date(i32::MIN / 2), Date(i32::MAX / 2)), days.len());
     }
 
     #[test]
