@@ -3,7 +3,7 @@
 //! Usage:
 //! ```text
 //! cargo run -p legobase_bench --release --bin figures -- \
-//!     [fig16|…|fig22|table4|sql|optimizer|explain <q>|threads|baseline|all]
+//!     [fig16|…|fig22|table4|sql|optimizer|explain <q>|threads|baseline|floor|all]
 //! ```
 //! Environment: `LEGOBASE_SF` (scale factor, default 0.02), `LEGOBASE_RUNS`
 //! (timed repetitions, default 3). Fig. 18's proxy counters require building
@@ -30,6 +30,10 @@
 //!   `LEGOBASE_BASELINE` names a committed baseline, the run exits 1 on any
 //!   ratio more than 25% above it, or on a row only one side has. Not part
 //!   of `all` (it writes files and gates).
+//! * `floor` — the aggregate's per-row floor: serial execution ns/row of
+//!   one-column aggregates, grouped `HAVING` queries, Q1 and Q6 over
+//!   `lineitem`, beside a std-only in-order float sum (`LEGOBASE_SF`
+//!   defaults to 0.05 here). Not part of `all` or the gate.
 //!
 //! Absolute numbers differ from the paper (different machine, scale factor,
 //! and generated-code substrate — see DESIGN.md); the *shapes* (who wins, by
@@ -37,12 +41,12 @@
 //! in EXPERIMENTS.md.
 
 use legobase::{Config, LegoBase, QueryRequest, Settings};
-use legobase_bench::{geomean, ms, scale_factor, time_query};
+use legobase_bench::{geomean, ms, scale_factor, scale_factor_or, time_query};
 
 /// The figure subcommands, in `all` execution order (`baseline` is the CI
 /// perf gate and deliberately not part of `all`; `explain` takes a query
 /// argument).
-const SUBCOMMANDS: [&str; 18] = [
+const SUBCOMMANDS: [&str; 19] = [
     "fig16",
     "fig17",
     "fig18",
@@ -60,6 +64,7 @@ const SUBCOMMANDS: [&str; 18] = [
     "threads",
     "serve",
     "baseline",
+    "floor",
     "all",
 ];
 
@@ -80,7 +85,9 @@ fn usage() -> String {
          LEGOBASE_ARCHIVE_DIR (cache generated data as column archives; CI caches the dir),\n\
          LEGOBASE_MMAP (0 forces archive loads to read+decode instead of zero-copy mmap), \
          LEGOBASE_SF1 (0 skips the SF 1 rows of the memory figure)\n\
-         figures unpack  (decode-throughput microbench: per-element get vs batch unpack_range)",
+         figures unpack  (decode-throughput microbench: per-element get vs batch unpack_range)\n\
+         figures floor  (serial ns/row of lineitem aggregates beside a std-only loop; \
+         LEGOBASE_SF defaults to 0.05)",
         SUBCOMMANDS.join("|")
     )
 }
@@ -142,7 +149,7 @@ fn main() {
     } else {
         false
     };
-    let sf = scale_factor();
+    let sf = if cmd == "floor" { scale_factor_or(0.05) } else { scale_factor() };
     eprintln!("# scale factor {sf}, {} timed runs per cell", legobase_bench::runs());
     let system = system_at(sf);
     match cmd {
@@ -163,6 +170,7 @@ fn main() {
         "threads" => threads(),
         "serve" => serve_figure(serve_tcp),
         "baseline" => baseline(&system),
+        "floor" => floor(&system),
         "all" => {
             fig16(&system);
             fig17(&system);
@@ -892,12 +900,82 @@ fn baseline(system: &LegoBase) {
     }
 }
 
+/// The aggregate's per-row floor (ROADMAP item 5): serial
+/// `PreparedQuery::execute` time per `lineitem` row of the optimized SQL
+/// plans of one-column aggregates, two grouped `HAVING` queries, Q1 and Q6,
+/// beside a std-only loop that sums the `l_quantity` column in row order —
+/// the order every engine sum keeps, so its one dependent add per row is
+/// the floor a bit-identical fold stands on. Minima of one
+/// [`legobase_bench::interleaved_minima`] round-robin.
+fn floor(system: &LegoBase) {
+    use legobase::storage::Column;
+    use legobase_bench::interleaved_minima;
+    const TEXTS: [(&str, &str); 5] = [
+        ("count(*)", "select count(*) as n from lineitem"),
+        ("sum(l_quantity)", "select sum(l_quantity) as s from lineitem"),
+        ("sum(l_orderkey)", "select sum(l_orderkey) as s from lineitem"),
+        (
+            "l_suppkey having",
+            "select l_suppkey, sum(l_quantity) as s from lineitem group by l_suppkey \
+             having sum(l_quantity) > 16000",
+        ),
+        (
+            "l_orderkey having",
+            "select l_orderkey, sum(l_quantity) as s from lineitem group by l_orderkey \
+             having sum(l_quantity) > 300",
+        ),
+    ];
+    // Serial, as the gate's rows are; `LEGOBASE_PARALLELISM` still raises
+    // it, and the degree column says what ran.
+    let settings = Settings::optimized().with_parallelism(1);
+    let catalog = &system.data.catalog;
+    // (name, degree) of every timed item, beside what runs it.
+    let mut labels: Vec<(String, String)> = Vec::new();
+    let mut items: Vec<Box<dyn Fn()>> = Vec::new();
+    let mut add = |name: String, plan: &legobase::engine::QueryPlan| {
+        let q = system.prepare(plan, &settings);
+        labels.push((name, q.settings.parallelism.to_string()));
+        items.push(Box::new(move || {
+            std::hint::black_box(q.execute().len());
+        }));
+    };
+    for (name, text) in TEXTS {
+        add(name.into(), &optimized_text(system, text, name));
+    }
+    for n in [1, 6] {
+        add(format!("Q{n}"), &optimized_sql(system, n));
+    }
+    let quantity =
+        system.data.plain_column("lineitem", catalog.table("lineitem").schema.col("l_quantity"));
+    let Column::F64(quantity) = quantity else { unreachable!("l_quantity is a plain f64 column") };
+    labels.push(("std loop: in-order f64 sum".into(), "-".into()));
+    items.push(Box::new(move || {
+        let v = std::hint::black_box(&quantity);
+        std::hint::black_box(v.iter().fold(0.0, |acc, &x| acc + x));
+    }));
+    let times = interleaved_minima(&items, |run| run());
+    let rows = system.data.rows("lineitem");
+    println!(
+        "\n== Aggregate floor: execute over {rows} lineitems, SF {}, Opt/C ==",
+        system.data.scale_factor
+    );
+    println!("{:<28} {:>6} {:>10} {:>8}", "query", "degree", "ms", "ns/row");
+    for ((name, degree), t) in labels.iter().zip(times) {
+        let ns = t.as_secs_f64() * 1e9 / rows as f64;
+        println!("{name:<28} {degree:>6} {:>10.3} {ns:>8.2}", ms(t));
+    }
+}
+
 /// The optimizer's plan for TPC-H query `n`'s SQL text over `system`'s
 /// catalog.
 fn optimized_sql(system: &LegoBase, n: usize) -> legobase::engine::QueryPlan {
+    optimized_text(system, legobase::sql::tpch_sql(n), &format!("Q{n}"))
+}
+
+/// The optimizer's plan for an embedded SQL text over `system`'s catalog.
+fn optimized_text(system: &LegoBase, text: &str, name: &str) -> legobase::engine::QueryPlan {
     let catalog = &system.data.catalog;
-    let naive = legobase::sql::plan_named(legobase::sql::tpch_sql(n), &format!("Q{n}"), catalog)
-        .expect("embedded TPC-H SQL lowers");
+    let naive = legobase::sql::plan_named(text, name, catalog).expect("embedded SQL lowers");
     legobase::engine::optimizer::optimize(&naive, catalog).0
 }
 
@@ -1314,6 +1392,14 @@ mod tests {
         for needle in ["unpack", "LEGOBASE_MMAP", "LEGOBASE_SF1"] {
             assert!(usage.contains(needle), "usage must mention `{needle}`: {usage}");
         }
+    }
+
+    /// The aggregate-floor table is a subcommand outside `all`, and usage
+    /// says its scale factor default differs.
+    #[test]
+    fn floor_subcommand_exists() {
+        assert_eq!(parse_subcommand("floor"), Ok("floor"));
+        assert!(usage().contains("LEGOBASE_SF defaults to 0.05"), "{}", usage());
     }
 
     /// The optimizer figure and the EXPLAIN path are pinned subcommands,

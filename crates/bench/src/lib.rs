@@ -16,7 +16,12 @@ use std::time::{Duration, Instant};
 
 /// Scale factor used by the harness; override with `LEGOBASE_SF`.
 pub fn scale_factor() -> f64 {
-    std::env::var("LEGOBASE_SF").ok().and_then(|v| v.parse().ok()).unwrap_or(0.02)
+    scale_factor_or(0.02)
+}
+
+/// `LEGOBASE_SF`, or `default` when it is unset or invalid.
+pub fn scale_factor_or(default: f64) -> f64 {
+    std::env::var("LEGOBASE_SF").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
 /// Number of timed repetitions; override with `LEGOBASE_RUNS`.

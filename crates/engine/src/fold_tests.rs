@@ -11,7 +11,7 @@
 
 use crate::expr::{AggKind, Expr};
 use crate::interp;
-use crate::kernel::{AggFold, BlockSel, Chunk, GroupResolver, REGISTER_SLOTS};
+use crate::kernel::{AggFold, Chunk, GroupResolver, REGISTER_SLOTS};
 use crate::plan::AggSpec;
 use crate::settings::{Config, Settings};
 use crate::specialized::aggregate_chunk;
@@ -301,13 +301,14 @@ fn engine(
     fold_with(settings, chunk, group_by, &fold, None)
 }
 
-/// [`engine`] with a compiled `fold`, under an optional keep-mask.
+/// [`engine`] with a compiled `fold`, under an optional keep-mask (one
+/// entry per physical row).
 fn fold_with(
     settings: &Settings,
     chunk: &Chunk,
     group_by: &[usize],
     fold: &AggFold,
-    keep: Option<&BlockSel>,
+    keep: Option<&[bool]>,
 ) -> (GroupResolver, Vec<Vec<Value>>) {
     let (resolver, reprs, cols) = aggregate_chunk(settings, chunk, group_by, fold, keep);
     let rows = reprs
@@ -389,7 +390,7 @@ proptest! {
             for selection in [Selection::None, Selection::Ascending, Selection::Buckets] {
                 for layout in [Layout::Plain, Layout::Packed, Layout::Nullable] {
                     let base = chunk(&mut rng, rows, layout, selection);
-                    let chunk = extended(&mut rng, &base, &vec![true; base.total]);
+                    let chunk = extended(&mut rng, &base);
                     let mut references = HashMap::new();
                     for (group_by, settings, resolver) in &groupings {
                         let (serial, morsels) = references.entry(*group_by).or_insert_with(|| {
@@ -464,7 +465,7 @@ proptest! {
                     ("random", random),
                 ];
                 for (mask, keep) in &masks {
-                    let masked = extended(&mut rng, &base, keep);
+                    let masked = extended(&mut rng, &base);
                     let ids = (0..rows as u32).filter(|&r| keep[r as usize]).collect::<Vec<_>>();
                     let kept = ids.len();
                     let compacted = Chunk { sel: Some(Arc::new(ids)), ..masked.clone() };
@@ -479,9 +480,8 @@ proptest! {
                             let expected = reference(&compacted, group_by, &aggs, morsel);
                             let (_, by_ids) = engine(&settings, &compacted, group_by, &aggs);
                             let fold = AggFold::compile(&aggs, &masked, settings.compiled_exprs);
-                            let filter = BlockSel::compile(&kept_pred(), &masked, settings.compiled_exprs);
                             let (used, got) =
-                                fold_with(&settings, &masked, group_by, &fold, Some(&filter));
+                                fold_with(&settings, &masked, group_by, &fold, Some(keep));
                             let case = format!(
                                 "rows {rows} ({kept} kept, {mask}) {layout:?} group by {group_by:?} \
                                  ({resolver}) degree {degree}"
@@ -503,30 +503,99 @@ proptest! {
             }
         }
     }
+
+    /// A global aggregate's one slot folds without the slot sort: the kept
+    /// positions of a block, or all its rows, in row order. Over unmasked
+    /// physical blocks, masked ones and selected ids, for the fused lanes
+    /// alone, `COUNT(*)` alone and aggregates folded in loops of their own
+    /// beside the lanes, it equals the per-row reference bit for bit.
+    #[test]
+    fn one_slot_fold_equals_per_row_reference(seed in any::<u64>()) {
+        let disc_price = || Expr::mul(Expr::col(X), Expr::sub(Expr::lit(1i64), Expr::col(Y)));
+        let lanes = vec![
+            AggSpec::new(AggKind::Sum, Expr::col(X), "sum_x"),
+            AggSpec::new(AggKind::Avg, Expr::col(X), "avg_x"),
+            AggSpec::new(AggKind::Sum, disc_price(), "sum_disc"),
+            AggSpec::new(AggKind::Avg, Expr::col(Y), "avg_y"),
+        ];
+        let mut own = lanes.clone();
+        own.extend([
+            // Nullable under `Layout::Nullable`: its own loop behind a mask.
+            AggSpec::new(AggKind::Sum, Expr::col(I), "sum_i"),
+            AggSpec::new(AggKind::Count, Expr::col(X), "count_x"),
+            AggSpec::new(AggKind::Min, Expr::col(X), "min_x"),
+            AggSpec::new(AggKind::Max, Expr::col(D), "max_d"),
+            exact_big_sum(),
+        ]);
+        let count_star = vec![AggSpec::new(AggKind::Count, Expr::lit(1i64), "count_star")];
+        let sets = [("lanes", lanes), ("count(*)", count_star), ("own", own)];
+        let mut rng = TestRng::from_seed(seed);
+        for rows in [0, 1, 1025, 2 * MORSEL_ROWS + 1025] {
+            for layout in [Layout::Plain, Layout::Packed, Layout::Nullable] {
+                let base = chunk(&mut rng, rows, layout, Selection::None);
+                let random: Vec<bool> = (0..rows).map(|_| rng.below(2) == 0).collect();
+                let masks: [(&str, Vec<bool>); 4] = [
+                    ("drop all", vec![false; rows]),
+                    ("keep all", vec![true; rows]),
+                    ("alternate", (0..rows).map(|r| r % 2 == 0).collect()),
+                    ("random", random),
+                ];
+                for (mask, keep) in &masks {
+                    let ids = (0..rows as u32).filter(|&r| keep[r as usize]).collect::<Vec<_>>();
+                    let kept = ids.len();
+                    let compacted = Chunk { sel: Some(Arc::new(ids)), ..base.clone() };
+                    for (set, aggs) in &sets {
+                        for degree in [1, 4] {
+                            let settings = Config::OptC.settings().with_parallelism(degree);
+                            let case = format!(
+                                "rows {rows} ({kept} kept, {mask}) {layout:?} {set} degree {degree}"
+                            );
+                            let morsel = if degree > 1 { MORSEL_ROWS } else { usize::MAX };
+                            let expected = reference(&compacted, &[], aggs, morsel);
+                            let fold = AggFold::compile(aggs, &base, true);
+                            let (used, masked) = fold_with(&settings, &base, &[], &fold, Some(keep));
+                            prop_assert_eq!(resolver_name(&used), "singleton");
+                            prop_assert!(same(&masked, &expected), "{case} masked:\n got {masked:?}\n ref {expected:?}");
+                            let (_, by_ids) = engine(&settings, &compacted, &[], aggs);
+                            prop_assert!(same(&by_ids, &expected), "{case} ids:\n got {by_ids:?}\n ref {expected:?}");
+                            if kept == rows {
+                                let (_, whole) = engine(&settings, &base, &[], aggs);
+                                prop_assert!(same(&whole, &expected), "{case} range:\n got {whole:?}\n ref {expected:?}");
+                            }
+                            if kept == 0 {
+                                // One row: every COUNT 0, every other aggregate NULL.
+                                prop_assert_eq!(masked.len(), 1);
+                                for (spec, v) in aggs.iter().zip(&masked[0]) {
+                                    let empty = match spec.kind {
+                                        AggKind::Count => Value::Int(0),
+                                        _ => Value::Null,
+                                    };
+                                    prop_assert_eq!(v, &empty, "{} ({})", spec.name, case);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
-/// Appended by [`extended`]: the 0/1 keep column, and keys of
-/// `REGISTER_SLOTS` and one more values — both sides of the register bound.
-const KEEP: usize = 9;
-const AT_BOUND: usize = 10;
-const PAST_BOUND: usize = 11;
+/// Appended by [`extended`]: keys of `REGISTER_SLOTS` and one more values —
+/// both sides of the register bound.
+const AT_BOUND: usize = 9;
+const PAST_BOUND: usize = 10;
 
-/// `chunk` with the [`KEEP`] column holding `keep` (one entry per physical
-/// row) and random [`AT_BOUND`] / [`PAST_BOUND`] keys.
-fn extended(rng: &mut TestRng, chunk: &Chunk, keep: &[bool]) -> Chunk {
-    let extra = Schema::of(&[("keep", Type::Int), ("at", Type::Int), ("past", Type::Int)]);
+/// `chunk` with random [`AT_BOUND`] / [`PAST_BOUND`] keys.
+fn extended(rng: &mut TestRng, chunk: &Chunk) -> Chunk {
+    let extra = Schema::of(&[("at", Type::Int), ("past", Type::Int)]);
     let mut ch = Chunk { schema: chunk.schema.concat(&extra), ..chunk.clone() };
     let keys =
         |rng: &mut TestRng, n: usize| (0..ch.total).map(|_| rng.below(n as u64) as i64).collect();
     let (at, past) = (keys(rng, REGISTER_SLOTS), keys(rng, REGISTER_SLOTS + 1));
-    for col in [keep.iter().map(|&k| k as i64).collect(), at, past] {
+    for col in [at, past] {
         ch.cols.push(Column::I64(Arc::new(col)));
         ch.nulls.push(None);
     }
     ch
-}
-
-/// The predicate whose keep-mask is the [`KEEP`] column.
-fn kept_pred() -> Expr {
-    Expr::eq(Expr::col(KEEP), Expr::lit(1i64))
 }

@@ -809,7 +809,8 @@ impl Reg {
 enum Node {
     /// Integer leaf: column load/gather/unpack, or a literal broadcast.
     Int(IntSrc),
-    /// Float column load/gather.
+    /// Float column: read in place over a physical range, gathered through
+    /// a selection.
     F64(Arc<Vec<f64>>),
     /// Float literal broadcast.
     ConstF(f64),
@@ -1028,6 +1029,19 @@ impl BlockExprs {
             .then(|| Node::CmpF(op, self.f64_reg(a, chunk, true), self.f64_reg(b, chunk, true)))
     }
 
+    /// The `f64` values of register `r` over `rows`, as [`BlockExprs::eval`]
+    /// left them: a float column leaf over a physical range is the column
+    /// slice itself, never copied; every other node is its register. Every
+    /// reader of a float register — the arithmetic nodes, the aggregate
+    /// lanes, the scatter loops — goes through here.
+    #[inline]
+    pub(crate) fn f<'a>(&'a self, regs: &'a [Reg], r: usize, rows: &Rows<'_>) -> &'a [f64] {
+        match (&self.nodes[r], rows) {
+            (Node::F64(v), Rows::Range(range)) => &v[range.clone()],
+            _ => &regs[r].f()[..rows.len()],
+        }
+    }
+
     /// Fresh registers for this program (one set per worker).
     pub(crate) fn scratch(&self) -> Vec<Reg> {
         self.nodes
@@ -1060,6 +1074,9 @@ impl BlockExprs {
                     out.resize(n, 0);
                     src.load(rows, out);
                 }
+                // Over a physical range the leaf is read in place (see
+                // [`BlockExprs::f`]); only a gather fills its register.
+                (Node::F64(_), Reg::F(_)) if matches!(rows, Rows::Range(_)) => {}
                 (Node::F64(v), Reg::F(out)) => {
                     out.resize(n, 0.0);
                     load_col(v, rows, out, |x| x);
@@ -1070,7 +1087,7 @@ impl BlockExprs {
                 }
                 (Node::ArithF(op, a, b), Reg::F(out)) => {
                     out.resize(n, 0.0);
-                    let ab = done[*a].f()[..n].iter().zip(&done[*b].f()[..n]);
+                    let ab = self.f(done, *a, rows).iter().zip(self.f(done, *b, rows));
                     let out = out.iter_mut().zip(ab);
                     match op {
                         ArithOp::Add => out.for_each(|(o, (x, y))| *o = x + y),
@@ -1106,7 +1123,7 @@ impl BlockExprs {
                     cmp_into(*op, &done[*a].i()[..n], &done[*b].i()[..n], out)
                 }
                 (Node::CmpF(op, a, b), Reg::B(out)) => {
-                    cmp_into(*op, &done[*a].f()[..n], &done[*b].f()[..n], out)
+                    cmp_into(*op, self.f(done, *a, rows), self.f(done, *b, rows), out)
                 }
                 (Node::Code(a, test), Reg::B(out)) => {
                     out.resize(n, false);
@@ -1194,13 +1211,13 @@ fn int_operand(e: &Expr, chunk: &Chunk) -> Option<IntSrc> {
 fn materialize<T>(
     exprs: &BlockExprs,
     chunk: &Chunk,
-    take: impl Fn(&[Reg], usize, &mut Vec<T>),
+    take: impl Fn(&[Reg], &Rows<'_>, &mut Vec<T>),
 ) -> Vec<T> {
     let mut regs = exprs.scratch();
     let mut out = Vec::with_capacity(chunk.len());
     chunk.for_each_block(0..chunk.len(), |rows| {
         exprs.eval(&rows, &mut regs);
-        take(&regs, rows.len(), &mut out);
+        take(&regs, &rows, &mut out);
     });
     out
 }
@@ -1209,7 +1226,7 @@ fn materialize<T>(
 pub(crate) fn eval_f64_column(e: &Expr, chunk: &Chunk, compiled: bool) -> Vec<f64> {
     let mut exprs = BlockExprs::new();
     let r = exprs.f64_reg(e, chunk, compiled);
-    materialize(&exprs, chunk, |regs, n, out| out.extend_from_slice(&regs[r].f()[..n]))
+    materialize(&exprs, chunk, |regs, rows, out| out.extend_from_slice(exprs.f(regs, r, rows)))
 }
 
 /// Materializes a non-nullable integer expression as an owned vector: exact
@@ -1218,11 +1235,13 @@ pub(crate) fn eval_f64_column(e: &Expr, chunk: &Chunk, compiled: bool) -> Vec<f6
 pub(crate) fn eval_i64_column(e: &Expr, chunk: &Chunk, compiled: bool) -> Vec<i64> {
     let mut exprs = BlockExprs::new();
     if let Some(r) = compiled.then(|| exprs.i64_reg(e, chunk)).flatten() {
-        return materialize(&exprs, chunk, |regs, n, out| out.extend_from_slice(&regs[r].i()[..n]));
+        return materialize(&exprs, chunk, |regs, rows, out| {
+            out.extend_from_slice(&regs[r].i()[..rows.len()])
+        });
     }
     let r = exprs.f64_reg(e, chunk, compiled);
-    materialize(&exprs, chunk, |regs, n, out| {
-        out.extend(regs[r].f()[..n].iter().map(|&x| x as i64))
+    materialize(&exprs, chunk, |regs, rows, out| {
+        out.extend(exprs.f(regs, r, rows).iter().map(|&x| x as i64))
     })
 }
 
@@ -1230,7 +1249,7 @@ pub(crate) fn eval_i64_column(e: &Expr, chunk: &Chunk, compiled: bool) -> Vec<i6
 pub(crate) fn eval_bool_column(e: &Expr, chunk: &Chunk, compiled: bool) -> Vec<bool> {
     let mut exprs = BlockExprs::new();
     let r = exprs.mask_reg(e, chunk, compiled);
-    materialize(&exprs, chunk, |regs, n, out| out.extend_from_slice(&regs[r].b()[..n]))
+    materialize(&exprs, chunk, |regs, rows, out| out.extend_from_slice(&regs[r].b()[..rows.len()]))
 }
 
 /// A predicate compiled for block-at-a-time selection: the one filter every
@@ -1692,15 +1711,35 @@ impl KeyPacker {
         Some(KeyPacker { srcs, mins, strides, domain })
     }
 
-    /// Writes the packed key of every row of the block into `keys`.
+    /// Writes the packed key of every row of the block into `keys`. Over a
+    /// physical range a plain column adds into the keys straight from its
+    /// slice; packed columns and gathers go through `tmp`.
     fn pack(&self, rows: &Rows<'_>, keys: &mut Vec<i64>, tmp: &mut Vec<i64>) {
+        #[inline(always)]
+        fn add<T: Copy>(keys: &mut [i64], v: &[T], min: i64, stride: i64, cast: impl Fn(T) -> i64) {
+            keys.iter_mut().zip(v).for_each(|(k, &x)| *k += (cast(x) - min) * stride);
+        }
         let n = rows.len();
         keys.clear();
         keys.resize(n, 0);
-        tmp.resize(n, 0);
         for ((src, &min), &stride) in self.srcs.iter().zip(&self.mins).zip(&self.strides) {
-            src.load(rows, tmp);
-            keys.iter_mut().zip(tmp.iter()).for_each(|(k, &v)| *k += (v - min) * stride);
+            match (src, rows) {
+                (IntSrc::I64(v), Rows::Range(r)) => add(keys, &v[r.clone()], min, stride, |x| x),
+                (IntSrc::Date(v), Rows::Range(r)) => {
+                    add(keys, &v[r.clone()], min, stride, |x| x as i64)
+                }
+                (IntSrc::Dict(v), Rows::Range(r)) => {
+                    add(keys, &v[r.clone()], min, stride, |x| x as i64)
+                }
+                (IntSrc::Bool(v), Rows::Range(r)) => {
+                    add(keys, &v[r.clone()], min, stride, |x| x as i64)
+                }
+                _ => {
+                    tmp.resize(n, 0);
+                    src.load(rows, tmp);
+                    add(keys, tmp, min, stride, |x| x);
+                }
+            }
         }
     }
 }
@@ -2305,33 +2344,40 @@ fn sort_by_slot(gid: &[u32], slots: usize, order: &mut Vec<u32>) -> [usize; REGI
     bounds
 }
 
-/// Adds the inputs of the rows `run`, in order, to slot `g` of every lane,
-/// the running sums held in locals: up to eight lanes per pass, so the lanes'
-/// independent additions overlap while each adds in row order.
-fn add_run(run: &[u32], inputs: &[&[f64]], lanes: &mut [Vec<f64>], g: usize) {
+/// Adds the inputs of the rows `pos` of a block of `n` rows (see [`each`]),
+/// in order, to slot `g` of every lane, the running sums held in locals: up
+/// to eight lanes per pass, so the lanes' independent additions overlap while
+/// each adds in row order.
+fn add_run(n: usize, pos: Option<&[u32]>, inputs: &[&[f64]], lanes: &mut [Vec<f64>], g: usize) {
     for (inputs, lanes) in inputs.chunks(8).zip(lanes.chunks_mut(8)) {
         match inputs.len() {
-            1 => add_lanes::<1>(run, inputs, lanes, g),
-            2 => add_lanes::<2>(run, inputs, lanes, g),
-            3 => add_lanes::<3>(run, inputs, lanes, g),
-            4 => add_lanes::<4>(run, inputs, lanes, g),
-            5 => add_lanes::<5>(run, inputs, lanes, g),
-            6 => add_lanes::<6>(run, inputs, lanes, g),
-            7 => add_lanes::<7>(run, inputs, lanes, g),
-            _ => add_lanes::<8>(run, inputs, lanes, g),
+            1 => add_lanes::<1>(n, pos, inputs, lanes, g),
+            2 => add_lanes::<2>(n, pos, inputs, lanes, g),
+            3 => add_lanes::<3>(n, pos, inputs, lanes, g),
+            4 => add_lanes::<4>(n, pos, inputs, lanes, g),
+            5 => add_lanes::<5>(n, pos, inputs, lanes, g),
+            6 => add_lanes::<6>(n, pos, inputs, lanes, g),
+            7 => add_lanes::<7>(n, pos, inputs, lanes, g),
+            _ => add_lanes::<8>(n, pos, inputs, lanes, g),
         }
     }
 }
 
 #[inline(always)]
-fn add_lanes<const K: usize>(run: &[u32], inputs: &[&[f64]], lanes: &mut [Vec<f64>], g: usize) {
-    let v: [&[f64]; K] = std::array::from_fn(|l| inputs[l]);
+fn add_lanes<const K: usize>(
+    n: usize,
+    pos: Option<&[u32]>,
+    inputs: &[&[f64]],
+    lanes: &mut [Vec<f64>],
+    g: usize,
+) {
+    let v: [&[f64]; K] = std::array::from_fn(|l| &inputs[l][..n]);
     let mut acc: [f64; K] = std::array::from_fn(|l| lanes[l][g]);
-    for &i in run {
+    each(n, pos, |i| {
         for l in 0..K {
-            acc[l] += v[l][i as usize];
+            acc[l] += v[l][i];
         }
-    }
+    });
     for (lane, acc) in lanes.iter_mut().zip(acc) {
         lane[g] = acc;
     }
@@ -2348,8 +2394,10 @@ fn add_lanes<const K: usize>(run: &[u32], inputs: &[&[f64]], lanes: &mut [Vec<f6
 /// store-to-load dependency of consecutive rows of one group), the rest in
 /// a loop each. A store of at most [`REGISTER_SLOTS`] slots first
 /// counting-sorts the block's rows by slot and adds each group's rows into
-/// locals written back once per block, which removes that dependency. Under
-/// a keep-mask only the rows it flags fold. Every float sum adds the same
+/// locals written back once per block, which removes that dependency; a
+/// store of one slot (a global aggregate) skips the sort, its run being the
+/// block's kept rows, already in order. Under a keep-mask only the rows it
+/// flags fold. Every float sum adds the same
 /// values in the same order as a row-at-a-time fold over the kept rows.
 pub(crate) struct AggFold {
     exprs: BlockExprs,
@@ -2473,35 +2521,46 @@ impl AggFold {
         self.exprs.eval(rows, &mut s.regs);
         groups.grow();
         let (gid, regs) = (&s.gid[..], &s.regs[..]);
-        let inputs: Vec<&[f64]> = self.lane_regs.iter().map(|&r| &regs[r].f()[..n]).collect();
+        let f = |r: usize| self.exprs.f(regs, r, rows);
+        let inputs: Vec<&[f64]> = self.lane_regs.iter().map(|&r| f(r)).collect();
         // The positions every aggregate folds, each group's rows in row order:
         // all rows (`None`), the kept ones, or the kept ones sorted by slot.
         let pos = match resolver.register_slots() {
-            Some(slots) => {
+            Some(slots) if slots > 1 => {
                 let bounds = sort_by_slot(gid, slots, &mut s.pos);
                 for g in 0..groups.reprs.len() {
                     let run = &s.pos[bounds[g]..bounds[g + 1]];
                     if !run.is_empty() {
                         groups.rows[g] += run.len() as i64;
-                        add_run(run, &inputs, &mut groups.lanes, g);
+                        add_run(n, Some(run), &inputs, &mut groups.lanes, g);
                     }
                 }
                 Some(&s.pos[..bounds[slots]])
             }
-            None => {
+            slots => {
                 let pos = keep.map(|m| {
                     s.pos.clear();
                     compact(m, 0..m.len() as u32, &mut s.pos);
                     &s.pos[..]
                 });
                 let (counts, lanes) = (&mut groups.rows, &mut groups.lanes);
-                each(n, pos, |i| {
-                    let g = gid[i] as usize;
-                    counts[g] += 1;
-                    for (sums, v) in lanes.iter_mut().zip(&inputs) {
-                        sums[g] += v[i];
+                if slots == Some(1) {
+                    // One slot: the kept rows are its run, already in row
+                    // order — no sort — and add in registers.
+                    let run = pos.map_or(n, <[u32]>::len);
+                    if run > 0 {
+                        counts[0] += run as i64;
+                        add_run(n, pos, &inputs, lanes, 0);
                     }
-                });
+                } else {
+                    each(n, pos, |i| {
+                        let g = gid[i] as usize;
+                        counts[g] += 1;
+                        for (sums, v) in lanes.iter_mut().zip(&inputs) {
+                            sums[g] += v[i];
+                        }
+                    });
+                }
                 pos
             }
         };
@@ -2509,7 +2568,7 @@ impl AggFold {
             let null = agg.null.map(|m| &regs[m].b()[..n]);
             match (state, &agg.input) {
                 (AggState::SumF { sums, touched }, AggInput::F(r)) => {
-                    scatter(gid, pos, &regs[*r].f()[..n], null, |g, x| {
+                    scatter(gid, pos, f(*r), null, |g, x| {
                         sums[g] += x;
                         touched[g] = true;
                     });
@@ -2521,7 +2580,7 @@ impl AggFold {
                     });
                 }
                 (AggState::SumI { sums, touched }, AggInput::F(r)) => {
-                    scatter(gid, pos, &regs[*r].f()[..n], null, |g, x| {
+                    scatter(gid, pos, f(*r), null, |g, x| {
                         sums[g] += x as i64;
                         touched[g] = true;
                     });
@@ -2530,7 +2589,7 @@ impl AggFold {
                     scatter(gid, pos, gid, null, |g, _| counts[g] += 1);
                 }
                 (AggState::Avg { sums, counts }, AggInput::F(r)) => {
-                    scatter(gid, pos, &regs[*r].f()[..n], null, |g, x| {
+                    scatter(gid, pos, f(*r), null, |g, x| {
                         sums[g] += x;
                         counts[g] += 1;
                     });
@@ -2770,6 +2829,39 @@ mod tests {
                 assert_eq!((bp[r], be[r]), (kp.get(r), kp.get(r)), "col {col} row {r}");
             }
         }
+
+        // Packed keys: a physical range (plain columns add straight from
+        // their slices) and the same rows as ids (gathered) give the keys the
+        // per-row codes define, over plain integer, dictionary, date and
+        // boolean columns and their packed forms.
+        let with_flag = |mut ch: Chunk| {
+            ch.schema = ch.schema.concat(&Schema::of(&[("flag", Type::Bool)]));
+            ch.cols.push(Column::Bool(Arc::new((0..ch.total).map(|r| r % 3 == 0).collect())));
+            ch.nulls.push(None);
+            ch
+        };
+        let ids: Vec<u32> = (0..ch.total as u32).collect();
+        for ch in [with_flag(ch.clone()), with_flag(enc)] {
+            for group_by in [&[0usize][..], &[2], &[3], &[4], &[2, 3, 4], &[0, 2, 3, 4]] {
+                let keys = KeyPacker::fit(group_by, &ch).expect("coded keys");
+                let expect: Vec<i64> = (0..ch.total)
+                    .map(|p| {
+                        let codes = group_by.iter().map(|&c| key_src(c, &ch).unwrap().get(p));
+                        let fields = codes.zip(&keys.mins).zip(&keys.strides);
+                        fields.map(|((v, min), stride)| (v - min) * stride).sum()
+                    })
+                    .collect();
+                let (mut by_range, mut by_ids, mut tmp) = (Vec::new(), Vec::new(), Vec::new());
+                keys.pack(&Rows::Range(0..ch.total), &mut by_range, &mut tmp);
+                keys.pack(&Rows::Ids(&ids), &mut by_ids, &mut tmp);
+                assert_eq!(by_range, expect, "range, group by {group_by:?}");
+                assert_eq!(by_ids, expect, "ids, group by {group_by:?}");
+            }
+        }
+        // A nullable key has no code: the store falls back to generic keys.
+        let mut nullable = ch.clone();
+        nullable.nulls[0] = Some(Arc::new(vec![false; nullable.total]));
+        assert!(KeyPacker::fit(&[0, 2], &nullable).is_none());
     }
 
     /// The block selection must select exactly the rows the per-row kernels
@@ -2959,6 +3051,30 @@ mod tests {
                 assert_eq!(eval_i64_column(&big, &ch, true), exact);
                 assert_eq!(eval_i64_column(&Expr::year(Expr::col(3)), &ch, true)[0], 1993);
             }
+        }
+        // One program over a physical range (float leaves read in place) and
+        // over the same rows as ids (leaves gathered into their registers)
+        // leaves identical values behind every node.
+        for encoded in [false, true] {
+            let ch = if encoded { encode_chunk(chunk(None)) } else { chunk(None) };
+            let mut prog = BlockExprs::new();
+            let regs: Vec<usize> = exprs.iter().map(|e| prog.f64_reg(e, &ch, true)).collect();
+            let ids: Vec<u32> = (0..ch.total as u32).collect();
+            let (range, ids) = (Rows::Range(0..ch.total), Rows::Ids(&ids));
+            let (mut by_range, mut by_ids) = (prog.scratch(), prog.scratch());
+            prog.eval(&range, &mut by_range);
+            prog.eval(&ids, &mut by_ids);
+            for (e, &r) in exprs.iter().zip(&regs) {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(prog.f(&by_range, r, &range)),
+                    bits(prog.f(&by_ids, r, &ids)),
+                    "expr {e} encoded {encoded}"
+                );
+            }
+            // The float leaf is the column itself over a range.
+            let leaf = prog.f(&by_range, regs[0], &range);
+            assert!(matches!(&ch.cols[1], Column::F64(v) if std::ptr::eq(leaf, &v[..])));
         }
         let ch = chunk(None);
         let mut prog = BlockExprs::new();
