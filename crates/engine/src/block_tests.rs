@@ -3,8 +3,10 @@
 //! seeded random data every block path must reproduce its per-row reference
 //! **element for element** —
 //!
-//! * the block selection ≡ the per-row kernels of `compile_bool`, over random
-//!   predicates × layouts × chunk shapes × degrees, compiled and interpreted;
+//! * the block selection ≡ `interp::eval_pred` row by row, over random
+//!   predicates × layouts × chunk shapes × degrees, compiled and interpreted
+//!   (every dictionary kind: per-code flags, ordered prefix ranges, token
+//!   word sequences; plain strings; `CASE`, `YEAR`, `IS NULL`);
 //! * the typed pair residual ≡ `interp::eval_pred` on the concatenated row;
 //! * the direct-array / key-bitset build side ≡ the chained table's pair
 //!   sequence (and a reference built from generic values) for all four join kinds,
@@ -16,9 +18,11 @@
 //! `fold_tests.rs`.)
 
 use crate::expr::{CmpOp, Expr};
-use crate::fold_tests::{chunk, Layout, Selection, BIG, D, I, K, S, T, W, X, Y};
+use crate::fold_tests::{
+    chunk, Layout, Selection, BIG, D, I, K, O, ORDERED, S, T, TOKENS, W, WT, X, Y,
+};
 use crate::interp;
-use crate::kernel::{compile_bool, Chunk, JoinKeys, PairPred};
+use crate::kernel::{Chunk, JoinKeys, PairPred};
 use crate::plan::{JoinKind, SortOrder};
 use crate::settings::Config;
 use crate::specialized::{hash_build, join_pairs, select_chunk, sort_chunk, Build};
@@ -43,7 +47,8 @@ fn cmp(rng: &mut TestRng, a: Expr, b: Expr) -> Expr {
 /// A random predicate over the columns of `fold_tests::chunk`: comparisons
 /// over int / date / float / dictionary / plain-string columns against
 /// literals (inside and outside the column's domain or dictionary) and
-/// against each other, arithmetic, `IN`, the LIKE family, NULL tests, and
+/// against each other, arithmetic, `IN`, the LIKE family over every
+/// dictionary kind and plain strings, NULL tests, `YEAR`, `CASE`, and
 /// `AND` / `OR` / `NOT` above them.
 fn predicate(rng: &mut TestRng, depth: u32) -> Expr {
     if depth > 0 && rng.below(3) > 0 {
@@ -56,7 +61,7 @@ fn predicate(rng: &mut TestRng, depth: u32) -> Expr {
     }
     let w = *pick(rng, &WORDS);
     let n = rng.below(1 << 40);
-    match rng.below(16) {
+    match rng.below(18) {
         0 => cmp(rng, Expr::col(K), Expr::lit((n % 7) as i64 - 1)),
         1 => cmp(rng, Expr::col(W), Expr::lit((n % 12_000_000) as i64)),
         2 => {
@@ -87,6 +92,30 @@ fn predicate(rng: &mut TestRng, depth: u32) -> Expr {
             _ => Expr::word_seq(Expr::col(T), w, "X"),
         },
         14 => Expr::is_null(Expr::col(*pick(rng, &[X, I, K]))),
+        // Ordered dictionary: prefixes that cover one value, several
+        // neighbours (`PROMO` holds `PROMOTED`), none, or all.
+        15 => match n % 4 {
+            0 => {
+                let prefixes = ["PROMO", "PROMOTED ", "S", "SMALL TIN", "ST", "A", "Z", ""];
+                Expr::starts_with(Expr::col(O), pick::<&str>(rng, &prefixes))
+            }
+            1 => {
+                let lit = Expr::lit(format!("{} TIN", pick(rng, &ORDERED.0)));
+                cmp(rng, Expr::col(O), lit)
+            }
+            2 => Expr::ends_with(Expr::col(O), pick::<&str>(rng, &ORDERED.1)),
+            _ => Expr::in_list(Expr::col(O), vec!["SMALL TIN".into(), "PROMO STEEL".into()]),
+        },
+        // Word-token dictionary: ordered word pairs, a word twice, a word
+        // that occurs in no value.
+        16 => {
+            let (w1, w2) = (*pick(rng, &TOKENS), *pick(rng, &TOKENS));
+            match n % 4 {
+                0 | 1 => Expr::word_seq(Expr::col(WT), w1, w2),
+                2 => Expr::word_seq(Expr::col(WT), w1, "absent"),
+                _ => Expr::contains(Expr::col(WT), &format!("{w1} {w2}")),
+            }
+        }
         _ => match n % 3 {
             0 => cmp(rng, Expr::year(Expr::col(D)), Expr::lit(1992 + (n / 3 % 7) as i64)),
             1 => Expr::lit(n & 8 == 0),
@@ -121,10 +150,9 @@ proptest! {
                     let chunk = chunk(&mut rng, rows, layout, selection);
                     for _ in 0..12 {
                         let e = predicate(&mut rng, 3);
-                        let per_row = compile_bool(&e, &chunk);
                         let expected: Vec<u32> = (0..chunk.len())
                             .map(|i| chunk.phys(i))
-                            .filter(|&p| per_row(p))
+                            .filter(|&p| interp::eval_pred(&e, &row_of(&chunk, p)))
                             .map(|p| p as u32)
                             .collect();
                         for config in [Config::OptC, Config::OptScala] {

@@ -32,6 +32,8 @@ pub(crate) const I: usize = 5; // small signed int
 pub(crate) const D: usize = 6; // date
 pub(crate) const BIG: usize = 7; // ints of magnitude just above 2^53
 pub(crate) const T: usize = 8; // plain string
+pub(crate) const O: usize = 9; // ordered-dictionary string: two words
+pub(crate) const WT: usize = 10; // word-token-dictionary string: three words
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum Layout {
@@ -51,6 +53,17 @@ pub(crate) enum Selection {
     Buckets,
 }
 
+/// The two words of an [`O`] value: prefixes of one another's first words
+/// make neighbouring code ranges.
+pub(crate) const ORDERED: ([&str; 4], [&str; 3]) =
+    (["PROMO", "PROMOTED", "SMALL", "STANDARD"], ["BRASS", "STEEL", "TIN"]);
+/// The vocabulary of [`WT`] values.
+pub(crate) const TOKENS: [&str; 5] = ["special", "requests", "pending", "deposits", "final"];
+
+fn pick<'a>(rng: &mut TestRng, from: &[&'a str]) -> &'a str {
+    from[rng.below(from.len() as u64) as usize]
+}
+
 /// A chunk of `rows` logical rows.
 pub(crate) fn chunk(rng: &mut TestRng, rows: usize, layout: Layout, selection: Selection) -> Chunk {
     let schema = Schema::of(&[
@@ -63,6 +76,8 @@ pub(crate) fn chunk(rng: &mut TestRng, rows: usize, layout: Layout, selection: S
         ("d", Type::Date),
         ("big", Type::Int),
         ("t", Type::Str),
+        ("o", Type::Str),
+        ("wt", Type::Str),
     ]);
     let total = if matches!(selection, Selection::None) { rows } else { 2 * rows + 3 };
     let words = ["AIR", "MAIL", "RAIL", "SHIP"];
@@ -79,10 +94,19 @@ pub(crate) fn chunk(rng: &mut TestRng, rows: usize, layout: Layout, selection: S
             // Random signs keep even a 9000-row sum far inside `i64`.
             Value::Int(((1 << 53) + rng.below(1000) as i64) * (2 * rng.below(2) as i64 - 1)),
             Value::from(words[rng.below(3) as usize]),
+            Value::from(format!("{} {}", pick(rng, &ORDERED.0), pick(rng, &ORDERED.1))),
+            Value::from(format!(
+                "{} {} {}",
+                pick(rng, &TOKENS),
+                pick(rng, &TOKENS),
+                pick(rng, &TOKENS)
+            )),
         ]);
     }
     let mut cols = ct.columns;
     cols[S] = cols[S].dict_encoded(DictKind::Normal);
+    cols[O] = cols[O].dict_encoded(DictKind::Ordered);
+    cols[WT] = cols[WT].dict_encoded(DictKind::WordToken);
     let mut nulls = vec![None; cols.len()];
     match layout {
         Layout::Plain => {}
@@ -123,8 +147,8 @@ pub(crate) fn chunk(rng: &mut TestRng, rows: usize, layout: Layout, selection: S
     Chunk { schema, cols, nulls, sel, total, base: None }
 }
 
-/// Every aggregate kind over block nodes, shared subexpressions, per-row
-/// fillers (`Case`, `Year`), integer-only arithmetic and generic values.
+/// Every aggregate kind over block nodes, shared subexpressions, `CASE`,
+/// `YEAR`, integer-only arithmetic and generic values.
 fn aggregates() -> Vec<AggSpec> {
     let disc_price = || Expr::mul(Expr::col(X), Expr::sub(Expr::lit(1i64), Expr::col(Y)));
     vec![
@@ -583,8 +607,8 @@ proptest! {
 
 /// Appended by [`extended`]: keys of `REGISTER_SLOTS` and one more values —
 /// both sides of the register bound.
-const AT_BOUND: usize = 9;
-const PAST_BOUND: usize = 10;
+const AT_BOUND: usize = 11;
+const PAST_BOUND: usize = 12;
 
 /// `chunk` with random [`AT_BOUND`] / [`PAST_BOUND`] keys.
 fn extended(rng: &mut TestRng, chunk: &Chunk) -> Chunk {

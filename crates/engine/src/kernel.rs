@@ -5,15 +5,23 @@
 //! the actual physical representation of their input* (plain strings vs.
 //! dictionary codes, dates as raw day counts, …): this is where the string
 //! dictionary lowering of Table II and the type-specialized comparisons of
-//! the generated code happen. Each kernel captures the exact vectors it
-//! reads, so per-row evaluation is an indexed load plus a primitive op —
-//! no `Value` boxing, no enum dispatch on types.
+//! the generated code happen.
+//!
+//! There is one expression compiler, `BlockExprs`: every predicate,
+//! projection and aggregate argument becomes a register program evaluated a
+//! block of rows at a time, each typed node one loop over the exact vectors
+//! it reads — no `Value` boxing, no enum dispatch on types. Its one generic
+//! node, `Interp` on every row, covers nullable inputs and the interpreted
+//! mode (`compiled_exprs` off, Opt/Scala); a join residual that is not a
+//! typed comparison evaluates through the same `Interp`.
 
 use crate::expr::{AggKind, ArithOp, CmpOp, Expr};
 use crate::interp;
 use crate::plan::AggSpec;
 use legobase_storage::specialized::{hash_u64, ChainedArrayMap};
-use legobase_storage::{metrics, Column, PackedInts, Schema, StringDictionary, Type, Value};
+use legobase_storage::{
+    metrics, Column, DictKind, PackedInts, Schema, StringDictionary, Type, Value,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -128,12 +136,7 @@ impl Chunk {
 
     /// Reads one cell (by *physical* row) back into the generic form.
     pub fn value_at(&self, col: usize, phys: usize) -> Value {
-        if let Some(mask) = &self.nulls[col] {
-            if mask[phys] {
-                return Value::Null;
-            }
-        }
-        self.cols[col].value_at(phys)
+        value_from(&self.cols, &self.nulls, col, phys)
     }
 
     /// Materializes logical row `i` as a generic tuple (interpreted mode and
@@ -152,194 +155,6 @@ impl Chunk {
     }
 }
 
-/// Kernels over physical row indices.
-///
-/// Kernels are `Send + Sync`: they capture only `Arc`-shared column vectors
-/// and plain expression data, so morsel-driven worker threads can each
-/// compile (or receive) kernels and evaluate them concurrently over disjoint
-/// row ranges.
-pub type BoolK = Box<dyn Fn(usize) -> bool + Send + Sync>;
-/// A compiled row → `f64` kernel.
-pub type F64K = Box<dyn Fn(usize) -> f64 + Send + Sync>;
-/// A compiled row → [`Value`] kernel (generic fallback).
-pub type ValK = Box<dyn Fn(usize) -> Value + Send + Sync>;
-
-/// Compiles a predicate against a chunk's physical representation.
-pub fn compile_bool(e: &Expr, chunk: &Chunk) -> BoolK {
-    match e {
-        Expr::Lit(Value::Bool(b)) => {
-            let b = *b;
-            Box::new(move |_| b)
-        }
-        Expr::And(a, b) => {
-            let (fa, fb) = (compile_bool(a, chunk), compile_bool(b, chunk));
-            Box::new(move |r| fa(r) && fb(r))
-        }
-        Expr::Or(a, b) => {
-            let (fa, fb) = (compile_bool(a, chunk), compile_bool(b, chunk));
-            Box::new(move |r| fa(r) || fb(r))
-        }
-        Expr::Not(a) => {
-            let fa = compile_bool(a, chunk);
-            Box::new(move |r| !fa(r))
-        }
-        Expr::Cmp(op, a, b) => compile_cmp(*op, a, b, chunk),
-        Expr::StartsWith(a, p) => compile_str_pred(a, chunk, p.clone(), StrOp::StartsWith),
-        Expr::EndsWith(a, p) => compile_str_pred(a, chunk, p.clone(), StrOp::EndsWith),
-        Expr::Contains(a, p) => compile_str_pred(a, chunk, p.clone(), StrOp::Contains),
-        Expr::ContainsWordSeq(a, w1, w2) => compile_word_seq(a, chunk, w1.clone(), w2.clone()),
-        Expr::InList(a, vals) => compile_in_list(a, vals, chunk),
-        Expr::IsNull(a) => match a.as_ref() {
-            Expr::Col(i) => match chunk.nulls[*i].clone() {
-                Some(mask) => Box::new(move |r| mask[r]),
-                None => Box::new(|_| false),
-            },
-            _ => {
-                let f = compile_value(a, chunk);
-                Box::new(move |r| f(r).is_null())
-            }
-        },
-        _ => {
-            let f = compile_value(e, chunk);
-            Box::new(move |r| f(r).as_bool())
-        }
-    }
-}
-
-/// A unified numeric kernel: integers, floats, and dates all lower to `f64`
-/// comparisons/arithmetic without loss for TPC-H's value ranges (|v| < 2^53).
-fn numeric(e: &Expr, chunk: &Chunk) -> Option<F64K> {
-    match e {
-        Expr::Col(i) => {
-            if chunk.nulls[*i].is_some() {
-                return None; // nullable columns take the generic path
-            }
-            match chunk.cols[*i].clone() {
-                Column::I64(v) => Some(Box::new(move |r| v[r] as f64)),
-                Column::F64(v) => Some(Box::new(move |r| v[r])),
-                Column::Date(v) => Some(Box::new(move |r| v[r] as f64)),
-                Column::Bool(v) => Some(Box::new(move |r| v[r] as i64 as f64)),
-                // Packed columns on a per-row path unpack on access (one
-                // shift/mask): the filters and aggregates batch-unpack in
-                // the block program, so this only covers what its per-row
-                // filler keeps (a `CASE` condition, interpreted mode).
-                Column::I64Packed(p) => Some(Box::new(move |r| p.get(r) as f64)),
-                Column::DatePacked(p) => Some(Box::new(move |r| p.get(r) as f64)),
-                _ => None,
-            }
-        }
-        Expr::Lit(Value::Int(v)) => {
-            let v = *v as f64;
-            Some(Box::new(move |_| v))
-        }
-        Expr::Lit(Value::Float(v)) => {
-            let v = *v;
-            Some(Box::new(move |_| v))
-        }
-        Expr::Lit(Value::Date(d)) => {
-            let v = d.0 as f64;
-            Some(Box::new(move |_| v))
-        }
-        Expr::Arith(op, a, b) => {
-            let (fa, fb) = (numeric(a, chunk)?, numeric(b, chunk)?);
-            Some(match op {
-                ArithOp::Add => Box::new(move |r| fa(r) + fb(r)),
-                ArithOp::Sub => Box::new(move |r| fa(r) - fb(r)),
-                ArithOp::Mul => Box::new(move |r| fa(r) * fb(r)),
-                ArithOp::Div => Box::new(move |r| fa(r) / fb(r)),
-            })
-        }
-        Expr::Year(a) => {
-            let fa = date_kernel(a, chunk)?;
-            Some(Box::new(move |r| legobase_storage::Date(fa(r)).year() as f64))
-        }
-        Expr::Case(c, t, f) => {
-            let fc = compile_bool(c, chunk);
-            let (ft, ff) = (numeric(t, chunk)?, numeric(f, chunk)?);
-            Some(Box::new(move |r| if fc(r) { ft(r) } else { ff(r) }))
-        }
-        _ => None,
-    }
-}
-
-fn date_kernel(e: &Expr, chunk: &Chunk) -> Option<Box<dyn Fn(usize) -> i32 + Send + Sync>> {
-    match e {
-        Expr::Col(i) => match chunk.cols[*i].clone() {
-            Column::Date(v) => Some(Box::new(move |r| v[r])),
-            Column::DatePacked(p) => Some(Box::new(move |r| p.get(r) as i32)),
-            _ => None,
-        },
-        Expr::Lit(Value::Date(d)) => {
-            let v = d.0;
-            Some(Box::new(move |_| v))
-        }
-        _ => None,
-    }
-}
-
-fn compile_cmp(op: CmpOp, a: &Expr, b: &Expr, chunk: &Chunk) -> BoolK {
-    // Numeric fast path (ints, floats, dates).
-    if let (Some(fa), Some(fb)) = (numeric(a, chunk), numeric(b, chunk)) {
-        return match op {
-            CmpOp::Eq => Box::new(move |r| fa(r) == fb(r)),
-            CmpOp::Ne => Box::new(move |r| fa(r) != fb(r)),
-            CmpOp::Lt => Box::new(move |r| fa(r) < fb(r)),
-            CmpOp::Le => Box::new(move |r| fa(r) <= fb(r)),
-            CmpOp::Gt => Box::new(move |r| fa(r) > fb(r)),
-            CmpOp::Ge => Box::new(move |r| fa(r) >= fb(r)),
-        };
-    }
-    // String column vs. literal.
-    if let (Expr::Col(i), Expr::Lit(Value::Str(s))) = (a, b) {
-        let s = s.clone();
-        match chunk.cols[*i].clone() {
-            Column::Dict(codes, dict) => {
-                // Table II: equality becomes an integer comparison.
-                if matches!(op, CmpOp::Eq | CmpOp::Ne) {
-                    let target = dict.code(&s);
-                    let eq = op == CmpOp::Eq;
-                    return match target {
-                        Some(t) => Box::new(move |r| (codes[r] == t) == eq),
-                        None => Box::new(move |_| !eq),
-                    };
-                }
-                // Ordering against a literal: one flag per distinct value,
-                // then a single indexed load per tuple.
-                let flags = dict.matching_flags(|v| str_cmp(op, v, &s));
-                return Box::new(move |r| flags[codes[r] as usize]);
-            }
-            Column::Str(v) => {
-                return Box::new(move |r| str_cmp(op, &v[r], &s));
-            }
-            Column::DictPacked(codes, dict) => {
-                // Same dictionary lowering, with the code column staying
-                // packed: equality pre-encodes the target code into the
-                // frame of reference, ordering indexes flags by code.
-                if matches!(op, CmpOp::Eq | CmpOp::Ne) {
-                    let eq = op == CmpOp::Eq;
-                    return match dict.code(&s).and_then(|t| codes.encode(t as i64)) {
-                        Some(raw) => Box::new(move |r| (codes.get_raw(r) == raw) == eq),
-                        None => Box::new(move |_| !eq),
-                    };
-                }
-                let flags = dict.matching_flags(|v| str_cmp(op, v, &s));
-                return Box::new(move |r| flags[codes.get(r) as usize]);
-            }
-            _ => {}
-        }
-    }
-    // Generic fallback (string-string column comparisons etc.).
-    let fa = compile_value(a, chunk);
-    let fb = compile_value(b, chunk);
-    Box::new(move |r| {
-        let (va, vb) = (fa(r), fb(r));
-        if va.is_null() || vb.is_null() {
-            return false;
-        }
-        ord_holds(op, va.cmp(&vb))
-    })
-}
-
 /// Whether `a op b` holds given how `a` orders against `b`.
 #[inline(always)]
 fn ord_holds(op: CmpOp, ord: std::cmp::Ordering) -> bool {
@@ -353,237 +168,92 @@ fn ord_holds(op: CmpOp, ord: std::cmp::Ordering) -> bool {
     }
 }
 
-fn str_cmp(op: CmpOp, a: &str, b: &str) -> bool {
-    match op {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-    }
+/// A string predicate against literals. Over a dictionary it is decided
+/// once per distinct value (or lowered further, see
+/// [`BlockExprs::str_node`]); over plain strings once per row.
+enum StrTest {
+    /// `s op literal`.
+    Cmp(CmpOp, String),
+    StartsWith(String),
+    EndsWith(String),
+    Contains(String),
+    /// `%w1%w2%` over whole words.
+    WordSeq(String, String),
+    /// Membership in the string members of an `IN` list.
+    In(Vec<String>),
 }
 
-enum StrOp {
-    StartsWith,
-    EndsWith,
-    Contains,
-}
-
-impl StrOp {
-    fn test(&self, s: &str, p: &str) -> bool {
+impl StrTest {
+    fn holds(&self, s: &str) -> bool {
         match self {
-            StrOp::StartsWith => s.starts_with(p),
-            StrOp::EndsWith => s.ends_with(p),
-            StrOp::Contains => s.contains(p),
+            StrTest::Cmp(op, lit) => ord_holds(*op, s.cmp(lit)),
+            StrTest::StartsWith(p) => s.starts_with(p.as_str()),
+            StrTest::EndsWith(p) => s.ends_with(p.as_str()),
+            StrTest::Contains(p) => s.contains(p.as_str()),
+            StrTest::WordSeq(w1, w2) => interp::word_seq(s, w1, w2),
+            StrTest::In(set) => set.iter().any(|m| m == s),
         }
     }
 }
 
-fn compile_str_pred(a: &Expr, chunk: &Chunk, pattern: String, op: StrOp) -> BoolK {
-    if let Expr::Col(i) = a {
-        match chunk.cols[*i].clone() {
-            Column::Dict(codes, dict) => {
-                // Ordered dictionaries answer startsWith with a code range
-                // (Table II); everything else via per-distinct-value flags.
-                if matches!(op, StrOp::StartsWith)
-                    && dict.kind() == legobase_storage::DictKind::Ordered
-                {
-                    return match dict.prefix_range(&pattern) {
-                        Some((lo, hi)) => Box::new(move |r| {
-                            let c = codes[r];
-                            c >= lo && c <= hi
-                        }),
-                        None => Box::new(|_| false),
-                    };
-                }
-                let flags = dict.matching_flags(|v| op.test(v, &pattern));
-                return Box::new(move |r| flags[codes[r] as usize]);
-            }
-            Column::Str(v) => {
-                return Box::new(move |r| op.test(&v[r], &pattern));
-            }
-            Column::DictPacked(codes, dict) => {
-                if matches!(op, StrOp::StartsWith)
-                    && dict.kind() == legobase_storage::DictKind::Ordered
-                {
-                    return match dict.prefix_range(&pattern) {
-                        Some((lo, hi)) => Box::new(move |r| {
-                            let c = codes.get(r) as u32;
-                            c >= lo && c <= hi
-                        }),
-                        None => Box::new(|_| false),
-                    };
-                }
-                let flags = dict.matching_flags(|v| op.test(v, &pattern));
-                return Box::new(move |r| flags[codes.get(r) as usize]);
-            }
-            _ => {}
+/// Reads one value out of a column set (by physical row).
+fn value_from(cols: &[Column], nulls: &[Option<Arc<Vec<bool>>>], c: usize, p: usize) -> Value {
+    if let Some(m) = &nulls[c] {
+        if m[p] {
+            return Value::Null;
         }
     }
-    let f = compile_value(a, chunk);
-    Box::new(move |r| {
-        let v = f(r);
-        !v.is_null() && op.test(v.as_str(), &pattern)
-    })
+    cols[c].value_at(p)
 }
 
-fn compile_word_seq(a: &Expr, chunk: &Chunk, w1: String, w2: String) -> BoolK {
-    if let Expr::Col(i) = a {
-        match chunk.cols[*i].clone() {
-            Column::Dict(codes, dict) => {
-                // Word-token dictionaries scan integer token lists
-                // (Section 3.4); other kinds fall back to per-distinct flags.
-                if dict.kind() == legobase_storage::DictKind::WordToken {
-                    let (c1, c2) = (dict.word_code(&w1), dict.word_code(&w2));
-                    return match (c1, c2) {
-                        (Some(c1), Some(c2)) => {
-                            Box::new(move |r| dict.contains_word_seq(codes[r], c1, c2))
-                        }
-                        _ => Box::new(|_| false),
-                    };
-                }
-                let flags = dict.matching_flags(|v| interp::word_seq(v, &w1, &w2));
-                return Box::new(move |r| flags[codes[r] as usize]);
-            }
-            Column::Str(v) => {
-                return Box::new(move |r| interp::word_seq(&v[r], &w1, &w2));
-            }
-            Column::DictPacked(codes, dict) => {
-                if dict.kind() == legobase_storage::DictKind::WordToken {
-                    let (c1, c2) = (dict.word_code(&w1), dict.word_code(&w2));
-                    return match (c1, c2) {
-                        (Some(c1), Some(c2)) => {
-                            Box::new(move |r| dict.contains_word_seq(codes.get(r) as u32, c1, c2))
-                        }
-                        _ => Box::new(|_| false),
-                    };
-                }
-                let flags = dict.matching_flags(|v| interp::word_seq(v, &w1, &w2));
-                return Box::new(move |r| flags[codes.get(r) as usize]);
-            }
-            _ => {}
-        }
+/// The one generic evaluation: an expression interpreted over a mini-tuple
+/// of cells. The tuple spans the columns of one chunk (the block program's
+/// per-row node) or of two (a join residual over the concatenated schema);
+/// only the `read` positions are read in, the rest stay NULL — the cells the
+/// expression references or, with `compiled_exprs` off, every present
+/// column (Opt/Scala builds the whole tuple per evaluation).
+pub(crate) struct Interp {
+    expr: Expr,
+    read: Vec<bool>,
+    /// A compiled bare column: its one cell, no tuple.
+    direct: Option<usize>,
+    cols: Vec<Column>,
+    nulls: Vec<Option<Arc<Vec<bool>>>>,
+}
+
+impl Interp {
+    fn new(e: &Expr, chunks: &[&Chunk], compiled: bool) -> Interp {
+        let cols: Vec<Column> = chunks.iter().flat_map(|c| c.cols.iter().cloned()).collect();
+        let nulls = chunks.iter().flat_map(|c| c.nulls.iter().cloned()).collect();
+        let read = if compiled {
+            let (mut refs, mut read) = (Vec::new(), vec![false; cols.len()]);
+            e.collect_cols(&mut refs);
+            refs.into_iter().for_each(|c| read[c] = true);
+            read
+        } else {
+            cols.iter().map(|c| !matches!(c, Column::Absent)).collect()
+        };
+        let direct = match e {
+            Expr::Col(c) if compiled => Some(*c),
+            _ => None,
+        };
+        Interp { expr: e.clone(), read, direct, cols, nulls }
     }
-    let f = compile_value(a, chunk);
-    Box::new(move |r| {
-        let v = f(r);
-        !v.is_null() && interp::word_seq(v.as_str(), &w1, &w2)
-    })
-}
 
-/// One flag per dictionary code: is the code's string a member of `vals`?
-fn in_list_flags(dict: &StringDictionary, vals: &[Value]) -> Vec<bool> {
-    let mut flags = vec![false; dict.len()];
-    for v in vals {
-        if let Value::Str(s) = v {
-            if let Some(c) = dict.code(s) {
-                flags[c as usize] = true;
-            }
+    /// The expression's value on the row whose tuple cell `c` lies at
+    /// physical row `phys(c)` of its column.
+    fn eval(&self, phys: impl Fn(usize) -> usize) -> Value {
+        let cell = |c: usize| value_from(&self.cols, &self.nulls, c, phys(c));
+        if let Some(c) = self.direct {
+            return cell(c);
         }
-    }
-    flags
-}
-
-fn compile_in_list(a: &Expr, vals: &[Value], chunk: &Chunk) -> BoolK {
-    if let Expr::Col(i) = a {
-        match chunk.cols[*i].clone() {
-            Column::Dict(codes, dict) => {
-                let flags = in_list_flags(&dict, vals);
-                return Box::new(move |r| flags[codes[r] as usize]);
-            }
-            Column::Str(v) => {
-                let set: Vec<String> = vals
-                    .iter()
-                    .filter_map(|x| match x {
-                        Value::Str(s) => Some(s.clone()),
-                        _ => None,
-                    })
-                    .collect();
-                return Box::new(move |r| set.iter().any(|s| *s == v[r]));
-            }
-            Column::I64(v) => {
-                let set: Vec<i64> = vals
-                    .iter()
-                    .filter_map(|x| match x {
-                        Value::Int(n) => Some(*n),
-                        _ => None,
-                    })
-                    .collect();
-                return Box::new(move |r| set.contains(&v[r]));
-            }
-            Column::I64Packed(p) => {
-                // Pre-encode the list; members outside the column domain can
-                // never match and drop out here.
-                let set: Vec<u64> = vals
-                    .iter()
-                    .filter_map(|x| match x {
-                        Value::Int(n) => p.encode(*n),
-                        _ => None,
-                    })
-                    .collect();
-                return Box::new(move |r| set.contains(&p.get_raw(r)));
-            }
-            Column::DictPacked(codes, dict) => {
-                let flags = in_list_flags(&dict, vals);
-                return Box::new(move |r| flags[codes.get(r) as usize]);
-            }
-            _ => {}
-        }
-    }
-    let f = compile_value(a, chunk);
-    let vals = vals.to_vec();
-    Box::new(move |r| {
-        let v = f(r);
-        !v.is_null() && vals.contains(&v)
-    })
-}
-
-/// Compiles a numeric expression to an `f64` kernel (aggregation inputs).
-pub fn compile_f64(e: &Expr, chunk: &Chunk) -> F64K {
-    if let Some(k) = numeric(e, chunk) {
-        return k;
-    }
-    let f = compile_value(e, chunk);
-    Box::new(move |r| f(r).as_float())
-}
-
-/// Generic value kernel: the universal fallback.
-pub fn compile_value(e: &Expr, chunk: &Chunk) -> ValK {
-    // Column and literal leaves read storage directly; everything composite
-    // is interpreted over a gathered mini-tuple.
-    match e {
-        Expr::Col(i) => {
-            let col = chunk.cols[*i].clone();
-            let mask = chunk.nulls[*i].clone();
-            Box::new(move |r| {
-                if let Some(m) = &mask {
-                    if m[r] {
-                        return Value::Null;
-                    }
-                }
-                col.value_at(r)
-            })
-        }
-        Expr::Lit(v) => {
-            let v = v.clone();
-            Box::new(move |_| v.clone())
-        }
-        _ => {
-            let mut cols = Vec::new();
-            e.collect_cols(&mut cols);
-            let leaves: Vec<(usize, ValK)> =
-                cols.iter().map(|&c| (c, compile_value(&Expr::Col(c), chunk))).collect();
-            let arity = chunk.cols.len();
-            let e = e.clone();
-            Box::new(move |r| {
-                let mut row = vec![Value::Null; arity];
-                for (c, k) in &leaves {
-                    row[*c] = k(r);
-                }
-                interp::eval(&e, &row)
-            })
-        }
+        let row: Vec<Value> = self
+            .read
+            .iter()
+            .enumerate()
+            .map(|(c, &read)| if read { cell(c) } else { Value::Null })
+            .collect();
+        interp::eval(&self.expr, &row)
     }
 }
 
@@ -676,12 +346,17 @@ fn key_src(col: usize, chunk: &Chunk) -> Option<IntSrc> {
     }
 }
 
-/// A per-distinct-code test of a dictionary predicate.
+/// A per-code test of a dictionary predicate (Table II).
 enum CodeTest {
     /// Equality against one resolved dictionary code.
     Eq { code: i64, eq: bool },
-    /// Truth table indexed by code (ordering, membership).
+    /// Truth table indexed by code (ordering, LIKE, membership).
     Flags(Vec<bool>),
+    /// An ordered dictionary's `startsWith`: the codes `lo..=hi`.
+    Range(i64, i64),
+    /// A word-token dictionary's `%w1%w2%`: a scan of the code's word codes
+    /// for `w1` followed by `w2`.
+    WordSeq(Arc<StringDictionary>, u32, u32),
 }
 
 /// The conjuncts of a predicate, left to right.
@@ -699,79 +374,6 @@ pub(crate) fn conjuncts(e: &Expr) -> Vec<&Expr> {
     out
 }
 
-// ---- expression compilation respecting the `compiled_exprs` flag ----
-
-/// Reads one value out of a column set (by physical row).
-fn value_from(cols: &[Column], nulls: &[Option<Arc<Vec<bool>>>], c: usize, p: usize) -> Value {
-    if let Some(m) = &nulls[c] {
-        if m[p] {
-            return Value::Null;
-        }
-    }
-    cols[c].value_at(p)
-}
-
-/// Interpreted-mode row materializer (Opt/Scala): builds a generic tuple per
-/// evaluation.
-fn interpreted_row(chunk: &Chunk) -> impl Fn(usize) -> Vec<Value> + Send + Sync {
-    let cols = chunk.cols.clone();
-    let nulls = chunk.nulls.clone();
-    move |p| {
-        (0..cols.len())
-            .map(|c| {
-                if matches!(cols[c], Column::Absent) {
-                    Value::Null
-                } else {
-                    value_from(&cols, &nulls, c, p)
-                }
-            })
-            .collect()
-    }
-}
-
-/// A per-row predicate: a compiled kernel, or (`compiled` off, Opt/Scala)
-/// the interpreter over a materialized tuple.
-pub(crate) fn pred(e: &Expr, chunk: &Chunk, compiled: bool) -> BoolK {
-    if compiled {
-        return compile_bool(e, chunk);
-    }
-    let (row, e) = (interpreted_row(chunk), e.clone());
-    Box::new(move |r| interp::eval_pred(&e, &row(r)))
-}
-
-/// A per-row `f64` expression, compiled or interpreted like [`pred`].
-pub(crate) fn f64k(e: &Expr, chunk: &Chunk, compiled: bool) -> F64K {
-    if compiled {
-        return compile_f64(e, chunk);
-    }
-    let (row, e) = (interpreted_row(chunk), e.clone());
-    Box::new(move |r| interp::eval(&e, &row(r)).as_float())
-}
-
-/// A per-row generic-value expression, compiled or interpreted like [`pred`].
-pub(crate) fn valk(e: &Expr, chunk: &Chunk, compiled: bool) -> ValK {
-    if compiled {
-        return compile_value(e, chunk);
-    }
-    let (row, e) = (interpreted_row(chunk), e.clone());
-    Box::new(move |r| interp::eval(&e, &row(r)))
-}
-
-/// Builds a "this input is NULL" guard for an aggregate argument, or `None`
-/// when no referenced column carries a null mask (the common TPC-H
-/// base-table case, which then pays nothing per row). SQL aggregates skip
-/// NULL inputs, so SUM/AVG must not fold the 0.0 that a coerced NULL would
-/// contribute — and AVG must not count it.
-fn null_guard(e: &Expr, chunk: &Chunk, compiled: bool) -> Option<BoolK> {
-    let mut cols = Vec::new();
-    e.collect_cols(&mut cols);
-    if cols.iter().all(|&c| chunk.nulls[c].is_none()) {
-        return None;
-    }
-    let vk = valk(e, chunk, compiled);
-    Some(Box::new(move |r| vk(r).is_null()))
-}
-
 // ---- block expressions ----
 
 /// One reusable typed scratch vector of a [`BlockExprs`] program.
@@ -779,6 +381,7 @@ pub(crate) enum Reg {
     I(Vec<i64>),
     F(Vec<f64>),
     B(Vec<bool>),
+    V(Vec<Value>),
 }
 
 impl Reg {
@@ -802,7 +405,28 @@ impl Reg {
             _ => unreachable!("register typed by the node that writes it"),
         }
     }
+
+    fn v(&self) -> &[Value] {
+        match self {
+            Reg::V(v) => v,
+            _ => unreachable!("register typed by the node that writes it"),
+        }
+    }
 }
+
+/// The register type the per-row node writes: `f64`, a mask, or generic
+/// values (NULLs included).
+#[derive(Clone, Copy)]
+enum Out {
+    F,
+    B,
+    V,
+}
+
+/// `Some((m, v))` makes a mask node the right operand of `m AND ..` (`v`
+/// false) or `m OR ..` (`v` true): rows where mask `m` already holds `v`
+/// keep it and are not tested.
+type Short = Option<(usize, bool)>;
 
 /// One node of a block program; node `k` writes register `k` and reads only
 /// lower-numbered ones.
@@ -820,12 +444,13 @@ enum Node {
     ArithF(ArithOp, usize, usize),
     /// Exact `i64` arithmetic (`+ - *`) over two integer registers.
     ArithI(ArithOp, usize, usize),
-    /// The per-row closure filler (`Case`/`Year`/nullable inputs, and every
-    /// expression when `compiled_exprs` is off); rows flagged in the `null`
-    /// mask register are skipped.
-    Row {
-        k: F64K,
-        null: Option<usize>,
+    /// `YEAR` of an integer register of day counts.
+    Year(usize),
+    /// `CASE`: float register `t` where mask `c` holds, `f` elsewhere.
+    Select {
+        c: usize,
+        t: usize,
+        f: usize,
     },
     /// Boolean literal broadcast.
     ConstB(bool),
@@ -835,19 +460,48 @@ enum Node {
     CmpF(CmpOp, usize, usize),
     /// Dictionary predicate (Table II) over a register of codes.
     Code(usize, CodeTest),
+    /// `IN` over an integer register: membership in the list's integers.
+    InI(usize, Vec<i64>),
+    /// A string test over a plain-string column, one loop per block.
+    Str {
+        col: Arc<Vec<String>>,
+        test: StrTest,
+        short: Short,
+    },
+    /// `IS NULL` of a column: its NULL mask.
+    IsNull(Arc<Vec<bool>>),
     /// Connectives over mask registers.
     And(usize, usize),
     Or(usize, usize),
     Not(usize),
-    /// The per-row predicate filler (LIKE, word sequences, nullable inputs,
-    /// NULL tests, and every predicate when `compiled_exprs` is off). Under
-    /// `short = (m, v)` it is the right operand of `m AND ..` (`v` false) or
-    /// `m OR ..` (`v` true): rows where `m` already holds `v` keep it and
-    /// the closure runs only on the rest.
-    RowB {
-        k: BoolK,
-        short: Option<(usize, bool)>,
+    /// The one per-row node: [`Interp`] on every row, for nullable inputs,
+    /// shapes no typed node covers, and every expression when
+    /// `compiled_exprs` is off.
+    Interp {
+        interp: Box<Interp>,
+        out: Out,
+        short: Short,
     },
+}
+
+/// `out[i] = test(phys)` over the rows of a block, short-circuited under
+/// `short` (see [`Short`]).
+#[inline]
+fn fill_mask(
+    rows: &Rows<'_>,
+    short: Short,
+    done: &[Reg],
+    out: &mut Vec<bool>,
+    test: impl Fn(usize) -> bool,
+) {
+    out.resize(rows.len(), false);
+    match short {
+        None => rows.for_each(|i, p| out[i] = test(p)),
+        Some((m, v)) => {
+            let m = done[m].b();
+            rows.for_each(|i, p| out[i] = if m[i] == v { v } else { test(p) });
+        }
+    }
 }
 
 /// Numeric expressions and predicates compiled together into one register
@@ -855,9 +509,10 @@ enum Node {
 /// vectors. The program is a DAG: structurally equal numeric subexpressions
 /// — Q1's `l_extendedprice * (1 - l_discount)` inside `charge`, a column
 /// read by three aggregates or two conjuncts — compile to one node and are
-/// computed once per block. Every node computes exactly the values the
-/// per-row kernels of [`compile_f64`] / [`compile_bool`] compute, so results
-/// are bit-identical to them.
+/// computed once per block. Typed nodes cover comparisons, arithmetic,
+/// `YEAR`, `CASE`, string tests, `IN` and `IS NULL` over inputs that cannot
+/// be NULL; everything else is the one per-row node, which computes what
+/// [`interp::eval`] computes.
 pub(crate) struct BlockExprs {
     nodes: Vec<Node>,
     /// `(expression, integer-typed?, register)` of every shared node.
@@ -884,31 +539,61 @@ impl BlockExprs {
         self.memo.iter().find(|(m, i, _)| *i == int && m == e).map(|&(_, _, r)| r)
     }
 
-    /// The register holding `e` as `f64`. With `compiled` off — and for any
-    /// subexpression the block nodes do not cover — the register is filled
-    /// by the per-row closure instead.
+    /// Runs `build`; when it yields nothing, drops every node it pushed, so
+    /// a shape the typed nodes cover only in part leaves no dead node.
+    fn attempt<T>(&mut self, build: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
+        let (nodes, memo) = (self.nodes.len(), self.memo.len());
+        let built = build(self);
+        if built.is_none() {
+            self.nodes.truncate(nodes);
+            self.memo.truncate(memo);
+        }
+        built
+    }
+
+    /// The per-row node evaluating `e` into an `out` register.
+    fn interp(e: &Expr, chunk: &Chunk, compiled: bool, out: Out) -> Node {
+        Node::Interp { interp: Box::new(Interp::new(e, &[chunk], compiled)), out, short: None }
+    }
+
+    /// The register holding `e` as `f64`: typed nodes, or the per-row node
+    /// (`compiled` off, or a shape they do not cover).
     pub(crate) fn f64_reg(&mut self, e: &Expr, chunk: &Chunk, compiled: bool) -> usize {
+        if let Some(r) = compiled.then(|| self.attempt(|p| p.typed_f64(e, chunk))).flatten() {
+            return r;
+        }
         if let Some(r) = self.lookup(e, false) {
             return r;
         }
+        self.shared(e, false, Self::interp(e, chunk, compiled, Out::F))
+    }
+
+    /// The typed `f64` register of `e`: non-nullable numeric columns and
+    /// literals under arithmetic, `YEAR` and `CASE`.
+    fn typed_f64(&mut self, e: &Expr, chunk: &Chunk) -> Option<usize> {
+        if let Some(r) = self.lookup(e, false) {
+            return Some(r);
+        }
         let node = match e {
-            _ if !compiled => None,
             Expr::Col(i) if chunk.nulls[*i].is_none() => match &chunk.cols[*i] {
-                Column::F64(v) => Some(Node::F64(Arc::clone(v))),
-                Column::Dict(..) | Column::DictPacked(..) => None,
-                _ => self.int_leaf(*i, chunk).map(Node::ToF),
+                Column::F64(v) => Node::F64(Arc::clone(v)),
+                Column::Dict(..) | Column::DictPacked(..) => return None,
+                _ => Node::ToF(self.int_leaf(*i, chunk)?),
             },
-            Expr::Lit(Value::Int(v)) => Some(Node::ConstF(*v as f64)),
-            Expr::Lit(Value::Float(v)) => Some(Node::ConstF(*v)),
-            Expr::Lit(Value::Date(d)) => Some(Node::ConstF(d.0 as f64)),
+            Expr::Lit(Value::Int(v)) => Node::ConstF(*v as f64),
+            Expr::Lit(Value::Float(v)) => Node::ConstF(*v),
+            Expr::Lit(Value::Date(d)) => Node::ConstF(d.0 as f64),
             Expr::Arith(op, a, b) => {
-                let (a, b) = (self.f64_reg(a, chunk, compiled), self.f64_reg(b, chunk, compiled));
-                Some(Node::ArithF(*op, a, b))
+                Node::ArithF(*op, self.typed_f64(a, chunk)?, self.typed_f64(b, chunk)?)
             }
-            _ => None,
+            Expr::Year(_) => Node::ToF(self.typed_i64(e, chunk)?),
+            Expr::Case(c, t, f) => {
+                let c = self.mask_reg(c, chunk, true);
+                Node::Select { c, t: self.typed_f64(t, chunk)?, f: self.typed_f64(f, chunk)? }
+            }
+            _ => return None,
         };
-        let node = node.unwrap_or_else(|| Node::Row { k: f64k(e, chunk, compiled), null: None });
-        self.shared(e, false, node)
+        Some(self.shared(e, false, node))
     }
 
     /// The integer register of a non-nullable integer-coded column.
@@ -922,53 +607,61 @@ impl BlockExprs {
     }
 
     /// The register holding `e` as exact `i64`, when `e` is integer columns
-    /// and literals under `+ - *` only (division keeps the `f64` semantics
-    /// of [`compile_f64`]).
+    /// and literals under `+ - *` and `YEAR`s (division keeps the `f64`
+    /// semantics of [`BlockExprs::f64_reg`]).
     pub(crate) fn i64_reg(&mut self, e: &Expr, chunk: &Chunk) -> Option<usize> {
-        fn int_only(e: &Expr, chunk: &Chunk) -> bool {
-            match e {
-                Expr::Col(i) => {
-                    chunk.nulls[*i].is_none()
-                        && matches!(chunk.cols[*i], Column::I64(_) | Column::I64Packed(_))
-                }
-                Expr::Lit(Value::Int(_)) => true,
-                Expr::Arith(ArithOp::Add | ArithOp::Sub | ArithOp::Mul, a, b) => {
-                    int_only(a, chunk) && int_only(b, chunk)
-                }
-                _ => false,
-            }
-        }
-        if !int_only(e, chunk) {
-            return None;
-        }
-        if let Some(r) = self.lookup(e, true) {
+        self.attempt(|p| p.typed_i64(e, chunk))
+    }
+
+    fn typed_i64(&mut self, e: &Expr, chunk: &Chunk) -> Option<usize> {
+        if let Some(r) =
+            matches!(e, Expr::Arith(..) | Expr::Year(_)).then(|| self.lookup(e, true)).flatten()
+        {
             return Some(r);
         }
         let node = match e {
-            Expr::Col(i) => return self.int_leaf(*i, chunk),
-            Expr::Lit(Value::Int(v)) => Node::Int(IntSrc::Const(*v)),
-            Expr::Arith(op, a, b) => {
-                Node::ArithI(*op, self.i64_reg(a, chunk)?, self.i64_reg(b, chunk)?)
+            Expr::Col(i) if matches!(chunk.cols[*i], Column::I64(_) | Column::I64Packed(_)) => {
+                return self.int_leaf(*i, chunk)
             }
-            _ => unreachable!("int_only admitted the expression"),
+            Expr::Lit(Value::Int(v)) => return Some(self.int_reg(e, IntSrc::Const(*v))),
+            Expr::Arith(op @ (ArithOp::Add | ArithOp::Sub | ArithOp::Mul), a, b) => {
+                Node::ArithI(*op, self.typed_i64(a, chunk)?, self.typed_i64(b, chunk)?)
+            }
+            Expr::Year(a) => {
+                let days = match a.as_ref() {
+                    Expr::Col(i)
+                        if matches!(chunk.cols[*i], Column::Date(_) | Column::DatePacked(_)) =>
+                    {
+                        key_src(*i, chunk)?
+                    }
+                    Expr::Lit(Value::Date(d)) => IntSrc::Const(d.0 as i64),
+                    _ => return None,
+                };
+                Node::Year(self.int_reg(a, days))
+            }
+            _ => return None,
         };
         Some(self.shared(e, true, node))
     }
 
-    /// The mask register holding predicate `e`: comparisons over int / date
-    /// / float operands, dictionary-code tests and the connectives become
-    /// block nodes; everything else — and every predicate when `compiled`
-    /// is off — is the per-row filler.
+    /// The register holding `e` as generic values, NULLs included: the
+    /// per-row node.
+    pub(crate) fn value_reg(&mut self, e: &Expr, chunk: &Chunk, compiled: bool) -> usize {
+        self.push(Self::interp(e, chunk, compiled, Out::V))
+    }
+
+    /// The mask register holding predicate `e`: typed nodes, or the per-row
+    /// node (`compiled` off, or a shape they do not cover).
     pub(crate) fn mask_reg(&mut self, e: &Expr, chunk: &Chunk, compiled: bool) -> usize {
         let node = compiled
-            .then(|| self.mask_node(e, chunk))
+            .then(|| self.attempt(|p| p.mask_node(e, chunk)))
             .flatten()
-            .unwrap_or_else(|| Node::RowB { k: pred(e, chunk, compiled), short: None });
+            .unwrap_or_else(|| Self::interp(e, chunk, compiled, Out::B));
         self.push(node)
     }
 
-    /// The block node computing `e`, or `None` when only the per-row kernel
-    /// of [`compile_bool`] covers it.
+    /// The typed node computing predicate `e`, or `None` when only the
+    /// per-row node covers it.
     fn mask_node(&mut self, e: &Expr, chunk: &Chunk) -> Option<Node> {
         match e {
             Expr::Lit(Value::Bool(b)) => Some(Node::ConstB(*b)),
@@ -976,57 +669,115 @@ impl BlockExprs {
             Expr::Or(a, b) => Some(self.connective(a, b, chunk, true)),
             Expr::Not(a) => Some(Node::Not(self.mask_reg(a, chunk, true))),
             Expr::Cmp(op, a, b) => self.cmp_node(*op, a, b, chunk),
-            Expr::InList(a, vals) => {
-                let Expr::Col(i) = a.as_ref() else { return None };
-                let dict = dict_of(*i, chunk)?;
-                Some(Node::Code(
-                    self.int_leaf(*i, chunk)?,
-                    CodeTest::Flags(in_list_flags(dict, vals)),
-                ))
+            Expr::StartsWith(a, p) => self.str_node(a, StrTest::StartsWith(p.clone()), chunk),
+            Expr::EndsWith(a, p) => self.str_node(a, StrTest::EndsWith(p.clone()), chunk),
+            Expr::Contains(a, p) => self.str_node(a, StrTest::Contains(p.clone()), chunk),
+            Expr::ContainsWordSeq(a, w1, w2) => {
+                self.str_node(a, StrTest::WordSeq(w1.clone(), w2.clone()), chunk)
             }
+            Expr::InList(a, vals) => match a.as_ref() {
+                Expr::Col(i) if matches!(chunk.cols[*i], Column::I64(_) | Column::I64Packed(_)) => {
+                    let set = vals.iter().filter_map(|v| match v {
+                        Value::Int(n) => Some(*n),
+                        _ => None,
+                    });
+                    Some(Node::InI(self.int_leaf(*i, chunk)?, set.collect()))
+                }
+                _ => {
+                    let set = vals.iter().filter_map(|v| match v {
+                        Value::Str(s) => Some(s.clone()),
+                        _ => None,
+                    });
+                    self.str_node(a, StrTest::In(set.collect()), chunk)
+                }
+            },
+            Expr::IsNull(a) => match a.as_ref() {
+                Expr::Col(i) => {
+                    Some(chunk.nulls[*i].clone().map_or(Node::ConstB(false), Node::IsNull))
+                }
+                _ => None,
+            },
             _ => None,
         }
     }
 
-    /// `a AND b` (`or` false) or `a OR b`. A right operand only the per-row
-    /// filler covers runs on the rows the left one left undecided, like the
-    /// short-circuit of the per-row kernels.
+    /// `a AND b` (`or` false) or `a OR b`. A right operand that tests row
+    /// by row — the per-row node, a plain-string test — runs on the rows the
+    /// left one left undecided, like the short-circuit of `&&` / `||`.
     fn connective(&mut self, a: &Expr, b: &Expr, chunk: &Chunk, or: bool) -> Node {
         let ra = self.mask_reg(a, chunk, true);
-        match self.mask_node(b, chunk) {
-            Some(node) if or => Node::Or(ra, self.push(node)),
-            Some(node) => Node::And(ra, self.push(node)),
-            None => Node::RowB { k: compile_bool(b, chunk), short: Some((ra, or)) },
+        let mut node = self
+            .attempt(|p| p.mask_node(b, chunk))
+            .unwrap_or_else(|| Self::interp(b, chunk, true, Out::B));
+        // A node that already short-circuits on a left operand of its own
+        // (`b` a connective itself) is combined, not re-pointed.
+        if let Node::Str { short: short @ None, .. } | Node::Interp { short: short @ None, .. } =
+            &mut node
+        {
+            *short = Some((ra, or));
+            return node;
+        }
+        let rb = self.push(node);
+        if or {
+            Node::Or(ra, rb)
+        } else {
+            Node::And(ra, rb)
         }
     }
 
-    /// `a op b` as a block node, mirroring [`compile_cmp`] case by case: a
-    /// dictionary column against a string literal tests codes, two integer
-    /// operands compare as `i64` (equal to the per-row `f64` comparison for
-    /// |v| < 2^53), and whatever the per-row path calls numeric compares as
-    /// `f64`.
+    /// `a op b` as a typed node: a string column against a literal tests
+    /// strings or codes, two integer operands compare as `i64` (equal to the
+    /// `f64` comparison for |v| < 2^53), other numeric operands as `f64`.
     fn cmp_node(&mut self, op: CmpOp, a: &Expr, b: &Expr, chunk: &Chunk) -> Option<Node> {
-        let against_literal = match (a, b) {
-            (Expr::Col(i), Expr::Lit(Value::Str(s))) => Some((op, *i, s)),
-            (Expr::Lit(Value::Str(s)), Expr::Col(i)) => Some((op.flip(), *i, s)),
-            _ => None,
-        };
-        if let Some((op, i, s)) = against_literal {
-            let dict = dict_of(i, chunk)?;
-            let test = if matches!(op, CmpOp::Eq | CmpOp::Ne) {
-                // A literal outside the dictionary decides the comparison.
-                let Some(code) = dict.code(s) else { return Some(Node::ConstB(op == CmpOp::Ne)) };
-                CodeTest::Eq { code: code as i64, eq: op == CmpOp::Eq }
-            } else {
-                CodeTest::Flags(dict.matching_flags(|v| str_cmp(op, v, s)))
-            };
-            return Some(Node::Code(self.int_leaf(i, chunk)?, test));
+        match (a, b) {
+            (_, Expr::Lit(Value::Str(s))) => {
+                return self.str_node(a, StrTest::Cmp(op, s.clone()), chunk)
+            }
+            (Expr::Lit(Value::Str(s)), _) => {
+                return self.str_node(b, StrTest::Cmp(op.flip(), s.clone()), chunk)
+            }
+            _ => {}
         }
         if let (Some(sa), Some(sb)) = (int_operand(a, chunk), int_operand(b, chunk)) {
             return Some(Node::CmpI(op, self.int_reg(a, sa), self.int_reg(b, sb)));
         }
-        (numeric(a, chunk).is_some() && numeric(b, chunk).is_some())
-            .then(|| Node::CmpF(op, self.f64_reg(a, chunk, true), self.f64_reg(b, chunk, true)))
+        Some(Node::CmpF(op, self.typed_f64(a, chunk)?, self.typed_f64(b, chunk)?))
+    }
+
+    /// `test` over the non-nullable string column `a`: one loop per block
+    /// over plain strings; over a dictionary (Table II) a code test —
+    /// equality against the literal's code, an ordered dictionary's prefix
+    /// as a code range, a word-token dictionary's word sequence as a token
+    /// scan, anything else as one flag per distinct value. A literal that
+    /// no value can match decides the test outright.
+    fn str_node(&mut self, a: &Expr, test: StrTest, chunk: &Chunk) -> Option<Node> {
+        let Expr::Col(i) = a else { return None };
+        if chunk.nulls[*i].is_some() {
+            return None;
+        }
+        let dict = match &chunk.cols[*i] {
+            Column::Str(v) => return Some(Node::Str { col: Arc::clone(v), test, short: None }),
+            Column::Dict(_, dict) | Column::DictPacked(_, dict) => Arc::clone(dict),
+            _ => return None,
+        };
+        let test = match (&test, dict.kind()) {
+            (StrTest::Cmp(op @ (CmpOp::Eq | CmpOp::Ne), s), _) => match dict.code(s) {
+                Some(code) => CodeTest::Eq { code: code as i64, eq: *op == CmpOp::Eq },
+                None => return Some(Node::ConstB(*op == CmpOp::Ne)),
+            },
+            (StrTest::StartsWith(p), DictKind::Ordered) => match dict.prefix_range(p) {
+                Some((lo, hi)) => CodeTest::Range(lo as i64, hi as i64),
+                None => return Some(Node::ConstB(false)),
+            },
+            (StrTest::WordSeq(w1, w2), DictKind::WordToken) => {
+                match (dict.word_code(w1), dict.word_code(w2)) {
+                    (Some(w1), Some(w2)) => CodeTest::WordSeq(Arc::clone(&dict), w1, w2),
+                    _ => return Some(Node::ConstB(false)),
+                }
+            }
+            _ => CodeTest::Flags(dict.matching_flags(|v| test.holds(v))),
+        };
+        Some(Node::Code(self.int_leaf(*i, chunk)?, test))
     }
 
     /// The `f64` values of register `r` over `rows`, as [`BlockExprs::eval`]
@@ -1047,12 +798,14 @@ impl BlockExprs {
         self.nodes
             .iter()
             .map(|n| match n {
-                Node::Int(_) | Node::ArithI(..) => Reg::I(Vec::new()),
+                Node::Int(_) | Node::ArithI(..) | Node::Year(_) => Reg::I(Vec::new()),
                 Node::F64(_)
                 | Node::ConstF(_)
                 | Node::ToF(_)
                 | Node::ArithF(..)
-                | Node::Row { .. } => Reg::F(Vec::new()),
+                | Node::Select { .. }
+                | Node::Interp { out: Out::F, .. } => Reg::F(Vec::new()),
+                Node::Interp { out: Out::V, .. } => Reg::V(Vec::new()),
                 _ => Reg::B(Vec::new()),
             })
             .collect()
@@ -1107,15 +860,16 @@ impl BlockExprs {
                         ArithOp::Div => unreachable!("integer division stays on the f64 path"),
                     }
                 }
-                (Node::Row { k, null }, Reg::F(out)) => {
+                (Node::Year(a), Reg::I(out)) => {
+                    out.resize(n, 0);
+                    let days = out.iter_mut().zip(&done[*a].i()[..n]);
+                    days.for_each(|(o, &d)| *o = legobase_storage::Date(d as i32).year() as i64);
+                }
+                (Node::Select { c, t, f }, Reg::F(out)) => {
                     out.resize(n, 0.0);
-                    match null {
-                        None => rows.for_each(|i, p| out[i] = k(p)),
-                        Some(m) => {
-                            let m = done[*m].b();
-                            rows.for_each(|i, p| out[i] = if m[i] { 0.0 } else { k(p) });
-                        }
-                    }
+                    let tf = self.f(done, *t, rows).iter().zip(self.f(done, *f, rows));
+                    let ctf = out.iter_mut().zip(done[*c].b()[..n].iter().zip(tf));
+                    ctf.for_each(|(o, (&c, (&t, &f)))| *o = if c { t } else { f });
                 }
                 (Node::ConstB(_), Reg::B(out)) if out.len() >= n => {}
                 (Node::ConstB(b), Reg::B(out)) => out.resize(n, *b),
@@ -1133,7 +887,23 @@ impl BlockExprs {
                             codes.for_each(|(o, &c)| *o = (c == *code) == *eq)
                         }
                         CodeTest::Flags(flags) => codes.for_each(|(o, &c)| *o = flags[c as usize]),
+                        CodeTest::Range(lo, hi) => {
+                            codes.for_each(|(o, &c)| *o = *lo <= c && c <= *hi)
+                        }
+                        CodeTest::WordSeq(dict, w1, w2) => codes
+                            .for_each(|(o, &c)| *o = dict.contains_word_seq(c as u32, *w1, *w2)),
                     }
+                }
+                (Node::InI(a, set), Reg::B(out)) => {
+                    out.resize(n, false);
+                    out.iter_mut().zip(&done[*a].i()[..n]).for_each(|(o, x)| *o = set.contains(x));
+                }
+                (Node::Str { col, test, short }, Reg::B(out)) => {
+                    fill_mask(rows, *short, done, out, |p| test.holds(&col[p]))
+                }
+                (Node::IsNull(mask), Reg::B(out)) => {
+                    out.resize(n, false);
+                    load_col(mask, rows, out, |x| x);
                 }
                 (Node::And(a, b), Reg::B(out)) => {
                     out.resize(n, false);
@@ -1149,15 +919,16 @@ impl BlockExprs {
                     out.resize(n, false);
                     out.iter_mut().zip(&done[*a].b()[..n]).for_each(|(o, &x)| *o = !x);
                 }
-                (Node::RowB { k, short }, Reg::B(out)) => {
-                    out.resize(n, false);
-                    match short {
-                        None => rows.for_each(|i, p| out[i] = k(p)),
-                        Some((m, v)) => {
-                            let m = done[*m].b();
-                            rows.for_each(|i, p| out[i] = if m[i] == *v { *v } else { k(p) });
-                        }
-                    }
+                (Node::Interp { interp, short, .. }, Reg::B(out)) => {
+                    fill_mask(rows, *short, done, out, |p| interp.eval(|_| p).as_bool())
+                }
+                (Node::Interp { interp, .. }, Reg::F(out)) => {
+                    out.resize(n, 0.0);
+                    rows.for_each(|i, p| out[i] = interp.eval(|_| p).as_float());
+                }
+                (Node::Interp { interp, .. }, Reg::V(out)) => {
+                    out.clear();
+                    rows.for_each(|_, p| out.push(interp.eval(|_| p)));
                 }
                 _ => unreachable!("BlockExprs::scratch types each register by its node"),
             }
@@ -1176,16 +947,6 @@ fn cmp_into<T: PartialOrd + Copy>(op: CmpOp, a: &[T], b: &[T], out: &mut Vec<boo
         CmpOp::Le => abo.for_each(|((x, y), o)| *o = x <= y),
         CmpOp::Gt => abo.for_each(|((x, y), o)| *o = x > y),
         CmpOp::Ge => abo.for_each(|((x, y), o)| *o = x >= y),
-    }
-}
-
-/// The dictionary of a non-nullable dictionary-encoded column.
-fn dict_of(col: usize, chunk: &Chunk) -> Option<&StringDictionary> {
-    match &chunk.cols[col] {
-        Column::Dict(_, dict) | Column::DictPacked(_, dict) if chunk.nulls[col].is_none() => {
-            Some(dict)
-        }
-        _ => None,
     }
 }
 
@@ -1211,13 +972,13 @@ fn int_operand(e: &Expr, chunk: &Chunk) -> Option<IntSrc> {
 fn materialize<T>(
     exprs: &BlockExprs,
     chunk: &Chunk,
-    take: impl Fn(&[Reg], &Rows<'_>, &mut Vec<T>),
+    take: impl Fn(&mut [Reg], &Rows<'_>, &mut Vec<T>),
 ) -> Vec<T> {
     let mut regs = exprs.scratch();
     let mut out = Vec::with_capacity(chunk.len());
     chunk.for_each_block(0..chunk.len(), |rows| {
         exprs.eval(&rows, &mut regs);
-        take(&regs, &rows, &mut out);
+        take(&mut regs, &rows, &mut out);
     });
     out
 }
@@ -1230,8 +991,8 @@ pub(crate) fn eval_f64_column(e: &Expr, chunk: &Chunk, compiled: bool) -> Vec<f6
 }
 
 /// Materializes a non-nullable integer expression as an owned vector: exact
-/// `i64` for integer-only arithmetic, the truncated `f64` value otherwise
-/// (`Year`, `Case`, division).
+/// `i64` for integer-only arithmetic and `YEAR`, the truncated `f64` value
+/// otherwise (`CASE`, division).
 pub(crate) fn eval_i64_column(e: &Expr, chunk: &Chunk, compiled: bool) -> Vec<i64> {
     let mut exprs = BlockExprs::new();
     if let Some(r) = compiled.then(|| exprs.i64_reg(e, chunk)).flatten() {
@@ -1250,6 +1011,17 @@ pub(crate) fn eval_bool_column(e: &Expr, chunk: &Chunk, compiled: bool) -> Vec<b
     let mut exprs = BlockExprs::new();
     let r = exprs.mask_reg(e, chunk, compiled);
     materialize(&exprs, chunk, |regs, rows, out| out.extend_from_slice(&regs[r].b()[..rows.len()]))
+}
+
+/// Materializes any expression as generic values, NULLs included (string,
+/// date and nullable projections).
+pub(crate) fn eval_value_column(e: &Expr, chunk: &Chunk, compiled: bool) -> Vec<Value> {
+    let mut exprs = BlockExprs::new();
+    let r = exprs.value_reg(e, chunk, compiled);
+    materialize(&exprs, chunk, |regs, _, out| match &mut regs[r] {
+        Reg::V(vals) => out.append(vals),
+        _ => unreachable!("a value register"),
+    })
 }
 
 /// A predicate compiled for block-at-a-time selection: the one filter every
@@ -1387,13 +1159,6 @@ struct PairCmp {
     int: bool,
 }
 
-struct InterpPair {
-    expr: Expr,
-    refs: Vec<usize>,
-    left: Chunk,
-    right: Chunk,
-}
-
 /// A join residual over a candidate pair `(left_phys, right_phys)`. Shared
 /// read-only by morsel-parallel probe workers.
 pub(crate) struct PairPred(PairKind);
@@ -1404,9 +1169,9 @@ enum PairKind {
     /// interpreter's ordering (`Value::cmp`: exact integers, IEEE total
     /// order once a float is involved).
     Typed(Vec<PairCmp>),
-    /// Anything else: the interpreter over a gathered mini-tuple of the
-    /// concatenated schema.
-    Interp(Box<InterpPair>),
+    /// Anything else: [`Interp`] over the concatenated schema, whose first
+    /// `l_arity` cells are the left row's.
+    Interp { interp: Box<Interp>, l_arity: usize },
 }
 
 impl PairPred {
@@ -1453,10 +1218,8 @@ impl PairPred {
         if let Some(cmps) = typed.collect::<Option<Vec<_>>>() {
             return PairPred(PairKind::Typed(cmps));
         }
-        let mut refs = Vec::new();
-        e.collect_cols(&mut refs);
-        let (left, right) = (lchunk.clone(), rchunk.clone());
-        PairPred(PairKind::Interp(Box::new(InterpPair { expr: e.clone(), refs, left, right })))
+        let interp = Box::new(Interp::new(e, &[lchunk, rchunk], true));
+        PairPred(PairKind::Interp { interp, l_arity: lchunk.cols.len() })
     }
 
     /// Evaluates the residual on one candidate pair.
@@ -1471,18 +1234,8 @@ impl PairPred {
                 };
                 ord_holds(c.op, ord)
             }),
-            PairKind::Interp(interp) => {
-                let InterpPair { expr, refs, left, right } = &**interp;
-                let l_arity = left.cols.len();
-                let mut row = vec![Value::Null; l_arity + right.cols.len()];
-                for &c in refs {
-                    row[c] = if c < l_arity {
-                        left.value_at(c, lp)
-                    } else {
-                        right.value_at(c - l_arity, rp)
-                    };
-                }
-                interp::eval_pred(expr, &row)
+            PairKind::Interp { interp, l_arity } => {
+                interp.eval(|c| if c < *l_arity { lp } else { rp }).as_bool()
             }
         }
     }
@@ -2061,14 +1814,14 @@ enum AggState {
 }
 
 /// Replaces `slot` by `v` when `v` is the better extremum.
-fn keep_extreme(slot: &mut Option<Value>, v: Value, is_min: bool) {
+fn keep_extreme(slot: &mut Option<Value>, v: &Value, is_min: bool) {
     let better = match slot {
         None => true,
-        Some(cur) if is_min => v < *cur,
-        Some(cur) => v > *cur,
+        Some(cur) if is_min => v < cur,
+        Some(cur) => v > cur,
     };
     if better {
-        *slot = Some(v);
+        *slot = Some(v.clone());
     }
 }
 
@@ -2126,7 +1879,7 @@ impl AggState {
             }
             (AggState::MinMax { vals, is_min }, AggState::MinMax { vals: ov, .. }) => {
                 if let Some(v) = &ov[og] {
-                    keep_extreme(&mut vals[g], v.clone(), *is_min);
+                    keep_extreme(&mut vals[g], v, *is_min);
                 }
             }
             _ => unreachable!("partial states share the aggregate that built them"),
@@ -2172,16 +1925,18 @@ impl AggState {
     }
 }
 
-/// Where an aggregate outside the fused lanes reads its per-row input from.
+/// Where an aggregate outside the fused lanes reads its per-row input from:
+/// a register of the block program.
 enum AggInput {
-    /// `COUNT`: no value, only the NULL mask.
-    None,
-    /// An `f64` register of the block program.
+    /// `COUNT(col)` over a nullable column: its `IS NULL` mask.
+    Nulls(usize),
+    /// `f64` values.
     F(usize),
-    /// An exact `i64` register of the block program (integer `SUM`).
+    /// Exact `i64` values (integer `SUM`).
     I(usize),
-    /// The generic per-row closure (`MIN`/`MAX` over any type).
-    Val(ValK),
+    /// Generic values, NULLs skipped: nullable `SUM`/`AVG` inputs and
+    /// `MIN`/`MAX` over any type.
+    V(usize),
 }
 
 /// An aggregate folded in a loop of its own: nullable inputs, integer sums,
@@ -2191,8 +1946,6 @@ struct OwnAgg {
     /// `SUM` over an integer-typed expression accumulates in `i64`.
     int_sum: bool,
     input: AggInput,
-    /// Mask register flagging rows whose input is NULL (skipped).
-    null: Option<usize>,
 }
 
 impl OwnAgg {
@@ -2276,28 +2029,12 @@ fn each(n: usize, pos: Option<&[u32]>, mut f: impl FnMut(usize)) {
     }
 }
 
-/// Calls `f(slot, value)` for every row of `pos` (see [`each`]) whose input
-/// is not NULL, in order.
+/// Calls `f(slot, value)` for every row of `pos` (see [`each`]), in order.
 #[inline]
-fn scatter<T: Copy>(
-    gid: &[u32],
-    pos: Option<&[u32]>,
-    v: &[T],
-    null: Option<&[bool]>,
-    mut f: impl FnMut(usize, T),
-) {
-    match (pos, null) {
-        (None, None) => gid.iter().zip(v).for_each(|(&g, &x)| f(g as usize, x)),
-        (None, Some(m)) => gid.iter().zip(v).zip(m).for_each(|((&g, &x), &is_null)| {
-            if !is_null {
-                f(g as usize, x)
-            }
-        }),
-        (Some(_), _) => each(gid.len(), pos, |i| {
-            if null.is_none_or(|m| !m[i]) {
-                f(gid[i] as usize, v[i])
-            }
-        }),
+fn scatter<T>(gid: &[u32], pos: Option<&[u32]>, v: &[T], mut f: impl FnMut(usize, &T)) {
+    match pos {
+        None => gid.iter().zip(v).for_each(|(&g, x)| f(g as usize, x)),
+        Some(_) => each(gid.len(), pos, |i| f(gid[i] as usize, &v[i])),
     }
 }
 
@@ -2433,32 +2170,27 @@ impl AggFold {
 
     fn compile_agg(&mut self, kind: &AggKind, e: &Expr, chunk: &Chunk, compiled: bool) -> Agg {
         let int_sum = *kind == AggKind::Sum && e.ty(&chunk.schema) == Type::Int;
-        let (input, null) = match kind {
-            AggKind::Count => {
-                let mask = match e {
-                    Expr::Col(c) => chunk.nulls[*c].clone(),
-                    _ => None,
-                };
-                let Some(mask) = mask else { return Agg::Rows };
-                (
-                    AggInput::None,
-                    Some(
-                        self.exprs.push(Node::RowB { k: Box::new(move |r| mask[r]), short: None }),
-                    ),
-                )
+        let mut refs = Vec::new();
+        e.collect_cols(&mut refs);
+        let nullable = refs.iter().any(|&c| chunk.nulls[c].is_some());
+        let input = match kind {
+            AggKind::Count => match e {
+                Expr::Col(c) if chunk.nulls[*c].is_some() => {
+                    AggInput::Nulls(self.exprs.mask_reg(&Expr::is_null(e.clone()), chunk, true))
+                }
+                _ => return Agg::Rows,
+            },
+            // SQL aggregates skip NULL inputs: one generic evaluation gives
+            // the value and whether it is NULL.
+            AggKind::Min | AggKind::Max => AggInput::V(self.exprs.value_reg(e, chunk, compiled)),
+            AggKind::Sum | AggKind::Avg if nullable => {
+                AggInput::V(self.exprs.value_reg(e, chunk, compiled))
             }
-            AggKind::Min | AggKind::Max => (AggInput::Val(valk(e, chunk, compiled)), None),
             AggKind::Sum | AggKind::Avg => {
-                if let Some(guard) = null_guard(e, chunk, compiled) {
-                    // Nullable arguments go through the per-row filler
-                    // behind their NULL mask.
-                    let null = self.exprs.push(Node::RowB { k: guard, short: None });
-                    let k = f64k(e, chunk, compiled);
-                    (AggInput::F(self.exprs.push(Node::Row { k, null: Some(null) })), Some(null))
-                } else if let Some(r) =
+                if let Some(r) =
                     (int_sum && compiled).then(|| self.exprs.i64_reg(e, chunk)).flatten()
                 {
-                    (AggInput::I(r), None)
+                    AggInput::I(r)
                 } else {
                     let r = self.exprs.f64_reg(e, chunk, compiled);
                     if !int_sum {
@@ -2469,11 +2201,11 @@ impl AggFold {
                             Agg::AvgLane(lane)
                         };
                     }
-                    (AggInput::F(r), None)
+                    AggInput::F(r)
                 }
             }
         };
-        self.own.push(OwnAgg { kind: kind.clone(), int_sum, input, null });
+        self.own.push(OwnAgg { kind: kind.clone(), int_sum, input });
         Agg::Own(self.own.len() - 1)
     }
 
@@ -2564,42 +2296,57 @@ impl AggFold {
                 pos
             }
         };
+        let vals = |r: usize| &regs[r].v()[..n];
         for (agg, state) in self.own.iter().zip(&mut groups.own) {
-            let null = agg.null.map(|m| &regs[m].b()[..n]);
             match (state, &agg.input) {
-                (AggState::SumF { sums, touched }, AggInput::F(r)) => {
-                    scatter(gid, pos, f(*r), null, |g, x| {
-                        sums[g] += x;
-                        touched[g] = true;
+                (AggState::SumF { sums, touched }, AggInput::V(r)) => {
+                    scatter(gid, pos, vals(*r), |g, v| {
+                        if !v.is_null() {
+                            sums[g] += v.as_float();
+                            touched[g] = true;
+                        }
                     });
                 }
                 (AggState::SumI { sums, touched }, AggInput::I(r)) => {
-                    scatter(gid, pos, &regs[*r].i()[..n], null, |g, x| {
+                    scatter(gid, pos, &regs[*r].i()[..n], |g, &x| {
                         sums[g] += x;
                         touched[g] = true;
                     });
                 }
                 (AggState::SumI { sums, touched }, AggInput::F(r)) => {
-                    scatter(gid, pos, f(*r), null, |g, x| {
+                    scatter(gid, pos, f(*r), |g, &x| {
                         sums[g] += x as i64;
                         touched[g] = true;
                     });
                 }
-                (AggState::Count { counts }, AggInput::None) => {
-                    scatter(gid, pos, gid, null, |g, _| counts[g] += 1);
-                }
-                (AggState::Avg { sums, counts }, AggInput::F(r)) => {
-                    scatter(gid, pos, f(*r), null, |g, x| {
-                        sums[g] += x;
-                        counts[g] += 1;
+                (AggState::SumI { sums, touched }, AggInput::V(r)) => {
+                    scatter(gid, pos, vals(*r), |g, v| {
+                        if !v.is_null() {
+                            sums[g] += v.as_float() as i64;
+                            touched[g] = true;
+                        }
                     });
                 }
-                (AggState::MinMax { vals, is_min }, AggInput::Val(k)) => each(n, pos, |i| {
-                    let v = k(rows.phys(i));
-                    if !v.is_null() {
-                        keep_extreme(&mut vals[gid[i] as usize], v, *is_min);
-                    }
-                }),
+                (AggState::Count { counts }, AggInput::Nulls(m)) => {
+                    scatter(gid, pos, &regs[*m].b()[..n], |g, &null| {
+                        counts[g] += !null as i64;
+                    });
+                }
+                (AggState::Avg { sums, counts }, AggInput::V(r)) => {
+                    scatter(gid, pos, vals(*r), |g, v| {
+                        if !v.is_null() {
+                            sums[g] += v.as_float();
+                            counts[g] += 1;
+                        }
+                    });
+                }
+                (AggState::MinMax { vals: extremes, is_min }, AggInput::V(r)) => {
+                    scatter(gid, pos, vals(*r), |g, v| {
+                        if !v.is_null() {
+                            keep_extreme(&mut extremes[g], v, *is_min);
+                        }
+                    });
+                }
                 _ => unreachable!("state built by OwnAgg::new_state of this aggregate"),
             }
         }
@@ -2710,8 +2457,19 @@ mod tests {
         ch
     }
 
-    /// Kernels must agree with the interpreter on every row, with and
-    /// without dictionary encoding.
+    /// The interpreter's value of `e` on every logical row: the reference
+    /// every block path is held to.
+    fn interpreted(e: &Expr, ch: &Chunk) -> Vec<Value> {
+        (0..ch.len()).map(|i| interp::eval(e, &ch.row_values(i))).collect()
+    }
+
+    fn interpreted_mask(e: &Expr, ch: &Chunk) -> Vec<bool> {
+        interpreted(e, ch).iter().map(Value::as_bool).collect()
+    }
+
+    /// The block predicates must agree with the interpreter on every row,
+    /// over every dictionary kind (prefix ranges over an ordered one, token
+    /// scans over a word-token one) and plain strings, plain and packed.
     #[test]
     fn kernels_agree_with_interpreter() {
         let exprs = vec![
@@ -2730,6 +2488,10 @@ mod tests {
             Expr::lt(Expr::col(3), Expr::lit(Date::from_ymd(1994, 6, 1))),
             Expr::ge(Expr::col(2), Expr::lit("MAIL")),
             Expr::word_seq(Expr::col(2), "REG", "AIR"),
+            Expr::word_seq(Expr::col(2), "AIR", "REG"),
+            Expr::starts_with(Expr::col(2), "AIR"),
+            Expr::starts_with(Expr::col(2), "SHIP"),
+            Expr::starts_with(Expr::col(2), "NOPE"),
             Expr::or(
                 Expr::not(Expr::eq(Expr::col(2), Expr::lit("AIR"))),
                 Expr::eq(Expr::col(0), Expr::lit(2i64)),
@@ -2741,13 +2503,11 @@ mod tests {
             for encoded in [false, true] {
                 let ch = if encoded { encode_chunk(chunk(dict)) } else { chunk(dict) };
                 for e in &exprs {
-                    let k = compile_bool(e, &ch);
-                    for r in 0..ch.total {
-                        let row = ch.row_values(r);
+                    for compiled in [true, false] {
                         assert_eq!(
-                            k(r),
-                            interp::eval_pred(e, &row),
-                            "expr {e} row {r} dict {dict:?} encoded {encoded}"
+                            eval_bool_column(e, &ch, compiled),
+                            interpreted_mask(e, &ch),
+                            "expr {e} dict {dict:?} encoded {encoded} compiled {compiled}"
                         );
                     }
                 }
@@ -2779,10 +2539,9 @@ mod tests {
         exprs.push(Expr::lt(Expr::col(3), Expr::lit(Date::from_ymd(1994, 6, 1))));
         exprs.push(Expr::ge(Expr::col(3), Expr::lit(Date::from_ymd(1800, 1, 1))));
         for e in &exprs {
-            let (kp, ke) = (compile_bool(e, &plain), compile_bool(e, &packed));
-            for r in 0..plain.total {
-                assert_eq!(kp(r), ke(r), "expr {e} row {r}");
-            }
+            let expect = interpreted_mask(e, &plain);
+            assert_eq!(eval_bool_column(e, &plain, true), expect, "expr {e} plain");
+            assert_eq!(eval_bool_column(e, &packed, true), expect, "expr {e} packed");
         }
     }
 
@@ -2790,20 +2549,29 @@ mod tests {
     fn numeric_kernels() {
         let ch = chunk(None);
         let e = Expr::mul(Expr::col(1), Expr::sub(Expr::lit(1.0), Expr::col(1)));
-        let k = compile_f64(&e, &ch);
-        for r in 0..ch.total {
+        for (r, k) in eval_f64_column(&e, &ch, true).into_iter().enumerate() {
             let x = r as f64 / 2.0;
-            assert!((k(r) - x * (1.0 - x)).abs() < 1e-12);
+            assert!((k - x * (1.0 - x)).abs() < 1e-12);
         }
-        let y = compile_f64(&Expr::year(Expr::col(3)), &ch);
-        assert_eq!(y(0), 1993.0);
-        assert_eq!(y(1), 1994.0);
-        let c = compile_f64(
+        let y = eval_f64_column(&Expr::year(Expr::col(3)), &ch, true);
+        assert_eq!(y[..2], [1993.0, 1994.0]);
+        let c = eval_f64_column(
             &Expr::case(Expr::lt(Expr::col(0), Expr::lit(4i64)), Expr::lit(1.0), Expr::lit(0.0)),
             &ch,
+            true,
         );
-        assert_eq!(c(0), 1.0);
-        assert_eq!(c(7), 0.0);
+        assert_eq!((c[0], c[7]), (1.0, 0.0));
+        // `YEAR` and `CASE` are block nodes, the interpreter's values.
+        for e in [
+            Expr::year(Expr::col(3)),
+            Expr::case(Expr::lt(Expr::col(0), Expr::lit(4i64)), Expr::col(1), Expr::lit(0.0)),
+        ] {
+            let mut prog = BlockExprs::new();
+            prog.f64_reg(&e, &ch, true);
+            assert!(!prog.nodes.iter().any(|n| matches!(n, Node::Interp { .. })), "{e}");
+            let expect: Vec<f64> = interpreted(&e, &ch).iter().map(Value::as_float).collect();
+            assert_eq!(eval_f64_column(&e, &ch, true), expect, "{e}");
+        }
     }
 
     #[test]
@@ -2864,9 +2632,9 @@ mod tests {
         assert!(KeyPacker::fit(&[0, 2], &nullable).is_none());
     }
 
-    /// The block selection must select exactly the rows the per-row kernels
-    /// select, over plain and packed layouts, at every block split. (The
-    /// seeded matrix lives in `sel_tests.rs`; this pins the named shapes.)
+    /// The block selection must select exactly the rows the interpreter
+    /// selects, over plain and packed layouts, at every block split. (The
+    /// seeded matrix lives in `block_tests.rs`; this pins the named shapes.)
     #[test]
     fn block_selection_matches_per_row_path() {
         let exprs = vec![
@@ -2896,9 +2664,9 @@ mod tests {
         ];
         for ch in [chunk(Some(DictKind::Normal)), encode_chunk(chunk(Some(DictKind::Normal)))] {
             for e in &exprs {
-                let per_row = compile_bool(e, &ch);
+                let per_row = interpreted_mask(e, &ch);
                 let expect: Vec<u32> =
-                    (0..ch.total).filter(|&r| per_row(r)).map(|r| r as u32).collect();
+                    (0..ch.total).filter(|&r| per_row[r]).map(|r| r as u32).collect();
                 for compiled in [true, false] {
                     let filter = BlockSel::compile(e, &ch, compiled);
                     for step in [1usize, 3, ch.total] {
@@ -2909,22 +2677,20 @@ mod tests {
                         }
                         assert_eq!(got, expect, "expr {e} step {step} compiled {compiled}");
                     }
-                    assert_eq!(
-                        eval_bool_column(e, &ch, compiled),
-                        (0..ch.total).map(&per_row).collect::<Vec<_>>()
-                    );
+                    assert_eq!(eval_bool_column(e, &ch, compiled), per_row);
                 }
             }
         }
-        // Comparisons and dictionary tests are block nodes; only the LIKE
-        // needs the per-row filler.
-        let ch = chunk(Some(DictKind::Normal));
-        let fillers = |e: &Expr| {
-            let filter = BlockSel::compile(e, &ch, true);
-            filter.exprs.nodes.iter().filter(|n| matches!(n, Node::RowB { .. })).count()
-        };
-        assert_eq!(exprs[..6].iter().map(fillers).sum::<usize>(), 0);
-        assert_eq!(fillers(&exprs[6]), 1);
+        // Comparisons, dictionary tests and LIKE are all typed nodes: none
+        // needs the per-row node, over a dictionary or plain strings.
+        for ch in [chunk(Some(DictKind::Normal)), chunk(None)] {
+            for e in &exprs {
+                let filter = BlockSel::compile(e, &ch, true);
+                let per_row =
+                    filter.exprs.nodes.iter().filter(|n| matches!(n, Node::Interp { .. }));
+                assert_eq!(per_row.count(), 0, "{e}");
+            }
+        }
     }
 
     /// Comparison-shaped residuals over non-nullable int / date / float
@@ -2964,14 +2730,35 @@ mod tests {
         let mut ch = chunk(None);
         let mask = vec![false, true, false, true, false, true, false, true];
         ch.nulls[0] = Some(Arc::new(mask));
-        let is_null = compile_bool(&Expr::is_null(Expr::col(0)), &ch);
-        assert!(!is_null(0) && is_null(1));
+        let is_null = eval_bool_column(&Expr::is_null(Expr::col(0)), &ch, true);
+        assert!(!is_null[0] && is_null[1]);
         // Comparison with a NULL operand is false.
-        let cmp = compile_bool(&Expr::eq(Expr::col(0), Expr::lit(1i64)), &ch);
-        assert!(!cmp(1) && !cmp(0));
-        let v = compile_value(&Expr::col(0), &ch);
-        assert!(v(1).is_null());
-        assert_eq!(v(2), Value::Int(2));
+        let cmp = eval_bool_column(&Expr::eq(Expr::col(0), Expr::lit(1i64)), &ch, true);
+        assert!(!cmp[1] && !cmp[0]);
+        let v = eval_value_column(&Expr::col(0), &ch, true);
+        assert!(v[1].is_null());
+        assert_eq!(v[2], Value::Int(2));
+        // Every shape over a nullable input is the interpreter's.
+        for e in [
+            Expr::is_null(Expr::col(0)),
+            Expr::not(Expr::is_null(Expr::col(0))),
+            Expr::eq(Expr::col(0), Expr::lit(1i64)),
+            Expr::in_list(Expr::col(0), vec![Value::Int(1), Value::Int(2)]),
+            Expr::and(
+                Expr::lt(Expr::col(1), Expr::lit(3.0)),
+                Expr::ge(Expr::col(0), Expr::lit(2i64)),
+            ),
+            Expr::or(
+                Expr::lt(Expr::col(1), Expr::lit(1.0)),
+                Expr::is_null(Expr::add(Expr::col(0), Expr::lit(1i64))),
+            ),
+        ] {
+            for compiled in [true, false] {
+                assert_eq!(eval_bool_column(&e, &ch, compiled), interpreted_mask(&e, &ch), "{e}");
+            }
+        }
+        let sum = Expr::add(Expr::col(0), Expr::col(1));
+        assert_eq!(eval_value_column(&sum, &ch, true), interpreted(&sum, &ch));
     }
 
     #[test]
@@ -3014,9 +2801,10 @@ mod tests {
         assert_eq!(sizes, vec![BLOCK_ROWS, 2]);
     }
 
-    /// The block program computes, bit for bit, what the per-row kernels
-    /// compute — over plain and packed columns, with and without a
-    /// selection — and shares structurally equal subexpressions.
+    /// The block program computes, bit for bit, what the interpreter
+    /// computes for the column an expression's type materializes (`f64` for
+    /// floats, `i64` for integers) — over plain and packed columns, with and
+    /// without a selection — and shares structurally equal subexpressions.
     #[test]
     fn block_exprs_match_row_kernels() {
         let price = || Expr::mul(Expr::col(1), Expr::sub(Expr::lit(1i64), Expr::col(1)));
@@ -3034,13 +2822,19 @@ mod tests {
                 let mut ch = if encoded { encode_chunk(chunk(None)) } else { chunk(None) };
                 ch.sel = sel.map(Arc::new);
                 for e in &exprs {
+                    let expect = interpreted(e, &ch);
                     for compiled in [true, false] {
-                        let k = f64k(e, &ch, compiled);
+                        let case = format!("expr {e} encoded {encoded} compiled {compiled}");
+                        if e.ty(&ch.schema) == Type::Int {
+                            let expect: Vec<i64> = expect.iter().map(Value::as_int).collect();
+                            assert_eq!(eval_i64_column(e, &ch, compiled), expect, "{case}");
+                            continue;
+                        }
                         let expect: Vec<u64> =
-                            (0..ch.len()).map(|i| k(ch.phys(i)).to_bits()).collect();
+                            expect.iter().map(|v| v.as_float().to_bits()).collect();
                         let got = eval_f64_column(e, &ch, compiled);
                         let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
-                        assert_eq!(got, expect, "expr {e} encoded {encoded} compiled {compiled}");
+                        assert_eq!(got, expect, "{case}");
                     }
                 }
                 // Integer-only arithmetic is exact where `f64` rounds.

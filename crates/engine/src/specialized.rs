@@ -36,8 +36,8 @@
 //! Every operator walks its input a block of at most `kernel::BLOCK_ROWS`
 //! rows at a time (DESIGN.md §3 "Block-at-a-time"): predicates, join keys,
 //! group keys and aggregate inputs are evaluated by `kernel`'s block program
-//! into typed scratch vectors, and the per-row closures are only its filler
-//! for what the block nodes do not cover.
+//! into typed scratch vectors; its one per-row node interprets nullable
+//! inputs and, with `compiled_exprs` off, every expression.
 
 use crate::expr::{CmpOp, Expr};
 use crate::kernel::{
@@ -334,7 +334,7 @@ impl<'a> Exec<'a> {
                 nulls.push(mask);
                 continue;
             }
-            let (col, mask) = self.compute_column(e, &chunk, n);
+            let (col, mask) = self.compute_column(e, &chunk);
             cols.push(col);
             nulls.push(mask);
         }
@@ -342,12 +342,7 @@ impl<'a> Exec<'a> {
     }
 
     /// Materializes a computed expression as an owned column.
-    fn compute_column(
-        &self,
-        e: &Expr,
-        chunk: &Chunk,
-        n: usize,
-    ) -> (Column, Option<Arc<Vec<bool>>>) {
+    fn compute_column(&self, e: &Expr, chunk: &Chunk) -> (Column, Option<Arc<Vec<bool>>>) {
         use legobase_storage::Type;
         let compiled = self.settings.compiled_exprs;
         let ty = e.ty(&chunk.schema);
@@ -368,9 +363,7 @@ impl<'a> Exec<'a> {
                 (Column::Bool(Arc::new(kernel::eval_bool_column(e, chunk, compiled))), None)
             }
             _ => {
-                let k = kernel::valk(e, chunk, compiled);
-                let mut vals = Vec::with_capacity(n);
-                chunk.for_each_block(0..n, |rows| rows.for_each(|_, p| vals.push(k(p))));
+                let vals = kernel::eval_value_column(e, chunk, compiled);
                 let mask: Vec<bool> = vals.iter().map(Value::is_null).collect();
                 // NULL cells hold the type's zero behind the mask.
                 let live = vals.iter().zip(&mask);
