@@ -91,7 +91,7 @@ fn predicate(rng: &mut TestRng, depth: u32) -> Expr {
             2 => Expr::contains(Expr::col(*pick(rng, &[S, T])), &w[1..3]),
             _ => Expr::word_seq(Expr::col(T), w, "X"),
         },
-        14 => Expr::is_null(Expr::col(*pick(rng, &[X, I, K]))),
+        14 => Expr::is_null(Expr::col(*pick(rng, &[X, I, K, T, O]))),
         // Ordered dictionary: prefixes that cover one value, several
         // neighbours (`PROMO` holds `PROMOTED`), none, or all.
         15 => match n % 4 {
@@ -182,8 +182,8 @@ proptest! {
             let right = chunk(&mut rng, 200, layout, Selection::Ascending);
             let r = |c: usize| Expr::col(left.cols.len() + c);
             // Shapes the typed kernel takes (on non-nullable inputs) and
-            // shapes that keep the interpreter; `X` and `I` carry NULLs under
-            // the nullable layout.
+            // shapes that keep the interpreter; `X`, `I` and `T` carry NULLs
+            // under the nullable layout.
             let residuals = [
                 Expr::ne(r(W), Expr::col(W)),
                 Expr::lt(Expr::col(BIG), r(BIG)),

@@ -39,8 +39,10 @@ pub(crate) const WT: usize = 10; // word-token-dictionary string: three words
 pub(crate) enum Layout {
     Plain,
     Packed,
-    /// `X` and `I` carry validity masks, as below the NULL-extended side of
-    /// an outer join.
+    /// `X`, `I`, `T`, `O` and `WT` carry validity masks, as below the
+    /// NULL-extended side of an outer join. (`S` and `D` stay valid: they
+    /// key the direct and lowered groupings, which a nullable key turns
+    /// generic.)
     Nullable,
 }
 
@@ -127,7 +129,7 @@ pub(crate) fn chunk(rng: &mut TestRng, rows: usize, layout: Layout, selection: S
             }
         }
         Layout::Nullable => {
-            for c in [X, I] {
+            for c in [X, I, T, O, WT] {
                 nulls[c] = Some(Arc::new((0..total).map(|_| rng.below(4) == 0).collect()));
             }
         }

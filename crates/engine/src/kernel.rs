@@ -2759,6 +2759,46 @@ mod tests {
         }
         let sum = Expr::add(Expr::col(0), Expr::col(1));
         assert_eq!(eval_value_column(&sum, &ch, true), interpreted(&sum, &ch));
+        // String tests and `YEAR` over a NULL cell follow the interpreter,
+        // never the placeholder behind the mask: over plain strings and
+        // every dictionary kind, plain and packed.
+        let year = Expr::year(Expr::col(3));
+        let shapes = [
+            Expr::eq(Expr::col(2), Expr::lit("SHIP")),
+            Expr::not(Expr::eq(Expr::col(2), Expr::lit("AIR"))),
+            Expr::ge(Expr::col(2), Expr::lit("MAIL")),
+            Expr::starts_with(Expr::col(2), "REG"),
+            Expr::starts_with(Expr::col(2), "AIR"),
+            Expr::ends_with(Expr::col(2), "AIR"),
+            Expr::contains(Expr::col(2), "HI"),
+            Expr::in_list(Expr::col(2), vec!["AIR".into(), "SHIP".into()]),
+            Expr::word_seq(Expr::col(2), "REG", "AIR"),
+            Expr::is_null(Expr::col(2)),
+            Expr::eq(year.clone(), Expr::lit(1994i64)),
+            Expr::not(Expr::lt(year.clone(), Expr::lit(1994i64))),
+            Expr::is_null(year.clone()),
+        ];
+        for dict in
+            [None, Some(DictKind::Normal), Some(DictKind::Ordered), Some(DictKind::WordToken)]
+        {
+            for encoded in [false, true] {
+                let mut ch = if encoded { encode_chunk(chunk(dict)) } else { chunk(dict) };
+                for c in [2, 3] {
+                    let mask = (0..8).map(|r| (r + c) % 3 == 0).collect();
+                    ch.nulls[c] = Some(Arc::new(mask));
+                }
+                for e in &shapes {
+                    for compiled in [true, false] {
+                        assert_eq!(
+                            eval_bool_column(e, &ch, compiled),
+                            interpreted_mask(e, &ch),
+                            "expr {e} dict {dict:?} encoded {encoded} compiled {compiled}"
+                        );
+                    }
+                }
+                assert_eq!(eval_value_column(&year, &ch, true), interpreted(&year, &ch));
+            }
+        }
     }
 
     #[test]
@@ -2808,12 +2848,13 @@ mod tests {
     #[test]
     fn block_exprs_match_row_kernels() {
         let price = || Expr::mul(Expr::col(1), Expr::sub(Expr::lit(1i64), Expr::col(1)));
+        let div_by_3 = Expr::div(Expr::col(0), Expr::lit(3i64));
         let exprs = vec![
             Expr::col(1),
             Expr::col(0),
             price(),
             Expr::mul(price(), Expr::add(Expr::lit(1.0), Expr::col(0))),
-            Expr::div(Expr::col(0), Expr::lit(3i64)),
+            div_by_3.clone(),
             Expr::add(Expr::year(Expr::col(3)), Expr::col(0)),
             Expr::case(Expr::lt(Expr::col(0), Expr::lit(4i64)), Expr::col(1), Expr::lit(0.0)),
         ];
@@ -2826,12 +2867,17 @@ mod tests {
                     for compiled in [true, false] {
                         let case = format!("expr {e} encoded {encoded} compiled {compiled}");
                         if e.ty(&ch.schema) == Type::Int {
-                            let expect: Vec<i64> = expect.iter().map(Value::as_int).collect();
-                            assert_eq!(eval_i64_column(e, &ch, compiled), expect, "{case}");
-                            continue;
+                            let ints: Vec<i64> = expect.iter().map(Value::as_int).collect();
+                            assert_eq!(eval_i64_column(e, &ch, compiled), ints, "{case}");
                         }
-                        let expect: Vec<u64> =
-                            expect.iter().map(|v| v.as_float().to_bits()).collect();
+                        // Compiled arithmetic divides integers in `f64` (the
+                        // value AVG, a float comparison and the SUM fallback
+                        // read); `interp` divides them as integers.
+                        let expect: Vec<u64> = if compiled && *e == div_by_3 {
+                            (0..ch.len()).map(|i| (ch.phys(i) as f64 / 3.0).to_bits()).collect()
+                        } else {
+                            expect.iter().map(|v| v.as_float().to_bits()).collect()
+                        };
                         let got = eval_f64_column(e, &ch, compiled);
                         let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
                         assert_eq!(got, expect, "{case}");
