@@ -249,7 +249,7 @@ impl BaseStore {
             // archive payload decoded now that someone needs it.
             StructureKind::Column(Layout::Plain) => whole(data.plain_column(table, column)),
             StructureKind::Column(Layout::Dict(kind)) => {
-                whole(data.plain_column(table, column).dict_encoded(kind))
+                whole(data.dict_column(table, column, kind))
             }
             StructureKind::Column(Layout::Packed) => {
                 // Mapped archive loads (PR 10): when the archive already

@@ -165,6 +165,7 @@ fn aggregates() -> Vec<AggSpec> {
         AggSpec::new(AggKind::Avg, Expr::col(Y), "avg_y"),
         AggSpec::new(AggKind::Count, Expr::lit(1i64), "count_star"),
         AggSpec::new(AggKind::Count, Expr::col(X), "count_x"),
+        AggSpec::new(AggKind::Count, Expr::add(Expr::col(I), Expr::lit(0i64)), "count_i_expr"),
         AggSpec::new(AggKind::Sum, Expr::col(I), "sum_i"),
         AggSpec::new(AggKind::Avg, Expr::col(I), "avg_i"),
         AggSpec::new(
@@ -549,6 +550,7 @@ proptest! {
             // Nullable under `Layout::Nullable`: its own loop behind a mask.
             AggSpec::new(AggKind::Sum, Expr::col(I), "sum_i"),
             AggSpec::new(AggKind::Count, Expr::col(X), "count_x"),
+            AggSpec::new(AggKind::Count, Expr::add(Expr::col(I), Expr::lit(0i64)), "count_i_expr"),
             AggSpec::new(AggKind::Min, Expr::col(X), "min_x"),
             AggSpec::new(AggKind::Max, Expr::col(D), "max_d"),
             exact_big_sum(),

@@ -1934,8 +1934,8 @@ enum AggInput {
     F(usize),
     /// Exact `i64` values (integer `SUM`).
     I(usize),
-    /// Generic values, NULLs skipped: nullable `SUM`/`AVG` inputs and
-    /// `MIN`/`MAX` over any type.
+    /// Generic values, NULLs skipped: nullable `COUNT`/`SUM`/`AVG` inputs
+    /// and `MIN`/`MAX` over any type.
     V(usize),
 }
 
@@ -2174,15 +2174,15 @@ impl AggFold {
         e.collect_cols(&mut refs);
         let nullable = refs.iter().any(|&c| chunk.nulls[c].is_some());
         let input = match kind {
-            AggKind::Count => match e {
-                Expr::Col(c) if chunk.nulls[*c].is_some() => {
-                    AggInput::Nulls(self.exprs.mask_reg(&Expr::is_null(e.clone()), chunk, true))
-                }
-                _ => return Agg::Rows,
-            },
+            AggKind::Count if !nullable => return Agg::Rows,
+            AggKind::Count if matches!(e, Expr::Col(_)) => {
+                AggInput::Nulls(self.exprs.mask_reg(&Expr::is_null(e.clone()), chunk, true))
+            }
             // SQL aggregates skip NULL inputs: one generic evaluation gives
             // the value and whether it is NULL.
-            AggKind::Min | AggKind::Max => AggInput::V(self.exprs.value_reg(e, chunk, compiled)),
+            AggKind::Count | AggKind::Min | AggKind::Max => {
+                AggInput::V(self.exprs.value_reg(e, chunk, compiled))
+            }
             AggKind::Sum | AggKind::Avg if nullable => {
                 AggInput::V(self.exprs.value_reg(e, chunk, compiled))
             }
@@ -2257,7 +2257,9 @@ impl AggFold {
         let inputs: Vec<&[f64]> = self.lane_regs.iter().map(|&r| f(r)).collect();
         // The positions every aggregate folds, each group's rows in row order:
         // all rows (`None`), the kept ones, or the kept ones sorted by slot.
-        let pos = match resolver.register_slots() {
+        let slots = resolver.register_slots();
+        let one_slot = slots == Some(1);
+        let pos = match slots {
             Some(slots) if slots > 1 => {
                 let bounds = sort_by_slot(gid, slots, &mut s.pos);
                 for g in 0..groups.reprs.len() {
@@ -2269,14 +2271,14 @@ impl AggFold {
                 }
                 Some(&s.pos[..bounds[slots]])
             }
-            slots => {
+            _ => {
                 let pos = keep.map(|m| {
                     s.pos.clear();
                     compact(m, 0..m.len() as u32, &mut s.pos);
                     &s.pos[..]
                 });
                 let (counts, lanes) = (&mut groups.rows, &mut groups.lanes);
-                if slots == Some(1) {
+                if one_slot {
                     // One slot: the kept rows are its run, already in row
                     // order — no sort — and add in registers.
                     let run = pos.map_or(n, <[u32]>::len);
@@ -2307,6 +2309,16 @@ impl AggFold {
                         }
                     });
                 }
+                (AggState::SumI { sums, touched }, AggInput::I(r)) if one_slot => {
+                    // One slot: its run adds in a local, as the lanes do.
+                    let x = &regs[*r].i()[..n];
+                    if pos.map_or(n, <[u32]>::len) > 0 {
+                        let mut sum = sums[0];
+                        each(n, pos, |i| sum += x[i]);
+                        sums[0] = sum;
+                        touched[0] = true;
+                    }
+                }
                 (AggState::SumI { sums, touched }, AggInput::I(r)) => {
                     scatter(gid, pos, &regs[*r].i()[..n], |g, &x| {
                         sums[g] += x;
@@ -2331,6 +2343,9 @@ impl AggFold {
                     scatter(gid, pos, &regs[*m].b()[..n], |g, &null| {
                         counts[g] += !null as i64;
                     });
+                }
+                (AggState::Count { counts }, AggInput::V(r)) => {
+                    scatter(gid, pos, vals(*r), |g, v| counts[g] += !v.is_null() as i64);
                 }
                 (AggState::Avg { sums, counts }, AggInput::V(r)) => {
                     scatter(gid, pos, vals(*r), |g, v| {

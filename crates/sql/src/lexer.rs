@@ -59,107 +59,154 @@ pub struct Token {
     pub span: Span,
 }
 
+/// What a scanned span holds, before any of its text is copied.
+pub(crate) enum Lexeme {
+    /// Identifier or keyword.
+    Ident,
+    /// Numeric literal.
+    Number,
+    /// String literal, quotes and `''` escapes included.
+    Str,
+    /// Punctuation or an operator: the token itself.
+    Sym(Tok),
+}
+
+/// The lexer's scan: every token of `sql` as a [`Lexeme`] and its span,
+/// whitespace and `--` comments skipped, without allocating. An unlexable
+/// character or an unclosed string literal is the last item.
+pub(crate) fn scan(sql: &str) -> Scan<'_> {
+    Scan { sql, i: 0 }
+}
+
+/// The iterator [`scan`] returns.
+pub(crate) struct Scan<'a> {
+    sql: &'a str,
+    i: usize,
+}
+
+impl Iterator for Scan<'_> {
+    type Item = Result<(Lexeme, Span)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (sql, b) = (self.sql, self.sql.as_bytes());
+        let mut i = self.i;
+        let item = loop {
+            let Some(&c) = b.get(i) else {
+                break None;
+            };
+            let start = i;
+            let lexeme = match c {
+                b' ' | b'\t' | b'\r' | b'\n' => {
+                    i += 1;
+                    continue;
+                }
+                b'-' if b.get(i + 1) == Some(&b'-') => {
+                    while i < b.len() && b[i] != b'\n' {
+                        i += 1;
+                    }
+                    continue;
+                }
+                b'\'' => {
+                    i += 1;
+                    loop {
+                        match b.get(i) {
+                            None => {
+                                i = b.len();
+                                break Err(SqlError::new(
+                                    "unclosed string literal",
+                                    Span::new(start, b.len()),
+                                ));
+                            }
+                            Some(b'\'') if b.get(i + 1) == Some(&b'\'') => i += 2,
+                            Some(b'\'') => {
+                                i += 1;
+                                break Ok(Lexeme::Str);
+                            }
+                            // Strings are sliced on char boundaries by `lex`.
+                            Some(&c) => i += utf8_len(c),
+                        }
+                    }
+                }
+                b'0'..=b'9' => {
+                    while i < b.len() && b[i].is_ascii_digit() {
+                        i += 1;
+                    }
+                    if i < b.len() && b[i] == b'.' && b.get(i + 1).is_some_and(u8::is_ascii_digit) {
+                        i += 1;
+                        while i < b.len() && b[i].is_ascii_digit() {
+                            i += 1;
+                        }
+                    }
+                    Ok(Lexeme::Number)
+                }
+                b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
+                    while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
+                        i += 1;
+                    }
+                    Ok(Lexeme::Ident)
+                }
+                _ => {
+                    let (tok, len) = match (c, b.get(i + 1)) {
+                        (b'<', Some(b'>')) => (Tok::Ne, 2),
+                        (b'<', Some(b'=')) => (Tok::Le, 2),
+                        (b'>', Some(b'=')) => (Tok::Ge, 2),
+                        (b'!', Some(b'=')) => (Tok::Ne, 2),
+                        (b'<', _) => (Tok::Lt, 1),
+                        (b'>', _) => (Tok::Gt, 1),
+                        (b'=', _) => (Tok::Eq, 1),
+                        (b'(', _) => (Tok::LParen, 1),
+                        (b')', _) => (Tok::RParen, 1),
+                        (b',', _) => (Tok::Comma, 1),
+                        (b'.', _) => (Tok::Dot, 1),
+                        (b'*', _) => (Tok::Star, 1),
+                        (b'+', _) => (Tok::Plus, 1),
+                        (b'-', _) => (Tok::Minus, 1),
+                        (b'/', _) => (Tok::Slash, 1),
+                        (b';', _) => (Tok::Semi, 1),
+                        _ => {
+                            let end = start + utf8_len(c);
+                            i = b.len();
+                            break Some(Err(SqlError::new(
+                                format!("unexpected character `{}`", &sql[start..end]),
+                                Span::new(start, end),
+                            )));
+                        }
+                    };
+                    i += len;
+                    Ok(Lexeme::Sym(tok))
+                }
+            };
+            break Some(lexeme.map(|l| (l, Span::new(start, i))));
+        };
+        self.i = i;
+        item
+    }
+}
+
 /// Lexes `sql` into tokens (terminated by [`Tok::Eof`]).
 ///
 /// `--` starts a comment running to end of line, as in standard SQL.
 pub fn lex(sql: &str) -> Result<Vec<Token>> {
-    let b = sql.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < b.len() {
-        let start = i;
-        let c = b[i];
-        match c {
-            b' ' | b'\t' | b'\r' | b'\n' => i += 1,
-            b'-' if i + 1 < b.len() && b[i + 1] == b'-' => {
-                while i < b.len() && b[i] != b'\n' {
-                    i += 1;
-                }
+    let mut out = Vec::with_capacity(sql.len() / 4);
+    for item in scan(sql) {
+        let (lexeme, span) = item?;
+        let text = &sql[span.start..span.end];
+        let tok = match lexeme {
+            Lexeme::Ident => Tok::Ident(text.to_string()),
+            Lexeme::Number => Tok::Number(text.to_string()),
+            Lexeme::Str => {
+                let inner = &text[1..text.len() - 1];
+                // A quote inside the literal is half of an `''` escape.
+                Tok::Str(match inner.contains('\'') {
+                    true => inner.replace("''", "'"),
+                    false => inner.to_string(),
+                })
             }
-            b'\'' => {
-                i += 1;
-                let mut s = String::new();
-                loop {
-                    match b.get(i) {
-                        None => {
-                            return Err(SqlError::new(
-                                "unclosed string literal",
-                                Span::new(start, b.len()),
-                            ));
-                        }
-                        Some(b'\'') if b.get(i + 1) == Some(&b'\'') => {
-                            s.push('\'');
-                            i += 2;
-                        }
-                        Some(b'\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(_) => {
-                            // Strings are sliced on char boundaries below.
-                            let ch_len = utf8_len(b[i]);
-                            s.push_str(&sql[i..i + ch_len]);
-                            i += ch_len;
-                        }
-                    }
-                }
-                out.push(Token { tok: Tok::Str(s), span: Span::new(start, i) });
-            }
-            b'0'..=b'9' => {
-                while i < b.len() && b[i].is_ascii_digit() {
-                    i += 1;
-                }
-                if i < b.len() && b[i] == b'.' && b.get(i + 1).is_some_and(u8::is_ascii_digit) {
-                    i += 1;
-                    while i < b.len() && b[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                }
-                out.push(Token {
-                    tok: Tok::Number(sql[start..i].to_string()),
-                    span: Span::new(start, i),
-                });
-            }
-            b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
-                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
-                    i += 1;
-                }
-                out.push(Token {
-                    tok: Tok::Ident(sql[start..i].to_string()),
-                    span: Span::new(start, i),
-                });
-            }
-            _ => {
-                let (tok, len) = match (c, b.get(i + 1)) {
-                    (b'<', Some(b'>')) => (Tok::Ne, 2),
-                    (b'<', Some(b'=')) => (Tok::Le, 2),
-                    (b'>', Some(b'=')) => (Tok::Ge, 2),
-                    (b'!', Some(b'=')) => (Tok::Ne, 2),
-                    (b'<', _) => (Tok::Lt, 1),
-                    (b'>', _) => (Tok::Gt, 1),
-                    (b'=', _) => (Tok::Eq, 1),
-                    (b'(', _) => (Tok::LParen, 1),
-                    (b')', _) => (Tok::RParen, 1),
-                    (b',', _) => (Tok::Comma, 1),
-                    (b'.', _) => (Tok::Dot, 1),
-                    (b'*', _) => (Tok::Star, 1),
-                    (b'+', _) => (Tok::Plus, 1),
-                    (b'-', _) => (Tok::Minus, 1),
-                    (b'/', _) => (Tok::Slash, 1),
-                    (b';', _) => (Tok::Semi, 1),
-                    _ => {
-                        return Err(SqlError::new(
-                            format!("unexpected character `{}`", &sql[start..start + utf8_len(c)]),
-                            Span::new(start, start + utf8_len(c)),
-                        ));
-                    }
-                };
-                i += len;
-                out.push(Token { tok, span: Span::new(start, i) });
-            }
-        }
+            Lexeme::Sym(tok) => tok,
+        };
+        out.push(Token { tok, span });
     }
-    out.push(Token { tok: Tok::Eof, span: Span::new(b.len(), b.len()) });
+    out.push(Token { tok: Tok::Eof, span: Span::new(sql.len(), sql.len()) });
     Ok(out)
 }
 

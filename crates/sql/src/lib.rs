@@ -85,24 +85,20 @@ pub use tpch::{tpch_sql, TPCH_SQL};
 /// case-sensitive and string literals keep their exact bytes — so two texts
 /// with the same cache key always lower to the same plan. Unlexable input
 /// is returned verbatim: such a text will fail to parse identically on
-/// every lookup, so any key works.
+/// every lookup, so any key works. The spans come from the lexer's own scan
+/// ([`lexer::lex`] shares it), so no token is copied out on the way.
 pub fn cache_text(sql: &str) -> String {
-    match lexer::lex(sql) {
-        Ok(tokens) => {
-            let mut out = String::with_capacity(sql.len());
-            for t in &tokens {
-                if t.tok == lexer::Tok::Eof {
-                    break;
-                }
-                if !out.is_empty() {
-                    out.push(' ');
-                }
-                out.push_str(&sql[t.span.start..t.span.end]);
-            }
-            out
+    let mut out = String::with_capacity(sql.len());
+    for item in lexer::scan(sql) {
+        let Ok((_, span)) = item else {
+            return sql.to_string();
+        };
+        if !out.is_empty() {
+            out.push(' ');
         }
-        Err(_) => sql.to_string(),
+        out.push_str(&sql[span.start..span.end]);
     }
+    out
 }
 
 #[cfg(test)]
@@ -131,5 +127,35 @@ mod cache_text_tests {
     fn unlexable_text_round_trips() {
         let bad = "SELECT ? FROM t";
         assert_eq!(cache_text(bad), bad);
+    }
+}
+
+#[cfg(test)]
+mod cache_key_tests {
+    use super::{cache_text, lexer, TPCH_SQL};
+
+    /// The key as it was built from `lexer::lex`'s tokens: their source
+    /// spellings joined by single spaces, or the text itself if it does not
+    /// lex.
+    fn token_join(sql: &str) -> String {
+        match lexer::lex(sql) {
+            Ok(tokens) => {
+                let spellings = tokens.iter().filter(|t| t.tok != lexer::Tok::Eof);
+                let spellings: Vec<&str> =
+                    spellings.map(|t| &sql[t.span.start..t.span.end]).collect();
+                spellings.join(" ")
+            }
+            Err(_) => sql.to_string(),
+        }
+    }
+
+    #[test]
+    fn keys_equal_the_token_join_of_every_tpch_text() {
+        for (n, sql) in TPCH_SQL.iter().enumerate() {
+            assert_eq!(cache_text(sql), token_join(sql), "Q{}", n + 1);
+        }
+        for sql in ["", "  -- only a comment", "SELECT 'it''s' -- x\n, 1.5", "SELECT 'open"] {
+            assert_eq!(cache_text(sql), token_join(sql), "{sql:?}");
+        }
     }
 }

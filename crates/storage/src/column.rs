@@ -187,10 +187,14 @@ impl Column {
     /// Dictionary-encodes a plain string column: per-row codes plus the
     /// dictionary of `kind` built over its values (panics on other layouts).
     pub fn dict_encoded(&self, kind: DictKind) -> Column {
-        let strings = self.as_str();
-        let dict = StringDictionary::build(kind, strings.iter().map(String::as_str));
-        let codes =
-            strings.iter().map(|s| dict.code(s).expect("value seen during build")).collect();
+        Column::dict_of(kind, self.as_str().iter().map(String::as_str))
+    }
+
+    /// Dictionary-encodes the strings `values` yields, in two passes: the
+    /// dictionary of `kind` over all of them, then one code per value.
+    pub fn dict_of<'a>(kind: DictKind, values: impl Iterator<Item = &'a str> + Clone) -> Column {
+        let dict = StringDictionary::build(kind, values.clone());
+        let codes = values.map(|s| dict.code(s).expect("value seen during build")).collect();
         Column::Dict(Arc::new(codes), Arc::new(dict))
     }
 

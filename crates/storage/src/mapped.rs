@@ -19,6 +19,12 @@
 //!   `None` instead of constructing an unaligned reference (misaligned v3
 //!   payloads surface as typed archive errors, never UB).
 //!
+//! * [`Mapping::release`] hands resident pages back to the kernel with
+//!   `madvise(MADV_DONTNEED)`. On a private mapping that was never written
+//!   this drops nothing but residency: the next touch of a released page is
+//!   a minor fault that maps the file's bytes from the page cache again, so
+//!   every slice handed out keeps reading the same bytes.
+//!
 //! On non-Unix targets (or if the `mmap` call itself fails — e.g. an empty
 //! file, an exotic filesystem) [`Mapping::map_file`] returns an error and
 //! callers fall back to the plain read+decode path.
@@ -33,6 +39,7 @@ mod sys {
 
     pub const PROT_READ: c_int = 1;
     pub const MAP_PRIVATE: c_int = 2;
+    pub const MADV_DONTNEED: c_int = 4;
 
     extern "C" {
         pub fn mmap(
@@ -44,6 +51,8 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        pub fn getpagesize() -> c_int;
     }
 }
 
@@ -138,6 +147,39 @@ impl Mapping {
         }
         Some(unsafe { std::slice::from_raw_parts(start as *const u64, count) })
     }
+
+    /// Hands the whole pages inside the byte range `range` back to the
+    /// kernel (`madvise(MADV_DONTNEED)`); the partial pages at either end
+    /// stay, as do pages outside the mapping. The bytes do not change: the
+    /// mapping is private and never written, so a released page is mapped
+    /// again from the page cache on its next touch (a minor fault). A no-op
+    /// off Unix, and when the kernel declines the advice.
+    pub fn release(&self, range: std::ops::Range<usize>) {
+        #[cfg(unix)]
+        {
+            // SAFETY: `getpagesize` has no preconditions.
+            let page = unsafe { sys::getpagesize() } as usize;
+            // `mmap` returns a page-aligned base, so page boundaries of the
+            // file are page boundaries of the mapping.
+            let start = range.start.next_multiple_of(page);
+            let end = range.end.min(self.len) / page * page;
+            if start < end {
+                // SAFETY: `start..end` lies inside the mapping and is page
+                // aligned; the advice drops residency only (see above), so
+                // every outstanding borrow stays valid and reads the same
+                // bytes. A failure leaves the pages resident, which is fine.
+                unsafe {
+                    sys::madvise(
+                        self.ptr.add(start) as *mut std::ffi::c_void,
+                        end - start,
+                        sys::MADV_DONTNEED,
+                    );
+                }
+            }
+        }
+        #[cfg(not(unix))]
+        let _ = range;
+    }
 }
 
 impl Drop for Mapping {
@@ -196,6 +238,25 @@ mod tests {
         assert!(m.u64_slice(64, 1).is_none());
         assert!(m.u64_slice(usize::MAX, 1).is_none());
         assert!(m.u64_slice(0, usize::MAX).is_none());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn released_pages_read_back_the_same_bytes() {
+        let bytes: Vec<u8> = (0..5 * 4096 + 100).map(|i| (i * 7 % 251) as u8).collect();
+        let path = temp("release.bin", &bytes);
+        let m = Mapping::map_file(&path).expect("map");
+        assert_eq!(m.bytes(), &bytes[..]);
+        // Partial pages at both ends, the whole mapping, an empty range and
+        // one reaching past the end: the bytes never change.
+        for range in [100..3 * 4096 + 5, 0..m.len(), 4096..4096, 2 * 4096..usize::MAX] {
+            m.release(range);
+            assert_eq!(m.bytes(), &bytes[..]);
+        }
+        let words = m.u64_slice(4096, 8).expect("aligned words");
+        m.release(0..m.len());
+        assert_eq!(words, m.u64_slice(4096, 8).expect("aligned words"));
         std::fs::remove_file(&path).ok();
     }
 

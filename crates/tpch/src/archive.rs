@@ -26,14 +26,18 @@
 //! archive serves the same estimates as a fresh `dbgen` run without a pass
 //! over the data.
 //!
-//! **Opening is map + validate.** [`read_mapped`] `mmap`s the file ([`read`]
-//! reads it onto the heap), verifies every checksum and then every payload —
+//! **Opening is map + validate + release.** [`read_mapped`] `mmap`s the
+//! file ([`read`] reads it onto the heap), verifies every checksum and then
+//! every payload —
 //! lengths against row counts, UTF-8, boolean bytes, packed headers and
 //! value domains, the statistics' structure — so whatever is wrong with a
 //! file is a typed [`ArchiveError`] at open, never a panic, a first-query
 //! failure or silently stale estimates. No value is decoded: the database
 //! keeps, per column, where its payload lies, and the engine's store decodes
-//! it into a plain vector when a query first needs it.
+//! it into a plain vector (or dictionary-encodes it) when a query first
+//! needs it. A mapped file's pages are handed back to the kernel once
+//! validated and once decoded, so an opened archive does not stay resident;
+//! packed words the engine scans in place fault back in on first use.
 //!
 //! Every column payload sits at an 8-byte file offset behind deterministic
 //! zero padding (the pad length follows from the cursor position alone, so
@@ -49,7 +53,7 @@ use crate::gen::{BaseColumn, BaseTable, TpchData};
 use crate::schema::{catalog, TABLES};
 // The format's checksum is FNV-1a over each payload (byte-order independent).
 use legobase_storage::{
-    fnv1a, Column, ColumnStats, Date, DistinctSketch, Histogram, Mapping, PackedInts,
+    fnv1a, Column, ColumnStats, Date, DictKind, DistinctSketch, Histogram, Mapping, PackedInts,
     TableStatistics, Type, Value,
 };
 use std::fmt;
@@ -315,6 +319,7 @@ fn pack_or_raw(
 // ---------------------------------------------------------------------------
 
 /// A bounds-checked little-endian cursor over the archive bytes.
+#[derive(Clone)]
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -436,6 +441,14 @@ impl Source {
             Source::Read(bytes) => bytes,
         }
     }
+
+    /// Hands the pages of `range` back to the kernel once they are validated
+    /// or decoded ([`Mapping::release`]); a heap copy keeps its bytes.
+    fn release(&self, range: Range<usize>) {
+        if let Source::Mapped(map) = self {
+            map.release(range);
+        }
+    }
 }
 
 /// Opens an archive file read onto the heap with a single `fs::read`.
@@ -463,9 +476,10 @@ pub fn from_bytes(bytes: &[u8]) -> Result<TpchData, ArchiveError> {
 }
 
 /// The one reader: structure, checksums and — in [`validate_column`] —
-/// every payload byte a later decode will trust. Kept per column: its tag,
-/// where its payload lies and, for a packed column of a mapped file, the
-/// zero-copy view of its words.
+/// every payload byte a later decode will trust, each page of a mapped
+/// file released once validated. Kept per column: its tag, where its
+/// payload lies and, for a packed column of a mapped file, the zero-copy
+/// view of its words.
 fn open(source: Source) -> Result<TpchData, ArchiveError> {
     let source = Arc::new(source);
     let mapping = match &*source {
@@ -496,6 +510,11 @@ fn open(source: Source) -> Result<TpchData, ArchiveError> {
             let (tag, payload_off, payload) = cur.column(&name, c)?;
             let src = mapping.map(|m| (m, payload_off));
             let packed = validate_column(&name, c, schema.ty(c), tag, payload, rows, src)?;
+            // Everything before the cursor is validated and never read by
+            // the open again. The whole prefix goes, not just this record:
+            // faulting the next record in maps back a neighbourhood of pages
+            // (the kernel's fault-around), the tail of this one included.
+            source.release(0..cur.pos);
             columns.push(BaseColumn::Archived(ArchivedColumn {
                 source: Arc::clone(&source),
                 tag,
@@ -514,6 +533,7 @@ fn open(source: Source) -> Result<TpchData, ArchiveError> {
             ArchiveError::SchemaMismatch(format!("table `{name}` missing from archive"))
         })?;
         cat.set_stats(name, decode_stats(name, payload, table.rows, table.columns.len())?);
+        source.release(0..cur.pos);
     }
     cur.finish()?;
     Ok(TpchData { catalog: cat, scale_factor, tables })
@@ -587,13 +607,39 @@ pub(crate) struct ArchivedColumn {
     pub(crate) packed: Option<Arc<PackedInts>>,
 }
 
+const VALID: &str = "payload validated when the archive was opened";
+
 impl ArchivedColumn {
-    /// The attribute's plain column. [`validate_column`] accepted every
-    /// byte read here when the archive was opened, so nothing can fail —
-    /// short of the mapped file changing underfoot, which the format does
-    /// not defend against (DESIGN.md §3e).
+    /// The attribute's plain column, its payload's pages released once it
+    /// is built. [`validate_column`] accepted every byte read here when the
+    /// archive was opened, so nothing can fail — short of the mapped file
+    /// changing underfoot, which the format does not defend against
+    /// (DESIGN.md §3e).
     pub(crate) fn decode(&self) -> Column {
-        const VALID: &str = "payload validated when the archive was opened";
+        let column = self.decode_payload();
+        self.source.release(self.payload.clone());
+        column
+    }
+
+    /// A string attribute dictionary-encoded straight from its payload's
+    /// `&str`s (no plain column on the way), then the payload released.
+    pub(crate) fn dict_encoded(&self, kind: DictKind) -> Column {
+        assert_eq!(self.tag, TAG_STR, "only string attributes are dictionary-encoded");
+        let column = Column::dict_of(kind, self.strs());
+        self.source.release(self.payload.clone());
+        column
+    }
+
+    /// The values of a string payload, borrowed in place.
+    fn strs(&self) -> impl Iterator<Item = &str> + Clone {
+        let mut cur = Cursor { bytes: &self.source.bytes()[self.payload.clone()], pos: 0 };
+        (0..self.rows).map(move |_| {
+            let len = cur.u32().expect(VALID) as usize;
+            std::str::from_utf8(cur.take(len).expect(VALID)).expect(VALID)
+        })
+    }
+
+    fn decode_payload(&self) -> Column {
         let payload = &self.source.bytes()[self.payload.clone()];
         let packed = || match &self.packed {
             Some(p) => Arc::clone(p),
@@ -617,16 +663,7 @@ impl ArchivedColumn {
                 Column::I64(Arc::new(values))
             }
             TAG_DATE_PACKED => Column::Date(Arc::new(packed().iter().map(|v| v as i32).collect())),
-            TAG_STR => {
-                let mut cur = Cursor { bytes: payload, pos: 0 };
-                let mut strings = Vec::with_capacity(self.rows);
-                for _ in 0..self.rows {
-                    let len = cur.u32().expect(VALID) as usize;
-                    let s = std::str::from_utf8(cur.take(len).expect(VALID)).expect(VALID);
-                    strings.push(s.to_string());
-                }
-                Column::Str(Arc::new(strings))
-            }
+            TAG_STR => Column::Str(Arc::new(self.strs().map(str::to_string).collect())),
             TAG_BOOL => Column::Bool(Arc::new(payload.iter().map(|&b| b != 0).collect())),
             tag => unreachable!("tag {tag} was refused when the archive was opened"),
         }
@@ -1066,6 +1103,108 @@ mod tests {
             }
         }
         assert!(checked > 0, "lineitem should have at least one mapped packed column");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The mapping of an opened archive.
+    fn mapping(data: &TpchData) -> &Arc<Mapping> {
+        match &data.tables[0].columns[0] {
+            BaseColumn::Archived(ArchivedColumn { source, .. }) => match &**source {
+                Source::Mapped(map) => map,
+                Source::Read(_) => panic!("the archive was read onto the heap"),
+            },
+            BaseColumn::Plain(_) => panic!("generated data maps nothing"),
+        }
+    }
+
+    /// `Rss` and `KernelPageSize` of the `/proc/self/smaps` entry of the
+    /// mapping starting at `at`, in bytes.
+    #[cfg(target_os = "linux")]
+    fn smaps_rss(at: *const u8) -> (usize, usize) {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("smaps");
+        let head = format!("{:x}-", at as usize);
+        let mut lines = smaps.lines().skip_while(|l| !l.starts_with(&head)).skip(1);
+        let kb = |key: &str| -> usize {
+            let line = lines.clone().find(|l| l.starts_with(key)).expect("field in the entry");
+            line.split_whitespace().nth(1).and_then(|v| v.parse::<usize>().ok()).expect("kB") * 1024
+        };
+        let (rss, page) = (kb("Rss:"), kb("KernelPageSize:"));
+        lines.next().expect("the mapping has an smaps entry");
+        (rss, page)
+    }
+
+    /// An open leaves at most the partial pages at the ends of every payload
+    /// resident (plus the statistics blocks, decoded at open), and decoding
+    /// a column or dictionary-encoding one hands its pages back too.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn released_payloads_stay_out_of_memory() {
+        let dir = std::env::temp_dir().join("legobase-archive-release-test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("tpch-sf0.01.lbca");
+        let generated = TpchData::generate(0.01);
+        write(&generated, &path).expect("write");
+        let data = read_mapped(&path).expect("read_mapped");
+        let at = mapping(&data).bytes().as_ptr();
+        let (rss, page) = smaps_rss(at);
+        let payloads: usize = data.tables.iter().map(|t| t.columns.len()).sum::<usize>();
+        let stats: usize =
+            TABLES.iter().map(|t| encode_stats(data.catalog.stats(t).expect("stats")).len()).sum();
+        let bound = 2 * page * (payloads + TABLES.len()) + stats;
+        assert!(bound < mapping(&data).len() / 4, "bound {bound} would not show a whole file");
+        assert!(rss <= bound, "{rss} bytes resident after open, bound {bound}");
+
+        // Together `lineitem`'s float columns and its comments are several
+        // times the bound: kept resident, either step would exceed it.
+        let schema = &data.catalog.table("lineitem").schema;
+        for c in (0..schema.len()).filter(|&c| schema.ty(c) == Type::Float) {
+            let decoded = data.plain_column("lineitem", c);
+            assert_eq!(decoded.as_f64(), generated.plain_column("lineitem", c).as_f64());
+            let (rss, _) = smaps_rss(at);
+            assert!(rss <= bound, "{rss} bytes resident after decoding column {c}, bound {bound}");
+        }
+        let comment = schema.index_of("l_comment").expect("l_comment");
+        let codes = data.dict_column("lineitem", comment, DictKind::WordToken);
+        assert_eq!(codes.len(), data.rows("lineitem"));
+        let (rss, _) = smaps_rss(at);
+        assert!(rss <= bound, "{rss} bytes resident after a dictionary encode, bound {bound}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Codes and dictionary of `Column::Dict`, comparable.
+    fn dict_parts(column: &Column) -> (Vec<u32>, Vec<String>) {
+        let Column::Dict(codes, dict) = column else { panic!("not a dictionary column") };
+        let strings = (0..dict.len() as u32).map(|c| dict.decode(c).to_string()).collect();
+        (codes.to_vec(), strings)
+    }
+
+    /// `dict_column` is `plain_column(..).dict_encoded(kind)`, codes and
+    /// dictionary, for every string attribute and kind, whether the data is
+    /// mapped, read onto the heap or generated.
+    #[test]
+    fn dict_column_equals_encoding_the_plain_column() {
+        let dir = std::env::temp_dir().join("legobase-archive-dict-test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("tpch-sf0.002.lbca");
+        let generated = tiny();
+        write(&generated, &path).expect("write");
+        let (mapped, heap) = (read_mapped(&path).expect("mapped"), read(&path).expect("read"));
+        assert!(mapped.mapped_bytes() > 0 && heap.mapped_bytes() == 0);
+        let mut checked = 0;
+        for data in [&mapped, &heap, &generated] {
+            for &table in &TABLES {
+                let schema = &data.catalog.table(table).schema;
+                for c in (0..schema.len()).filter(|&c| schema.ty(c) == Type::Str) {
+                    for kind in [DictKind::Normal, DictKind::Ordered, DictKind::WordToken] {
+                        let direct = data.dict_column(table, c, kind);
+                        let via_plain = data.plain_column(table, c).dict_encoded(kind);
+                        assert_eq!(dict_parts(&direct), dict_parts(&via_plain), "{table}.{c}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 3 * 3 * 10, "{checked} encodings compared");
         std::fs::remove_file(&path).ok();
     }
 

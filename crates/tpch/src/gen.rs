@@ -4,7 +4,7 @@ use crate::archive::ArchivedColumn;
 use crate::schema::{catalog, TABLES};
 use crate::text;
 use legobase_storage::{
-    Catalog, Column, ColumnTable, Date, PackedInts, RowTable, TableStatistics, Value,
+    Catalog, Column, ColumnTable, Date, DictKind, PackedInts, RowTable, TableStatistics, Value,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -99,6 +99,16 @@ impl TpchData {
         match &self.table(table).columns[column] {
             BaseColumn::Plain(c) => c.clone(),
             BaseColumn::Archived(a) => a.decode(),
+        }
+    }
+
+    /// String attribute `column` of `table` dictionary-encoded
+    /// ([`Column::dict_encoded`]): an archived one straight from its
+    /// payload, so no plain column of strings is built on the way.
+    pub fn dict_column(&self, table: &str, column: usize, kind: DictKind) -> Column {
+        match &self.table(table).columns[column] {
+            BaseColumn::Plain(c) => c.dict_encoded(kind),
+            BaseColumn::Archived(a) => a.dict_encoded(kind),
         }
     }
 

@@ -291,3 +291,26 @@ fn q19_revenue_nonnegative() {
         assert!(rev >= 0.0);
     }
 }
+
+/// `COUNT(expr)` counts the rows where `expr` is not NULL, also when `expr`
+/// is more than a bare column: every customer without an order contributes
+/// a NULL `o_orderkey + 0`, which `COUNT` skips under every configuration.
+#[test]
+fn count_of_a_nullable_expression_skips_nulls() {
+    use legobase::Config;
+    let count = |expr: &str, config| {
+        let text = format!(
+            "select count({expr}) as n \
+             from customer left outer join orders on c_custkey = o_custkey"
+        );
+        let r = system().query(&QueryRequest::sql(text).with_config(config)).unwrap().result;
+        r.rows()[0][0].as_int()
+    };
+    let orders = count("o_orderkey", Config::Dbx);
+    let all = system().query(&QueryRequest::sql("select count(*) as n from orders")).unwrap();
+    assert_eq!(orders, all.result.rows()[0][0].as_int());
+    for config in [Config::Dbx, Config::OptC] {
+        assert_eq!(count("o_orderkey + 0", config), orders, "{config:?}");
+        assert_eq!(count("o_orderkey", config), orders, "{config:?}");
+    }
+}
