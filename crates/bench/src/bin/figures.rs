@@ -902,7 +902,8 @@ fn baseline(system: &LegoBase) {
 
 /// The aggregate's per-row floor (ROADMAP item 5): serial
 /// `PreparedQuery::execute` time per `lineitem` row of the optimized SQL
-/// plans of one-column aggregates, two grouped `HAVING` queries, Q1 and Q6,
+/// plans of one-column aggregates, the same grouped by Q1's two keys, two
+/// grouped `HAVING` queries, Q1 and Q6,
 /// beside a std-only loop that sums the `l_quantity` column in row order —
 /// the order every engine sum keeps, so its one dependent add per row is
 /// the floor a bit-identical fold stands on. Minima of one
@@ -910,10 +911,21 @@ fn baseline(system: &LegoBase) {
 fn floor(system: &LegoBase) {
     use legobase::storage::Column;
     use legobase_bench::interleaved_minima;
-    const TEXTS: [(&str, &str); 5] = [
+    const TEXTS: [(&str, &str); 7] = [
         ("count(*)", "select count(*) as n from lineitem"),
         ("sum(l_quantity)", "select sum(l_quantity) as s from lineitem"),
         ("sum(l_orderkey)", "select sum(l_orderkey) as s from lineitem"),
+        // Q1's keys alone: the group-id cost beside the ungrouped rows.
+        (
+            "Q1 keys, count(*)",
+            "select l_returnflag, l_linestatus, count(*) as n from lineitem \
+             group by l_returnflag, l_linestatus",
+        ),
+        (
+            "Q1 keys, sum(l_quantity)",
+            "select l_returnflag, l_linestatus, sum(l_quantity) as s from lineitem \
+             group by l_returnflag, l_linestatus",
+        ),
         (
             "l_suppkey having",
             "select l_suppkey, sum(l_quantity) as s from lineitem group by l_suppkey \

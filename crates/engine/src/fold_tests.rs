@@ -337,6 +337,18 @@ fn fold_with(
     fold: &AggFold,
     keep: Option<&[bool]>,
 ) -> (GroupResolver, Vec<Vec<Value>>) {
+    let (resolver, _, rows) = fold_reprs(settings, chunk, group_by, fold, keep);
+    (resolver, rows)
+}
+
+/// [`fold_with`], also returning each group's representative row.
+fn fold_reprs(
+    settings: &Settings,
+    chunk: &Chunk,
+    group_by: &[usize],
+    fold: &AggFold,
+    keep: Option<&[bool]>,
+) -> (GroupResolver, Vec<u32>, Vec<Vec<Value>>) {
     let (resolver, reprs, cols) = aggregate_chunk(settings, chunk, group_by, fold, keep);
     let rows = reprs
         .iter()
@@ -353,7 +365,7 @@ fn fold_with(
             keys.chain(vals).collect()
         })
         .collect();
-    (resolver, rows)
+    (resolver, reprs, rows)
 }
 
 /// Bit-for-bit equality (`Value`'s own `==` is not bitwise on floats).
@@ -626,4 +638,251 @@ fn extended(rng: &mut TestRng, chunk: &Chunk) -> Chunk {
         ch.nulls.push(None);
     }
     ch
+}
+
+/// The layouts a coded group key comes in.
+#[derive(Clone, Copy, Debug)]
+enum KeyKind {
+    Dict,
+    DictPacked,
+    I64,
+    I64Packed,
+    Date,
+    DatePacked,
+    Bool,
+}
+
+const KEY_KINDS: [KeyKind; 7] = [
+    KeyKind::Dict,
+    KeyKind::DictPacked,
+    KeyKind::I64,
+    KeyKind::I64Packed,
+    KeyKind::Date,
+    KeyKind::DatePacked,
+    KeyKind::Bool,
+];
+
+/// A key column of `kind` over `total` rows with `card` values (a boolean
+/// has two); the first rows take every value once, so a dictionary or a
+/// packed frame of reference spans exactly `card` codes.
+fn key_column(rng: &mut TestRng, kind: KeyKind, card: usize, total: usize) -> (Column, Type) {
+    let draw =
+        |rng: &mut TestRng, r: usize| if r < card { r } else { rng.below(card as u64) as usize };
+    let offsets: Vec<usize> = (0..total).map(|r| draw(rng, r)).collect();
+    let base = rng.below(2001) as i64 - 1000;
+    let packed = |v: Vec<i64>| Arc::new(PackedInts::from_values(&v));
+    match kind {
+        KeyKind::Dict | KeyKind::DictPacked => {
+            let words = offsets.iter().map(|&o| format!("v{o:03}")).collect();
+            let col = Column::Str(Arc::new(words)).dict_encoded(DictKind::Normal);
+            let col = match (kind, col) {
+                (KeyKind::DictPacked, Column::Dict(codes, dict)) => {
+                    Column::DictPacked(packed(codes.iter().map(|&c| c as i64).collect()), dict)
+                }
+                (_, col) => col,
+            };
+            (col, Type::Str)
+        }
+        KeyKind::I64 | KeyKind::I64Packed => {
+            let v: Vec<i64> = offsets.iter().map(|&o| base + o as i64).collect();
+            let col = match kind {
+                KeyKind::I64 => Column::I64(Arc::new(v)),
+                _ => Column::I64Packed(packed(v)),
+            };
+            (col, Type::Int)
+        }
+        KeyKind::Date | KeyKind::DatePacked => {
+            let v: Vec<i32> = offsets.iter().map(|&o| 8000 + base as i32 + o as i32).collect();
+            let col = match kind {
+                KeyKind::Date => Column::Date(Arc::new(v)),
+                _ => Column::DatePacked(packed(v.iter().map(|&d| d as i64).collect())),
+            };
+            (col, Type::Date)
+        }
+        KeyKind::Bool => {
+            (Column::Bool(Arc::new(offsets.iter().map(|&o| o % 2 == 1).collect())), Type::Bool)
+        }
+    }
+}
+
+/// The integer code the key packing reads at physical row `p`.
+fn key_code(col: &Column, p: usize) -> i64 {
+    match col {
+        Column::Dict(codes, _) => codes[p] as i64,
+        Column::I64(v) => v[p],
+        Column::Date(v) => v[p] as i64,
+        Column::Bool(v) => v[p] as i64,
+        Column::I64Packed(pk) | Column::DatePacked(pk) | Column::DictPacked(pk, _) => pk.get(p),
+        _ => unreachable!("key columns are coded"),
+    }
+}
+
+/// The span of a key's codes as the packing sees them: the dictionary, the
+/// frame of reference, a boolean's two values, or the logical rows' codes.
+fn key_width(chunk: &Chunk, c: usize) -> i64 {
+    match &chunk.cols[c] {
+        Column::Dict(_, dict) | Column::DictPacked(_, dict) => dict.len() as i64,
+        Column::I64Packed(pk) | Column::DatePacked(pk) => pk.max() - pk.base() + 1,
+        Column::Bool(_) => 2,
+        col => {
+            let codes = (0..chunk.len()).map(|i| key_code(col, chunk.phys(i)));
+            codes.clone().max().map_or(1, |hi| hi - codes.min().unwrap() + 1)
+        }
+    }
+}
+
+/// The first physical row of every group, in first-occurrence order.
+fn first_rows(chunk: &Chunk, group_by: &[usize]) -> Vec<u32> {
+    let mut seen = std::collections::HashSet::new();
+    (0..chunk.len())
+        .filter(|&i| {
+            seen.insert(
+                group_by.iter().map(|&c| chunk.value_at(c, chunk.phys(i))).collect::<Vec<_>>(),
+            )
+        })
+        .map(|i| chunk.phys(i) as u32)
+        .collect()
+}
+
+/// A chunk of `keys` (kind, values) columns, then `x` (float) and `i`
+/// (integer); `total` physical rows, an optional selection of about half.
+fn keyed_chunk(rng: &mut TestRng, keys: &[(KeyKind, usize)], total: usize, select: bool) -> Chunk {
+    let mut fields = Vec::new();
+    let mut cols = Vec::new();
+    for (k, &(kind, card)) in keys.iter().enumerate() {
+        let (col, ty) = key_column(rng, kind, card, total);
+        fields.push(legobase_storage::Field::new(&format!("k{k}"), ty));
+        cols.push(col);
+    }
+    fields.push(legobase_storage::Field::new("x", Type::Float));
+    cols.push(Column::F64(Arc::new(
+        (0..total).map(|_| (rng.below(2_000_000) as f64 - 1_000_000.0) / 7.0).collect(),
+    )));
+    fields.push(legobase_storage::Field::new("i", Type::Int));
+    cols.push(Column::I64(Arc::new((0..total).map(|_| rng.below(2001) as i64 - 1000).collect())));
+    let sel = select.then(|| Arc::new((0..total as u32).filter(|_| rng.below(2) == 0).collect()));
+    let nulls = vec![None; cols.len()];
+    Chunk { schema: Schema::new(fields), cols, nulls, sel, total, base: None }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    /// The keyed fold — a direct store whose keys, each padded to a
+    /// power-of-two bit field, fit `REGISTER_SLOTS` buckets — against the
+    /// per-row reference: random 1–3 key columns of every coded layout with
+    /// padded domains on both sides of 64, unmasked, under a selection and
+    /// under a random keep-mask, lanes beside aggregates of their own. Group
+    /// order, each group's representative row and every output bit match at
+    /// degree 1 and 4, the packing is keyed exactly when the padded domain
+    /// fits, and the fused probe answers each key's slot. A shape whose exact
+    /// domain fits 64 but whose padded one does not (3 × 3 × 7) keeps the
+    /// per-row slot path.
+    #[test]
+    fn keyed_fold_equals_per_row_reference(seed in any::<u64>()) {
+        let aggs = vec![
+            AggSpec::new(AggKind::Sum, Expr::col(0), "sum_x"),
+            AggSpec::new(AggKind::Avg, Expr::col(0), "avg_x"),
+            AggSpec::new(AggKind::Count, Expr::lit(1i64), "count_star"),
+            AggSpec::new(AggKind::Sum, Expr::col(1), "sum_i"),
+            AggSpec::new(AggKind::Min, Expr::col(0), "min_x"),
+        ];
+        let opt = Config::OptC.settings();
+        let lowered = opt.with(|s| s.code_motion = false);
+        let cards = [1usize, 2, 3, 4, 5, 8, 9, 17, 33, 65];
+        let mut rng = TestRng::from_seed(seed);
+        let mut shapes: Vec<Vec<(KeyKind, usize)>> = vec![vec![
+            (KeyKind::Dict, 3),
+            (KeyKind::DictPacked, 3),
+            (KeyKind::Dict, 7),
+        ]];
+        for _ in 0..12 {
+            let n = 1 + rng.below(3) as usize;
+            shapes.push(
+                (0..n)
+                    .map(|_| {
+                        let kind = KEY_KINDS[rng.below(KEY_KINDS.len() as u64) as usize];
+                        (kind, cards[rng.below(cards.len() as u64) as usize])
+                    })
+                    .collect(),
+            );
+        }
+        for (s, shape) in shapes.iter().enumerate() {
+            let group_by: Vec<usize> = (0..shape.len()).collect();
+            // The aggregates read `x` and `i` behind the keys.
+            let aggs: Vec<AggSpec> = aggs
+                .iter()
+                .map(|a| {
+                    let Expr::Col(c) = a.expr else { return a.clone() };
+                    AggSpec::new(a.kind.clone(), Expr::col(c + shape.len()), &a.name)
+                })
+                .collect();
+            for total in [1, 1025, 2 * MORSEL_ROWS + 700] {
+                for (mode, select) in [("all", false), ("selected", true), ("masked", false)] {
+                    let chunk = keyed_chunk(&mut rng, shape, total, select);
+                    let keep: Option<Vec<bool>> =
+                        (mode == "masked").then(|| (0..total).map(|_| rng.below(3) != 0).collect());
+                    let folded = match &keep {
+                        Some(keep) => {
+                            let ids = (0..total as u32).filter(|&r| keep[r as usize]).collect();
+                            Chunk { sel: Some(Arc::new(ids)), ..chunk.clone() }
+                        }
+                        None => chunk.clone(),
+                    };
+                    let widths: Vec<i64> = group_by.iter().map(|&c| key_width(&chunk, c)).collect();
+                    let padded: u32 =
+                        widths.iter().map(|&w| u64::BITS - (w as u64 - 1).leading_zeros()).sum();
+                    let exact: i64 = widths.iter().product();
+                    let reprs_expected = first_rows(&folded, &group_by);
+                    for settings in [opt, lowered] {
+                        for degree in [1, 4] {
+                            let settings = settings.with_parallelism(degree);
+                            let case = format!(
+                                "shape {s} {shape:?} rows {total} {mode} degree {degree} \
+                                 motion {}", settings.code_motion
+                            );
+                            let morsel = if degree > 1 { MORSEL_ROWS } else { usize::MAX };
+                            let expected = reference(&folded, &group_by, &aggs, morsel);
+                            let fold = AggFold::compile(&aggs, &chunk, true);
+                            let (resolver, reprs, got) =
+                                fold_reprs(&settings, &chunk, &group_by, &fold, keep.as_deref());
+                            prop_assert!(same(&got, &expected), "{case}:\n got {got:?}\n ref {expected:?}");
+                            prop_assert_eq!(&reprs, &reprs_expected, "{}", case);
+                            let keyed = 1usize << padded.min(63) <= REGISTER_SLOTS;
+                            match &resolver {
+                                GroupResolver::Direct { keys, .. } => {
+                                    prop_assert!(settings.code_motion, "{}", case);
+                                    prop_assert_eq!(keys.keyed, keyed, "{}", case);
+                                    let domain = if keyed { 1 << padded } else { exact };
+                                    prop_assert_eq!(keys.domain, domain, "{}", case);
+                                    let registers = (domain <= REGISTER_SLOTS as i64).then_some(domain as usize);
+                                    prop_assert_eq!(resolver.register_slots(), registers, "{}", case);
+                                }
+                                GroupResolver::Lowered { keys, .. } => {
+                                    prop_assert!(!settings.code_motion, "{}", case);
+                                    prop_assert_eq!(keys.keyed, keyed, "{}", case);
+                                }
+                                _ => prop_assert!(false, "{case}: {}", resolver_name(&resolver)),
+                            }
+                            if s == 0 && total > 1 {
+                                prop_assert!(!keyed && exact == 63, "{}", case);
+                            }
+                            if let [c] = group_by[..] {
+                                let col = &chunk.cols[c];
+                                let codes: Vec<i64> = (0..total).map(|p| key_code(col, p)).collect();
+                                let (lo, hi) = (codes.iter().min().unwrap(), codes.iter().max().unwrap());
+                                for v in lo - 2..=hi + 2 {
+                                    let slot = reprs
+                                        .iter()
+                                        .position(|&r| key_code(col, r as usize) == v)
+                                        .map(|g| g as u32);
+                                    prop_assert_eq!(resolver.lookup(v), slot, "{} key {}", case, v);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

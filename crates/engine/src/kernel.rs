@@ -1405,13 +1405,22 @@ impl<'a> SortKeys<'a> {
 // ---- block-at-a-time aggregation ----
 
 /// Packs the coded group keys of a block into one dense `i64` per row using
-/// per-key ranges.
+/// per-key ranges. When every key padded to a power-of-two bit field fits
+/// [`REGISTER_SLOTS`] buckets (Q1's `(l_returnflag, l_linestatus)`: 2 + 1
+/// bits, 8 buckets) the packing is *keyed*: each key's stride is `1 << o`
+/// for its bit offset `o`, the domain is the padded one, and the fold
+/// writes every row's key as one byte ([`KeyPacker::pack_keyed`]). Every
+/// other reader — [`KeyPacker::pack`], the Fig. 9 probe, a morsel's reset,
+/// the ordered merge — packs through the same strides, so they all see the
+/// same keys.
 #[derive(Clone)]
 pub(crate) struct KeyPacker {
     srcs: Vec<IntSrc>,
     pub(crate) mins: Vec<i64>,
     strides: Vec<i64>,
     pub(crate) domain: i64,
+    /// Strides are bit offsets and `domain <= REGISTER_SLOTS`.
+    pub(crate) keyed: bool,
 }
 
 impl KeyPacker {
@@ -1422,7 +1431,7 @@ impl KeyPacker {
     /// codes, the frame-of-reference range for packed integers; only plain
     /// (computed / intermediate) columns are scanned. Group slots are
     /// numbered by first occurrence, so the group order does not depend on
-    /// the bounds chosen.
+    /// the bounds or the packing chosen.
     pub(crate) fn fit(group_by: &[usize], chunk: &Chunk) -> Option<KeyPacker> {
         let srcs: Vec<IntSrc> =
             group_by.iter().map(|&c| key_src(c, chunk)).collect::<Option<_>>()?;
@@ -1451,48 +1460,111 @@ impl KeyPacker {
             }
         });
         let (mins, maxs): (Vec<i64>, Vec<i64>) = bounds.unzip();
+        let widths: Vec<i64> = mins
+            .iter()
+            .zip(&maxs)
+            .map(|(&lo, &hi)| hi.checked_sub(lo)?.checked_add(1))
+            .collect::<Option<_>>()?;
+        // The last key takes the lowest field, as in the mixed radix below.
+        let bits = |w: i64| u64::BITS - (w as u64 - 1).leading_zeros();
+        let padded: u32 = widths.iter().map(|&w| bits(w)).sum();
+        if 1 << padded.min(63) <= REGISTER_SLOTS {
+            let mut offset = padded;
+            let strides = widths.iter().map(|&w| {
+                offset -= bits(w);
+                1 << offset
+            });
+            let strides = strides.collect();
+            return Some(KeyPacker { srcs, mins, strides, domain: 1 << padded, keyed: true });
+        }
         let mut strides = vec![1i64; srcs.len()];
         let mut domain: i64 = 1;
         for k in (0..srcs.len()).rev() {
             strides[k] = domain;
-            let width = maxs[k].checked_sub(mins[k])?.checked_add(1)?;
-            domain = domain.checked_mul(width)?;
+            domain = domain.checked_mul(widths[k])?;
             if domain > (1 << 40) {
                 return None;
             }
         }
-        Some(KeyPacker { srcs, mins, strides, domain })
+        Some(KeyPacker { srcs, mins, strides, domain, keyed: false })
     }
 
-    /// Writes the packed key of every row of the block into `keys`. Over a
-    /// physical range a plain column adds into the keys straight from its
-    /// slice; packed columns and gathers go through `tmp`.
-    fn pack(&self, rows: &Rows<'_>, keys: &mut Vec<i64>, tmp: &mut Vec<i64>) {
+    /// Calls `put(key, code, min, field)` for every key column and every
+    /// row of the block, with the column's minimum and entry of `fields`. Over a
+    /// physical range a plain column is read straight from its slice;
+    /// packed columns and gathers go through `tmp`.
+    #[inline(always)]
+    fn each_field<K>(
+        &self,
+        rows: &Rows<'_>,
+        keys: &mut [K],
+        tmp: &mut Vec<i64>,
+        fields: impl Iterator<Item = i64>,
+        put: impl Fn(&mut K, i64, i64, i64) + Copy,
+    ) {
         #[inline(always)]
-        fn add<T: Copy>(keys: &mut [i64], v: &[T], min: i64, stride: i64, cast: impl Fn(T) -> i64) {
-            keys.iter_mut().zip(v).for_each(|(k, &x)| *k += (cast(x) - min) * stride);
+        fn apply<K, T: Copy>(
+            keys: &mut [K],
+            v: &[T],
+            min: i64,
+            field: i64,
+            cast: impl Fn(T) -> i64,
+            put: impl Fn(&mut K, i64, i64, i64),
+        ) {
+            keys.iter_mut().zip(v).for_each(|(k, &x)| put(k, cast(x), min, field));
         }
-        let n = rows.len();
-        keys.clear();
-        keys.resize(n, 0);
-        for ((src, &min), &stride) in self.srcs.iter().zip(&self.mins).zip(&self.strides) {
+        for ((src, &min), field) in self.srcs.iter().zip(&self.mins).zip(fields) {
             match (src, rows) {
-                (IntSrc::I64(v), Rows::Range(r)) => add(keys, &v[r.clone()], min, stride, |x| x),
+                (IntSrc::I64(v), Rows::Range(r)) => {
+                    apply(keys, &v[r.clone()], min, field, |x| x, put)
+                }
                 (IntSrc::Date(v), Rows::Range(r)) => {
-                    add(keys, &v[r.clone()], min, stride, |x| x as i64)
+                    apply(keys, &v[r.clone()], min, field, |x| x as i64, put)
                 }
                 (IntSrc::Dict(v), Rows::Range(r)) => {
-                    add(keys, &v[r.clone()], min, stride, |x| x as i64)
+                    apply(keys, &v[r.clone()], min, field, |x| x as i64, put)
                 }
                 (IntSrc::Bool(v), Rows::Range(r)) => {
-                    add(keys, &v[r.clone()], min, stride, |x| x as i64)
+                    apply(keys, &v[r.clone()], min, field, |x| x as i64, put)
                 }
                 _ => {
-                    tmp.resize(n, 0);
+                    tmp.resize(rows.len(), 0);
                     src.load(rows, tmp);
-                    add(keys, tmp, min, stride, |x| x);
+                    apply(keys, tmp, min, field, |x| x, put);
                 }
             }
+        }
+    }
+
+    /// Writes the packed key of every row of the block into `keys`.
+    fn pack(&self, rows: &Rows<'_>, keys: &mut Vec<i64>, tmp: &mut Vec<i64>) {
+        keys.clear();
+        keys.resize(rows.len(), 0);
+        let strides = self.strides.iter().copied();
+        self.each_field(rows, keys, tmp, strides, |k, v, min, stride| *k += (v - min) * stride);
+    }
+
+    /// The key pass of a keyed packing: every row's packed key as one byte,
+    /// `((c₁ − m₁) << o₁) | ((c₂ − m₂) << o₂) | …`, shifts and ors only; a
+    /// row `keep` drops takes the sink bucket `domain` instead. Branch-free.
+    fn pack_keyed(
+        &self,
+        rows: &Rows<'_>,
+        keep: Option<&[bool]>,
+        keys: &mut Vec<u8>,
+        tmp: &mut Vec<i64>,
+    ) {
+        debug_assert!(self.keyed);
+        keys.clear();
+        keys.resize(rows.len(), 0);
+        // A field is below 64, so 32-bit lanes compute it exactly.
+        let offsets = self.strides.iter().map(|s| s.trailing_zeros() as i64);
+        self.each_field(rows, keys, tmp, offsets, |k, v, min, offset| {
+            *k |= ((v as u32).wrapping_sub(min as u32) << offset) as u8
+        });
+        if let Some(keep) = keep {
+            let sink = self.domain as u8;
+            keys.iter_mut().zip(keep).for_each(|(k, &kept)| *k = if kept { *k } else { sink });
         }
     }
 }
@@ -1506,7 +1578,9 @@ pub(crate) enum GroupResolver {
     /// No `GROUP BY`: a single global slot (e.g. Q6).
     Singleton,
     /// Dense direct-array slots over the packed key domain, with hoisted
-    /// initialization (Section 3.5.2).
+    /// initialization (Section 3.5.2). Over a keyed packing the block fold
+    /// buckets rows by key and `slots` is only read per key
+    /// ([`AggFold::fold_block`]).
     Direct { keys: KeyPacker, slots: Vec<i32> },
     /// Lowered chained-array map (Fig. 11).
     Lowered { keys: KeyPacker, map: ChainedArrayMap<u32> },
@@ -1981,6 +2055,8 @@ enum Agg {
 pub(crate) struct FoldScratch {
     regs: Vec<Reg>,
     keys: Vec<i64>,
+    /// One byte per row: the keys of a keyed packing.
+    bytes: Vec<u8>,
     tmp: Vec<i64>,
     gid: Vec<u32>,
     pos: Vec<u32>,
@@ -2013,8 +2089,9 @@ const DROPPED: u32 = u32::MAX;
 
 /// Stores of at most this many slots — a direct array over a small key domain,
 /// or the single slot of a global aggregate — sum in registers (see
-/// [`AggFold`]). Measured on a Q1-shaped fold of 300k rows (five lanes and a
-/// count, keys random or in runs): registers take 0.74–0.87 × the memory
+/// [`AggFold`]), and a key packing whose padded domain fits it is keyed
+/// ([`KeyPacker`]). Measured on a Q1-shaped fold of 300k rows (five lanes and
+/// a count, keys random or in runs): registers take 0.74–0.87 × the memory
 /// path's time up to 64 groups and lose from ~128 on (EXPERIMENTS.md "Q1,
 /// split by phase").
 pub(crate) const REGISTER_SLOTS: usize = 64;
@@ -2038,21 +2115,26 @@ fn scatter<T>(gid: &[u32], pos: Option<&[u32]>, v: &[T], mut f: impl FnMut(usize
     }
 }
 
-/// Stable, branch-free counting sort of a block's rows by slot: `order` lists
-/// the row positions slot by slot, dropped rows last (bucket `slots`); slot
-/// `g` holds `order[bounds[g]..bounds[g + 1]]`. The block is cut into four
-/// quarters, counted and placed side by side with a cursor set each, so a
-/// run of one slot does not chain every row's cursor update through the
+/// Stable, branch-free counting sort of a block's rows by bucket (a slot, or
+/// the key of a keyed packing): `order` lists the row positions bucket by
+/// bucket, dropped rows last (bucket `buckets`, where `bucket` sends them);
+/// bucket `b` holds `order[bounds[b]..bounds[b + 1]]`. The block is cut into
+/// four quarters, counted and placed side by side with a cursor set each, so
+/// a run of one bucket does not chain every row's cursor update through the
 /// previous row's store.
-fn sort_by_slot(gid: &[u32], slots: usize, order: &mut Vec<u32>) -> [usize; REGISTER_SLOTS + 2] {
+fn sort_by_bucket<T: Copy>(
+    ids: &[T],
+    buckets: usize,
+    bucket: impl Fn(T) -> usize,
+    order: &mut Vec<u32>,
+) -> [usize; REGISTER_SLOTS + 2] {
     const WAYS: usize = 4;
-    let bucket = |g: u32| (g as usize).min(slots);
-    let quarter = gid.len().div_ceil(WAYS);
+    let quarter = ids.len().div_ceil(WAYS);
     let mut cursors = [[0; REGISTER_SLOTS + 1]; WAYS];
     for j in 0..quarter {
         for (w, counts) in cursors.iter_mut().enumerate() {
-            if let Some(&g) = gid.get(w * quarter + j) {
-                counts[bucket(g)] += 1;
+            if let Some(&id) = ids.get(w * quarter + j) {
+                counts[bucket(id)] += 1;
             }
         }
     }
@@ -2060,19 +2142,19 @@ fn sort_by_slot(gid: &[u32], slots: usize, order: &mut Vec<u32>) -> [usize; REGI
     // first position.
     let mut bounds = [0; REGISTER_SLOTS + 2];
     let mut at = 0;
-    for b in 0..=slots {
+    for b in 0..=buckets {
         bounds[b] = at;
         for counts in cursors.iter_mut() {
             (counts[b], at) = (at, at + counts[b]);
         }
     }
-    bounds[slots + 1] = at;
-    order.resize(gid.len(), 0);
+    bounds[buckets + 1] = at;
+    order.resize(ids.len(), 0);
     for j in 0..quarter {
         for (w, next) in cursors.iter_mut().enumerate() {
             let i = w * quarter + j;
-            if let Some(&g) = gid.get(i) {
-                let b = bucket(g);
+            if let Some(&id) = ids.get(i) {
+                let b = bucket(id);
                 order[next[b]] = i as u32;
                 next[b] += 1;
             }
@@ -2214,6 +2296,7 @@ impl AggFold {
         FoldScratch {
             regs: self.exprs.scratch(),
             keys: Vec::new(),
+            bytes: Vec::new(),
             tmp: Vec::new(),
             gid: Vec::new(),
             pos: Vec::new(),
@@ -2248,20 +2331,25 @@ impl AggFold {
         groups: &mut Groups,
         s: &mut FoldScratch,
     ) {
+        if let GroupResolver::Direct { keys, slots } = resolver {
+            if keys.keyed {
+                return self.fold_keyed(rows, keep, keys, slots, groups, s);
+            }
+        }
         let n = rows.len();
         resolver.resolve(chunk, rows, keep, s, &mut groups.reprs);
         self.exprs.eval(rows, &mut s.regs);
         groups.grow();
         let (gid, regs) = (&s.gid[..], &s.regs[..]);
-        let f = |r: usize| self.exprs.f(regs, r, rows);
-        let inputs: Vec<&[f64]> = self.lane_regs.iter().map(|&r| f(r)).collect();
+        let inputs: Vec<&[f64]> =
+            self.lane_regs.iter().map(|&r| self.exprs.f(regs, r, rows)).collect();
         // The positions every aggregate folds, each group's rows in row order:
         // all rows (`None`), the kept ones, or the kept ones sorted by slot.
         let slots = resolver.register_slots();
         let one_slot = slots == Some(1);
         let pos = match slots {
             Some(slots) if slots > 1 => {
-                let bounds = sort_by_slot(gid, slots, &mut s.pos);
+                let bounds = sort_by_bucket(gid, slots, |g| (g as usize).min(slots), &mut s.pos);
                 for g in 0..groups.reprs.len() {
                     let run = &s.pos[bounds[g]..bounds[g + 1]];
                     if !run.is_empty() {
@@ -2298,8 +2386,82 @@ impl AggFold {
                 pos
             }
         };
+        self.fold_own(rows, gid, pos, regs, &mut groups.own, one_slot);
+    }
+
+    /// [`AggFold::fold_block`] over a direct store with a keyed packing: one
+    /// pass writes every row's key ([`KeyPacker::pack_keyed`]), the counting
+    /// sort buckets the rows by key, the keys first seen in this block take
+    /// the next slots in the order of their first rows (the group's
+    /// representative) and each key's run adds into its slot in registers.
+    /// No row looks up its slot unless an aggregate outside the lanes reads
+    /// per-row slots. Group order, each group's add order and so every
+    /// result bit are those of the per-row path.
+    fn fold_keyed(
+        &self,
+        rows: &Rows<'_>,
+        keep: Option<&[bool]>,
+        keys: &KeyPacker,
+        slots: &mut [i32],
+        groups: &mut Groups,
+        s: &mut FoldScratch,
+    ) {
+        let (n, domain) = (rows.len(), keys.domain as usize);
+        keys.pack_keyed(rows, keep, &mut s.bytes, &mut s.tmp);
+        self.exprs.eval(rows, &mut s.regs);
+        let bounds = sort_by_bucket(&s.bytes, domain, usize::from, &mut s.pos);
+        // A run starts at its key's first row in the block: the sort is
+        // stable.
+        let mut fresh = [(0u32, 0u8); REGISTER_SLOTS];
+        let mut new = 0;
+        for key in 0..domain {
+            if slots[key] < 0 && bounds[key] < bounds[key + 1] {
+                fresh[new] = (s.pos[bounds[key]], key as u8);
+                new += 1;
+            }
+        }
+        fresh[..new].sort_unstable();
+        for &(first, key) in &fresh[..new] {
+            slots[key as usize] = groups.reprs.len() as i32;
+            groups.reprs.push(rows.phys(first as usize) as u32);
+        }
+        groups.grow();
+        let regs = &s.regs[..];
+        let inputs: Vec<&[f64]> =
+            self.lane_regs.iter().map(|&r| self.exprs.f(regs, r, rows)).collect();
+        for key in 0..domain {
+            let run = &s.pos[bounds[key]..bounds[key + 1]];
+            if !run.is_empty() {
+                let g = slots[key] as usize;
+                groups.rows[g] += run.len() as i64;
+                add_run(n, Some(run), &inputs, &mut groups.lanes, g);
+            }
+        }
+        if !self.own.is_empty() {
+            let slot = |key: u8| slots.get(key as usize).map_or(DROPPED, |&g| g as u32);
+            s.gid.clear();
+            s.gid.extend(s.bytes.iter().map(|&key| slot(key)));
+            let pos = Some(&s.pos[..bounds[domain]]);
+            self.fold_own(rows, &s.gid, pos, regs, &mut groups.own, false);
+        }
+    }
+
+    /// Folds the rows `pos` of a block (see [`each`]) into the accumulators
+    /// of the aggregates outside the lanes, a loop each, through the rows'
+    /// slots `gid`.
+    fn fold_own(
+        &self,
+        rows: &Rows<'_>,
+        gid: &[u32],
+        pos: Option<&[u32]>,
+        regs: &[Reg],
+        own: &mut [AggState],
+        one_slot: bool,
+    ) {
+        let n = rows.len();
+        let f = |r: usize| self.exprs.f(regs, r, rows);
         let vals = |r: usize| &regs[r].v()[..n];
-        for (agg, state) in self.own.iter().zip(&mut groups.own) {
+        for (agg, state) in self.own.iter().zip(own) {
             match (state, &agg.input) {
                 (AggState::SumF { sums, touched }, AggInput::V(r)) => {
                     scatter(gid, pos, vals(*r), |g, v| {
@@ -2639,6 +2801,25 @@ mod tests {
                 keys.pack(&Rows::Ids(&ids), &mut by_ids, &mut tmp);
                 assert_eq!(by_range, expect, "range, group by {group_by:?}");
                 assert_eq!(by_ids, expect, "ids, group by {group_by:?}");
+                // A keyed packing (`k`: 8 values, `mode`: 4, `flag`: 2; not
+                // the dates' 731 days) writes the same keys as bytes, and a
+                // dropped row the sink bucket.
+                assert_eq!(keys.keyed, !group_by.contains(&3), "group by {group_by:?}");
+                if keys.keyed {
+                    let keep: Vec<bool> = (0..ch.total).map(|r| r % 2 == 0).collect();
+                    let mut bytes = Vec::new();
+                    for rows in [Rows::Range(0..ch.total), Rows::Ids(&ids)] {
+                        keys.pack_keyed(&rows, None, &mut bytes, &mut tmp);
+                        assert!(bytes.iter().zip(&expect).all(|(&b, &k)| b as i64 == k));
+                        keys.pack_keyed(&rows, Some(&keep), &mut bytes, &mut tmp);
+                        let sink = keys.domain as u8;
+                        let masked = expect.iter().zip(&keep).map(|(&k, &kept)| kept as i64 * k);
+                        let dropped = keep.iter().map(|&kept| (!kept as u8) * sink);
+                        let expect: Vec<u8> =
+                            masked.zip(dropped).map(|(k, d)| k as u8 | d).collect();
+                        assert_eq!(bytes, expect, "masked, group by {group_by:?}");
+                    }
+                }
             }
         }
         // A nullable key has no code: the store falls back to generic keys.

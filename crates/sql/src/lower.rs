@@ -822,7 +822,9 @@ impl<'a> Lowerer<'a> {
         }
         let rewritten_having = sel.having.as_ref().map(|h| extract_aggs(h, &mut aggs));
 
-        // COUNT(DISTINCT c) lowers through project → distinct → count.
+        // COUNT(DISTINCT c) lowers through project → distinct → COUNT(c):
+        // the deduplicated key column is counted, so a NULL `c` is not a
+        // value.
         let distinct_count = aggs.iter().any(|a| a.distinct);
         if distinct_count && aggs.len() != 1 {
             let span = aggs.iter().find(|a| a.distinct).expect("present").span;
@@ -849,7 +851,7 @@ impl<'a> Lowerer<'a> {
             let plan = Plan::aggregated(
                 deduped.plan,
                 (0..g).collect(),
-                vec![AggSpec::new(AggKind::Count, Expr::lit(1i64), &call.name)],
+                vec![AggSpec::new(AggKind::Count, Expr::col(g), &call.name)],
             );
             (Node { plan, schema: schema.clone() }, schema)
         } else if group_lowered.iter().all(|(e, _, _)| matches!(e, Expr::Col(_))) {

@@ -47,7 +47,9 @@ fn digest(sql: &str, cat: &Catalog) -> u64 {
 
 /// Recorded on the parent of the change that took the copies out of the
 /// miss path (the lowering, the join-order DP and SC's schemas, provenance
-/// and C strings), which had to reproduce them.
+/// and C strings), which had to reproduce them. Q16's entry moved on
+/// purpose when `COUNT(DISTINCT c)` began counting the deduplicated `c`
+/// instead of its rows (a NULL `c` is not a value).
 const PINNED: [u64; 22] = [
     0xa9a7ab039c732cfc,
     0xfb330b6993fc5880,
@@ -64,7 +66,7 @@ const PINNED: [u64; 22] = [
     0x4f34fe9d7b555bf2,
     0xf39b4ca91e3a5e1d,
     0x11103103bd9d5295,
-    0x2db7cc869a254089,
+    0xff87f1f7bdbb88f7,
     0xaf7d0798106235b8,
     0xa60a8d669e1a7d85,
     0x2c6a6838ed81f3e9,

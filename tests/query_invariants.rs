@@ -314,3 +314,46 @@ fn count_of_a_nullable_expression_skips_nulls() {
         assert_eq!(count("o_orderkey", config), orders, "{config:?}");
     }
 }
+
+/// `COUNT(DISTINCT x)` counts the distinct non-NULL values of `x`: the
+/// customers without an order add a NULL `o_orderstatus`, which is not a
+/// fourth status — ungrouped and per `c_mktsegment`, under every
+/// configuration.
+#[test]
+fn count_distinct_skips_nulls() {
+    use legobase::Config;
+    use std::collections::{BTreeMap, BTreeSet};
+    let from = "from customer left outer join orders on c_custkey = o_custkey";
+    let query = |text: String, config| {
+        system().query(&QueryRequest::sql(text).with_config(config)).unwrap().result
+    };
+    // The reference: the distinct non-NULL statuses of every segment.
+    let pairs = query(format!("select c_mktsegment, o_orderstatus {from}"), Config::Dbx);
+    assert!(pairs.rows().iter().any(|r| r[1].is_null()), "some customer has no order");
+    let mut by_segment: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for r in pairs.rows() {
+        let statuses = by_segment.entry(r[0].as_str().to_string()).or_default();
+        if !r[1].is_null() {
+            statuses.insert(r[1].as_str().to_string());
+        }
+    }
+    let all: BTreeSet<&String> = by_segment.values().flatten().collect();
+    assert_eq!(all.len(), 3, "F, O and P");
+    for config in Config::ALL {
+        let total = query(format!("select count(distinct o_orderstatus) as n {from}"), config);
+        assert_eq!(total.rows().len(), 1, "{config:?}");
+        assert_eq!(total.rows()[0][0].as_int(), 3, "{config:?}");
+        let grouped = query(
+            format!(
+                "select c_mktsegment, count(distinct o_orderstatus) as n {from} \
+                 group by c_mktsegment"
+            ),
+            config,
+        );
+        assert_eq!(grouped.rows().len(), by_segment.len(), "{config:?}");
+        for r in grouped.rows() {
+            let expect = by_segment[r[0].as_str()].len() as i64;
+            assert_eq!(r[1].as_int(), expect, "{config:?} segment {}", r[0].as_str());
+        }
+    }
+}
