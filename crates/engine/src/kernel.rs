@@ -1470,11 +1470,11 @@ impl KeyPacker {
         let padded: u32 = widths.iter().map(|&w| bits(w)).sum();
         if 1 << padded.min(63) <= REGISTER_SLOTS {
             let mut offset = padded;
-            let strides = widths.iter().map(|&w| {
+            let mut stride = |w| {
                 offset -= bits(w);
                 1 << offset
-            });
-            let strides = strides.collect();
+            };
+            let strides = widths.iter().map(|&w| stride(w)).collect();
             return Some(KeyPacker { srcs, mins, strides, domain: 1 << padded, keyed: true });
         }
         let mut strides = vec![1i64; srcs.len()];
@@ -2092,8 +2092,9 @@ const DROPPED: u32 = u32::MAX;
 /// [`AggFold`]), and a key packing whose padded domain fits it is keyed
 /// ([`KeyPacker`]). Measured on a Q1-shaped fold of 300k rows (five lanes and
 /// a count, keys random or in runs): registers take 0.74–0.87 × the memory
-/// path's time up to 64 groups and lose from ~128 on (EXPERIMENTS.md "Q1,
-/// split by phase").
+/// path's time up to 64 groups and lose from ~128 on. Keyed, Q1's group ids
+/// at SF 0.05 take 0.27–0.34 × the time of the per-row slot lookup they
+/// replace (0.29–0.38 ms; EXPERIMENTS.md "Q1, split by phase").
 pub(crate) const REGISTER_SLOTS: usize = 64;
 
 /// Calls `f(i)` for the positions `pos` of a block of `n` rows, in order; all

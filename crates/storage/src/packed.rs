@@ -109,6 +109,7 @@ fn unpack_block<const W: usize>(words: &[u64], base: i64, out: &mut [i64]) {
 #[inline]
 fn unpack_block_bytes<const W: usize>(bytes: &[u8], base: i64, out: &mut [i64]) {
     let bytes = &bytes[..8 * W + 7];
+    // Every width instantiates this; only widths up to 56 call it.
     let mask = if W >= 64 { u64::MAX } else { (1u64 << W) - 1 };
     for (j, out) in out.chunks_exact_mut(8).enumerate() {
         // The group's last load ends at byte `7 · W / 8 + 8 <= W + 7`.
