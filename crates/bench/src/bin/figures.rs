@@ -914,10 +914,10 @@ fn baseline(system: &LegoBase) {
 /// The aggregate's per-row floor (ROADMAP item 5): serial
 /// `PreparedQuery::execute` time per `lineitem` row of the optimized SQL
 /// plans of one-column aggregates, the same grouped by Q1's two keys, two
-/// grouped `HAVING` queries, Q1 and Q6,
-/// beside a std-only loop that sums the `l_quantity` column in row order —
-/// the order every engine sum keeps, so its one dependent add per row is
-/// the floor a bit-identical fold stands on. Minima of one
+/// grouped `HAVING` queries, Q1 and Q6, beside a std-only loop that sums
+/// the `l_quantity` column in row order — the order every engine sum
+/// keeps, so its one dependent add per row is the floor a bit-identical
+/// fold stands on. Minima of one
 /// [`legobase_bench::interleaved_minima`] round-robin.
 fn floor(system: &LegoBase) {
     use legobase::storage::Column;
