@@ -768,16 +768,16 @@ fn keyed_chunk(rng: &mut TestRng, keys: &[(KeyKind, usize)], total: usize, selec
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1))]
 
-    /// The keyed fold — a direct store whose keys, each padded to a
-    /// power-of-two bit field, fit `REGISTER_SLOTS` buckets — against the
-    /// per-row reference: random 1–3 key columns of every coded layout with
-    /// padded domains on both sides of 64, unmasked, under a selection and
-    /// under a random keep-mask, lanes beside aggregates of their own. Group
-    /// order, each group's representative row and every output bit match at
-    /// degree 1 and 4, the packing is keyed exactly when the padded domain
-    /// fits, and the fused probe answers each key's slot. A shape whose exact
-    /// domain fits 64 but whose padded one does not (3 × 3 × 7) keeps the
-    /// per-row slot path.
+    /// The keyed fold — a direct store of 2 to `REGISTER_SLOTS` slots, which
+    /// buckets rows by packed key — against the per-row reference: random
+    /// 1–3 key columns of every coded layout with padded domains on both
+    /// sides of 64, unmasked, under a selection and under a random
+    /// keep-mask, lanes beside aggregates of their own. Group order, each
+    /// group's representative row and every output bit match at degree 1
+    /// and 4, the packing takes bit fields exactly when the padded domain
+    /// fits, and the fused probe answers each key's slot. A shape whose
+    /// exact domain fits 64 but whose padded one does not (3 × 3 × 7) folds
+    /// by key over the exact mixed radix.
     #[test]
     fn keyed_fold_equals_per_row_reference(seed in any::<u64>()) {
         let aggs = vec![
@@ -848,24 +848,23 @@ proptest! {
                                 fold_reprs(&settings, &chunk, &group_by, &fold, keep.as_deref());
                             prop_assert!(same(&got, &expected), "{case}:\n got {got:?}\n ref {expected:?}");
                             prop_assert_eq!(&reprs, &reprs_expected, "{}", case);
-                            let keyed = 1usize << padded.min(63) <= REGISTER_SLOTS;
+                            let bit_fields = 1usize << padded.min(63) <= REGISTER_SLOTS;
+                            let domain = if bit_fields { 1 << padded } else { exact };
                             match &resolver {
                                 GroupResolver::Direct { keys, .. } => {
                                     prop_assert!(settings.code_motion, "{}", case);
-                                    prop_assert_eq!(keys.keyed, keyed, "{}", case);
-                                    let domain = if keyed { 1 << padded } else { exact };
                                     prop_assert_eq!(keys.domain, domain, "{}", case);
                                     let registers = (domain <= REGISTER_SLOTS as i64).then_some(domain as usize);
                                     prop_assert_eq!(resolver.register_slots(), registers, "{}", case);
                                 }
                                 GroupResolver::Lowered { keys, .. } => {
                                     prop_assert!(!settings.code_motion, "{}", case);
-                                    prop_assert_eq!(keys.keyed, keyed, "{}", case);
+                                    prop_assert_eq!(keys.domain, domain, "{}", case);
                                 }
                                 _ => prop_assert!(false, "{case}: {}", resolver_name(&resolver)),
                             }
                             if s == 0 && total > 1 {
-                                prop_assert!(!keyed && exact == 63, "{}", case);
+                                prop_assert!(!bit_fields && domain == 63, "{}", case);
                             }
                             if let [c] = group_by[..] {
                                 let col = &chunk.cols[c];

@@ -1407,9 +1407,10 @@ impl<'a> SortKeys<'a> {
 /// Packs the coded group keys of a block into one dense `i64` per row using
 /// per-key ranges. When every key padded to a power-of-two bit field fits
 /// [`REGISTER_SLOTS`] buckets (Q1's `(l_returnflag, l_linestatus)`: 2 + 1
-/// bits, 8 buckets) the packing is *keyed*: each key's stride is `1 << o`
-/// for its bit offset `o`, the domain is the padded one, and the fold
-/// writes every row's key as one byte ([`KeyPacker::pack_keyed`]). Every
+/// bits, 8 buckets) each key's stride is `1 << o` for its bit offset `o`
+/// and the domain is the padded one; otherwise the strides are the exact
+/// mixed radix. A direct store over a domain of at most [`REGISTER_SLOTS`]
+/// writes every row's key as one byte ([`KeyPacker::pack_keyed`]); every
 /// other reader — [`KeyPacker::pack`], the Fig. 9 probe, a morsel's reset,
 /// the ordered merge — packs through the same strides, so they all see the
 /// same keys.
@@ -1419,8 +1420,6 @@ pub(crate) struct KeyPacker {
     pub(crate) mins: Vec<i64>,
     strides: Vec<i64>,
     pub(crate) domain: i64,
-    /// Strides are bit offsets and `domain <= REGISTER_SLOTS`.
-    pub(crate) keyed: bool,
 }
 
 impl KeyPacker {
@@ -1475,7 +1474,7 @@ impl KeyPacker {
                 1 << offset
             };
             let strides = widths.iter().map(|&w| stride(w)).collect();
-            return Some(KeyPacker { srcs, mins, strides, domain: 1 << padded, keyed: true });
+            return Some(KeyPacker { srcs, mins, strides, domain: 1 << padded });
         }
         let mut strides = vec![1i64; srcs.len()];
         let mut domain: i64 = 1;
@@ -1486,7 +1485,7 @@ impl KeyPacker {
                 return None;
             }
         }
-        Some(KeyPacker { srcs, mins, strides, domain, keyed: false })
+        Some(KeyPacker { srcs, mins, strides, domain })
     }
 
     /// Calls `put(key, code, min, field)` for every key column and every
@@ -1544,9 +1543,11 @@ impl KeyPacker {
         self.each_field(rows, keys, tmp, strides, |k, v, min, stride| *k += (v - min) * stride);
     }
 
-    /// The key pass of a keyed packing: every row's packed key as one byte,
-    /// `((c₁ − m₁) << o₁) | ((c₂ − m₂) << o₂) | …`, shifts and ors only; a
-    /// row `keep` drops takes the sink bucket `domain` instead. Branch-free.
+    /// The key pass of a domain of at most [`REGISTER_SLOTS`]: every row's
+    /// packed key as one byte, `((c₁ − m₁) << o₁) | ((c₂ − m₂) << o₂) | …`
+    /// when the strides are powers of two (shifts and ors only), the exact
+    /// mixed radix's multiplies and adds otherwise; a row `keep` drops takes
+    /// the sink bucket `domain` instead. Branch-free.
     fn pack_keyed(
         &self,
         rows: &Rows<'_>,
@@ -1554,14 +1555,23 @@ impl KeyPacker {
         keys: &mut Vec<u8>,
         tmp: &mut Vec<i64>,
     ) {
-        debug_assert!(self.keyed);
+        debug_assert!(self.domain <= REGISTER_SLOTS as i64);
         keys.clear();
         keys.resize(rows.len(), 0);
-        // A field is below 64, so 32-bit lanes compute it exactly.
-        let offsets = self.strides.iter().map(|s| s.trailing_zeros() as i64);
-        self.each_field(rows, keys, tmp, offsets, |k, v, min, offset| {
-            *k |= ((v as u32).wrapping_sub(min as u32) << offset) as u8
-        });
+        // A field is below 64, so 32-bit lanes compute it exactly. Strides
+        // that are all powers of two leave the fields' bits disjoint.
+        let field = |v: i64, min: i64| (v as u32).wrapping_sub(min as u32);
+        if self.strides.iter().all(|s| s.count_ones() == 1) {
+            let offsets = self.strides.iter().map(|s| s.trailing_zeros() as i64);
+            self.each_field(rows, keys, tmp, offsets, |k, v, min, offset| {
+                *k |= (field(v, min) << offset) as u8
+            });
+        } else {
+            let strides = self.strides.iter().copied();
+            self.each_field(rows, keys, tmp, strides, |k, v, min, stride| {
+                *k += (field(v, min) * stride as u32) as u8
+            });
+        }
         if let Some(keep) = keep {
             let sink = self.domain as u8;
             keys.iter_mut().zip(keep).for_each(|(k, &kept)| *k = if kept { *k } else { sink });
@@ -1578,9 +1588,9 @@ pub(crate) enum GroupResolver {
     /// No `GROUP BY`: a single global slot (e.g. Q6).
     Singleton,
     /// Dense direct-array slots over the packed key domain, with hoisted
-    /// initialization (Section 3.5.2). Over a keyed packing the block fold
-    /// buckets rows by key and `slots` is only read per key
-    /// ([`AggFold::fold_block`]).
+    /// initialization (Section 3.5.2). Over a domain of 2 to
+    /// [`REGISTER_SLOTS`] keys the block fold buckets rows by key and
+    /// `slots` is only read per key ([`AggFold::fold_keyed`]).
     Direct { keys: KeyPacker, slots: Vec<i32> },
     /// Lowered chained-array map (Fig. 11).
     Lowered { keys: KeyPacker, map: ChainedArrayMap<u32> },
@@ -2055,7 +2065,7 @@ enum Agg {
 pub(crate) struct FoldScratch {
     regs: Vec<Reg>,
     keys: Vec<i64>,
-    /// One byte per row: the keys of a keyed packing.
+    /// One byte per row: the packed keys of [`AggFold::fold_keyed`].
     bytes: Vec<u8>,
     tmp: Vec<i64>,
     gid: Vec<u32>,
@@ -2089,12 +2099,13 @@ const DROPPED: u32 = u32::MAX;
 
 /// Stores of at most this many slots — a direct array over a small key domain,
 /// or the single slot of a global aggregate — sum in registers (see
-/// [`AggFold`]), and a key packing whose padded domain fits it is keyed
-/// ([`KeyPacker`]). Measured on a Q1-shaped fold of 300k rows (five lanes and
-/// a count, keys random or in runs): registers take 0.74–0.87 × the memory
-/// path's time up to 64 groups and lose from ~128 on. Keyed, Q1's group ids
-/// at SF 0.05 take 0.27–0.34 × the time of the per-row slot lookup they
-/// replace (0.29–0.38 ms; EXPERIMENTS.md "Q1, split by phase").
+/// [`AggFold`]), a direct array folding by packed key, and a key packing
+/// whose padded domain fits it packs by bit fields ([`KeyPacker`]). Measured
+/// on a Q1-shaped fold of 300k rows (five lanes and a count, keys random or
+/// in runs): registers take 0.74–0.87 × the memory path's time up to 64
+/// groups and lose from ~128 on. By key, Q1's group ids at SF 0.05 take
+/// 0.27–0.34 × the time of the per-row slot lookup they replace
+/// (0.29–0.38 ms; EXPERIMENTS.md "Q1, split by phase").
 pub(crate) const REGISTER_SLOTS: usize = 64;
 
 /// Calls `f(i)` for the positions `pos` of a block of `n` rows, in order; all
@@ -2116,48 +2127,43 @@ fn scatter<T>(gid: &[u32], pos: Option<&[u32]>, v: &[T], mut f: impl FnMut(usize
     }
 }
 
-/// Stable, branch-free counting sort of a block's rows by bucket (a slot, or
-/// the key of a keyed packing): `order` lists the row positions bucket by
-/// bucket, dropped rows last (bucket `buckets`, where `bucket` sends them);
-/// bucket `b` holds `order[bounds[b]..bounds[b + 1]]`. The block is cut into
-/// four quarters, counted and placed side by side with a cursor set each, so
-/// a run of one bucket does not chain every row's cursor update through the
-/// previous row's store.
-fn sort_by_bucket<T: Copy>(
-    ids: &[T],
-    buckets: usize,
-    bucket: impl Fn(T) -> usize,
-    order: &mut Vec<u32>,
-) -> [usize; REGISTER_SLOTS + 2] {
+/// Stable, branch-free counting sort of a block's rows by key (see
+/// [`KeyPacker::pack_keyed`]): `order` lists the row positions key by key,
+/// dropped rows last (the sink key `domain`); key `k` holds
+/// `order[bounds[k]..bounds[k + 1]]`. The block is cut into four quarters,
+/// counted and placed side by side with a cursor set each, so a run of one
+/// key does not chain every row's cursor update through the previous row's
+/// store.
+fn sort_by_key(keys: &[u8], domain: usize, order: &mut Vec<u32>) -> [usize; REGISTER_SLOTS + 2] {
     const WAYS: usize = 4;
-    let quarter = ids.len().div_ceil(WAYS);
+    let quarter = keys.len().div_ceil(WAYS);
     let mut cursors = [[0; REGISTER_SLOTS + 1]; WAYS];
     for j in 0..quarter {
         for (w, counts) in cursors.iter_mut().enumerate() {
-            if let Some(&id) = ids.get(w * quarter + j) {
-                counts[bucket(id)] += 1;
+            if let Some(&k) = keys.get(w * quarter + j) {
+                counts[k as usize] += 1;
             }
         }
     }
-    // Bucket by bucket, quarter by quarter: each quarter's count becomes its
-    // first position.
+    // Key by key, quarter by quarter: each quarter's count becomes its first
+    // position.
     let mut bounds = [0; REGISTER_SLOTS + 2];
     let mut at = 0;
-    for b in 0..=buckets {
-        bounds[b] = at;
+    for k in 0..=domain {
+        bounds[k] = at;
         for counts in cursors.iter_mut() {
-            (counts[b], at) = (at, at + counts[b]);
+            (counts[k], at) = (at, at + counts[k]);
         }
     }
-    bounds[buckets + 1] = at;
-    order.resize(ids.len(), 0);
+    bounds[domain + 1] = at;
+    order.resize(keys.len(), 0);
     for j in 0..quarter {
         for (w, next) in cursors.iter_mut().enumerate() {
             let i = w * quarter + j;
-            if let Some(&id) = ids.get(i) {
-                let b = bucket(id);
-                order[next[b]] = i as u32;
-                next[b] += 1;
+            if let Some(&k) = keys.get(i) {
+                let k = k as usize;
+                order[next[k]] = i as u32;
+                next[k] += 1;
             }
         }
     }
@@ -2212,12 +2218,12 @@ fn add_lanes<const K: usize>(
 /// **in row order** — the lanes in one fused loop (independent accumulators
 /// overlap in the pipeline; a loop per aggregate would serialize on the
 /// store-to-load dependency of consecutive rows of one group), the rest in
-/// a loop each. A store of at most [`REGISTER_SLOTS`] slots first
-/// counting-sorts the block's rows by slot and adds each group's rows into
-/// locals written back once per block, which removes that dependency; a
-/// store of one slot (a global aggregate) skips the sort, its run being the
-/// block's kept rows, already in order. Under a keep-mask only the rows it
-/// flags fold. Every float sum adds the same
+/// a loop each. A direct store of 2 to [`REGISTER_SLOTS`] slots first
+/// counting-sorts the block's rows by packed key and adds each group's rows
+/// into locals written back once per block, which removes that dependency;
+/// a store of one slot (a global aggregate, or a key of one value) skips the
+/// sort, its run being the block's kept rows, already in order. Under a
+/// keep-mask only the rows it flags fold. Every float sum adds the same
 /// values in the same order as a row-at-a-time fold over the kept rows.
 pub(crate) struct AggFold {
     exprs: BlockExprs,
@@ -2332,11 +2338,12 @@ impl AggFold {
         groups: &mut Groups,
         s: &mut FoldScratch,
     ) {
-        if let GroupResolver::Direct { keys, slots } = resolver {
-            if keys.keyed {
+        let one_slot = match (resolver.register_slots(), &mut *resolver) {
+            (Some(2..), GroupResolver::Direct { keys, slots }) => {
                 return self.fold_keyed(rows, keep, keys, slots, groups, s);
             }
-        }
+            (slots, _) => slots == Some(1),
+        };
         let n = rows.len();
         resolver.resolve(chunk, rows, keep, s, &mut groups.reprs);
         self.exprs.eval(rows, &mut s.regs);
@@ -2345,56 +2352,39 @@ impl AggFold {
         let inputs: Vec<&[f64]> =
             self.lane_regs.iter().map(|&r| self.exprs.f(regs, r, rows)).collect();
         // The positions every aggregate folds, each group's rows in row order:
-        // all rows (`None`), the kept ones, or the kept ones sorted by slot.
-        let slots = resolver.register_slots();
-        let one_slot = slots == Some(1);
-        let pos = match slots {
-            Some(slots) if slots > 1 => {
-                let bounds = sort_by_bucket(gid, slots, |g| (g as usize).min(slots), &mut s.pos);
-                for g in 0..groups.reprs.len() {
-                    let run = &s.pos[bounds[g]..bounds[g + 1]];
-                    if !run.is_empty() {
-                        groups.rows[g] += run.len() as i64;
-                        add_run(n, Some(run), &inputs, &mut groups.lanes, g);
-                    }
-                }
-                Some(&s.pos[..bounds[slots]])
+        // all rows (`None`) or the kept ones.
+        let pos = keep.map(|m| {
+            s.pos.clear();
+            compact(m, 0..m.len() as u32, &mut s.pos);
+            &s.pos[..]
+        });
+        let (counts, lanes) = (&mut groups.rows, &mut groups.lanes);
+        if one_slot {
+            // One slot: the kept rows are its run, already in row order — no
+            // sort — and add in registers.
+            let run = pos.map_or(n, <[u32]>::len);
+            if run > 0 {
+                counts[0] += run as i64;
+                add_run(n, pos, &inputs, lanes, 0);
             }
-            _ => {
-                let pos = keep.map(|m| {
-                    s.pos.clear();
-                    compact(m, 0..m.len() as u32, &mut s.pos);
-                    &s.pos[..]
-                });
-                let (counts, lanes) = (&mut groups.rows, &mut groups.lanes);
-                if one_slot {
-                    // One slot: the kept rows are its run, already in row
-                    // order — no sort — and add in registers.
-                    let run = pos.map_or(n, <[u32]>::len);
-                    if run > 0 {
-                        counts[0] += run as i64;
-                        add_run(n, pos, &inputs, lanes, 0);
-                    }
-                } else {
-                    each(n, pos, |i| {
-                        let g = gid[i] as usize;
-                        counts[g] += 1;
-                        for (sums, v) in lanes.iter_mut().zip(&inputs) {
-                            sums[g] += v[i];
-                        }
-                    });
+        } else {
+            each(n, pos, |i| {
+                let g = gid[i] as usize;
+                counts[g] += 1;
+                for (sums, v) in lanes.iter_mut().zip(&inputs) {
+                    sums[g] += v[i];
                 }
-                pos
-            }
-        };
+            });
+        }
         self.fold_own(rows, gid, pos, regs, &mut groups.own, one_slot);
     }
 
-    /// [`AggFold::fold_block`] over a direct store with a keyed packing: one
-    /// pass writes every row's key ([`KeyPacker::pack_keyed`]), the counting
-    /// sort buckets the rows by key, the keys first seen in this block take
-    /// the next slots in the order of their first rows (the group's
-    /// representative) and each key's run adds into its slot in registers.
+    /// [`AggFold::fold_block`] over a direct store of 2 to [`REGISTER_SLOTS`]
+    /// slots: one pass writes every row's key ([`KeyPacker::pack_keyed`]),
+    /// the counting sort buckets the rows by key, the keys first seen in
+    /// this block take the next slots in the order of their first rows (the
+    /// group's representative) and each key's run adds into its slot in
+    /// registers.
     /// No row looks up its slot unless an aggregate outside the lanes reads
     /// per-row slots. Group order, each group's add order and so every
     /// result bit are those of the per-row path.
@@ -2410,7 +2400,7 @@ impl AggFold {
         let (n, domain) = (rows.len(), keys.domain as usize);
         keys.pack_keyed(rows, keep, &mut s.bytes, &mut s.tmp);
         self.exprs.eval(rows, &mut s.regs);
-        let bounds = sort_by_bucket(&s.bytes, domain, usize::from, &mut s.pos);
+        let bounds = sort_by_key(&s.bytes, domain, &mut s.pos);
         // A run starts at its key's first row in the block: the sort is
         // stable.
         let mut fresh = [(0u32, 0u8); REGISTER_SLOTS];
@@ -2802,11 +2792,12 @@ mod tests {
                 keys.pack(&Rows::Ids(&ids), &mut by_ids, &mut tmp);
                 assert_eq!(by_range, expect, "range, group by {group_by:?}");
                 assert_eq!(by_ids, expect, "ids, group by {group_by:?}");
-                // A keyed packing (`k`: 8 values, `mode`: 4, `flag`: 2; not
-                // the dates' 731 days) writes the same keys as bytes, and a
-                // dropped row the sink bucket.
-                assert_eq!(keys.keyed, !group_by.contains(&3), "group by {group_by:?}");
-                if keys.keyed {
+                // A domain of at most `REGISTER_SLOTS` (`k`: 8 values,
+                // `mode`: 4, `flag`: 2; not the dates' 731 days) writes the
+                // same keys as bytes, and a dropped row the sink bucket.
+                let small = keys.domain <= REGISTER_SLOTS as i64;
+                assert_eq!(small, !group_by.contains(&3), "group by {group_by:?}");
+                if small {
                     let keep: Vec<bool> = (0..ch.total).map(|r| r % 2 == 0).collect();
                     let mut bytes = Vec::new();
                     for rows in [Rows::Range(0..ch.total), Rows::Ids(&ids)] {
