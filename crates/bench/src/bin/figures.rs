@@ -296,41 +296,30 @@ fn memory_row(system: &LegoBase, n: usize, raw_settings: &Settings) -> (f64, f64
 /// width-specialized batch kernels (`unpack_range`) the fused scan paths
 /// and the memoized whole-column decode run on. Synthetic columns at the
 /// edge widths plus representative TPC-H widths — this is the per-value
-/// decode tax, measured directly. Both sides decode into one reused
-/// block-sized buffer, as a scan does, so the output stays in cache and
-/// the figure times the decoder rather than memory bandwidth. CI runs it as
-/// a smoke leg.
+/// decode tax, measured directly. CI runs it as a smoke leg.
 fn unpack() {
     use legobase::storage::PackedInts;
     const N: usize = 1 << 20;
-    const BLOCK: usize = 1024;
-    println!(
-        "\n== Batch unpack throughput: get() vs unpack_range(), {N} values, \
-         {BLOCK} at a time =="
-    );
+    println!("\n== Batch unpack throughput: get() vs unpack_range(), {N} values ==");
     println!("{:<6} {:>13} {:>15} {:>9}", "width", "get (Mval/s)", "batch (Mval/s)", "speedup");
     for want in [1u32, 7, 13, 23, 37, 64] {
         let hi = if want == 64 { u64::MAX } else { (1u64 << want) - 1 };
         let vals: Vec<i64> =
             (0..N as u64).map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) & hi) as i64).collect();
         let p = PackedInts::from_values(&vals);
-        let mut out = vec![0i64; BLOCK];
+        let mut out = vec![0i64; N];
         let (mut best_get, mut best_batch) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..legobase_bench::runs() {
             let t0 = std::time::Instant::now();
-            for start in (0..N).step_by(BLOCK) {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = p.get(start + i);
-                }
-                std::hint::black_box(&out);
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = p.get(i);
             }
             best_get = best_get.min(ms(t0.elapsed()));
+            std::hint::black_box(&out);
             let t1 = std::time::Instant::now();
-            for start in (0..N).step_by(BLOCK) {
-                p.unpack_range(start, &mut out);
-                std::hint::black_box(&out);
-            }
+            p.unpack_range(0, &mut out);
             best_batch = best_batch.min(ms(t1.elapsed()));
+            std::hint::black_box(&out);
         }
         let mg = N as f64 / best_get.max(1e-9) / 1e3;
         let mb = N as f64 / best_batch.max(1e-9) / 1e3;

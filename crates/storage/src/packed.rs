@@ -13,11 +13,9 @@
 //!
 //! Batch decoding (PR 10) removes the per-element decode tax for kernels
 //! that need the values (not just raw comparisons): [`PackedInts::unpack_range`]
-//! decodes whole morsels block by block — 64 values per `width`-word block,
-//! monomorphized per width so each block body is fully unrolled: eight
-//! byte-aligned groups of eight values, each value one unaligned load, a
-//! constant shift and a mask, or word by word where the load would run past
-//! the words (a column's last blocks) or the width exceeds 56. Residual per-row reads go through the branchless
+//! decodes whole morsels word-at-a-time — 64 values per `width`-word block,
+//! monomorphized per width so each block body is a fully unrolled,
+//! autovectorizable loop. Residual per-row reads go through the branchless
 //! ≤56-bit fast path in [`PackedInts::get_raw`] or a [`PackedCursor`]. There
 //! is no whole-column decode cache: columns whose decoded values dominate
 //! stay plain at load instead (DESIGN.md §3e).
@@ -100,61 +98,15 @@ fn unpack_block<const W: usize>(words: &[u64], base: i64, out: &mut [i64]) {
     }
 }
 
-/// Decodes one 64-value block of width `W <= 56` as eight byte-aligned
-/// groups: the eight values of group `j` start at byte `j · W` (bit
-/// `8 · j · W`), and value `k` of the group is one unaligned little-endian
-/// `u64` load at byte `j · W + k · W / 8`, a constant shift and a mask.
-/// `bytes` starts at the block and holds at least `8 · W + 7` bytes — the
-/// last load may reach up to seven bytes past the block.
-#[inline]
-fn unpack_block_bytes<const W: usize>(bytes: &[u8], base: i64, out: &mut [i64]) {
-    let bytes = &bytes[..8 * W + 7];
-    // Every width instantiates this; only widths up to 56 call it.
-    let mask = if W >= 64 { u64::MAX } else { (1u64 << W) - 1 };
-    for (j, out) in out.chunks_exact_mut(8).enumerate() {
-        // The group's last load ends at byte `7 · W / 8 + 8 <= W + 7`.
-        let group = &bytes[j * W..j * W + W + 7];
-        for (k, slot) in out.iter_mut().enumerate() {
-            let at = k * W / 8;
-            let word = u64::from_le_bytes(group[at..at + 8].try_into().expect("eight bytes"));
-            *slot = base.wrapping_add(((word >> (k * W % 8)) & mask) as i64);
-        }
-    }
-}
-
-/// Width-dispatched block decoding: `words` holds at least `blocks * width`
-/// words, `out` holds `blocks * 64` values. Monomorphized per width through
-/// the macro so every canonical width class gets its own specialized loop.
-/// Widths up to 56 decode byte-aligned groups ([`unpack_block_bytes`])
-/// wherever seven more bytes follow the block in `words`, which every block
-/// but a column's last few has; the rest decode word by word.
+/// Width-dispatched block decoding: `words` holds `blocks * width` words,
+/// `out` holds `blocks * 64` values. Monomorphized per width through the
+/// macro so every canonical width class gets its own specialized loop.
 fn unpack_blocks(width: u8, words: &[u64], base: i64, out: &mut [i64]) {
-    // The words' bytes in bit order (the layout is little-endian within and
-    // across words).
-    let bytes: &[u8] = if cfg!(target_endian = "little") {
-        // SAFETY: any initialized `u64` is eight initialized bytes, and the
-        // byte slice covers exactly the words' memory.
-        unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), words.len() * 8) }
-    } else {
-        &[]
-    };
     macro_rules! arms {
         ($($w:literal)+) => {
             match width as usize {
                 $( $w => {
-                    let blocks = out.len() / 64;
-                    // Blocks whose byte groups stay inside `words`.
-                    let by_bytes = if $w <= 56 {
-                        (bytes.len().saturating_sub(7) / (8 * $w)).min(blocks)
-                    } else {
-                        0
-                    };
-                    let (head, tail) = out.split_at_mut(by_bytes * 64);
-                    for (b, bo) in head.chunks_exact_mut(64).enumerate() {
-                        unpack_block_bytes::<$w>(&bytes[b * 8 * $w..], base, bo);
-                    }
-                    let rest = &words[by_bytes * $w..];
-                    for (bw, bo) in rest.chunks_exact($w).zip(tail.chunks_exact_mut(64)) {
+                    for (bw, bo) in words.chunks_exact($w).zip(out.chunks_exact_mut(64)) {
                         unpack_block::<$w>(bw, base, bo);
                     }
                 } )+
@@ -367,7 +319,12 @@ impl PackedInts {
         if blocks > 0 {
             let words = self.words.as_slice();
             let first = (i / 64) * w;
-            unpack_blocks(self.width, &words[first..], self.base, &mut out[o..o + blocks * 64]);
+            unpack_blocks(
+                self.width,
+                &words[first..first + blocks * w],
+                self.base,
+                &mut out[o..o + blocks * 64],
+            );
             i += blocks * 64;
             o += blocks * 64;
         }
@@ -614,9 +571,8 @@ mod tests {
     }
 
     /// Batch decoding equals per-row `get` at every width, over random starts
-    /// and lengths: byte-aligned groups inside the words, the word path in
-    /// the column's last blocks (fewer than eight bytes behind them), heads
-    /// and tails.
+    /// and lengths: whole blocks, heads and tails, and ranges ending at the
+    /// column's last value.
     #[test]
     fn unpack_range_matches_get_at_random_ranges_for_every_width() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
