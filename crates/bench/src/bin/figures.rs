@@ -73,7 +73,7 @@ fn usage() -> String {
         "usage: figures [{}]\n\
          figures explain <q1..q22>  (EXPLAIN one TPC-H query: optimized plan + report)\n\
          figures serve [--tcp]  (service throughput; --tcp drives the workload through \
-         loopback legobase-wire-v2 connections instead of in-process sessions)\n\
+         loopback legobase-wire-v3 connections instead of in-process sessions)\n\
          env: LEGOBASE_SF (scale factor, default 0.02), LEGOBASE_RUNS (timed \
          repetitions, default 3), LEGOBASE_THREADS_SF (threads figure, default 0.1),\n\
          LEGOBASE_BENCH_OUT (baseline output, default bench-trajectory.json), \
@@ -998,7 +998,7 @@ fn optimized_text(system: &LegoBase, text: &str, name: &str) -> legobase::engine
 /// queries (default 440 — twenty rounds of the workload; raised to the
 /// client count when lower), round-robin over the texts with staggered
 /// starts so distinct queries overlap in flight. With `--tcp` the same
-/// workload goes through loopback `legobase-wire-v2` connections instead
+/// workload goes through loopback `legobase-wire-v3` connections instead
 /// of in-process sessions, measuring the front door's framing + socket
 /// overhead (levels 1/8/64 — a thread and file descriptor per connection).
 fn serve_figure(tcp: bool) {
@@ -1065,7 +1065,7 @@ fn serve_figure(tcp: bool) {
 }
 
 /// The `serve --tcp` variant: one TCP server on an ephemeral loopback port,
-/// each client a `legobase-wire-v2` connection (its own tenant in the fair
+/// each client a `legobase-wire-v3` connection (its own tenant in the fair
 /// scheduler). One server serves every level — `TcpServer` owns its system,
 /// so unlike the in-process figure the service is not rebuilt per level and
 /// cache-hit rates are reported per level from counter deltas.
@@ -1078,7 +1078,7 @@ fn serve_tcp_figure(sf: f64, per_level: usize) {
         .expect("serve --tcp: cannot bind a loopback port");
     let addr = server.local_addr();
     println!(
-        "\n== TCP front door (legobase-wire-v2 on {addr}): {workers}-worker shared morsel \
+        "\n== TCP front door (legobase-wire-v3 on {addr}): {workers}-worker shared morsel \
          pool, TPC-H SQL workload under Opt/C (SF {sf}) =="
     );
     println!(
@@ -1229,11 +1229,7 @@ fn table4() {
         ),
         (
             "Morsel parallelism",
-            vec![
-                "crates/sc/src/transform/parallelize.rs",
-                "crates/engine/src/parallel.rs",
-                "crates/storage/src/morsel.rs",
-            ],
+            vec!["crates/engine/src/parallel.rs", "crates/storage/src/morsel.rs"],
         ),
         (
             "SC IR + rule framework + pipeline",
@@ -1390,7 +1386,7 @@ mod tests {
     fn serve_tcp_mode_is_documented() {
         assert_eq!(parse_subcommand("serve"), Ok("serve"));
         let usage = usage();
-        for needle in ["serve [--tcp]", "legobase-wire-v2"] {
+        for needle in ["serve [--tcp]", "legobase-wire-v3"] {
             assert!(usage.contains(needle), "usage must mention `{needle}`: {usage}");
         }
     }

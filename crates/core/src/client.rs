@@ -1,4 +1,4 @@
-//! Blocking `legobase-wire-v2` client (DESIGN.md §3f).
+//! Blocking `legobase-wire-v3` client (DESIGN.md §3f).
 //!
 //! [`Client`] is the reference consumer of the wire protocol: the
 //! loopback-equivalence suite drives all 22 TPC-H queries through it and

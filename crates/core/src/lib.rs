@@ -30,10 +30,9 @@
 //! physical plan (§2.1), [`sc`] compiles it into a
 //! [`Specialization`] report plus C source (§2.2–2.3), [`engine`] loads and
 //! executes with exactly the structures the report selected (§3), [`storage`]
-//! implements those structures, [`tpch`] generates the workload (§4) — and
-//! enforces the compiler-decides/executor-obeys discipline for the
-//! morsel-driven parallelism extension (degree and join/sort clearances;
-//! DESIGN.md §3).
+//! implements those structures, [`tpch`] generates the workload (§4). The
+//! morsel-driven parallelism extension runs at the request's degree
+//! (DESIGN.md §3).
 //!
 //! See `DESIGN.md` for the system inventory, the substitutions made for
 //! artifacts that are not reproducible in this environment, and the §4
@@ -167,13 +166,11 @@ impl LegoBase {
     /// loader takes exactly those from the store. This is what a service's
     /// prepared cache holds and what a served miss pays.
     ///
-    /// The morsel-driven parallelism degree follows the same
-    /// compiler-decides/executor-obeys discipline as every other
-    /// specialization: `settings.parallelism` is the *request* (overridable
-    /// with `LEGOBASE_PARALLELISM`, which is how CI runs the whole suite
-    /// parallel-enabled), the `Parallelize` transformer records the
-    /// per-query decision in the specialization report, and the specialized
-    /// executor runs with the recorded degree.
+    /// The query then runs under the request's settings after the
+    /// `LEGOBASE_*` overrides: the morsel-driven degree is
+    /// `settings.parallelism` (`LEGOBASE_PARALLELISM` is how CI runs the
+    /// whole suite parallel-enabled), and every operator of the specialized
+    /// executor whose input is large enough to split runs at that degree.
     pub fn prepare(&self, query: &QueryPlan, settings: &Settings) -> PreparedQuery {
         let settings = &self.env.apply(settings);
         let spec = legobase_sc::specialize(query, &self.data.catalog, settings);
@@ -191,24 +188,23 @@ impl LegoBase {
         LoadedQuery { prepared: self.assemble(query, settings, &compilation.spec), compilation }
     }
 
-    /// The one assembly: the executor's settings under `spec`'s decisions,
-    /// and the database the engine asks the store for.
+    /// The one assembly: the database the engine asks the store for under
+    /// `spec`'s decisions.
     fn assemble(
         &self,
         query: &QueryPlan,
         settings: &Settings,
         spec: &Specialization,
     ) -> PreparedQuery {
-        let settings = decided_settings(settings, spec);
         let db = match settings.engine {
             EngineKind::Volcano | EngineKind::Push => {
-                Db::Generic(GenericDb::load(&self.data, &self.store, spec, &settings))
+                Db::Generic(GenericDb::load(&self.data, &self.store, spec, settings))
             }
             EngineKind::Specialized => {
-                Db::Specialized(SpecializedDb::load(&self.data, &self.store, spec, &settings))
+                Db::Specialized(SpecializedDb::load(&self.data, &self.store, spec, settings))
             }
         };
-        PreparedQuery { query: query.clone(), settings, db }
+        PreparedQuery { query: query.clone(), settings: *settings, db }
     }
 
     /// The store structures `query` would load under `settings`, each with
@@ -221,30 +217,11 @@ impl LegoBase {
     ) -> Vec<StructureUse> {
         let settings = &self.env.apply(settings);
         let spec = legobase_sc::specialize(query, &self.data.catalog, settings);
-        required_structures(&self.data, &spec, &decided_settings(settings, &spec))
+        required_structures(&self.data, &spec, settings)
             .into_iter()
             .map(|key| StructureUse { resident: self.store.is_resident(&key), key })
             .collect()
     }
-}
-
-/// Replaces the requested parallelism with the decisions the SC pipeline
-/// recorded for this query — the executor obeys the compiler: the degree,
-/// and whether this query's join and sort operators were cleared for the
-/// morsel-parallel paths (`Parallelize` counts the cleared operators in the
-/// specialization report; zero cleared means the serial code path). The
-/// [`Settings::optimize`] knob passes through unchanged: by this point the
-/// logical optimizer has already run (or been skipped) on the plan itself,
-/// so there is no per-query decision left to record.
-fn decided_settings(settings: &Settings, spec: &Specialization) -> Settings {
-    let mut s = *settings;
-    s.parallelism = spec.parallelism.max(1);
-    s.parallel_joins = spec.parallel_joins > 0;
-    s.parallel_sorts = spec.parallel_sorts > 0;
-    // Encoding follows the same rule: the flag survives only when the
-    // `Encode` transformer actually cleared columns for this query.
-    s.encoding = s.encoding && !spec.encoded_columns.is_empty();
-    s
 }
 
 enum Db {
@@ -257,8 +234,8 @@ enum Db {
 pub struct PreparedQuery {
     /// The plan it executes.
     pub query: QueryPlan,
-    /// The configuration it executes under: the request's, with SC's
-    /// per-query decisions (degree, clearances, encoding) applied.
+    /// The configuration it executes under: the request's, after the
+    /// `LEGOBASE_*` overrides.
     pub settings: Settings,
     db: Db,
 }

@@ -41,7 +41,7 @@ pub enum QueryKind {
 
 /// One query, fully described: the single request type behind every
 /// execution surface of the system — the facade, service sessions, and the
-/// `legobase-wire-v2` TCP protocol all consume it unchanged.
+/// `legobase-wire-v3` TCP protocol all consume it unchanged.
 ///
 /// ```no_run
 /// use std::time::Duration;
@@ -175,7 +175,7 @@ impl QueryRequest {
     /// Converts a plan-kind request into an equivalent SQL-kind request by
     /// rendering the plan through [`legobase_sql::plan_to_sql`] (round-trip
     /// proven for the whole workload). This is how hand-built plans cross
-    /// the wire: `legobase-wire-v2` transports SQL text only, and the
+    /// the wire: `legobase-wire-v3` transports SQL text only, and the
     /// rendering needs the catalog, which the remote server does not share.
     /// SQL-kind requests pass through unchanged.
     pub fn rendered(self, catalog: &Catalog) -> QueryRequest {

@@ -1,4 +1,4 @@
-//! The TCP front door: `legobase-wire-v2` over `std::net`, one
+//! The TCP front door: `legobase-wire-v3` over `std::net`, one
 //! [`Session`](crate::Session) per connection, every connection a tenant of
 //! the service's fair scheduler (DESIGN.md §3f).
 //!
@@ -63,7 +63,7 @@ pub struct TcpServer {
 
 impl LegoBase {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral test port) and
-    /// serves this database over `legobase-wire-v2` with the given service
+    /// serves this database over `legobase-wire-v3` with the given service
     /// options. Results are bit-identical to the in-process surfaces for
     /// the same request.
     ///

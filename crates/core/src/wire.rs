@@ -1,4 +1,4 @@
-//! `legobase-wire-v2`: the dependency-free binary protocol of the TCP front
+//! `legobase-wire-v3`: the dependency-free binary protocol of the TCP front
 //! door (DESIGN.md §3f).
 //!
 //! Everything on the wire is a **frame**:
@@ -14,8 +14,9 @@
 //! [`MAGIC`]` + u32 version`, the server answers `MAGIC + version` on
 //! agreement or `"LBER" + its version` on mismatch and closes. A flipped bit
 //! anywhere in a payload is a typed [`WireError::Corrupt`], never a
-//! mis-parsed result. Version 2 changed only the checksum (v1 used byte-serial
-//! FNV-1a); a v1 peer is refused at the handshake.
+//! mis-parsed result. Version 2 changed the checksum (v1 used byte-serial
+//! FNV-1a); version 3 dropped the two join/sort parallel flags from a
+//! request's settings block. An older peer is refused at the handshake.
 //!
 //! Every message is one write: [`write_frame`] hands the whole frame to its
 //! writer in one `write_all` and does not flush, so a caller that buffers
@@ -53,7 +54,7 @@ pub const MAGIC: [u8; 4] = *b"LBWP";
 /// Handshake reply magic on version mismatch.
 pub const MISMATCH: [u8; 4] = *b"LBER";
 /// Protocol version spoken by this build.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 /// Hard ceiling on a frame payload; larger length prefixes are rejected
 /// before any allocation ([`WireError::Oversized`]).
 pub const MAX_FRAME: u32 = 64 << 20;
@@ -61,7 +62,7 @@ pub const MAX_FRAME: u32 = 64 << 20;
 /// [`read_frame`] reserves for a payload before its bytes arrive.
 pub(crate) const IO_BUFFER: usize = 64 << 10;
 
-/// Frame kinds of `legobase-wire-v2`.
+/// Frame kinds of `legobase-wire-v3`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
@@ -176,7 +177,7 @@ fn le_word(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("an 8-byte slice"))
 }
 
-/// The frame checksum of `legobase-wire-v2`: four independent lanes over the
+/// The frame checksum of `legobase-wire-v3`: four independent lanes over the
 /// payload's little-endian `u64` words (word `i` goes to lane `i % 4`), then
 /// the length, the four lanes, the words left over and the zero-padded byte
 /// tail folded into one value through the same round, and a final
@@ -423,8 +424,6 @@ fn put_settings(out: &mut Vec<u8>, s: &Settings) {
         s.code_motion,
         s.field_removal,
         s.interop_fusion,
-        s.parallel_joins,
-        s.parallel_sorts,
         s.optimize,
         s.encoding,
         s.feedback,
@@ -452,8 +451,6 @@ fn take_settings(c: &mut Cursor<'_>) -> Result<Settings, WireError> {
     s.code_motion = c.bool()?;
     s.field_removal = c.bool()?;
     s.interop_fusion = c.bool()?;
-    s.parallel_joins = c.bool()?;
-    s.parallel_sorts = c.bool()?;
     s.optimize = c.bool()?;
     s.encoding = c.bool()?;
     s.feedback = c.bool()?;
@@ -892,7 +889,7 @@ mod tests {
         let mut conn = Duplex { input: &v1_hello, output: Vec::new() };
         assert!(matches!(server_handshake(&mut conn), Err(WireError::VersionMismatch { peer: 1 })));
         assert_eq!(&conn.output[..4], b"LBER");
-        assert_eq!(conn.output[4..], 2u32.to_le_bytes());
+        assert_eq!(conn.output[4..], VERSION.to_le_bytes());
         // This client meets a v1 server echoing its own version.
         let mut conn = Duplex { input: &v1_hello, output: Vec::new() };
         assert!(matches!(client_handshake(&mut conn), Err(WireError::VersionMismatch { peer: 1 })));

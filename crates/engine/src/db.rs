@@ -9,13 +9,13 @@
 //! scan — lives in one long-lived [`BaseStore`], built lazily on first
 //! demand and handed out as `Arc`s. The loaders below are *assembly* — they obey the
 //! specialization report exactly (used columns only, the dictionary kind
-//! and scan strategy the compiler chose, structures skipped when their key
+//! and packed layout the compiler chose, structures skipped when their key
 //! column is pruned) and fill the loaded database with handles. Both report
 //! wall-clock duration and the bytes the query references so the bench
 //! harness can regenerate Figs. 20 and 21.
 
 use crate::settings::{EngineKind, Settings};
-use crate::spec::{Specialization, UnpackStrategy};
+use crate::spec::Specialization;
 use legobase_storage::column::ColumnTable;
 use legobase_storage::dateindex::DateYearIndex;
 use legobase_storage::partition::{ForeignKeyPartition, PrimaryKeyIndex};
@@ -309,10 +309,9 @@ impl BaseStore {
 /// * `field_removal` → only referenced attributes (specialized engine);
 /// * `partitioning` → FK partitions and PK 1D arrays;
 /// * `date_indices` → year indices;
-/// * `encoding` → packed layout for the cleared columns whose strategy
-///   scans packed (word-compare, fused). Scratch-strategy columns stay
-///   plain (PR 10): their uses read decoded values, so packed residency
-///   would only buy a decode cache of the same size back.
+/// * `encoding` → packed layout for the report's packed columns (every
+///   other column stays plain: its uses read decoded values, so packed
+///   residency would only buy a decode cache of the same size back).
 ///
 /// Structures whose key column was removed as unused are skipped: a query
 /// that never references an attribute cannot join or filter through it.
@@ -343,11 +342,7 @@ pub fn required_structures(
                     .iter()
                     .find(|d| settings.string_dict && d.table == name && d.column == idx)
                     .map(|d| d.kind);
-                let packed = settings.encoding
-                    && matches!(
-                        spec.unpack_strategy(name, idx),
-                        Some(UnpackStrategy::WordCompare | UnpackStrategy::FusedUnpack)
-                    );
+                let packed = settings.encoding && spec.has_packed_column(name, idx);
                 let layout = match (field.ty, dict, packed) {
                     (Type::Str, Some(kind), true) => Layout::DictPacked(kind),
                     (Type::Str, Some(kind), false) => Layout::Dict(kind),
@@ -456,9 +451,6 @@ pub struct SpecializedDb {
     pub pk_indexes: HashMap<(String, usize), Arc<PrimaryKeyIndex>>,
     /// Date-year indexes (Section 3.2.3).
     pub date_indexes: HashMap<(String, usize), Arc<DateYearIndex>>,
-    /// Scan strategy per encoded column, copied from the specialization
-    /// report (PR 10); the executor's fused unpack-filter consults it.
-    pub unpack_strategies: HashMap<(String, usize), UnpackStrategy>,
     /// The store structures this load asked for.
     pub structures: Vec<StructureUse>,
     /// Load timing and memory accounting.
@@ -490,11 +482,6 @@ impl SpecializedDb {
             fk_partitions: HashMap::new(),
             pk_indexes: HashMap::new(),
             date_indexes: HashMap::new(),
-            unpack_strategies: if settings.encoding {
-                spec.unpack_strategies.clone()
-            } else {
-                HashMap::new()
-            },
             structures: Vec::new(),
             report: LoadReport::default(),
         };
@@ -514,11 +501,6 @@ impl SpecializedDb {
     /// Looks a loaded relation up by name (panics if absent).
     pub fn table(&self, name: &str) -> &ColumnTable {
         self.tables.get(name).unwrap_or_else(|| panic!("unknown table `{name}`"))
-    }
-
-    /// The scan strategy recorded for an encoded column, if any.
-    pub fn unpack_strategy(&self, table: &str, column: usize) -> Option<UnpackStrategy> {
-        self.unpack_strategies.get(&(table.to_string(), column)).copied()
     }
 
     /// Approximate bytes of the structures this database references.
@@ -598,21 +580,17 @@ mod tests {
         assert!(pruned.report.approx_bytes < full.report.approx_bytes);
     }
 
-    /// Cleared columns re-encode after the structure builds — but only the
-    /// strategies that scan packed (word-compare, fused) keep packed
-    /// residency; scratch-strategy columns stay plain (their decoded-value
-    /// uses would only buy the bytes back as a decode cache). Packed layout
-    /// means smaller footprint and identical values; floats stay plain; the
-    /// `LEGOBASE_ENCODING=0`-style settings ablation keeps everything raw.
+    /// The report's packed columns load packed, every other column plain.
+    /// Packed layout means smaller footprint and identical values; floats
+    /// stay plain; the `LEGOBASE_ENCODING=0`-style settings ablation keeps
+    /// everything raw.
     #[test]
     fn encoding_step_packs_cleared_columns() {
-        use crate::spec::UnpackStrategy;
         let d = data();
         let mut spec = sample_spec();
         for c in [0usize, 5, 6, 10, 14] {
-            spec.add_encoded_column_with("lineitem", c, UnpackStrategy::WordCompare);
+            spec.add_packed_column("lineitem", c);
         }
-        spec.add_encoded_column("orders", 0); // defaults to scratch
         let raw = SpecializedDb::load(
             &d,
             &BaseStore::new(),
@@ -627,8 +605,7 @@ mod tests {
         assert!(matches!(et.column(14), legobase_storage::Column::DictPacked(..)));
         assert!(matches!(et.column(5), legobase_storage::Column::F64(_))); // floats stay raw
         assert!(matches!(rt.column(0), legobase_storage::Column::I64(_)));
-        // The scratch-strategy clearance keeps plain residency: decoded
-        // access dominates that column, so packing it buys nothing back.
+        // A column the report does not pack stays plain.
         assert!(matches!(enc.table("orders").column(0), legobase_storage::Column::I64(_)));
         for c in [0usize, 10, 14] {
             for r in 0..rt.len {

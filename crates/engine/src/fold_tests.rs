@@ -780,7 +780,7 @@ proptest! {
     /// by key over the exact mixed radix.
     #[test]
     fn keyed_fold_equals_per_row_reference(seed in any::<u64>()) {
-        let aggs = vec![
+        let aggs = [
             AggSpec::new(AggKind::Sum, Expr::col(0), "sum_x"),
             AggSpec::new(AggKind::Avg, Expr::col(0), "avg_x"),
             AggSpec::new(AggKind::Count, Expr::lit(1i64), "count_star"),

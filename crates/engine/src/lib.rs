@@ -48,7 +48,7 @@
 //! * [`spec`] — the per-query specialization report produced by the SC
 //!   transformation pipeline and consumed at load/execution time: which
 //!   structures to build (§§3.2–3.4), which columns to keep (§3.6.1), and
-//!   the morsel-parallelism decisions (degree, join/sort clearances).
+//!   which columns to pack (DESIGN.md §3e).
 //! * [`db`] — the base-structure store (every column layout, dictionary,
 //!   partition and index — and the row form the generic engines scan —
 //!   derived once per dataset from its base columns) and the loaders that
@@ -86,4 +86,4 @@ pub use plan::{AggSpec, JoinKind, Plan, QueryPlan, SortOrder};
 pub use pool::MorselPool;
 pub use result::ResultTable;
 pub use settings::{Config, EngineKind, Settings};
-pub use spec::{Specialization, UnpackStrategy};
+pub use spec::Specialization;

@@ -1,9 +1,12 @@
 //! Optimization toggles and the named system configurations of Table III.
 //!
-//! Each field of [`Settings`] corresponds to one entry of the SC
-//! transformation pipeline (Fig. 5b); the named [`Config`]s reproduce the
-//! systems compared in the paper's evaluation (see DESIGN.md for the mapping
-//! rationale).
+//! `engine` picks the executor family, and each optimization field from
+//! `compiled_exprs` to `interop_fusion` switches one entry of the SC
+//! transformation pipeline (Fig. 5b) with its executor path. The other
+//! four are requests: `parallelism` to the executor, `optimize` to the SQL
+//! optimizer, `encoding` to the `Encode` transformer and `feedback` to the
+//! catalog. The named [`Config`]s reproduce the systems compared in the
+//! paper's evaluation (see DESIGN.md for the mapping rationale).
 
 /// Which executor family runs the plan.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -49,26 +52,14 @@ pub struct Settings {
     /// Inter-operator optimization: aggregation materialized directly inside
     /// the join hash table (Section 3.1, Fig. 9).
     pub interop_fusion: bool,
-    /// Requested morsel-driven parallelism degree (worker threads) for the
-    /// specialized engine's pipelines (scan→filter→pre-aggregate, and — when
-    /// [`Settings::parallel_joins`] / [`Settings::parallel_sorts`] allow —
-    /// join build/probe and sort). `1` = the paper's single-threaded
-    /// execution and the default for every named [`Config`]. Like the other
-    /// fields this is a *request*: the SC pipeline's `Parallelize`
-    /// transformer decides the effective per-query degree and records it in
-    /// the [`Specialization`](crate::spec::Specialization) report, which the
-    /// executor obeys. The generic engines ignore the knob.
+    /// Morsel-driven parallelism degree (worker threads) for the
+    /// specialized engine: every operator whose input is large enough to
+    /// split (scan→filter→pre-aggregate, join build and probe, sort) runs
+    /// morsel-parallel at this degree (DESIGN.md §3). `1` = the paper's
+    /// single-threaded execution and the default for every named
+    /// [`Config`]; `LEGOBASE_PARALLELISM` overrides it. The generic engines
+    /// ignore the knob.
     pub parallelism: usize,
-    /// Allows the specialized engine's hash joins to run morsel-parallel
-    /// (radix-partitioned build, probe-side morsels; DESIGN.md §3). Inert at
-    /// `parallelism == 1`. Defaults to `true`; when a query goes through the
-    /// SC pipeline, the `Parallelize` transformer's per-query decision
-    /// (recorded in the specialization report) replaces the default.
-    pub parallel_joins: bool,
-    /// Allows the specialized engine's sorts to run morsel-parallel
-    /// (per-morsel local sort + deterministic k-way merge). Same gating and
-    /// decision flow as [`Settings::parallel_joins`].
-    pub parallel_sorts: bool,
     /// Runs the cost-based logical optimizer (predicate pushdown,
     /// cross-conjunct inference, join reordering — `crate::optimizer`) on
     /// plans arriving from the SQL frontend's naive lowering. Defaults to
@@ -78,11 +69,11 @@ pub struct Settings {
     pub optimize: bool,
     /// Allows encoded base-table columns (frame-of-reference bit-packed
     /// ints/dates, bit-packed dictionary codes) that kernels scan without
-    /// decompressing. Defaults to `true`; like parallelism, this is a
-    /// *request* — the SC pipeline's `Encode` transformer decides per query
-    /// which columns actually encode (recorded in the specialization
-    /// report), and `decided_settings` clears the flag when nothing was
-    /// cleared for encoding. CI's off-leg sets `LEGOBASE_ENCODING=0`.
+    /// decompressing. Defaults to `true`; this is a *request* — the SC
+    /// pipeline's `Encode` transformer decides per query which columns
+    /// pack (the specialization report's `packed_columns`), and with the
+    /// flag off the loader keeps every column plain. CI's off-leg sets
+    /// `LEGOBASE_ENCODING=0`.
     pub encoding: bool,
     /// Closes the adaptive-estimation loop: after execution, observed
     /// cardinalities are absorbed back into the catalog
@@ -109,8 +100,6 @@ impl Settings {
             field_removal: false,
             interop_fusion: false,
             parallelism: 1,
-            parallel_joins: true,
-            parallel_sorts: true,
             optimize: true,
             encoding: true,
             feedback: true,
@@ -131,8 +120,6 @@ impl Settings {
             field_removal: true,
             interop_fusion: true,
             parallelism: 1,
-            parallel_joins: true,
-            parallel_sorts: true,
             optimize: true,
             encoding: true,
             feedback: true,
@@ -261,10 +248,6 @@ mod tests {
     fn all_configs_default_to_serial() {
         for c in Config::ALL {
             assert_eq!(c.settings().parallelism, 1, "{c:?} must default to serial");
-            // The join/sort allowances are inert at degree 1; they default on
-            // so a direct `with_parallelism(n)` request parallelizes the
-            // whole pipeline (the SC pipeline overrides them per query).
-            assert!(c.settings().parallel_joins && c.settings().parallel_sorts);
         }
         assert_eq!(Settings::optimized().with_parallelism(4).parallelism, 4);
         assert_eq!(Settings::optimized().with_parallelism(0).parallelism, 1);

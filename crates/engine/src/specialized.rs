@@ -28,10 +28,9 @@
 //!   (radix-partitioned build into key-disjoint sub-tables, probe-side
 //!   morsels — including the partitioned Fig. 10 probes and the Fig. 9 fused
 //!   probe) and **sorts** (per-morsel local stable sort + deterministic
-//!   k-way merge), both bit-identical to their serial paths. The degree and
-//!   the join/sort clearances are specialization decisions recorded by the
-//!   SC pipeline's `Parallelize` transformer, exactly like the
-//!   data-structure choices.
+//!   k-way merge), both bit-identical to their serial paths. The degree is
+//!   the request's (after the `LEGOBASE_PARALLELISM` override): every
+//!   operator goes parallel on `go_parallel(degree, rows)` alone.
 //!
 //! Every operator walks its input a block of at most `kernel::BLOCK_ROWS`
 //! rows at a time (DESIGN.md §3 "Block-at-a-time"): predicates, join keys,
@@ -735,7 +734,7 @@ pub(crate) fn sort_chunk(
 ) -> Vec<u32> {
     let n = chunk.len();
     let by = SortKeys::new(chunk, keys);
-    let parallel = settings.parallel_sorts && go_parallel(settings.parallelism, n);
+    let parallel = go_parallel(settings.parallelism, n);
     let runs = run_morsels(
         settings.parallelism,
         &work_items(parallel, n),
@@ -747,14 +746,6 @@ pub(crate) fn sort_chunk(
         },
     );
     merge_sorted_runs(runs, &|a: &u32, b: &u32| by.cmp(*a, *b))
-}
-
-/// The compiled decision to run a join side of `rows` rows morsel-parallel,
-/// gated on the side being large enough to split. Both factors are
-/// degree-independent for degrees ≥ 2, so every degree takes the same code
-/// path (half of the bit-identical-across-degrees contract).
-fn par_join(settings: &Settings, rows: usize) -> bool {
-    settings.parallel_joins && go_parallel(settings.parallelism, rows)
 }
 
 /// The pairs of a join no load-time structure and no fused aggregation
@@ -822,7 +813,7 @@ pub(crate) fn hash_build(
     }
     // Each side gates independently, so a small build side under a large
     // probe side still parallelizes the probe (and vice versa).
-    let parallel = par_join(s, n);
+    let parallel = go_parallel(s.parallelism, n);
     if s.hashmap_lowering {
         let new = |expected: usize| ChainedMultiMap::with_capacity(expected.max(1));
         Build::Chained(build_tables(s, rchunk, rk, parallel, new, |t, key, row| t.insert(key, row)))
@@ -933,7 +924,7 @@ fn probe_pairs(
     let all = matches!(kind, JoinKind::Inner | JoinKind::LeftOuter);
     collect_rows(
         settings.parallelism,
-        par_join(settings, n),
+        go_parallel(settings.parallelism, n),
         n,
         || (),
         |(), range, pairs| {
@@ -1588,40 +1579,6 @@ mod tests {
                 assert_eq!(got.rows(), serial.rows(), "{kind:?} degree {degree}");
             }
         }
-    }
-
-    /// The compiled clearances gate the new paths: with `parallel_joins` /
-    /// `parallel_sorts` off, a degree-4 request must leave joins and sorts
-    /// on their serial code paths (still correct, still identical).
-    #[test]
-    fn join_sort_clearances_are_obeyed() {
-        let (data, mut spec) = setup();
-        spec.used_columns.insert("lineitem".into(), vec![0, 4, 10]);
-        spec.used_columns.insert("orders".into(), vec![0]);
-        let q = QueryPlan::new(
-            "gated",
-            Plan::Sort {
-                input: Box::new(Plan::HashJoin {
-                    left: Box::new(Plan::scan("lineitem")),
-                    right: Box::new(Plan::scan("orders")),
-                    left_keys: vec![0],
-                    right_keys: vec![0],
-                    kind: JoinKind::Inner,
-                    residual: None,
-                }),
-                keys: vec![(10, SortOrder::Asc)],
-            },
-        );
-        let serial_settings = Config::OptC.settings();
-        let db =
-            crate::SpecializedDb::load(&data, &crate::BaseStore::new(), &spec, &serial_settings);
-        let serial = execute(&q, &db, &serial_settings);
-        let gated = serial_settings.with_parallelism(4).with(|s| {
-            s.parallel_joins = false;
-            s.parallel_sorts = false;
-        });
-        let got = execute(&q, &db, &gated);
-        assert_eq!(got.rows(), serial.rows());
     }
 
     #[test]

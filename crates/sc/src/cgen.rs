@@ -11,7 +11,6 @@
 //! self-contained and compiles with `cc -fsyntax-only`.
 
 use crate::ir::{AggOp, AggStoreKind, Expr, Program, Stmt, StrFn, Sym};
-use legobase_engine::Specialization;
 use legobase_storage::{Catalog, Type};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt::{self, Write};
@@ -35,10 +34,9 @@ pub fn dump_c_source(dir: &Path, file_name: &str, source: &str) -> std::io::Resu
 }
 
 /// Emits a self-contained C translation unit for a lowered program.
-pub fn emit_c(prog: &Program, catalog: &Catalog, spec: &Specialization) -> String {
+pub fn emit_c(prog: &Program, catalog: &Catalog) -> String {
     let mut gen = CGen {
         catalog,
-        spec,
         out: String::new(),
         indent: 1,
         row_tables: HashSet::new(),
@@ -93,7 +91,6 @@ pub fn emit_c(prog: &Program, catalog: &Catalog, spec: &Specialization) -> Strin
 /// are walked — no intermediate string per line or per expression node.
 struct CGen<'a> {
     catalog: &'a Catalog,
-    spec: &'a Specialization,
     out: String,
     indent: usize,
     /// Row symbols bound to base tables (typed struct access).
@@ -122,16 +119,6 @@ fn sanitize(name: &str) -> String {
 impl CGen<'_> {
     fn prelude(&self, out: &mut String, name: &str) {
         let _ = writeln!(out, "/* Generated by SC (LegoBase-rs) for {name}. */");
-        // Surface the compiler's parallel-execution decisions where a reader
-        // of the C sees them first; the executor obeys exactly these.
-        if self.spec.parallelism > 1 {
-            let _ = writeln!(
-                out,
-                "/* parallel: degree {}, {} join(s) + {} sort(s) morsel-parallel \
-                 (deterministic; DESIGN.md section 3) */",
-                self.spec.parallelism, self.spec.parallel_joins, self.spec.parallel_sorts
-            );
-        }
         out.push_str("#include <stdio.h>\n#include <stdlib.h>\n#include <string.h>\n\n");
         out.push_str("/* runtime shims: resolved by the loader at query setup time */\n");
         out.push_str("typedef struct rec* rec_t;\n");

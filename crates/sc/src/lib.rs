@@ -20,9 +20,7 @@
 //! (partitioning + date indices §§3.2.1/3.2.3, hash-map lowering §3.2.2,
 //! column layout §3.3, string dictionaries §3.4, code motion §3.5, loop
 //! fusion, field promotion), plus the beyond-the-paper
-//! [`transform::Parallelize`], which decides the per-query morsel-driven
-//! degree and the join/sort parallelization clearances, counted from the
-//! plan's scans, hash joins and keyed sorts.
+//! [`transform::Encode`], which chooses the columns that load bit-packed.
 //!
 //! The pipeline produces two artifacts per query:
 //! * a [`legobase_engine::Specialization`] report — the load/execution

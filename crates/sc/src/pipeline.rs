@@ -12,8 +12,8 @@ use crate::ir::Program;
 use crate::rules::{TransformCtx, Transformer};
 use crate::transform::{
     Cleanup, CodeMotionHoisting, ColumnStore, Encode, FieldPromotion, FineGrained, HashMapLowering,
-    HorizontalFusion, Parallelize, PartitioningAndDateIndices, ScalaToCLowering,
-    SingletonHashMapToValue, StringDictionary,
+    HorizontalFusion, PartitioningAndDateIndices, ScalaToCLowering, SingletonHashMapToValue,
+    StringDictionary,
 };
 use legobase_engine::{EngineKind, QueryPlan, Settings, Specialization};
 use legobase_storage::Catalog;
@@ -64,20 +64,15 @@ impl Pipeline {
             p.add(Cleanup);
         }
         if settings.encoding && settings.engine == EngineKind::Specialized {
-            // Clears touched Int/Date/dictionary base columns for packed
-            // storage; runs after StringDictionary so the dictionary
-            // decisions it piggybacks on are final. Only the specialized
-            // executor consumes encoded columns.
+            // Chooses the Int/Date/dictionary base columns to pack; runs
+            // after StringDictionary so the dictionary decisions it
+            // piggybacks on are final. Only the specialized executor
+            // consumes packed columns.
             p.add(Encode);
         }
         if settings.code_motion {
             p.add(CodeMotionHoisting);
             p.add(Cleanup);
-        }
-        if settings.parallelism > 1 {
-            // Decides (and records) the morsel-driven degree once the
-            // scan-shaped loops have reached their final form.
-            p.add(Parallelize);
         }
         if settings.compiled_exprs {
             p.add(FineGrained);
@@ -174,7 +169,7 @@ impl Pipeline {
             on_phase(trace.last().expect("just pushed"), &prog);
         }
         let cgen_start = Instant::now();
-        let c_source = cgen::emit_c(&prog, catalog, &ctx.spec);
+        let c_source = cgen::emit_c(&prog, catalog);
         let cgen_time = cgen_start.elapsed();
         CompileResult {
             program: prog,
@@ -262,14 +257,10 @@ mod tests {
         assert!(pos("HorizontalFusion") < pos("PartitioningAndDateIndices"));
         assert!(pos("ColumnStore") < pos("FieldPromotion"));
 
-        // Parallelize joins the pipeline only when a degree > 1 is requested.
-        assert!(!names.contains(&"Parallelize"));
+        // The parallel degree is the executor's, not a phase: the pipeline
+        // is the same at every degree.
         let par = Pipeline::for_settings(&Settings::optimized().with_parallelism(4));
-        let par_names = par.phase_names();
-        assert!(par_names.contains(&"Parallelize"));
-        let ppos = |n: &str| par_names.iter().position(|x| *x == n).unwrap();
-        assert!(ppos("HashMapHoisting+MallocHoisting") < ppos("Parallelize"));
-        assert!(ppos("Parallelize") < ppos("ScalaToCLowering"));
+        assert_eq!(par.phase_names(), names);
 
         let naive = Pipeline::for_settings(&Config::NaiveC.settings());
         assert!(!naive.phase_names().contains(&"HashMapLowering"));
@@ -329,71 +320,73 @@ mod tests {
         let q = legobase_queries::query(&cat, 1);
         let result = compile(&q, &cat, &Settings::optimized());
         let li = |name: &str| cat.table("lineitem").schema.col(name);
-        // Q1's scanned attributes: the shipdate filter and the two
-        // dictionary-coded group keys pack; the float measures do not.
-        assert!(result.spec.has_encoded_column("lineitem", li("l_shipdate")));
-        assert!(result.spec.has_encoded_column("lineitem", li("l_returnflag")));
-        assert!(result.spec.has_encoded_column("lineitem", li("l_linestatus")));
-        assert!(!result.spec.has_encoded_column("lineitem", li("l_extendedprice")));
-        assert!(result.c_source.contains("encoded column scan"));
+        // Q1's scanned attributes: the shipdate filter packs; the two
+        // dictionary-coded group keys are read decoded per row and stay
+        // plain; the float measures never pack.
+        assert!(result.spec.has_packed_column("lineitem", li("l_shipdate")));
+        assert!(!result.spec.has_packed_column("lineitem", li("l_returnflag")));
+        assert!(!result.spec.has_packed_column("lineitem", li("l_linestatus")));
+        assert!(!result.spec.has_packed_column("lineitem", li("l_extendedprice")));
+        assert!(result.c_source.contains("encoded column scan: 1 column(s) packed"));
 
         // Q6 touches only lineitem; the shipdate filter packs, the float
         // measures (quantity, discount, extendedprice) never do.
         let q6 = legobase_queries::query(&cat, 6);
         let r6 = compile(&q6, &cat, &Settings::optimized());
-        assert!(r6.spec.has_encoded_column("lineitem", li("l_shipdate")));
-        assert!(!r6.spec.has_encoded_column("lineitem", li("l_quantity")));
-        assert!(r6.spec.encoded_columns.iter().all(|p| p.table == "lineitem"));
+        assert!(r6.spec.has_packed_column("lineitem", li("l_shipdate")));
+        assert!(!r6.spec.has_packed_column("lineitem", li("l_quantity")));
+        assert!(r6.spec.packed_columns.iter().all(|p| p.table == "lineitem"));
 
         // The ablation leaves the decision record empty.
         let off = compile(&q, &cat, &Settings::optimized().with(|s| s.encoding = false));
-        assert!(off.spec.encoded_columns.is_empty());
+        assert!(off.spec.packed_columns.is_empty());
         assert!(!off.c_source.contains("encoded column scan"));
     }
 
-    /// The Encode transformer prices each cleared column's scan side
-    /// (PR 10): literal filters stay in the raw word domain, single-scan
-    /// decoded predicates fuse into the filter, and repeated reads fall back
-    /// to the memoized whole-column decode.
+    /// The Encode transformer prices each column's scan side: literal
+    /// filters stay in the raw word domain and single-scan decoded
+    /// predicates unpack inside the filter, so both pack; repeated decoded
+    /// reads keep the column plain.
     #[test]
     fn unpack_strategies_price_the_scan_side() {
-        use legobase_engine::UnpackStrategy;
         let cat = catalog();
         let li = |name: &str| cat.table("lineitem").schema.col(name);
         // Q6: the shipdate filter compares against literals only — raw word
         // compares, never decoded.
         let r6 = compile(&legobase_queries::query(&cat, 6), &cat, &Settings::optimized());
-        assert_eq!(
-            r6.spec.unpack_strategy("lineitem", li("l_shipdate")),
-            Some(UnpackStrategy::WordCompare)
-        );
+        assert!(r6.spec.has_packed_column("lineitem", li("l_shipdate")));
         // Q1 groups on the dictionary-coded flags: repeated decoded reads.
         let r1 = compile(&legobase_queries::query(&cat, 1), &cat, &Settings::optimized());
-        assert_eq!(
-            r1.spec.unpack_strategy("lineitem", li("l_returnflag")),
-            Some(UnpackStrategy::ScratchUnpack)
-        );
+        assert!(!r1.spec.has_packed_column("lineitem", li("l_returnflag")));
         // Q12 compares shipdate/commitdate/receiptdate to each other inside
-        // one lineitem scan: the unpack fuses into the filter.
+        // one lineitem scan: the unpack happens inside the filter.
         let r12 = compile(&legobase_queries::query(&cat, 12), &cat, &Settings::optimized());
         for col in ["l_shipdate", "l_commitdate", "l_receiptdate"] {
-            assert_eq!(
-                r12.spec.unpack_strategy("lineitem", li(col)),
-                Some(UnpackStrategy::FusedUnpack),
-                "{col}"
-            );
+            assert!(r12.spec.has_packed_column("lineitem", li(col)), "{col}");
         }
-        assert!(r12.c_source.contains("fused-unpack"));
         // Q21 runs the receiptdate > commitdate filter across several
-        // lineitem scans: one memoized decode shared by all of them instead
-        // of re-unpacking the same packed words per scan.
+        // lineitem scans: each scan would unpack the same packed words, so
+        // the columns stay plain.
         let r21 = compile(&legobase_queries::query(&cat, 21), &cat, &Settings::optimized());
         for col in ["l_receiptdate", "l_commitdate"] {
-            assert_eq!(
-                r21.spec.unpack_strategy("lineitem", li(col)),
-                Some(UnpackStrategy::ScratchUnpack),
-                "{col}"
-            );
+            assert!(!r21.spec.has_packed_column("lineitem", li(col)), "{col}");
+        }
+    }
+
+    /// The degree is the executor's alone: SC's program, C and packed
+    /// columns are the same at every requested degree.
+    #[test]
+    fn sc_output_is_the_same_at_every_degree() {
+        let cat = catalog();
+        for n in [1usize, 3, 6, 12] {
+            let q = legobase_queries::query(&cat, n);
+            let serial = compile(&q, &cat, &Settings::optimized());
+            for degree in [2usize, 4, 8] {
+                let par = compile(&q, &cat, &Settings::optimized().with_parallelism(degree));
+                assert_eq!(par.c_source, serial.c_source, "Q{n} at degree {degree}");
+                assert_eq!(par.program, serial.program, "Q{n} at degree {degree}");
+                assert_eq!(par.spec.packed_columns, serial.spec.packed_columns);
+            }
         }
     }
 

@@ -1,26 +1,24 @@
-//! Encode (DESIGN.md §3e): clears the base-table columns a query touches
-//! for packed storage — frame-of-reference bit-packed integers and dates,
-//! and bit-packed dictionary codes.
+//! Encode (DESIGN.md §3e): chooses the base-table columns a query reads
+//! packed — frame-of-reference bit-packed integers and dates, and
+//! bit-packed dictionary codes.
 //!
-//! Like `Parallelize`, this transformer is a pure decision pass: its
-//! `decide` records which `(table, column)` pairs the loader should
-//! re-encode after the partition/index/dictionary builds, and its IR pass
-//! only adds a banner (the kernels already scan packed columns without
-//! decompressing). Only
-//! integer, date, and dictionary-coded string attributes are cleared —
+//! This transformer is a pure decision pass: its `decide` records which
+//! `(table, column)` pairs the loader takes packed, and its IR pass only
+//! adds a banner (the kernels scan packed columns without decompressing).
+//! Only integer, date, and dictionary-coded string attributes can pack —
 //! floats, booleans, and raw strings always stay plain — and the loader's
 //! profitability check ([`legobase_storage::Column::encode`]) may still
-//! keep a cleared column plain when packing would not shrink it.
+//! keep a chosen column plain when packing would not shrink it.
 use super::plan_info::*;
 use crate::ir::{Program, Stmt};
 use crate::rules::{TransformCtx, Transformer};
 use legobase_engine::expr::Expr as PExpr;
 use legobase_engine::plan::Plan;
-use legobase_engine::UnpackStrategy;
 use legobase_storage::Type;
 use std::collections::{HashMap, HashSet};
 
-/// Clears touched Int/Date/dictionary base columns for packed storage.
+/// Packs the touched Int/Date/dictionary base columns no use reads decoded
+/// values of repeatedly.
 pub struct Encode;
 
 impl Transformer for Encode {
@@ -31,17 +29,16 @@ impl Transformer for Encode {
     fn decide(&self, ctx: &mut TransformCtx<'_>) {
         // ---- analysis: every base (table, column) the query reads, via the
         // same plan-level provenance the other decision passes use — split
-        // into the three usage classes that price the scan side of the
-        // representation (PR 10, DESIGN.md §3e):
+        // into the usage classes that price the scan side of the
+        // representation (DESIGN.md §3e):
         //
-        // * `lit` — literal comparisons in selection predicates: kernels
-        //   compare pre-encoded raw offsets and never decode at all;
+        // * literal comparisons in selection predicates: kernels compare
+        //   pre-encoded raw offsets and never decode at all;
         // * `pred` — predicate uses that need decoded values (column-vs-
         //   column comparisons, arithmetic, string-flag lookups);
         // * `heavy` — everything outside selection predicates (projections,
         //   join keys and residuals, aggregates, group/sort keys): the
         //   decoded values are read repeatedly downstream.
-        let mut lit: HashSet<(&str, usize)> = HashSet::new();
         let mut pred: HashSet<(&str, usize)> = HashSet::new();
         let mut heavy: HashSet<(&str, usize)> = HashSet::new();
         let mut touched: Vec<(&str, usize)> = Vec::new();
@@ -52,7 +49,7 @@ impl Transformer for Encode {
             }
             Plan::Select { predicate, .. } => {
                 collect_col_refs(predicate, &inputs[0], &mut touched);
-                classify_pred(predicate, &inputs[0], &mut lit, &mut pred);
+                classify_pred(predicate, &inputs[0], &mut pred);
             }
             Plan::Project { exprs, .. } => {
                 for (e, _) in exprs {
@@ -98,91 +95,49 @@ impl Transformer for Encode {
 
         // ---- decision: ints and dates pack directly; strings pack their
         // codes only when a dictionary decision exists (StringDictionary runs
-        // earlier in the pipeline); everything else stays plain. Each cleared
-        // column also gets the cheapest scan strategy that covers every one
-        // of its uses (add_encoded_column_with downgrades toward safety when
-        // a column shows up in several classes). The classes are final once
-        // the walk is done, so a column is decided at its first use.
-        let mut decided: HashSet<(&str, usize)> = HashSet::new();
+        // earlier in the pipeline); everything else stays plain. A column
+        // packs unless its decoded values dominate: a heavy use, or an
+        // int/date predicate that needs decoded values on a table scanned
+        // more than once (Q21's lineitem passes would each unpack the same
+        // words). Dictionary-coded string predicates (ordering flags, LIKE,
+        // word sequences) index per-distinct flags by the code, so they stay
+        // in the code domain and pack.
         for key @ (t, c) in touched {
-            if !decided.insert(key) {
-                continue;
-            }
             let ty = ctx.catalog.table(t).schema.ty(c);
             let encodable = matches!(ty, Type::Int | Type::Date)
                 || (ty == Type::Str && ctx.spec.dict_kind(t, c).is_some());
-            if !encodable {
-                continue;
-            }
             let multi_scan = scans.get(t).copied().unwrap_or(0) > 1;
-            let strategy = if heavy.contains(&key) {
-                UnpackStrategy::ScratchUnpack
-            } else if pred.contains(&key) {
-                // Decoded predicate values: dictionary-coded string tests
-                // (ordering flags, LIKE, word sequences) index per-distinct
-                // flags by the code — batch-unpacked per morsel in block
-                // filters, a shift/mask per row elsewhere, never a string
-                // decode — so they stay in the code domain. Int/date
-                // predicates fuse the unpack into the filter on a singly
-                // scanned table; a table scanned several times (Q21's
-                // lineitem passes) keeps the column plain instead — see the
-                // scratch-strategy pricing note below.
-                if ty == Type::Str {
-                    UnpackStrategy::WordCompare
-                } else if multi_scan {
-                    UnpackStrategy::ScratchUnpack
-                } else {
-                    UnpackStrategy::FusedUnpack
-                }
-            } else {
-                UnpackStrategy::WordCompare
-            };
-            ctx.spec.add_encoded_column_with(t, c, strategy);
+            let decoded =
+                heavy.contains(&key) || (ty != Type::Str && multi_scan && pred.contains(&key));
+            if encodable && !decoded {
+                ctx.spec.add_packed_column(t, c);
+            }
         }
     }
 
     fn run(&self, mut prog: Program, ctx: &TransformCtx<'_>) -> Program {
-        let n = ctx.spec.encoded_columns.len();
+        let n = ctx.spec.packed_columns.len();
         if n > 0 {
-            // The banner lands in the generated C, like Parallelize's; the
-            // per-strategy split documents the scan pricing (DESIGN.md
-            // §3e). Every cleared column has exactly one recorded strategy.
-            let count = |s: UnpackStrategy| {
-                ctx.spec.unpack_strategies.values().filter(|&&u| u == s).count()
-            };
-            prog.stmts.insert(
-                0,
-                Stmt::Comment(format!(
-                    "encoded column scan: {n} column(s) cleared ({} word-compare, {} fused-unpack, {} scratch-unpack/plain)",
-                    count(UnpackStrategy::WordCompare),
-                    count(UnpackStrategy::FusedUnpack),
-                    count(UnpackStrategy::ScratchUnpack),
-                )),
-            );
+            // The banner lands in the generated C.
+            prog.stmts
+                .insert(0, Stmt::Comment(format!("encoded column scan: {n} column(s) packed")));
         }
         prog
     }
 }
 
-/// Classifies the column references of a selection predicate: literal
-/// comparisons (and pre-encodable membership/equality tests) go to `lit`,
-/// everything else that reads a column goes to `pred`.
-fn classify_pred<'q>(
-    e: &PExpr,
-    prov: &Prov<'q>,
-    lit: &mut HashSet<(&'q str, usize)>,
-    pred: &mut HashSet<(&'q str, usize)>,
-) {
+/// Collects into `pred` the column references of a selection predicate
+/// that need decoded values: everything but literal comparisons and
+/// pre-encodable membership/equality tests.
+fn classify_pred<'q>(e: &PExpr, prov: &Prov<'q>, pred: &mut HashSet<(&'q str, usize)>) {
     match e {
         PExpr::And(a, b) | PExpr::Or(a, b) => {
-            classify_pred(a, prov, lit, pred);
-            classify_pred(b, prov, lit, pred);
+            classify_pred(a, prov, pred);
+            classify_pred(b, prov, pred);
         }
-        PExpr::Not(a) => classify_pred(a, prov, lit, pred),
+        PExpr::Not(a) => classify_pred(a, prov, pred),
         PExpr::Cmp(_, a, b) => match (a.as_ref(), b.as_ref()) {
-            (PExpr::Col(i), PExpr::Lit(_)) | (PExpr::Lit(_), PExpr::Col(i)) => {
-                insert_prov(prov, *i, lit)
-            }
+            (PExpr::Col(_), PExpr::Lit(_)) | (PExpr::Lit(_), PExpr::Col(_)) => {}
             _ => {
                 collect_into(a, prov, pred);
                 collect_into(b, prov, pred);
@@ -190,7 +145,7 @@ fn classify_pred<'q>(
         },
         // Membership over a bare column pre-encodes the list into the frame
         // of reference (integers) or dictionary codes — no decode.
-        PExpr::InList(a, _) if matches!(a.as_ref(), PExpr::Col(_)) => collect_into(a, prov, lit),
+        PExpr::InList(a, _) if matches!(a.as_ref(), PExpr::Col(_)) => {}
         _ => collect_into(e, prov, pred),
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! 1. **Specialization decisions** (`decide`) — record the load-time
 //!    decisions (partitions to build, date attributes to index, dictionary
-//!    kinds, attributes to keep, columns to pack, the parallel degree) in
+//!    kinds, attributes to keep, columns to pack) in
 //!    the [`crate::rules::TransformCtx`]'s
 //!    [`legobase_engine::Specialization`], which the specialized executor
 //!    consumes. Analyses run over the physical plan's operator structure,
@@ -27,7 +27,6 @@ mod finegrained;
 mod fusion;
 mod hashmap;
 mod hoist;
-mod parallelize;
 mod partition;
 mod promote;
 mod scala_lowering;
@@ -44,7 +43,6 @@ pub use finegrained::FineGrained;
 pub use fusion::{horizontal_fuse, HorizontalFusion};
 pub use hashmap::HashMapLowering;
 pub use hoist::CodeMotionHoisting;
-pub use parallelize::Parallelize;
 pub use partition::PartitioningAndDateIndices;
 pub use promote::FieldPromotion;
 pub use scala_lowering::ScalaToCLowering;

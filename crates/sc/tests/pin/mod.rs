@@ -1,8 +1,8 @@
 //! The digest the SC output pins hash into: FNV-1a-64 over formatted text,
-//! and the `Specialization` report with its hash maps in key order. Shared
+//! and the `Specialization` report with its hash map in key order. Shared
 //! by `output_pin.rs` (hand plans) and the workspace's `tests/miss_pin.rs`
-//! (the SQL miss path); each includes this file as a module and imports
-//! `Specialization` at its root.
+//! (the SQL miss path), `specialize_pin.rs` and `layout_pin.rs`; each
+//! includes this file as a module and imports `Specialization` at its root.
 
 use super::Specialization;
 use std::collections::BTreeMap;
@@ -35,18 +35,12 @@ pub fn write_spec(h: &mut Fnv, spec: &Specialization) {
         date_indexes,
         dictionaries,
         used_columns,
-        parallelism,
-        parallel_joins,
-        parallel_sorts,
-        encoded_columns,
-        unpack_strategies,
+        packed_columns,
     } = spec;
     let used: BTreeMap<_, _> = used_columns.iter().collect();
-    let strategies: BTreeMap<_, _> = unpack_strategies.iter().collect();
     write!(
         h,
-        "{fk_partitions:?}{pk_indexes:?}{date_indexes:?}{dictionaries:?}{used:?}\
-         {parallelism}/{parallel_joins}/{parallel_sorts}{encoded_columns:?}{strategies:?}"
+        "{fk_partitions:?}{pk_indexes:?}{date_indexes:?}{dictionaries:?}{used:?}{packed_columns:?}"
     )
     .unwrap();
 }

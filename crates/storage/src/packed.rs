@@ -292,12 +292,12 @@ impl PackedInts {
         }
     }
 
-    /// Batch-decodes `out.len()` values starting at row `start` into `out` —
-    /// the fused-unpack primitive. A scalar head aligns to a 64-value block
-    /// boundary, full blocks run through the width-monomorphized
-    /// word-at-a-time loop (64 values per `width` words), and a scalar tail
-    /// finishes non-multiple-of-64 remainders. Output is element-for-element
-    /// identical to per-row [`PackedInts::get`].
+    /// Batch-decodes `out.len()` values starting at row `start` into `out`.
+    /// A scalar head aligns to a 64-value block boundary, full blocks run
+    /// through the width-monomorphized word-at-a-time loop (64 values per
+    /// `width` words), and a scalar tail finishes non-multiple-of-64
+    /// remainders. Output is element-for-element identical to per-row
+    /// [`PackedInts::get`].
     pub fn unpack_range(&self, start: usize, out: &mut [i64]) {
         let end = start.checked_add(out.len()).expect("range end overflows");
         assert!(end <= self.len, "unpack_range {start}..{end} out of bounds (len {})", self.len);

@@ -1,5 +1,5 @@
 //! The TCP front door's headline guarantee: a query served over loopback
-//! `legobase-wire-v2` returns results **bit-identical** to the in-process
+//! `legobase-wire-v3` returns results **bit-identical** to the in-process
 //! surfaces — all 22 TPC-H queries under all 8 named configurations of
 //! Table III (CI re-runs the suite under `LEGOBASE_PARALLELISM=4`, pushing
 //! every remote execution through the shared morsel pool).

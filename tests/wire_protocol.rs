@@ -1,4 +1,4 @@
-//! Adversarial coverage of `legobase-wire-v2` (DESIGN.md §3f): a server
+//! Adversarial coverage of `legobase-wire-v3` (DESIGN.md §3f): a server
 //! facing malformed frames, truncated streams, version skew, and mid-query
 //! disconnects must answer with typed errors or clean closes — never a
 //! panic, and never a wedged accept loop. After every abuse the same server
@@ -33,9 +33,9 @@ fn assert_still_serving(server: &legobase::server::TcpServer) {
 /// frames would all read as corrupt under v2's checksum.
 #[test]
 fn version_mismatch_is_typed_and_connection_refused() {
-    assert_eq!(VERSION, 2);
+    assert_eq!(VERSION, 3);
     let server = server();
-    for peer in [1u32, 99] {
+    for peer in [1u32, 2, 99] {
         let mut raw = TcpStream::connect(server.local_addr()).unwrap();
         raw.write_all(&MAGIC).unwrap();
         raw.write_all(&peer.to_le_bytes()).unwrap();
