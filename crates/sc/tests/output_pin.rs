@@ -38,7 +38,7 @@ fn digest(q: &QueryPlan, cat: &Catalog) -> u64 {
 }
 
 /// Recorded after the `FieldPromotion` numbering fix and before the
-/// traversal framework moved to in-place rewriting (PR 21). Moved on
+/// traversal framework moved to in-place rewriting. Moved on
 /// purpose when the report lost its parallel decisions and unpack
 /// strategies: the C lost its parallel banners, the Encode banner counts
 /// packed columns only, and the report records `packed_columns`.
