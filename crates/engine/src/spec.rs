@@ -156,6 +156,14 @@ mod tests {
         assert!(!s.has_fk_partition("lineitem", 1));
         assert!(s.has_pk_index("orders", 0));
         assert!(s.has_date_index("lineitem", 10));
+    }
+
+    /// A column cleared for bit-packing twice is recorded once; an
+    /// uncleared column stays plain.
+    #[test]
+    fn packed_columns_record_each_column_once() {
+        let mut s = Specialization::default();
+        assert!(!s.has_packed_column("lineitem", 10));
         s.add_packed_column("lineitem", 10);
         s.add_packed_column("lineitem", 10);
         assert_eq!(s.packed_columns.len(), 1);

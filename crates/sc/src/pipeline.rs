@@ -390,6 +390,21 @@ mod tests {
         }
     }
 
+    /// No phase of SC reads the degree: the serial and the parallel
+    /// pipelines run the same transformers, and neither marks the C.
+    #[test]
+    fn serial_and_parallel_requests_share_one_unmarked_pipeline() {
+        let cat = catalog();
+        let q = legobase_queries::query(&cat, 6);
+        let serial = compile(&q, &cat, &Settings::optimized());
+        let par = compile(&q, &cat, &Settings::optimized().with_parallelism(4));
+        let phases = |r: &CompileResult| r.trace.iter().map(|t| t.name).collect::<Vec<_>>();
+        assert_eq!(phases(&serial), phases(&par));
+        for r in [&serial, &par] {
+            assert!(!r.c_source.contains("morsel-driven"));
+        }
+    }
+
     #[test]
     fn q12_specialization_matches_paper_narrative() {
         let cat = catalog();
