@@ -304,7 +304,15 @@ impl LegoBase {
     /// Starts a [`QueryService`] over this database. The per-query
     /// [`LegoBase::query`] path remains available on other instances and is
     /// the service's correctness oracle.
+    ///
+    /// **Process-wide effect:** on Linux with glibc, the first thing this
+    /// does is pin the C allocator's heap thresholds for the whole process
+    /// (`keep_warm_heap`), so the heap a warm query frees stays mapped for
+    /// the next one instead of going back to the kernel and faulting in
+    /// again (DESIGN.md §3d). Results do not change; elsewhere it does
+    /// nothing.
     pub fn serve_with(self, options: ServeOptions) -> QueryService {
+        keep_warm_heap();
         QueryService {
             system: RwLock::new(self),
             pool: MorselPool::new(options.workers),
@@ -316,6 +324,39 @@ impl LegoBase {
             counters: Counters::default(),
             next_tenant: AtomicU64::new(1),
             options,
+        }
+    }
+}
+
+/// Pins glibc's two dynamic heap thresholds at the ceiling glibc's own rule
+/// can reach on 64-bit: `M_MMAP_THRESHOLD` at 32 MiB
+/// (`DEFAULT_MMAP_THRESHOLD_MAX`) and `M_TRIM_THRESHOLD` at twice that. Left
+/// to the rule, the trim threshold sits wherever the process's largest
+/// freed block put it — about 2 MB after an archive open — and a join that
+/// frees 2.5–5 MB of gathered columns hands the heap top back to the kernel
+/// on every execution, to re-fault it page by page on the next. Pinned, a
+/// freed block stays in the heap for any later allocation of any type or
+/// size, which typed buffer pools cannot offer (their buffers fit one
+/// shape and cost resident memory while idle). Setting either threshold
+/// turns glibc's dynamic rule off for both, so both are set.
+///
+/// A no-op off Linux glibc, where neither the thresholds nor `mallopt`
+/// exist in this form.
+fn keep_warm_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        use std::ffi::c_int;
+        const M_TRIM_THRESHOLD: c_int = -1;
+        const M_MMAP_THRESHOLD: c_int = -3;
+        extern "C" {
+            fn mallopt(param: c_int, value: c_int) -> c_int;
+        }
+        for (param, value) in [(M_MMAP_THRESHOLD, 32 << 20), (M_TRIM_THRESHOLD, 64 << 20)] {
+            // SAFETY: `mallopt` takes two integers and only adjusts the
+            // allocator's tuning under its own lock; both values are in the
+            // range glibc accepts for these parameters. A rejected value
+            // returns 0 and leaves the allocator as it was.
+            unsafe { mallopt(param, value) };
         }
     }
 }

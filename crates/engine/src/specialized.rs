@@ -515,6 +515,7 @@ impl<'a> Exec<'a> {
                 let schema = lchunk.schema.concat(&rchunk.schema);
                 let lrows: Vec<u32> = pairs.iter().map(|&(lp, _)| lp).collect();
                 let rrows: Vec<u32> = pairs.iter().map(|&(_, rp)| rp).collect();
+                let unmatched = rrows.contains(&u32::MAX);
                 let mut cols = Vec::with_capacity(schema.len());
                 let mut nulls = Vec::with_capacity(schema.len());
                 for c in 0..l_arity {
@@ -533,7 +534,7 @@ impl<'a> Exec<'a> {
                         nulls.push(None);
                         continue;
                     }
-                    let (col, mask) = gather_column_nullable(rchunk, c, &rrows);
+                    let (col, mask) = gather_column_nullable(rchunk, c, &rrows, unmatched);
                     cols.push(col);
                     nulls.push(mask);
                 }
@@ -1159,13 +1160,15 @@ fn gather_column(chunk: &Chunk, c: usize, rows: &[u32]) -> (Column, Option<Arc<V
 }
 
 /// Like [`gather_column`] but `u32::MAX` rows become NULL (outer joins).
+/// `unmatched` says whether `rows` holds any `u32::MAX`; the caller scans
+/// for it once per join, not once per column.
 fn gather_column_nullable(
     chunk: &Chunk,
     c: usize,
     rows: &[u32],
+    unmatched: bool,
 ) -> (Column, Option<Arc<Vec<bool>>>) {
-    let has_null = rows.contains(&u32::MAX);
-    if !has_null {
+    if !unmatched {
         return gather_column(chunk, c, rows);
     }
     let base_mask = chunk.nulls[c].as_deref();
